@@ -9,9 +9,7 @@ identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +62,6 @@ class RhoGrid:
             raise ValidationError("rho grid count must be >= 2")
         if self.start <= 0 or self.stop <= 0:
             raise ValidationError("rho grid endpoints must be > 0")
-        if self.log and (self.start <= 0 or self.stop <= 0):
-            raise ValidationError("log grid endpoints must be > 0")
 
     def values(self) -> list[float]:
         if self.log:
@@ -290,17 +286,7 @@ def _run_sweep(cfg: RunConfig, d: TypeDistribution) -> list[str]:
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
     if cfg.include_ic:
         header += ",y_ic,Q_ic,W_ic"
-    workers_env = os.environ.get("UPKEEP_THREADS")
-    workers = int(workers_env) if workers_env else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(rhos)))
-    if workers == 1:
-        rows = [_sweep_row(d, r, cfg.tol, cfg.include_ic) for r in rhos]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda r: _sweep_row(d, r, cfg.tol, cfg.include_ic), rhos)
-            )
-    return [header] + rows
+    return [header] + [_sweep_row(d, r, cfg.tol, cfg.include_ic) for r in rhos]
 
 
 def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], bool]:

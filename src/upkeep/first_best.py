@@ -27,16 +27,14 @@ _MAX_BISECT = 200
 class FirstBestSolution:
     """Threshold, uptime, welfare, and the mechanism that attains them.
 
-    marginal_fraction is the contribution fraction assigned to types whose
-    cost sits exactly at the threshold; balance holds for any choice, so
-    the solver uses 0 unless told otherwise.
+    Types whose cost sits exactly at the threshold contribute nothing;
+    balance holds for any contribution fraction they might be given.
     """
 
     y_fb: float
     Q_fb: float
     W_fb: float
     mechanism: Mechanism
-    marginal_fraction: float
     iterations: int
     rho: float
 
@@ -106,27 +104,11 @@ def solve_first_best(
         iterations += 1
     y_fb = _polish_root(0.5 * (lo + hi), d, rho)
 
-    marginal_fraction = 0.0
     scale = max(1.0, y_fb)
-    contributing = [t for t in d.types if t.c < y_fb - _ATOM_SNAP * scale]
-    marginal = [
-        t for t in d.types if abs(t.c - y_fb) <= _ATOM_SNAP * scale and t.mass > 0
-    ]
-    m_eff = sum(t.mass for t in contributing) + marginal_fraction * sum(
-        t.mass for t in marginal
-    )
+    contributing = {t.id for t in d.types if t.c < y_fb - _ATOM_SNAP * scale}
+    m_eff = sum(t.mass for t in d.types if t.id in contributing)
     Q_fb = m_eff / (rho + m_eff) if m_eff > 0 else 0.0
-
-    contributing_ids = {t.id for t in contributing}
-    marginal_ids = {t.id for t in marginal}
-    P = {}
-    for t in d.types:
-        if t.id in contributing_ids:
-            P[t.id] = 1.0 - Q_fb
-        elif t.id in marginal_ids:
-            P[t.id] = (1.0 - Q_fb) * marginal_fraction
-        else:
-            P[t.id] = 0.0
+    P = {t.id: 1.0 - Q_fb if t.id in contributing else 0.0 for t in d.types}
     mechanism = Mechanism(Q=Q_fb, R={t.id: Q_fb for t in d.types}, P=P)
 
     W_fb = d.u_bar - rho * y_fb
@@ -135,7 +117,6 @@ def solve_first_best(
         Q_fb=Q_fb,
         W_fb=W_fb,
         mechanism=mechanism,
-        marginal_fraction=marginal_fraction,
         iterations=iterations,
         rho=rho,
     )

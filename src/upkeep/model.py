@@ -106,6 +106,18 @@ class TypeDistribution:
         raise KeyError(type_id)
 
 
+def kink_uptimes(d: TypeDistribution) -> list[float]:
+    """0, 1 and each type's kink 1 / (1 + nu), ascending and distinct.
+
+    At a type's kink its uptime-scaled valuation Q * nu equals the
+    downtime 1 - Q; between consecutive kinks the participation and
+    screening Lagrangians are piecewise affine in the uptime.
+    """
+    qs = {0.0, 1.0}
+    qs.update(1.0 / (1.0 + t.nu) for t in d.types)
+    return sorted(qs)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Breakage rate plus simulator distribution shapes.

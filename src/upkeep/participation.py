@@ -23,6 +23,7 @@ from .model import (
     DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
+    kink_uptimes,
     welfare,
 )
 
@@ -92,12 +93,6 @@ def reduced_lagrangian(Q: float, y: float, d: TypeDistribution, rho: float) -> f
     return total
 
 
-def _kinks(d: TypeDistribution) -> list[float]:
-    qs = {0.0, 1.0}
-    qs.update(1.0 / (1.0 + t.nu) for t in d.types)
-    return sorted(qs)
-
-
 def _cap_sum(Q: float, y: float, d: TypeDistribution, strict: bool) -> float:
     total = 0.0
     one_minus = 1.0 - Q
@@ -125,7 +120,7 @@ def argmax_face(
     [0, 1] is attained on the kink partition; ties span a flat face.
     Returns (face_lo, face_hi, max_value).
     """
-    pts = kinks if kinks is not None else _kinks(d)
+    pts = kinks if kinks is not None else kink_uptimes(d)
     vals = [reduced_lagrangian(q, y, d, rho) for q in pts]
     vmax = max(vals)
     tol = _FACE_RTOL * max(1.0, abs(vmax))
@@ -157,7 +152,7 @@ def slater_gap(d: TypeDistribution, rho: float, tol: float = DEFAULT_TOL) -> flo
     if tol <= 0:
         raise ValueError("tol must be > 0")
     best = -math.inf
-    for q in _kinks(d):
+    for q in kink_uptimes(d):
         g = _cap_sum(q, math.inf, d, strict=True) - rho * q
         if g > best:
             best = g
@@ -230,7 +225,7 @@ def _solve_infinite_branch(
 ) -> ParticipationSolution:
     # Every balanced feasible point saturates all caps; the feasible
     # uptimes are the zero set of the slack function, an interval [0, qbar].
-    kinks = _kinks(d)
+    kinks = kink_uptimes(d)
     eps = tol * max(1.0, rho, d.total_mass)
     qbar = 0.0
     for a, b in zip(kinks, kinks[1:]):
@@ -304,7 +299,7 @@ def solve_participation(
     if slater_gap(d, rho, tol) <= tol * slack_scale:
         return _solve_infinite_branch(d, rho, tol)
 
-    kinks = _kinks(d)
+    kinks = kink_uptimes(d)
 
     def ascending(y: float) -> bool:
         lo, hi, _ = argmax_face(y, d, rho, kinks)

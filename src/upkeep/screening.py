@@ -3,9 +3,12 @@
 Hidden types are screened through access levels.  For a fixed uptime the
 problem reduces to a single-good sale with a hard payment cap, whose
 optima are posted prices or two-atom menus saturating the payment
-moment.  The outer problem is again a concave-convex saddle point over
-uptime and the repair value, solved by golden-section inside a bisection
-on the balance residual.
+moment.  Between consecutive kink uptimes Q = 1 / (1 + nu) every
+candidate menu's usage and contribution levels are affine in Q, so at a
+fixed repair value y the Lagrangian W + y * S peaks at a kink or in the
+limit Q -> 1.  The dual is therefore the upper envelope of finitely many
+lines, which a cutting-plane walk minimizes exactly; mixing the two lines
+active at the minimum balances the mechanism.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ from .model import (
     DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
+    kink_uptimes,
     welfare,
 )
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_BISECT = 200
+_MAX_WALK = 200
+
+# (revenue, welfare, r_by_id, p_by_id) of one candidate menu at an uptime.
+_Candidate = tuple[float, float, dict[str, float], dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,8 @@ class ScreeningSolution:
     """Saddle data, the induced mechanism, and its tier structure.
 
     tiers are ordered by descending access; assignment maps each type id
-    to a tier index, or None for opting out.
+    to a tier index, or None for opting out.  iterations counts the steps
+    of the dual walk, and is 0 when y_star is infinite.
     """
 
     y_star: float
@@ -162,10 +169,8 @@ def bounded_monopoly_solve(
     return MenuSolution(r=r, p=p, value=best_value)
 
 
-def _rev_candidates(
-    d: TypeDistribution, Q: float
-) -> list[tuple[float, float, dict[str, float], dict[str, float]]]:
-    """(revenue, welfare, r_by_id, p_by_id) for every candidate menu."""
+def _rev_candidates(d: TypeDistribution, Q: float) -> list[_Candidate]:
+    """Revenue, welfare and normalized menu of every candidate menu."""
     ratio = Q / (1.0 - Q)
     order = sorted(d.types, key=lambda t: t.nu)
     nus = [t.nu * ratio for t in order]
@@ -213,120 +218,51 @@ def ic_lagrangian(
     return value, menu
 
 
-def _argmax_uptime(
-    y: float, d: TypeDistribution, rho: float, width: float = 1e-12
-) -> tuple[float, float]:
-    """Golden-section maximum of the concave uptime map at fixed y."""
-    lo, hi = 0.0, 1.0
-    c = hi - _GOLDEN * (hi - lo)
-    e = lo + _GOLDEN * (hi - lo)
-    fc = ic_lagrangian(c, y, d, rho)[0]
-    fe = ic_lagrangian(e, y, d, rho)[0]
-    while hi - lo > width:
-        if fc >= fe:
-            hi, e, fe = e, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = ic_lagrangian(c, y, d, rho)[0]
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + _GOLDEN * (hi - lo)
-            fe = ic_lagrangian(e, y, d, rho)[0]
-    q = c if fc >= fe else e
-    val = max(fc, fe)
-    for q_end in (0.0, 1.0):
-        v_end = ic_lagrangian(q_end, y, d, rho)[0]
-        if v_end > val:
-            q, val = q_end, v_end
-    return q, val
+@dataclass(frozen=True)
+class _Line:
+    """Uptime Q and a normalized menu with welfare W and balance slack
+    S = sum(mass * P) - rho * Q; in the dual it is the line y -> W + y * S."""
+
+    W: float
+    S: float
+    Q: float
+    menu: InnerMenu
 
 
-def _menu_residual(Q: float, menu: InnerMenu, d: TypeDistribution, rho: float) -> float:
-    return sum(t.mass * (1.0 - Q) * menu.p[t.id] for t in d.types) - rho * Q
+def _line(Q: float, menu: InnerMenu, d: TypeDistribution, rho: float) -> _Line:
+    R = {t.id: Q * menu.r[t.id] for t in d.types}
+    P = {t.id: (1.0 - Q) * menu.p[t.id] for t in d.types}
+    W = sum(t.mass * (R[t.id] * t.u - P[t.id] * t.c) for t in d.types)
+    S = sum(t.mass * P[t.id] for t in d.types) - rho * Q
+    return _Line(W=W, S=S, Q=Q, menu=menu)
 
 
-def _residual_at(y: float, d: TypeDistribution, rho: float) -> tuple[float, float, InnerMenu]:
-    q, _ = _argmax_uptime(y, d, rho)
-    _, menu = ic_lagrangian(q, y, d, rho)
-    return _menu_residual(q, menu, d, rho), q, menu
+def _kink_line(
+    y: float, kinks: Sequence[float], d: TypeDistribution, rho: float
+) -> _Line:
+    """The kink menu maximizing ic_lagrangian(Q, y) over the kinks Q < 1."""
+    _, menu, q = max(
+        (ic_lagrangian(q, y, d, rho) + (q,) for q in kinks), key=lambda b: b[0]
+    )
+    return _line(q, menu, d, rho)
 
 
-def _balance_repair(
-    y: float, d: TypeDistribution, rho: float, tol: float
-) -> tuple[float, InnerMenu] | None:
-    """Find an exactly balanced menu on the near-maximal uptime plateau.
+def _mix(a: _Line, b: _Line) -> tuple[float, InnerMenu]:
+    """The point alpha * a + (1 - alpha) * b in (Q, R, P) with S = 0, as
+    its uptime and normalized menu.
 
-    At the saddle the maximizer face carries a balanced menu; the face is
-    located by value, then the residual sign change inside it is bisected.
+    Usage is mixed in uptime shares and contributions in downtime shares,
+    so a tier keeps its normalized levels exactly even next to the
+    Q -> 1 limit, where 1 - Q is tiny.
     """
-    q_hat, v_hat = _argmax_uptime(y, d, rho)
-    scale = max(1.0, rho, d.total_mass)
-    eps = tol * scale
-    eps_tight = 1e-12 * scale
-
-    def resid(q: float) -> float:
-        _, menu = ic_lagrangian(q, y, d, rho)
-        return _menu_residual(q, menu, d, rho)
-
-    r_hat = resid(q_hat)
-    if abs(r_hat) <= eps_tight:
-        return q_hat, ic_lagrangian(q_hat, y, d, rho)[1]
-
-    n = 257
-    grid = sorted({i / (n - 1) for i in range(n)} | {q_hat})
-    values = [ic_lagrangian(q, y, d, rho)[0] for q in grid]
-    v_max = max(max(values), v_hat)
-    idx_hat = grid.index(q_hat)
-
-    for plateau_tol in (1e-9, 1e-7, 1e-5):
-        thr = v_max - plateau_tol * max(1.0, abs(v_max))
-        lo_i = idx_hat
-        while lo_i > 0 and values[lo_i - 1] >= thr:
-            lo_i -= 1
-        hi_i = idx_hat
-        while hi_i < len(grid) - 1 and values[hi_i + 1] >= thr:
-            hi_i += 1
-        rs = {i: resid(grid[i]) for i in range(lo_i, hi_i + 1)}
-        for i in range(lo_i, hi_i + 1):
-            if abs(rs[i]) <= eps_tight:
-                return grid[i], ic_lagrangian(grid[i], y, d, rho)[1]
-        for i in range(lo_i, hi_i):
-            if rs[i] == 0.0 or rs[i + 1] == 0.0 or (rs[i] > 0) == (rs[i + 1] > 0):
-                continue
-            a, b = grid[i], grid[i + 1]
-            ra = rs[i]
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                rm = resid(mid)
-                if abs(rm) <= eps_tight * 1e-1:
-                    break
-                if (rm > 0) == (ra > 0):
-                    a, ra = mid, rm
-                else:
-                    b = mid
-            q_bal = 0.5 * (a + b)
-            rm = resid(q_bal)
-            if abs(rm) <= eps:
-                return q_bal, ic_lagrangian(q_bal, y, d, rho)[1]
-            # Residual jumps across a menu switch: mix the two menus.
-            _, menu_a = ic_lagrangian(a, y, d, rho)
-            _, menu_b = ic_lagrangian(b, y, d, rho)
-            ra_here = _menu_residual(q_bal, menu_a, d, rho)
-            rb_here = _menu_residual(q_bal, menu_b, d, rho)
-            if (ra_here > 0) == (rb_here > 0):
-                continue
-            alpha = rb_here / (rb_here - ra_here)
-            mixed = InnerMenu(
-                r={
-                    tid: alpha * menu_a.r[tid] + (1 - alpha) * menu_b.r[tid]
-                    for tid in menu_a.r
-                },
-                p={
-                    tid: alpha * menu_a.p[tid] + (1 - alpha) * menu_b.p[tid]
-                    for tid in menu_a.p
-                },
-            )
-            return q_bal, mixed
-    return None
+    alpha = -b.S / (a.S - b.S)
+    up_a, up_b = alpha * a.Q, (1.0 - alpha) * b.Q
+    down_a, down_b = alpha * (1.0 - a.Q), (1.0 - alpha) * (1.0 - b.Q)
+    w_r = up_a / (up_a + up_b) if up_a + up_b > 0.0 else 1.0
+    w_p = down_a / (down_a + down_b)
+    r = {tid: w_r * x + (1.0 - w_r) * b.menu.r[tid] for tid, x in a.menu.r.items()}
+    p = {tid: w_p * x + (1.0 - w_p) * b.menu.p[tid] for tid, x in a.menu.p.items()}
+    return up_a + up_b, InnerMenu(r=r, p=p)
 
 
 def _extract_tiers(
@@ -380,48 +316,25 @@ def _build_solution(
 
 
 def _solve_infinite_branch(
-    d: TypeDistribution, rho: float, tol: float
+    d: TypeDistribution, rho: float, cands: Mapping[float, list[_Candidate]]
 ) -> ScreeningSolution:
     # No menu has strictly slack balance, so feasible menus are exactly
     # the balanced revenue maximizers; pick the welfare-best of those.
-    eps = tol * max(1.0, rho, d.total_mass)
+    # Revenue minus rho * Q is convex between kinks and nowhere positive,
+    # so where it vanishes inside a segment it vanishes at both ends, and
+    # welfare, affine along the segment, is best at one end.  At Q = 0
+    # the opt-out menu is balanced, so the scan always finds one.
     eps_bal = 1e-12 * max(1.0, rho, d.total_mass)
-
-    def rev_gap(q: float) -> float:
-        if q <= 0.0 or q >= 1.0:
-            return -rho * q
-        best = max(r[0] for r in _rev_candidates(d, q))
-        return best - rho * q
-
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if rev_gap(mid) >= -eps:
-            lo = mid
-        else:
-            hi = mid
-    qbar = lo
-
     best: tuple[float, float, InnerMenu] | None = None
-    steps = 33
-    for i in range(steps + 1):
-        q = qbar * i / steps
-        if q <= 0.0:
-            cands = [(0.0, 0.0, {t.id: 0.0 for t in d.types}, {t.id: 0.0 for t in d.types})]
-        elif q >= 1.0:
-            continue
-        else:
-            cands = _rev_candidates(d, q)
-        rev_max = max(c[0] for c in cands)
+    for q, cs in cands.items():
+        rev_max = max(c[0] for c in cs)
         if abs(rev_max - rho * q) > eps_bal:
             continue
-        for rev, w, r_by, p_by in cands:
+        for rev, w, r_by, p_by in cs:
             if rev < rev_max - eps_bal:
                 continue
             if best is None or w > best[0] + eps_bal:
                 best = (w, q, InnerMenu(r=r_by, p=p_by))
-    if best is None:
-        best = (0.0, 0.0, InnerMenu(r={t.id: 0.0 for t in d.types}, p={t.id: 0.0 for t in d.types}))
     _, q, menu = best
     return _build_solution(math.inf, q, menu, d, rho, 0)
 
@@ -432,11 +345,17 @@ def solve_screening(
     """Solve the designer's problem under participation and truthful
     reporting.
 
-    The repair value is bisected on the balance residual of the induced
-    menu; at the optimum the balanced menu on the maximizer face is
-    recovered exactly.  When no menu has slack balance the dual is
-    unbounded and the welfare-best balanced revenue maximizer is
-    returned instead.
+    The dual g(y) = max over Q of ic_lagrangian(Q, y) is the upper
+    envelope of finitely many lines W + y * S, one per kink menu plus
+    the Q -> 1 limit (W = u_bar, S = -rho).  A cutting-plane walk keeps
+    one line with S >= 0 and one with S < 0, starting from the kink menu
+    with the most slack and the limit line.  At their crossing it
+    evaluates g; a line above the pair replaces the member on its side
+    of S = 0, otherwise the crossing minimizes g and mixing the pair's
+    (Q, R, P) points so that S = 0 gives an optimal balanced mechanism.
+    Each evaluation is one walk step.  When no kink menu has slack
+    above tol the dual is unbounded and the welfare-best balanced
+    revenue maximizer is returned with y_star = inf.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -445,62 +364,41 @@ def solve_screening(
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
 
-    eps = tol * max(1.0, rho, d.total_mass)
+    kinks = [q for q in kink_uptimes(d) if q < 1.0]
+    cands = {q: _rev_candidates(d, q) for q in kinks}
+    slack, q, r_by, p_by = max(
+        (
+            (rev - rho * q, q, r_by, p_by)
+            for q, cs in cands.items()
+            for rev, _, r_by, p_by in cs
+        ),
+        key=lambda c: c[0],
+    )
+    if slack <= tol * max(1.0, rho, d.total_mass):
+        return _solve_infinite_branch(d, rho, cands)
 
-    def slack_gap(q: float) -> float:
-        if q <= 0.0 or q >= 1.0:
-            return -rho * q
-        return max(r[0] for r in _rev_candidates(d, q)) - rho * q
-
-    grid = [i / 64 for i in range(65)]
-    if max(slack_gap(q) for q in grid) <= eps:
-        lo, hi = 0.0, 1.0
-        best = -math.inf
-        for _ in range(60):
-            c = hi - _GOLDEN * (hi - lo)
-            e = lo + _GOLDEN * (hi - lo)
-            if slack_gap(c) >= slack_gap(e):
-                hi = e
-            else:
-                lo = c
-            best = max(best, slack_gap(0.5 * (lo + hi)))
-        if best <= eps:
-            return _solve_infinite_branch(d, rho, tol)
-
-    resid0, q0, menu0 = _residual_at(0.0, d, rho)
-    if resid0 >= 0.0:
-        repaired = _balance_repair(0.0, d, rho, tol)
-        if repaired is not None:
-            return _build_solution(0.0, repaired[0], repaired[1], d, rho, 0)
-
-    y_hi = (d.u_bar + d.c_bar) / rho + d.max_cost + 1.0
-    for _ in range(64):
-        if _residual_at(y_hi, d, rho)[0] >= 0.0:
-            break
-        y_hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the screening dual")
-    y_lo = 0.0
-
-    iterations = 0
-    while y_hi - y_lo > 1e-12 * max(1.0, y_hi) and iterations < _MAX_BISECT:
-        mid = 0.5 * (y_lo + y_hi)
-        if _residual_at(mid, d, rho)[0] >= 0.0:
-            y_hi = mid
+    # Between kinks every candidate menu's (R, P) is affine in Q, so at
+    # any y the Lagrangian peaks at a kink or in the limit Q -> 1, where
+    # everyone has full access for free; ic_lagrangian(1, y) misses that
+    # limit, so its line starts the walk as neg.  It never rises above the
+    # pair again: every later neg line entered above its predecessor, so
+    # above the limit line, and while it is held every crossing lies to
+    # the right of its entry, where its lead over the steeper limit line
+    # only grows.
+    free = InnerMenu(r={t.id: 1.0 for t in d.types}, p={t.id: 0.0 for t in d.types})
+    neg = _Line(W=d.u_bar, S=-rho, Q=1.0, menu=free)
+    pos = _line(q, InnerMenu(r=r_by, p=p_by), d, rho)
+    for step in range(1, _MAX_WALK + 1):
+        y = (neg.W - pos.W) / (pos.S - neg.S)
+        v = pos.W + y * pos.S
+        top = _kink_line(y, kinks, d, rho)
+        if top.W + y * top.S <= v + 1e-12 * max(1.0, abs(v)):
+            return _build_solution(y, *_mix(pos, neg), d, rho, step)
+        if top.S >= 0.0:
+            pos = top
         else:
-            y_lo = mid
-        iterations += 1
-
-    candidates: list[ScreeningSolution] = []
-    for y_side in (y_hi, y_lo):
-        repaired = _balance_repair(y_side, d, rho, tol)
-        if repaired is not None:
-            candidates.append(
-                _build_solution(y_hi, repaired[0], repaired[1], d, rho, iterations)
-            )
-    if not candidates:
-        raise RuntimeError("balance repair failed at the screening optimum")
-    return max(candidates, key=lambda s: s.W_star)
+            neg = top
+    raise RuntimeError("screening dual walk did not converge")
 
 
 def verify_structure(sol: ScreeningSolution, tol: float = DEFAULT_TOL) -> bool:

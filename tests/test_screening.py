@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from upkeep import (
     solve_screening,
     verify_structure,
 )
-from conftest import random_distribution
+from conftest import KINDS, kinded_distribution, random_distribution
+from upkeep.model import kink_uptimes
 
 
 def test_bounded_monopoly_two_tier_menu():
@@ -177,12 +180,52 @@ def test_menu_monotone_in_valuation():
 def test_lp_oracle_agreement():
     rng = np.random.default_rng(47)
     grid = GridSpec(q_points=61, refine_rounds=3)
+    cases = []
     for _ in range(8):
         d = random_distribution(rng, n_max=5)
-        rho = float(rng.uniform(0.1, 10.0))
+        cases.append((d, float(rng.uniform(0.1, 10.0))))
+    for kind in ("tied_cost", "tied_nu", "zero_mass"):
+        for n in (3, 5):
+            d = kinded_distribution(rng, kind, n)
+            cases.append((d, d.total_mass * float(10 ** rng.uniform(-1.3, 1.3))))
+    for d, rho in cases:
         sol = solve_screening(d, rho)
         w, _ = lp_screening_welfare(d, rho, grid)
         assert abs(sol.W_star - w) <= 2e-3
+
+
+def _dual_certificate_cases():
+    rng = np.random.default_rng(59)
+    for kind in KINDS:
+        for n in (3, 4, 5, 6):
+            d = kinded_distribution(rng, kind, n)
+            yield d, d.total_mass * float(10 ** rng.uniform(-1.3, 1.3)), None
+    for n in (12, 24):
+        d = random_distribution(rng, n, n)
+        yield d, 0.2 * d.total_mass, False
+        yield d, 20.0 * d.total_mass, True
+    # Balance puts Q within 1e-8 of 1; the top tier must still charge
+    # exactly the full downtime.
+    d = TypeDistribution((AgentType("A", 4.0, 3.2, 1e6), AgentType("Z", 3.0, 7.2, 0.0)))
+    yield d, 0.01, False
+
+
+def test_screening_dual_certificate():
+    # Weak duality: g(y) = max over Q of ic_lagrangian(Q, y) bounds every
+    # balanced mechanism's welfare, so g(y_star) <= W_star certifies both.
+    for d, rho, infinite in _dual_certificate_cases():
+        sol = solve_screening(d, rho)
+        if infinite is not None:
+            assert math.isinf(sol.y_star) == infinite
+        assert check_feasible(sol.mechanism, d, rho, tol=1e-8).ok
+        assert verify_structure(sol)
+        assert sol.W_star <= solve_participation(d, rho).W_star + 1e-8
+        if math.isinf(sol.y_star):
+            continue
+        qs = [i / 200 for i in range(201)] + kink_uptimes(d)
+        g = max(ic_lagrangian(q, sol.y_star, d, rho)[0] for q in qs)
+        g = max(g, d.u_bar - rho * sol.y_star)
+        assert g <= sol.W_star + 1e-9 * max(1.0, abs(sol.W_star))
 
 
 def test_monopoly_matches_grid_oracle_random():
