@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .model import TypeDistribution
 
 _FEAS_EPS = 1e-12
+# Pair-grid candidates per block in menu_grid_oracle, sized for cache.
+_MENU_BLOCK = 16384
 
 
 class TooManyTypesError(ValueError):
@@ -122,7 +124,9 @@ def _simplex_max(
     """Two-phase dense simplex with Bland's rule; None if infeasible.
 
     Maximizes obj @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
-    Inequality right-hand sides must be nonnegative.
+    Inequality right-hand sides must be nonnegative.  Equality rows with a
+    negative right-hand side are negated, so the artificials start
+    feasible.
     """
     n = obj.size
     m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
@@ -133,35 +137,39 @@ def _simplex_max(
     T[:m_ub, :n] = A_ub
     T[:m_ub, n : n + m_ub] = np.eye(m_ub)
     T[:m_ub, -1] = b_ub
-    T[m_ub:m, :n] = A_eq
+    flip = np.where(b_eq < 0.0, -1.0, 1.0)
+    T[m_ub:m, :n] = A_eq * flip[:, None]
     T[m_ub:m, n + m_ub :n_total] = np.eye(m_eq)
-    T[m_ub:m, -1] = b_eq
+    T[m_ub:m, -1] = b_eq * flip
     basis = list(range(n, n + m_ub)) + list(range(n + m_ub, n_total))
 
     def pivot(row: int, col: int) -> None:
         T[row] /= T[row, col]
-        for r in range(m + 1):
-            if r != row and abs(T[r, col]) > 0.0:
-                T[r] -= T[r, col] * T[row]
+        f = T[:, col]
+        rows = (f != 0.0).nonzero()[0]
+        rows = rows[rows != row]
+        # One rank-1 update over the rows that the pivot column touches;
+        # each entry gets the same multiply and subtract as a row loop.
+        T[rows] -= f[rows, None] * T[row]
 
     def run(allowed: int) -> bool:
         for _ in range(20000):
-            col = -1
-            for j in range(allowed):
-                if T[m, j] < -tol:
-                    col = j
-                    break
-            if col < 0:
+            cols = (T[m, :allowed] < -tol).nonzero()[0]
+            if not cols.size:
                 return True
+            col = int(cols[0])
+            # Bland's rule: the smallest ratio, ties within tol to the
+            # smallest basic variable, scanned in row order.
+            f = T[:m, col]
+            cand = (f > tol).nonzero()[0]
+            ratios = (T[cand, -1] / f[cand]).tolist()
             row, best_ratio = -1, math.inf
-            for r in range(m):
-                if T[r, col] > tol:
-                    ratio = T[r, -1] / T[r, col]
-                    if ratio < best_ratio - tol or (
-                        abs(ratio - best_ratio) <= tol
-                        and (row < 0 or basis[r] < basis[row])
-                    ):
-                        best_ratio, row = ratio, r
+            for r, ratio in zip(cand.tolist(), ratios):
+                if ratio < best_ratio - tol or (
+                    abs(ratio - best_ratio) <= tol
+                    and (row < 0 or basis[r] < basis[row])
+                ):
+                    best_ratio, row = ratio, r
             if row < 0:
                 raise RuntimeError("unbounded linear program")
             pivot(row, col)
@@ -205,33 +213,27 @@ def _simplex_max(
 
 
 def _screening_lp(
-    d: TypeDistribution, rho: float, q: float, tol: float
-) -> float | None:
-    """Exact welfare at uptime q over the full constraint set, or None."""
+    d: TypeDistribution, rho: float, tol: float
+) -> Callable[[float], float | None]:
+    """Exact welfare at a given uptime over the full constraint set, or
+    None where infeasible.
+
+    The uptime enters only the right-hand sides, so the objective and
+    the constraint matrices are built once for all uptimes.
+    """
     n = len(d.types)
     u = np.array([t.u for t in d.types])
     c = np.array([t.c for t in d.types])
     mass = np.array([t.mass for t in d.types])
 
     obj = np.concatenate([mass * u, -mass * c])
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in range(n):
-        row = np.zeros(2 * n)
-        row[i] = 1.0
-        rows.append(row)
-        rhs.append(q)
-    for i in range(n):
-        row = np.zeros(2 * n)
-        row[n + i] = 1.0
-        rows.append(row)
-        rhs.append(1.0 - q)
+    # R <= q and P <= 1 - q, then participation and truth-telling.
+    rows: list[np.ndarray] = list(np.eye(2 * n))
     for i in range(n):
         row = np.zeros(2 * n)
         row[i] = -u[i]
         row[n + i] = c[i]
         rows.append(row)
-        rhs.append(0.0)
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -242,17 +244,17 @@ def _screening_lp(
             row[j] += u[i]
             row[n + j] -= c[i]
             rows.append(row)
-            rhs.append(0.0)
+    A_ub = np.array(rows)
     A_eq = np.zeros((1, 2 * n))
     A_eq[0, n:] = mass
-    b_eq = np.array([rho * q])
+    n_zero = len(rows) - 2 * n
 
-    result = _simplex_max(
-        obj, np.array(rows), np.array(rhs), A_eq, b_eq, tol
-    )
-    if result is None:
-        return None
-    return result[1]
+    def welfare_at(q: float) -> float | None:
+        b_ub = np.array([q] * n + [1.0 - q] * n + [0.0] * n_zero)
+        result = _simplex_max(obj, A_ub, b_ub, A_eq, np.array([rho * q]), tol)
+        return None if result is None else result[1]
+
+    return welfare_at
 
 
 def lp_screening_welfare(
@@ -269,10 +271,11 @@ def lp_screening_welfare(
     lo, hi = 0.0, 1.0
     best_q = 0.0
     best_w = -math.inf
+    welfare_at = _screening_lp(d, rho, g.lp_tol)
     for _ in range(g.refine_rounds + 1):
         qs = np.linspace(lo, hi, g.q_points)
         for q in qs:
-            w = _screening_lp(d, rho, float(q), g.lp_tol)
+            w = welfare_at(float(q))
             if w is not None and w > best_w:
                 best_w, best_q = w, float(q)
         h = (hi - lo) / (g.q_points - 1)
@@ -298,26 +301,29 @@ def menu_grid_oracle(
         raise ValueError("resolution must be > 0")
     if not vals:
         return 0.0
-    nu = np.array([v[0] for v in vals])
-    sw = np.array([v[1] for v in vals])
-    pw = np.array([v[2] for v in vals])
+    types = [(float(a), float(b), float(c)) for a, b, c in vals]
+    nu_top = max(t[0] for t in types)
+    eps = 1e-12 * max(1.0, nu_top, cap)
 
-    eps = 1e-12 * max(1.0, float(np.max(nu)), cap)
-
-    def best_over_bundles(r0: np.ndarray, p0: np.ndarray, r1: np.ndarray, p1: np.ndarray) -> float:
+    def best_over_bundles(
+        r0: np.ndarray, p0: np.ndarray, r1: np.ndarray | float, p1: np.ndarray | float
+    ) -> float:
         # Per-type pick of the utility-best bundle along the candidate
         # axis, ties resolved toward the larger objective contribution.
+        # The high bundle (r1, p1) may be a scalar shared by every
+        # candidate, as in the pair grid where it is always (1, cap).
         total = np.zeros_like(r0)
-        for i in range(nu.size):
-            u_lo = r0 * nu[i] - p0
-            u_hi = r1 * nu[i] - p1
+        for nu_i, sw_i, pw_i in types:
+            u_lo = r0 * nu_i - p0
+            u_hi = r1 * nu_i - p1
             u_best = np.maximum(0.0, np.maximum(u_lo, u_hi))
+            near = u_best - eps
             contrib = np.where(u_best <= eps, 0.0, -np.inf)
-            contrib = np.maximum(
-                contrib, np.where(u_lo >= u_best - eps, sw[i] * u_lo + pw[i] * p0, -np.inf)
+            np.maximum(
+                contrib, np.where(u_lo >= near, sw_i * u_lo + pw_i * p0, -np.inf), out=contrib
             )
-            contrib = np.maximum(
-                contrib, np.where(u_hi >= u_best - eps, sw[i] * u_hi + pw[i] * p1, -np.inf)
+            np.maximum(
+                contrib, np.where(u_hi >= near, sw_i * u_hi + pw_i * p1, -np.inf), out=contrib
             )
             total += contrib
         return float(total.max()) if total.size else 0.0
@@ -328,12 +334,12 @@ def menu_grid_oracle(
     zeros = np.zeros_like(prices)
     best = max(best, best_over_bundles(zeros, zeros, np.ones_like(prices), prices))
 
-    nu_top = float(nu.max())
     lo_grid = np.arange(0.0, cap + resolution / 2, resolution)
     hi_top = max(cap, nu_top) + resolution
     hi_grid = np.arange(cap, hi_top + resolution / 2, resolution)
-    # Evaluate the pair grid in blocks to bound peak memory.
-    chunk = max(1, 400_000 // max(1, hi_grid.size))
+    # Evaluate the pair grid in blocks small enough that each block's
+    # temporaries stay in cache.
+    chunk = max(1, _MENU_BLOCK // hi_grid.size)
     for start in range(0, lo_grid.size, chunk):
         L, H = np.meshgrid(lo_grid[start : start + chunk], hi_grid, indexing="ij")
         mask = H > L
@@ -346,8 +352,5 @@ def menu_grid_oracle(
         if not Lf.size:
             continue
         p0 = r0 * Lf
-        best = max(
-            best,
-            best_over_bundles(r0, p0, np.ones_like(r0), np.full_like(r0, cap)),
-        )
+        best = max(best, best_over_bundles(r0, p0, 1.0, cap))
     return best

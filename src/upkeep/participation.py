@@ -128,29 +128,23 @@ def argmax_face(
     return min(sel), max(sel), vmax
 
 
-def inner_max_Q(
-    y: float, d: TypeDistribution, rho: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def inner_max_Q(y: float, d: TypeDistribution, rho: float) -> tuple[float, float]:
     """Maximize the reduced Lagrangian over uptime for a fixed threshold.
 
     Exact on the kink partition; returns the smallest maximizer and the
     maximum value.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     lo, _, value = argmax_face(y, d, rho)
     return lo, value
 
 
-def slater_gap(d: TypeDistribution, rho: float, tol: float = DEFAULT_TOL) -> float:
+def slater_gap(d: TypeDistribution, rho: float) -> float:
     """Largest achievable slack in the balance condition.
 
     Maximizes aggregate saturated contributions minus the breakage rate
     over the kink partition.  A positive value certifies that the dual
     minimum is attained at a finite threshold.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     best = -math.inf
     for q in kink_uptimes(d):
         g = _cap_sum(q, math.inf, d, strict=True) - rho * q
@@ -296,7 +290,7 @@ def solve_participation(
         raise DegenerateDistributionError("distribution has no mass")
 
     slack_scale = max(1.0, rho, d.total_mass)
-    if slater_gap(d, rho, tol) <= tol * slack_scale:
+    if slater_gap(d, rho) <= tol * slack_scale:
         return _solve_infinite_branch(d, rho, tol)
 
     kinks = kink_uptimes(d)

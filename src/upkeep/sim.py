@@ -11,6 +11,7 @@ is a statistical check, not an exact one.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import IO, Mapping
@@ -184,7 +185,7 @@ def simulate_poisson(
     order = d.types
     rate = d.total_mass
     probs = np.array([t.mass for t in order]) / rate
-    cum = np.cumsum(probs)
+    cum = np.cumsum(probs).tolist()
     sig_w = np.array([pol.sigma_W[t.id] for t in order])
     sig_b = np.array([pol.sigma_B[t.id] for t in order])
 
@@ -239,7 +240,7 @@ def simulate_poisson(
             t = next_arrival
             accrue(t)
             next_arrival = t + float(rng.exponential(1.0 / rate))
-            k = int(np.searchsorted(cum, rng.random(), side="right"))
+            k = bisect.bisect_right(cum, rng.random())
             k = min(k, len(order) - 1)
             in_window = w_start <= t < w_end
             if in_window:

@@ -4,14 +4,17 @@ import pytest
 from upkeep import (
     AgentType,
     GridSpec,
+    MarkovPolicy,
+    PhysicalParams,
     TooManyTypesError,
     TypeDistribution,
     lp_screening_welfare,
     menu_grid_oracle,
     primal_grid_welfare,
+    simulate_poisson,
 )
-from upkeep.oracle import _simplex_max
-from conftest import random_distribution
+from upkeep.oracle import _screening_lp, _simplex_max
+from conftest import KINDS, kinded_distribution, random_distribution
 
 
 def test_grid_values(lmh, equal_cost):
@@ -141,3 +144,247 @@ def test_simplex_simple_lp():
     x, value = res
     assert value == pytest.approx(2.8, abs=1e-9)
     assert x == pytest.approx([1.6, 1.2], abs=1e-9)
+
+
+def _pinned_distributions():
+    """Seeded distributions of every kind with 1 to 5 types, each with a
+    rho; a single zero-mass type has no mass, so that kind starts at 2."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for kind in KINDS:
+        for n in range(2 if kind == "zero_mass" else 1, 6):
+            d = kinded_distribution(rng, kind, n)
+            out.append((d, float(rng.uniform(0.05, 0.6)) * d.total_mass))
+    return out
+
+
+def _pinned_menus():
+    """Inner-menu valuations (nu * Q / (1 - Q), mass * c, mass * y) of
+    seeded distributions, scaled so the top valuation falls in [0.3, 1.3],
+    plus one menu whose top valuation of 2.5 grows the high-atom grid."""
+    rng = np.random.default_rng(2025)
+    menus = []
+    for kind in KINDS:
+        for n in range(2 if kind == "zero_mass" else 1, 6):
+            d = kinded_distribution(rng, kind, n)
+            scale = float(rng.uniform(0.3, 1.3)) / max(t.nu for t in d.types)
+            y = float(rng.uniform(-1.0, 2.0))
+            order = sorted(d.types, key=lambda t: t.nu)
+            menus.append([(t.nu * scale, t.mass * t.c, t.mass * y) for t in order])
+    nus = np.sort(rng.uniform(0.0, 2.5, size=4))
+    nus[-1] = 2.5
+    sws = rng.uniform(0.0, 2.0, size=4)
+    pws = rng.uniform(-2.0, 2.0, size=4)
+    menus.append([(float(a), float(b), float(c)) for a, b, c in zip(nus, sws, pws)])
+    return menus
+
+
+def _pinned_policies():
+    """Seeded distributions with random Markov policies for the Poisson
+    engine, at rho equal to the total mass."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for kind in KINDS:
+        n = 4 if kind == "zero_mass" else 3
+        d = kinded_distribution(rng, kind, n)
+        pol = MarkovPolicy(
+            sigma_W={t.id: float(rng.uniform()) for t in d.types},
+            sigma_B={t.id: float(rng.uniform()) for t in d.types},
+        )
+        out.append((d, pol, PhysicalParams(d.total_mass), int(rng.integers(2**31))))
+    return out
+
+
+PINNED_LP = [
+    ("0x1.05475da9b536ep+1", "0x1.57b096922bec5p-1"),
+    ("0x1.1b55edc0939b9p+2", "0x1.74aed2c6f1b98p-1"),
+    ("0x1.17a9946ace48ap+3", "0x1.b80df4ecf6103p-1"),
+    ("0x1.98ddcc32dd2a0p+2", "0x1.a806453a3a9bap-1"),
+    ("0x1.924a944723e39p+4", "0x1.e19896b13d910p-1"),
+    ("0x1.7f9010fe10b0bp+1", "0x1.9f093a8847ce8p-1"),
+    ("0x1.32ffe4c7785c1p+1", "0x1.348ec89527b37p-1"),
+    ("0x1.5fd540946eea9p+1", "0x1.ab9836e581ea0p-1"),
+    ("0x1.895d5c21d387bp+1", "0x1.438e625069bf7p-1"),
+    ("0x1.e3c7b54e00c57p-3", "0x1.44ba11d48abcfp-2"),
+    ("0x1.226dc96503078p+2", "0x1.579d2b8b44e0ep-1"),
+    ("0x1.468af1db2415ep+4", "0x1.c87424f47c561p-1"),
+    ("0x1.a4eba74aabf58p+2", "0x1.d58da54fc029bp-1"),
+    ("0x1.723d85cd14c6dp+5", "0x1.42e38146def43p-1"),
+    ("0x1.38677fb944326p+6", "0x1.9f32a763ce4d5p-1"),
+    ("0x1.5f610d94e51b8p-1", "0x1.7fde578da2b8fp-1"),
+    ("0x0.0p+0", "0x0.0p+0"),
+    ("0x1.a145b400a012ep+1", "0x1.77934c9af5d4ap-1"),
+    ("0x1.b3931b10b6fb1p+2", "0x1.65446c65b8ee9p-1"),
+]
+
+PINNED_MENU = [
+    "0x1.63705ebde04ddp+2",
+    "0x1.66e719cb70b6bp+1",
+    "0x1.aadacf76f3634p+1",
+    "0x1.3b2d8c94bc64cp+4",
+    "0x1.151bff1c77e69p+3",
+    "0x1.03a37d69b46e0p+2",
+    "0x1.c15f67aa27ef8p-1",
+    "0x1.7ce8b5308d25ap+1",
+    "0x1.7130332145115p+1",
+    "0x1.906f02fe19684p+2",
+    "0x1.246197278de33p+1",
+    "0x1.fc5651f3a6f1bp+1",
+    "0x1.76f61a1a54d45p+4",
+    "0x1.dbe9bd77c59b3p+3",
+    "0x1.8278550fcadc1p+2",
+    "0x1.1113a69878e8fp-2",
+    "0x1.089555e535186p+2",
+    "0x1.0bb5ea3bfbb82p+2",
+    "0x1.47a56b272c968p+1",
+    "0x1.2ff146f498148p+2",
+]
+
+PINNED_POISSON = [
+    (
+        "0x1.83dfae5f3607bp-2",
+        ("0x1.f755b5c7dd56dp-4", "0x1.9fbd0911704e2p-2", "0x1.722b40e151fb0p-2"),
+        ("0x1.acbd2096b2f48p-2", "0x1.b60f5896ab98cp-2", "0x1.4bf1eae05078bp-2"),
+        1057,
+    ),
+    (
+        "0x1.bdf2bae3e75aep-2",
+        ("0x1.bc86f21bc86f2p-3", "0x1.a7b9611a7b961p-4", "0x1.91ea930647aa5p-4"),
+        ("0x1.e23b88ee23b89p-2", "0x1.e58469ee5846ap-2", "0x1.8ef606a63bd82p-2"),
+        811,
+    ),
+    (
+        "0x1.9286aa138eb44p-2",
+        ("0x1.83ee868d8aebep-3", "0x1.d8f2fba938682p-3", "0x1.1b6513d66f780p-4"),
+        ("0x1.bbd98e6a98070p-2", "0x1.63cbeea4e1a09p-2", "0x1.77069ccfd2a82p-2"),
+        814,
+    ),
+    (
+        "0x1.78e002855e250p-2",
+        (
+            "0x1.7edd8ce490665p-2",
+            "0x0.0p+0",
+            "0x1.ccb5c3b636e3ap-6",
+            "0x1.272349c8d2723p-3",
+        ),
+        (
+            "0x1.c6a7174f6b798p-2",
+            "0x0.0p+0",
+            "0x1.7486f94056621p-2",
+            "0x1.033540cd50335p-2",
+        ),
+        960,
+    ),
+]
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+def _poisson_pin(stats, d):
+    return (
+        _hex(stats.Q_hat),
+        tuple(_hex(stats.R_hat[t.id]) for t in d.types),
+        tuple(_hex(stats.P_hat[t.id]) for t in d.types),
+        stats.n_breaks,
+    )
+
+
+def test_oracle_outputs_pinned():
+    # float.hex of every output, recorded before the oracles' fast paths:
+    # blocked menu grid, vectorized pivot, LP constraints built once per call
+    g = GridSpec(q_points=61, refine_rounds=3)
+    lp = [
+        tuple(map(_hex, lp_screening_welfare(d, rho, g)))
+        for d, rho in _pinned_distributions()
+    ]
+    assert lp == PINNED_LP
+    # q = 1 leaves no downtime for the contributions that balance needs
+    d, rho = _pinned_distributions()[0]
+    assert _screening_lp(d, rho, g.lp_tol)(1.0) is None
+    menus = [_hex(menu_grid_oracle(v, 1.0, 1e-3)) for v in _pinned_menus()]
+    assert menus == PINNED_MENU
+    sims = [
+        _poisson_pin(simulate_poisson(pol, d, phys, 1000.0, seed), d)
+        for d, pol, phys, seed in _pinned_policies()
+    ]
+    assert sims == PINNED_POISSON
+
+
+def _seeded_lps():
+    """Small bounded LPs with integer data, so ratio-test ties are common.
+
+    Every other LP repeats one of its rows scaled by 1 or 2, which ties
+    the two rows in every ratio test that reaches them; zero right-hand
+    sides add degenerate ties.  Every fourth LP asks an equality row for
+    more than the box x <= U allows, so it is infeasible.  Every third LP
+    states its equalities negated, so their right-hand sides are at or
+    below zero.
+    """
+    rng = np.random.default_rng(4242)
+    lps = []
+    for k in range(40):
+        n = int(rng.integers(2, 6))
+        A = rng.integers(-3, 4, size=(int(rng.integers(1, 5)), n)).astype(float)
+        b = rng.integers(0, 5, size=A.shape[0]).astype(float)
+        if k % 2 == 0:
+            i = int(rng.integers(A.shape[0]))
+            scale = float(rng.integers(1, 3))
+            A = np.vstack([A, scale * A[i]])
+            b = np.append(b, scale * b[i])
+        U = rng.integers(1, 5, size=n).astype(float)
+        x0 = rng.integers(0, U + 1).astype(float)
+        b = np.maximum(b, A @ x0)
+        A_ub = np.vstack([A, np.eye(n)])
+        b_ub = np.concatenate([b, U])
+        A_eq = rng.integers(0, 3, size=(int(rng.integers(1 if k % 4 == 3 else 0, 3)), n))
+        A_eq = A_eq.astype(float)
+        b_eq = A_eq @ x0
+        if k % 4 == 3:
+            A_eq[0, int(rng.integers(n))] += 1.0
+            b_eq[0] = A_eq[0] @ U + 1.0
+        if k % 3 == 1:
+            A_eq, b_eq = -A_eq, -b_eq
+        obj = rng.integers(-3, 4, size=n).astype(float)
+        lps.append((obj, A_ub, b_ub, A_eq, b_eq))
+    # Beale's example, on which the largest-coefficient rule cycles: two
+    # rows tie at ratio 0 in the first pivot
+    lps.append(
+        (
+            np.array([0.75, -20.0, 0.5, -6.0]),
+            np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+            np.array([0.0, 0.0, 1.0]),
+            np.zeros((0, 4)),
+            np.zeros(0),
+        )
+    )
+    return lps
+
+
+def test_simplex_matches_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    infeasible = 0
+    for obj, A_ub, b_ub, A_eq, b_eq in _seeded_lps():
+        res = _simplex_max(obj, A_ub, b_ub, A_eq, b_eq, 1e-9)
+        ref = linprog(
+            -obj,
+            A_ub=A_ub,
+            b_ub=b_ub,
+            A_eq=A_eq if A_eq.size else None,
+            b_eq=b_eq if A_eq.size else None,
+            method="highs",
+        )
+        assert ref.status in (0, 2)
+        if ref.status == 2:
+            infeasible += 1
+            assert res is None
+            continue
+        assert res is not None
+        x, value = res
+        assert value == pytest.approx(-ref.fun, abs=1e-9 * max(1.0, abs(ref.fun)))
+        assert value == obj @ x
+        assert np.all(x >= 0.0)
+        assert np.all(A_ub @ x <= b_ub + 1e-9)
+        assert np.allclose(A_eq @ x, b_eq, rtol=0.0, atol=1e-9)
+    assert infeasible == 10
