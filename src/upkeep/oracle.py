@@ -4,6 +4,9 @@ These deliberately avoid the solvers' machinery: welfare is maximized by
 scanning an uptime grid with local refinement, filling contributions
 greedily (exact for a fixed uptime since the objective is linear), or by
 solving the full linear program with a small self-contained simplex.
+The uptime enters that program only through its right-hand side, so the
+simplex pivots each coefficient tableau once per decision path and
+replays only the right-hand side for every uptime of an oracle call.
 """
 
 from __future__ import annotations
@@ -113,6 +116,240 @@ def primal_grid_welfare(
     return best_w, q, fills
 
 
+_MAX_PIVOTS = 20000  # per simplex phase
+
+
+def _pivot(T: np.ndarray, row: int, col: int) -> tuple[float, list[int], list[float]]:
+    """Pivot T on (row, col) in place.
+
+    Returns the pivot and the rows and multipliers of the rank-1 update,
+    which replay the same pivot on a right-hand side.
+    """
+    piv = T[row, col]
+    T[row] /= piv
+    f = T[:, col]
+    rows = (f != 0.0).nonzero()[0]
+    rows = rows[rows != row]
+    # f is a view of the pivot column, which the update zeroes, so the
+    # multipliers are taken first.  One rank-1 update over the rows that
+    # the pivot column touches; each entry gets the same multiply and
+    # subtract as a row loop.
+    mult = f[rows]
+    T[rows] -= mult[:, None] * T[row]
+    return float(piv), rows.tolist(), mult.tolist()
+
+
+def _phase2_objective(
+    T: np.ndarray, basis: list[int], obj: np.ndarray
+) -> list[tuple[int, float]]:
+    """Write the phase-2 objective row of T, priced out against the basis.
+
+    Returns the (row, multiplier) pairs subtracted, in order; they build
+    the same row's right-hand side.
+    """
+    n, m = obj.size, len(basis)
+    T[m, :] = 0.0
+    T[m, :n] = -obj
+    mults = []
+    for r in range(m):
+        if basis[r] < n and abs(T[m, basis[r]]) > 0.0:
+            mult = T[m, basis[r]]
+            T[m] -= mult * T[r]
+            mults.append((r, float(mult)))
+    return mults
+
+
+_Replay = tuple[int, float, list[int], list[float]]  # row, pivot, rows, multipliers
+
+
+class _Node:
+    """A coefficient tableau (every column but the right-hand side) with
+    its basis, and what it decides for every right-hand side.
+
+    A node that pivots holds its entering column ``col`` and the ratio
+    test's candidate rows with their pivot-column entries; ``kids`` maps
+    each leaving row met so far to its replay and the child node.  The
+    end of phase 1 holds its artificial-row steps, the phase-2
+    objective's multipliers and the phase-2 node; the end of phase 2
+    holds the basic rows that give x.
+    """
+
+    __slots__ = (
+        "T", "basis", "phase", "depth", "col", "cand", "den", "kids",
+        "steps", "obj_mult", "next", "x_rows",
+    )
+
+    def __init__(self, T: np.ndarray, basis: list[int], phase: int, depth: int) -> None:
+        self.T: np.ndarray | None = T
+        self.basis, self.phase, self.depth = basis, phase, depth
+        self.col = -1
+        self.next: _Node | None = None
+
+
+class _LPFamily:
+    """Two-phase dense simplex with Bland's rule for LPs that share their
+    objective and constraint matrices and differ in right-hand sides.
+
+    Maximizes obj @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+    Inequality right-hand sides must be nonnegative.  Equality rows with a
+    negative right-hand side are negated, so the artificials start
+    feasible.
+
+    The entering column is chosen from the coefficient part of the
+    tableau alone; the right-hand side picks only the ratio test's
+    leaving row and the infeasibility returns.  So the coefficient
+    tableaux form a trie keyed by those decisions: a root per sign-flip
+    pattern of the equality rows, a child per leaving row, and one
+    recorded transition from the end of phase 1 to phase 2.  A tableau
+    is pivoted the first time a solve reaches it; every solve replays
+    only its right-hand side, with the same float operations in the same
+    order as a fresh solve, so the results are bit-identical to one.
+    """
+
+    def __init__(self, obj: np.ndarray, A_ub: np.ndarray, A_eq: np.ndarray, tol: float) -> None:
+        self.obj, self.A_ub, self.A_eq, self.tol = obj, A_ub, A_eq, tol
+        self.n = obj.size
+        self.m_ub, self.m_eq = A_ub.shape[0], A_eq.shape[0]
+        self.m = self.m_ub + self.m_eq
+        self.allowed = self.n + self.m_ub  # structural and slack columns
+        self.roots: dict[tuple[bool, ...], _Node] = {}
+        self.tableau_pivots = 0  # pivots done on coefficient tableaux
+        self.rhs_pivots = 0  # pivots replayed on right-hand sides
+
+    def _node(self, T: np.ndarray, basis: list[int], phase: int, depth: int) -> _Node:
+        node = _Node(T, basis, phase, depth)
+        if depth == _MAX_PIVOTS:
+            return node
+        cols = (T[self.m, : self.allowed] < -self.tol).nonzero()[0]
+        if cols.size:
+            node.col = int(cols[0])
+            f = T[: self.m, node.col]
+            cand = (f > self.tol).nonzero()[0]
+            node.cand, node.den = cand.tolist(), f[cand].tolist()
+            node.kids = {}
+        elif phase == 2:
+            node.x_rows = [(r, j) for r, j in enumerate(basis) if j < self.n]
+            node.T = None
+        return node
+
+    def _root(self, signs: np.ndarray) -> _Node:
+        n, m_ub, m, art = self.n, self.m_ub, self.m, self.allowed
+        T = np.zeros((m + 1, art + self.m_eq))
+        T[:m_ub, :n] = self.A_ub
+        T[:m_ub, n:art] = np.eye(m_ub)
+        T[m_ub:m, :n] = self.A_eq * signs[:, None]
+        T[m_ub:m, art:] = np.eye(self.m_eq)
+        basis = list(range(n, art + self.m_eq))
+        if not self.m_eq:
+            # Slacks only in the basis, so nothing is priced out.
+            _phase2_objective(T, basis, self.obj)
+            return self._node(T, basis, 2, 0)
+        # Phase 1 drives the artificials to zero.
+        for r in range(m_ub, m):
+            T[m] -= T[r]
+        T[m, art:] = 0.0
+        return self._node(T, basis, 1, 0)
+
+    def _kid(self, node: _Node, row: int) -> tuple[_Replay, _Node]:
+        T = node.T.copy()
+        replay = (row, *_pivot(T, row, node.col))
+        basis = node.basis.copy()
+        basis[row] = node.col
+        self.tableau_pivots += 1
+        kid = node.kids[row] = (replay, self._node(T, basis, node.phase, node.depth + 1))
+        return kid
+
+    def _end_phase1(self, node: _Node) -> None:
+        """Record the artificial-row checks and the pivots that drive
+        artificials out of the basis at zero level, then build phase 2."""
+        T, basis, art = node.T.copy(), node.basis.copy(), self.allowed
+        steps: list[tuple[int, _Replay | None]] = []
+        for r in range(self.m):
+            if basis[r] < art:
+                continue
+            replay = None
+            for j in range(art):
+                if abs(T[r, j]) > self.tol:
+                    replay = (r, *_pivot(T, r, j))
+                    basis[r] = j
+                    self.tableau_pivots += 1
+                    break
+            steps.append((r, replay))
+        T[:, art:] = 0.0
+        node.steps = steps
+        node.obj_mult = _phase2_objective(T, basis, self.obj)
+        node.next = self._node(T, basis, 2, 0)
+        node.T = None
+
+    def _replay(self, b: list[float], replay: _Replay) -> None:
+        row, piv, rows, mult = replay
+        b_row = b[row] = b[row] / piv
+        for r, f in zip(rows, mult):
+            b[r] -= f * b_row
+        self.rhs_pivots += 1
+
+    def solve(
+        self, b_ub: np.ndarray, b_eq: np.ndarray
+    ) -> tuple[np.ndarray, float] | None:
+        """Optimal (x, obj @ x) at these right-hand sides; None if
+        infeasible."""
+        tol, m = self.tol, self.m
+        b_eq = np.asarray(b_eq, dtype=float)
+        negative = b_eq < 0.0
+        signs = np.where(negative, -1.0, 1.0)
+        key = tuple(negative.tolist())
+        node = self.roots.get(key)
+        if node is None:
+            node = self.roots[key] = self._root(signs)
+        b_art = (b_eq * signs).tolist()
+        b = np.asarray(b_ub, dtype=float).tolist() + b_art
+        obj_rhs = 0.0
+        if node.phase == 1:
+            for v in b_art:
+                obj_rhs -= v
+        b.append(obj_rhs)
+        while True:
+            if node.depth == _MAX_PIVOTS:
+                raise RuntimeError("simplex iteration limit exceeded")
+            if node.col >= 0:
+                # Bland's rule: the smallest ratio, ties within tol to the
+                # smallest basic variable, scanned in row order.
+                basis = node.basis
+                row, best_ratio = -1, math.inf
+                for r, den in zip(node.cand, node.den):
+                    ratio = b[r] / den
+                    if ratio < best_ratio - tol or (
+                        abs(ratio - best_ratio) <= tol
+                        and (row < 0 or basis[r] < basis[row])
+                    ):
+                        best_ratio, row = ratio, r
+                if row < 0:
+                    raise RuntimeError("unbounded linear program")
+                replay, node = node.kids.get(row) or self._kid(node, row)
+                self._replay(b, replay)
+            elif node.phase == 1:
+                if node.next is None:
+                    self._end_phase1(node)
+                # No separate test of the phase-1 objective: if it is short
+                # of zero by more than tol, some basic artificial exceeds
+                # tol, and its row's check returns None.
+                for r, replay in node.steps:
+                    if b[r] > tol:
+                        return None
+                    if replay is not None:
+                        self._replay(b, replay)
+                obj_rhs = 0.0
+                for r, mult in node.obj_mult:
+                    obj_rhs -= mult * b[r]
+                b[m] = obj_rhs
+                node = node.next
+            else:
+                x = np.zeros(self.n)
+                for r, j in node.x_rows:
+                    x[j] = b[r]
+                return x, float(self.obj @ x)
+
+
 def _simplex_max(
     obj: np.ndarray,
     A_ub: np.ndarray,
@@ -123,100 +360,17 @@ def _simplex_max(
 ) -> tuple[np.ndarray, float] | None:
     """Two-phase dense simplex with Bland's rule; None if infeasible.
 
-    Maximizes obj @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
-    Inequality right-hand sides must be nonnegative.  Equality rows with a
-    negative right-hand side are negated, so the artificials start
-    feasible.
+    Maximizes obj @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0;
+    a one-shot _LPFamily solve.
     """
-    n = obj.size
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
-    m = m_ub + m_eq
-    n_total = n + m_ub + m_eq  # structural + slacks + artificials
-
-    T = np.zeros((m + 1, n_total + 1))
-    T[:m_ub, :n] = A_ub
-    T[:m_ub, n : n + m_ub] = np.eye(m_ub)
-    T[:m_ub, -1] = b_ub
-    flip = np.where(b_eq < 0.0, -1.0, 1.0)
-    T[m_ub:m, :n] = A_eq * flip[:, None]
-    T[m_ub:m, n + m_ub :n_total] = np.eye(m_eq)
-    T[m_ub:m, -1] = b_eq * flip
-    basis = list(range(n, n + m_ub)) + list(range(n + m_ub, n_total))
-
-    def pivot(row: int, col: int) -> None:
-        T[row] /= T[row, col]
-        f = T[:, col]
-        rows = (f != 0.0).nonzero()[0]
-        rows = rows[rows != row]
-        # One rank-1 update over the rows that the pivot column touches;
-        # each entry gets the same multiply and subtract as a row loop.
-        T[rows] -= f[rows, None] * T[row]
-
-    def run(allowed: int) -> bool:
-        for _ in range(20000):
-            cols = (T[m, :allowed] < -tol).nonzero()[0]
-            if not cols.size:
-                return True
-            col = int(cols[0])
-            # Bland's rule: the smallest ratio, ties within tol to the
-            # smallest basic variable, scanned in row order.
-            f = T[:m, col]
-            cand = (f > tol).nonzero()[0]
-            ratios = (T[cand, -1] / f[cand]).tolist()
-            row, best_ratio = -1, math.inf
-            for r, ratio in zip(cand.tolist(), ratios):
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
-                    and (row < 0 or basis[r] < basis[row])
-                ):
-                    best_ratio, row = ratio, r
-            if row < 0:
-                raise RuntimeError("unbounded linear program")
-            pivot(row, col)
-            basis[row] = col
-        raise RuntimeError("simplex iteration limit exceeded")
-
-    # Phase 1: drive the artificials to zero.
-    if m_eq > 0:
-        T[m, :] = 0.0
-        for r in range(m_ub, m):
-            T[m, : n_total] -= T[r, : n_total]
-            T[m, -1] -= T[r, -1]
-        T[m, n + m_ub : n_total] = 0.0
-        run(n + m_ub)
-        if T[m, -1] < -1e3 * tol * max(1.0, float(np.abs(b_eq).max(initial=0.0))):
-            return None
-        for r in range(m):
-            if basis[r] >= n + m_ub and T[r, -1] > tol:
-                return None
-            if basis[r] >= n + m_ub:
-                for j in range(n + m_ub):
-                    if abs(T[r, j]) > tol:
-                        pivot(r, j)
-                        basis[r] = j
-                        break
-        T[:, n + m_ub : n_total] = 0.0
-
-    # Phase 2.
-    T[m, :] = 0.0
-    T[m, :n] = -obj
-    for r in range(m):
-        if basis[r] < n and abs(T[m, basis[r]]) > 0.0:
-            T[m] -= T[m, basis[r]] * T[r]
-    run(n + m_ub)
-
-    x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = T[r, -1]
-    return x, float(obj @ x)
+    return _LPFamily(obj, A_ub, A_eq, tol).solve(b_ub, b_eq)
 
 
-def _screening_lp(
-    d: TypeDistribution, rho: float, tol: float
-) -> Callable[[float], float | None]:
-    """Exact welfare at a given uptime over the full constraint set, or
-    None where infeasible.
+def _screening_constraints(
+    d: TypeDistribution, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[float], tuple[np.ndarray, np.ndarray]]]:
+    """The fixed-uptime screening LP over the full constraint set:
+    (obj, A_ub, A_eq, rhs), where rhs(q) gives (b_ub, b_eq) at uptime q.
 
     The uptime enters only the right-hand sides, so the objective and
     the constraint matrices are built once for all uptimes.
@@ -249,9 +403,23 @@ def _screening_lp(
     A_eq[0, n:] = mass
     n_zero = len(rows) - 2 * n
 
+    def rhs(q: float) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([q] * n + [1.0 - q] * n + [0.0] * n_zero), np.array([rho * q])
+
+    return obj, A_ub, A_eq, rhs
+
+
+def _screening_lp(
+    d: TypeDistribution, rho: float, tol: float
+) -> Callable[[float], float | None]:
+    """Exact welfare at a given uptime over the full constraint set, or
+    None where infeasible.  Every uptime is solved by one _LPFamily.
+    """
+    obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
+    family = _LPFamily(obj, A_ub, A_eq, tol)
+
     def welfare_at(q: float) -> float | None:
-        b_ub = np.array([q] * n + [1.0 - q] * n + [0.0] * n_zero)
-        result = _simplex_max(obj, A_ub, b_ub, A_eq, np.array([rho * q]), tol)
+        result = family.solve(*rhs(q))
         return None if result is None else result[1]
 
     return welfare_at

@@ -186,8 +186,8 @@ def simulate_poisson(
     rate = d.total_mass
     probs = np.array([t.mass for t in order]) / rate
     cum = np.cumsum(probs).tolist()
-    sig_w = np.array([pol.sigma_W[t.id] for t in order])
-    sig_b = np.array([pol.sigma_B[t.id] for t in order])
+    sig_w = [pol.sigma_W[t.id] for t in order]
+    sig_b = [pol.sigma_B[t.id] for t in order]
 
     w_start = _WARMUP_LIFESPANS / phys.rho
     w_end = w_start + horizon
@@ -198,9 +198,9 @@ def simulate_poisson(
     next_break = _draw_duration(rng, phys.lifespan, phys.lifespan_mean)
     pending_lifespan = next_break
 
-    arrivals = np.zeros(len(order), dtype=np.int64)
-    uses = np.zeros(len(order), dtype=np.int64)
-    contribs = np.zeros(len(order), dtype=np.int64)
+    arrivals = [0] * len(order)
+    uses = [0] * len(order)
+    contribs = [0] * len(order)
     working_time = 0.0
     n_breaks = 0
     lifespans: list[float] = []
@@ -277,11 +277,11 @@ def simulate_poisson(
     ci_r: dict[str, float] = {}
     ci_p: dict[str, float] = {}
     for i, ty in enumerate(order):
-        n = int(arrivals[i])
-        r_hat[ty.id] = float(uses[i]) / n if n else 0.0
-        p_hat[ty.id] = float(contribs[i]) / n if n else 0.0
-        ci_r[ty.id] = _binomial_ci(int(uses[i]), n)
-        ci_p[ty.id] = _binomial_ci(int(contribs[i]), n)
+        n = arrivals[i]
+        r_hat[ty.id] = uses[i] / n if n else 0.0
+        p_hat[ty.id] = contribs[i] / n if n else 0.0
+        ci_r[ty.id] = _binomial_ci(uses[i], n)
+        ci_p[ty.id] = _binomial_ci(contribs[i], n)
 
     stats = SimStats(
         Q_hat=q_hat,

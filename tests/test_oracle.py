@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from upkeep import (
     primal_grid_welfare,
     simulate_poisson,
 )
-from upkeep.oracle import _screening_lp, _simplex_max
+from upkeep.oracle import _LPFamily, _screening_constraints, _screening_lp, _simplex_max
 from conftest import KINDS, kinded_distribution, random_distribution
 
 
@@ -388,3 +390,104 @@ def test_simplex_matches_highs():
         assert np.all(A_ub @ x <= b_ub + 1e-9)
         assert np.allclose(A_eq @ x, b_eq, rtol=0.0, atol=1e-9)
     assert infeasible == 10
+
+
+def _tableau_simplex(obj, A_ub, b_ub, A_eq, b_eq, tol):
+    """Reference two-phase simplex with Bland's rule that pivots the whole
+    tableau, right-hand side included, one row at a time, with the same
+    float operations as the oracle's simplex."""
+    n = obj.size
+    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
+    m = m_ub + m_eq
+    art = n + m_ub
+    T = np.zeros((m + 1, art + m_eq + 1))
+    T[:m_ub, :n] = A_ub
+    T[:m_ub, n:art] = np.eye(m_ub)
+    T[:m_ub, -1] = b_ub
+    flip = np.where(b_eq < 0.0, -1.0, 1.0)
+    T[m_ub:m, :n] = A_eq * flip[:, None]
+    T[m_ub:m, art:-1] = np.eye(m_eq)
+    T[m_ub:m, -1] = b_eq * flip
+    basis = list(range(n, art + m_eq))
+
+    def pivot(row, col):
+        T[row] /= T[row, col]
+        for r in range(m + 1):
+            if r != row and T[r, col] != 0.0:
+                T[r] -= T[r, col] * T[row]
+        basis[row] = col
+
+    def run():
+        for _ in range(20000):
+            col = next((j for j in range(art) if T[m, j] < -tol), None)
+            if col is None:
+                return
+            row, best = -1, math.inf
+            for r in range(m):
+                if T[r, col] > tol:
+                    ratio = T[r, -1] / T[r, col]
+                    if ratio < best - tol or (
+                        abs(ratio - best) <= tol and (row < 0 or basis[r] < basis[row])
+                    ):
+                        best, row = ratio, r
+            assert row >= 0, "unbounded"
+            pivot(row, col)
+        raise AssertionError("iteration limit")
+
+    if m_eq:
+        for r in range(m_ub, m):
+            T[m] -= T[r]
+        T[m, art:-1] = 0.0
+        run()
+        for r in range(m):
+            if basis[r] >= art:
+                if T[r, -1] > tol:
+                    return None
+                j = next((j for j in range(art) if abs(T[r, j]) > tol), None)
+                if j is not None:
+                    pivot(r, j)
+        T[:, art:-1] = 0.0
+    T[m] = 0.0
+    T[m, :n] = -obj
+    for r in range(m):
+        if basis[r] < n and T[m, basis[r]] != 0.0:
+            T[m] -= T[m, basis[r]] * T[r]
+    run()
+    x = np.zeros(n)
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = T[r, -1]
+    return x, float(obj @ x)
+
+
+def _lp_hex(result):
+    return None if result is None else (_hex(result[1]), tuple(map(_hex, result[0])))
+
+
+def test_lp_family_replay_matches_fresh_solves():
+    # One family pivots each coefficient tableau once and replays only the
+    # right-hand side; in any order of uptimes every result must be
+    # bit-identical to a fresh solve and to the whole-tableau reference
+    rng = np.random.default_rng(2027)
+    tol = 1e-9
+    nones = 0
+    for kind in KINDS:
+        for n in range(2 if kind == "zero_mass" else 1, 6):
+            d = kinded_distribution(rng, kind, n)
+            rho = float(10.0 ** rng.uniform(-1.5, 1.5)) * d.total_mass
+            obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
+            qs = np.linspace(0.0, 1.0, 61).tolist() + rng.uniform(size=20).tolist()
+            fresh = {}
+            for q in qs:
+                b_ub, b_eq = rhs(q)
+                fresh[q] = _lp_hex(_simplex_max(obj, A_ub, b_ub, A_eq, b_eq, tol))
+                assert fresh[q] == _lp_hex(_tableau_simplex(obj, A_ub, b_ub, A_eq, b_eq, tol))
+            nones += sum(v is None for v in fresh.values())
+            for order in (qs, qs[::-1], rng.permutation(qs).tolist()):
+                family = _LPFamily(obj, A_ub, A_eq, tol)
+                assert [_lp_hex(family.solve(*rhs(q))) for q in order] == [
+                    fresh[q] for q in order
+                ]
+                # the trie is hit: fewer tableau pivots than replayed ones
+                assert family.tableau_pivots < family.rhs_pivots
+    assert nones > 0
