@@ -7,6 +7,10 @@ solving the full linear program with a small self-contained simplex.
 The uptime enters that program only through its right-hand side, so the
 simplex pivots each coefficient tableau once per decision path and
 replays only the right-hand side for every uptime of an oracle call.
+The bounded-payment sale is checked by scoring every menu of a grid for
+every buyer; the menus share their high bundle, so which bundles a buyer
+finds near-best reduces to comparing one utility with cut-offs fixed per
+call.  Nothing here is imported from the solvers.
 """
 
 from __future__ import annotations
@@ -452,6 +456,89 @@ def lp_screening_welfare(
     return best_w, best_q
 
 
+def _high_cut(a: float, eps: float) -> float:
+    """The largest float t with fl(t - eps) <= a.
+
+    fl(u - eps) is monotone in u, so a utility u_lo satisfies
+    a >= fl(u_lo - eps) exactly when u_lo <= t.
+    """
+    t = a + eps
+    while t - eps > a:
+        t = math.nextafter(t, -math.inf)
+    while math.nextafter(t, math.inf) - eps <= a:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+_Cutoffs = tuple[float, float, float, float, float | None, float | None, float]
+
+
+def _cutoffs(
+    types: list[tuple[float, float, float]], eps: float, high: float | None
+) -> list[_Cutoffs]:
+    """Per type, the cut-offs on u_lo that decide which bundles are near-best.
+
+    The menu holds the opt-out, a low bundle (r0, p0) that varies over the
+    candidates, and, unless high is None, the bundle (1, high).  With
+    a = nu - high and M = max(0, a), the best utility is max(M, u_lo), and
+    a bundle is near-best when its utility is at least fl(best - eps):
+    - low: u_lo >= fl(M - eps);
+    - opt-out: M <= eps and u_lo <= eps;
+    - high: a >= fl(M - eps) and u_lo <= _high_cut(a, eps).
+    Each cut-off is the exact float boundary of that test, since
+    fl(u - eps) is monotone in u.  Returns (nu, surplus weight, payment
+    weight, low cut-off, opt-out cut-off or None, high cut-off or None,
+    high bundle's value) per type; None where that bundle is never
+    near-best.
+    """
+    out = []
+    for nu, sw, pw in types:
+        if high is None:
+            best_fixed, hi_cut, hv = 0.0, None, 0.0
+        else:
+            a = nu - high
+            best_fixed = max(0.0, a)
+            hi_cut = _high_cut(a, eps) if a >= best_fixed - eps else None
+            hv = sw * a + pw * high
+        out_cut = eps if best_fixed <= eps else None
+        out.append((nu, sw, pw, best_fixed - eps, out_cut, hi_cut, hv))
+    return out
+
+
+def _best_total(
+    cutoffs: list[_Cutoffs],
+    r0: np.ndarray,
+    p0: np.ndarray,
+    work: np.ndarray,
+    mask: np.ndarray,
+) -> float:
+    """Largest objective over the candidate menus (r0, p0): each type takes
+    a utility-best bundle, near-ties resolved toward the larger
+    contribution (see _cutoffs).  work (four float rows) and mask are
+    reused across blocks.
+    """
+    k = r0.size
+    u, v, w, total = work[:, :k]
+    mask = mask[:k]
+    total.fill(0.0)
+    for nu, sw, pw, low_cut, out_cut, hi_cut, hv in cutoffs:
+        np.multiply(r0, nu, out=u)
+        np.subtract(u, p0, out=u)
+        np.multiply(u, sw, out=v)
+        np.multiply(p0, pw, out=w)
+        np.add(v, w, out=v)
+        np.less(u, low_cut, out=mask)
+        np.copyto(v, -np.inf, where=mask)
+        if out_cut is not None:
+            np.less_equal(u, out_cut, out=mask)
+            np.maximum(v, 0.0, out=v, where=mask)
+        if hi_cut is not None:
+            np.less_equal(u, hi_cut, out=mask)
+            np.maximum(v, hv, out=v, where=mask)
+        total += v
+    return float(total.max())
+
+
 def menu_grid_oracle(
     vals: Sequence[tuple[float, float, float]],
     cap: float = 1.0,
@@ -464,61 +551,62 @@ def menu_grid_oracle(
     resolution, assigning buyers by self-selection with seller-preferred
     tie-breaking, which enforces incentive compatibility, individual
     rationality, and the payment cap directly.
+
+    Every candidate is scored for every buyer.  A two-atom menu's high
+    bundle is always (1, cap), so its utility and value are scalars per
+    type, and which bundles are near-best is decided by comparing the low
+    bundle's utility with per-type cut-offs (see _cutoffs); a posted price
+    is the same menu with the priced bundle as the low one and no high one.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    if not vals:
-        return 0.0
+    if not (math.isfinite(cap) and cap > 0):
+        raise ValueError("cap must be finite and > 0")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be finite and > 0")
     types = [(float(a), float(b), float(c)) for a, b, c in vals]
+    for nu, sw, pw in types:
+        if not (math.isfinite(nu) and math.isfinite(sw) and math.isfinite(pw)):
+            raise ValueError("valuations and weights must be finite")
+        if nu < 0:
+            raise ValueError("valuations must be >= 0")
+        if sw < 0:
+            raise ValueError("surplus weights must be >= 0")
+    if not types:
+        return 0.0
     nu_top = max(t[0] for t in types)
     eps = 1e-12 * max(1.0, nu_top, cap)
-
-    def best_over_bundles(
-        r0: np.ndarray, p0: np.ndarray, r1: np.ndarray | float, p1: np.ndarray | float
-    ) -> float:
-        # Per-type pick of the utility-best bundle along the candidate
-        # axis, ties resolved toward the larger objective contribution.
-        # The high bundle (r1, p1) may be a scalar shared by every
-        # candidate, as in the pair grid where it is always (1, cap).
-        total = np.zeros_like(r0)
-        for nu_i, sw_i, pw_i in types:
-            u_lo = r0 * nu_i - p0
-            u_hi = r1 * nu_i - p1
-            u_best = np.maximum(0.0, np.maximum(u_lo, u_hi))
-            near = u_best - eps
-            contrib = np.where(u_best <= eps, 0.0, -np.inf)
-            np.maximum(
-                contrib, np.where(u_lo >= near, sw_i * u_lo + pw_i * p0, -np.inf), out=contrib
-            )
-            np.maximum(
-                contrib, np.where(u_hi >= near, sw_i * u_hi + pw_i * p1, -np.inf), out=contrib
-            )
-            total += contrib
-        return float(total.max()) if total.size else 0.0
-
-    best = 0.0  # the empty menu
-
-    prices = np.arange(0.0, cap + resolution / 2, resolution)
-    zeros = np.zeros_like(prices)
-    best = max(best, best_over_bundles(zeros, zeros, np.ones_like(prices), prices))
 
     lo_grid = np.arange(0.0, cap + resolution / 2, resolution)
     hi_top = max(cap, nu_top) + resolution
     hi_grid = np.arange(cap, hi_top + resolution / 2, resolution)
-    # Evaluate the pair grid in blocks small enough that each block's
-    # temporaries stay in cache.
-    chunk = max(1, _MENU_BLOCK // hi_grid.size)
-    for start in range(0, lo_grid.size, chunk):
-        L, H = np.meshgrid(lo_grid[start : start + chunk], hi_grid, indexing="ij")
-        mask = H > L
-        Lf, Hf = L[mask], H[mask]
-        if not Lf.size:
-            continue
-        r0 = (Hf - cap) / (Hf - Lf)
-        ok = (r0 >= 0.0) & (r0 <= 1.0)
-        Lf, r0 = Lf[ok], r0[ok]
-        if not Lf.size:
-            continue
-        p0 = r0 * Lf
-        best = max(best, best_over_bundles(r0, p0, 1.0, cap))
+    # The pair grid is built and scored in blocks of whole low-atom rows,
+    # small enough that a block's buffers stay in cache.
+    rows = max(1, _MENU_BLOCK // hi_grid.size)
+    den, r0, p0 = np.empty((3, rows, hi_grid.size))
+    size = max(r0.size, lo_grid.size)
+    work, mask = np.empty((4, size)), np.empty(size, dtype=bool)
+
+    best = 0.0  # the empty menu
+    # Posted prices: the grid of prices doubles as the low-atom grid.
+    posted = _cutoffs(types, eps, None)
+    best = max(best, _best_total(posted, np.ones_like(lo_grid), lo_grid, work, mask))
+
+    pairs = _cutoffs(types, eps, cap)
+    num = hi_grid - cap
+    for start in range(0, lo_grid.size, rows):
+        L = lo_grid[start : start + rows, None]
+        d, r, p = den[: L.size], r0[: L.size], p0[: L.size]
+        np.subtract(hi_grid, L, out=d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(num, d, out=r)
+        np.multiply(r, L, out=p)
+        # A row with L < cap keeps every pair: H >= cap > L, so
+        # 0 <= H - cap < H - L and r0 rounds into [0, 1].  Only a last row
+        # at or past cap has pairs with H <= L or r0 > 1 to drop.
+        if L[-1, 0] >= cap:
+            ok = (d > 0.0) & (r >= 0.0) & (r <= 1.0)
+            r, p = r[ok], p[ok]
+        else:
+            r, p = r.ravel(), p.ravel()
+        if r.size:
+            best = max(best, _best_total(pairs, r, p, work, mask))
     return best

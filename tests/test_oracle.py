@@ -1,4 +1,6 @@
+import ast
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from upkeep import (
     primal_grid_welfare,
     simulate_poisson,
 )
-from upkeep.oracle import _LPFamily, _screening_constraints, _screening_lp, _simplex_max
+from upkeep.oracle import (
+    _high_cut,
+    _LPFamily,
+    _screening_constraints,
+    _screening_lp,
+    _simplex_max,
+)
 from conftest import KINDS, kinded_distribution, random_distribution
 
 
@@ -125,6 +133,146 @@ def test_menu_grid_trivials():
     assert menu_grid_oracle([], 1.0, 1e-3) == 0.0
     value = menu_grid_oracle([(2.0, 1.5, 0.0)], 1.0, 1e-3)
     assert value == pytest.approx(1.5 * 2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "vals, cap, resolution",
+    [
+        ([(1.0, 1.0, 0.0)], 0.0, 1e-3),
+        ([(1.0, 1.0, 0.0)], -0.5, 1e-3),
+        ([(1.0, 1.0, 0.0)], math.inf, 1e-3),
+        ([(1.0, 1.0, 0.0)], math.nan, 1e-3),
+        ([(1.0, 1.0, 0.0)], 1.0, 0.0),
+        ([(1.0, 1.0, 0.0)], 1.0, math.nan),
+        ([(1.0, 1.0, 0.0)], 1.0, math.inf),
+        ([(-0.1, 1.0, 0.0)], 1.0, 1e-3),
+        ([(1.0, -1.0, 0.0)], 1.0, 1e-3),
+        ([(math.nan, 1.0, 0.0)], 1.0, 1e-3),
+        ([(math.inf, 1.0, 0.0)], 1.0, 1e-3),
+        ([(1.0, 1.0, math.nan)], 1.0, 1e-3),
+    ],
+)
+def test_menu_grid_rejects_bad_arguments(vals, cap, resolution):
+    with pytest.raises(ValueError):
+        menu_grid_oracle(vals, cap, resolution)
+
+
+def _menu_reference(vals, cap, resolution):
+    """Reference menu grid that scores all three bundles of every
+    candidate as arrays (utility, near-best test, contribution), over the
+    whole pair grid at once; the oracle's cut-offs must reproduce it bit
+    for bit."""
+    types = [(float(a), float(b), float(c)) for a, b, c in vals]
+    nu_top = max(t[0] for t in types)
+    eps = 1e-12 * max(1.0, nu_top, cap)
+
+    def best_over_bundles(r0, p0, r1, p1):
+        total = np.zeros_like(r0)
+        for nu_i, sw_i, pw_i in types:
+            u_lo = r0 * nu_i - p0
+            u_hi = r1 * nu_i - p1
+            u_best = np.maximum(0.0, np.maximum(u_lo, u_hi))
+            near = u_best - eps
+            contrib = np.where(u_best <= eps, 0.0, -np.inf)
+            np.maximum(
+                contrib, np.where(u_lo >= near, sw_i * u_lo + pw_i * p0, -np.inf), out=contrib
+            )
+            np.maximum(
+                contrib, np.where(u_hi >= near, sw_i * u_hi + pw_i * p1, -np.inf), out=contrib
+            )
+            total += contrib
+        return float(total.max()) if total.size else 0.0
+
+    prices = np.arange(0.0, cap + resolution / 2, resolution)
+    zeros = np.zeros_like(prices)
+    best = max(0.0, best_over_bundles(zeros, zeros, np.ones_like(prices), prices))
+    hi_top = max(cap, nu_top) + resolution
+    hi_grid = np.arange(cap, hi_top + resolution / 2, resolution)
+    L, H = np.meshgrid(prices, hi_grid, indexing="ij")
+    mask = H > L
+    L, H = L[mask], H[mask]
+    r0 = (H - cap) / (H - L)
+    ok = (r0 >= 0.0) & (r0 <= 1.0)
+    return max(best, best_over_bundles(r0[ok], r0[ok] * L[ok], 1.0, cap))
+
+
+def _menu_cases():
+    """(vals, cap, resolution) inputs for the menu grid differential test.
+
+    Random menus of 1 to 5 buyers, some with zero surplus weight, some
+    with every valuation below cap, at two (cap, resolution) pairs whose
+    grids overshoot cap, so the H > L and r0 <= 1 filters drop pairs.
+    Then ties under pure-revenue weights at the default grid: a low
+    valuation at a low-atom grid point or one ulp to either side, which
+    ties its buyer's low bundle with opting out, and a high valuation at
+    a high-atom grid point or one ulp to either side, which ties the low
+    and high bundles.  Rounding leaves the tied utilities a few ulps
+    apart, inside the tie tolerance.  In the last quarter a twin of the
+    low buyer has a negative payment weight, so the seller prefers that
+    buyer to opt out.
+    """
+    rng = np.random.default_rng(2028)
+    cases = []
+    for k in range(40):
+        n = int(rng.integers(1, 6))
+        cap, resolution = ((0.3, 0.1), (0.7, 0.01))[k % 2]
+        nus = np.sort(rng.uniform(0.0, (0.6, 2.5)[k // 2 % 2], size=n))
+        sws = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.0, 2.0, size=n))
+        pws = rng.uniform(-2.0, 2.0, size=n)
+        cases.append(([(float(a), float(b), float(c)) for a, b, c in zip(nus, sws, pws)], cap, resolution))
+    lo_grid = np.arange(0.0, 1.0005, 1e-3)
+    hi_grid = np.arange(1.0, 1.1, 1e-3)
+    for k in range(120):
+        lo = float(lo_grid[int(rng.integers(1, lo_grid.size))])
+        lo = (lo, math.nextafter(lo, 0.0), math.nextafter(lo, 2.0))[k % 3]
+        hi = float(hi_grid[int(rng.integers(hi_grid.size))])
+        hi = (math.nextafter(hi, -math.inf), hi, math.nextafter(hi, math.inf))[k // 3 % 3]
+        pws = rng.uniform(0.1, 2.0, size=3).tolist()
+        vals = [(lo, 0.0, pws[0]), (hi, 0.0, pws[1])]
+        if k >= 90:
+            # a twin of the low buyer whose payments the seller dislikes
+            vals.insert(1, (lo, 0.0, -pws[2]))
+        cases.append((vals, 1.0, 1e-3))
+    return cases
+
+
+def test_menu_grid_matches_reference():
+    # the cut-off evaluation must pick the same bundles, so the same
+    # float, as scoring every bundle's utility and contribution in full
+    for vals, cap, resolution in _menu_cases():
+        assert _hex(menu_grid_oracle(vals, cap, resolution)) == _hex(
+            _menu_reference(vals, cap, resolution)
+        ), (vals, cap, resolution)
+
+
+def test_high_cut_is_the_exact_boundary():
+    # a >= fl(u - eps) must hold exactly for the floats u <= _high_cut(a, eps)
+    rng = np.random.default_rng(2029)
+    for _ in range(2000):
+        eps = 1e-12 * float(rng.uniform(1.0, 3.0))
+        a = float(rng.uniform(-1.0, 2.0)) * 10.0 ** float(rng.integers(-14, 1))
+        t = _high_cut(a, eps)
+        assert t - eps <= a < math.nextafter(t, math.inf) - eps, (a, eps)
+
+
+def test_oracle_imports_nothing_from_the_solvers():
+    # an independent check may use the model, numpy and the standard
+    # library, and nothing that the solvers are built from
+    import upkeep.oracle
+
+    tree = ast.parse(open(upkeep.oracle.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert (node.level, node.module) == (1, "model"), ast.dump(node)
+                continue
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root == "numpy" or root in sys.stdlib_module_names, ast.dump(node)
 
 
 def test_simplex_detects_infeasible():
