@@ -9,6 +9,7 @@ identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -60,8 +61,8 @@ class RhoGrid:
     def __post_init__(self) -> None:
         if self.count < 2:
             raise ValidationError("rho grid count must be >= 2")
-        if self.start <= 0 or self.stop <= 0:
-            raise ValidationError("rho grid endpoints must be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.start, self.stop)):
+            raise ValidationError("rho grid endpoints must be finite and > 0")
 
     def values(self) -> list[float]:
         if self.log:
@@ -84,13 +85,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.tol <= 0:
-            raise ValidationError("tol must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError("tol must be finite and > 0")
         if self.mode == "sweep":
             if self.rho_grid is None:
                 raise ValidationError("sweep mode requires --rho-grid")
-        elif self.rho is None or self.rho <= 0:
-            raise ValidationError("rho must be a positive real")
+        elif self.rho is None or not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValidationError("rho must be a positive finite real")
         if self.mode == "simulate":
             if self.seed is None:
                 raise ValidationError("simulate mode requires --seed")

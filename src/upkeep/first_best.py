@@ -84,10 +84,10 @@ def solve_first_best(
     follows in closed form from the balance condition, which avoids
     coupling the two tolerances.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and > 0")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and > 0")
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
 

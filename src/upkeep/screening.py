@@ -9,16 +9,27 @@ fixed repair value y the Lagrangian W + y * S peaks at a kink or in the
 limit Q -> 1.  The dual is therefore the upper envelope of finitely many
 lines, which a cutting-plane walk minimizes exactly; mixing the two lines
 active at the minimum balances the mechanism.
+
+Every candidate menu at every kink is scored once, into one table of
+lines.  Buyers sorted by nu stay sorted at every kink, and a menu
+{out, (r0, r0 * lo), (1, 1)} sends the buyers below lo out, those in
+[lo, hi) to the low tier and those from hi up to the top tier, ties
+going to the seller-preferred bundle.  So each menu's revenue and welfare
+come from two cut indices and prefix sums of mass, mass * u and
+mass * c: O(n^2) numpy work per kink, in blocks of kinks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .model import (
     DEFAULT_TOL,
+    AgentType,
     DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
@@ -28,8 +39,10 @@ from .model import (
 
 _MAX_WALK = 200
 
-# (revenue, welfare, r_by_id, p_by_id) of one candidate menu at an uptime.
-_Candidate = tuple[float, float, dict[str, float], dict[str, float]]
+# Kinks per scoring pass of the kink table: as many as keep the
+# (kinks, n + 1, n + 1) grid of low and high atoms within this many
+# cells, and at least one.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,9 +156,11 @@ def bounded_monopoly_solve(
     menus, which exhaust the extreme points of the feasible allocation
     set, and returns the best candidate.
     """
-    if cap <= 0:
-        raise ValueError("cap must be > 0")
-    for nu, sw, _ in vals:
+    if not (math.isfinite(cap) and cap > 0):
+        raise ValueError("cap must be finite and > 0")
+    for nu, sw, pw in vals:
+        if not (math.isfinite(nu) and math.isfinite(sw) and math.isfinite(pw)):
+            raise ValueError("valuations and weights must be finite")
         if nu < 0:
             raise ValueError("valuations must be >= 0")
         if sw < 0:
@@ -167,28 +182,6 @@ def bounded_monopoly_solve(
     r = tuple(best_bundles[k][0] for k in best_choice)
     p = tuple(best_bundles[k][1] for k in best_choice)
     return MenuSolution(r=r, p=p, value=best_value)
-
-
-def _rev_candidates(d: TypeDistribution, Q: float) -> list[_Candidate]:
-    """Revenue, welfare and normalized menu of every candidate menu."""
-    ratio = Q / (1.0 - Q)
-    order = sorted(d.types, key=lambda t: t.nu)
-    nus = [t.nu * ratio for t in order]
-    tie_eps = 1e-12 * max(1.0, max(nus, default=0.0))
-    results = []
-    for bundles in _menu_candidates(nus, 1.0):
-        _, choice = _score_menu(
-            bundles, [(nu, 0.0, t.mass) for nu, t in zip(nus, order)], tie_eps
-        )
-        r_by = {t.id: bundles[k][0] for t, k in zip(order, choice)}
-        p_by = {t.id: bundles[k][1] for t, k in zip(order, choice)}
-        rev = sum(t.mass * (1.0 - Q) * p_by[t.id] for t in order)
-        w = sum(
-            t.mass * (Q * r_by[t.id] * t.u - (1.0 - Q) * p_by[t.id] * t.c)
-            for t in order
-        )
-        results.append((rev, w, r_by, p_by))
-    return results
 
 
 def ic_lagrangian(
@@ -237,12 +230,142 @@ def _line(Q: float, menu: InnerMenu, d: TypeDistribution, rho: float) -> _Line:
     return _Line(W=W, S=S, Q=Q, menu=menu)
 
 
-def _kink_line(
-    y: float, kinks: Sequence[float], d: TypeDistribution, rho: float
-) -> _Line:
-    """The kink menu maximizing ic_lagrangian(Q, y) over the kinks Q < 1."""
-    _, menu, q = max(
-        (ic_lagrangian(q, y, d, rho) + (q,) for q in kinks), key=lambda b: b[0]
+class _KinkTable(NamedTuple):
+    """Every candidate menu at every kink uptime Q < 1, as the line
+    y -> W + y * S with S = revenue - rho * Q.
+
+    Row 0 is Q = 0, where every menu sells nothing.  Then, one block of
+    kinks at a time, come the block's posted prices and then its two-atom
+    menus, each kink by kink in _menu_candidates order (a repeated
+    valuation repeats its menus), so a first maximum among one kink's
+    rows breaks ties the way bounded_monopoly_solve does; across kinks
+    exact ties are left to row order.  A row names its menu by indices into
+    its kink's padded valuations pad = (0, v_1, ..., v_n, 1), v sorted
+    ascending: hi = -1 is the posted price min(pad[lo], 1), otherwise the
+    menu has its low atom at pad[lo] and its high atom at pad[hi]; lo = -1
+    is the opt-out alone.
+    """
+
+    W: np.ndarray
+    S: np.ndarray
+    kink: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    qs: np.ndarray
+    order: tuple[AgentType, ...]
+
+
+def _score_kinks(
+    qs: np.ndarray, nu: np.ndarray, cum: np.ndarray, rho: float
+) -> tuple[np.ndarray, ...]:
+    """(W, S, kink, lo, hi) of every posted price and two-atom menu at a
+    block of kinks qs in (0, 1); nu is sorted and cum holds the prefix
+    sums of mass, mass * u and mass * c in that order.
+
+    A buyer takes the low atom (r, r * lo) iff r * (v - lo) clears the
+    tie tolerance eps, on the low atom's side when it charges something;
+    it then takes the top tier (1, 1) iff that is within eps of its best
+    utility so far.  Each test is monotone in v, so it is a cut index
+    into the sorted buyers, found by searchsorted in nu-space.  Between
+    the low atom and the top tier the cut sits at hi, where the two
+    utilities are equal.
+    """
+    k_n, n = qs.size, nu.size
+    ratio = qs / (1.0 - qs)
+    pad = np.empty((k_n, n + 2))
+    pad[:, 0], pad[:, 1:-1], pad[:, -1] = 0.0, ratio[:, None] * nu, 1.0
+    v = pad[:, 1:-1]
+    eps = 1e-12 * np.maximum(1.0, v[:, -1])
+    # Low atoms are 0 and every v < 1, high atoms every v > 1; an atom at
+    # exactly 1 would only repeat the posted price 1.
+    low_ok = np.arange(n + 1) <= (v < 1.0).sum(axis=1)[:, None]
+    high_ok = np.arange(n + 1) > (v <= 1.0).sum(axis=1)[:, None]
+    kq, lo, hi = np.nonzero(low_ok[:, :, None] & high_ok[:, None, :])
+    l, h = pad[kq, lo], pad[kq, hi]
+
+    # The rows: every posted price (r = 1, charging min(pad, 1)), then
+    # every pair.  Buyers from `cut` up take the low atom.
+    n_posted = pad.size
+    k = np.concatenate([np.repeat(np.arange(k_n), n + 2), kq])
+    low = np.concatenate([np.minimum(pad, 1.0).ravel(), l])
+    r = np.concatenate([np.ones(n_posted), (h - 1.0) / (h - l)])
+    pay = r * low
+    slack = eps[k] / r
+    cut = np.searchsorted(nu, np.where(pay > 0.0, low - slack, low + slack) / ratio[k])
+    # A pair's top tier takes the buyers from top1 up among those past the
+    # cut (v >= hi, less eps over the slope 1 - r, and v >= 1 - eps), and
+    # those from top0 to the cut among the rest (v >= 1 - eps).
+    e, cut_q = eps[kq], cut[n_posted:]
+    to_top = np.maximum(1.0 - e, h - e * (h - l) / (1.0 - l))
+    out_top = np.searchsorted(nu, (1.0 - eps) / ratio)[kq]
+    top0 = np.concatenate([cut[:n_posted], np.minimum(out_top, cut_q)])
+    top1 = np.concatenate(
+        [np.full(n_posted, n), np.maximum(cut_q, np.searchsorted(nu, to_top / ratio[kq]))]
+    )
+
+    at_cut, at_top1 = cum[:, cut], cum[:, top1]
+    in_low = at_top1 - at_cut
+    in_top = (at_cut - cum[:, top0]) + (cum[:, n:] - at_top1)
+    q = qs[k]
+    rev = (1.0 - q) * (pay * in_low[0] + in_top[0])
+    W = q * (r * in_low[1] + in_top[1]) - (1.0 - q) * (pay * in_low[2] + in_top[2])
+    lo = np.concatenate([np.tile(np.arange(n + 2), k_n), lo])
+    hi = np.concatenate([np.full(n_posted, -1), hi])
+    return W, rev - rho * q, k, lo, hi
+
+
+def _kink_table(d: TypeDistribution, rho: float) -> _KinkTable:
+    """Score every candidate menu at every kink, a block of kinks at a
+    time; see _score_kinks."""
+    order = tuple(sorted(d.types, key=lambda t: t.nu))
+    nu = np.array([t.nu for t in order])
+    cum = np.zeros((3, nu.size + 1))
+    cum[:, 1:] = np.cumsum([[t.mass, t.mass * t.u, t.mass * t.c] for t in order], axis=0).T
+    qs = np.array([q for q in kink_uptimes(d) if q < 1.0])
+    parts = [(np.zeros(1), np.zeros(1), np.zeros(1, int), np.full(1, -1), np.full(1, -1))]
+    step = max(1, _BLOCK_CELLS // (nu.size + 1) ** 2)
+    for first in range(1, qs.size, step):
+        W, S, k, lo, hi = _score_kinks(qs[first : first + step], nu, cum, rho)
+        parts.append((W, S, k + first, lo, hi))
+    W, S, k, lo, hi = zip(*parts)
+    return _KinkTable(
+        W=np.concatenate(W),
+        S=np.concatenate(S),
+        kink=np.concatenate(k, dtype=np.int32),
+        lo=np.concatenate(lo, dtype=np.int32),
+        hi=np.concatenate(hi, dtype=np.int32),
+        qs=qs,
+        order=order,
+    )
+
+
+def _row_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Line:
+    """The line of table row i, from its menu scored buyer by buyer with
+    the seller-preferred tie rule of _score_menu; row -1 is the Q -> 1
+    limit, where everyone has full access for free."""
+    if i < 0:
+        free = InnerMenu(r={t.id: 1.0 for t in d.types}, p={t.id: 0.0 for t in d.types})
+        return _Line(W=d.u_bar, S=-rho, Q=1.0, menu=free)
+    q = float(tab.qs[tab.kink[i]])
+    lo, hi = int(tab.lo[i]), int(tab.hi[i])
+    ratio = q / (1.0 - q)
+    nus = [t.nu * ratio for t in tab.order]
+    pad = [0.0] + nus + [1.0]
+    out = (0.0, 0.0)
+    if lo < 0:
+        bundles: tuple[tuple[float, float], ...] = (out,)
+    elif hi < 0:
+        bundles = (out, (1.0, min(pad[lo], 1.0)))
+    else:
+        r0 = (pad[hi] - 1.0) / (pad[hi] - pad[lo])
+        bundles = (out, (r0, r0 * pad[lo]), (1.0, 1.0))
+    tie_eps = 1e-12 * max(1.0, max(nus))
+    _, choice = _score_menu(
+        bundles, [(x, 0.0, t.mass) for x, t in zip(nus, tab.order)], tie_eps
+    )
+    menu = InnerMenu(
+        r={t.id: bundles[c][0] for t, c in zip(tab.order, choice)},
+        p={t.id: bundles[c][1] for t, c in zip(tab.order, choice)},
     )
     return _line(q, menu, d, rho)
 
@@ -316,7 +439,7 @@ def _build_solution(
 
 
 def _solve_infinite_branch(
-    d: TypeDistribution, rho: float, cands: Mapping[float, list[_Candidate]]
+    d: TypeDistribution, rho: float, tab: _KinkTable
 ) -> ScreeningSolution:
     # No menu has strictly slack balance, so feasible menus are exactly
     # the balanced revenue maximizers; pick the welfare-best of those.
@@ -325,18 +448,19 @@ def _solve_infinite_branch(
     # welfare, affine along the segment, is best at one end.  At Q = 0
     # the opt-out menu is balanced, so the scan always finds one.
     eps_bal = 1e-12 * max(1.0, rho, d.total_mass)
-    best: tuple[float, float, InnerMenu] | None = None
-    for q, cs in cands.items():
-        rev_max = max(c[0] for c in cs)
-        if abs(rev_max - rho * q) > eps_bal:
-            continue
-        for rev, w, r_by, p_by in cs:
-            if rev < rev_max - eps_bal:
-                continue
-            if best is None or w > best[0] + eps_bal:
-                best = (w, q, InnerMenu(r=r_by, p=p_by))
-    _, q, menu = best
-    return _build_solution(math.inf, q, menu, d, rho, 0)
+    top = np.full(tab.qs.size, -math.inf)
+    np.maximum.at(top, tab.kink, tab.S)
+    top = top[tab.kink]
+    rows = np.flatnonzero((np.abs(top) <= eps_bal) & (tab.S >= top - eps_bal))
+    # Scanned kink by kink, a row replaces the best so far only if its
+    # welfare is higher by more than eps_bal.
+    rows = rows[np.argsort(tab.kink[rows], kind="stable")]
+    best = rows[0]
+    for i in rows[1:]:
+        if tab.W[i] > tab.W[best] + eps_bal:
+            best = i
+    line = _row_line(tab, int(best), d, rho)
+    return _build_solution(math.inf, line.Q, line.menu, d, rho, 0)
 
 
 def solve_screening(
@@ -347,54 +471,59 @@ def solve_screening(
 
     The dual g(y) = max over Q of ic_lagrangian(Q, y) is the upper
     envelope of finitely many lines W + y * S, one per kink menu plus
-    the Q -> 1 limit (W = u_bar, S = -rho).  A cutting-plane walk keeps
-    one line with S >= 0 and one with S < 0, starting from the kink menu
-    with the most slack and the limit line.  At their crossing it
-    evaluates g; a line above the pair replaces the member on its side
-    of S = 0, otherwise the crossing minimizes g and mixing the pair's
-    (Q, R, P) points so that S = 0 gives an optimal balanced mechanism.
-    Each evaluation is one walk step.  When no kink menu has slack
-    above tol the dual is unbounded and the welfare-best balanced
-    revenue maximizer is returned with y_star = inf.
+    the Q -> 1 limit (W = u_bar, S = -rho).  All kink lines are scored
+    once into one table (_kink_table), and each evaluation of g is one
+    numpy maximum over it.  A cutting-plane walk keeps one line with
+    S >= 0 and one with S < 0, starting from the kink menu with the most
+    slack and the limit line.  At their crossing it evaluates g; a line
+    above the pair replaces the member on its side of S = 0, otherwise
+    the crossing minimizes g and mixing the pair's (Q, R, P) points so
+    that S = 0 gives an optimal balanced mechanism.  Each evaluation is
+    one walk step.  Only the final pair's menus are assigned buyer by
+    buyer.  When no kink menu has slack above tol the dual is unbounded
+    and the welfare-best balanced revenue maximizer is returned with
+    y_star = inf.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and > 0")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and > 0")
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
 
-    kinks = [q for q in kink_uptimes(d) if q < 1.0]
-    cands = {q: _rev_candidates(d, q) for q in kinks}
-    slack, q, r_by, p_by = max(
-        (
-            (rev - rho * q, q, r_by, p_by)
-            for q, cs in cands.items()
-            for rev, _, r_by, p_by in cs
-        ),
-        key=lambda c: c[0],
-    )
-    if slack <= tol * max(1.0, rho, d.total_mass):
-        return _solve_infinite_branch(d, rho, cands)
+    tab = _kink_table(d, rho)
+    pos = int(np.argmax(tab.S))
+    if tab.S[pos] <= tol * max(1.0, rho, d.total_mass):
+        return _solve_infinite_branch(d, rho, tab)
 
     # Between kinks every candidate menu's (R, P) is affine in Q, so at
     # any y the Lagrangian peaks at a kink or in the limit Q -> 1, where
-    # everyone has full access for free; ic_lagrangian(1, y) misses that
-    # limit, so its line starts the walk as neg.  It never rises above the
-    # pair again: every later neg line entered above its predecessor, so
-    # above the limit line, and while it is held every crossing lies to
-    # the right of its entry, where its lead over the steeper limit line
-    # only grows.
-    free = InnerMenu(r={t.id: 1.0 for t in d.types}, p={t.id: 0.0 for t in d.types})
-    neg = _Line(W=d.u_bar, S=-rho, Q=1.0, menu=free)
-    pos = _line(q, InnerMenu(r=r_by, p=p_by), d, rho)
+    # everyone has full access for free; that limit line (row -1 here)
+    # starts the walk as neg.  It never rises above the pair again: every
+    # later neg line entered above its predecessor, so above the limit
+    # line, and while it is held every crossing lies to the right of its
+    # entry, where its lead over the steeper limit line only grows.
+    u_bar = d.u_bar
+
+    def line(i: int) -> tuple[float, float]:
+        return (u_bar, -rho) if i < 0 else (float(tab.W[i]), float(tab.S[i]))
+
+    neg = -1
     for step in range(1, _MAX_WALK + 1):
-        y = (neg.W - pos.W) / (pos.S - neg.S)
-        v = pos.W + y * pos.S
-        top = _kink_line(y, kinks, d, rho)
-        if top.W + y * top.S <= v + 1e-12 * max(1.0, abs(v)):
-            return _build_solution(y, *_mix(pos, neg), d, rho, step)
-        if top.S >= 0.0:
+        (w_pos, s_pos), (w_neg, s_neg) = line(pos), line(neg)
+        y = (w_neg - w_pos) / (s_pos - s_neg)
+        v = w_pos + y * s_pos
+        values = tab.W + y * tab.S
+        top = int(np.argmax(values))
+        g = float(values[top])
+        if u_bar - rho * y > g:
+            top, g = -1, u_bar - rho * y
+        if g <= v + 1e-12 * max(1.0, abs(v)):
+            # The pair's lines from their menus, as the mix uses them.
+            a, b = _row_line(tab, pos, d, rho), _row_line(tab, neg, d, rho)
+            y = (b.W - a.W) / (a.S - b.S)
+            return _build_solution(y, *_mix(a, b), d, rho, step)
+        if line(top)[1] >= 0.0:
             pos = top
         else:
             neg = top

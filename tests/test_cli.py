@@ -77,6 +77,26 @@ def test_run_config_validation(tmp_path):
         RunConfig(mode="simulate", input="x", rho=1.0, horizon=10.0)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_rho_tol_and_grid_are_validation_errors(tmp_path, value):
+    with pytest.raises(ValidationError):
+        RunConfig(mode="part", input="x", rho=float(value))
+    with pytest.raises(ValidationError):
+        RunConfig(mode="ic", input="x", rho=1.0, tol=float(value))
+    with pytest.raises(ValidationError):
+        RhoGrid(1.0, float(value), 4)
+    with pytest.raises(ValidationError):
+        RhoGrid(float(value), 8.0, 4)
+    for args in (
+        ["--mode", "part", "--rho", value],
+        ["--mode", "ic", "--rho", "5.5", "--tol", value],
+        ["--mode", "sweep", "--rho-grid", f"1:{value}:4"],
+    ):
+        code, out = run_cli(tmp_path, EX1, args)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+
+
 def run_cli(tmp_path, text, args):
     inp = tmp_path / "types.csv"
     inp.write_text(text, encoding="utf-8")

@@ -12,12 +12,14 @@ from upkeep import (
     ic_lagrangian,
     lp_screening_welfare,
     menu_grid_oracle,
+    solve_first_best,
     solve_participation,
     solve_screening,
     verify_structure,
 )
 from conftest import KINDS, kinded_distribution, random_distribution
 from upkeep.model import kink_uptimes
+from upkeep.screening import _kink_table, _row_line
 
 
 def test_bounded_monopoly_two_tier_menu():
@@ -53,6 +55,33 @@ def test_bounded_monopoly_rejects_bad_input():
         bounded_monopoly_solve([(-0.1, 1.0, 1.0)])
     with pytest.raises(ValueError):
         bounded_monopoly_solve([(2.0, 1.0, 0.0), (1.0, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize(
+    "vals, cap",
+    [
+        ([(1.0, 1.0, 1.0)], math.nan),
+        ([(1.0, 1.0, 1.0)], math.inf),
+        ([(math.nan, 1.0, 1.0)], 1.0),
+        ([(math.inf, 1.0, 1.0)], 1.0),
+        ([(1.0, math.nan, 1.0)], 1.0),
+        ([(1.0, math.inf, 1.0)], 1.0),
+        ([(1.0, 1.0, math.nan)], 1.0),
+        ([(0.5, 1.0, 1.0), (1.0, 1.0, -math.inf)], 1.0),
+    ],
+)
+def test_bounded_monopoly_rejects_non_finite_input(vals, cap):
+    with pytest.raises(ValueError):
+        bounded_monopoly_solve(vals, cap)
+
+
+@pytest.mark.parametrize("solver", [solve_first_best, solve_participation, solve_screening])
+@pytest.mark.parametrize(
+    "rho, tol", [(math.nan, 1e-9), (math.inf, 1e-9), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_solvers_reject_non_finite_rho_and_tol(equal_cost, solver, rho, tol):
+    with pytest.raises(ValueError):
+        solver(equal_cost, rho, tol)
 
 
 def test_bounded_monopoly_free_tier_with_negative_weights():
@@ -239,3 +268,83 @@ def test_monopoly_matches_grid_oracle_random():
         oracle = menu_grid_oracle(vals, 1.0, 1e-3)
         scale = sum(abs(b) + abs(c) for _, b, c in vals) * max(1.0, float(nus.max()))
         assert abs(sol.value - oracle) <= 1e-3 * max(scale, 1.0)
+
+
+def _crafted_ties():
+    # Every valuation below is exactly 1.0 once scaled at its own kink, so
+    # every buyer sits on the cap there; T1/T2 tie in nu and T2 has no
+    # mass.
+    d = TypeDistribution(
+        (
+            AgentType("T0", 0.75, 1.0, 1.0),
+            AgentType("T1", 2.0, 2.0, 0.5),
+            AgentType("T2", 3.0, 3.0, 0.0),
+            AgentType("T3", 1.5, 1.0, 0.7),
+            AgentType("T4", 6.0, 2.0, 1.2),
+            AgentType("T5", 4.0, 1.0, 0.3),
+        )
+    )
+    for t in d.types:
+        q = 1.0 / (1.0 + t.nu)
+        assert t.nu * (q / (1.0 - q)) == 1.0
+    return d
+
+
+def _table_cases():
+    rng = np.random.default_rng(71)
+    for kind in KINDS:
+        for n in range(2, 9):
+            d = kinded_distribution(rng, kind, n)
+            yield d, d.total_mass * float(10 ** rng.uniform(-1.3, 1.3))
+    d = _crafted_ties()
+    for f in (0.05, 0.3, 1.0, 5.0):
+        yield d, f * d.total_mass
+    # At L's kink (scaled valuations 1 and 20) and 0.5 < y < 9.5 the best
+    # menu gives L a free partial tier and charges H the cap.
+    d = TypeDistribution((AgentType("L", 5.0, 10.0, 1.0), AgentType("H", 1.0, 0.1, 1.0)))
+    yield d, 1.0
+
+
+def test_kink_table_matches_inner_solve_and_menus():
+    # Each table line is checked against the line of its menu assigned
+    # buyer by buyer (_row_line), and each kink's best line at y > 0
+    # against the independent inner solve in ic_lagrangian.
+    rng = np.random.default_rng(73)
+    free_tier_best = 0
+    for d, rho in _table_cases():
+        tab = _kink_table(d, rho)
+        scale = max(1.0, rho, d.total_mass, d.u_bar, d.c_bar)
+        for i in range(tab.W.size):
+            line = _row_line(tab, i, d, rho)
+            assert line.Q == tab.qs[tab.kink[i]]
+            assert abs(line.W - tab.W[i]) <= 1e-12 * scale
+            assert abs(line.S - tab.S[i]) <= 1e-12 * scale
+        for y in 10 ** rng.uniform(-2.0, 2.0, 4):
+            values = tab.W + y * tab.S
+            for k, q in enumerate(tab.qs):
+                rows = np.flatnonzero(tab.kink == k)
+                best = rows[np.argmax(values[rows])]
+                ref, _ = ic_lagrangian(float(q), float(y), d, rho)
+                assert abs(values[best] - ref) <= 1e-12 * max(1.0, abs(ref))
+                free_tier_best += int(tab.lo[best] == 0 and tab.hi[best] >= 0)
+    # Some kink's best menu has a free partial tier (low atom at 0).
+    assert free_tier_best > 0
+
+
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("f_rho, infinite", [(0.2, False), (20.0, True)])
+def test_screening_at_scale(n, f_rho, infinite):
+    d = kinded_distribution(np.random.default_rng(5), "plain", n)
+    rho = f_rho * d.total_mass
+    sol = solve_screening(d, rho)
+    assert math.isinf(sol.y_star) == infinite
+    assert check_feasible(sol.mechanism, d, rho, tol=1e-8).ok
+    assert verify_structure(sol)
+    assert sol.W_star <= solve_participation(d, rho).W_star + 1e-8
+    if infinite or n > 48:
+        return
+    # Weak duality, with g from the inner solve at every kink and the
+    # Q -> 1 limit line.
+    g = max(ic_lagrangian(q, sol.y_star, d, rho)[0] for q in kink_uptimes(d))
+    g = max(g, d.u_bar - rho * sol.y_star)
+    assert g <= sol.W_star + 1e-9 * max(1.0, abs(sol.W_star))
