@@ -24,7 +24,7 @@ from .model import (
     TypeDistribution,
     balance_residual,
 )
-from .oracle import GridSpec, lp_screening_welfare, primal_grid_welfare
+from .oracle import GridSpec, TooManyTypesError, lp_screening_welfare, primal_grid_welfare
 from .participation import solve_participation
 from .screening import ScreeningSolution, solve_screening
 from .sim import build_policy, simulate_fluid, simulate_poisson
@@ -95,8 +95,8 @@ class RunConfig:
         if self.mode == "simulate":
             if self.seed is None:
                 raise ValidationError("simulate mode requires --seed")
-            if self.horizon is None or self.horizon <= 0:
-                raise ValidationError("simulate mode requires --horizon > 0")
+            if self.horizon is None or not (math.isfinite(self.horizon) and self.horizon > 0):
+                raise ValidationError("simulate mode requires a finite --horizon > 0")
 
 
 def fmt(x: float) -> str:
@@ -340,7 +340,7 @@ def run(cfg: RunConfig) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValidationError as exc:
+    except (ValidationError, TooManyTypesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DegenerateDistributionError as exc:

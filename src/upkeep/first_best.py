@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .envelope import walk
 from .model import (
+    ATOM_SNAP,
     DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
-    welfare,
 )
-
-_ATOM_SNAP = 1e-12
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class FirstBestSolution:
 
     Types whose cost sits exactly at the threshold contribute nothing;
     balance holds for any contribution fraction they might be given.
+    iterations counts the steps of the dual walk.
     """
 
     y_fb: float
@@ -59,30 +60,17 @@ def fb_dual_value(y: float, d: TypeDistribution, rho: float) -> float:
     return max(d.u_bar - rho * y, sum(t.mass * max(y - t.c, 0.0) for t in d.types))
 
 
-def _polish_root(y: float, d: TypeDistribution, rho: float) -> float:
-    # The gap is linear between cost atoms; solve exactly on the segment
-    # the bisection landed in.
-    below = [t for t in d.types if t.c < y]
-    above = [t.c for t in d.types if t.c >= y]
-    num = d.u_bar + sum(t.mass * t.c for t in below)
-    den = rho + sum(t.mass for t in below)
-    root = num / den
-    lo = max((t.c for t in below), default=0.0)
-    hi = min(above, default=math.inf)
-    if lo <= root <= hi:
-        return root
-    return y
-
-
 def solve_first_best(
     d: TypeDistribution, rho: float, tol: float = 1e-9
 ) -> FirstBestSolution:
     """Solve the physical-constraints-only problem.
 
-    The threshold is found by bracketed bisection on [0, u_bar / rho] and
-    then refined exactly on the linear segment it falls in.  Uptime then
-    follows in closed form from the balance condition, which avoids
-    coupling the two tolerances.
+    fb_dual_value is the upper envelope of the limit line u_bar - rho * y
+    and one line per prefix of the cost-sorted types, y -> sum of
+    mass * (y - c) over the prefix.  The envelope walk (envelope.walk)
+    minimizes it exactly, and the crossing of its final pair is the
+    threshold.  Uptime then follows in closed form from the balance
+    condition.  tol is validated but not used: the walk needs none.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
@@ -91,21 +79,16 @@ def solve_first_best(
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
 
-    hi = d.u_bar / rho
-    lo = 0.0
-    tol_y = tol * max(1.0, hi)
-    iterations = 0
-    while hi - lo > tol_y and iterations < _MAX_BISECT:
-        mid = 0.5 * (lo + hi)
-        if fb_threshold_gap(mid, d, rho) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    y_fb = _polish_root(0.5 * (lo + hi), d, rho)
+    by_cost = sorted(d.types, key=lambda t: t.c)
+    # A massless first row gives the empty prefix's line.
+    mass, c = np.array([(0.0, 0.0)] + [(t.mass, t.c) for t in by_cost]).T
+    W, S = -np.cumsum(mass * c), np.cumsum(mass)
+    # Every prefix line has S >= 0, so the pair's neg is the limit line.
+    pos, _, iterations = walk(W, S, (d.u_bar, -rho))
+    y_fb = float((d.u_bar - W[pos]) / (S[pos] + rho))
 
     scale = max(1.0, y_fb)
-    contributing = {t.id for t in d.types if t.c < y_fb - _ATOM_SNAP * scale}
+    contributing = {t.id for t in d.types if t.c < y_fb - ATOM_SNAP * scale}
     m_eff = sum(t.mass for t in d.types if t.id in contributing)
     Q_fb = m_eff / (rho + m_eff) if m_eff > 0 else 0.0
     P = {t.id: 1.0 - Q_fb if t.id in contributing else 0.0 for t in d.types}

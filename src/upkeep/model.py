@@ -15,6 +15,10 @@ from typing import Iterable, Mapping
 
 DEFAULT_TOL = 1e-9
 
+# Relative distance within which a dual threshold sits on a type's cost:
+# a crossing of two lines lands on a cost atom only up to rounding.
+ATOM_SNAP = 1e-12
+
 FAMILY_BALANCE = "balance"
 FAMILY_SIMPLEX = "simplex"
 FAMILY_PARTICIPATION = "participation"

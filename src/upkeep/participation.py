@@ -4,11 +4,12 @@ With participation constraints, each type's contribution is capped at the
 smaller of the downtime and the uptime scaled by its valuation.  The
 designer's problem is the saddle point of a reduced Lagrangian that is
 piecewise linear in the uptime (kinks at one point per type) and
-piecewise linear in the cost threshold (kinks at the cost atoms).  Both
-scalar searches below exploit that structure: the inner maximization is
-exact on the kink partition, and the outer minimization is a bisection
-on the sign of the dual subgradient, which is the balance residual of
-the candidate mechanism.
+piecewise linear in the cost threshold (kinks at the cost atoms).  So
+the dual, the Lagrangian's maximum over the uptime, is the upper
+envelope of finitely many lines in the threshold: one per kink uptime
+and prefix of the cost-sorted types, plus the Q = 1 limit.  The
+envelope walk minimizes it exactly, and the uptime is then pinned on the
+maximizer face by driving the balance residual to zero.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
+import numpy as np
+
+from .envelope import walk
 from .first_best import solve_first_best
 from .model import (
+    ATOM_SNAP,
     DEFAULT_TOL,
     DegenerateDistributionError,
     Mechanism,
@@ -29,9 +34,7 @@ from .model import (
 
 TypeClass = Literal["FULL", "BOUND", "NONE"]
 
-_MAX_BISECT = 200
 _FACE_RTOL = 1e-12
-_ATOM_SNAP = 1e-12
 _SCAN_RTOL = 1e-15
 
 
@@ -48,7 +51,8 @@ class ParticipationSolution:
     case every balanced feasible mechanism saturates all contribution
     caps.  classes labels each type FULL (contributes the downtime),
     BOUND (participation binds, utility zero) or NONE (does not
-    contribute).
+    contribute).  iterations counts the steps of the dual walk, and is 0
+    when y_star is infinite.
     """
 
     y_star: float
@@ -111,16 +115,14 @@ def _residual_plus(Q: float, y: float, d: TypeDistribution, rho: float) -> float
     return _cap_sum(Q, y, d, strict=False) - rho * Q
 
 
-def argmax_face(
-    y: float, d: TypeDistribution, rho: float, kinks: list[float] | None = None
-) -> tuple[float, float, float]:
+def argmax_face(y: float, d: TypeDistribution, rho: float) -> tuple[float, float, float]:
     """Maximizer interval of Q for a fixed threshold y.
 
     The reduced Lagrangian is linear between kinks, so the maximum over
     [0, 1] is attained on the kink partition; ties span a flat face.
     Returns (face_lo, face_hi, max_value).
     """
-    pts = kinks if kinks is not None else kink_uptimes(d)
+    pts = kink_uptimes(d)
     vals = [reduced_lagrangian(q, y, d, rho) for q in pts]
     vmax = max(vals)
     tol = _FACE_RTOL * max(1.0, abs(vmax))
@@ -151,6 +153,22 @@ def slater_gap(d: TypeDistribution, rho: float) -> float:
         if g > best:
             best = g
     return best
+
+
+def _kink_lines(
+    kinks: list[float], d: TypeDistribution, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """reduced_lagrangian at each kink q as the maximum of lines W + y * S
+    over prefixes of the cost-sorted types, which add mass * cap * (y - c)
+    with cap = min(1 - q, q * nu): one row per kink, one column per
+    prefix, the empty prefix first.  The last row, at q = 1, is the
+    limit line u_bar - rho * y.
+    """
+    by_cost = sorted(d.types, key=lambda t: t.c)
+    nu, mass, c = np.array([(1.0, 0.0, 0.0)] + [(t.nu, t.mass, t.c) for t in by_cost]).T
+    q = np.array(kinks)[:, None]
+    covered = mass * np.minimum(1.0 - q, q * nu)
+    return q * d.u_bar - np.cumsum(covered * c, axis=1), np.cumsum(covered, axis=1) - rho * q
 
 
 def _interval_leq(fa: float, fb: float, a: float, b: float, eps: float):
@@ -275,12 +293,14 @@ def solve_participation(
 ) -> ParticipationSolution:
     """Solve the designer's problem under participation constraints.
 
-    When the balance condition can be strictly slack, the dual threshold
-    is found by bisection on the subgradient sign and the uptime is then
-    pinned on the maximizer face by driving the balance residual to zero
-    exactly, with marginal rationing if a cost atom sits at the
-    threshold.  Otherwise the threshold is infinite and the solution is
-    the welfare-best fully saturated balanced point.
+    Every line of the dual is scored once (_kink_lines).  When some line
+    has slack above tol, the envelope walk (envelope.walk) minimizes the
+    dual, and the crossing of its final pair is the threshold, snapped to
+    a cost atom within rounding.  The uptime is then pinned on the
+    maximizer face by driving the balance residual to zero exactly, with
+    marginal rationing if a cost atom sits at the threshold.  Otherwise
+    the threshold is infinite and the solution is the welfare-best fully
+    saturated balanced point.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
@@ -289,66 +309,32 @@ def solve_participation(
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
 
+    kinks = kink_uptimes(d)
+    W, S = _kink_lines(kinks, d, rho)
     slack_scale = max(1.0, rho, d.total_mass)
-    if slater_gap(d, rho) <= tol * slack_scale:
+    if S.max() <= tol * slack_scale:
         return _solve_infinite_branch(d, rho, tol)
 
-    kinks = kink_uptimes(d)
-
-    def ascending(y: float) -> bool:
-        lo, hi, _ = argmax_face(y, d, rho, kinks)
-        pts = [lo] + [k for k in kinks if lo < k < hi] + [hi]
-        return max(_residual_plus(q, y, d, rho) for q in pts) >= 0.0
-
-    y_hi = (d.u_bar + d.c_bar) / rho + d.max_cost + 1.0
-    for _ in range(64):
-        if ascending(y_hi):
-            break
-        y_hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the dual threshold")
-    y_lo = 0.0
-
-    iterations = 0
-    while y_hi - y_lo > 1e-10 * max(1.0, y_hi) and iterations < _MAX_BISECT:
-        mid = 0.5 * (y_lo + y_hi)
-        if ascending(mid):
-            y_hi = mid
-        else:
-            y_lo = mid
-        iterations += 1
-
-    # Snap to a cost atom caught inside the final bracket so marginal
-    # rationing applies to it exactly; otherwise polish the threshold to
-    # the exact crossing of the two dual pieces meeting at the optimum.
-    y_star = y_hi
-    snapped = False
+    # The walk sees the rows below Q = 1; flat index -1 is then the last
+    # line of the Q = 1 row, which is the limit line.
+    pos, neg, iterations = walk(W[:-1].ravel(), S[:-1].ravel(), (d.u_bar, -rho))
+    y_star = float((W.flat[neg] - W.flat[pos]) / (S.flat[pos] - S.flat[neg]))
+    # Marginal rationing applies only at a cost atom, which the crossing
+    # hits only up to rounding.
     for t in d.types:
-        if y_lo < t.c <= y_hi or abs(t.c - y_hi) <= _ATOM_SNAP * max(1.0, t.c):
+        if abs(t.c - y_star) <= ATOM_SNAP * max(1.0, t.c):
             y_star = t.c
-            snapped = True
             break
-    if not snapped:
-        y_mid = 0.5 * (y_lo + y_hi)
-        q_a = argmax_face(y_lo, d, rho, kinks)[0]
-        q_b = argmax_face(y_hi, d, rho, kinks)[0]
-        slope_a = _residual_minus(q_a, y_mid, d, rho)
-        slope_b = _residual_minus(q_b, y_mid, d, rho)
-        if abs(slope_b - slope_a) > 1e-15 * max(1.0, abs(slope_a), abs(slope_b)):
-            inter_a = reduced_lagrangian(q_a, y_mid, d, rho) - slope_a * y_mid
-            inter_b = reduced_lagrangian(q_b, y_mid, d, rho) - slope_b * y_mid
-            cross = (inter_a - inter_b) / (slope_b - slope_a)
-            width = y_hi - y_lo
-            if y_lo - 10.0 * width <= cross <= y_hi + 10.0 * width:
-                y_star = cross
 
-    faces = [argmax_face(y, d, rho, kinks)[:2] for y in (y_lo, y_hi, y_star)]
-    hull_lo = min(f[0] for f in faces)
-    hull_hi = max(f[1] for f in faces)
+    # The maximizer face at y_star from the per-kink maxima, widened to
+    # hold the final pair's kinks.
+    top = (W + y_star * S).max(axis=1)
+    vmax = float(top.max())
+    face = [q for q, v in zip(kinks, top) if v >= vmax - _FACE_RTOL * max(1.0, abs(vmax))]
+    face += [kinks[i // W.shape[1]] for i in (pos, neg)]
+    hull_lo, hull_hi = min(face), max(face)
     eps = _SCAN_RTOL * slack_scale
     Q_star = _smallest_balanced_q(y_star, d, rho, hull_lo, hull_hi, kinks, eps)
-    if Q_star is None:
-        Q_star = _smallest_balanced_q(y_star, d, rho, 0.0, 1.0, kinks, eps)
     if Q_star is None:
         raise RuntimeError("no balanced uptime found on the maximizer face")
 
@@ -362,7 +348,7 @@ def solve_participation(
     P: dict[str, float] = {}
     for t in d.types:
         cap = min(1.0 - Q_star, Q_star * t.nu)
-        if abs(t.c - y_star) <= _ATOM_SNAP * scale_y:
+        if abs(t.c - y_star) <= ATOM_SNAP * scale_y:
             P[t.id] = cap * frac
         elif t.c < y_star:
             P[t.id] = cap

@@ -27,6 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .envelope import walk
 from .model import (
     DEFAULT_TOL,
     AgentType,
@@ -36,8 +37,6 @@ from .model import (
     kink_uptimes,
     welfare,
 )
-
-_MAX_WALK = 200
 
 # Kinks per scoring pass of the kink table: as many as keep the
 # (kinks, n + 1, n + 1) grid of low and high atoms within this many
@@ -473,16 +472,12 @@ def solve_screening(
     envelope of finitely many lines W + y * S, one per kink menu plus
     the Q -> 1 limit (W = u_bar, S = -rho).  All kink lines are scored
     once into one table (_kink_table), and each evaluation of g is one
-    numpy maximum over it.  A cutting-plane walk keeps one line with
-    S >= 0 and one with S < 0, starting from the kink menu with the most
-    slack and the limit line.  At their crossing it evaluates g; a line
-    above the pair replaces the member on its side of S = 0, otherwise
-    the crossing minimizes g and mixing the pair's (Q, R, P) points so
-    that S = 0 gives an optimal balanced mechanism.  Each evaluation is
-    one walk step.  Only the final pair's menus are assigned buyer by
-    buyer.  When no kink menu has slack above tol the dual is unbounded
-    and the welfare-best balanced revenue maximizer is returned with
-    y_star = inf.
+    numpy maximum over it.  The cutting-plane walk (envelope.walk)
+    minimizes g, each evaluation being one step, and mixing the (Q, R, P)
+    points of its final pair so that S = 0 gives an optimal balanced
+    mechanism.  Only the final pair's menus are assigned buyer by buyer.
+    When no kink menu has slack above tol the dual is unbounded and the
+    welfare-best balanced revenue maximizer is returned with y_star = inf.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
@@ -492,42 +487,17 @@ def solve_screening(
         raise DegenerateDistributionError("distribution has no mass")
 
     tab = _kink_table(d, rho)
-    pos = int(np.argmax(tab.S))
-    if tab.S[pos] <= tol * max(1.0, rho, d.total_mass):
+    if tab.S.max() <= tol * max(1.0, rho, d.total_mass):
         return _solve_infinite_branch(d, rho, tab)
 
     # Between kinks every candidate menu's (R, P) is affine in Q, so at
     # any y the Lagrangian peaks at a kink or in the limit Q -> 1, where
-    # everyone has full access for free; that limit line (row -1 here)
-    # starts the walk as neg.  It never rises above the pair again: every
-    # later neg line entered above its predecessor, so above the limit
-    # line, and while it is held every crossing lies to the right of its
-    # entry, where its lead over the steeper limit line only grows.
-    u_bar = d.u_bar
-
-    def line(i: int) -> tuple[float, float]:
-        return (u_bar, -rho) if i < 0 else (float(tab.W[i]), float(tab.S[i]))
-
-    neg = -1
-    for step in range(1, _MAX_WALK + 1):
-        (w_pos, s_pos), (w_neg, s_neg) = line(pos), line(neg)
-        y = (w_neg - w_pos) / (s_pos - s_neg)
-        v = w_pos + y * s_pos
-        values = tab.W + y * tab.S
-        top = int(np.argmax(values))
-        g = float(values[top])
-        if u_bar - rho * y > g:
-            top, g = -1, u_bar - rho * y
-        if g <= v + 1e-12 * max(1.0, abs(v)):
-            # The pair's lines from their menus, as the mix uses them.
-            a, b = _row_line(tab, pos, d, rho), _row_line(tab, neg, d, rho)
-            y = (b.W - a.W) / (a.S - b.S)
-            return _build_solution(y, *_mix(a, b), d, rho, step)
-        if line(top)[1] >= 0.0:
-            pos = top
-        else:
-            neg = top
-    raise RuntimeError("screening dual walk did not converge")
+    # everyone has full access for free: the walk's limit line.
+    pos, neg, steps = walk(tab.W, tab.S, (d.u_bar, -rho))
+    # The pair's lines from their menus, as the mix uses them.
+    a, b = _row_line(tab, pos, d, rho), _row_line(tab, neg, d, rho)
+    y = (b.W - a.W) / (a.S - b.S)
+    return _build_solution(y, *_mix(a, b), d, rho, steps)
 
 
 def verify_structure(sol: ScreeningSolution, tol: float = DEFAULT_TOL) -> bool:

@@ -178,8 +178,8 @@ def simulate_poisson(
     warm-up of ten mean lifespans.
     """
     rng = np.random.default_rng(_require_seed(seed))
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and > 0")
     tr = _Trace(trace)
 
     order = d.types
@@ -320,8 +320,8 @@ def simulate_fluid(
     occupancy, so their confidence radii scale with the uptime radius.
     """
     rng = np.random.default_rng(_require_seed(seed))
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and > 0")
     tr = _Trace(trace)
 
     agg_rate = sum(t.mass * pol.sigma_B[t.id] for t in d.types)

@@ -220,6 +220,36 @@ def test_oracle_check_mode(tmp_path):
         assert abs(float(line.split(",")[2])) <= 2e-3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_horizon_is_validation_error(tmp_path, capsys, value):
+    with pytest.raises(ValidationError):
+        RunConfig(mode="simulate", input="x", rho=1.0, seed=1, horizon=float(value))
+    code, out = run_cli(tmp_path, EX2, ["--mode", "ic", "--rho", "1"])
+    assert code == EXIT_OK
+    mech_file = tmp_path / "mech.csv"
+    mech_file.write_text(out, encoding="utf-8")
+    capsys.readouterr()
+    args = ["--mode", "simulate", "--input", str(mech_file), "--rho", "1", "--seed", "1"]
+    assert main(args + ["--horizon", value]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "horizon" in captured.err
+
+
+def test_oracle_check_on_more_than_eight_types_is_validation_error(tmp_path, capsys):
+    # The LP oracle is capped at 8 types; the cap is a validation error
+    # with a one-line message, not a traceback.
+    rows = "".join(f"T{i},{1 + 0.7 * i},{1 + 0.3 * (i % 5)},1\n" for i in range(12))
+    code, out = run_cli(
+        tmp_path, "id,u,c,mass\n" + rows, ["--mode", "oracle-check", "--rho", "5.5"]
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "8 types" in err
+    assert err.count("\n") == 1
+
+
 def test_infinite_threshold_rendered_as_inf(tmp_path):
     text = "id,u,c,mass\nA,1,1,1\n"
     code, out = run_cli(tmp_path, text, ["--mode", "part", "--rho", "3"])

@@ -1,0 +1,151 @@
+import math
+
+import numpy as np
+import pytest
+
+from upkeep import (
+    AgentType,
+    TypeDistribution,
+    check_feasible,
+    fb_dual_value,
+    inner_max_Q,
+    primal_grid_welfare,
+    solve_first_best,
+    solve_participation,
+    solve_screening,
+    verify_structure,
+)
+from upkeep.envelope import walk
+from upkeep.model import kink_uptimes
+from upkeep.participation import _kink_lines, reduced_lagrangian
+from conftest import KINDS, kinded_distribution
+
+
+def _envelope(W, S, limit, y):
+    return max(limit[0] + y * limit[1], float(np.max(W + y * S)))
+
+
+def test_walk_finds_envelope_minimum():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        m = int(rng.integers(1, 30))
+        W = rng.uniform(-5.0, 5.0, m)
+        S = rng.uniform(-3.0, 3.0, m)
+        S[rng.integers(m)] = rng.uniform(0.1, 3.0)
+        limit = (float(rng.uniform(-5.0, 5.0)), float(-rng.uniform(0.1, 3.0)))
+        pos, neg, steps = walk(W, S, limit)
+        lines = [limit] + list(zip(W.tolist(), S.tolist()))
+        w_pos, s_pos = lines[pos + 1]
+        w_neg, s_neg = lines[neg + 1]
+        assert s_pos >= 0.0 > s_neg and 1 <= steps <= m + 1
+        y = (w_neg - w_pos) / (s_pos - s_neg)
+        # The envelope's minimum sits where a rising line meets a falling
+        # one; try every such crossing.
+        best = min(
+            _envelope(W, S, limit, (wb - wa) / (sa - sb))
+            for wa, sa in lines
+            for wb, sb in lines
+            if sa >= 0.0 > sb
+        )
+        assert _envelope(W, S, limit, y) <= best + 1e-12 * max(1.0, abs(best))
+
+
+def test_walk_stops_when_a_pair_member_is_on_top():
+    # The flat line and a limit line crossing at y = u / r, where rounding
+    # leaves the limit line about 1e-10 above 0: a repeat of the same step
+    # would never clear the tolerance.
+    u, r = 757387.3877973956, 353170.8115138709
+    y = u / r
+    assert u - r * y > 1e-12
+    assert walk(np.zeros(1), np.zeros(1), (u, -r)) == (0, -1, 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kink_lines_match_reduced_lagrangian(kind):
+    # The table sums in cost order with numpy, the reference in type
+    # order with a Python loop, so they agree to rounding.
+    rng = np.random.default_rng(47)
+    for n in (2, 6, 15):
+        d = kinded_distribution(rng, kind, n)
+        rho = float(d.total_mass * rng.uniform(0.1, 3.0))
+        kinks = kink_uptimes(d)
+        W, S = _kink_lines(kinks, d, rho)
+        assert W.shape == S.shape == (len(kinks), n + 1)
+        assert W[-1].tolist() == [d.u_bar] * (n + 1)
+        assert S[-1].tolist() == [-rho] * (n + 1)
+        for y in [0.0, *rng.uniform(0.0, 12.0, 4)]:
+            top = (W + y * S).max(axis=1)
+            for q, v in zip(kinks, top):
+                ref = reduced_lagrangian(q, float(y), d, rho)
+                assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _extreme_instance(rng):
+    kind = KINDS[int(rng.integers(len(KINDS)))]
+    d = kinded_distribution(rng, kind, int(rng.integers(2, 9)))
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, len(d.types))
+    d = TypeDistribution(
+        tuple(AgentType(t.id, t.u, t.c, t.mass * s) for t, s in zip(d.types, scales))
+    )
+    return d, d.total_mass * 10.0 ** float(rng.uniform(-3.0, 3.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extreme_masses_and_rates(seed):
+    """Per-type masses spread over twelve decades and rho over six: every
+    solver returns a feasible mechanism and the optima stay nested."""
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(12):
+        d, rho = _extreme_instance(rng)
+        tol = 1e-9 * max(1.0, rho, d.total_mass)
+        fb = solve_first_best(d, rho)
+        part = solve_participation(d, rho)
+        ic = solve_screening(d, rho)
+        for mech, families in (
+            (fb.mechanism, {"balance", "simplex"}),
+            (part.mechanism, {"balance", "simplex", "participation"}),
+            (ic.mechanism, {"balance", "simplex", "participation", "ic"}),
+        ):
+            assert check_feasible(mech, d, rho, families, tol=tol).ok
+        assert ic.W_star <= part.W_star + tol
+        assert part.W_star <= fb.W_fb + tol
+        assert verify_structure(ic)
+
+
+def _check_certificates(d, rho):
+    fb = solve_first_best(d, rho)
+    part = solve_participation(d, rho)
+    assert abs(fb_dual_value(fb.y_fb, d, rho) - fb.W_fb) <= 1e-12 * max(1.0, abs(fb.W_fb))
+    if math.isfinite(part.y_star):
+        g = inner_max_Q(part.y_star, d, rho)[1]
+        assert abs(g - part.W_star) <= 1e-12 * max(1.0, abs(part.W_star))
+    assert check_feasible(fb.mechanism, d, rho, {"balance", "simplex"}).ok
+    assert check_feasible(
+        part.mechanism, d, rho, {"balance", "simplex", "participation"}
+    ).ok
+    assert part.W_star <= fb.W_fb + 1e-9 * max(1.0, abs(fb.W_fb))
+    assert abs(primal_grid_welfare(d, rho, "first_best")[0] - fb.W_fb) <= 1e-3
+    assert abs(primal_grid_welfare(d, rho, "participation")[0] - part.W_star) <= 1e-3
+    return part
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificates_across_kinds(kind):
+    """Zero duality gap at the walk's threshold for first best and
+    participation, with feasibility, nesting and the grid oracle."""
+    rng = np.random.default_rng(43)
+    branches = set()
+    for n in (2, 3, 5, 8, 13, 21, 40):
+        d = kinded_distribution(rng, kind, n)
+        for f_rho in (0.2, 20.0):
+            part = _check_certificates(d, f_rho * d.total_mass)
+            branches.add(math.isfinite(part.y_star))
+    assert True in branches
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("f_rho, finite", [(0.2, True), (20.0, False)])
+def test_certificates_at_scale(n, f_rho, finite):
+    d = kinded_distribution(np.random.default_rng(5), "plain", n)
+    part = _check_certificates(d, f_rho * d.total_mass)
+    assert math.isfinite(part.y_star) == finite

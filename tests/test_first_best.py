@@ -112,3 +112,24 @@ def test_degenerate_tolerance_rejected(lmh):
         solve_first_best(lmh, 5.5, tol=0.0)
     with pytest.raises(ValueError):
         solve_first_best(lmh, 0.0)
+
+
+def test_walk_stops_when_rounding_lifts_a_pair_member():
+    # Nobody is cheap enough to contribute, so the walk ends on the flat
+    # opt-out line and the limit line, crossing at u_bar / rho.  There the
+    # limit line evaluates to about 1e-10 from rounding, above the
+    # crossing's value 0 by more than the walk's tolerance; the walk must
+    # still stop, since the line on top is already one of the pair.
+    d = TypeDistribution(
+        (
+            AgentType("A", 8.139545256325638, 8.130855482706215, 136.81618498642626),
+            AgentType("B", 2.142212297609924, 2.7568011786055195, 353033.99532888446),
+        )
+    )
+    rho = d.total_mass
+    assert d.u_bar - rho * (d.u_bar / rho) > 1e-12
+    sol = solve_first_best(d, rho)
+    assert sol.y_fb == d.u_bar / rho
+    assert sol.y_fb == pytest.approx(2.1445356272531284, rel=1e-15)
+    assert sol.Q_fb == 0.0
+    assert all(p == 0.0 for p in sol.mechanism.P.values())

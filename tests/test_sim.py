@@ -224,3 +224,12 @@ def test_fluid_trace(equal_cost):
     for a, b in zip(kinds, kinds[1:]):
         assert a != b
     assert set(kinds) <= {"BREAK", "FIX"}
+
+
+@pytest.mark.parametrize("engine", [simulate_poisson, simulate_fluid])
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+def test_engines_reject_non_finite_horizon(equal_cost, engine, horizon):
+    # A NaN or infinite horizon never ends the event loop.
+    pol = build_policy(screening_mechanism())
+    with pytest.raises(ValueError, match="horizon"):
+        engine(pol, equal_cost, PhysicalParams(1.0), horizon, seed=1)
