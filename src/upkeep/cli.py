@@ -93,8 +93,8 @@ class RunConfig:
         elif self.rho is None or not (math.isfinite(self.rho) and self.rho > 0):
             raise ValidationError("rho must be a positive finite real")
         if self.mode == "simulate":
-            if self.seed is None:
-                raise ValidationError("simulate mode requires --seed")
+            if self.seed is None or self.seed < 0:
+                raise ValidationError("simulate mode requires a --seed >= 0")
             if self.horizon is None or not (math.isfinite(self.horizon) and self.horizon > 0):
                 raise ValidationError("simulate mode requires a finite --horizon > 0")
 

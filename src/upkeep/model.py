@@ -76,6 +76,9 @@ class TypeDistribution:
             raise ValueError("type ids must be distinct")
         if not self.types or self.total_mass <= 0:
             raise ValueError("distribution needs at least one type with mass > 0")
+        for name in ("total_mass", "u_bar", "c_bar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @classmethod
     def of(cls, types: Iterable[AgentType]) -> "TypeDistribution":

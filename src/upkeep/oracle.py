@@ -7,16 +7,17 @@ solving the full linear program with a small self-contained simplex.
 The uptime enters that program only through its right-hand side, so the
 simplex pivots each coefficient tableau once per decision path and
 replays only the right-hand side for every uptime of an oracle call.
-The bounded-payment sale is checked by scoring every menu of a grid for
-every buyer; the menus share their high bundle, so which bundles a buyer
-finds near-best reduces to comparing one utility with cut-offs fixed per
-call.  Nothing here is imported from the solvers.
+The bounded-payment sale is checked exactly by one LP over direct
+mechanisms, with the same truth-telling rows as the screening LP.
+Every simplex answer is checked for feasibility before it is returned.
+Nothing here is imported from the solvers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -24,8 +25,8 @@ import numpy as np
 from .model import TypeDistribution
 
 _FEAS_EPS = 1e-12
-# Pair-grid candidates per block in menu_grid_oracle, sized for cache.
-_MENU_BLOCK = 16384
+_LP_TOL = 1e-9  # the simplex's pivot and ratio-test tolerance
+_MENU_SLACK = 1e-13  # row violation, per unit of cap, of an accepted menu LP x
 
 
 class TooManyTypesError(ValueError):
@@ -38,7 +39,7 @@ class GridSpec:
 
     q_points: int = 2001
     refine_rounds: int = 3
-    lp_tol: float = 1e-9
+    lp_tol: float = _LP_TOL
 
     def __post_init__(self) -> None:
         if self.q_points < 3:
@@ -305,8 +306,9 @@ class _LPFamily:
         node = self.roots.get(key)
         if node is None:
             node = self.roots[key] = self._root(signs)
+        b_ub = np.asarray(b_ub, dtype=float)
         b_art = (b_eq * signs).tolist()
-        b = np.asarray(b_ub, dtype=float).tolist() + b_art
+        b = b_ub.tolist() + b_art
         obj_rhs = 0.0
         if node.phase == 1:
             for v in b_art:
@@ -351,6 +353,15 @@ class _LPFamily:
                 x = np.zeros(self.n)
                 for r, j in node.x_rows:
                     x[j] = b[r]
+                # Tolerances in the pivots and ratio tests can end on a
+                # basis whose x breaks a row; such an answer is refused.
+                worst = max(
+                    -x.min(initial=0.0),
+                    (self.A_ub @ x - b_ub).max(initial=0.0),
+                    np.abs(self.A_eq @ x - b_eq).max(initial=0.0),
+                )
+                if not worst <= 1e-6 * np.abs(np.concatenate([b_ub, b_eq])).max(initial=1.0):
+                    raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3g})")
                 return x, float(self.obj @ x)
 
 
@@ -370,6 +381,25 @@ def _simplex_max(
     return _LPFamily(obj, A_ub, A_eq, tol).solve(b_ub, b_eq)
 
 
+def _ic_rows(u: np.ndarray, c: np.ndarray | float) -> np.ndarray:
+    """Rows over x = (r, p) for buyers who value (r_j, p_j) at
+    u_i r_j - c_i p_j: an identity for the boxes on r and p, then
+    participation -u_i r_i + c_i p_i <= 0, then truth-telling
+    -u_i r_i + c_i p_i + u_i r_j - c_i p_j <= 0 for each i and j != i.
+    """
+    n = u.size
+    c = np.broadcast_to(c, (n,))
+    i, j = (~np.eye(n, dtype=bool)).nonzero()
+    own, tt = np.arange(n), 3 * n + np.arange(i.size)
+    A = np.zeros((n * n + 2 * n, 2 * n))
+    A[: 2 * n] = np.eye(2 * n)
+    A[2 * n + own, own], A[2 * n + own, n + own] = -u, c
+    # Truth-telling: i's participation row plus i's payoff from j's bundle.
+    A[tt] = A[2 * n + i]
+    A[tt, j], A[tt, n + j] = u[i], -c[i]
+    return A
+
+
 def _screening_constraints(
     d: TypeDistribution, rho: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[float], tuple[np.ndarray, np.ndarray]]]:
@@ -386,26 +416,10 @@ def _screening_constraints(
 
     obj = np.concatenate([mass * u, -mass * c])
     # R <= q and P <= 1 - q, then participation and truth-telling.
-    rows: list[np.ndarray] = list(np.eye(2 * n))
-    for i in range(n):
-        row = np.zeros(2 * n)
-        row[i] = -u[i]
-        row[n + i] = c[i]
-        rows.append(row)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = np.zeros(2 * n)
-            row[i] -= u[i]
-            row[n + i] += c[i]
-            row[j] += u[i]
-            row[n + j] -= c[i]
-            rows.append(row)
-    A_ub = np.array(rows)
+    A_ub = _ic_rows(u, c)
     A_eq = np.zeros((1, 2 * n))
     A_eq[0, n:] = mass
-    n_zero = len(rows) - 2 * n
+    n_zero = A_ub.shape[0] - 2 * n
 
     def rhs(q: float) -> tuple[np.ndarray, np.ndarray]:
         return np.array([q] * n + [1.0 - q] * n + [0.0] * n_zero), np.array([rho * q])
@@ -456,87 +470,23 @@ def lp_screening_welfare(
     return best_w, best_q
 
 
-def _high_cut(a: float, eps: float) -> float:
-    """The largest float t with fl(t - eps) <= a.
-
-    fl(u - eps) is monotone in u, so a utility u_lo satisfies
-    a >= fl(u_lo - eps) exactly when u_lo <= t.
-    """
-    t = a + eps
-    while t - eps > a:
-        t = math.nextafter(t, -math.inf)
-    while math.nextafter(t, math.inf) - eps <= a:
-        t = math.nextafter(t, math.inf)
-    return t
-
-
-_Cutoffs = tuple[float, float, float, float, float | None, float | None, float]
-
-
-def _cutoffs(
-    types: list[tuple[float, float, float]], eps: float, high: float | None
-) -> list[_Cutoffs]:
-    """Per type, the cut-offs on u_lo that decide which bundles are near-best.
-
-    The menu holds the opt-out, a low bundle (r0, p0) that varies over the
-    candidates, and, unless high is None, the bundle (1, high).  With
-    a = nu - high and M = max(0, a), the best utility is max(M, u_lo), and
-    a bundle is near-best when its utility is at least fl(best - eps):
-    - low: u_lo >= fl(M - eps);
-    - opt-out: M <= eps and u_lo <= eps;
-    - high: a >= fl(M - eps) and u_lo <= _high_cut(a, eps).
-    Each cut-off is the exact float boundary of that test, since
-    fl(u - eps) is monotone in u.  Returns (nu, surplus weight, payment
-    weight, low cut-off, opt-out cut-off or None, high cut-off or None,
-    high bundle's value) per type; None where that bundle is never
-    near-best.
-    """
-    out = []
-    for nu, sw, pw in types:
-        if high is None:
-            best_fixed, hi_cut, hv = 0.0, None, 0.0
-        else:
-            a = nu - high
-            best_fixed = max(0.0, a)
-            hi_cut = _high_cut(a, eps) if a >= best_fixed - eps else None
-            hv = sw * a + pw * high
-        out_cut = eps if best_fixed <= eps else None
-        out.append((nu, sw, pw, best_fixed - eps, out_cut, hi_cut, hv))
-    return out
-
-
-def _best_total(
-    cutoffs: list[_Cutoffs],
-    r0: np.ndarray,
-    p0: np.ndarray,
-    work: np.ndarray,
-    mask: np.ndarray,
-) -> float:
-    """Largest objective over the candidate menus (r0, p0): each type takes
-    a utility-best bundle, near-ties resolved toward the larger
-    contribution (see _cutoffs).  work (four float rows) and mask are
-    reused across blocks.
-    """
-    k = r0.size
-    u, v, w, total = work[:, :k]
-    mask = mask[:k]
-    total.fill(0.0)
-    for nu, sw, pw, low_cut, out_cut, hi_cut, hv in cutoffs:
-        np.multiply(r0, nu, out=u)
-        np.subtract(u, p0, out=u)
-        np.multiply(u, sw, out=v)
-        np.multiply(p0, pw, out=w)
-        np.add(v, w, out=v)
-        np.less(u, low_cut, out=mask)
-        np.copyto(v, -np.inf, where=mask)
-        if out_cut is not None:
-            np.less_equal(u, out_cut, out=mask)
-            np.maximum(v, 0.0, out=v, where=mask)
-        if hi_cut is not None:
-            np.less_equal(u, hi_cut, out=mask)
-            np.maximum(v, hv, out=v, where=mask)
-        total += v
-    return float(total.max())
+def _exact_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> float:
+    """max obj @ x subject to A_ub x <= b_ub, x >= 0, for b_ub >= 0 and a
+    bounded optimum, in rational arithmetic by Bland's rule from the slack
+    basis: no tolerances, so the answer is exact, but slow."""
+    m, n = A_ub.shape
+    T = [[Fraction(a) for a in row] + [Fraction(int(k == r)) for k in range(m)] + [Fraction(b)]
+         for r, (row, b) in enumerate(zip(A_ub.tolist(), b_ub.tolist()))]
+    T.append([Fraction(-a) for a in obj.tolist()] + [Fraction(0)] * (m + 1))  # objective row
+    basis = list(range(n, n + m))
+    while (col := next((j for j, v in enumerate(T[m][:-1]) if v < 0), -1)) >= 0:
+        row = min((T[r][-1] / T[r][col], basis[r], r) for r in range(m) if T[r][col] > 0)[2]
+        T[row] = [v / T[row][col] for v in T[row]]
+        for r in range(m + 1):
+            if r != row and (f := T[r][col]):
+                T[r] = [a - f * b if b else a for a, b in zip(T[r], T[row])]
+        basis[row] = col
+    return float(T[m][-1])
 
 
 def menu_grid_oracle(
@@ -544,69 +494,37 @@ def menu_grid_oracle(
     cap: float = 1.0,
     resolution: float = 1e-3,
 ) -> float:
-    """Exhaustive menu grid for the bounded-payment sale problem.
+    """Optimum of the bounded-payment sale problem by one LP over direct
+    mechanisms: buyer i, of (valuation, surplus_weight, payment_weight)
+    in vals, gets a bundle with 0 <= r_i <= 1 and 0 <= p_i <= cap, under
+    participation and truth-telling between every pair (_ic_rows).
 
-    Scans posted prices and two-atom menus (low atom, high atom, with the
-    low allocation implied by payment-moment saturation) at the given
-    resolution, assigning buyers by self-selection with seller-preferred
-    tie-breaking, which enforces incentive compatibility, individual
-    rationality, and the payment cap directly.
-
-    Every candidate is scored for every buyer.  A two-atom menu's high
-    bundle is always (1, cap), so its utility and value are scalars per
-    type, and which bundles are near-best is decided by comparing the low
-    bundle's utility with per-type cut-offs (see _cutoffs); a posted price
-    is the same menu with the priced bundle as the low one and no high one.
+    By the taxation principle every incentive-compatible, individually
+    rational menu with payments at most cap is such a mechanism, so the
+    LP checks two-tier menus without assuming that two tiers suffice.  A
+    float answer whose x breaks a row by more than _MENU_SLACK is redone
+    in exact arithmetic.  resolution is validated but unused: it sized
+    the menu grid that this LP replaced, and callers still pass it.
     """
-    if not (math.isfinite(cap) and cap > 0):
-        raise ValueError("cap must be finite and > 0")
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError("resolution must be finite and > 0")
-    types = [(float(a), float(b), float(c)) for a, b, c in vals]
-    for nu, sw, pw in types:
-        if not (math.isfinite(nu) and math.isfinite(sw) and math.isfinite(pw)):
-            raise ValueError("valuations and weights must be finite")
-        if nu < 0:
-            raise ValueError("valuations must be >= 0")
-        if sw < 0:
-            raise ValueError("surplus weights must be >= 0")
-    if not types:
+    if not all(math.isfinite(v) and v > 0 for v in (cap, resolution)):
+        raise ValueError("cap and resolution must be finite and > 0")
+    nu, sw, pw = np.array(vals, dtype=float).reshape(-1, 3).T
+    if not (np.isfinite((nu, sw, pw)).all() and (nu >= 0).all() and (sw >= 0).all()):
+        raise ValueError("weights must be finite, valuations and surplus weights >= 0")
+    n = nu.size
+    if not n:
         return 0.0
-    nu_top = max(t[0] for t in types)
-    eps = 1e-12 * max(1.0, nu_top, cap)
-
-    lo_grid = np.arange(0.0, cap + resolution / 2, resolution)
-    hi_top = max(cap, nu_top) + resolution
-    hi_grid = np.arange(cap, hi_top + resolution / 2, resolution)
-    # The pair grid is built and scored in blocks of whole low-atom rows,
-    # small enough that a block's buffers stay in cache.
-    rows = max(1, _MENU_BLOCK // hi_grid.size)
-    den, r0, p0 = np.empty((3, rows, hi_grid.size))
-    size = max(r0.size, lo_grid.size)
-    work, mask = np.empty((4, size)), np.empty(size, dtype=bool)
-
-    best = 0.0  # the empty menu
-    # Posted prices: the grid of prices doubles as the low-atom grid.
-    posted = _cutoffs(types, eps, None)
-    best = max(best, _best_total(posted, np.ones_like(lo_grid), lo_grid, work, mask))
-
-    pairs = _cutoffs(types, eps, cap)
-    num = hi_grid - cap
-    for start in range(0, lo_grid.size, rows):
-        L = lo_grid[start : start + rows, None]
-        d, r, p = den[: L.size], r0[: L.size], p0[: L.size]
-        np.subtract(hi_grid, L, out=d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(num, d, out=r)
-        np.multiply(r, L, out=p)
-        # A row with L < cap keeps every pair: H >= cap > L, so
-        # 0 <= H - cap < H - L and r0 rounds into [0, 1].  Only a last row
-        # at or past cap has pairs with H <= L or r0 > 1 to drop.
-        if L[-1, 0] >= cap:
-            ok = (d > 0.0) & (r >= 0.0) & (r <= 1.0)
-            r, p = r[ok], p[ok]
-        else:
-            r, p = r.ravel(), p.ravel()
-        if r.size:
-            best = max(best, _best_total(pairs, r, p, work, mask))
-    return best
+    A_ub = _ic_rows(nu, 1.0)
+    b_ub = np.zeros(A_ub.shape[0])
+    b_ub[:n], b_ub[n : 2 * n] = 1.0, cap
+    obj = np.concatenate([sw * nu, pw - sw])
+    try:
+        result = _simplex_max(obj, A_ub, b_ub, np.zeros((0, 2 * n)), np.zeros(0), _LP_TOL)
+    except RuntimeError:  # refused as infeasible, or out of pivots
+        return _exact_max(obj, A_ub, b_ub)
+    assert result is not None  # no equality rows, and x = 0 is feasible
+    x, value = result
+    # The value errs by about as much as x breaks its rows.
+    if max((A_ub @ x - b_ub).max(), -x.min()) <= _MENU_SLACK * max(1.0, cap):
+        return value
+    return _exact_max(obj, A_ub, b_ub)

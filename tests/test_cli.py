@@ -255,3 +255,32 @@ def test_infinite_threshold_rendered_as_inf(tmp_path):
     code, out = run_cli(tmp_path, text, ["--mode", "part", "--rho", "3"])
     assert code == EXIT_OK
     assert "y=inf" in out.strip().splitlines()[-1]
+
+
+def test_negative_seed_is_validation_error(tmp_path, capsys):
+    with pytest.raises(ValidationError):
+        RunConfig(mode="simulate", input="x", rho=1.0, seed=-1, horizon=100.0)
+    code, out = run_cli(tmp_path, EX1, ["--mode", "ic", "--rho", "5.5"])
+    assert code == EXIT_OK
+    mech_file = tmp_path / "mech.csv"
+    mech_file.write_text(out, encoding="utf-8")
+    capsys.readouterr()
+    args = ["--mode", "simulate", "--input", str(mech_file), "--rho", "5.5"]
+    assert main(args + ["--seed", "-1", "--horizon", "100"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["fb", "part", "ic"])
+def test_masses_summing_past_the_float_range_are_validation_errors(tmp_path, capsys, mode):
+    # each mass is finite but their sum overflows; solving it would give
+    # Q=0, y=inf, W=0
+    text = "id,u,c,mass\nA,1,1,1e308\nB,2,1,1e308\n"
+    code, out = run_cli(tmp_path, text, ["--mode", mode, "--rho", "5.5"])
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "total_mass must be finite" in err
+    assert err.count("\n") == 1

@@ -41,6 +41,21 @@ def test_type_validation():
         TypeDistribution((AgentType("A", 1, 1, 1.0), AgentType("A", 2, 1, 1.0)))
 
 
+@pytest.mark.parametrize(
+    "types",
+    [
+        # each mass is finite, their sum is not
+        (AgentType("A", 1.0, 1.0, 1e308), AgentType("B", 2.0, 1.0, 1e308)),
+        # finite masses whose mass * u or mass * c overflows
+        (AgentType("A", 10.0, 1.0, 1e308),),
+        (AgentType("A", 1.0, 10.0, 1e308),),
+    ],
+)
+def test_distribution_rejects_non_finite_aggregates(types):
+    with pytest.raises(ValueError, match="must be finite"):
+        TypeDistribution(types)
+
+
 def test_welfare_participation_optimum(lmh):
     q = 2.0 / 7.0
     mech = Mechanism(

@@ -12,13 +12,14 @@ from upkeep import (
     PhysicalParams,
     TooManyTypesError,
     TypeDistribution,
+    bounded_monopoly_solve,
     lp_screening_welfare,
     menu_grid_oracle,
     primal_grid_welfare,
     simulate_poisson,
 )
 from upkeep.oracle import (
-    _high_cut,
+    _exact_max,
     _LPFamily,
     _screening_constraints,
     _screening_lp,
@@ -157,59 +158,17 @@ def test_menu_grid_rejects_bad_arguments(vals, cap, resolution):
         menu_grid_oracle(vals, cap, resolution)
 
 
-def _menu_reference(vals, cap, resolution):
-    """Reference menu grid that scores all three bundles of every
-    candidate as arrays (utility, near-best test, contribution), over the
-    whole pair grid at once; the oracle's cut-offs must reproduce it bit
-    for bit."""
-    types = [(float(a), float(b), float(c)) for a, b, c in vals]
-    nu_top = max(t[0] for t in types)
-    eps = 1e-12 * max(1.0, nu_top, cap)
-
-    def best_over_bundles(r0, p0, r1, p1):
-        total = np.zeros_like(r0)
-        for nu_i, sw_i, pw_i in types:
-            u_lo = r0 * nu_i - p0
-            u_hi = r1 * nu_i - p1
-            u_best = np.maximum(0.0, np.maximum(u_lo, u_hi))
-            near = u_best - eps
-            contrib = np.where(u_best <= eps, 0.0, -np.inf)
-            np.maximum(
-                contrib, np.where(u_lo >= near, sw_i * u_lo + pw_i * p0, -np.inf), out=contrib
-            )
-            np.maximum(
-                contrib, np.where(u_hi >= near, sw_i * u_hi + pw_i * p1, -np.inf), out=contrib
-            )
-            total += contrib
-        return float(total.max()) if total.size else 0.0
-
-    prices = np.arange(0.0, cap + resolution / 2, resolution)
-    zeros = np.zeros_like(prices)
-    best = max(0.0, best_over_bundles(zeros, zeros, np.ones_like(prices), prices))
-    hi_top = max(cap, nu_top) + resolution
-    hi_grid = np.arange(cap, hi_top + resolution / 2, resolution)
-    L, H = np.meshgrid(prices, hi_grid, indexing="ij")
-    mask = H > L
-    L, H = L[mask], H[mask]
-    r0 = (H - cap) / (H - L)
-    ok = (r0 >= 0.0) & (r0 <= 1.0)
-    return max(best, best_over_bundles(r0[ok], r0[ok] * L[ok], 1.0, cap))
-
-
 def _menu_cases():
-    """(vals, cap, resolution) inputs for the menu grid differential test.
+    """(vals, cap, resolution) inputs for the exact menu oracle test.
 
     Random menus of 1 to 5 buyers, some with zero surplus weight, some
-    with every valuation below cap, at two (cap, resolution) pairs whose
-    grids overshoot cap, so the H > L and r0 <= 1 filters drop pairs.
-    Then ties under pure-revenue weights at the default grid: a low
-    valuation at a low-atom grid point or one ulp to either side, which
-    ties its buyer's low bundle with opting out, and a high valuation at
-    a high-atom grid point or one ulp to either side, which ties the low
-    and high bundles.  Rounding leaves the tied utilities a few ulps
-    apart, inside the tie tolerance.  In the last quarter a twin of the
-    low buyer has a negative payment weight, so the seller prefers that
-    buyer to opt out.
+    with every valuation below cap, at caps 0.3 and 0.7.  Then ties under
+    pure-revenue weights at cap 1: a low valuation at a multiple of 1e-3
+    or one ulp to either side, and a high valuation in [1, 1.1) at a
+    multiple of 1e-3 or one ulp to either side, so that menus priced at
+    those points leave buyers a few ulps from indifference.  In the last
+    quarter a twin of the low buyer has a negative payment weight, so the
+    seller prefers that buyer to opt out.
     """
     rng = np.random.default_rng(2028)
     cases = []
@@ -234,25 +193,6 @@ def _menu_cases():
             vals.insert(1, (lo, 0.0, -pws[2]))
         cases.append((vals, 1.0, 1e-3))
     return cases
-
-
-def test_menu_grid_matches_reference():
-    # the cut-off evaluation must pick the same bundles, so the same
-    # float, as scoring every bundle's utility and contribution in full
-    for vals, cap, resolution in _menu_cases():
-        assert _hex(menu_grid_oracle(vals, cap, resolution)) == _hex(
-            _menu_reference(vals, cap, resolution)
-        ), (vals, cap, resolution)
-
-
-def test_high_cut_is_the_exact_boundary():
-    # a >= fl(u - eps) must hold exactly for the floats u <= _high_cut(a, eps)
-    rng = np.random.default_rng(2029)
-    for _ in range(2000):
-        eps = 1e-12 * float(rng.uniform(1.0, 3.0))
-        a = float(rng.uniform(-1.0, 2.0)) * 10.0 ** float(rng.integers(-14, 1))
-        t = _high_cut(a, eps)
-        assert t - eps <= a < math.nextafter(t, math.inf) - eps, (a, eps)
 
 
 def test_oracle_imports_nothing_from_the_solvers():
@@ -311,7 +251,7 @@ def _pinned_distributions():
 def _pinned_menus():
     """Inner-menu valuations (nu * Q / (1 - Q), mass * c, mass * y) of
     seeded distributions, scaled so the top valuation falls in [0.3, 1.3],
-    plus one menu whose top valuation of 2.5 grows the high-atom grid."""
+    plus one menu whose top valuation is 2.5."""
     rng = np.random.default_rng(2025)
     menus = []
     for kind in KINDS:
@@ -367,29 +307,6 @@ PINNED_LP = [
     ("0x1.b3931b10b6fb1p+2", "0x1.65446c65b8ee9p-1"),
 ]
 
-PINNED_MENU = [
-    "0x1.63705ebde04ddp+2",
-    "0x1.66e719cb70b6bp+1",
-    "0x1.aadacf76f3634p+1",
-    "0x1.3b2d8c94bc64cp+4",
-    "0x1.151bff1c77e69p+3",
-    "0x1.03a37d69b46e0p+2",
-    "0x1.c15f67aa27ef8p-1",
-    "0x1.7ce8b5308d25ap+1",
-    "0x1.7130332145115p+1",
-    "0x1.906f02fe19684p+2",
-    "0x1.246197278de33p+1",
-    "0x1.fc5651f3a6f1bp+1",
-    "0x1.76f61a1a54d45p+4",
-    "0x1.dbe9bd77c59b3p+3",
-    "0x1.8278550fcadc1p+2",
-    "0x1.1113a69878e8fp-2",
-    "0x1.089555e535186p+2",
-    "0x1.0bb5ea3bfbb82p+2",
-    "0x1.47a56b272c968p+1",
-    "0x1.2ff146f498148p+2",
-]
-
 PINNED_POISSON = [
     (
         "0x1.83dfae5f3607bp-2",
@@ -443,7 +360,7 @@ def _poisson_pin(stats, d):
 
 def test_oracle_outputs_pinned():
     # float.hex of every output, recorded before the oracles' fast paths:
-    # blocked menu grid, vectorized pivot, LP constraints built once per call
+    # vectorized pivot, LP constraints built once per call
     g = GridSpec(q_points=61, refine_rounds=3)
     lp = [
         tuple(map(_hex, lp_screening_welfare(d, rho, g)))
@@ -453,8 +370,6 @@ def test_oracle_outputs_pinned():
     # q = 1 leaves no downtime for the contributions that balance needs
     d, rho = _pinned_distributions()[0]
     assert _screening_lp(d, rho, g.lp_tol)(1.0) is None
-    menus = [_hex(menu_grid_oracle(v, 1.0, 1e-3)) for v in _pinned_menus()]
-    assert menus == PINNED_MENU
     sims = [
         _poisson_pin(simulate_poisson(pol, d, phys, 1000.0, seed), d)
         for d, pol, phys, seed in _pinned_policies()
@@ -639,3 +554,172 @@ def test_lp_family_replay_matches_fresh_solves():
                 # the trie is hit: fewer tableau pivots than replayed ones
                 assert family.tableau_pivots < family.rhs_pivots
     assert nones > 0
+
+
+def _seeded_menus():
+    """200 menus of 1 to 8 buyers: valuations below 0.6 or 3, about 30%
+    of the surplus weights zero, payment weights of either sign, caps 1,
+    0.3 and 0.7."""
+    rng = np.random.default_rng(2030)
+    menus = []
+    for k in range(200):
+        n = int(rng.integers(1, 9))
+        nus = np.sort(rng.uniform(0.0, (0.6, 3.0)[k % 2], size=n))
+        sws = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.0, 2.0, size=n))
+        pws = rng.uniform(-2.0, 2.0, size=n)
+        menus.append(([(float(a), float(b), float(c)) for a, b, c in zip(nus, sws, pws)], (1.0, 0.3, 0.7)[k % 3]))
+    return menus
+
+
+# Menus whose float simplex answer is not exact: on the first two the
+# simplex ends on a basis whose x breaks a row by more than 1e-6, so the
+# answer is refused; on the last two x breaks rows by about 1e-12 and the
+# value errs by 1.1e-12 and 2.3e-12 relative.
+HARD_MENUS = [
+    (
+        [
+            (0.008164452024524937, 0.0, 0.7132211913693336),
+            (0.21283584194997732, 0.0, -1.5944714895373444),
+            (0.4240780991063437, 0.0, -1.8448088238663871),
+            (0.43587572211482034, 0.0, -1.5981429138444359),
+            (0.5072510345596128, 1.310168846956022, 0.4749210274951796),
+            (0.5230086516902771, 0.11587225515373611, 0.938910128610194),
+            (0.5685175742219246, 0.011450396168264376, 1.7693474323350458),
+            (0.5718316996121723, 0.0, -0.5387316763868646),
+        ],
+        0.7,
+    ),
+    (
+        [
+            (0.08275602143959541, 1.0823406354565221, -1.5710075715059793),
+            (0.11149789086823093, 0.0, 1.7836049281826294),
+            (0.1852886201083194, 1.0003425882099763, 0.16532086651030875),
+            (0.44172307265508626, 1.320505675388541, 0.7774235896900903),
+            (0.4425509215144074, 0.0, 1.775712788451747),
+            (0.489706906166365, 0.0, -0.007819324177563924),
+            (0.5548244749442754, 0.3578447916413099, 1.8049014291967724),
+        ],
+        1.0,
+    ),
+    (
+        [
+            (0.0018248878382221667, 0.27128692044434244, -0.9922989210526154),
+            (0.13203497838017214, 0.6473211693703758, -0.3079980595075047),
+            (0.19853624721683497, 0.3065191833590615, 1.6265476222510635),
+            (0.2730234235033578, 1.1233815176370618, -1.1492139476713175),
+            (0.40477487383381244, 0.0, -0.5173640456372817),
+            (0.5574697459834731, 0.0, 0.1726279800714705),
+            (0.5989595329885954, 0.0, 1.7121065776589055),
+            (0.5990318471557804, 0.0, 0.6648200554825543),
+        ],
+        0.7,
+    ),
+    (
+        [
+            (0.04749865423271022, 0.0, 0.03921879922914906),
+            (0.12611550960077098, 1.3384542196746565, -1.9295205348021969),
+            (0.3311267173801025, 0.3452158342597702, 1.937014926536992),
+            (0.43136958618535165, 0.0, -0.9638030028236555),
+            (0.5099174323810192, 1.9965974128067283, 1.7110367369970643),
+            (0.5099918456939103, 0.0, -1.6252150640244891),
+            (0.5199681006607212, 0.8501386113760461, 1.3637249520600863),
+            (0.5792994158498941, 0.0, 1.4423049400284134),
+        ],
+        0.7,
+    ),
+]
+
+
+def _menu_lp(vals, cap):
+    """(obj, A_ub, b_ub) of the menu LP over x = (r, p), row by row: the
+    boxes, participation, then truth-telling of each buyer i against
+    each j != i."""
+    nu, sw, pw = np.array(vals).T
+    n = nu.size
+
+    def row(i, j):
+        # buyer i's payoff from bundle j (None: opting out) less its own
+        a = np.zeros(2 * n)
+        a[i], a[n + i] = -nu[i], 1.0
+        if j is not None:
+            a[j], a[n + j] = nu[i], -1.0
+        return a
+
+    rows = list(np.eye(2 * n)) + [row(i, None) for i in range(n)]
+    rows += [row(i, j) for i in range(n) for j in range(n) if j != i]
+    b_ub = np.concatenate([np.ones(n), np.full(n, cap), np.zeros(len(rows) - 2 * n)])
+    return np.concatenate([sw * nu, pw - sw]), np.array(rows), b_ub
+
+
+def test_menu_oracle_is_exact():
+    # the LP covers every truthful menu with capped payments, so it must
+    # find the same optimum as the two-tier enumeration, and as HiGHS
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        linprog = None
+    cases = [(v, cap) for v, cap, _ in _menu_cases()] + [(v, 1.0) for v in _pinned_menus()]
+    for vals, cap in cases + _seeded_menus() + HARD_MENUS:
+        value = menu_grid_oracle(vals, cap, 1e-3)
+        ref = bounded_monopoly_solve(sorted(vals), cap).value
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (vals, cap, value, ref)
+        if linprog is not None:
+            obj, A_ub, b_ub = _menu_lp(vals, cap)
+            highs = -linprog(-obj, A_ub=A_ub, b_ub=b_ub, method="highs").fun
+            assert abs(value - highs) <= 1e-9 * max(1.0, abs(highs)), (vals, cap, value, highs)
+    # a price at the cap is charged at the cap, not an ulp above it
+    assert menu_grid_oracle([(1.0, 0.0, 1.0)], 0.3, 0.1) == 0.3
+
+
+def test_inexact_menu_lps_are_solved_exactly():
+    # the float simplex is refused or off by more than 1e-12; the exact
+    # solve must land on the enumeration's optimum
+    refused = 0
+    for vals, cap in HARD_MENUS:
+        obj, A_ub, b_ub = _menu_lp(vals, cap)
+        ref = bounded_monopoly_solve(sorted(vals), cap).value
+        try:
+            _, value = _simplex_max(obj, A_ub, b_ub, np.zeros((0, obj.size)), np.zeros(0), 1e-9)
+        except RuntimeError:
+            refused += 1
+        else:
+            assert abs(value - ref) > 1e-12 * max(1.0, abs(ref))
+        assert abs(_exact_max(obj, A_ub, b_ub) - ref) <= 1e-15 * max(1.0, abs(ref))
+    assert refused == 2
+
+
+# HiGHS optima of joint screening LPs on which the simplex, unchecked,
+# returned an infeasible x with a wrong value: 1.5115, 2.9e-4, 8.624 and
+# 0.0345 in turn.
+JOINT_HIGHS = {
+    745: 1.5120489292140047,
+    1474: 118.87192649546736,
+    1513: 8.959487112997577,
+    2310: 38.739641815201495,
+}
+
+
+def test_simplex_never_returns_an_infeasible_optimum():
+    # one LP in x = (Q, R, P): R <= Q, P <= 1 - Q, participation and
+    # truth-telling, and balance rho * Q = sum(mass * P)
+    for seed, highs in JOINT_HIGHS.items():
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        d = kinded_distribution(rng, KINDS[seed % 4], n)
+        rho = d.total_mass * 10.0 ** rng.uniform(-2.0, math.log10(20.0))
+        obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
+        q_col = np.concatenate([-np.ones(n), np.ones(n), np.zeros(A_ub.shape[0] - 2 * n)])
+        b_ub, _ = rhs(0.0)
+        try:
+            result = _simplex_max(
+                np.concatenate([[0.0], obj]),
+                np.column_stack([q_col, A_ub]),
+                b_ub,
+                np.column_stack([[rho], -A_eq]),
+                np.zeros(1),
+                1e-9,
+            )
+        except RuntimeError:
+            continue
+        assert result is not None
+        assert abs(result[1] - highs) <= 1e-9 * max(1.0, highs), (seed, result[1], highs)
