@@ -24,7 +24,7 @@ from .model import (
     TypeDistribution,
     balance_residual,
 )
-from .oracle import GridSpec, TooManyTypesError, lp_screening_welfare, primal_grid_welfare
+from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
 from .participation import solve_participation
 from .screening import ScreeningSolution, solve_screening
 from .sim import build_policy, simulate_fluid, simulate_poisson
@@ -36,7 +36,7 @@ EXIT_DEGENERATE = 4
 EXIT_ORACLE = 5
 
 ORACLE_TOL_PRIMAL = 1e-3
-ORACLE_TOL_SCREENING = 2e-3
+ORACLE_TOL_SCREENING = 1e-9  # per unit of max(1, |W_solver|); the LP oracle is exact
 
 MODES = ("fb", "part", "ic", "simulate", "sweep", "oracle-check")
 
@@ -308,9 +308,9 @@ def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], b
     lines.append(f"{fmt(part.W_star)},{fmt(w_part_oracle)},{fmt(delta)}")
 
     ic = solve_screening(d, rho, cfg.tol)
-    w_ic_oracle, _ = lp_screening_welfare(d, rho, GridSpec(q_points=61, refine_rounds=3))
+    w_ic_oracle, _ = lp_screening_welfare(d, rho)
     delta = ic.W_star - w_ic_oracle
-    ok &= abs(delta) <= ORACLE_TOL_SCREENING
+    ok &= abs(delta) <= ORACLE_TOL_SCREENING * max(1.0, abs(ic.W_star))
     lines.append(f"{fmt(ic.W_star)},{fmt(w_ic_oracle)},{fmt(delta)}")
     return lines, ok
 

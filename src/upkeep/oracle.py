@@ -1,15 +1,14 @@
 """Independent brute-force optimality checkers for the three solvers.
 
-These deliberately avoid the solvers' machinery: welfare is maximized by
-scanning an uptime grid with local refinement, filling contributions
-greedily (exact for a fixed uptime since the objective is linear), or by
-solving the full linear program with a small self-contained simplex.
-The uptime enters that program only through its right-hand side, so the
-simplex pivots each coefficient tableau once per decision path and
-replays only the right-hand side for every uptime of an oracle call.
-The bounded-payment sale is checked exactly by one LP over direct
-mechanisms, with the same truth-telling rows as the screening LP.
-Every simplex answer is checked for feasibility before it is returned.
+These deliberately avoid the solvers' machinery.  First best and
+participation are checked by scanning an uptime grid with local
+refinement, filling contributions greedily (exact for a fixed uptime
+since the objective is linear).  Screening is checked by one linear
+program over the full constraint set, with the uptime substituted out
+through balance, and the bounded-payment sale by one LP over direct
+mechanisms with the same truth-telling rows.  Both LPs are solved by a
+small self-contained float simplex whose answer is checked row by row,
+and solved again in exact arithmetic when the check fails.
 Nothing here is imported from the solvers.
 """
 
@@ -26,7 +25,7 @@ from .model import TypeDistribution
 
 _FEAS_EPS = 1e-12
 _LP_TOL = 1e-9  # the simplex's pivot and ratio-test tolerance
-_MENU_SLACK = 1e-13  # row violation, per unit of cap, of an accepted menu LP x
+_SLACK = 1e-13  # row violation, per unit of max(1, max b_ub), of an accepted float x
 
 
 class TooManyTypesError(ValueError):
@@ -427,53 +426,10 @@ def _screening_constraints(
     return obj, A_ub, A_eq, rhs
 
 
-def _screening_lp(
-    d: TypeDistribution, rho: float, tol: float
-) -> Callable[[float], float | None]:
-    """Exact welfare at a given uptime over the full constraint set, or
-    None where infeasible.  Every uptime is solved by one _LPFamily.
-    """
-    obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
-    family = _LPFamily(obj, A_ub, A_eq, tol)
-
-    def welfare_at(q: float) -> float | None:
-        result = family.solve(*rhs(q))
-        return None if result is None else result[1]
-
-    return welfare_at
-
-
-def lp_screening_welfare(
-    d: TypeDistribution, rho: float, g: GridSpec = GridSpec()
-) -> tuple[float, float]:
-    """Grid-plus-refinement maximum of the exact fixed-uptime LP.
-
-    The LP value is concave piecewise linear in the uptime, so the
-    refinement window around the grid argmax always brackets the true
-    maximizer.
-    """
-    if len(d.types) > 8:
-        raise TooManyTypesError("LP oracle supports at most 8 types")
-    lo, hi = 0.0, 1.0
-    best_q = 0.0
-    best_w = -math.inf
-    welfare_at = _screening_lp(d, rho, g.lp_tol)
-    for _ in range(g.refine_rounds + 1):
-        qs = np.linspace(lo, hi, g.q_points)
-        for q in qs:
-            w = welfare_at(float(q))
-            if w is not None and w > best_w:
-                best_w, best_q = w, float(q)
-        h = (hi - lo) / (g.q_points - 1)
-        lo = max(0.0, best_q - 2.0 * h)
-        hi = min(1.0, best_q + 2.0 * h)
-    return best_w, best_q
-
-
-def _exact_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> float:
-    """max obj @ x subject to A_ub x <= b_ub, x >= 0, for b_ub >= 0 and a
-    bounded optimum, in rational arithmetic by Bland's rule from the slack
-    basis: no tolerances, so the answer is exact, but slow."""
+def _exact_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x, obj @ x) maximizing obj @ x subject to A_ub x <= b_ub, x >= 0,
+    for b_ub >= 0 and a bounded optimum, in rational arithmetic by Bland's
+    rule from the slack basis: no tolerances, so exact, but slow."""
     m, n = A_ub.shape
     T = [[Fraction(a) for a in row] + [Fraction(int(k == r)) for k in range(m)] + [Fraction(b)]
          for r, (row, b) in enumerate(zip(A_ub.tolist(), b_ub.tolist()))]
@@ -486,7 +442,55 @@ def _exact_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> float:
             if r != row and (f := T[r][col]):
                 T[r] = [a - f * b if b else a for a, b in zip(T[r], T[row])]
         basis[row] = col
-    return float(T[m][-1])
+    x = np.zeros(n)
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = T[r][-1]
+    return x, float(T[m][-1])
+
+
+def _checked_max(
+    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """_exact_max's problem, by the float simplex if its x breaks no row
+    by more than _SLACK·max(1, max b_ub), else by _exact_max."""
+    try:
+        result = _simplex_max(obj, A_ub, b_ub, np.zeros((0, obj.size)), np.zeros(0), tol)
+    except RuntimeError:  # refused as infeasible, or out of pivots
+        return _exact_max(obj, A_ub, b_ub)
+    assert result is not None  # no equality rows, and x = 0 is feasible
+    x = result[0]
+    # The value errs by about as much as x breaks its rows.
+    if max((A_ub @ x - b_ub).max(), -x.min()) <= _SLACK * max(1.0, b_ub.max()):
+        return result
+    return _exact_max(obj, A_ub, b_ub)
+
+
+def lp_screening_welfare(
+    d: TypeDistribution, rho: float, g: GridSpec = GridSpec()
+) -> tuple[float, float]:
+    """Exact screening optimum (W, Q) by one LP over x = (R, P) >= 0.
+
+    Balance fixes the uptime, Q = mass @ P / rho, so R_i <= Q and
+    P_i <= 1 - Q of _screening_constraints become rho R_i - mass @ P <= 0
+    and rho P_i + mass @ P <= rho, beside participation and truth-telling
+    (0 <= Q <= 1 follows), and _checked_max solves it.  Q is the optimal
+    vertex's uptime, not the lowest optimal one.  g.lp_tol is the simplex
+    tolerance; g.q_points and g.refine_rounds are validated but unused.
+    """
+    if len(d.types) > 8:
+        raise TooManyTypesError("LP oracle supports at most 8 types")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and > 0")
+    n = len(d.types)
+    obj, A_ub, A_eq, _ = _screening_constraints(d, rho)
+    A_ub[: 2 * n] *= rho
+    A_ub[:n] -= A_eq
+    A_ub[n : 2 * n] += A_eq
+    b_ub = np.zeros(A_ub.shape[0])
+    b_ub[n : 2 * n] = rho
+    x, w = _checked_max(obj, A_ub, b_ub, g.lp_tol)
+    return w, float(A_eq[0] @ x) / rho
 
 
 def menu_grid_oracle(
@@ -501,9 +505,8 @@ def menu_grid_oracle(
 
     By the taxation principle every incentive-compatible, individually
     rational menu with payments at most cap is such a mechanism, so the
-    LP checks two-tier menus without assuming that two tiers suffice.  A
-    float answer whose x breaks a row by more than _MENU_SLACK is redone
-    in exact arithmetic.  resolution is validated but unused: it sized
+    LP checks two-tier menus without assuming that two tiers suffice;
+    _checked_max solves it.  resolution is validated but unused: it sized
     the menu grid that this LP replaced, and callers still pass it.
     """
     if not all(math.isfinite(v) and v > 0 for v in (cap, resolution)):
@@ -518,13 +521,4 @@ def menu_grid_oracle(
     b_ub = np.zeros(A_ub.shape[0])
     b_ub[:n], b_ub[n : 2 * n] = 1.0, cap
     obj = np.concatenate([sw * nu, pw - sw])
-    try:
-        result = _simplex_max(obj, A_ub, b_ub, np.zeros((0, 2 * n)), np.zeros(0), _LP_TOL)
-    except RuntimeError:  # refused as infeasible, or out of pivots
-        return _exact_max(obj, A_ub, b_ub)
-    assert result is not None  # no equality rows, and x = 0 is feasible
-    x, value = result
-    # The value errs by about as much as x breaks its rows.
-    if max((A_ub @ x - b_ub).max(), -x.min()) <= _MENU_SLACK * max(1.0, cap):
-        return value
-    return _exact_max(obj, A_ub, b_ub)
+    return _checked_max(obj, A_ub, b_ub, _LP_TOL)[1]

@@ -220,6 +220,16 @@ def test_oracle_check_mode(tmp_path):
         assert abs(float(line.split(",")[2])) <= 2e-3
 
 
+def test_oracle_check_screening_row_is_exact(tmp_path):
+    # the screening oracle is an exact LP, so on the README table it
+    # agrees with the solver to rounding (the uptime grid it replaced
+    # printed a delta of 4.83e-06 here)
+    code, out = run_cli(tmp_path, EX1, ["--mode", "oracle-check", "--rho", "5.5"])
+    assert code == EXIT_OK
+    w_solver, w_oracle, delta = map(float, out.strip().splitlines()[3].split(","))
+    assert abs(delta) <= 1e-9 and abs(w_solver - w_oracle) <= 1e-9
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_horizon_is_validation_error(tmp_path, capsys, value):
     with pytest.raises(ValidationError):

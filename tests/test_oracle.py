@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from upkeep import (
     menu_grid_oracle,
     primal_grid_welfare,
     simulate_poisson,
+    solve_screening,
 )
+import upkeep.oracle
 from upkeep.oracle import (
     _exact_max,
     _LPFamily,
     _screening_constraints,
-    _screening_lp,
     _simplex_max,
 )
 from conftest import KINDS, kinded_distribution, random_distribution
@@ -68,6 +70,13 @@ def test_lp_oracle_type_cap():
     d = TypeDistribution(tuple(AgentType(f"T{i}", 1.0, 1.0, 0.1) for i in range(9)))
     with pytest.raises(TooManyTypesError):
         lp_screening_welfare(d, 1.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+def test_lp_oracle_rejects_bad_rho(equal_cost, rho):
+    # the uptime is mass @ P / rho, so rho must be finite and positive
+    with pytest.raises(ValueError):
+        lp_screening_welfare(equal_cost, rho)
 
 
 def test_greedy_fill_matches_lp_on_fixed_uptime():
@@ -200,7 +209,7 @@ def test_oracle_imports_nothing_from_the_solvers():
     # library, and nothing that the solvers are built from
     import upkeep.oracle
 
-    tree = ast.parse(open(upkeep.oracle.__file__).read())
+    tree = ast.parse(Path(upkeep.oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             roots = [alias.name.split(".")[0] for alias in node.names]
@@ -285,26 +294,52 @@ def _pinned_policies():
     return out
 
 
+# The LP oracle's exact optimum (W, Q) on _pinned_distributions().
 PINNED_LP = [
-    ("0x1.05475da9b536ep+1", "0x1.57b096922bec5p-1"),
-    ("0x1.1b55edc0939b9p+2", "0x1.74aed2c6f1b98p-1"),
-    ("0x1.17a9946ace48ap+3", "0x1.b80df4ecf6103p-1"),
-    ("0x1.98ddcc32dd2a0p+2", "0x1.a806453a3a9bap-1"),
-    ("0x1.924a944723e39p+4", "0x1.e19896b13d910p-1"),
-    ("0x1.7f9010fe10b0bp+1", "0x1.9f093a8847ce8p-1"),
-    ("0x1.32ffe4c7785c1p+1", "0x1.348ec89527b37p-1"),
-    ("0x1.5fd540946eea9p+1", "0x1.ab9836e581ea0p-1"),
-    ("0x1.895d5c21d387bp+1", "0x1.438e625069bf7p-1"),
-    ("0x1.e3c7b54e00c57p-3", "0x1.44ba11d48abcfp-2"),
-    ("0x1.226dc96503078p+2", "0x1.579d2b8b44e0ep-1"),
-    ("0x1.468af1db2415ep+4", "0x1.c87424f47c561p-1"),
-    ("0x1.a4eba74aabf58p+2", "0x1.d58da54fc029bp-1"),
-    ("0x1.723d85cd14c6dp+5", "0x1.42e38146def43p-1"),
-    ("0x1.38677fb944326p+6", "0x1.9f32a763ce4d5p-1"),
-    ("0x1.5f610d94e51b8p-1", "0x1.7fde578da2b8fp-1"),
+    ("0x1.0547c62d7f014p+1", "0x1.57b1200d1d41dp-1"),
+    ("0x1.1b56235428076p+2", "0x1.74af21e995adfp-1"),
+    ("0x1.17a99a477f476p+3", "0x1.b80e408081c11p-1"),
+    ("0x1.98ddf8e8c27acp+2", "0x1.a8067b2af3e21p-1"),
+    ("0x1.924ac309a814ep+4", "0x1.e198ceab891b6p-1"),
+    ("0x1.7f909cbbebc1bp+1", "0x1.9f09d1bd907ddp-1"),
+    ("0x1.330016e56676ap+1", "0x1.348efaf433f45p-1"),
+    ("0x1.5fd5b2dd4d5f1p+1", "0x1.ab98c1ca5f2aep-1"),
+    ("0x1.895dffa8be638p+1", "0x1.438ee8d21fc5ap-1"),
+    ("0x1.e3c8caf0c6e27p-3", "0x1.44bacc2fee921p-2"),
+    ("0x1.226e20628dec0p+2", "0x1.579d9276f1f5fp-1"),
+    ("0x1.468b484f6bb19p+4", "0x1.c8749dcdd0abfp-1"),
+    ("0x1.a4ebf9d28bc59p+2", "0x1.d58e0160b87eep-1"),
+    ("0x1.723dee5996349p+5", "0x1.42e3dc7459345p-1"),
+    ("0x1.3867b6e760251p+6", "0x1.9f32f0b9f9142p-1"),
+    ("0x1.5f617e52bc506p-1", "0x1.7fded2b81da2bp-1"),
     ("0x0.0p+0", "0x0.0p+0"),
-    ("0x1.a145b400a012ep+1", "0x1.77934c9af5d4ap-1"),
-    ("0x1.b3931b10b6fb1p+2", "0x1.65446c65b8ee9p-1"),
+    ("0x1.a14655b2199bep+1", "0x1.7793de2418d7ap-1"),
+    ("0x1.b393239e3332fp+2", "0x1.65447d46eb938p-1"),
+]
+
+# W of the uptime grid (61 points, 3 refinements) that the exact LP
+# replaced.  The grid visited feasible uptimes only, so each is a lower
+# bound on the optimum.
+GRID_LP_W = [
+    "0x1.05475da9b536ep+1",
+    "0x1.1b55edc0939b9p+2",
+    "0x1.17a9946ace48ap+3",
+    "0x1.98ddcc32dd2a0p+2",
+    "0x1.924a944723e39p+4",
+    "0x1.7f9010fe10b0bp+1",
+    "0x1.32ffe4c7785c1p+1",
+    "0x1.5fd540946eea9p+1",
+    "0x1.895d5c21d387bp+1",
+    "0x1.e3c7b54e00c57p-3",
+    "0x1.226dc96503078p+2",
+    "0x1.468af1db2415ep+4",
+    "0x1.a4eba74aabf58p+2",
+    "0x1.723d85cd14c6dp+5",
+    "0x1.38677fb944326p+6",
+    "0x1.5f610d94e51b8p-1",
+    "0x0.0p+0",
+    "0x1.a145b400a012ep+1",
+    "0x1.b3931b10b6fb1p+2",
 ]
 
 PINNED_POISSON = [
@@ -359,17 +394,22 @@ def _poisson_pin(stats, d):
 
 
 def test_oracle_outputs_pinned():
-    # float.hex of every output, recorded before the oracles' fast paths:
-    # vectorized pivot, LP constraints built once per call
+    # float.hex of every output: the LP oracle's exact optimum and the
+    # Poisson engine's estimates
     g = GridSpec(q_points=61, refine_rounds=3)
     lp = [
         tuple(map(_hex, lp_screening_welfare(d, rho, g)))
         for d, rho in _pinned_distributions()
     ]
     assert lp == PINNED_LP
+    for (w, _), grid_w in zip(lp, GRID_LP_W):
+        w, grid_w = float.fromhex(w), float.fromhex(grid_w)
+        assert w >= grid_w - 1e-12 * max(1.0, abs(w)) and abs(w - grid_w) <= 2e-3
     # q = 1 leaves no downtime for the contributions that balance needs
     d, rho = _pinned_distributions()[0]
-    assert _screening_lp(d, rho, g.lp_tol)(1.0) is None
+    obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
+    b_ub, b_eq = rhs(1.0)
+    assert _simplex_max(obj, A_ub, b_ub, A_eq, b_eq, g.lp_tol) is None
     sims = [
         _poisson_pin(simulate_poisson(pol, d, phys, 1000.0, seed), d)
         for d, pol, phys, seed in _pinned_policies()
@@ -684,7 +724,7 @@ def test_inexact_menu_lps_are_solved_exactly():
             refused += 1
         else:
             assert abs(value - ref) > 1e-12 * max(1.0, abs(ref))
-        assert abs(_exact_max(obj, A_ub, b_ub) - ref) <= 1e-15 * max(1.0, abs(ref))
+        assert abs(_exact_max(obj, A_ub, b_ub)[1] - ref) <= 1e-15 * max(1.0, abs(ref))
     assert refused == 2
 
 
@@ -723,3 +763,80 @@ def test_simplex_never_returns_an_infeasible_optimum():
             continue
         assert result is not None
         assert abs(result[1] - highs) <= 1e-9 * max(1.0, highs), (seed, result[1], highs)
+
+
+def _joint_lp_instance(seed):
+    # the recipe of the JOINT_HIGHS seeds
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    d = kinded_distribution(rng, KINDS[seed % 4], n)
+    return d, d.total_mass * 10.0 ** rng.uniform(-2.0, math.log10(20.0))
+
+
+def _highs_screening(d, rho, linprog):
+    """HiGHS on screening as one LP in x = (Q, R, P), with balance
+    rho * Q = sum(mass * P) kept as an equality row."""
+    n = len(d.types)
+    obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
+    q_col = np.concatenate([-np.ones(n), np.ones(n), np.zeros(A_ub.shape[0] - 2 * n)])
+    res = linprog(
+        -np.concatenate([[0.0], obj]),
+        A_ub=np.column_stack([q_col, A_ub]),
+        b_ub=rhs(0.0)[0],
+        A_eq=np.column_stack([[rho], -A_eq]),
+        b_eq=np.zeros(1),
+        method="highs",
+    )
+    return -res.fun
+
+
+def test_screening_oracle_is_exact():
+    # 200 distributions of the four kinds, 1 to 8 types, rho from 0.01 to
+    # 20 times the mass: the LP oracle finds the solver's optimum, and
+    # HiGHS's on the LP with the uptime kept as a variable
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        linprog = None
+    rng = np.random.default_rng(2032)
+    for k in range(200):
+        kind = KINDS[k % 4]
+        d = kinded_distribution(rng, kind, int(rng.integers(2 if kind == "zero_mass" else 1, 9)))
+        rho = d.total_mass * 10.0 ** rng.uniform(-2.0, math.log10(20.0))
+        w, q = lp_screening_welfare(d, rho)
+        ref = solve_screening(d, rho).W_star
+        assert abs(w - ref) <= 1e-12 * max(1.0, abs(ref)), (k, w, ref)
+        assert -1e-12 <= q <= 1.0 + 1e-12
+        if linprog is not None:
+            highs = _highs_screening(d, rho, linprog)
+            assert abs(w - highs) <= 1e-9 * max(1.0, abs(highs)), (k, w, highs)
+
+
+def test_screening_oracle_solves_the_joint_lp_seeds():
+    # the LPs on which the unchecked simplex returned infeasible points
+    for seed, highs in JOINT_HIGHS.items():
+        w, _ = lp_screening_welfare(*_joint_lp_instance(seed))
+        assert abs(w - highs) <= 1e-12 * max(1.0, abs(highs)), (seed, w, highs)
+
+
+def test_inexact_screening_lps_are_solved_exactly(monkeypatch):
+    # seed 1052's float answer breaks a row by more than 1e-6 and is
+    # refused; seed 1054's breaks one by more than _SLACK allows.  Both
+    # are solved again exactly, and the uptime comes from the exact x.
+    exact = []
+
+    def exact_max(*args):
+        exact.append(_exact_max(*args))
+        return exact[-1]
+
+    monkeypatch.setattr(upkeep.oracle, "_exact_max", exact_max)
+    for seed in (1052, 1054):
+        d, rho = _joint_lp_instance(seed)
+        w, q = lp_screening_welfare(d, rho)
+        assert len(exact) == 1
+        x, value = exact.pop()
+        assert w == value
+        assert abs(q - np.dot([t.mass for t in d.types], x[len(d.types):]) / rho) <= 1e-15
+        ref = solve_screening(d, rho)
+        assert abs(w - ref.W_star) <= 1e-13 * max(1.0, abs(ref.W_star))
+        assert abs(q - ref.Q_star) <= 1e-12
