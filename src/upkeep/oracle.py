@@ -6,10 +6,12 @@ refinement, filling contributions greedily (exact for a fixed uptime
 since the objective is linear).  Screening is checked by one linear
 program over the full constraint set, with the uptime substituted out
 through balance, and the bounded-payment sale by one LP over direct
-mechanisms with the same truth-telling rows.  Both LPs are solved by a
-small self-contained float simplex whose answer is checked row by row,
-and solved again in exact arithmetic when the check fails.
-Nothing here is imported from the solvers.
+mechanisms with the same truth-telling rows.  Both LPs have only <=
+rows with nonnegative right-hand sides, so one self-contained Bland
+simplex solves them from the slack basis, on a tableau of floats or of
+Fractions: the float answer is checked row by row, and the LP is solved
+again in Fractions when the check fails.  Nothing here is imported from
+the solvers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -38,15 +40,12 @@ class GridSpec:
 
     q_points: int = 2001
     refine_rounds: int = 3
-    lp_tol: float = _LP_TOL
 
     def __post_init__(self) -> None:
         if self.q_points < 3:
             raise ValueError("q_points must be >= 3")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        if self.lp_tol <= 0:
-            raise ValueError("lp_tol must be > 0")
 
 
 def _grid_eval(
@@ -120,264 +119,72 @@ def primal_grid_welfare(
     return best_w, q, fills
 
 
-_MAX_PIVOTS = 20000  # per simplex phase
+_MAX_PIVOTS = 20000
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> tuple[float, list[int], list[float]]:
-    """Pivot T on (row, col) in place.
+def _bland(T: np.ndarray, tol: float) -> np.ndarray:
+    """Maximize in place over the tableau T = [A | I | b; -obj | 0 | 0]
+    of A x <= b, x >= 0 with b >= 0, from the slack basis, by Bland's
+    rule; returns x as floats.
 
-    Returns the pivot and the rows and multipliers of the rank-1 update,
-    which replay the same pivot on a right-hand side.
+    T holds floats or Fractions.  The entering column is the first with
+    a reduced cost below -tol; the leaving row has the smallest ratio,
+    ties within tol going to the smallest basic variable.
     """
-    piv = T[row, col]
-    T[row] /= piv
-    f = T[:, col]
-    rows = (f != 0.0).nonzero()[0]
-    rows = rows[rows != row]
-    # f is a view of the pivot column, which the update zeroes, so the
-    # multipliers are taken first.  One rank-1 update over the rows that
-    # the pivot column touches; each entry gets the same multiply and
-    # subtract as a row loop.
-    mult = f[rows]
-    T[rows] -= mult[:, None] * T[row]
-    return float(piv), rows.tolist(), mult.tolist()
+    m = T.shape[0] - 1
+    basis = list(range(T.shape[1] - 1 - m, T.shape[1] - 1))
+    for _ in range(_MAX_PIVOTS):
+        entering = (T[m, :-1] < -tol).nonzero()[0]
+        if not entering.size:
+            x = np.zeros(T.shape[1] - 1 - m)
+            for r, j in enumerate(basis):
+                if j < x.size:
+                    x[j] = T[r, -1]
+            return x
+        col = entering[0]
+        f = T[:m, col]
+        cand = (f > tol).nonzero()[0]
+        row, best = -1, math.inf
+        for r, ratio in zip(cand.tolist(), (T[cand, -1] / f[cand]).tolist()):
+            if row < 0 or ratio < best - tol or (abs(ratio - best) <= tol and basis[r] < basis[row]):
+                row, best = r, ratio
+        if row < 0:
+            raise RuntimeError("unbounded linear program")
+        # One rank-1 update over the rows that the pivot column touches
+        # and the columns that the pivot row touches.
+        T[row] /= T[row, col]
+        rows = T[:, col].nonzero()[0]
+        rows = rows[rows != row]
+        cols = T[row].nonzero()[0]
+        T[rows[:, None], cols] -= T[rows, col][:, None] * T[row, cols]
+        basis[row] = col
+    raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _phase2_objective(
-    T: np.ndarray, basis: list[int], obj: np.ndarray
-) -> list[tuple[int, float]]:
-    """Write the phase-2 objective row of T, priced out against the basis.
-
-    Returns the (row, multiplier) pairs subtracted, in order; they build
-    the same row's right-hand side.
-    """
-    n, m = obj.size, len(basis)
-    T[m, :] = 0.0
+def _tableau(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+    """[A_ub | I | b_ub; -obj | 0 | 0] in floats."""
+    m, n = A_ub.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n:-1], T[:m, -1] = A_ub, np.eye(m), b_ub
     T[m, :n] = -obj
-    mults = []
-    for r in range(m):
-        if basis[r] < n and abs(T[m, basis[r]]) > 0.0:
-            mult = T[m, basis[r]]
-            T[m] -= mult * T[r]
-            mults.append((r, float(mult)))
-    return mults
-
-
-_Replay = tuple[int, float, list[int], list[float]]  # row, pivot, rows, multipliers
-
-
-class _Node:
-    """A coefficient tableau (every column but the right-hand side) with
-    its basis, and what it decides for every right-hand side.
-
-    A node that pivots holds its entering column ``col`` and the ratio
-    test's candidate rows with their pivot-column entries; ``kids`` maps
-    each leaving row met so far to its replay and the child node.  The
-    end of phase 1 holds its artificial-row steps, the phase-2
-    objective's multipliers and the phase-2 node; the end of phase 2
-    holds the basic rows that give x.
-    """
-
-    __slots__ = (
-        "T", "basis", "phase", "depth", "col", "cand", "den", "kids",
-        "steps", "obj_mult", "next", "x_rows",
-    )
-
-    def __init__(self, T: np.ndarray, basis: list[int], phase: int, depth: int) -> None:
-        self.T: np.ndarray | None = T
-        self.basis, self.phase, self.depth = basis, phase, depth
-        self.col = -1
-        self.next: _Node | None = None
-
-
-class _LPFamily:
-    """Two-phase dense simplex with Bland's rule for LPs that share their
-    objective and constraint matrices and differ in right-hand sides.
-
-    Maximizes obj @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
-    Inequality right-hand sides must be nonnegative.  Equality rows with a
-    negative right-hand side are negated, so the artificials start
-    feasible.
-
-    The entering column is chosen from the coefficient part of the
-    tableau alone; the right-hand side picks only the ratio test's
-    leaving row and the infeasibility returns.  So the coefficient
-    tableaux form a trie keyed by those decisions: a root per sign-flip
-    pattern of the equality rows, a child per leaving row, and one
-    recorded transition from the end of phase 1 to phase 2.  A tableau
-    is pivoted the first time a solve reaches it; every solve replays
-    only its right-hand side, with the same float operations in the same
-    order as a fresh solve, so the results are bit-identical to one.
-    """
-
-    def __init__(self, obj: np.ndarray, A_ub: np.ndarray, A_eq: np.ndarray, tol: float) -> None:
-        self.obj, self.A_ub, self.A_eq, self.tol = obj, A_ub, A_eq, tol
-        self.n = obj.size
-        self.m_ub, self.m_eq = A_ub.shape[0], A_eq.shape[0]
-        self.m = self.m_ub + self.m_eq
-        self.allowed = self.n + self.m_ub  # structural and slack columns
-        self.roots: dict[tuple[bool, ...], _Node] = {}
-        self.tableau_pivots = 0  # pivots done on coefficient tableaux
-        self.rhs_pivots = 0  # pivots replayed on right-hand sides
-
-    def _node(self, T: np.ndarray, basis: list[int], phase: int, depth: int) -> _Node:
-        node = _Node(T, basis, phase, depth)
-        if depth == _MAX_PIVOTS:
-            return node
-        cols = (T[self.m, : self.allowed] < -self.tol).nonzero()[0]
-        if cols.size:
-            node.col = int(cols[0])
-            f = T[: self.m, node.col]
-            cand = (f > self.tol).nonzero()[0]
-            node.cand, node.den = cand.tolist(), f[cand].tolist()
-            node.kids = {}
-        elif phase == 2:
-            node.x_rows = [(r, j) for r, j in enumerate(basis) if j < self.n]
-            node.T = None
-        return node
-
-    def _root(self, signs: np.ndarray) -> _Node:
-        n, m_ub, m, art = self.n, self.m_ub, self.m, self.allowed
-        T = np.zeros((m + 1, art + self.m_eq))
-        T[:m_ub, :n] = self.A_ub
-        T[:m_ub, n:art] = np.eye(m_ub)
-        T[m_ub:m, :n] = self.A_eq * signs[:, None]
-        T[m_ub:m, art:] = np.eye(self.m_eq)
-        basis = list(range(n, art + self.m_eq))
-        if not self.m_eq:
-            # Slacks only in the basis, so nothing is priced out.
-            _phase2_objective(T, basis, self.obj)
-            return self._node(T, basis, 2, 0)
-        # Phase 1 drives the artificials to zero.
-        for r in range(m_ub, m):
-            T[m] -= T[r]
-        T[m, art:] = 0.0
-        return self._node(T, basis, 1, 0)
-
-    def _kid(self, node: _Node, row: int) -> tuple[_Replay, _Node]:
-        T = node.T.copy()
-        replay = (row, *_pivot(T, row, node.col))
-        basis = node.basis.copy()
-        basis[row] = node.col
-        self.tableau_pivots += 1
-        kid = node.kids[row] = (replay, self._node(T, basis, node.phase, node.depth + 1))
-        return kid
-
-    def _end_phase1(self, node: _Node) -> None:
-        """Record the artificial-row checks and the pivots that drive
-        artificials out of the basis at zero level, then build phase 2."""
-        T, basis, art = node.T.copy(), node.basis.copy(), self.allowed
-        steps: list[tuple[int, _Replay | None]] = []
-        for r in range(self.m):
-            if basis[r] < art:
-                continue
-            replay = None
-            for j in range(art):
-                if abs(T[r, j]) > self.tol:
-                    replay = (r, *_pivot(T, r, j))
-                    basis[r] = j
-                    self.tableau_pivots += 1
-                    break
-            steps.append((r, replay))
-        T[:, art:] = 0.0
-        node.steps = steps
-        node.obj_mult = _phase2_objective(T, basis, self.obj)
-        node.next = self._node(T, basis, 2, 0)
-        node.T = None
-
-    def _replay(self, b: list[float], replay: _Replay) -> None:
-        row, piv, rows, mult = replay
-        b_row = b[row] = b[row] / piv
-        for r, f in zip(rows, mult):
-            b[r] -= f * b_row
-        self.rhs_pivots += 1
-
-    def solve(
-        self, b_ub: np.ndarray, b_eq: np.ndarray
-    ) -> tuple[np.ndarray, float] | None:
-        """Optimal (x, obj @ x) at these right-hand sides; None if
-        infeasible."""
-        tol, m = self.tol, self.m
-        b_eq = np.asarray(b_eq, dtype=float)
-        negative = b_eq < 0.0
-        signs = np.where(negative, -1.0, 1.0)
-        key = tuple(negative.tolist())
-        node = self.roots.get(key)
-        if node is None:
-            node = self.roots[key] = self._root(signs)
-        b_ub = np.asarray(b_ub, dtype=float)
-        b_art = (b_eq * signs).tolist()
-        b = b_ub.tolist() + b_art
-        obj_rhs = 0.0
-        if node.phase == 1:
-            for v in b_art:
-                obj_rhs -= v
-        b.append(obj_rhs)
-        while True:
-            if node.depth == _MAX_PIVOTS:
-                raise RuntimeError("simplex iteration limit exceeded")
-            if node.col >= 0:
-                # Bland's rule: the smallest ratio, ties within tol to the
-                # smallest basic variable, scanned in row order.
-                basis = node.basis
-                row, best_ratio = -1, math.inf
-                for r, den in zip(node.cand, node.den):
-                    ratio = b[r] / den
-                    if ratio < best_ratio - tol or (
-                        abs(ratio - best_ratio) <= tol
-                        and (row < 0 or basis[r] < basis[row])
-                    ):
-                        best_ratio, row = ratio, r
-                if row < 0:
-                    raise RuntimeError("unbounded linear program")
-                replay, node = node.kids.get(row) or self._kid(node, row)
-                self._replay(b, replay)
-            elif node.phase == 1:
-                if node.next is None:
-                    self._end_phase1(node)
-                # No separate test of the phase-1 objective: if it is short
-                # of zero by more than tol, some basic artificial exceeds
-                # tol, and its row's check returns None.
-                for r, replay in node.steps:
-                    if b[r] > tol:
-                        return None
-                    if replay is not None:
-                        self._replay(b, replay)
-                obj_rhs = 0.0
-                for r, mult in node.obj_mult:
-                    obj_rhs -= mult * b[r]
-                b[m] = obj_rhs
-                node = node.next
-            else:
-                x = np.zeros(self.n)
-                for r, j in node.x_rows:
-                    x[j] = b[r]
-                # Tolerances in the pivots and ratio tests can end on a
-                # basis whose x breaks a row; such an answer is refused.
-                worst = max(
-                    -x.min(initial=0.0),
-                    (self.A_ub @ x - b_ub).max(initial=0.0),
-                    np.abs(self.A_eq @ x - b_eq).max(initial=0.0),
-                )
-                if not worst <= 1e-6 * np.abs(np.concatenate([b_ub, b_eq])).max(initial=1.0):
-                    raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3g})")
-                return x, float(self.obj @ x)
+    return T
 
 
 def _simplex_max(
-    obj: np.ndarray,
-    A_ub: np.ndarray,
-    b_ub: np.ndarray,
-    A_eq: np.ndarray,
-    b_eq: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, float] | None:
-    """Two-phase dense simplex with Bland's rule; None if infeasible.
+    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """(x, obj @ x) maximizing obj @ x subject to A_ub x <= b_ub, x >= 0,
+    for b_ub >= 0 and a bounded optimum, by _bland in floats.
 
-    Maximizes obj @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0;
-    a one-shot _LPFamily solve.
+    Tolerances in the pivots and ratio tests can end on a basis whose x
+    breaks a row; an x that breaks one by more than 1e-6·max(1, max|b|)
+    raises RuntimeError.
     """
-    return _LPFamily(obj, A_ub, A_eq, tol).solve(b_ub, b_eq)
+    x = _bland(_tableau(obj, A_ub, b_ub), tol)
+    worst = max(-x.min(initial=0.0), (A_ub @ x - b_ub).max(initial=0.0))
+    if not worst <= 1e-6 * np.abs(b_ub).max(initial=1.0):
+        raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3g})")
+    return x, float(obj @ x)
 
 
 def _ic_rows(u: np.ndarray, c: np.ndarray | float) -> np.ndarray:
@@ -399,67 +206,21 @@ def _ic_rows(u: np.ndarray, c: np.ndarray | float) -> np.ndarray:
     return A
 
 
-def _screening_constraints(
-    d: TypeDistribution, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[float], tuple[np.ndarray, np.ndarray]]]:
-    """The fixed-uptime screening LP over the full constraint set:
-    (obj, A_ub, A_eq, rhs), where rhs(q) gives (b_ub, b_eq) at uptime q.
-
-    The uptime enters only the right-hand sides, so the objective and
-    the constraint matrices are built once for all uptimes.
-    """
-    n = len(d.types)
-    u = np.array([t.u for t in d.types])
-    c = np.array([t.c for t in d.types])
-    mass = np.array([t.mass for t in d.types])
-
-    obj = np.concatenate([mass * u, -mass * c])
-    # R <= q and P <= 1 - q, then participation and truth-telling.
-    A_ub = _ic_rows(u, c)
-    A_eq = np.zeros((1, 2 * n))
-    A_eq[0, n:] = mass
-    n_zero = A_ub.shape[0] - 2 * n
-
-    def rhs(q: float) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([q] * n + [1.0 - q] * n + [0.0] * n_zero), np.array([rho * q])
-
-    return obj, A_ub, A_eq, rhs
-
-
 def _exact_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, float]:
-    """(x, obj @ x) maximizing obj @ x subject to A_ub x <= b_ub, x >= 0,
-    for b_ub >= 0 and a bounded optimum, in rational arithmetic by Bland's
-    rule from the slack basis: no tolerances, so exact, but slow."""
-    m, n = A_ub.shape
-    T = [[Fraction(a) for a in row] + [Fraction(int(k == r)) for k in range(m)] + [Fraction(b)]
-         for r, (row, b) in enumerate(zip(A_ub.tolist(), b_ub.tolist()))]
-    T.append([Fraction(-a) for a in obj.tolist()] + [Fraction(0)] * (m + 1))  # objective row
-    basis = list(range(n, n + m))
-    while (col := next((j for j, v in enumerate(T[m][:-1]) if v < 0), -1)) >= 0:
-        row = min((T[r][-1] / T[r][col], basis[r], r) for r in range(m) if T[r][col] > 0)[2]
-        T[row] = [v / T[row][col] for v in T[row]]
-        for r in range(m + 1):
-            if r != row and (f := T[r][col]):
-                T[r] = [a - f * b if b else a for a, b in zip(T[r], T[row])]
-        basis[row] = col
-    x = np.zeros(n)
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = T[r][-1]
-    return x, float(T[m][-1])
+    """_simplex_max's problem by _bland in Fractions with no tolerance:
+    exact, but slow."""
+    T = np.frompyfunc(Fraction, 1, 1)(_tableau(obj, A_ub, b_ub))
+    x = _bland(T, 0)
+    return x, float(T[-1, -1])
 
 
-def _checked_max(
-    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, tol: float
-) -> tuple[np.ndarray, float]:
-    """_exact_max's problem, by the float simplex if its x breaks no row
+def _checked_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, float]:
+    """_simplex_max's problem, by the float simplex if its x breaks no row
     by more than _SLACK·max(1, max b_ub), else by _exact_max."""
     try:
-        result = _simplex_max(obj, A_ub, b_ub, np.zeros((0, obj.size)), np.zeros(0), tol)
+        x, _ = result = _simplex_max(obj, A_ub, b_ub, _LP_TOL)
     except RuntimeError:  # refused as infeasible, or out of pivots
         return _exact_max(obj, A_ub, b_ub)
-    assert result is not None  # no equality rows, and x = 0 is feasible
-    x = result[0]
     # The value errs by about as much as x breaks its rows.
     if max((A_ub @ x - b_ub).max(), -x.min()) <= _SLACK * max(1.0, b_ub.max()):
         return result
@@ -469,28 +230,34 @@ def _checked_max(
 def lp_screening_welfare(
     d: TypeDistribution, rho: float, g: GridSpec = GridSpec()
 ) -> tuple[float, float]:
-    """Exact screening optimum (W, Q) by one LP over x = (R, P) >= 0.
+    """Exact screening optimum (W, Q) by one LP over x = (R, P) >= 0
+    with the full constraint set.
 
     Balance fixes the uptime, Q = mass @ P / rho, so R_i <= Q and
-    P_i <= 1 - Q of _screening_constraints become rho R_i - mass @ P <= 0
-    and rho P_i + mass @ P <= rho, beside participation and truth-telling
-    (0 <= Q <= 1 follows), and _checked_max solves it.  Q is the optimal
-    vertex's uptime, not the lowest optimal one.  g.lp_tol is the simplex
-    tolerance; g.q_points and g.refine_rounds are validated but unused.
+    P_i <= 1 - Q become rho R_i - mass @ P <= 0 and
+    rho P_i + mass @ P <= rho, beside participation and truth-telling
+    (_ic_rows; 0 <= Q <= 1 follows), and _checked_max solves it.  Q is
+    the optimal vertex's uptime, not the lowest optimal one.
+    g.q_points and g.refine_rounds are validated but unused.
     """
     if len(d.types) > 8:
         raise TooManyTypesError("LP oracle supports at most 8 types")
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
     n = len(d.types)
-    obj, A_ub, A_eq, _ = _screening_constraints(d, rho)
+    u = np.array([t.u for t in d.types])
+    c = np.array([t.c for t in d.types])
+    mass = np.array([t.mass for t in d.types])
+    obj = np.concatenate([mass * u, -mass * c])
+    balance = np.concatenate([np.zeros(n), mass])  # mass @ P = rho Q
+    A_ub = _ic_rows(u, c)
     A_ub[: 2 * n] *= rho
-    A_ub[:n] -= A_eq
-    A_ub[n : 2 * n] += A_eq
+    A_ub[:n] -= balance
+    A_ub[n : 2 * n] += balance
     b_ub = np.zeros(A_ub.shape[0])
     b_ub[n : 2 * n] = rho
-    x, w = _checked_max(obj, A_ub, b_ub, g.lp_tol)
-    return w, float(A_eq[0] @ x) / rho
+    x, w = _checked_max(obj, A_ub, b_ub)
+    return w, float(balance @ x) / rho
 
 
 def menu_grid_oracle(
@@ -521,4 +288,4 @@ def menu_grid_oracle(
     b_ub = np.zeros(A_ub.shape[0])
     b_ub[:n], b_ub[n : 2 * n] = 1.0, cap
     obj = np.concatenate([sw * nu, pw - sw])
-    return _checked_max(obj, A_ub, b_ub, _LP_TOL)[1]
+    return _checked_max(obj, A_ub, b_ub)[1]

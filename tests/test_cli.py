@@ -230,6 +230,75 @@ def test_oracle_check_screening_row_is_exact(tmp_path):
     assert abs(delta) <= 1e-9 and abs(w_solver - w_oracle) <= 1e-9
 
 
+# oracle-check's exit code and stdout on both tables at four rho values
+ORACLE_CHECK_BYTES = {
+    ("EX1", "0.5"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "13.6785714286,13.6785714285,3.64295260624e-11\n"
+        "13.6785714286,13.6785714285,3.64099861372e-11\n"
+        "13.6785714286,13.6785714286,3.5527136788e-15\n",
+    ),
+    ("EX1", "1"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "11.1875,11.1875,0\n"
+        "11.1875,11.1875,-1.7763568394e-14\n"
+        "11.1875,11.1875,0\n",
+    ),
+    ("EX1", "2.5"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "6.43181818182,6.4318181818,1.71826997075e-11\n"
+        "6.43181818182,6.4318181818,1.71684888528e-11\n"
+        "6.43181818182,6.43181818182,-8.881784197e-16\n",
+    ),
+    ("EX1", "5.5"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "2.15,2.15,3.00026670175e-12\n"
+        "1.96428571429,1.96428571428,1.69664282623e-12\n"
+        "0.977272727273,0.977272727273,-2.22044604925e-16\n",
+    ),
+    ("EX2", "0.5"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "1.02222222222,1.02222222222,4.08872935509e-12\n"
+        "0.901960784314,0.901960784311,2.52253773425e-12\n"
+        "0.870056497175,0.870056497175,-3.33066907388e-16\n",
+    ),
+    ("EX2", "1"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "0.516666666667,0.516666666667,-9.99200722163e-16\n"
+        "0.35632183908,0.356321839077,2.99038571683e-12\n"
+        "0.266666666667,0.266666666667,2.22044604925e-16\n",
+    ),
+    ("EX2", "2.5"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "0,0,0\n"
+        "0,4.03896783473e-28,-4.03896783473e-28\n"
+        "0,0,0\n",
+    ),
+    ("EX2", "5.5"): (
+        0,
+        "W_solver,W_oracle,delta\n"
+        "0,0,0\n"
+        "0,0,0\n"
+        "0,0,0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("table, rho", list(ORACLE_CHECK_BYTES))
+def test_oracle_check_bytes_are_pinned(tmp_path, capsys, table, rho):
+    inp = tmp_path / "types.csv"
+    inp.write_text({"EX1": EX1, "EX2": EX2}[table], encoding="utf-8")
+    code = main(["--mode", "oracle-check", "--rho", rho, "--input", str(inp)])
+    assert (code, capsys.readouterr().out) == ORACLE_CHECK_BYTES[table, rho]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_horizon_is_validation_error(tmp_path, capsys, value):
     with pytest.raises(ValidationError):

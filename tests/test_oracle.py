@@ -23,8 +23,7 @@ from upkeep import (
 import upkeep.oracle
 from upkeep.oracle import (
     _exact_max,
-    _LPFamily,
-    _screening_constraints,
+    _ic_rows,
     _simplex_max,
 )
 from conftest import KINDS, kinded_distribution, random_distribution
@@ -49,8 +48,6 @@ def test_grid_idle_when_no_capacity():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(q_points=2)
-    with pytest.raises(ValueError):
-        GridSpec(lp_tol=0.0)
 
 
 def test_lp_oracle_golden(equal_cost):
@@ -81,7 +78,9 @@ def test_lp_oracle_rejects_bad_rho(equal_cost, rho):
 
 def test_greedy_fill_matches_lp_on_fixed_uptime():
     # for a fixed uptime the contribution problem is a transportation
-    # LP; the cost-ordered greedy fill must match its optimum
+    # LP; the cost-ordered greedy fill must match its optimum.  Every
+    # unit earns C - c_i >= 1 with C = max c + 1, so the LP fills exactly
+    # need and C * need - value is the cost of the cheapest fill.
     rng = np.random.default_rng(61)
     for _ in range(10):
         d = random_distribution(rng, n_min=4, n_max=4)
@@ -93,14 +92,10 @@ def test_greedy_fill_matches_lp_on_fixed_uptime():
             continue
         cost = np.array([t.c for t in d.types])
         n = len(d.types)
-        obj = -cost
-        A_ub = np.eye(n)
-        b_ub = caps
-        A_eq = np.ones((1, n))
-        b_eq = np.array([need])
-        res = _simplex_max(obj, A_ub, b_ub, A_eq, b_eq, 1e-9)
-        assert res is not None
-        x, value = res
+        C = cost.max() + 1.0
+        A_ub = np.vstack([np.ones((1, n)), np.eye(n)])
+        b_ub = np.concatenate([[need], caps])
+        _, value = _simplex_max(C - cost, A_ub, b_ub, 1e-9)
         order = sorted(range(n), key=lambda i: cost[i])
         remaining = need
         greedy_cost = 0.0
@@ -108,7 +103,7 @@ def test_greedy_fill_matches_lp_on_fixed_uptime():
             take = min(caps[i], remaining)
             greedy_cost += cost[i] * take
             remaining -= take
-        assert -value == pytest.approx(greedy_cost, abs=1e-8)
+        assert C * need - value == pytest.approx(greedy_cost, abs=1e-8)
 
 
 def test_grid_convergence_guard(lmh):
@@ -224,25 +219,24 @@ def test_oracle_imports_nothing_from_the_solvers():
             assert root == "numpy" or root in sys.stdlib_module_names, ast.dump(node)
 
 
-def test_simplex_detects_infeasible():
-    obj = np.array([1.0])
-    A_ub = np.array([[1.0]])
-    b_ub = np.array([0.5])
-    A_eq = np.array([[1.0]])
-    b_eq = np.array([2.0])
-    assert _simplex_max(obj, A_ub, b_ub, A_eq, b_eq, 1e-9) is None
-
-
 def test_simplex_simple_lp():
     # max x + y subject to x + 2y <= 4, 3x + y <= 6
     obj = np.array([1.0, 1.0])
     A_ub = np.array([[1.0, 2.0], [3.0, 1.0]])
     b_ub = np.array([4.0, 6.0])
-    res = _simplex_max(obj, A_ub, b_ub, np.zeros((0, 2)), np.zeros(0), 1e-9)
-    assert res is not None
-    x, value = res
+    x, value = _simplex_max(obj, A_ub, b_ub, 1e-9)
     assert value == pytest.approx(2.8, abs=1e-9)
     assert x == pytest.approx([1.6, 1.2], abs=1e-9)
+
+
+def test_exact_simplex_has_no_tolerance():
+    # a reduced cost of -2**-40 still enters, and a ratio 2**-40 below
+    # another still leaves
+    eps = 2.0**-40
+    x, value = _exact_max(np.array([eps]), np.array([[1.0]]), np.array([1.0]))
+    assert (x.tolist(), value) == ([1.0], eps)
+    x, value = _exact_max(np.array([1.0]), np.array([[1.0], [1.0]]), np.array([1.0 + eps, 1.0]))
+    assert (x.tolist(), value) == ([1.0], 1.0)
 
 
 def _pinned_distributions():
@@ -405,11 +399,6 @@ def test_oracle_outputs_pinned():
     for (w, _), grid_w in zip(lp, GRID_LP_W):
         w, grid_w = float.fromhex(w), float.fromhex(grid_w)
         assert w >= grid_w - 1e-12 * max(1.0, abs(w)) and abs(w - grid_w) <= 2e-3
-    # q = 1 leaves no downtime for the contributions that balance needs
-    d, rho = _pinned_distributions()[0]
-    obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
-    b_ub, b_eq = rhs(1.0)
-    assert _simplex_max(obj, A_ub, b_ub, A_eq, b_eq, g.lp_tol) is None
     sims = [
         _poisson_pin(simulate_poisson(pol, d, phys, 1000.0, seed), d)
         for d, pol, phys, seed in _pinned_policies()
@@ -418,14 +407,12 @@ def test_oracle_outputs_pinned():
 
 
 def _seeded_lps():
-    """Small bounded LPs with integer data, so ratio-test ties are common.
+    """Small bounded LPs A_ub x <= b_ub with b_ub >= 0 and integer data,
+    so ratio-test ties are common.
 
     Every other LP repeats one of its rows scaled by 1 or 2, which ties
     the two rows in every ratio test that reaches them; zero right-hand
-    sides add degenerate ties.  Every fourth LP asks an equality row for
-    more than the box x <= U allows, so it is infeasible.  Every third LP
-    states its equalities negated, so their right-hand sides are at or
-    below zero.
+    sides add degenerate ties.  A box x <= U bounds every LP.
     """
     rng = np.random.default_rng(4242)
     lps = []
@@ -439,20 +426,8 @@ def _seeded_lps():
             A = np.vstack([A, scale * A[i]])
             b = np.append(b, scale * b[i])
         U = rng.integers(1, 5, size=n).astype(float)
-        x0 = rng.integers(0, U + 1).astype(float)
-        b = np.maximum(b, A @ x0)
-        A_ub = np.vstack([A, np.eye(n)])
-        b_ub = np.concatenate([b, U])
-        A_eq = rng.integers(0, 3, size=(int(rng.integers(1 if k % 4 == 3 else 0, 3)), n))
-        A_eq = A_eq.astype(float)
-        b_eq = A_eq @ x0
-        if k % 4 == 3:
-            A_eq[0, int(rng.integers(n))] += 1.0
-            b_eq[0] = A_eq[0] @ U + 1.0
-        if k % 3 == 1:
-            A_eq, b_eq = -A_eq, -b_eq
         obj = rng.integers(-3, 4, size=n).astype(float)
-        lps.append((obj, A_ub, b_ub, A_eq, b_eq))
+        lps.append((obj, np.vstack([A, np.eye(n)]), np.concatenate([b, U])))
     # Beale's example, on which the largest-coefficient rule cycles: two
     # rows tie at ratio 0 in the first pivot
     lps.append(
@@ -460,102 +435,56 @@ def _seeded_lps():
             np.array([0.75, -20.0, 0.5, -6.0]),
             np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
             np.array([0.0, 0.0, 1.0]),
-            np.zeros((0, 4)),
-            np.zeros(0),
         )
     )
     return lps
 
 
 def test_simplex_matches_highs():
+    # the float and the Fraction path both find HiGHS's optimum
     linprog = pytest.importorskip("scipy.optimize").linprog
-    infeasible = 0
-    for obj, A_ub, b_ub, A_eq, b_eq in _seeded_lps():
-        res = _simplex_max(obj, A_ub, b_ub, A_eq, b_eq, 1e-9)
-        ref = linprog(
-            -obj,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq if A_eq.size else None,
-            b_eq=b_eq if A_eq.size else None,
-            method="highs",
-        )
-        assert ref.status in (0, 2)
-        if ref.status == 2:
-            infeasible += 1
-            assert res is None
-            continue
-        assert res is not None
-        x, value = res
-        assert value == pytest.approx(-ref.fun, abs=1e-9 * max(1.0, abs(ref.fun)))
+    for obj, A_ub, b_ub in _seeded_lps():
+        ref = linprog(-obj, A_ub=A_ub, b_ub=b_ub, method="highs")
+        assert ref.status == 0
+        x, value = _simplex_max(obj, A_ub, b_ub, 1e-9)
         assert value == obj @ x
-        assert np.all(x >= 0.0)
-        assert np.all(A_ub @ x <= b_ub + 1e-9)
-        assert np.allclose(A_eq @ x, b_eq, rtol=0.0, atol=1e-9)
-    assert infeasible == 10
+        for x, value in ((x, value), _exact_max(obj, A_ub, b_ub)):
+            assert value == pytest.approx(-ref.fun, abs=1e-9 * max(1.0, abs(ref.fun)))
+            assert np.all(x >= 0.0)
+            assert np.all(A_ub @ x <= b_ub + 1e-9)
 
 
-def _tableau_simplex(obj, A_ub, b_ub, A_eq, b_eq, tol):
-    """Reference two-phase simplex with Bland's rule that pivots the whole
-    tableau, right-hand side included, one row at a time, with the same
-    float operations as the oracle's simplex."""
-    n = obj.size
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
-    m = m_ub + m_eq
-    art = n + m_ub
-    T = np.zeros((m + 1, art + m_eq + 1))
-    T[:m_ub, :n] = A_ub
-    T[:m_ub, n:art] = np.eye(m_ub)
-    T[:m_ub, -1] = b_ub
-    flip = np.where(b_eq < 0.0, -1.0, 1.0)
-    T[m_ub:m, :n] = A_eq * flip[:, None]
-    T[m_ub:m, art:-1] = np.eye(m_eq)
-    T[m_ub:m, -1] = b_eq * flip
-    basis = list(range(n, art + m_eq))
-
-    def pivot(row, col):
+def _tableau_simplex(obj, A_ub, b_ub, tol):
+    """Reference simplex with Bland's rule from the slack basis that
+    pivots the whole tableau one row at a time, with the same float
+    operations as the oracle's simplex."""
+    m, n = A_ub.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A_ub
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = b_ub
+    T[m, :n] = -obj
+    basis = list(range(n, n + m))
+    for _ in range(20000):
+        col = next((j for j in range(n + m) if T[m, j] < -tol), None)
+        if col is None:
+            break
+        row, best = -1, math.inf
+        for r in range(m):
+            if T[r, col] > tol:
+                ratio = T[r, -1] / T[r, col]
+                if ratio < best - tol or (
+                    abs(ratio - best) <= tol and (row < 0 or basis[r] < basis[row])
+                ):
+                    best, row = ratio, r
+        assert row >= 0, "unbounded"
         T[row] /= T[row, col]
         for r in range(m + 1):
             if r != row and T[r, col] != 0.0:
                 T[r] -= T[r, col] * T[row]
         basis[row] = col
-
-    def run():
-        for _ in range(20000):
-            col = next((j for j in range(art) if T[m, j] < -tol), None)
-            if col is None:
-                return
-            row, best = -1, math.inf
-            for r in range(m):
-                if T[r, col] > tol:
-                    ratio = T[r, -1] / T[r, col]
-                    if ratio < best - tol or (
-                        abs(ratio - best) <= tol and (row < 0 or basis[r] < basis[row])
-                    ):
-                        best, row = ratio, r
-            assert row >= 0, "unbounded"
-            pivot(row, col)
+    else:
         raise AssertionError("iteration limit")
-
-    if m_eq:
-        for r in range(m_ub, m):
-            T[m] -= T[r]
-        T[m, art:-1] = 0.0
-        run()
-        for r in range(m):
-            if basis[r] >= art:
-                if T[r, -1] > tol:
-                    return None
-                j = next((j for j in range(art) if abs(T[r, j]) > tol), None)
-                if j is not None:
-                    pivot(r, j)
-        T[:, art:-1] = 0.0
-    T[m] = 0.0
-    T[m, :n] = -obj
-    for r in range(m):
-        if basis[r] < n and T[m, basis[r]] != 0.0:
-            T[m] -= T[m, basis[r]] * T[r]
-    run()
     x = np.zeros(n)
     for r in range(m):
         if basis[r] < n:
@@ -564,36 +493,41 @@ def _tableau_simplex(obj, A_ub, b_ub, A_eq, b_eq, tol):
 
 
 def _lp_hex(result):
-    return None if result is None else (_hex(result[1]), tuple(map(_hex, result[0])))
+    return _hex(result[1]), tuple(map(_hex, result[0]))
 
 
-def test_lp_family_replay_matches_fresh_solves():
-    # One family pivots each coefficient tableau once and replays only the
-    # right-hand side; in any order of uptimes every result must be
-    # bit-identical to a fresh solve and to the whole-tableau reference
+def test_simplex_matches_the_tableau_reference(monkeypatch):
+    # on the LPs that the screening and the menu oracle pose, the float
+    # simplex's x and value are bit-identical to the whole-tableau
+    # reference, or refused where the reference's x breaks a row
+    lps = []
+    checked_max = upkeep.oracle._checked_max
+
+    def record(obj, A_ub, b_ub):
+        lps.append((obj, A_ub, b_ub))
+        return checked_max(obj, A_ub, b_ub)
+
+    monkeypatch.setattr(upkeep.oracle, "_checked_max", record)
     rng = np.random.default_rng(2027)
-    tol = 1e-9
-    nones = 0
-    for kind in KINDS:
-        for n in range(2 if kind == "zero_mass" else 1, 6):
-            d = kinded_distribution(rng, kind, n)
-            rho = float(10.0 ** rng.uniform(-1.5, 1.5)) * d.total_mass
-            obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
-            qs = np.linspace(0.0, 1.0, 61).tolist() + rng.uniform(size=20).tolist()
-            fresh = {}
-            for q in qs:
-                b_ub, b_eq = rhs(q)
-                fresh[q] = _lp_hex(_simplex_max(obj, A_ub, b_ub, A_eq, b_eq, tol))
-                assert fresh[q] == _lp_hex(_tableau_simplex(obj, A_ub, b_ub, A_eq, b_eq, tol))
-            nones += sum(v is None for v in fresh.values())
-            for order in (qs, qs[::-1], rng.permutation(qs).tolist()):
-                family = _LPFamily(obj, A_ub, A_eq, tol)
-                assert [_lp_hex(family.solve(*rhs(q))) for q in order] == [
-                    fresh[q] for q in order
-                ]
-                # the trie is hit: fewer tableau pivots than replayed ones
-                assert family.tableau_pivots < family.rhs_pivots
-    assert nones > 0
+    for k in range(20):
+        kind = KINDS[k % 4]
+        d = kinded_distribution(rng, kind, int(rng.integers(2 if kind == "zero_mass" else 1, 9)))
+        lp_screening_welfare(d, d.total_mass * 10.0 ** rng.uniform(-2.0, math.log10(20.0)))
+    for vals, cap in _seeded_menus() + HARD_MENUS:
+        menu_grid_oracle(vals, cap, 1e-3)
+    assert len(lps) == 224
+    refused = 0
+    for obj, A_ub, b_ub in lps:
+        ref = _tableau_simplex(obj, A_ub, b_ub, 1e-9)
+        try:
+            result = _simplex_max(obj, A_ub, b_ub, 1e-9)
+        except RuntimeError:
+            refused += 1
+            x = ref[0]
+            assert max(-x.min(), (A_ub @ x - b_ub).max()) > 1e-6 * max(1.0, b_ub.max())
+        else:
+            assert _lp_hex(result) == _lp_hex(ref)
+    assert refused == 2  # the first two HARD_MENUS
 
 
 def _seeded_menus():
@@ -719,7 +653,7 @@ def test_inexact_menu_lps_are_solved_exactly():
         obj, A_ub, b_ub = _menu_lp(vals, cap)
         ref = bounded_monopoly_solve(sorted(vals), cap).value
         try:
-            _, value = _simplex_max(obj, A_ub, b_ub, np.zeros((0, obj.size)), np.zeros(0), 1e-9)
+            _, value = _simplex_max(obj, A_ub, b_ub, 1e-9)
         except RuntimeError:
             refused += 1
         else:
@@ -739,32 +673,6 @@ JOINT_HIGHS = {
 }
 
 
-def test_simplex_never_returns_an_infeasible_optimum():
-    # one LP in x = (Q, R, P): R <= Q, P <= 1 - Q, participation and
-    # truth-telling, and balance rho * Q = sum(mass * P)
-    for seed, highs in JOINT_HIGHS.items():
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 9))
-        d = kinded_distribution(rng, KINDS[seed % 4], n)
-        rho = d.total_mass * 10.0 ** rng.uniform(-2.0, math.log10(20.0))
-        obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
-        q_col = np.concatenate([-np.ones(n), np.ones(n), np.zeros(A_ub.shape[0] - 2 * n)])
-        b_ub, _ = rhs(0.0)
-        try:
-            result = _simplex_max(
-                np.concatenate([[0.0], obj]),
-                np.column_stack([q_col, A_ub]),
-                b_ub,
-                np.column_stack([[rho], -A_eq]),
-                np.zeros(1),
-                1e-9,
-            )
-        except RuntimeError:
-            continue
-        assert result is not None
-        assert abs(result[1] - highs) <= 1e-9 * max(1.0, highs), (seed, result[1], highs)
-
-
 def _joint_lp_instance(seed):
     # the recipe of the JOINT_HIGHS seeds
     rng = np.random.default_rng(seed)
@@ -774,16 +682,19 @@ def _joint_lp_instance(seed):
 
 
 def _highs_screening(d, rho, linprog):
-    """HiGHS on screening as one LP in x = (Q, R, P), with balance
+    """HiGHS on screening as one LP in x = (Q, R, P): R <= Q, P <= 1 - Q,
+    participation and truth-telling, with balance
     rho * Q = sum(mass * P) kept as an equality row."""
     n = len(d.types)
-    obj, A_ub, A_eq, rhs = _screening_constraints(d, rho)
+    u, c, mass = (np.array([getattr(t, k) for t in d.types]) for k in ("u", "c", "mass"))
+    A_ub = _ic_rows(u, c)
     q_col = np.concatenate([-np.ones(n), np.ones(n), np.zeros(A_ub.shape[0] - 2 * n)])
+    b_ub = np.concatenate([np.zeros(n), np.ones(n), np.zeros(A_ub.shape[0] - 2 * n)])
     res = linprog(
-        -np.concatenate([[0.0], obj]),
+        -np.concatenate([[0.0], mass * u, -mass * c]),
         A_ub=np.column_stack([q_col, A_ub]),
-        b_ub=rhs(0.0)[0],
-        A_eq=np.column_stack([[rho], -A_eq]),
+        b_ub=b_ub,
+        A_eq=np.concatenate([[rho], np.zeros(n), -mass])[None],
         b_eq=np.zeros(1),
         method="highs",
     )
