@@ -195,10 +195,6 @@ def agent_utility(t: AgentType, r: float, p: float) -> float:
     return r * t.u - p * t.c
 
 
-def valuation(t: AgentType) -> float:
-    return t.nu
-
-
 def welfare(m: Mechanism, d: TypeDistribution) -> float:
     """Mass-weighted sum of agent utilities under the mechanism."""
     return sum(t.mass * agent_utility(t, m.R[t.id], m.P[t.id]) for t in d.types)

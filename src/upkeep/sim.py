@@ -2,11 +2,34 @@
 
 A mechanism maps to a state-contingent policy: use with some probability
 while the machine works, contribute with some probability while it is
-broken.  The Poisson engine runs an event-driven stream of short-lived
-arrivals; the fluid engine runs the alternating renewal process of a
-large population contributing in aggregate.  Both estimate the reduced
-form with confidence radii so a round trip against the target mechanism
-is a statistical check, not an exact one.
+broken.  The Poisson engine runs a stream of short-lived arrivals; the
+fluid engine runs the alternating renewal process of a large population
+contributing in aggregate.  Both estimate the reduced form with
+confidence radii so a round trip against the target mechanism is a
+statistical check, not an exact one.
+
+Both engines draw their randomness in numpy blocks, each sized to the
+draws a run is still expected to need and at most ``_BLOCK``, and loop
+in Python once per repair cycle, never once per arrival.  Memory does
+not grow with the horizon beyond the per-cycle lifespan and downtime
+lists.
+
+- Poisson: ``np.random.SeedSequence(seed).spawn(4)`` gives four child
+  streams, drawing in turn the arrival gaps, the type uniforms, the
+  decision uniforms and the lifespans.  Arrival times are the cumulative
+  sum of the gaps; a break falls before an arrival at the same instant,
+  and the first contributing arrival of a broken period fixes the
+  machine.  The streams make the output independent of the block size;
+  estimates at a given seed differ from versions that drew every event
+  from one generator, with the same distribution.
+- Fluid: one generator draws the alternating lifespans and contribution
+  quanta as blocks of standard exponentials, in the order and with the
+  scaling of one draw per period, so its estimates at a given seed are
+  the same as those of the per-period loop it replaced.
+
+Admissibility is derived from the event arrays the engines produce (the
+same arrays any trace is written from): breaks and fixes alternate, every
+use falls in a working interval and every contribution in a broken one.
 """
 
 from __future__ import annotations
@@ -14,7 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +47,10 @@ TRACE_HEADER = "# upkeep-trace v1"
 
 _WARMUP_LIFESPANS = 10.0
 _Z95 = 1.959963984540054
+# Most arrivals (Poisson) or repair cycles (fluid) drawn per block.  Each
+# block holds about ten arrays of this length at once, which sets the
+# engines' memory beyond the per-cycle lists.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -60,7 +87,9 @@ class Admissibility:
 
 @dataclass(frozen=True)
 class SimStats:
-    """Empirical reduced form with 95% confidence radii."""
+    """Empirical reduced form with 95% confidence radii, and the number of
+    events of each kind inside the measurement window (the fluid engine
+    has no individual arrivals, uses or contributions)."""
 
     Q_hat: float
     R_hat: Mapping[str, float]
@@ -69,6 +98,10 @@ class SimStats:
     ci_R: Mapping[str, float]
     ci_P: Mapping[str, float]
     n_breaks: int
+    n_fixes: int
+    n_arrivals: int
+    n_uses: int
+    n_contributions: int
     lifespan_mean: float
     measured_time: float
     rho: float
@@ -109,10 +142,9 @@ def _require_seed(seed: int | None) -> int:
     return int(seed)
 
 
-def _draw_duration(rng: np.random.Generator, kind: str, mean: float) -> float:
-    if kind == "deterministic":
-        return mean
-    return float(rng.exponential(mean))
+def _require_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and > 0")
 
 
 def _binomial_ci(successes: int, n: int) -> float:
@@ -149,6 +181,45 @@ def _lifespan_flag(lifespans: list[float], mean_target: float) -> bool:
     return abs(float(arr.mean()) - mean_target) <= 4.0 * se + 1e-12
 
 
+def _admissible(
+    breaks: np.ndarray,
+    fixes: np.ndarray,
+    uses: np.ndarray,
+    contributions: np.ndarray,
+    working: bool,
+    fixes_contribute: bool,
+) -> tuple[bool, bool]:
+    """(usage only while working, contribution only while broken) for one
+    stretch of event times that starts in the given state.
+
+    Breaks and fixes must alternate in time order.  The machine is
+    broken on each closed interval [break, fix] and working on each
+    half-open [fix, break), so a break wins a tie with a use.  Intervals
+    are located by counting the breaks and fixes at or before each
+    event.  With fixes_contribute, every fix must carry the time of a
+    contribution.
+    """
+    if not working:
+        breaks = np.concatenate(([-math.inf], breaks))
+    nb, nf = len(breaks), len(fixes)
+    alternate = (
+        nb - nf in (0, 1)
+        and bool(np.all(breaks[:nf] <= fixes))
+        and bool(np.all(fixes[: nb - 1] <= breaks[1:]))
+    )
+    if not alternate:
+        return False, False
+    up = np.searchsorted(breaks, uses, "right") == np.searchsorted(fixes, uses, "right")
+    down = np.searchsorted(breaks, contributions, "right") == (
+        np.searchsorted(fixes, contributions, "left") + 1
+    )
+    j = np.searchsorted(contributions, fixes)
+    contributed = not fixes_contribute or (
+        bool(np.all(j < len(contributions))) and np.array_equal(contributions[j], fixes)
+    )
+    return bool(np.all(up)), bool(np.all(down)) and contributed
+
+
 class _Trace:
     def __init__(self, stream: IO[str] | None):
         self.stream = stream
@@ -160,6 +231,45 @@ class _Trace:
             self.stream.write(f"{t:.9f}\t{kind}\t{tid}\t{state}\n")
 
 
+class _PoissonDraws:
+    """The Poisson engine's four child streams.  ``arrivals(n)`` returns n
+    standard exponential gaps, type uniforms and decision uniforms, and
+    ``lifespans(n)`` n standard exponentials."""
+
+    def __init__(self, seed: int):
+        self._gap, self._type, self._decision, self._life = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
+        )
+
+    def arrivals(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (
+            self._gap.standard_exponential(n),
+            self._type.random(n),
+            self._decision.random(n),
+        )
+
+    def lifespans(self, n: int) -> np.ndarray:
+        return self._life.standard_exponential(n)
+
+
+def _block_size(expected: float) -> int:
+    """Draws for the next block: the expected number still needed, with
+    some slack, and at most _BLOCK.  Any sizes give the same outputs."""
+    return int(min(_BLOCK, 1.1 * expected + 32))
+
+
+def _lifespans(draws: _PoissonDraws, phys: PhysicalParams) -> Iterator[float]:
+    mean = phys.lifespan_mean
+    if phys.lifespan == "deterministic":
+        while True:
+            yield mean
+    n = 32
+    while True:
+        n = min(n, _BLOCK)
+        yield from memoryview(mean * draws.lifespans(n))
+        n *= 2
+
+
 def simulate_poisson(
     pol: MarkovPolicy,
     d: TypeDistribution,
@@ -168,108 +278,131 @@ def simulate_poisson(
     seed: int | None,
     trace: IO[str] | None = None,
 ) -> SimStats:
-    """Event-driven run with short-lived agents arriving as a Poisson
-    stream.
+    """Run with short-lived agents arriving as a Poisson stream.
 
     The aggregate arrival rate equals the total type mass and arrival
     types are sampled with probability proportional to mass, so the
     per-type arrival rate is the type's mass.  While broken, the first
     contributing arrival fixes the machine.  Statistics start after a
-    warm-up of ten mean lifespans.
+    warm-up of ten mean lifespans.  Randomness comes from four child
+    streams of ``seed`` (see the module docstring), so estimates at a
+    given seed differ from versions that drew from one generator.
     """
-    rng = np.random.default_rng(_require_seed(seed))
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and > 0")
+    draws = _PoissonDraws(_require_seed(seed))
+    return _run_poisson(pol, d, phys, horizon, draws, trace)
+
+
+def _run_poisson(
+    pol: MarkovPolicy,
+    d: TypeDistribution,
+    phys: PhysicalParams,
+    horizon: float,
+    draws: _PoissonDraws,
+    trace: IO[str] | None,
+) -> SimStats:
+    _require_horizon(horizon)
     tr = _Trace(trace)
 
     order = d.types
+    n = len(order)
+    tids = np.array([t.id for t in order], dtype=object)
     rate = d.total_mass
-    probs = np.array([t.mass for t in order]) / rate
-    cum = np.cumsum(probs).tolist()
-    sig_w = [pol.sigma_W[t.id] for t in order]
-    sig_b = [pol.sigma_B[t.id] for t in order]
+    cum = np.cumsum(np.array([t.mass for t in order]) / rate)
+    sig_w = np.array([pol.sigma_W[t.id] for t in order])
+    sig_b = np.array([pol.sigma_B[t.id] for t in order])
+    lives = _lifespans(draws, phys)
 
     w_start = _WARMUP_LIFESPANS / phys.rho
     w_end = w_start + horizon
 
-    t = 0.0
-    working = True
-    state_since = 0.0
-    next_break = _draw_duration(rng, phys.lifespan, phys.lifespan_mean)
-    pending_lifespan = next_break
-
-    arrivals = [0] * len(order)
-    uses = [0] * len(order)
-    contribs = [0] * len(order)
+    arrivals = np.zeros(n, dtype=np.int64)
+    uses = np.zeros(n, dtype=np.int64)
+    contribs = np.zeros(n, dtype=np.int64)
     working_time = 0.0
-    n_breaks = 0
     lifespans: list[float] = []
     downs: list[float] = []
-    down_started: float | None = None
-    # Usage is generated only in the working state and contributions only
-    # in the broken state; the counters re-check that on every event.
-    bad_use = 0
-    bad_contrib = 0
+    use_ok = con_ok = True
 
-    def accrue(upto: float) -> None:
-        nonlocal working_time, state_since
-        if working:
-            a = max(state_since, w_start)
-            b = min(upto, w_end)
-            if b > a:
-                working_time += b - a
-        state_since = upto
+    working = True
+    pending_lifespan = next(lives)
+    next_break = pending_lifespan
+    state_since = 0.0
+    t_last = 0.0
+    done = False
+    while not done:
+        gaps, u_type, u_dec = draws.arrivals(_block_size(rate * (w_end - t_last)))
+        times = np.cumsum(np.concatenate(([t_last], gaps * (1.0 / rate))))[1:]
+        t_last = float(times[-1])
+        # Arrivals at or after the end of the window never happen.
+        m = int(np.searchsorted(times, w_end))
+        done = m < len(times)
+        times = times[:m]
+        k = np.minimum(np.searchsorted(cum, u_type[:m], "right"), n - 1)
+        u_dec = u_dec[:m]
+        # next_con[i]: the first contributing arrival at or after i, or m.
+        next_con = memoryview(np.minimum.accumulate(
+            np.where(u_dec < sig_b[k], np.arange(m), m)[::-1]
+        )[::-1])
+        # Memoryviews index as Python scalars without a list of objects.
+        tl = memoryview(times)
 
-    next_arrival = t + float(rng.exponential(1.0 / rate))
-    while True:
-        next_machine = next_break if working else math.inf
-        t_next = min(next_arrival, next_machine)
-        if t_next >= w_end:
-            accrue(w_end)
-            break
-        if next_machine <= next_arrival:
-            t = next_machine
-            accrue(t)
-            working = False
-            down_started = t
-            n_breaks += 1 if w_start <= t < w_end else 0
-            if w_start <= t < w_end:
-                lifespans.append(pending_lifespan)
-            tr.emit(t, "BREAK", "-", "B")
-        else:
-            t = next_arrival
-            accrue(t)
-            next_arrival = t + float(rng.exponential(1.0 / rate))
-            k = bisect.bisect_right(cum, rng.random())
-            k = min(k, len(order) - 1)
-            in_window = w_start <= t < w_end
-            if in_window:
-                arrivals[k] += 1
-            state_working = working
-            tr.emit(t, "ARRIVAL", order[k].id, "W" if working else "B")
+        # One step per break or fix; arrivals in between are skipped.
+        starts_working = working
+        break_times: list[float] = []
+        break_pos: list[int] = []
+        fix_pos: list[int] = []
+        i = 0
+        while True:
             if working:
-                if rng.random() < sig_w[k]:
-                    if in_window:
-                        uses[k] += 1
-                    if not state_working:
-                        bad_use += 1
-                    tr.emit(t, "USE", order[k].id, "W")
+                b = bisect.bisect_left(tl, next_break, i)
+                if b == m and not (done and next_break < w_end):
+                    break
+                a = max(state_since, w_start)
+                if next_break > a:
+                    working_time += next_break - a
+                if next_break >= w_start:
+                    lifespans.append(pending_lifespan)
+                break_times.append(next_break)
+                break_pos.append(b)
+                working, state_since, i = False, next_break, b
             else:
-                if rng.random() < sig_b[k]:
-                    if in_window:
-                        contribs[k] += 1
-                    if state_working:
-                        bad_contrib += 1
-                    tr.emit(t, "CONTRIBUTE", order[k].id, "W")
-                    working = True
-                    if down_started is not None and w_start <= t < w_end:
-                        downs.append(t - down_started)
-                    down_started = None
-                    pending_lifespan = _draw_duration(
-                        rng, phys.lifespan, phys.lifespan_mean
-                    )
-                    next_break = t + pending_lifespan
-                    tr.emit(t, "FIX", order[k].id, "W")
+                f = next_con[i] if i < m else m
+                if f == m:
+                    break
+                t = tl[f]
+                if t >= w_start:
+                    downs.append(t - state_since)
+                fix_pos.append(f)
+                pending_lifespan = next(lives)
+                next_break = t + pending_lifespan
+                working, state_since, i = True, t, f + 1
+
+        delta = np.zeros(m + 1, dtype=np.int64)
+        delta[([] if starts_working else [0]) + break_pos] += 1
+        delta[[f + 1 for f in fix_pos] + ([] if working else [m])] -= 1
+        broken = np.cumsum(delta[:m]) > 0
+        used = (u_dec < sig_w[k]) & ~broken
+        fixer = np.zeros(m, dtype=bool)
+        fixer[fix_pos] = True
+        in_window = times >= w_start
+        arrivals += np.bincount(k[in_window], minlength=n)
+        uses += np.bincount(k[used & in_window], minlength=n)
+        contribs += np.bincount(k[fixer & in_window], minlength=n)
+
+        fix_times = times[fix_pos]
+        block_use_ok, block_con_ok = _admissible(
+            np.array(break_times), fix_times, times[used], fix_times,
+            starts_working, fixes_contribute=True,
+        )
+        use_ok = use_ok and block_use_ok
+        con_ok = con_ok and block_con_ok
+        if tr.stream is not None:
+            _emit_poisson(tr, tl, tids[k], broken, used, fixer, break_times, break_pos)
+
+    if working:
+        a = max(state_since, w_start)
+        if w_end > a:
+            working_time += w_end - a
 
     q_hat = working_time / horizon
     r_hat: dict[str, float] = {}
@@ -277,31 +410,64 @@ def simulate_poisson(
     ci_r: dict[str, float] = {}
     ci_p: dict[str, float] = {}
     for i, ty in enumerate(order):
-        n = arrivals[i]
-        r_hat[ty.id] = uses[i] / n if n else 0.0
-        p_hat[ty.id] = contribs[i] / n if n else 0.0
-        ci_r[ty.id] = _binomial_ci(uses[i], n)
-        ci_p[ty.id] = _binomial_ci(contribs[i], n)
+        a_i, u_i, c_i = int(arrivals[i]), int(uses[i]), int(contribs[i])
+        r_hat[ty.id] = u_i / a_i if a_i else 0.0
+        p_hat[ty.id] = c_i / a_i if a_i else 0.0
+        ci_r[ty.id] = _binomial_ci(u_i, a_i)
+        ci_p[ty.id] = _binomial_ci(c_i, a_i)
 
-    stats = SimStats(
+    n_contributions = int(contribs.sum())
+    return SimStats(
         Q_hat=q_hat,
         R_hat=r_hat,
         P_hat=p_hat,
         ci_Q=_cycle_ci(lifespans, downs, q_hat),
         ci_R=ci_r,
         ci_P=ci_p,
-        n_breaks=n_breaks,
+        n_breaks=len(lifespans),
+        n_fixes=n_contributions,
+        n_arrivals=int(arrivals.sum()),
+        n_uses=int(uses.sum()),
+        n_contributions=n_contributions,
         lifespan_mean=float(np.mean(lifespans)) if lifespans else math.nan,
         measured_time=horizon,
         rho=phys.rho,
         masses={t.id: t.mass for t in order},
         admissibility=Admissibility(
-            usage_only_while_working=bad_use == 0,
-            contribution_only_while_broken=bad_contrib == 0,
+            usage_only_while_working=use_ok,
+            contribution_only_while_broken=con_ok,
             lifespan_mean_ok=_lifespan_flag(lifespans, phys.lifespan_mean),
         ),
     )
-    return stats
+
+
+def _emit_poisson(
+    tr: _Trace,
+    times: Sequence[float],
+    tids: np.ndarray,
+    broken: np.ndarray,
+    used: np.ndarray,
+    fixer: np.ndarray,
+    break_times: list[float],
+    break_pos: list[int],
+) -> None:
+    """Trace lines of one block in time order; a break comes before the
+    arrivals at its instant."""
+    j = 0
+    for i, (t, tid, down, use, fix) in enumerate(
+        zip(times, tids, broken.tolist(), used.tolist(), fixer.tolist())
+    ):
+        while j < len(break_pos) and break_pos[j] <= i:
+            tr.emit(break_times[j], "BREAK", "-", "B")
+            j += 1
+        tr.emit(t, "ARRIVAL", tid, "B" if down else "W")
+        if use:
+            tr.emit(t, "USE", tid, "W")
+        elif fix:
+            tr.emit(t, "CONTRIBUTE", tid, "W")
+            tr.emit(t, "FIX", tid, "W")
+    for t in break_times[j:]:
+        tr.emit(t, "BREAK", "-", "B")
 
 
 def simulate_fluid(
@@ -320,48 +486,65 @@ def simulate_fluid(
     occupancy, so their confidence radii scale with the uptime radius.
     """
     rng = np.random.default_rng(_require_seed(seed))
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and > 0")
+    _require_horizon(horizon)
     tr = _Trace(trace)
 
     agg_rate = sum(t.mass * pol.sigma_B[t.id] for t in d.types)
     w_start = _WARMUP_LIFESPANS / phys.rho
     w_end = w_start + horizon
+    # Each exponential period takes the next standard exponential, in
+    # period order; a deterministic one or an endless repair takes none.
+    up_exp = phys.lifespan == "exponential"
+    down_exp = phys.quantum == "exponential" and agg_rate > 0.0
+    per_cycle = up_exp + down_exp
+    mean_cycle = phys.lifespan_mean + (
+        phys.quantum_mean / agg_rate if agg_rate > 0.0 else math.inf
+    )
 
     t = 0.0
     working_time = 0.0
-    n_breaks = 0
     lifespans: list[float] = []
     downs: list[float] = []
-    working = True
-    duration = _draw_duration(rng, phys.lifespan, phys.lifespan_mean)
-    while t < w_end:
-        t_next = min(t + duration, w_end)
-        if working:
-            a, b = max(t, w_start), min(t_next, w_end)
-            if b > a:
-                working_time += b - a
-        t = t_next
-        if t >= w_end:
-            break
-        if working:
-            n_breaks += 1 if w_start <= t < w_end else 0
-            if w_start <= t < w_end:
-                lifespans.append(duration)
-            tr.emit(t, "BREAK", "-", "B")
-            working = False
-            if agg_rate <= 0.0:
-                duration = math.inf
-            else:
-                duration = (
-                    _draw_duration(rng, phys.quantum, phys.quantum_mean) / agg_rate
-                )
+    use_ok = con_ok = True
+    done = False
+    while not done:
+        cycles = _block_size((w_end - t) / mean_cycle)
+        e = rng.standard_exponential(cycles * per_cycle)
+        dur = np.empty(2 * cycles)
+        dur[0::2] = phys.lifespan_mean * e[0::per_cycle] if up_exp else phys.lifespan_mean
+        if agg_rate <= 0.0:
+            dur[1::2] = math.inf
+        elif down_exp:
+            dur[1::2] = phys.quantum_mean * e[up_exp::per_cycle] / agg_rate
         else:
-            if w_start <= t < w_end:
-                downs.append(duration)
-            tr.emit(t, "FIX", "-", "W")
-            working = True
-            duration = _draw_duration(rng, phys.lifespan, phys.lifespan_mean)
+            dur[1::2] = phys.quantum_mean / agg_rate
+        ends = np.cumsum(np.concatenate(([t], dur)))
+        starts, ends = ends[:-1], ends[1:]
+        t = float(ends[-1])
+        # Period s is the first to reach the end of the window; it is cut
+        # there and its closing event never happens.
+        s = int(np.searchsorted(ends, w_end))
+        done = s < len(ends)
+        a = np.maximum(starts[: s + 1 : 2], w_start)
+        b = np.minimum(ends[: s + 1 : 2], w_end)
+        seg = (b - a)[b > a]
+        working_time = float(np.cumsum(np.concatenate(([working_time], seg)))[-1])
+
+        breaks, fixes = ends[:s:2], ends[1:s:2]
+        lifespans += dur[:s:2][breaks >= w_start].tolist()
+        downs += dur[1:s:2][fixes >= w_start].tolist()
+        none = np.empty(0)
+        block_use_ok, block_con_ok = _admissible(
+            breaks, fixes, none, none, True, fixes_contribute=False
+        )
+        use_ok = use_ok and block_use_ok
+        con_ok = con_ok and block_con_ok
+        if tr.stream is not None:
+            for j, tj in enumerate(ends[:s].tolist()):
+                if j % 2 == 0:
+                    tr.emit(tj, "BREAK", "-", "B")
+                else:
+                    tr.emit(tj, "FIX", "-", "W")
 
     q_hat = working_time / horizon
     ci_q = _cycle_ci(lifespans, downs, q_hat)
@@ -377,14 +560,18 @@ def simulate_fluid(
         ci_Q=ci_q,
         ci_R=ci_r,
         ci_P=ci_p,
-        n_breaks=n_breaks,
+        n_breaks=len(lifespans),
+        n_fixes=len(downs),
+        n_arrivals=0,
+        n_uses=0,
+        n_contributions=0,
         lifespan_mean=float(np.mean(lifespans)) if lifespans else math.nan,
         measured_time=horizon,
         rho=phys.rho,
         masses={t.id: t.mass for t in d.types},
         admissibility=Admissibility(
-            usage_only_while_working=True,
-            contribution_only_while_broken=True,
+            usage_only_while_working=use_ok,
+            contribution_only_while_broken=con_ok,
             lifespan_mean_ok=_lifespan_flag(lifespans, phys.lifespan_mean),
         ),
     )

@@ -8,7 +8,6 @@ from upkeep import (
     agent_utility,
     balance_residual,
     check_feasible,
-    valuation,
     welfare,
 )
 from conftest import random_distribution
@@ -23,9 +22,9 @@ def test_agent_utility_values():
 
 
 def test_valuation():
-    assert valuation(AgentType("H", 10.0, 1.25, 1.0)) == pytest.approx(8.0)
-    assert valuation(AgentType("A", 1.0, 1.0, 1.0)) == pytest.approx(1.0)
-    assert valuation(AgentType("L", 0.1, 1.0, 1.0)) == pytest.approx(0.1)
+    assert AgentType("H", 10.0, 1.25, 1.0).nu == pytest.approx(8.0)
+    assert AgentType("A", 1.0, 1.0, 1.0).nu == pytest.approx(1.0)
+    assert AgentType("L", 0.1, 1.0, 1.0).nu == pytest.approx(0.1)
 
 
 def test_type_validation():

@@ -17,6 +17,7 @@ from upkeep import (
     lp_screening_welfare,
     menu_grid_oracle,
     primal_grid_welfare,
+    simulate_fluid,
     simulate_poisson,
     solve_screening,
 )
@@ -336,41 +337,69 @@ GRID_LP_W = [
     "0x1.b3931b10b6fb1p+2",
 ]
 
+# Recorded from the block-drawn engine, whose four child streams replaced
+# the single generator of the per-event loop.
 PINNED_POISSON = [
     (
-        "0x1.83dfae5f3607bp-2",
-        ("0x1.f755b5c7dd56dp-4", "0x1.9fbd0911704e2p-2", "0x1.722b40e151fb0p-2"),
-        ("0x1.acbd2096b2f48p-2", "0x1.b60f5896ab98cp-2", "0x1.4bf1eae05078bp-2"),
-        1057,
+        "0x1.9236ed3fb6935p-2",
+        ("0x1.dd51da56242c0p-4", "0x1.6a1c32753d96ap-2", "0x1.7401f53b3a3fap-2"),
+        ("0x1.8a88db44cd193p-2", "0x1.06ada2811cf07p-1", "0x1.401f53b3a3fa2p-2"),
+        1032,
     ),
     (
-        "0x1.bdf2bae3e75aep-2",
-        ("0x1.bc86f21bc86f2p-3", "0x1.a7b9611a7b961p-4", "0x1.91ea930647aa5p-4"),
-        ("0x1.e23b88ee23b89p-2", "0x1.e58469ee5846ap-2", "0x1.8ef606a63bd82p-2"),
-        811,
+        "0x1.c8bde6adb0ac2p-2",
+        ("0x1.9ac335866b0cdp-3", "0x1.39ed5059b184bp-3", "0x1.7daf885dff49bp-4"),
+        ("0x1.003e007c00f80p-1", "0x1.a291c077975b9p-2", "0x1.5b813f05573b7p-2"),
+        828,
     ),
     (
-        "0x1.9286aa138eb44p-2",
-        ("0x1.83ee868d8aebep-3", "0x1.d8f2fba938682p-3", "0x1.1b6513d66f780p-4"),
-        ("0x1.bbd98e6a98070p-2", "0x1.63cbeea4e1a09p-2", "0x1.77069ccfd2a82p-2"),
-        814,
+        "0x1.9e320c32273d3p-2",
+        ("0x1.6d713fc317cabp-3", "0x1.a74e9d3a74e9dp-3", "0x1.4f52edf8c9ea6p-4"),
+        ("0x1.e18be55a68af2p-2", "0x1.58b162c58b163p-2", "0x1.512073615a241p-2"),
+        798,
     ),
     (
-        "0x1.78e002855e250p-2",
+        "0x1.727b5293fac64p-2",
         (
-            "0x1.7edd8ce490665p-2",
+            "0x1.49d9ace439b3dp-2",
             "0x0.0p+0",
-            "0x1.ccb5c3b636e3ap-6",
-            "0x1.272349c8d2723p-3",
+            "0x1.d19eb155f08a4p-7",
+            "0x1.2ba59c52f5c8ep-3",
         ),
         (
-            "0x1.c6a7174f6b798p-2",
+            "0x1.d8d06acad1b58p-2",
             "0x0.0p+0",
-            "0x1.7486f94056621p-2",
-            "0x1.033540cd50335p-2",
+            "0x1.6bc3fa8b23ec0p-2",
+            "0x1.c52f5c8e64ea0p-3",
         ),
-        960,
+        931,
     ),
+]
+
+# (Q_hat, ci_Q, n_breaks, lifespan_mean) of the fluid engine on each of
+# _fluid_cases(), recorded from the per-period loop the block-drawn
+# engine replaced.
+PINNED_FLUID = [
+    ("0x1.8601d7d70cf65p-2", "0x1.53877696972a1p-6", 1029, "0x1.7bd927fd7c400p-2"),
+    ("0x1.7ad56cd06c7acp-2", "0x1.bcd5f6727d966p-7", 1042, "0x1.6b82c9d52448ap-2"),
+    ("0x1.89976e6dcf6abp-2", "0x1.c2749217bec22p-7", 1050, "0x1.772cbe435c29bp-2"),
+    ("0x1.826e15e419be9p-2", "0x0.0p+0", 1030, "0x1.772cbe435c29cp-2"),
+    ("0x0.0p+0", "0x1.0000000000000p-1", 0, "nan"),
+    ("0x1.bf1c4d63d0237p-2", "0x1.805e3c4b31fb3p-6", 824, "0x1.0ea12df7e9beap-1"),
+    ("0x1.af87c5d48d83bp-2", "0x1.18d8860abecbcp-6", 830, "0x1.04972aa0458a2p-1"),
+    ("0x1.c75cfe0486775p-2", "0x1.1c3edc41e5a67p-6", 833, "0x1.1153c8b8a6cb2p-1"),
+    ("0x1.bc0168f44c41dp-2", "0x0.0p+0", 813, "0x1.1153c8b8a6cb3p-1"),
+    ("0x0.0p+0", "0x1.0000000000000p-1", 0, "nan"),
+    ("0x1.ae408f0b94ef2p-2", "0x1.87f07da0a56b6p-6", 823, "0x1.057da88232b98p-1"),
+    ("0x1.8bda537902991p-2", "0x1.10923823827b1p-6", 811, "0x1.e87e56b7307a1p-2"),
+    ("0x1.8e7866c326083p-2", "0x1.10b9a9810704ep-6", 812, "0x1.eaba1c30a5495p-2"),
+    ("0x1.8d39b48e21c3bp-2", "0x0.0p+0", 809, "0x1.eaba1c30a5494p-2"),
+    ("0x0.0p+0", "0x1.0000000000000p-1", 0, "nan"),
+    ("0x1.74cbfcff8146dp-2", "0x1.54e42ddac5327p-6", 960, "0x1.85c5cf70189adp-2"),
+    ("0x1.806b34a053071p-2", "0x1.f4551a8d822b0p-7", 958, "0x1.9145af2f1a457p-2"),
+    ("0x1.7d87b544bd5a1p-2", "0x1.f2f689b44bdd2p-7", 957, "0x1.8ea377ef09071p-2"),
+    ("0x1.7ec8028b1d361p-2", "0x0.0p+0", 960, "0x1.8ea377ef09071p-2"),
+    ("0x0.0p+0", "0x1.0000000000000p-1", 0, "nan"),
 ]
 
 
@@ -404,6 +433,33 @@ def test_oracle_outputs_pinned():
         for d, pol, phys, seed in _pinned_policies()
     ]
     assert sims == PINNED_POISSON
+
+
+def _fluid_cases():
+    """Each of _pinned_policies() under the four lifespan and quantum
+    shapes, then with nobody contributing, so that the first repair never
+    ends."""
+    shapes = [
+        (lifespan, quantum)
+        for lifespan in ("exponential", "deterministic")
+        for quantum in ("exponential", "deterministic")
+    ]
+    for d, pol, phys, seed in _pinned_policies():
+        for lifespan, quantum in shapes:
+            yield d, pol, PhysicalParams(phys.rho, lifespan, quantum), seed
+        idle = MarkovPolicy(sigma_W=pol.sigma_W, sigma_B={t.id: 0.0 for t in d.types})
+        yield d, idle, phys, seed
+
+
+def test_fluid_outputs_pinned():
+    sims = [
+        (_hex(s.Q_hat), _hex(s.ci_Q), s.n_breaks, _hex(s.lifespan_mean))
+        for s in (
+            simulate_fluid(pol, d, phys, 1000.0, seed)
+            for d, pol, phys, seed in _fluid_cases()
+        )
+    ]
+    assert sims == PINNED_FLUID
 
 
 def _seeded_lps():

@@ -1,7 +1,13 @@
+import bisect
+import dataclasses
 import io
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+
+import upkeep.sim
 
 from upkeep import (
     AgentType,
@@ -14,7 +20,13 @@ from upkeep import (
     simulate_poisson,
     solve_participation,
 )
-from upkeep.sim import TRACE_HEADER
+from upkeep.sim import (
+    TRACE_HEADER,
+    _admissible,
+    _binomial_ci,
+    _PoissonDraws,
+    _run_poisson,
+)
 
 
 def screening_mechanism():
@@ -233,3 +245,293 @@ def test_engines_reject_non_finite_horizon(equal_cost, engine, horizon):
     pol = build_policy(screening_mechanism())
     with pytest.raises(ValueError, match="horizon"):
         engine(pol, equal_cost, PhysicalParams(1.0), horizon, seed=1)
+
+
+# --- the block engine against the per-event loop it replaced ---------------
+
+
+class _PreDrawn:
+    """Pre-drawn Poisson streams, handed to the block engine in its blocks
+    (the last block may be short)."""
+
+    def __init__(self, gaps, u_type, u_dec, lifespans):
+        self._arrivals = (gaps, u_type, u_dec)
+        self._lifespans = lifespans
+        self._i = self._j = 0
+
+    def arrivals(self, n):
+        i, self._i = self._i, self._i + n
+        assert i < len(self._arrivals[0]), "pre-drawn arrivals ran out"
+        return tuple(a[i : i + n] for a in self._arrivals)
+
+    def lifespans(self, n):
+        j, self._j = self._j, self._j + n
+        assert j < len(self._lifespans), "pre-drawn lifespans ran out"
+        return self._lifespans[j : j + n]
+
+
+def _seeded_arrays(seed, n_arrivals):
+    draws = _PoissonDraws(seed)
+    return (*draws.arrivals(n_arrivals), draws.lifespans(n_arrivals))
+
+
+def _reference_poisson(pol, d, phys, horizon, gaps, u_type, u_dec, lifespans):
+    """The per-event loop of earlier versions, one arrival, break or fix
+    per step, reading pre-drawn arrays in place of a generator.  Returns
+    the windowed working time and per-type counts."""
+    order = d.types
+    rate = d.total_mass
+    cum = np.cumsum(np.array([t.mass for t in order]) / rate).tolist()
+    sig_w = [pol.sigma_W[t.id] for t in order]
+    sig_b = [pol.sigma_B[t.id] for t in order]
+    lives = iter(lifespans.tolist())
+
+    def lifespan():
+        if phys.lifespan == "deterministic":
+            return phys.lifespan_mean
+        return phys.lifespan_mean * next(lives)
+
+    w_start = 10.0 / phys.rho
+    w_end = w_start + horizon
+    arrivals = [0] * len(order)
+    uses = [0] * len(order)
+    contribs = [0] * len(order)
+    working_time = 0.0
+    n_breaks = 0
+    working = True
+    state_since = 0.0
+    next_break = lifespan()
+    i = 0
+    next_arrival = 0.0 + gaps[0] * (1.0 / rate)
+    while True:
+        next_machine = next_break if working else math.inf
+        t = min(next_arrival, next_machine)
+        if working:
+            a, b = max(state_since, w_start), min(t, w_end)
+            if b > a:
+                working_time += b - a
+        state_since = t
+        if t >= w_end:
+            break
+        in_window = w_start <= t
+        if next_machine <= next_arrival:
+            working = False
+            n_breaks += in_window
+            continue
+        k = min(bisect.bisect_right(cum, u_type[i]), len(order) - 1)
+        u = u_dec[i]
+        i += 1
+        next_arrival = t + gaps[i] * (1.0 / rate)
+        arrivals[k] += in_window
+        if working:
+            uses[k] += in_window and u < sig_w[k]
+        elif u < sig_b[k]:
+            contribs[k] += in_window
+            working = True
+            next_break = t + lifespan()
+    return working_time, arrivals, uses, contribs, n_breaks
+
+
+def _idle(d):
+    return Mechanism(
+        Q=0.4, R={t.id: 0.4 for t in d.types}, P={t.id: 0.0 for t in d.types}
+    )
+
+
+ZERO_MASS = TypeDistribution(
+    (
+        AgentType("H", 5.0, 1.0, 0.5),
+        AgentType("Z", 2.0, 1.0, 0.0),
+        AgentType("L", 0.1, 1.0, 0.5),
+    )
+)
+
+# name: (distribution or None for equal_cost, mechanism of the
+# distribution, physics, horizon)
+REFERENCE_CASES = {
+    "exponential": (None, lambda d: screening_mechanism(), PhysicalParams(1.0), 2e4),
+    "deterministic": (
+        None,
+        lambda d: screening_mechanism(),
+        PhysicalParams(1.0, lifespan="deterministic"),
+        2e4,
+    ),
+    "zero_mass": (
+        ZERO_MASS,
+        lambda d: Mechanism(
+            Q=0.3, R={"H": 0.3, "Z": 0.3, "L": 0.1}, P={"H": 0.6, "Z": 0.7, "L": 0.1}
+        ),
+        PhysicalParams(1.0),
+        2e4,
+    ),
+    "never_fixed": (None, _idle, PhysicalParams(1.0), 2e4),
+    "zero_uptime": (None, Mechanism.zero, PhysicalParams(1.0), 2e4),
+    "shorter_than_a_block": (
+        None, lambda d: screening_mechanism(), PhysicalParams(1.0), 50.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_poisson_matches_per_event_reference(equal_cost, case):
+    d, mechanism, phys, horizon = REFERENCE_CASES[case]
+    d = d or equal_cost
+    pol = build_policy(mechanism(d))
+    arrays = _seeded_arrays(17, 40_000)
+    stats = _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), None)
+    working, arrivals, uses, contribs, n_breaks = _reference_poisson(
+        pol, d, phys, horizon, *arrays
+    )
+    assert stats.n_breaks == n_breaks
+    assert stats.n_arrivals == sum(arrivals)
+    assert stats.n_uses == sum(uses)
+    assert stats.n_contributions == stats.n_fixes == sum(contribs)
+    for i, t in enumerate(d.types):
+        n = arrivals[i]
+        assert stats.R_hat[t.id] == (uses[i] / n if n else 0.0)
+        assert stats.P_hat[t.id] == (contribs[i] / n if n else 0.0)
+        assert stats.ci_R[t.id] == _binomial_ci(uses[i], n)
+        assert stats.ci_P[t.id] == _binomial_ci(contribs[i], n)
+    assert stats.Q_hat == pytest.approx(working / horizon, rel=1e-12, abs=0.0)
+    assert stats.admissibility.usage_only_while_working
+    assert stats.admissibility.contribution_only_while_broken
+    # The pre-drawn arrays are the streams simulate_poisson draws itself.
+    assert _hexed(stats) == _hexed(simulate_poisson(pol, d, phys, horizon, 17))
+    if case == "never_fixed":
+        assert n_breaks == 0 and stats.Q_hat == 0.0 and sum(arrivals) > 0
+
+
+def test_break_wins_a_tie_with_an_arrival():
+    # Gaps of exactly 1/4 and a deterministic unit lifespan put an arrival
+    # on every break; that arrival finds the machine broken and may fix it.
+    d = TypeDistribution((AgentType("A", 1.0, 1.0, 1.0),))
+    pol = build_policy(Mechanism(Q=0.5, R={"A": 0.5}, P={"A": 0.25}))
+    phys = PhysicalParams(1.0, lifespan="deterministic")
+    n = 2000
+    u = np.random.default_rng(3).random((2, n))
+    arrays = (np.full(n, 0.25), u[0], u[1], np.empty(0))
+    buf = io.StringIO()
+    stats = _run_poisson(pol, d, phys, 400.0, _PreDrawn(*arrays), buf)
+    working, arrivals, uses, contribs, n_breaks = _reference_poisson(
+        pol, d, phys, 400.0, *arrays
+    )
+    assert (stats.n_breaks, stats.n_arrivals, stats.n_uses, stats.n_fixes) == (
+        n_breaks, arrivals[0], uses[0], contribs[0]
+    )
+    assert stats.Q_hat == working / 400.0
+    assert stats.admissibility.ok
+    lines = buf.getvalue().splitlines()[1:]
+    breaks = [i for i, line in enumerate(lines) if "\tBREAK\t" in line]
+    assert len(breaks) > 100
+    for i in breaks:
+        t = lines[i].split("\t")[0]
+        arrival = lines[i + 1].split("\t")
+        assert arrival[:2] == [t, "ARRIVAL"] and arrival[3] == "B"
+
+
+def _hexed(stats):
+    def hexed(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, dict):
+            return {k: hexed(v) for k, v in x.items()}
+        return x
+
+    return hexed(dataclasses.asdict(stats))
+
+
+@pytest.mark.parametrize("engine", [simulate_poisson, simulate_fluid])
+def test_block_size_does_not_change_outputs(equal_cost, lmh, engine, monkeypatch):
+    sol = solve_participation(lmh, 5.5)
+    runs = [
+        (build_policy(screening_mechanism()), equal_cost, PhysicalParams(1.0), 3e3, 21),
+        (build_policy(sol.mechanism), lmh, PhysicalParams(5.5), 500.0, 22),
+        (build_policy(_idle(equal_cost)), equal_cost, PhysicalParams(1.0), 3e3, 23),
+    ]
+    default = [_hexed(engine(*run)) for run in runs]
+    monkeypatch.setattr(upkeep.sim, "_BLOCK", 7)
+    assert [_hexed(engine(*run)) for run in runs] == default
+
+
+def test_poisson_memory_does_not_hold_the_horizon(lmh):
+    # At this horizon a run sees about 54k arrivals and 28k repair cycles.
+    # The per-cycle lifespan and downtime lists and their arrays take about
+    # 3 MB; holding every arrival at once took about 10 MB.
+    sol = solve_participation(lmh, 5.5)
+    pol = build_policy(sol.mechanism)
+    phys = PhysicalParams(5.5)
+    simulate_poisson(pol, lmh, phys, 10.0, seed=1)
+    tracemalloc.start()
+    try:
+        stats = simulate_poisson(pol, lmh, phys, 1e5 / 5.5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_arrivals > 50_000
+    assert peak < 5e6
+
+
+# --- admissibility from the event arrays -----------------------------------
+
+
+def _events(equal_cost):
+    """One block's event arrays from the Poisson engine, as the engine
+    hands them to _admissible."""
+    pol = build_policy(screening_mechanism())
+    buf = io.StringIO()
+    simulate_poisson(pol, equal_cost, PhysicalParams(1.0), 300.0, seed=12, trace=buf)
+    times = {kind: [] for kind in ("BREAK", "FIX", "USE", "CONTRIBUTE")}
+    for line in buf.getvalue().splitlines()[1:]:
+        t, kind, _, _ = line.split("\t")
+        if kind in times:
+            times[kind].append(float(t))
+    return {kind: np.array(ts) for kind, ts in times.items()}
+
+
+def test_admissibility_fails_on_corrupted_events(equal_cost):
+    ev = _events(equal_cost)
+    breaks, fixes, uses, contribs = ev["BREAK"], ev["FIX"], ev["USE"], ev["CONTRIBUTE"]
+    assert len(breaks) > 10 and len(uses) > 10
+    assert _admissible(breaks, fixes, uses, contribs, True, True) == (True, True)
+    # a use moved into a broken interval, and onto a break instant
+    for t in (0.5 * (breaks[3] + fixes[3]), breaks[3]):
+        moved = np.sort(np.append(uses[1:], t))
+        assert _admissible(breaks, fixes, moved, contribs, True, True) == (False, True)
+    # a contribution moved into a working interval
+    moved = contribs.copy()
+    moved[3] = 0.5 * (fixes[3] + breaks[4])
+    assert not _admissible(breaks, fixes, uses, moved, True, True)[1]
+    # a dropped fix breaks the alternation; so does a fix before its break
+    assert _admissible(breaks, np.delete(fixes, 3), uses, contribs, True, True) == (
+        False, False
+    )
+    early = fixes.copy()
+    early[3] = breaks[3] - 1e-3
+    assert _admissible(breaks, early, uses, contribs, True, True) == (False, False)
+    # alternation alone, as the fluid engine checks it: a fix moved past
+    # the next break, or a break dropped
+    none = np.empty(0)
+    assert _admissible(breaks, fixes, none, none, True, False) == (True, True)
+    late = fixes.copy()
+    late[3] = breaks[4] + 1e-3
+    assert _admissible(breaks, late, none, none, True, False) == (False, False)
+    assert _admissible(np.delete(breaks, 3), fixes, none, none, True, False) == (
+        False, False
+    )
+    # a fix without a contribution
+    assert not _admissible(breaks, fixes, uses, np.delete(contribs, 3), True, True)[1]
+    # the same stretch read as starting broken does not alternate
+    assert _admissible(breaks, fixes, uses, contribs, False, True) == (False, False)
+
+
+def test_event_counts(equal_cost):
+    pol = build_policy(screening_mechanism())
+    phys = PhysicalParams(1.0)
+    s = simulate_poisson(pol, equal_cost, phys, 2e3, seed=31)
+    assert s.n_arrivals > s.n_uses + s.n_contributions > 0
+    assert s.n_contributions == s.n_fixes
+    assert abs(s.n_breaks - s.n_fixes) <= 1
+    assert s.n_arrivals == pytest.approx(equal_cost.total_mass * 2e3, rel=0.1)
+    f = simulate_fluid(pol, equal_cost, phys, 2e3, seed=32)
+    assert (f.n_arrivals, f.n_uses, f.n_contributions) == (0, 0, 0)
+    assert abs(f.n_breaks - f.n_fixes) <= 1 and f.n_breaks > 0
