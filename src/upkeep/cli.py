@@ -35,8 +35,7 @@ EXIT_VALIDATION = 3
 EXIT_DEGENERATE = 4
 EXIT_ORACLE = 5
 
-ORACLE_TOL_PRIMAL = 1e-3
-ORACLE_TOL_SCREENING = 1e-9  # per unit of max(1, |W_solver|); the LP oracle is exact
+ORACLE_TOL = 1e-9  # per unit of max(1, |W_solver|); every oracle is exact
 
 MODES = ("fb", "part", "ic", "simulate", "sweep", "oracle-check")
 
@@ -292,26 +291,20 @@ def _run_sweep(cfg: RunConfig, d: TypeDistribution) -> list[str]:
 
 def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], bool]:
     rho = float(cfg.rho)
+    pairs = (
+        (solve_first_best(d, rho, cfg.tol).W_fb, primal_grid_welfare(d, rho, "first_best")[0]),
+        (
+            solve_participation(d, rho, cfg.tol).W_star,
+            primal_grid_welfare(d, rho, "participation")[0],
+        ),
+        (solve_screening(d, rho, cfg.tol).W_star, lp_screening_welfare(d, rho)[0]),
+    )
     lines = ["W_solver,W_oracle,delta"]
     ok = True
-
-    fb = solve_first_best(d, rho, cfg.tol)
-    w_fb_oracle, _, _ = primal_grid_welfare(d, rho, "first_best")
-    delta = fb.W_fb - w_fb_oracle
-    ok &= abs(delta) <= ORACLE_TOL_PRIMAL
-    lines.append(f"{fmt(fb.W_fb)},{fmt(w_fb_oracle)},{fmt(delta)}")
-
-    part = solve_participation(d, rho, cfg.tol)
-    w_part_oracle, _, _ = primal_grid_welfare(d, rho, "participation")
-    delta = part.W_star - w_part_oracle
-    ok &= abs(delta) <= ORACLE_TOL_PRIMAL
-    lines.append(f"{fmt(part.W_star)},{fmt(w_part_oracle)},{fmt(delta)}")
-
-    ic = solve_screening(d, rho, cfg.tol)
-    w_ic_oracle, _ = lp_screening_welfare(d, rho)
-    delta = ic.W_star - w_ic_oracle
-    ok &= abs(delta) <= ORACLE_TOL_SCREENING * max(1.0, abs(ic.W_star))
-    lines.append(f"{fmt(ic.W_star)},{fmt(w_ic_oracle)},{fmt(delta)}")
+    for w_solver, w_oracle in pairs:
+        delta = w_solver - w_oracle
+        ok &= abs(delta) <= ORACLE_TOL * max(1.0, abs(w_solver))
+        lines.append(f"{fmt(w_solver)},{fmt(w_oracle)},{fmt(delta)}")
     return lines, ok
 
 

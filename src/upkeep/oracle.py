@@ -1,14 +1,14 @@
 """Independent brute-force optimality checkers for the three solvers.
 
 These deliberately avoid the solvers' machinery.  First best and
-participation are checked by scanning an uptime grid with local
-refinement, filling contributions greedily (exact for a fixed uptime
-since the objective is linear).  Screening is checked by one linear
-program over the full constraint set, with the uptime substituted out
-through balance, and the bounded-payment sale by one LP over direct
-mechanisms with the same truth-telling rows.  Both LPs have only <=
-rows with nonnegative right-hand sides, so one self-contained Bland
-simplex solves them from the slack basis, on a tableau of floats or of
+participation fill contributions greedily in cost order (exact at a
+fixed uptime, as the objective is linear) and score, in closed form,
+every uptime where that welfare can bend.  Screening is checked by one
+linear program over the full constraint set, with the uptime substituted
+out through balance, and the bounded-payment sale by one LP over direct
+mechanisms with the same truth-telling rows.  Both LPs have only <= rows
+with nonnegative right-hand sides, so one self-contained Bland simplex
+solves them from the slack basis, on a tableau of floats or of
 Fractions: the float answer is checked row by row, and the LP is solved
 again in Fractions when the check fails.  Nothing here is imported from
 the solvers.
@@ -36,7 +36,8 @@ class TooManyTypesError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uptime grid resolution and refinement schedule."""
+    """The resolution and refinement rounds of the uptime grid that the
+    exact oracles replaced.  Validated, and unused by both oracles."""
 
     q_points: int = 2001
     refine_rounds: int = 3
@@ -54,7 +55,7 @@ def _grid_eval(
     mode: str,
     qs: np.ndarray,
 ) -> np.ndarray:
-    """Welfare at each grid uptime, -inf where infeasible.
+    """Welfare at each uptime in qs, -inf where infeasible.
 
     For a fixed uptime the required contributions are filled greedily in
     ascending cost order, which is exactly optimal because the objective
@@ -84,39 +85,47 @@ def primal_grid_welfare(
     mode: Literal["first_best", "participation"],
     g: GridSpec = GridSpec(),
 ) -> tuple[float, float, dict[str, float]]:
-    """Grid-search welfare maximum with greedy cost-ordered filling.
+    """Exact welfare maximum over the uptime, with greedy cost-ordered
+    filling.
 
-    Returns (welfare, uptime, contribution level per type id).  Ties on
-    the grid resolve to the lowest uptime.
+    The greedy fill is exact at each uptime Q, so W(Q) is piecewise
+    linear.  It bends only at a type's kink Q = 1/(1 + nu) (participation)
+    and where the need rho·Q crosses the cap sum of a cost-sorted prefix.
+    Between kinks that sum is a line a_k + b_k·Q, so each crossing is a
+    root of rho·Q = a_k + b_k·Q inside its segment.  _grid_eval scores 0,
+    1, the kinks and the roots, and W is linear between them.
+
+    Returns (welfare, uptime, contribution level per type id).  Ties
+    resolve to the lowest uptime.  g is validated but unused.
     """
     if mode not in ("first_best", "participation"):
         raise ValueError("mode must be 'first_best' or 'participation'")
-    lo, hi = 0.0, 1.0
-    best_q = 0.0
-    best_w = -math.inf
-    for _ in range(g.refine_rounds + 1):
-        qs = np.linspace(lo, hi, g.q_points)
-        w = _grid_eval(d, rho, mode, qs)
-        i = int(np.argmax(w))
-        if w[i] > best_w:
-            best_w, best_q = float(w[i]), float(qs[i])
-        h = (hi - lo) / (g.q_points - 1)
-        lo = max(0.0, best_q - 2.0 * h)
-        hi = min(1.0, best_q + 2.0 * h)
-
     order = sorted(d.types, key=lambda t: t.c)
-    q = best_q
+    mass, nu = np.array([(t.mass, t.nu) for t in order]).T
+    # A type past its kink has the cap mass·(1 - Q), any other mass·nu·Q;
+    # in first best every type is past it.  Row s is the segment
+    # [edges[s], edges[s + 1]].
+    kinks = 1.0 / (1.0 + nu) if mode == "participation" else np.zeros(nu.size)
+    edges = np.sort(np.concatenate(([0.0, 1.0], kinks[kinks > 0.0])))
+    full = kinks <= edges[:-1, None]
+    a = np.cumsum(np.where(full, mass, 0.0), axis=1)
+    b = np.cumsum(np.where(full, -mass, mass * nu), axis=1)
+    slope = rho - b
+    roots = np.divide(a, slope, out=np.full_like(a, -1.0), where=slope > 0)
+    inside = (edges[:-1, None] <= roots) & (roots <= edges[1:, None])
+    # Sorted with duplicates kept, so argmax takes the lowest best uptime.
+    qs = np.sort(np.concatenate((edges, roots[inside])))
+    w = _grid_eval(d, rho, mode, qs)
+    i = int(np.argmax(w))
+    q = float(qs[i])
     fills: dict[str, float] = {}
     need = rho * q
     for t in order:
-        if mode == "first_best":
-            cap = t.mass * (1.0 - q)
-        else:
-            cap = t.mass * min(1.0 - q, q * t.nu)
+        cap = t.mass * (1.0 - q if mode == "first_best" else min(1.0 - q, q * t.nu))
         take = min(cap, max(need, 0.0))
         fills[t.id] = take / t.mass if t.mass > 0 else 0.0
         need -= take
-    return best_w, q, fills
+    return float(w[i]), q, fills
 
 
 _MAX_PIVOTS = 20000

@@ -11,8 +11,8 @@ statistical check, not an exact one.
 Both engines draw their randomness in numpy blocks, each sized to the
 draws a run is still expected to need and at most ``_BLOCK``, and loop
 in Python once per repair cycle, never once per arrival.  Memory does
-not grow with the horizon beyond the per-cycle lifespan and downtime
-lists.
+not grow with the horizon beyond the per-cycle lifespans and downtimes,
+8 bytes each in ``array("d")`` buffers.
 
 - Poisson: ``np.random.SeedSequence(seed).spawn(4)`` gives four child
   streams, drawing in turn the arrival gaps, the type uniforms, the
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterator, Mapping, Sequence
 
@@ -49,7 +50,7 @@ _WARMUP_LIFESPANS = 10.0
 _Z95 = 1.959963984540054
 # Most arrivals (Poisson) or repair cycles (fluid) drawn per block.  Each
 # block holds about ten arrays of this length at once, which sets the
-# engines' memory beyond the per-cycle lists.
+# engines' memory beyond the per-cycle buffers.
 _BLOCK = 2048
 
 
@@ -157,13 +158,12 @@ def _binomial_ci(successes: int, n: int) -> float:
     return _Z95 * math.sqrt(max(p_adj * (1.0 - p_adj), 0.0) / n_adj)
 
 
-def _cycle_ci(lifespans: list[float], downs: list[float], q_hat: float) -> float:
+def _cycle_ci(lifespans: array, downs: array, q_hat: float) -> float:
     n = min(len(lifespans), len(downs))
     if n < 2:
         return 0.5
-    ls = np.array(lifespans[:n])
-    ds = np.array(downs[:n])
-    cycles = ls + ds
+    ls = np.frombuffer(lifespans, count=n)
+    cycles = ls + np.frombuffer(downs, count=n)
     mean_cycle = float(cycles.mean())
     if mean_cycle <= 0.0:
         return 0.5
@@ -172,11 +172,11 @@ def _cycle_ci(lifespans: list[float], downs: list[float], q_hat: float) -> float
     return _Z95 * sd / (mean_cycle * math.sqrt(n))
 
 
-def _lifespan_flag(lifespans: list[float], mean_target: float) -> bool:
+def _lifespan_flag(lifespans: array, mean_target: float) -> bool:
     n = len(lifespans)
     if n < 2:
         return True
-    arr = np.array(lifespans)
+    arr = np.frombuffer(lifespans)
     se = float(arr.std(ddof=1)) / math.sqrt(n)
     return abs(float(arr.mean()) - mean_target) <= 4.0 * se + 1e-12
 
@@ -319,8 +319,7 @@ def _run_poisson(
     uses = np.zeros(n, dtype=np.int64)
     contribs = np.zeros(n, dtype=np.int64)
     working_time = 0.0
-    lifespans: list[float] = []
-    downs: list[float] = []
+    lifespans, downs = array("d"), array("d")  # per cycle, in the window
     use_ok = con_ok = True
 
     working = True
@@ -503,8 +502,7 @@ def simulate_fluid(
 
     t = 0.0
     working_time = 0.0
-    lifespans: list[float] = []
-    downs: list[float] = []
+    lifespans, downs = array("d"), array("d")  # per cycle, in the window
     use_ok = con_ok = True
     done = False
     while not done:
@@ -531,8 +529,8 @@ def simulate_fluid(
         working_time = float(np.cumsum(np.concatenate(([working_time], seg)))[-1])
 
         breaks, fixes = ends[:s:2], ends[1:s:2]
-        lifespans += dur[:s:2][breaks >= w_start].tolist()
-        downs += dur[1:s:2][fixes >= w_start].tolist()
+        lifespans.frombytes(dur[:s:2][breaks >= w_start].tobytes())
+        downs.frombytes(dur[1:s:2][fixes >= w_start].tobytes())
         none = np.empty(0)
         block_use_ok, block_con_ok = _admissible(
             breaks, fixes, none, none, True, fixes_contribute=False

@@ -235,8 +235,8 @@ ORACLE_CHECK_BYTES = {
     ("EX1", "0.5"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "13.6785714286,13.6785714285,3.64295260624e-11\n"
-        "13.6785714286,13.6785714285,3.64099861372e-11\n"
+        "13.6785714286,13.6785714286,0\n"
+        "13.6785714286,13.6785714286,-1.95399252334e-14\n"
         "13.6785714286,13.6785714286,3.5527136788e-15\n",
     ),
     ("EX1", "1"): (
@@ -249,36 +249,36 @@ ORACLE_CHECK_BYTES = {
     ("EX1", "2.5"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "6.43181818182,6.4318181818,1.71826997075e-11\n"
-        "6.43181818182,6.4318181818,1.71684888528e-11\n"
+        "6.43181818182,6.43181818182,8.881784197e-16\n"
+        "6.43181818182,6.43181818182,-1.33226762955e-14\n"
         "6.43181818182,6.43181818182,-8.881784197e-16\n",
     ),
     ("EX1", "5.5"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "2.15,2.15,3.00026670175e-12\n"
-        "1.96428571429,1.96428571428,1.69664282623e-12\n"
+        "2.15,2.15,-1.7763568394e-15\n"
+        "1.96428571429,1.96428571429,-1.70974345792e-14\n"
         "0.977272727273,0.977272727273,-2.22044604925e-16\n",
     ),
     ("EX2", "0.5"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "1.02222222222,1.02222222222,4.08872935509e-12\n"
-        "0.901960784314,0.901960784311,2.52253773425e-12\n"
+        "1.02222222222,1.02222222222,-2.22044604925e-16\n"
+        "0.901960784314,0.901960784314,-2.55351295664e-15\n"
         "0.870056497175,0.870056497175,-3.33066907388e-16\n",
     ),
     ("EX2", "1"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "0.516666666667,0.516666666667,-9.99200722163e-16\n"
-        "0.35632183908,0.356321839077,2.99038571683e-12\n"
+        "0.516666666667,0.516666666667,0\n"
+        "0.35632183908,0.35632183908,-2.22044604925e-15\n"
         "0.266666666667,0.266666666667,2.22044604925e-16\n",
     ),
     ("EX2", "2.5"): (
         0,
         "W_solver,W_oracle,delta\n"
         "0,0,0\n"
-        "0,4.03896783473e-28,-4.03896783473e-28\n"
+        "0,0,0\n"
         "0,0,0\n",
     ),
     ("EX2", "5.5"): (

@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,10 @@ from upkeep import (
     primal_grid_welfare,
     simulate_fluid,
     simulate_poisson,
+    solve_first_best,
+    solve_participation,
     solve_screening,
+    welfare,
 )
 import upkeep.oracle
 from upkeep.oracle import (
@@ -133,6 +137,49 @@ def test_oracle_never_beats_solver():
         w_part, _, _ = primal_grid_welfare(d, rho, "participation")
         assert w_fb <= solve_first_best(d, rho).W_fb + 1e-8
         assert w_part <= solve_participation(d, rho).W_star + 1e-8
+
+
+def test_primal_oracle_is_exact():
+    # 1000 distributions of the four kinds, up to 40 types and four of
+    # 400, masses scaled by 1e-6 to 1e6, rho from 1e-3 to 1e3 times the
+    # mass: the oracle finds each solver's optimum.  W_fb = u_bar - rho y
+    # rounds off about an ulp of u_bar, which reads as an error when W is
+    # near 0, so first best is compared with its mechanism's welfare.
+    rng = np.random.default_rng(2033)
+    for k in range(1000):
+        kind = KINDS[k % 4]
+        n = 400 if k % 251 == 0 else int(rng.integers(2 if kind == "zero_mass" else 1, 41))
+        d = kinded_distribution(rng, kind, n)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        d = TypeDistribution(tuple(AgentType(t.id, t.u, t.c, t.mass * scale) for t in d.types))
+        rho = d.total_mass * 10.0 ** rng.uniform(-3.0, 3.0)
+        for mode, ref in (
+            ("first_best", welfare(solve_first_best(d, rho).mechanism, d)),
+            ("participation", solve_participation(d, rho).W_star),
+        ):
+            w, _, _ = primal_grid_welfare(d, rho, mode)
+            assert abs(w - ref) <= 1e-12 * max(1.0, abs(ref)), (k, mode, w, ref)
+    # Participation's optimum at A's kink 1/3.3, off every grid point: W
+    # rises at slope 1.5 while A's cap grows as 2.3 Q, and falls at slope
+    # -11.7 once it shrinks as 1 - Q and B, at cost 5, fills the rest.
+    d = TypeDistribution((AgentType("A", 2.3, 1.0, 1.0), AgentType("B", 5.0, 5.0, 1.0)))
+    w, q, fills = primal_grid_welfare(d, 3.0, "participation")
+    assert q == 1.0 / 3.3 and abs(w - 1.5 / 3.3) <= 1e-15
+    assert abs(w - solve_participation(d, 3.0).W_star) <= 1e-15
+    assert fills["A"] == pytest.approx(1.0 - q, abs=1e-15)
+
+
+def test_primal_oracle_memory_at_400_types():
+    # candidates are O(n) uptimes, scored in one (n, O(n)) block: about
+    # 16 MB traced at n = 400
+    d = kinded_distribution(np.random.default_rng(7), "plain", 400)
+    tracemalloc.start()
+    try:
+        primal_grid_welfare(d, 0.2 * d.total_mass, "participation")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6, peak
 
 
 def test_menu_grid_trivials():
