@@ -20,6 +20,7 @@ from .model import (
     DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
+    welfare,
 )
 
 
@@ -40,32 +41,12 @@ class FirstBestSolution:
     rho: float
 
 
-def fb_threshold_gap(y: float, d: TypeDistribution, rho: float) -> float:
-    """Net value of raising the cost threshold to y.
-
-    Strictly decreasing in y and positive at 0, so its unique root is the
-    optimal threshold.
-    """
-    surplus = d.u_bar - rho * y
-    covered = sum(t.mass * max(y - t.c, 0.0) for t in d.types)
-    return surplus - covered
-
-
-def fb_dual_value(y: float, d: TypeDistribution, rho: float) -> float:
-    """Upper envelope of the two sides of the threshold equation.
-
-    Convex in y and minimized at the optimal threshold, where it equals
-    first-best welfare.
-    """
-    return max(d.u_bar - rho * y, sum(t.mass * max(y - t.c, 0.0) for t in d.types))
-
-
 def solve_first_best(
     d: TypeDistribution, rho: float, tol: float = 1e-9
 ) -> FirstBestSolution:
     """Solve the physical-constraints-only problem.
 
-    fb_dual_value is the upper envelope of the limit line u_bar - rho * y
+    The dual is the upper envelope of the limit line u_bar - rho * y
     and one line per prefix of the cost-sorted types, y -> sum of
     mass * (y - c) over the prefix.  The envelope walk (envelope.walk)
     minimizes it exactly, and the crossing of its final pair is the
@@ -94,11 +75,10 @@ def solve_first_best(
     P = {t.id: 1.0 - Q_fb if t.id in contributing else 0.0 for t in d.types}
     mechanism = Mechanism(Q=Q_fb, R={t.id: Q_fb for t in d.types}, P=P)
 
-    W_fb = d.u_bar - rho * y_fb
     return FirstBestSolution(
         y_fb=y_fb,
         Q_fb=Q_fb,
-        W_fb=W_fb,
+        W_fb=welfare(mechanism, d),
         mechanism=mechanism,
         iterations=iterations,
         rho=rho,

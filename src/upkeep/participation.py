@@ -8,13 +8,17 @@ piecewise linear in the cost threshold (kinks at the cost atoms).  So
 the dual, the Lagrangian's maximum over the uptime, is the upper
 envelope of finitely many lines in the threshold: one per kink uptime
 and prefix of the cost-sorted types, plus the Q = 1 limit.  The
-envelope walk minimizes it exactly, and the uptime is then pinned on the
-maximizer face by driving the balance residual to zero.
+envelope walk minimizes it exactly.  Each line's slope is also a balance
+residual: the prefix's saturated contributions minus the breakage rate.
+So the uptime is pinned on the maximizer face by reading the residuals
+without and with the types at the threshold off two columns of the same
+table, and finding where they bracket zero.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
@@ -83,86 +87,18 @@ class OrderedTypesReport:
         )
 
 
-def reduced_lagrangian(Q: float, y: float, d: TypeDistribution, rho: float) -> float:
-    """Value of uptime Q when fixing the machine is worth y per repair.
-
-    Concave in Q for fixed y; convex piecewise linear in y for fixed Q.
-    """
-    total = Q * (d.u_bar - rho * y)
-    one_minus = 1.0 - Q
-    for t in d.types:
-        gain = y - t.c
-        if gain > 0.0 and t.mass > 0.0:
-            total += t.mass * min(one_minus, Q * t.nu) * gain
-    return total
-
-
-def _cap_sum(Q: float, y: float, d: TypeDistribution, strict: bool) -> float:
-    total = 0.0
-    one_minus = 1.0 - Q
-    for t in d.types:
-        included = t.c < y if strict else t.c <= y
-        if included and t.mass > 0.0:
-            total += t.mass * min(one_minus, Q * t.nu)
-    return total
-
-
-def _residual_minus(Q: float, y: float, d: TypeDistribution, rho: float) -> float:
-    return _cap_sum(Q, y, d, strict=True) - rho * Q
-
-
-def _residual_plus(Q: float, y: float, d: TypeDistribution, rho: float) -> float:
-    return _cap_sum(Q, y, d, strict=False) - rho * Q
-
-
-def argmax_face(y: float, d: TypeDistribution, rho: float) -> tuple[float, float, float]:
-    """Maximizer interval of Q for a fixed threshold y.
-
-    The reduced Lagrangian is linear between kinks, so the maximum over
-    [0, 1] is attained on the kink partition; ties span a flat face.
-    Returns (face_lo, face_hi, max_value).
-    """
-    pts = kink_uptimes(d)
-    vals = [reduced_lagrangian(q, y, d, rho) for q in pts]
-    vmax = max(vals)
-    tol = _FACE_RTOL * max(1.0, abs(vmax))
-    sel = [q for q, v in zip(pts, vals) if v >= vmax - tol]
-    return min(sel), max(sel), vmax
-
-
-def inner_max_Q(y: float, d: TypeDistribution, rho: float) -> tuple[float, float]:
-    """Maximize the reduced Lagrangian over uptime for a fixed threshold.
-
-    Exact on the kink partition; returns the smallest maximizer and the
-    maximum value.
-    """
-    lo, _, value = argmax_face(y, d, rho)
-    return lo, value
-
-
-def slater_gap(d: TypeDistribution, rho: float) -> float:
-    """Largest achievable slack in the balance condition.
-
-    Maximizes aggregate saturated contributions minus the breakage rate
-    over the kink partition.  A positive value certifies that the dual
-    minimum is attained at a finite threshold.
-    """
-    best = -math.inf
-    for q in kink_uptimes(d):
-        g = _cap_sum(q, math.inf, d, strict=True) - rho * q
-        if g > best:
-            best = g
-    return best
-
-
 def _kink_lines(
     kinks: list[float], d: TypeDistribution, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """reduced_lagrangian at each kink q as the maximum of lines W + y * S
-    over prefixes of the cost-sorted types, which add mass * cap * (y - c)
-    with cap = min(1 - q, q * nu): one row per kink, one column per
-    prefix, the empty prefix first.  The last row, at q = 1, is the
-    limit line u_bar - rho * y.
+    """The reduced Lagrangian at each kink q as the maximum of lines
+    W + y * S over prefixes of the cost-sorted types, which add
+    mass * cap * (y - c) with cap = min(1 - q, q * nu): one row per kink,
+    one column per prefix, the empty prefix first.  The last row, at
+    q = 1, is the limit line u_bar - rho * y.
+
+    S[i, j] is also the balance residual at kink i when the j cheapest
+    types contribute their caps and no other type contributes, and the
+    last column holds the fully saturated slack and welfare.
     """
     by_cost = sorted(d.types, key=lambda t: t.c)
     nu, mass, c = np.array([(1.0, 0.0, 0.0)] + [(t.nu, t.mass, t.c) for t in by_cost]).T
@@ -183,80 +119,55 @@ def _interval_leq(fa: float, fb: float, a: float, b: float, eps: float):
 
 
 def _smallest_balanced_q(
-    y: float,
-    d: TypeDistribution,
-    rho: float,
-    hull_lo: float,
-    hull_hi: float,
-    kinks: list[float],
-    eps: float,
+    qs: list[float], rm: list[float], rp: list[float], eps: float
 ) -> float | None:
-    """Smallest Q in [hull_lo, hull_hi] whose balance interval brackets 0.
-
-    With marginal rationing at a cost atom equal to y, the achievable
-    residual at Q spans [r_minus(Q), r_plus(Q)]; both are linear between
-    kinks, so each segment is solved in closed form.
+    """Smallest Q in [qs[0], qs[-1]] whose residual bracket
+    [rm(Q), rp(Q)] holds 0, given rm and rp at the kinks qs; both are
+    linear between kinks, so each segment is solved in closed form.  A
+    face of one kink is the segment [qs[0], qs[0]].
     """
-    pts = [hull_lo]
-    pts += [k for k in kinks if hull_lo < k < hull_hi]
-    pts.append(hull_hi)
-    segments = (
-        [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-        if len(pts) > 1
-        else [(hull_lo, hull_lo)]
-    )
-    for a, b in segments:
-        rm_a = _residual_minus(a, y, d, rho)
-        rp_a = _residual_plus(a, y, d, rho)
-        if a == b:
-            if rm_a <= eps and rp_a >= -eps:
-                return a
-            continue
-        rm_b = _residual_minus(b, y, d, rho)
-        rp_b = _residual_plus(b, y, d, rho)
-        lo1 = _interval_leq(rm_a, rm_b, a, b, eps)
-        lo2 = _interval_leq(-rp_a, -rp_b, a, b, eps)
+    for i, k in [(i, i + 1) for i in range(len(qs) - 1)] or [(0, 0)]:
+        a, b = qs[i], qs[k]
+        lo1 = _interval_leq(rm[i], rm[k], a, b, eps)
+        lo2 = _interval_leq(-rp[i], -rp[k], a, b, eps)
         if lo1 is None or lo2 is None:
             continue
         left = max(lo1[0], lo2[0])
-        right = min(lo1[1], lo2[1])
-        if left <= right:
+        if left <= min(lo1[1], lo2[1]):
             return left
     return None
 
 
-def _saturated_welfare(Q: float, d: TypeDistribution) -> float:
-    total = 0.0
-    for t in d.types:
-        total += t.mass * (Q * t.u - min(1.0 - Q, Q * t.nu) * t.c)
-    return total
-
-
 def _solve_infinite_branch(
-    d: TypeDistribution, rho: float, tol: float
+    d: TypeDistribution,
+    rho: float,
+    tol: float,
+    kinks: list[float],
+    W: np.ndarray,
+    S: np.ndarray,
 ) -> ParticipationSolution:
     # Every balanced feasible point saturates all caps; the feasible
-    # uptimes are the zero set of the slack function, an interval [0, qbar].
-    kinks = kink_uptimes(d)
+    # uptimes are the zero set of the slack function, an interval
+    # [0, qbar].  Slack and welfare are the table's full-prefix columns,
+    # both linear between kinks.
     eps = tol * max(1.0, rho, d.total_mass)
-    qbar = 0.0
-    for a, b in zip(kinks, kinks[1:]):
-        ga = _cap_sum(a, math.inf, d, True) - rho * a
-        gb = _cap_sum(b, math.inf, d, True) - rho * b
-        if gb >= -eps:
-            qbar = b
-            continue
-        if ga >= -eps:
-            qbar = a if abs(ga - gb) < 1e-300 else a + ga * (b - a) / (ga - gb)
-        break
-    candidates = [0.0] + [k for k in kinks if 0.0 < k < qbar] + ([qbar] if qbar > 0 else [])
-    best_q = 0.0
-    best_w = _saturated_welfare(0.0, d)
-    for q in candidates:
-        w = _saturated_welfare(q, d)
-        if w > best_w + eps:
-            best_q, best_w = q, w
-    Q = best_q
+    g, w = S[:, -1].tolist(), W[:, -1].tolist()
+    k = next((i for i, gi in enumerate(g) if gi < -eps), None)
+    if k is None:
+        qbar, w_bar = kinks[-1], w[-1]
+    else:
+        # ga >= -eps > gb, so ga - gb > 0.
+        a, b, ga, gb = kinks[k - 1], kinks[k], g[k - 1], g[k]
+        qbar = a + ga * (b - a) / (ga - gb)
+        w_bar = w[k - 1] + (qbar - a) * (w[k] - w[k - 1]) / (b - a)
+    candidates = [(0.0, w[0])]
+    candidates += [(q, wq) for q, wq in zip(kinks[1:], w[1:]) if q < qbar]
+    if qbar > 0:
+        candidates.append((qbar, w_bar))
+    Q, best_w = candidates[0]
+    for q, wq in candidates:
+        if wq > best_w + eps:
+            Q, best_w = q, wq
     P = {t.id: min(1.0 - Q, Q * t.nu) for t in d.types}
     mech = Mechanism(Q=Q, R={t.id: Q for t in d.types}, P=P)
     classes = _classify(mech, d, tol)
@@ -296,11 +207,13 @@ def solve_participation(
     Every line of the dual is scored once (_kink_lines).  When some line
     has slack above tol, the envelope walk (envelope.walk) minimizes the
     dual, and the crossing of its final pair is the threshold, snapped to
-    a cost atom within rounding.  The uptime is then pinned on the
-    maximizer face by driving the balance residual to zero exactly, with
-    marginal rationing if a cost atom sits at the threshold.  Otherwise
-    the threshold is infinite and the solution is the welfare-best fully
-    saturated balanced point.
+    a cost atom within rounding.  The uptime is the smallest on the
+    maximizer face where the balance residual without the threshold's
+    types is <= 0 and with them is >= 0; both residuals are columns of
+    the table.  The threshold's types then share one contribution
+    fraction that balances exactly.  Otherwise the threshold is infinite
+    and the solution is the welfare-best fully saturated balanced point,
+    read off the table's full-prefix column.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
@@ -313,7 +226,7 @@ def solve_participation(
     W, S = _kink_lines(kinks, d, rho)
     slack_scale = max(1.0, rho, d.total_mass)
     if S.max() <= tol * slack_scale:
-        return _solve_infinite_branch(d, rho, tol)
+        return _solve_infinite_branch(d, rho, tol, kinks, W, S)
 
     # The walk sees the rows below Q = 1; flat index -1 is then the last
     # line of the Q = 1 row, which is the limit line.
@@ -326,31 +239,57 @@ def solve_participation(
             y_star = t.c
             break
 
+    # The types rationed at the threshold are those with costs in
+    # [lo_c, hi_c]: the cost atom at y_star, if any.  A pair on one kink
+    # crosses at a mix of the costs its prefixes differ by, which is an
+    # atom in exact arithmetic; where the walk's tolerance leaves the
+    # crossing off every atom, the band spans the mix's costs instead.
+    by_cost = sorted(d.types, key=lambda t: t.c)
+    costs = [t.c for t in by_cost]
+    (pos_row, pos_col), (neg_row, neg_col) = (
+        divmod(i % W.size, W.shape[1]) for i in (pos, neg)
+    )
+    lo_c = hi_c = y_star
+    if pos_row == neg_row and y_star not in costs:
+        band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
+        lo_c, hi_c = min(band), max(band)
+    j_lt, j_le = bisect_left(costs, lo_c), bisect_right(costs, hi_c)
+
     # The maximizer face at y_star from the per-kink maxima, widened to
-    # hold the final pair's kinks.
+    # hold the final pair's kinks.  Columns j_lt and j_le are the balance
+    # residuals without and with the band's types.
     top = (W + y_star * S).max(axis=1)
     vmax = float(top.max())
-    face = [q for q, v in zip(kinks, top) if v >= vmax - _FACE_RTOL * max(1.0, abs(vmax))]
-    face += [kinks[i // W.shape[1]] for i in (pos, neg)]
-    hull_lo, hull_hi = min(face), max(face)
+    face = np.flatnonzero(top >= vmax - _FACE_RTOL * max(1.0, abs(vmax))).tolist()
+    face += [pos_row, neg_row]
+    rows = slice(min(face), max(face) + 1)
     eps = _SCAN_RTOL * slack_scale
-    Q_star = _smallest_balanced_q(y_star, d, rho, hull_lo, hull_hi, kinks, eps)
+    Q_star = _smallest_balanced_q(
+        kinks[rows], S[rows, j_lt].tolist(), S[rows, j_le].tolist(), eps
+    )
     if Q_star is None:
         raise RuntimeError("no balanced uptime found on the maximizer face")
 
-    rm = _residual_minus(Q_star, y_star, d, rho)
-    rp = _residual_plus(Q_star, y_star, d, rho)
+    # The residuals at Q_star, summed in type order rather than read off
+    # the table's cost-ordered sums: frac amplifies their rounding.
+    below = upto = 0.0
+    for t in d.types:
+        if t.mass > 0.0 and t.c <= hi_c:
+            cap = t.mass * min(1.0 - Q_star, Q_star * t.nu)
+            upto += cap
+            if t.c < lo_c:
+                below += cap
+    rm, rp = below - rho * Q_star, upto - rho * Q_star
     frac = 0.0
     if rp - rm > eps:
         frac = min(max(-rm / (rp - rm), 0.0), 1.0)
 
-    scale_y = max(1.0, y_star)
     P: dict[str, float] = {}
     for t in d.types:
         cap = min(1.0 - Q_star, Q_star * t.nu)
-        if abs(t.c - y_star) <= ATOM_SNAP * scale_y:
+        if lo_c <= t.c <= hi_c:
             P[t.id] = cap * frac
-        elif t.c < y_star:
+        elif t.c < lo_c:
             P[t.id] = cap
         else:
             P[t.id] = 0.0

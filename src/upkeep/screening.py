@@ -183,33 +183,6 @@ def bounded_monopoly_solve(
     return MenuSolution(r=r, p=p, value=best_value)
 
 
-def ic_lagrangian(
-    Q: float, y: float, d: TypeDistribution, rho: float
-) -> tuple[float, InnerMenu]:
-    """Relaxed value of uptime Q at repair value y over screening menus.
-
-    For interior Q the problem normalizes to a bounded-payment sale with
-    valuations scaled by Q / (1 - Q), surplus weights mass * c, and a net
-    payment coefficient of mass * (y - c).  At Q of 0 or 1 the trade
-    surface degenerates and the all-zero menu value is returned.
-    """
-    zero = InnerMenu(
-        r={t.id: 0.0 for t in d.types}, p={t.id: 0.0 for t in d.types}
-    )
-    if Q <= 0.0 or Q >= 1.0:
-        return -rho * Q * y, zero
-    ratio = Q / (1.0 - Q)
-    order = sorted(d.types, key=lambda t: t.nu)
-    vals = [(t.nu * ratio, t.mass * t.c, t.mass * y) for t in order]
-    sol = bounded_monopoly_solve(vals, cap=1.0)
-    value = (1.0 - Q) * sol.value - rho * Q * y
-    menu = InnerMenu(
-        r={t.id: ri for t, ri in zip(order, sol.r)},
-        p={t.id: pi for t, pi in zip(order, sol.p)},
-    )
-    return value, menu
-
-
 @dataclass(frozen=True)
 class _Line:
     """Uptime Q and a normalized menu with welfare W and balance slack
@@ -468,11 +441,11 @@ def solve_screening(
     """Solve the designer's problem under participation and truthful
     reporting.
 
-    The dual g(y) = max over Q of ic_lagrangian(Q, y) is the upper
-    envelope of finitely many lines W + y * S, one per kink menu plus
-    the Q -> 1 limit (W = u_bar, S = -rho).  All kink lines are scored
-    once into one table (_kink_table), and each evaluation of g is one
-    numpy maximum over it.  The cutting-plane walk (envelope.walk)
+    The dual g(y), the relaxed Lagrangian's maximum over Q and menus, is
+    the upper envelope of finitely many lines W + y * S, one per kink
+    menu plus the Q -> 1 limit (W = u_bar, S = -rho).  All kink lines
+    are scored once into one table (_kink_table), and each evaluation of
+    g is one numpy maximum over it.  The cutting-plane walk (envelope.walk)
     minimizes g, each evaluation being one step, and mixing the (Q, R, P)
     points of its final pair so that S = 0 gives an optimal balanced
     mechanism.  Only the final pair's menus are assigned buyer by buyer.

@@ -1,0 +1,132 @@
+"""Plain-Python references that the solvers are tested against.
+
+Each is a direct loop over the types, written from the model's
+definitions and not from the solvers' tables, so agreement between the
+two is evidence for both.
+"""
+
+from __future__ import annotations
+
+import math
+
+from upkeep import TypeDistribution, bounded_monopoly_solve
+from upkeep.model import kink_uptimes
+from upkeep.screening import InnerMenu
+
+_FACE_RTOL = 1e-12
+
+
+def fb_threshold_gap(y: float, d: TypeDistribution, rho: float) -> float:
+    """Net value of raising the first-best cost threshold to y.
+
+    Strictly decreasing in y and positive at 0, so its unique root is the
+    optimal threshold.
+    """
+    surplus = d.u_bar - rho * y
+    covered = sum(t.mass * max(y - t.c, 0.0) for t in d.types)
+    return surplus - covered
+
+
+def fb_dual_value(y: float, d: TypeDistribution, rho: float) -> float:
+    """Upper envelope of the two sides of the first-best threshold
+    equation.
+
+    Convex in y and minimized at the optimal threshold, where it equals
+    first-best welfare.
+    """
+    return max(d.u_bar - rho * y, sum(t.mass * max(y - t.c, 0.0) for t in d.types))
+
+
+def reduced_lagrangian(Q: float, y: float, d: TypeDistribution, rho: float) -> float:
+    """Participation's value of uptime Q when fixing the machine is worth
+    y per repair.
+
+    Concave in Q for fixed y; convex piecewise linear in y for fixed Q.
+    """
+    total = Q * (d.u_bar - rho * y)
+    one_minus = 1.0 - Q
+    for t in d.types:
+        gain = y - t.c
+        if gain > 0.0 and t.mass > 0.0:
+            total += t.mass * min(one_minus, Q * t.nu) * gain
+    return total
+
+
+def _cap_sum(Q: float, y: float, d: TypeDistribution, strict: bool) -> float:
+    total = 0.0
+    one_minus = 1.0 - Q
+    for t in d.types:
+        included = t.c < y if strict else t.c <= y
+        if included and t.mass > 0.0:
+            total += t.mass * min(one_minus, Q * t.nu)
+    return total
+
+
+def balance_residual_at(
+    Q: float, y: float, d: TypeDistribution, rho: float, strict: bool
+) -> float:
+    """Saturated contributions of the types with cost below y (strict)
+    or at most y, minus the breakage rate, at uptime Q."""
+    return _cap_sum(Q, y, d, strict) - rho * Q
+
+
+def argmax_face(y: float, d: TypeDistribution, rho: float) -> tuple[float, float, float]:
+    """Maximizer interval of Q for a fixed threshold y.
+
+    The reduced Lagrangian is linear between kinks, so the maximum over
+    [0, 1] is attained on the kink partition; ties span a flat face.
+    Returns (face_lo, face_hi, max_value).
+    """
+    pts = kink_uptimes(d)
+    vals = [reduced_lagrangian(q, y, d, rho) for q in pts]
+    vmax = max(vals)
+    tol = _FACE_RTOL * max(1.0, abs(vmax))
+    sel = [q for q, v in zip(pts, vals) if v >= vmax - tol]
+    return min(sel), max(sel), vmax
+
+
+def inner_max_Q(y: float, d: TypeDistribution, rho: float) -> tuple[float, float]:
+    """Maximize the reduced Lagrangian over uptime for a fixed threshold.
+
+    Exact on the kink partition; returns the smallest maximizer and the
+    maximum value.
+    """
+    lo, _, value = argmax_face(y, d, rho)
+    return lo, value
+
+
+def slater_gap(d: TypeDistribution, rho: float) -> float:
+    """Largest achievable slack in the balance condition.
+
+    Maximizes aggregate saturated contributions minus the breakage rate
+    over the kink partition.  A positive value certifies that the dual
+    minimum is attained at a finite threshold.
+    """
+    return max(balance_residual_at(q, math.inf, d, rho, True) for q in kink_uptimes(d))
+
+
+def ic_lagrangian(
+    Q: float, y: float, d: TypeDistribution, rho: float
+) -> tuple[float, InnerMenu]:
+    """Relaxed value of uptime Q at repair value y over screening menus.
+
+    For interior Q the problem normalizes to a bounded-payment sale with
+    valuations scaled by Q / (1 - Q), surplus weights mass * c, and a net
+    payment coefficient of mass * (y - c).  At Q of 0 or 1 the trade
+    surface degenerates and the all-zero menu value is returned.
+    """
+    zero = InnerMenu(
+        r={t.id: 0.0 for t in d.types}, p={t.id: 0.0 for t in d.types}
+    )
+    if Q <= 0.0 or Q >= 1.0:
+        return -rho * Q * y, zero
+    ratio = Q / (1.0 - Q)
+    order = sorted(d.types, key=lambda t: t.nu)
+    vals = [(t.nu * ratio, t.mass * t.c, t.mass * y) for t in order]
+    sol = bounded_monopoly_solve(vals, cap=1.0)
+    value = (1.0 - Q) * sol.value - rho * Q * y
+    menu = InnerMenu(
+        r={t.id: ri for t, ri in zip(order, sol.r)},
+        p={t.id: pi for t, pi in zip(order, sol.p)},
+    )
+    return value, menu

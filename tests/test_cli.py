@@ -235,7 +235,7 @@ ORACLE_CHECK_BYTES = {
     ("EX1", "0.5"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "13.6785714286,13.6785714286,0\n"
+        "13.6785714286,13.6785714286,-1.7763568394e-15\n"
         "13.6785714286,13.6785714286,-1.95399252334e-14\n"
         "13.6785714286,13.6785714286,3.5527136788e-15\n",
     ),
@@ -249,14 +249,14 @@ ORACLE_CHECK_BYTES = {
     ("EX1", "2.5"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "6.43181818182,6.43181818182,8.881784197e-16\n"
+        "6.43181818182,6.43181818182,0\n"
         "6.43181818182,6.43181818182,-1.33226762955e-14\n"
         "6.43181818182,6.43181818182,-8.881784197e-16\n",
     ),
     ("EX1", "5.5"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "2.15,2.15,-1.7763568394e-15\n"
+        "2.15,2.15,-8.881784197e-16\n"
         "1.96428571429,1.96428571429,-1.70974345792e-14\n"
         "0.977272727273,0.977272727273,-2.22044604925e-16\n",
     ),
@@ -270,7 +270,7 @@ ORACLE_CHECK_BYTES = {
     ("EX2", "1"): (
         0,
         "W_solver,W_oracle,delta\n"
-        "0.516666666667,0.516666666667,0\n"
+        "0.516666666667,0.516666666667,1.11022302463e-16\n"
         "0.35632183908,0.35632183908,-2.22044604925e-15\n"
         "0.266666666667,0.266666666667,2.22044604925e-16\n",
     ),
@@ -297,6 +297,23 @@ def test_oracle_check_bytes_are_pinned(tmp_path, capsys, table, rho):
     inp.write_text({"EX1": EX1, "EX2": EX2}[table], encoding="utf-8")
     code = main(["--mode", "oracle-check", "--rho", rho, "--input", str(inp)])
     assert (code, capsys.readouterr().out) == ORACLE_CHECK_BYTES[table, rho]
+
+
+def test_oracle_check_passes_where_first_best_welfare_is_zero(tmp_path, capsys):
+    # Nobody contributes at this rho, so first-best welfare is 0; written
+    # as u_bar - rho * y_fb it rounded to 7.5e-9 and failed the check.
+    inp = tmp_path / "types.csv"
+    inp.write_text(
+        "id,u,c,mass\n"
+        "T0,47.14591043780509,6.545506848830684,132615.1427425927\n"
+        "T1,35.23975454752297,4.892514591402649,1130225.69032588\n",
+        encoding="utf-8",
+    )
+    code = main(["--mode", "oracle-check", "--rho", "684545301.1098939", "--input", str(inp)])
+    assert (code, capsys.readouterr().out) == (
+        EXIT_OK,
+        "W_solver,W_oracle,delta\n0,0,0\n0,0,0\n0,0,0\n",
+    )
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -7,8 +7,6 @@ from upkeep import (
     AgentType,
     TypeDistribution,
     check_feasible,
-    fb_dual_value,
-    inner_max_Q,
     primal_grid_welfare,
     solve_first_best,
     solve_participation,
@@ -17,8 +15,14 @@ from upkeep import (
 )
 from upkeep.envelope import walk
 from upkeep.model import kink_uptimes
-from upkeep.participation import _kink_lines, reduced_lagrangian
+from upkeep.participation import _kink_lines
 from conftest import KINDS, kinded_distribution
+from reference import (
+    balance_residual_at,
+    fb_dual_value,
+    inner_max_Q,
+    reduced_lagrangian,
+)
 
 
 def _envelope(W, S, limit, y):
@@ -78,6 +82,29 @@ def test_kink_lines_match_reduced_lagrangian(kind):
             for q, v in zip(kinks, top):
                 ref = reduced_lagrangian(q, float(y), d, rho)
                 assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kink_line_slopes_are_balance_residuals(kind):
+    # Column j of S is the residual when the j cheapest types contribute
+    # their caps: below y it is column #{c < y}, up to y column #{c <= y}.
+    rng = np.random.default_rng(53)
+    tied = 0
+    for n in (2, 6, 15):
+        d = kinded_distribution(rng, kind, n)
+        rho = float(d.total_mass * rng.uniform(0.1, 3.0))
+        kinks = kink_uptimes(d)
+        _, S = _kink_lines(kinks, d, rho)
+        costs = np.sort([t.c for t in d.types])
+        ys = np.concatenate((costs, (costs[1:] + costs[:-1]) / 2.0))
+        scale = 1e-12 * max(1.0, rho, d.total_mass)
+        for y in ys.tolist():
+            j_lt, j_le = int(np.sum(costs < y)), int(np.sum(costs <= y))
+            tied += j_le - j_lt > 1
+            for q, r_lt, r_le in zip(kinks, S[:, j_lt], S[:, j_le]):
+                assert abs(r_lt - balance_residual_at(q, y, d, rho, True)) <= scale
+                assert abs(r_le - balance_residual_at(q, y, d, rho, False)) <= scale
+    assert (tied > 0) == (kind == "tied_cost")
 
 
 def _extreme_instance(rng):

@@ -5,13 +5,12 @@ from upkeep import (
     AgentType,
     TypeDistribution,
     check_feasible,
-    fb_dual_value,
-    fb_threshold_gap,
     primal_grid_welfare,
     solve_first_best,
     welfare,
 )
-from conftest import random_distribution
+from conftest import KINDS, kinded_distribution, random_distribution
+from reference import fb_dual_value, fb_threshold_gap
 
 
 def test_threshold_gap_values(lmh):
@@ -133,3 +132,21 @@ def test_walk_stops_when_rounding_lifts_a_pair_member():
     assert sol.y_fb == pytest.approx(2.1445356272531284, rel=1e-15)
     assert sol.Q_fb == 0.0
     assert all(p == 0.0 for p in sol.mechanism.P.values())
+
+
+def test_large_mass_welfare_is_the_mechanisms():
+    # With masses of 1e4 to 1e6 and rho up to 1e3 times the total mass,
+    # u_bar - rho * y_fb cancels to an ulp of u_bar, which can be negative
+    # or far from the oracle; the mechanism's own welfare cannot.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d = kinded_distribution(rng, KINDS[seed % 4], int(rng.integers(2, 9)))
+        scales = 10.0 ** rng.uniform(4.0, 6.0, len(d.types))
+        d = TypeDistribution(
+            tuple(AgentType(t.id, t.u, t.c, t.mass * s) for t, s in zip(d.types, scales))
+        )
+        rho = d.total_mass * 10.0 ** float(rng.uniform(0.0, 3.0))
+        sol = solve_first_best(d, rho)
+        oracle = primal_grid_welfare(d, rho, "first_best")[0]
+        assert sol.W_fb >= 0.0
+        assert abs(sol.W_fb - oracle) <= 1e-12 * max(1.0, abs(sol.W_fb))

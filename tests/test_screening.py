@@ -9,7 +9,6 @@ from upkeep import (
     TypeDistribution,
     bounded_monopoly_solve,
     check_feasible,
-    ic_lagrangian,
     lp_screening_welfare,
     menu_grid_oracle,
     solve_first_best,
@@ -18,6 +17,7 @@ from upkeep import (
     verify_structure,
 )
 from conftest import KINDS, kinded_distribution, random_distribution
+from reference import ic_lagrangian
 from upkeep.model import kink_uptimes
 from upkeep.screening import _kink_table, _row_line
 
