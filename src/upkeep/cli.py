@@ -230,7 +230,7 @@ def _classes_ic(sol: ScreeningSolution) -> dict[str, str]:
 def _run_solver_mode(cfg: RunConfig, d: TypeDistribution) -> list[str]:
     rho = float(cfg.rho)
     if cfg.mode == "fb":
-        sol = solve_first_best(d, rho, cfg.tol)
+        sol = solve_first_best(d, rho)
         return _mechanism_lines(d, sol.mechanism, _classes_fb(sol, d), sol.y_fb, rho)
     if cfg.mode == "part":
         sol = solve_participation(d, rho, cfg.tol)
@@ -264,7 +264,7 @@ def _run_simulate(cfg: RunConfig, text: str) -> list[str]:
 
 
 def _sweep_row(d: TypeDistribution, rho: float, tol: float, include_ic: bool) -> str:
-    fb = solve_first_best(d, rho, tol)
+    fb = solve_first_best(d, rho)
     part = solve_participation(d, rho, tol)
     cells = [
         fmt(rho),
@@ -292,7 +292,7 @@ def _run_sweep(cfg: RunConfig, d: TypeDistribution) -> list[str]:
 def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], bool]:
     rho = float(cfg.rho)
     pairs = (
-        (solve_first_best(d, rho, cfg.tol).W_fb, primal_grid_welfare(d, rho, "first_best")[0]),
+        (solve_first_best(d, rho).W_fb, primal_grid_welfare(d, rho, "first_best")[0]),
         (
             solve_participation(d, rho, cfg.tol).W_star,
             primal_grid_welfare(d, rho, "participation")[0],

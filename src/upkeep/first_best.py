@@ -41,9 +41,7 @@ class FirstBestSolution:
     rho: float
 
 
-def solve_first_best(
-    d: TypeDistribution, rho: float, tol: float = 1e-9
-) -> FirstBestSolution:
+def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
     """Solve the physical-constraints-only problem.
 
     The dual is the upper envelope of the limit line u_bar - rho * y
@@ -51,10 +49,8 @@ def solve_first_best(
     mass * (y - c) over the prefix.  The envelope walk (envelope.walk)
     minimizes it exactly, and the crossing of its final pair is the
     threshold.  Uptime then follows in closed form from the balance
-    condition.  tol is validated but not used: the walk needs none.
+    condition.  The walk is exact, so no tolerance is taken.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and > 0")
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
     if d.total_mass <= 0:

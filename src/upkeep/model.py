@@ -80,10 +80,6 @@ class TypeDistribution:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    @classmethod
-    def of(cls, types: Iterable[AgentType]) -> "TypeDistribution":
-        return cls(tuple(types))
-
     @property
     def total_mass(self) -> float:
         return sum(t.mass for t in self.types)
@@ -97,10 +93,6 @@ class TypeDistribution:
     def c_bar(self) -> float:
         """Aggregate contribution cost of a fully contributing group."""
         return sum(t.mass * t.c for t in self.types)
-
-    @property
-    def max_cost(self) -> float:
-        return max(t.c for t in self.types)
 
     @property
     def ids(self) -> tuple[str, ...]:

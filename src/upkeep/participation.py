@@ -326,7 +326,7 @@ def classify_interval(
                 f"{a.id!r} -> {b.id!r}"
             )
 
-    fb = solve_first_best(d, sol.rho, tol)
+    fb = solve_first_best(d, sol.rho)
     bound_idx = [i for i, t in enumerate(order) if sol.classes[t.id] == "BOUND"]
     bound_ids = tuple(order[i].id for i in bound_idx)
     contiguous = (

@@ -14,9 +14,11 @@ Every candidate menu at every kink is scored once, into one table of
 lines.  Buyers sorted by nu stay sorted at every kink, and a menu
 {out, (r0, r0 * lo), (1, 1)} sends the buyers below lo out, those in
 [lo, hi) to the low tier and those from hi up to the top tier, ties
-going to the seller-preferred bundle.  So each menu's revenue and welfare
-come from two cut indices and prefix sums of mass, mass * u and
-mass * c: O(n^2) numpy work per kink, in blocks of kinks.
+going to the seller-preferred bundle whatever the buyer's mass, so tied
+valuations share a bundle.  Each menu's revenue and welfare then come
+from cut indices and prefix sums of mass, mass * u and mass * c: O(n^2)
+numpy work per kink, in blocks of kinks.  One function (_cuts) finds
+those indices, for the table and for the final menus alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from .envelope import walk
 from .model import (
     DEFAULT_TOL,
-    AgentType,
     DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
@@ -60,14 +61,6 @@ class MenuSolution:
     r: tuple[float, ...]
     p: tuple[float, ...]
     value: float
-
-
-@dataclass(frozen=True)
-class InnerMenu:
-    """Normalized menu keyed by type id."""
-
-    r: Mapping[str, float]
-    p: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -185,21 +178,22 @@ def bounded_monopoly_solve(
 
 @dataclass(frozen=True)
 class _Line:
-    """Uptime Q and a normalized menu with welfare W and balance slack
-    S = sum(mass * P) - rho * Q; in the dual it is the line y -> W + y * S."""
+    """Uptime Q and a normalized menu (r, p), in d.types order, with
+    welfare W and balance slack S = sum(mass * P) - rho * Q; in the dual
+    it is the line y -> W + y * S."""
 
     W: float
     S: float
     Q: float
-    menu: InnerMenu
+    r: np.ndarray
+    p: np.ndarray
 
 
-def _line(Q: float, menu: InnerMenu, d: TypeDistribution, rho: float) -> _Line:
-    R = {t.id: Q * menu.r[t.id] for t in d.types}
-    P = {t.id: (1.0 - Q) * menu.p[t.id] for t in d.types}
-    W = sum(t.mass * (R[t.id] * t.u - P[t.id] * t.c) for t in d.types)
-    S = sum(t.mass * P[t.id] for t in d.types) - rho * Q
-    return _Line(W=W, S=S, Q=Q, menu=menu)
+def _line(Q: float, r: np.ndarray, p: np.ndarray, d: TypeDistribution, rho: float) -> _Line:
+    R, P = (Q * r).tolist(), ((1.0 - Q) * p).tolist()
+    W = sum(t.mass * (Ri * t.u - Pi * t.c) for t, Ri, Pi in zip(d.types, R, P))
+    S = sum(t.mass * Pi for t, Pi in zip(d.types, P)) - rho * Q
+    return _Line(W=W, S=S, Q=Q, r=r, p=p)
 
 
 class _KinkTable(NamedTuple):
@@ -215,7 +209,8 @@ class _KinkTable(NamedTuple):
     its kink's padded valuations pad = (0, v_1, ..., v_n, 1), v sorted
     ascending: hi = -1 is the posted price min(pad[lo], 1), otherwise the
     menu has its low atom at pad[lo] and its high atom at pad[hi]; lo = -1
-    is the opt-out alone.
+    is the opt-out alone.  nu holds the valuations sorted ascending, and
+    rank[j] is the place of d.types[j] among them.
     """
 
     W: np.ndarray
@@ -224,7 +219,43 @@ class _KinkTable(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     qs: np.ndarray
-    order: tuple[AgentType, ...]
+    nu: np.ndarray
+    rank: np.ndarray
+
+
+def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
+    """(r, pay, cut, top0, top1): who takes which bundle of each menu.
+
+    Buyers are sorted by nu, and a menu at kink k sees the valuations
+    ratio[k] * nu.  The menus are posted prices low or, given high,
+    two-atom menus with atoms low and high; k, low and high hold one
+    entry per menu, or are scalars for one menu.  In nu order the buyers
+    in [0, top0) opt out, those in [top0, cut) and [top1, n) take the top
+    tier (1, 1), and those in [cut, top1) take (r, pay); a posted price
+    has top0 = cut and top1 = n.
+
+    A buyer takes (r, pay) iff r * (v - low) clears the tie tolerance
+    eps, in favour of (r, pay) when it charges something, and then the
+    top tier iff that is within eps of its best utility so far.  So ties
+    go to the seller-preferred bundle whatever the buyer's mass, and tied
+    valuations share a bundle.  Each test is monotone in v, so it is a
+    cut index into the sorted buyers, found by searchsorted in nu-space.
+    """
+    eps = 1e-12 * np.maximum(1.0, ratio * nu[-1])
+    e, scale = eps[k], ratio[k]
+    r = 1.0 if high is None else (high - 1.0) / (high - low)
+    pay = r * low
+    slack = e / r
+    cut = nu.searchsorted(np.where(pay > 0.0, low - slack, low + slack) / scale)
+    if high is None:
+        return np.ones_like(pay), pay, cut, cut, np.full_like(cut, nu.size)
+    # The top tier takes the buyers from top1 up among those past the cut
+    # (v >= high, less eps over the slope 1 - r, and v >= 1 - eps), and
+    # those from top0 to the cut among the rest (v >= 1 - eps).
+    to_top = np.maximum(1.0 - e, high - e * (high - low) / (1.0 - low))
+    top0 = np.minimum(nu.searchsorted((1.0 - eps) / ratio)[k], cut)
+    top1 = np.maximum(cut, nu.searchsorted(to_top / scale))
+    return r, pay, cut, top0, top1
 
 
 def _score_kinks(
@@ -232,64 +263,45 @@ def _score_kinks(
 ) -> tuple[np.ndarray, ...]:
     """(W, S, kink, lo, hi) of every posted price and two-atom menu at a
     block of kinks qs in (0, 1); nu is sorted and cum holds the prefix
-    sums of mass, mass * u and mass * c in that order.
-
-    A buyer takes the low atom (r, r * lo) iff r * (v - lo) clears the
-    tie tolerance eps, on the low atom's side when it charges something;
-    it then takes the top tier (1, 1) iff that is within eps of its best
-    utility so far.  Each test is monotone in v, so it is a cut index
-    into the sorted buyers, found by searchsorted in nu-space.  Between
-    the low atom and the top tier the cut sits at hi, where the two
-    utilities are equal.
+    sums of mass, mass * u and mass * c in that order.  Buyers are
+    assigned by _cuts, so each menu's revenue and welfare are differences
+    of cum at its cut indices.
     """
     k_n, n = qs.size, nu.size
     ratio = qs / (1.0 - qs)
     pad = np.empty((k_n, n + 2))
     pad[:, 0], pad[:, 1:-1], pad[:, -1] = 0.0, ratio[:, None] * nu, 1.0
     v = pad[:, 1:-1]
-    eps = 1e-12 * np.maximum(1.0, v[:, -1])
     # Low atoms are 0 and every v < 1, high atoms every v > 1; an atom at
     # exactly 1 would only repeat the posted price 1.
     low_ok = np.arange(n + 1) <= (v < 1.0).sum(axis=1)[:, None]
     high_ok = np.arange(n + 1) > (v <= 1.0).sum(axis=1)[:, None]
     kq, lo, hi = np.nonzero(low_ok[:, :, None] & high_ok[:, None, :])
-    l, h = pad[kq, lo], pad[kq, hi]
 
     # The rows: every posted price (r = 1, charging min(pad, 1)), then
-    # every pair.  Buyers from `cut` up take the low atom.
-    n_posted = pad.size
-    k = np.concatenate([np.repeat(np.arange(k_n), n + 2), kq])
-    low = np.concatenate([np.minimum(pad, 1.0).ravel(), l])
-    r = np.concatenate([np.ones(n_posted), (h - 1.0) / (h - l)])
-    pay = r * low
-    slack = eps[k] / r
-    cut = np.searchsorted(nu, np.where(pay > 0.0, low - slack, low + slack) / ratio[k])
-    # A pair's top tier takes the buyers from top1 up among those past the
-    # cut (v >= hi, less eps over the slope 1 - r, and v >= 1 - eps), and
-    # those from top0 to the cut among the rest (v >= 1 - eps).
-    e, cut_q = eps[kq], cut[n_posted:]
-    to_top = np.maximum(1.0 - e, h - e * (h - l) / (1.0 - l))
-    out_top = np.searchsorted(nu, (1.0 - eps) / ratio)[kq]
-    top0 = np.concatenate([cut[:n_posted], np.minimum(out_top, cut_q)])
-    top1 = np.concatenate(
-        [np.full(n_posted, n), np.maximum(cut_q, np.searchsorted(nu, to_top / ratio[kq]))]
-    )
+    # every pair.
+    kp, lp = np.divmod(np.arange(pad.size), n + 2)
+    posted = _cuts(nu, ratio, kp, np.minimum(pad, 1.0).ravel())
+    pairs = _cuts(nu, ratio, kq, pad[kq, lo], pad[kq, hi])
+    r, pay, cut, top0, top1 = (np.concatenate(part) for part in zip(posted, pairs))
 
     at_cut, at_top1 = cum[:, cut], cum[:, top1]
     in_low = at_top1 - at_cut
     in_top = (at_cut - cum[:, top0]) + (cum[:, n:] - at_top1)
+    k = np.concatenate([kp, kq])
     q = qs[k]
     rev = (1.0 - q) * (pay * in_low[0] + in_top[0])
     W = q * (r * in_low[1] + in_top[1]) - (1.0 - q) * (pay * in_low[2] + in_top[2])
-    lo = np.concatenate([np.tile(np.arange(n + 2), k_n), lo])
-    hi = np.concatenate([np.full(n_posted, -1), hi])
+    lo = np.concatenate([lp, lo])
+    hi = np.concatenate([np.full(kp.size, -1), hi])
     return W, rev - rho * q, k, lo, hi
 
 
 def _kink_table(d: TypeDistribution, rho: float) -> _KinkTable:
     """Score every candidate menu at every kink, a block of kinks at a
     time; see _score_kinks."""
-    order = tuple(sorted(d.types, key=lambda t: t.nu))
+    by_nu = sorted(range(len(d.types)), key=lambda j: d.types[j].nu)
+    order = [d.types[j] for j in by_nu]
     nu = np.array([t.nu for t in order])
     cum = np.zeros((3, nu.size + 1))
     cum[:, 1:] = np.cumsum([[t.mass, t.mass * t.u, t.mass * t.c] for t in order], axis=0).T
@@ -307,44 +319,35 @@ def _kink_table(d: TypeDistribution, rho: float) -> _KinkTable:
         lo=np.concatenate(lo, dtype=np.int32),
         hi=np.concatenate(hi, dtype=np.int32),
         qs=qs,
-        order=order,
+        nu=nu,
+        rank=np.argsort(by_nu),
     )
 
 
-def _row_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Line:
-    """The line of table row i, from its menu scored buyer by buyer with
-    the seller-preferred tie rule of _score_menu; row -1 is the Q -> 1
-    limit, where everyone has full access for free."""
+def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Line:
+    """The line of table row i, its buyers assigned by _cuts as the table
+    assigned them; row -1 is the Q -> 1 limit, where everyone has full
+    access for free."""
+    n = tab.nu.size
     if i < 0:
-        free = InnerMenu(r={t.id: 1.0 for t in d.types}, p={t.id: 0.0 for t in d.types})
-        return _Line(W=d.u_bar, S=-rho, Q=1.0, menu=free)
-    q = float(tab.qs[tab.kink[i]])
-    lo, hi = int(tab.lo[i]), int(tab.hi[i])
-    ratio = q / (1.0 - q)
-    nus = [t.nu * ratio for t in tab.order]
-    pad = [0.0] + nus + [1.0]
-    out = (0.0, 0.0)
-    if lo < 0:
-        bundles: tuple[tuple[float, float], ...] = (out,)
-    elif hi < 0:
-        bundles = (out, (1.0, min(pad[lo], 1.0)))
-    else:
-        r0 = (pad[hi] - 1.0) / (pad[hi] - pad[lo])
-        bundles = (out, (r0, r0 * pad[lo]), (1.0, 1.0))
-    tie_eps = 1e-12 * max(1.0, max(nus))
-    _, choice = _score_menu(
-        bundles, [(x, 0.0, t.mass) for x, t in zip(nus, tab.order)], tie_eps
-    )
-    menu = InnerMenu(
-        r={t.id: bundles[c][0] for t, c in zip(tab.order, choice)},
-        p={t.id: bundles[c][1] for t, c in zip(tab.order, choice)},
-    )
-    return _line(q, menu, d, rho)
+        return _Line(W=d.u_bar, S=-rho, Q=1.0, r=np.ones(n), p=np.zeros(n))
+    k, lo, hi = int(tab.kink[i]), int(tab.lo[i]), int(tab.hi[i])
+    # (r, p) of each buyer in nu order; the opt-out row sells nothing.
+    bundle = np.zeros((2, n))
+    if lo >= 0:
+        ratio = tab.qs[k : k + 1] / (1.0 - tab.qs[k : k + 1])
+        pad = np.concatenate([[0.0], ratio * tab.nu, [1.0]])
+        atoms = (min(pad[lo], 1.0),) if hi < 0 else (pad[lo], pad[hi])
+        r0, pay, cut, top0, top1 = _cuts(tab.nu, ratio, 0, *atoms)
+        bundle[:, top0:cut] = bundle[:, top1:] = 1.0
+        bundle[0, cut:top1], bundle[1, cut:top1] = r0, pay
+    r, p = bundle[:, tab.rank]
+    return _line(float(tab.qs[k]), r, p, d, rho)
 
 
-def _mix(a: _Line, b: _Line) -> tuple[float, InnerMenu]:
+def _mix(a: _Line, b: _Line) -> tuple[float, np.ndarray, np.ndarray]:
     """The point alpha * a + (1 - alpha) * b in (Q, R, P) with S = 0, as
-    its uptime and normalized menu.
+    its uptime and normalized menu (r, p).
 
     Usage is mixed in uptime shares and contributions in downtime shares,
     so a tier keeps its normalized levels exactly even next to the
@@ -355,26 +358,23 @@ def _mix(a: _Line, b: _Line) -> tuple[float, InnerMenu]:
     down_a, down_b = alpha * (1.0 - a.Q), (1.0 - alpha) * (1.0 - b.Q)
     w_r = up_a / (up_a + up_b) if up_a + up_b > 0.0 else 1.0
     w_p = down_a / (down_a + down_b)
-    r = {tid: w_r * x + (1.0 - w_r) * b.menu.r[tid] for tid, x in a.menu.r.items()}
-    p = {tid: w_p * x + (1.0 - w_p) * b.menu.p[tid] for tid, x in a.menu.p.items()}
-    return up_a + up_b, InnerMenu(r=r, p=p)
+    return up_a + up_b, w_r * a.r + (1.0 - w_r) * b.r, w_p * a.p + (1.0 - w_p) * b.p
 
 
 def _extract_tiers(
-    menu: InnerMenu, d: TypeDistribution
+    r: np.ndarray, p: np.ndarray, d: TypeDistribution
 ) -> tuple[tuple[MenuTier, ...], dict[str, int | None]]:
     key_of: dict[tuple[float, float], int] = {}
     tiers: list[tuple[float, float]] = []
     assignment: dict[str, int | None] = {}
-    for t in d.types:
-        r, p = menu.r[t.id], menu.p[t.id]
-        if r <= 1e-12 and p <= 1e-12:
+    for t, ri, pi in zip(d.types, r.tolist(), p.tolist()):
+        if ri <= 1e-12 and pi <= 1e-12:
             assignment[t.id] = None
             continue
-        key = (round(r, 9), round(p, 9))
+        key = (round(ri, 9), round(pi, 9))
         if key not in key_of:
             key_of[key] = len(tiers)
-            tiers.append((r, p))
+            tiers.append((ri, pi))
         assignment[t.id] = key_of[key]
     order = sorted(range(len(tiers)), key=lambda i: (-tiers[i][0], -tiers[i][1]))
     remap = {old: new for new, old in enumerate(order)}
@@ -388,15 +388,16 @@ def _extract_tiers(
 def _build_solution(
     y_star: float,
     Q: float,
-    menu: InnerMenu,
+    r: np.ndarray,
+    p: np.ndarray,
     d: TypeDistribution,
     rho: float,
     iterations: int,
 ) -> ScreeningSolution:
-    R = {t.id: Q * menu.r[t.id] for t in d.types}
-    P = {t.id: (1.0 - Q) * menu.p[t.id] for t in d.types}
+    R = {t.id: Q * x for t, x in zip(d.types, r.tolist())}
+    P = {t.id: (1.0 - Q) * x for t, x in zip(d.types, p.tolist())}
     mech = Mechanism(Q=Q, R=R, P=P)
-    tiers, assignment = _extract_tiers(menu, d)
+    tiers, assignment = _extract_tiers(r, p, d)
     return ScreeningSolution(
         y_star=y_star,
         Q_star=Q,
@@ -431,8 +432,8 @@ def _solve_infinite_branch(
     for i in rows[1:]:
         if tab.W[i] > tab.W[best] + eps_bal:
             best = i
-    line = _row_line(tab, int(best), d, rho)
-    return _build_solution(math.inf, line.Q, line.menu, d, rho, 0)
+    line = _table_line(tab, int(best), d, rho)
+    return _build_solution(math.inf, line.Q, line.r, line.p, d, rho, 0)
 
 
 def solve_screening(
@@ -448,7 +449,8 @@ def solve_screening(
     g is one numpy maximum over it.  The cutting-plane walk (envelope.walk)
     minimizes g, each evaluation being one step, and mixing the (Q, R, P)
     points of its final pair so that S = 0 gives an optimal balanced
-    mechanism.  Only the final pair's menus are assigned buyer by buyer.
+    mechanism.  The pair's menus are read from the cut indices that
+    scored them in the table, so one tie rule assigns every buyer.
     When no kink menu has slack above tol the dual is unbounded and the
     welfare-best balanced revenue maximizer is returned with y_star = inf.
     """
@@ -468,7 +470,7 @@ def solve_screening(
     # everyone has full access for free: the walk's limit line.
     pos, neg, steps = walk(tab.W, tab.S, (d.u_bar, -rho))
     # The pair's lines from their menus, as the mix uses them.
-    a, b = _row_line(tab, pos, d, rho), _row_line(tab, neg, d, rho)
+    a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
     y = (b.W - a.W) / (a.S - b.S)
     return _build_solution(y, *_mix(a, b), d, rho, steps)
 

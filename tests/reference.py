@@ -8,12 +8,22 @@ two is evidence for both.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Mapping
 
 from upkeep import TypeDistribution, bounded_monopoly_solve
 from upkeep.model import kink_uptimes
-from upkeep.screening import InnerMenu
+from upkeep.screening import _score_menu
 
 _FACE_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class InnerMenu:
+    """Normalized menu keyed by type id."""
+
+    r: Mapping[str, float]
+    p: Mapping[str, float]
 
 
 def fb_threshold_gap(y: float, d: TypeDistribution, rho: float) -> float:
@@ -130,3 +140,37 @@ def ic_lagrangian(
         p={t.id: pi for t, pi in zip(order, sol.p)},
     )
     return value, menu
+
+
+def table_row_menu(
+    tab, i: int, d: TypeDistribution, rho: float
+) -> tuple[float, float, float, InnerMenu]:
+    """(Q, W, S, menu) of the screening kink table's row i, its menu
+    scored buyer by buyer with _score_menu.
+
+    Every buyer breaks ties with unit payment weight, so it takes the
+    bundle that pays the seller more whatever its mass.
+    """
+    q = float(tab.qs[tab.kink[i]])
+    lo, hi = int(tab.lo[i]), int(tab.hi[i])
+    ratio = q / (1.0 - q)
+    order = sorted(d.types, key=lambda t: t.nu)
+    nus = [t.nu * ratio for t in order]
+    pad = [0.0] + nus + [1.0]
+    out = (0.0, 0.0)
+    if lo < 0:
+        bundles: tuple[tuple[float, float], ...] = (out,)
+    elif hi < 0:
+        bundles = (out, (1.0, min(pad[lo], 1.0)))
+    else:
+        r0 = (pad[hi] - 1.0) / (pad[hi] - pad[lo])
+        bundles = (out, (r0, r0 * pad[lo]), (1.0, 1.0))
+    tie_eps = 1e-12 * max(1.0, max(nus))
+    _, choice = _score_menu(bundles, [(x, 0.0, 1.0) for x in nus], tie_eps)
+    menu = InnerMenu(
+        r={t.id: bundles[c][0] for t, c in zip(order, choice)},
+        p={t.id: bundles[c][1] for t, c in zip(order, choice)},
+    )
+    W = sum(t.mass * (q * menu.r[t.id] * t.u - (1.0 - q) * menu.p[t.id] * t.c) for t in d.types)
+    S = sum(t.mass * (1.0 - q) * menu.p[t.id] for t in d.types) - rho * q
+    return q, W, S, menu

@@ -108,8 +108,6 @@ def test_singleton_aggregate_contributions_rise():
 
 def test_degenerate_tolerance_rejected(lmh):
     with pytest.raises(ValueError):
-        solve_first_best(lmh, 5.5, tol=0.0)
-    with pytest.raises(ValueError):
         solve_first_best(lmh, 0.0)
 
 

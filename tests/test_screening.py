@@ -17,9 +17,9 @@ from upkeep import (
     verify_structure,
 )
 from conftest import KINDS, kinded_distribution, random_distribution
-from reference import ic_lagrangian
+from reference import ic_lagrangian, table_row_menu
 from upkeep.model import kink_uptimes
-from upkeep.screening import _kink_table, _row_line
+from upkeep.screening import _kink_table, _table_line
 
 
 def test_bounded_monopoly_two_tier_menu():
@@ -75,13 +75,21 @@ def test_bounded_monopoly_rejects_non_finite_input(vals, cap):
         bounded_monopoly_solve(vals, cap)
 
 
-@pytest.mark.parametrize("solver", [solve_first_best, solve_participation, solve_screening])
+_SOLVERS = (solve_first_best, solve_participation, solve_screening)
+
+
+# solve_first_best takes no tol: its dual walk needs none.
 @pytest.mark.parametrize(
-    "rho, tol", [(math.nan, 1e-9), (math.inf, 1e-9), (1.0, math.nan), (1.0, math.inf)]
+    "rho, tol, solver",
+    [(rho, 1e-9, s) for rho in (math.nan, math.inf) for s in _SOLVERS]
+    + [(1.0, tol, s) for tol in (math.nan, math.inf) for s in _SOLVERS[1:]],
 )
 def test_solvers_reject_non_finite_rho_and_tol(equal_cost, solver, rho, tol):
     with pytest.raises(ValueError):
-        solver(equal_cost, rho, tol)
+        if solver is solve_first_best:
+            solver(equal_cost, rho)
+        else:
+            solver(equal_cost, rho, tol)
 
 
 def test_bounded_monopoly_free_tier_with_negative_weights():
@@ -290,6 +298,28 @@ def _crafted_ties():
     return d
 
 
+def _tied_zero_mass(rng: np.random.Generator, n: int) -> TypeDistribution:
+    # T1 is T0 with u and c doubled, so their valuations tie exactly, and
+    # T1 has no mass: no mass-weighted tie rule can move it.
+    types = list(kinded_distribution(rng, "plain", n).types)
+    t0 = types[0]
+    types[1] = AgentType("T1", 2.0 * t0.u, 2.0 * t0.c, 0.0)
+    return TypeDistribution(tuple(types))
+
+
+def test_tied_valuations_share_a_bundle_at_zero_mass():
+    rng = np.random.default_rng(79)
+    for i in range(300):
+        d = _tied_zero_mass(rng, 2 + i % 5)
+        rho = d.total_mass * float(10 ** rng.uniform(-1.3, 1.3))
+        sol = solve_screening(d, rho)
+        assert verify_structure(sol)
+        assert check_feasible(sol.mechanism, d, rho, tol=1e-8).ok
+        assert sol.assignment["T1"] == sol.assignment["T0"]
+        assert sol.mechanism.R["T1"] == sol.mechanism.R["T0"]
+        assert sol.mechanism.P["T1"] == sol.mechanism.P["T0"]
+
+
 def _table_cases():
     rng = np.random.default_rng(71)
     for kind in KINDS:
@@ -303,22 +333,30 @@ def _table_cases():
     # menu gives L a free partial tier and charges H the cap.
     d = TypeDistribution((AgentType("L", 5.0, 10.0, 1.0), AgentType("H", 1.0, 0.1, 1.0)))
     yield d, 1.0
+    for n in range(2, 7):
+        d = _tied_zero_mass(rng, n)
+        yield d, d.total_mass * float(10 ** rng.uniform(-1.3, 1.3))
 
 
 def test_kink_table_matches_inner_solve_and_menus():
-    # Each table line is checked against the line of its menu assigned
-    # buyer by buyer (_row_line), and each kink's best line at y > 0
-    # against the independent inner solve in ic_lagrangian.
+    # Each table row's buyers, as the solver assigns them (_table_line),
+    # must take exactly the bundles that the buyer-by-buyer reference
+    # gives them, and the row's line must match the reference's; each
+    # kink's best line at y > 0 is checked against the independent inner
+    # solve in ic_lagrangian.
     rng = np.random.default_rng(73)
     free_tier_best = 0
     for d, rho in _table_cases():
         tab = _kink_table(d, rho)
         scale = max(1.0, rho, d.total_mass, d.u_bar, d.c_bar)
         for i in range(tab.W.size):
-            line = _row_line(tab, i, d, rho)
-            assert line.Q == tab.qs[tab.kink[i]]
-            assert abs(line.W - tab.W[i]) <= 1e-12 * scale
-            assert abs(line.S - tab.S[i]) <= 1e-12 * scale
+            q, W, S, menu = table_row_menu(tab, i, d, rho)
+            line = _table_line(tab, i, d, rho)
+            assert line.Q == q
+            assert line.r.tolist() == [menu.r[t.id] for t in d.types]
+            assert line.p.tolist() == [menu.p[t.id] for t in d.types]
+            assert abs(W - tab.W[i]) <= 1e-12 * scale
+            assert abs(S - tab.S[i]) <= 1e-12 * scale
         for y in 10 ** rng.uniform(-2.0, 2.0, 4):
             values = tab.W + y * tab.S
             for k, q in enumerate(tab.qs):
@@ -329,6 +367,18 @@ def test_kink_table_matches_inner_solve_and_menus():
                 free_tier_best += int(tab.lo[best] == 0 and tab.hi[best] >= 0)
     # Some kink's best menu has a free partial tier (low atom at 0).
     assert free_tier_best > 0
+
+
+def test_solve_path_never_scores_menus_buyer_by_buyer(monkeypatch):
+    # The table's cut rule is the only buyer assignment on the solve path.
+    def forbidden(*args):
+        raise AssertionError("_score_menu called on the solve path")
+
+    monkeypatch.setattr("upkeep.screening._score_menu", forbidden)
+    for d, rho in _table_cases():
+        sol = solve_screening(d, rho)
+        assert check_feasible(sol.mechanism, d, rho, tol=1e-8).ok
+        assert verify_structure(sol)
 
 
 @pytest.mark.parametrize("n", [48, 96])
