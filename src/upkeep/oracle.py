@@ -9,9 +9,10 @@ out through balance, and the bounded-payment sale by one LP over direct
 mechanisms with the same truth-telling rows.  Both LPs have only <= rows
 with nonnegative right-hand sides, so one self-contained Bland simplex
 solves them from the slack basis, on a tableau of floats or of
-Fractions: the float answer is checked row by row, and the LP is solved
-again in Fractions when the check fails.  Nothing here is imported from
-the solvers.
+Fractions.  The float answer is checked row by row; when the check
+fails, its final basis is solved again on the original rows, and only
+if that fails too is the LP solved again in Fractions.  Nothing here is
+imported from the solvers.
 """
 
 from __future__ import annotations
@@ -131,10 +132,11 @@ def primal_grid_welfare(
 _MAX_PIVOTS = 20000
 
 
-def _bland(T: np.ndarray, tol: float) -> np.ndarray:
+def _bland(T: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     """Maximize in place over the tableau T = [A | I | b; -obj | 0 | 0]
     of A x <= b, x >= 0 with b >= 0, from the slack basis, by Bland's
-    rule; returns x as floats.
+    rule; returns x as floats and the final basis, the column of
+    [A | I] basic in each row.
 
     T holds floats or Fractions.  The entering column is the first with
     a reduced cost below -tol; the leaving row has the smallest ratio,
@@ -149,7 +151,7 @@ def _bland(T: np.ndarray, tol: float) -> np.ndarray:
             for r, j in enumerate(basis):
                 if j < x.size:
                     x[j] = T[r, -1]
-            return x
+            return x, basis
         col = entering[0]
         f = T[:m, col]
         cand = (f > tol).nonzero()[0]
@@ -179,6 +181,17 @@ def _tableau(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
     return T
 
 
+def _float_simplex(
+    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, tol: float
+) -> tuple[np.ndarray, list[int]]:
+    """_simplex_max's x, with the final basis of _bland."""
+    x, basis = _bland(_tableau(obj, A_ub, b_ub), tol)
+    worst = max(-x.min(initial=0.0), (A_ub @ x - b_ub).max(initial=0.0))
+    if not worst <= 1e-6 * np.abs(b_ub).max(initial=1.0):
+        raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3g})")
+    return x, basis
+
+
 def _simplex_max(
     obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, tol: float
 ) -> tuple[np.ndarray, float]:
@@ -189,10 +202,7 @@ def _simplex_max(
     breaks a row; an x that breaks one by more than 1e-6·max(1, max|b|)
     raises RuntimeError.
     """
-    x = _bland(_tableau(obj, A_ub, b_ub), tol)
-    worst = max(-x.min(initial=0.0), (A_ub @ x - b_ub).max(initial=0.0))
-    if not worst <= 1e-6 * np.abs(b_ub).max(initial=1.0):
-        raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3g})")
+    x, _ = _float_simplex(obj, A_ub, b_ub, tol)
     return x, float(obj @ x)
 
 
@@ -219,20 +229,37 @@ def _exact_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.
     """_simplex_max's problem by _bland in Fractions with no tolerance:
     exact, but slow."""
     T = np.frompyfunc(Fraction, 1, 1)(_tableau(obj, A_ub, b_ub))
-    x = _bland(T, 0)
+    x, _ = _bland(T, 0)
     return x, float(T[-1, -1])
 
 
 def _checked_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, float]:
-    """_simplex_max's problem, by the float simplex if its x breaks no row
-    by more than _SLACK·max(1, max b_ub), else by _exact_max."""
+    """_simplex_max's problem, by the first of three answers whose x
+    breaks no row by more than _SLACK·max(1, max b_ub): the float
+    tableau's x; the same basis solved again on the original rows,
+    [A_ub | I][:, basis] x_B = b_ub, which sheds the error the pivots
+    accumulated; and _exact_max.  An answer that _simplex_max refuses goes
+    straight to _exact_max."""
     try:
-        x, _ = result = _simplex_max(obj, A_ub, b_ub, _LP_TOL)
+        x, basis = _float_simplex(obj, A_ub, b_ub, _LP_TOL)
     except RuntimeError:  # refused as infeasible, or out of pivots
         return _exact_max(obj, A_ub, b_ub)
     # The value errs by about as much as x breaks its rows.
-    if max((A_ub @ x - b_ub).max(), -x.min()) <= _SLACK * max(1.0, b_ub.max()):
-        return result
+    def fits(x: np.ndarray) -> bool:
+        return max((A_ub @ x - b_ub).max(), -x.min()) <= _SLACK * max(1.0, b_ub.max())
+
+    if fits(x):
+        return x, float(obj @ x)
+    m, n = A_ub.shape
+    try:
+        x_B = np.linalg.solve(np.hstack((A_ub, np.eye(m)))[:, basis], b_ub)
+    except np.linalg.LinAlgError:  # a singular basis
+        return _exact_max(obj, A_ub, b_ub)
+    x = np.zeros(n + m)
+    x[basis] = x_B
+    x = x[:n]
+    if fits(x):
+        return x, float(obj @ x)
     return _exact_max(obj, A_ub, b_ub)
 
 

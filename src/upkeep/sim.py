@@ -9,10 +9,15 @@ confidence radii so a round trip against the target mechanism is a
 statistical check, not an exact one.
 
 Both engines draw their randomness in numpy blocks, each sized to the
-draws a run is still expected to need and at most ``_BLOCK``, and loop
-in Python once per repair cycle, never once per arrival.  Memory does
-not grow with the horizon beyond the per-cycle lifespans and downtimes,
-8 bytes each in ``array("d")`` buffers.
+draws a run is still expected to need and at most ``_BLOCK``.  The
+Poisson engine's Python loop takes one bisect per repair cycle, the one
+step that must be sequential (a fix's lifespan places the next break,
+whose first contributing arrival is the next fix); the cycle's
+bookkeeping (break positions, working time, lifespans, downtimes, the
+broken mask and the counts) then comes from arrays.  The fluid engine
+needs no per-cycle step.  Memory does not grow with the horizon beyond
+the per-cycle lifespans and downtimes, 8 bytes each in ``array("d")``
+buffers.
 
 - Poisson: ``np.random.SeedSequence(seed).spawn(4)`` gives four child
   streams, drawing in turn the arrival gaps, the type uniforms, the
@@ -34,9 +39,9 @@ use falls in a working interval and every contribution in a broken one.
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterator, Mapping, Sequence
 
@@ -315,9 +320,9 @@ def _run_poisson(
     w_start = _WARMUP_LIFESPANS / phys.rho
     w_end = w_start + horizon
 
-    arrivals = np.zeros(n, dtype=np.int64)
-    uses = np.zeros(n, dtype=np.int64)
-    contribs = np.zeros(n, dtype=np.int64)
+    # Windowed arrivals per type that neither use nor fix, that use, and
+    # that contribute and fix.
+    tally = np.zeros((3, n), dtype=np.int64)
     working_time = 0.0
     lifespans, downs = array("d"), array("d")  # per cycle, in the window
     use_ok = con_ok = True
@@ -338,71 +343,92 @@ def _run_poisson(
         times = times[:m]
         k = np.minimum(np.searchsorted(cum, u_type[:m], "right"), n - 1)
         u_dec = u_dec[:m]
-        # next_con[i]: the first contributing arrival at or after i, or m.
-        next_con = memoryview(np.minimum.accumulate(
+        # nc[i]: the first contributing arrival at or after i, or m; nc[m] = m.
+        nc = np.minimum.accumulate(
             np.where(u_dec < sig_b[k], np.arange(m), m)[::-1]
-        )[::-1])
-        # Memoryviews index as Python scalars without a list of objects.
-        tl = memoryview(times)
+        )[::-1].tolist() + [m]
+        # A list, since bisecting an array or a memoryview boxes a float
+        # on every probe.
+        tl = times.tolist()
 
-        # One step per break or fix; arrivals in between are skipped.
+        # The one sequential step: a fix draws its lifespan, which places
+        # the next break, whose first contributing arrival is the next fix.
+        # A break falls before the arrivals at its instant, but always
+        # after the arrival that fixed the machine (lo = f + 1), even when
+        # t + lifespan rounds to t.
         starts_working = working
-        break_times: list[float] = []
-        break_pos: list[int] = []
+        head = bisect_left(tl, next_break) if working else 0
         fix_pos: list[int] = []
-        i = 0
-        while True:
-            if working:
-                b = bisect.bisect_left(tl, next_break, i)
-                if b == m and not (done and next_break < w_end):
-                    break
-                a = max(state_since, w_start)
-                if next_break > a:
-                    working_time += next_break - a
-                if next_break >= w_start:
-                    lifespans.append(pending_lifespan)
-                break_times.append(next_break)
-                break_pos.append(b)
-                working, state_since, i = False, next_break, b
-            else:
-                f = next_con[i] if i < m else m
-                if f == m:
-                    break
-                t = tl[f]
-                if t >= w_start:
-                    downs.append(t - state_since)
-                fix_pos.append(f)
-                pending_lifespan = next(lives)
-                next_break = t + pending_lifespan
-                working, state_since, i = True, t, f + 1
+        fix_lives: list[float] = []
+        f = nc[head]
+        while f < m:
+            life = next(lives)
+            fix_pos.append(f)
+            fix_lives.append(life)
+            f = nc[bisect_left(tl, tl[f] + life, f + 1)]
+
+        # Everything else from arrays.  Each working period that may end in
+        # this block has a start, a lifespan, a break time and the position
+        # of the first arrival at or after the break: the carried period
+        # first if the block starts working, then one per fix.
+        fix = np.array(fix_pos, dtype=np.intp)
+        fix_times = times[fix]
+        spans = np.array(fix_lives)
+        brk = fix_times + spans
+        pos = np.maximum(np.searchsorted(times, brk), fix + 1)
+        start = fix_times
+        if starts_working:
+            start = np.concatenate(([state_since], start))
+            spans = np.concatenate(([pending_lifespan], spans))
+            brk = np.concatenate(([next_break], brk))
+            pos = np.concatenate(([head], pos))
+        # Each fix ends the broken period of the break before it.
+        fix_from = np.concatenate(([] if starts_working else [state_since], brk))[: fix.size]
+        ended = brk.size
+        if ended and pos[-1] == m and not (done and brk[-1] < w_end):
+            ended -= 1  # the last period works past this block
+        if ended < brk.size:
+            working, next_break = True, float(brk[-1])
+            pending_lifespan, state_since = float(spans[-1]), float(start[-1])
+        elif ended:
+            working, state_since = False, float(brk[-1])
+        breaks, pos = brk[:ended], pos[:ended]
+
+        a = np.maximum(start[:ended], w_start)
+        seg = (breaks - a)[breaks > a]
+        working_time = float(np.cumsum(np.concatenate(([working_time], seg)))[-1])
+        lifespans.frombytes(spans[:ended][breaks >= w_start].tobytes())
+        downs.frombytes((fix_times - fix_from)[fix_times >= w_start].tobytes())
 
         delta = np.zeros(m + 1, dtype=np.int64)
-        delta[([] if starts_working else [0]) + break_pos] += 1
-        delta[[f + 1 for f in fix_pos] + ([] if working else [m])] -= 1
+        delta[pos] += 1
+        delta[fix + 1] -= 1
+        if not starts_working:
+            delta[0] += 1
         broken = np.cumsum(delta[:m]) > 0
         used = (u_dec < sig_w[k]) & ~broken
-        fixer = np.zeros(m, dtype=bool)
-        fixer[fix_pos] = True
-        in_window = times >= w_start
-        arrivals += np.bincount(k[in_window], minlength=n)
-        uses += np.bincount(k[used & in_window], minlength=n)
-        contribs += np.bincount(k[fixer & in_window], minlength=n)
+        code = used.astype(np.intp)  # the row of tally
+        code[fix] = 2
+        tally += np.bincount((k + n * code)[times >= w_start], minlength=3 * n).reshape(3, n)
 
-        fix_times = times[fix_pos]
         block_use_ok, block_con_ok = _admissible(
-            np.array(break_times), fix_times, times[used], fix_times,
+            breaks, fix_times, times[used], fix_times,
             starts_working, fixes_contribute=True,
         )
         use_ok = use_ok and block_use_ok
         con_ok = con_ok and block_con_ok
         if tr.stream is not None:
-            _emit_poisson(tr, tl, tids[k], broken, used, fixer, break_times, break_pos)
+            _emit_poisson(
+                tr, tl, tids[k], broken, used, code == 2, breaks.tolist(), pos.tolist()
+            )
 
     if working:
         a = max(state_since, w_start)
         if w_end > a:
             working_time += w_end - a
 
+    arrivals = tally.sum(axis=0)
+    _, uses, contribs = tally
     q_hat = working_time / horizon
     r_hat: dict[str, float] = {}
     p_hat: dict[str, float] = {}

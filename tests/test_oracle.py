@@ -835,8 +835,10 @@ def test_screening_oracle_solves_the_joint_lp_seeds():
 
 def test_inexact_screening_lps_are_solved_exactly(monkeypatch):
     # seed 1052's float answer breaks a row by more than 1e-6 and is
-    # refused; seed 1054's breaks one by more than _SLACK allows.  Both
-    # are solved again exactly, and the uptime comes from the exact x.
+    # refused, so it is solved again exactly, and the uptime comes from
+    # the exact x.  Seed 1054's breaks one by more than _SLACK allows; its
+    # final basis, solved again on the original rows, passes the same
+    # check, with no exact solve.
     exact = []
 
     def exact_max(*args):
@@ -847,10 +849,44 @@ def test_inexact_screening_lps_are_solved_exactly(monkeypatch):
     for seed in (1052, 1054):
         d, rho = _joint_lp_instance(seed)
         w, q = lp_screening_welfare(d, rho)
-        assert len(exact) == 1
-        x, value = exact.pop()
-        assert w == value
-        assert abs(q - np.dot([t.mass for t in d.types], x[len(d.types):]) / rho) <= 1e-15
+        if seed == 1052:
+            assert len(exact) == 1
+            x, value = exact.pop()
+            assert w == value
+            assert abs(q - np.dot([t.mass for t in d.types], x[len(d.types):]) / rho) <= 1e-15
+        else:
+            assert not exact
+            value = _exact_max(*_screening_lp(d, rho))[1]
+            assert abs(w - value) <= 1e-15 * max(1.0, abs(w))
         ref = solve_screening(d, rho)
         assert abs(w - ref.W_star) <= 1e-13 * max(1.0, abs(ref.W_star))
         assert abs(q - ref.Q_star) <= 1e-12
+
+
+def _screening_lp(d, rho):
+    """(obj, A_ub, b_ub) that lp_screening_welfare hands to _checked_max."""
+    lps = []
+    checked_max = upkeep.oracle._checked_max
+
+    def record(*args):
+        lps.append(args)
+        return checked_max(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upkeep.oracle, "_checked_max", record)
+        lp_screening_welfare(d, rho)
+    (lp,) = lps
+    return lp
+
+
+def test_singular_basis_falls_back_to_the_exact_solve(monkeypatch):
+    # with the basis solve raising, seed 1054 takes _exact_max's answer
+    d, rho = _joint_lp_instance(1054)
+    obj, A_ub, b_ub = _screening_lp(d, rho)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    w, _ = lp_screening_welfare(d, rho)
+    assert w == _exact_max(obj, A_ub, b_ub)[1]

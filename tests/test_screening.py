@@ -320,6 +320,11 @@ def test_tied_valuations_share_a_bundle_at_zero_mass():
         assert sol.mechanism.P["T1"] == sol.mechanism.P["T0"]
 
 
+# At L's kink (scaled valuations 1 and 20) and 0.5 < y < 9.5 the best
+# menu gives L a free partial tier and charges H the cap.
+FREE_TIER = TypeDistribution((AgentType("L", 5.0, 10.0, 1.0), AgentType("H", 1.0, 0.1, 1.0)))
+
+
 def _table_cases():
     rng = np.random.default_rng(71)
     for kind in KINDS:
@@ -329,10 +334,7 @@ def _table_cases():
     d = _crafted_ties()
     for f in (0.05, 0.3, 1.0, 5.0):
         yield d, f * d.total_mass
-    # At L's kink (scaled valuations 1 and 20) and 0.5 < y < 9.5 the best
-    # menu gives L a free partial tier and charges H the cap.
-    d = TypeDistribution((AgentType("L", 5.0, 10.0, 1.0), AgentType("H", 1.0, 0.1, 1.0)))
-    yield d, 1.0
+    yield FREE_TIER, 1.0
     for n in range(2, 7):
         d = _tied_zero_mass(rng, n)
         yield d, d.total_mass * float(10 ** rng.uniform(-1.3, 1.3))
@@ -357,7 +359,12 @@ def test_kink_table_matches_inner_solve_and_menus():
             assert line.p.tolist() == [menu.p[t.id] for t in d.types]
             assert abs(W - tab.W[i]) <= 1e-12 * scale
             assert abs(S - tab.S[i]) <= 1e-12 * scale
-        for y in 10 ** rng.uniform(-2.0, 2.0, 4):
+        ys = 10 ** rng.uniform(-2.0, 2.0, 4)
+        if d is FREE_TIER:
+            # a y where L's kink has its free tier, wherever the shared
+            # draws land
+            ys = np.append(ys, 2.0)
+        for y in ys:
             values = tab.W + y * tab.S
             for k, q in enumerate(tab.qs):
                 rows = np.flatnonzero(tab.kink == k)

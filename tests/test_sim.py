@@ -429,6 +429,35 @@ def test_break_wins_a_tie_with_an_arrival():
         assert arrival[:2] == [t, "ARRIVAL"] and arrival[3] == "B"
 
 
+def test_break_at_its_fix_instant_falls_after_the_fix():
+    # Gaps of 1e17 and a deterministic unit lifespan give t + 1 == t: each
+    # break lands on the instant of the fix before it, yet falls after
+    # that fix's arrival and before the next one.
+    d = TypeDistribution((AgentType("A", 1.0, 1.0, 1.0),))
+    pol = build_policy(Mechanism(Q=0.5, R={"A": 0.5}, P={"A": 0.25}))
+    phys = PhysicalParams(1.0, lifespan="deterministic")
+    n, horizon = 2000, 1e20
+    u = np.random.default_rng(4).random((2, n))
+    arrays = (np.full(n, 1e17), u[0], u[1], np.empty(0))
+    assert 1e17 + 1.0 == 1e17
+    buf = io.StringIO()
+    stats = _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), buf)
+    working, arrivals, uses, contribs, n_breaks = _reference_poisson(
+        pol, d, phys, horizon, *arrays
+    )
+    assert (stats.n_breaks, stats.n_arrivals, stats.n_uses, stats.n_fixes) == (
+        n_breaks, arrivals[0], uses[0], contribs[0]
+    )
+    assert stats.n_breaks > 100 and stats.n_arrivals > 500
+    assert stats.Q_hat == working / horizon
+    lines = buf.getvalue().splitlines()[1:]
+    fixes = [i for i, line in enumerate(lines) if "\tFIX\t" in line]
+    assert len(fixes) == stats.n_fixes
+    for i in fixes:
+        t = lines[i].split("\t")[0]
+        assert lines[i + 1].split("\t")[:2] == [t, "BREAK"]
+
+
 def _hexed(stats):
     def hexed(x):
         if isinstance(x, float):
