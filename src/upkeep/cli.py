@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .first_best import FirstBestSolution, solve_first_best
+from .first_best import FirstBestSolution, _first_best_at, _prefix_lines, solve_first_best
 from .model import (
     AgentType,
     DegenerateDistributionError,
@@ -25,8 +25,8 @@ from .model import (
     balance_residual,
 )
 from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
-from .participation import solve_participation
-from .screening import ScreeningSolution, solve_screening
+from .participation import _kink_lines, _participation_at, solve_participation
+from .screening import ScreeningSolution, _kink_table, _screening_at, solve_screening
 from .sim import build_policy, simulate_fluid, simulate_poisson
 
 EXIT_OK = 0
@@ -263,30 +263,24 @@ def _run_simulate(cfg: RunConfig, text: str) -> list[str]:
     return lines
 
 
-def _sweep_row(d: TypeDistribution, rho: float, tol: float, include_ic: bool) -> str:
-    fb = solve_first_best(d, rho)
-    part = solve_participation(d, rho, tol)
-    cells = [
-        fmt(rho),
-        fmt(fb.y_fb),
-        fmt(fb.Q_fb),
-        fmt(fb.W_fb),
-        fmt(part.y_star),
-        fmt(part.Q_star),
-        fmt(part.W_star),
-    ]
-    if include_ic:
-        ic = solve_screening(d, rho, tol)
-        cells += [fmt(ic.y_star), fmt(ic.Q_star), fmt(ic.W_star)]
-    return ",".join(cells)
-
-
 def _run_sweep(cfg: RunConfig, d: TypeDistribution) -> list[str]:
-    rhos = cfg.rho_grid.values()
+    # rho enters each solver's dual lines only through their slopes, so
+    # each table is built once and every grid point only walks it.
+    fb_lines, part_lines = _prefix_lines(d), _kink_lines(d)
+    ic_table = _kink_table(d) if cfg.include_ic else None
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
     if cfg.include_ic:
         header += ",y_ic,Q_ic,W_ic"
-    return [header] + [_sweep_row(d, r, cfg.tol, cfg.include_ic) for r in rhos]
+    lines = [header]
+    for rho in cfg.rho_grid.values():
+        fb = _first_best_at(fb_lines, d, rho)
+        part = _participation_at(part_lines, d, rho, cfg.tol)
+        cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
+        if ic_table is not None:
+            ic = _screening_at(ic_table, d, rho, cfg.tol)
+            cells += [ic.y_star, ic.Q_star, ic.W_star]
+        lines.append(",".join(map(fmt, cells)))
+    return lines
 
 
 def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], bool]:

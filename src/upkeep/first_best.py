@@ -49,17 +49,30 @@ def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
     mass * (y - c) over the prefix.  The envelope walk (envelope.walk)
     minimizes it exactly, and the crossing of its final pair is the
     threshold.  Uptime then follows in closed form from the balance
-    condition.  The walk is exact, so no tolerance is taken.
+    condition.  The walk is exact, so no tolerance is taken.  The prefix
+    lines do not involve rho (_prefix_lines); only the walk does
+    (_first_best_at).
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
+    return _first_best_at(_prefix_lines(d), d, rho)
 
+
+def _prefix_lines(d: TypeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(W, S) of the empty prefix and each prefix of the cost-sorted types."""
     by_cost = sorted(d.types, key=lambda t: t.c)
     # A massless first row gives the empty prefix's line.
     mass, c = np.array([(0.0, 0.0)] + [(t.mass, t.c) for t in by_cost]).T
-    W, S = -np.cumsum(mass * c), np.cumsum(mass)
+    return -np.cumsum(mass * c), np.cumsum(mass)
+
+
+def _first_best_at(
+    lines: tuple[np.ndarray, np.ndarray], d: TypeDistribution, rho: float
+) -> FirstBestSolution:
+    """solve_first_best at rho from d's prefix lines, for a checked rho."""
+    W, S = lines
     # Every prefix line has S >= 0, so the pair's neg is the limit line.
     pos, _, iterations = walk(W, S, (d.u_bar, -rho))
     y_fb = float((d.u_bar - W[pos]) / (S[pos] + rho))

@@ -10,9 +10,11 @@ envelope of finitely many lines in the threshold: one per kink uptime
 and prefix of the cost-sorted types, plus the Q = 1 limit.  The
 envelope walk minimizes it exactly.  Each line's slope is also a balance
 residual: the prefix's saturated contributions minus the breakage rate.
-So the uptime is pinned on the maximizer face by reading the residuals
-without and with the types at the threshold off two columns of the same
-table, and finding where they bracket zero.
+The lines' welfare and saturated contributions do not involve the
+breakage rate, so one table serves every rate.  The uptime is pinned on
+the maximizer face by reading the residuals without and with the types
+at the threshold off two columns of the same table, and finding where
+they bracket zero.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
 
@@ -87,14 +89,27 @@ class OrderedTypesReport:
         )
 
 
-def _kink_lines(
-    kinks: list[float], d: TypeDistribution, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
+class _KinkLines(NamedTuple):
+    """The dual's lines at the kinks of kink_uptimes (see _kink_lines):
+    welfare W and covered caps C, so that the slopes at rho are
+    S = C - rho * q."""
+
+    kinks: list[float]
+    W: np.ndarray
+    C: np.ndarray
+
+    def slack(self, rho: float) -> np.ndarray:
+        return self.C - rho * np.array(self.kinks)[:, None]
+
+
+def _kink_lines(d: TypeDistribution) -> _KinkLines:
     """The reduced Lagrangian at each kink q as the maximum of lines
     W + y * S over prefixes of the cost-sorted types, which add
     mass * cap * (y - c) with cap = min(1 - q, q * nu): one row per kink,
     one column per prefix, the empty prefix first.  The last row, at
-    q = 1, is the limit line u_bar - rho * y.
+    q = 1, is the limit line u_bar - rho * y.  Neither W nor the covered
+    caps C, the prefix sums of mass * cap, involve rho; the slopes are
+    S = C - rho * q.
 
     S[i, j] is also the balance residual at kink i when the j cheapest
     types contribute their caps and no other type contributes, and the
@@ -102,9 +117,11 @@ def _kink_lines(
     """
     by_cost = sorted(d.types, key=lambda t: t.c)
     nu, mass, c = np.array([(1.0, 0.0, 0.0)] + [(t.nu, t.mass, t.c) for t in by_cost]).T
+    kinks = kink_uptimes(d)
     q = np.array(kinks)[:, None]
     covered = mass * np.minimum(1.0 - q, q * nu)
-    return q * d.u_bar - np.cumsum(covered * c, axis=1), np.cumsum(covered, axis=1) - rho * q
+    W = q * d.u_bar - np.cumsum(covered * c, axis=1)
+    return _KinkLines(kinks, W, np.cumsum(covered, axis=1))
 
 
 def _interval_leq(fa: float, fb: float, a: float, b: float, eps: float):
@@ -204,13 +221,14 @@ def solve_participation(
 ) -> ParticipationSolution:
     """Solve the designer's problem under participation constraints.
 
-    Every line of the dual is scored once (_kink_lines).  When some line
-    has slack above tol, the envelope walk (envelope.walk) minimizes the
-    dual, and the crossing of its final pair is the threshold, snapped to
-    a cost atom within rounding.  The uptime is the smallest on the
-    maximizer face where the balance residual without the threshold's
-    types is <= 0 and with them is >= 0; both residuals are columns of
-    the table.  The threshold's types then share one contribution
+    Every line of the dual is scored once (_kink_lines), independently of
+    rho, and the solve at rho (_participation_at) forms their slopes.
+    When some line has slack above tol, the envelope walk (envelope.walk)
+    minimizes the dual, and the crossing of its final pair is the
+    threshold, snapped to a cost atom within rounding.  The uptime is the
+    smallest on the maximizer face where the balance residual without the
+    threshold's types is <= 0 and with them is >= 0; both residuals are
+    columns of the table.  The threshold's types then share one contribution
     fraction that balances exactly.  Otherwise the threshold is infinite
     and the solution is the welfare-best fully saturated balanced point,
     read off the table's full-prefix column.
@@ -221,9 +239,14 @@ def solve_participation(
         raise ValueError("rho must be finite and > 0")
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
+    return _participation_at(_kink_lines(d), d, rho, tol)
 
-    kinks = kink_uptimes(d)
-    W, S = _kink_lines(kinks, d, rho)
+
+def _participation_at(
+    lines: _KinkLines, d: TypeDistribution, rho: float, tol: float
+) -> ParticipationSolution:
+    """solve_participation at rho from d's lines, for checked arguments."""
+    kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
     slack_scale = max(1.0, rho, d.total_mass)
     if S.max() <= tol * slack_scale:
         return _solve_infinite_branch(d, rho, tol, kinks, W, S)

@@ -11,7 +11,10 @@ lines, which a cutting-plane walk minimizes exactly; mixing the two lines
 active at the minimum balances the mechanism.
 
 Every candidate menu at every kink is scored once, into one table of
-lines.  Buyers sorted by nu stay sorted at every kink, and a menu
+lines.  Each row keeps its welfare W, its revenue and its kink, none of
+which involves rho, so one table serves every breakage rate: a solve at
+rho forms the slack S = revenue - rho * Q and walks.  Buyers sorted by
+nu stay sorted at every kink, and a menu
 {out, (r0, r0 * lo), (1, 1)} sends the buyers below lo out, those in
 [lo, hi) to the low tier and those from hi up to the top tier, ties
 going to the seller-preferred bundle whatever the buyer's mass, so tied
@@ -197,8 +200,10 @@ def _line(Q: float, r: np.ndarray, p: np.ndarray, d: TypeDistribution, rho: floa
 
 
 class _KinkTable(NamedTuple):
-    """Every candidate menu at every kink uptime Q < 1, as the line
-    y -> W + y * S with S = revenue - rho * Q.
+    """Every candidate menu at every kink uptime Q < 1: its welfare W,
+    its revenue rev and its kink, the index of its uptime Q in qs.  At a
+    breakage rate rho the row is the line y -> W + y * S with
+    S = rev - rho * Q (slack); none of the stored columns involves rho.
 
     Row 0 is Q = 0, where every menu sells nothing.  Then, one block of
     kinks at a time, come the block's posted prices and then its two-atom
@@ -214,13 +219,20 @@ class _KinkTable(NamedTuple):
     """
 
     W: np.ndarray
-    S: np.ndarray
+    rev: np.ndarray
     kink: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     qs: np.ndarray
     nu: np.ndarray
     rank: np.ndarray
+
+    def slack(self, rho: float) -> np.ndarray:
+        """S = rev - rho * Q of every row, formed in one new array; row 0
+        has Q = 0 and S = 0."""
+        S = self.qs[self.kink]
+        S *= rho
+        return np.subtract(self.rev, S, out=S)
 
 
 def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
@@ -259,9 +271,9 @@ def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
 
 
 def _score_kinks(
-    qs: np.ndarray, nu: np.ndarray, cum: np.ndarray, rho: float
+    qs: np.ndarray, nu: np.ndarray, cum: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """(W, S, kink, lo, hi) of every posted price and two-atom menu at a
+    """(W, rev, kink, lo, hi) of every posted price and two-atom menu at a
     block of kinks qs in (0, 1); nu is sorted and cum holds the prefix
     sums of mass, mass * u and mass * c in that order.  Buyers are
     assigned by _cuts, so each menu's revenue and welfare are differences
@@ -294,10 +306,10 @@ def _score_kinks(
     W = q * (r * in_low[1] + in_top[1]) - (1.0 - q) * (pay * in_low[2] + in_top[2])
     lo = np.concatenate([lp, lo])
     hi = np.concatenate([np.full(kp.size, -1), hi])
-    return W, rev - rho * q, k, lo, hi
+    return W, rev, k, lo, hi
 
 
-def _kink_table(d: TypeDistribution, rho: float) -> _KinkTable:
+def _kink_table(d: TypeDistribution) -> _KinkTable:
     """Score every candidate menu at every kink, a block of kinks at a
     time; see _score_kinks."""
     by_nu = sorted(range(len(d.types)), key=lambda j: d.types[j].nu)
@@ -309,12 +321,12 @@ def _kink_table(d: TypeDistribution, rho: float) -> _KinkTable:
     parts = [(np.zeros(1), np.zeros(1), np.zeros(1, int), np.full(1, -1), np.full(1, -1))]
     step = max(1, _BLOCK_CELLS // (nu.size + 1) ** 2)
     for first in range(1, qs.size, step):
-        W, S, k, lo, hi = _score_kinks(qs[first : first + step], nu, cum, rho)
-        parts.append((W, S, k + first, lo, hi))
-    W, S, k, lo, hi = zip(*parts)
+        W, rev, k, lo, hi = _score_kinks(qs[first : first + step], nu, cum)
+        parts.append((W, rev, k + first, lo, hi))
+    W, rev, k, lo, hi = zip(*parts)
     return _KinkTable(
         W=np.concatenate(W),
-        S=np.concatenate(S),
+        rev=np.concatenate(rev),
         kink=np.concatenate(k, dtype=np.int32),
         lo=np.concatenate(lo, dtype=np.int32),
         hi=np.concatenate(hi, dtype=np.int32),
@@ -412,7 +424,7 @@ def _build_solution(
 
 
 def _solve_infinite_branch(
-    d: TypeDistribution, rho: float, tab: _KinkTable
+    d: TypeDistribution, rho: float, tab: _KinkTable, S: np.ndarray
 ) -> ScreeningSolution:
     # No menu has strictly slack balance, so feasible menus are exactly
     # the balanced revenue maximizers; pick the welfare-best of those.
@@ -422,9 +434,9 @@ def _solve_infinite_branch(
     # the opt-out menu is balanced, so the scan always finds one.
     eps_bal = 1e-12 * max(1.0, rho, d.total_mass)
     top = np.full(tab.qs.size, -math.inf)
-    np.maximum.at(top, tab.kink, tab.S)
+    np.maximum.at(top, tab.kink, S)
     top = top[tab.kink]
-    rows = np.flatnonzero((np.abs(top) <= eps_bal) & (tab.S >= top - eps_bal))
+    rows = np.flatnonzero((np.abs(top) <= eps_bal) & (S >= top - eps_bal))
     # Scanned kink by kink, a row replaces the best so far only if its
     # welfare is higher by more than eps_bal.
     rows = rows[np.argsort(tab.kink[rows], kind="stable")]
@@ -445,12 +457,14 @@ def solve_screening(
     The dual g(y), the relaxed Lagrangian's maximum over Q and menus, is
     the upper envelope of finitely many lines W + y * S, one per kink
     menu plus the Q -> 1 limit (W = u_bar, S = -rho).  All kink lines
-    are scored once into one table (_kink_table), and each evaluation of
-    g is one numpy maximum over it.  The cutting-plane walk (envelope.walk)
-    minimizes g, each evaluation being one step, and mixing the (Q, R, P)
-    points of its final pair so that S = 0 gives an optimal balanced
-    mechanism.  The pair's menus are read from the cut indices that
-    scored them in the table, so one tie rule assigns every buyer.
+    are scored once into one table (_kink_table), which does not depend
+    on rho; the solve at rho (_screening_at) forms the slopes S, and each
+    evaluation of g is one numpy maximum over the table.  The
+    cutting-plane walk (envelope.walk) minimizes g, each evaluation
+    being one step, and mixing the (Q, R, P) points of its final pair so
+    that S = 0 gives an optimal balanced mechanism.  The pair's menus are
+    read from the cut indices that scored them in the table, so one tie
+    rule assigns every buyer.
     When no kink menu has slack above tol the dual is unbounded and the
     welfare-best balanced revenue maximizer is returned with y_star = inf.
     """
@@ -460,15 +474,21 @@ def solve_screening(
         raise ValueError("rho must be finite and > 0")
     if d.total_mass <= 0:
         raise DegenerateDistributionError("distribution has no mass")
+    return _screening_at(_kink_table(d), d, rho, tol)
 
-    tab = _kink_table(d, rho)
-    if tab.S.max() <= tol * max(1.0, rho, d.total_mass):
-        return _solve_infinite_branch(d, rho, tab)
+
+def _screening_at(
+    tab: _KinkTable, d: TypeDistribution, rho: float, tol: float
+) -> ScreeningSolution:
+    """solve_screening at rho from d's table, for checked arguments."""
+    S = tab.slack(rho)
+    if S.max() <= tol * max(1.0, rho, d.total_mass):
+        return _solve_infinite_branch(d, rho, tab, S)
 
     # Between kinks every candidate menu's (R, P) is affine in Q, so at
     # any y the Lagrangian peaks at a kink or in the limit Q -> 1, where
     # everyone has full access for free: the walk's limit line.
-    pos, neg, steps = walk(tab.W, tab.S, (d.u_bar, -rho))
+    pos, neg, steps = walk(tab.W, S, (d.u_bar, -rho))
     # The pair's lines from their menus, as the mix uses them.
     a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
     y = (b.W - a.W) / (a.S - b.S)

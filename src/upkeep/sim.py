@@ -35,6 +35,9 @@ buffers.
 Admissibility is derived from the event arrays the engines produce (the
 same arrays any trace is written from): breaks and fixes alternate, every
 use falls in a working interval and every contribution in a broken one.
+The Poisson engine also passes each event's position in the arrival
+stream, which orders events at one instant, such as a break that lands
+on the instant of the fix before it.
 """
 
 from __future__ import annotations
@@ -193,6 +196,7 @@ def _admissible(
     contributions: np.ndarray,
     working: bool,
     fixes_contribute: bool,
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[bool, bool]:
     """(usage only while working, contribution only while broken) for one
     stretch of event times that starts in the given state.
@@ -200,29 +204,56 @@ def _admissible(
     Breaks and fixes must alternate in time order.  The machine is
     broken on each closed interval [break, fix] and working on each
     half-open [fix, break), so a break wins a tie with a use.  Intervals
-    are located by counting the breaks and fixes at or before each
-    event.  With fixes_contribute, every fix must carry the time of a
-    contribution.
+    are located by counting the breaks and fixes before each event.  With
+    fixes_contribute, every fix must carry the time of a contribution.
+
+    positions, if given, places the breaks, fixes and contributions in a
+    stream of arrivals: a break at position p falls just before arrival
+    p, and a fix or contribution at position i is arrival i.  Breaks and
+    fixes must then alternate in that order too, and a contribution at
+    the instant of a break or fix falls before or after it by position.
+    Without positions, a contribution at a break's instant falls after
+    the break and one at a fix's instant not after the fix.
     """
     if not working:
         breaks = np.concatenate(([-math.inf], breaks))
     nb, nf = len(breaks), len(fixes)
-    alternate = (
-        nb - nf in (0, 1)
-        and bool(np.all(breaks[:nf] <= fixes))
-        and bool(np.all(fixes[: nb - 1] <= breaks[1:]))
-    )
-    if not alternate:
+    if nb - nf not in (0, 1):
         return False, False
-    up = np.searchsorted(breaks, uses, "right") == np.searchsorted(fixes, uses, "right")
-    down = np.searchsorted(breaks, contributions, "right") == (
-        np.searchsorted(fixes, contributions, "left") + 1
-    )
+    # The machine changes state at b0, f0, b1, f1, ...; it is broken
+    # after an odd number of these.
+    events = np.empty(nb + nf)
+    events[0::2], events[1::2] = breaks, fixes
+    if not (events[:-1] <= events[1:]).all():
+        return False, False
+    up = np.searchsorted(events, uses, "right") % 2 == 0
+    if positions is None:
+        down = np.searchsorted(breaks, contributions, "right") == (
+            np.searchsorted(fixes, contributions, "left") + 1
+        )
+    else:
+        at_break, at_fix, at_con = positions
+        if not working:
+            at_break = np.concatenate(([0], at_break))
+        # Keys in the stream: 2p - 1 for a break at position p, 2i for
+        # arrival i.  An event falls before a contribution if it is
+        # earlier in time or, at the same instant, has a lower key; the
+        # keys increase along the events, so that count is the count of
+        # lower keys clipped to the events at the contribution's instant.
+        keys = np.empty(nb + nf, dtype=np.intp)
+        keys[0::2], keys[1::2] = 2 * at_break - 1, 2 * at_fix
+        if not (keys[:-1] < keys[1:]).all():
+            return False, False
+        before = np.maximum(
+            np.searchsorted(keys, 2 * at_con), np.searchsorted(events, contributions, "left")
+        )
+        np.minimum(before, np.searchsorted(events, contributions, "right"), out=before)
+        down = before % 2 == 1
     j = np.searchsorted(contributions, fixes)
     contributed = not fixes_contribute or (
-        bool(np.all(j < len(contributions))) and np.array_equal(contributions[j], fixes)
+        (j < len(contributions)).all() and (contributions[j] == fixes).all()
     )
-    return bool(np.all(up)), bool(np.all(down)) and contributed
+    return bool(up.all()), bool(down.all() and contributed)
 
 
 class _Trace:
@@ -413,7 +444,7 @@ def _run_poisson(
 
         block_use_ok, block_con_ok = _admissible(
             breaks, fix_times, times[used], fix_times,
-            starts_working, fixes_contribute=True,
+            starts_working, fixes_contribute=True, positions=(pos, fix, fix),
         )
         use_ok = use_ok and block_use_ok
         con_ok = con_ok and block_con_ok

@@ -67,13 +67,16 @@ def test_walk_stops_when_a_pair_member_is_on_top():
 @pytest.mark.parametrize("kind", KINDS)
 def test_kink_lines_match_reduced_lagrangian(kind):
     # The table sums in cost order with numpy, the reference in type
-    # order with a Python loop, so they agree to rounding.
+    # order with a Python loop, so they agree to rounding.  The table does
+    # not involve rho; the slopes S are formed at each draw's rho.
     rng = np.random.default_rng(47)
     for n in (2, 6, 15):
         d = kinded_distribution(rng, kind, n)
         rho = float(d.total_mass * rng.uniform(0.1, 3.0))
         kinks = kink_uptimes(d)
-        W, S = _kink_lines(kinks, d, rho)
+        lines = _kink_lines(d)
+        assert lines.kinks == kinks
+        W, S = lines.W, lines.slack(rho)
         assert W.shape == S.shape == (len(kinks), n + 1)
         assert W[-1].tolist() == [d.u_bar] * (n + 1)
         assert S[-1].tolist() == [-rho] * (n + 1)
@@ -94,7 +97,7 @@ def test_kink_line_slopes_are_balance_residuals(kind):
         d = kinded_distribution(rng, kind, n)
         rho = float(d.total_mass * rng.uniform(0.1, 3.0))
         kinks = kink_uptimes(d)
-        _, S = _kink_lines(kinks, d, rho)
+        S = _kink_lines(d).slack(rho)
         costs = np.sort([t.c for t in d.types])
         ys = np.concatenate((costs, (costs[1:] + costs[:-1]) / 2.0))
         scale = 1e-12 * max(1.0, rho, d.total_mass)

@@ -345,11 +345,13 @@ def test_kink_table_matches_inner_solve_and_menus():
     # must take exactly the bundles that the buyer-by-buyer reference
     # gives them, and the row's line must match the reference's; each
     # kink's best line at y > 0 is checked against the independent inner
-    # solve in ic_lagrangian.
+    # solve in ic_lagrangian.  The table does not involve rho; the slopes
+    # S are formed at each case's rho.
     rng = np.random.default_rng(73)
     free_tier_best = 0
     for d, rho in _table_cases():
-        tab = _kink_table(d, rho)
+        tab = _kink_table(d)
+        S_tab = tab.slack(rho)
         scale = max(1.0, rho, d.total_mass, d.u_bar, d.c_bar)
         for i in range(tab.W.size):
             q, W, S, menu = table_row_menu(tab, i, d, rho)
@@ -358,14 +360,14 @@ def test_kink_table_matches_inner_solve_and_menus():
             assert line.r.tolist() == [menu.r[t.id] for t in d.types]
             assert line.p.tolist() == [menu.p[t.id] for t in d.types]
             assert abs(W - tab.W[i]) <= 1e-12 * scale
-            assert abs(S - tab.S[i]) <= 1e-12 * scale
+            assert abs(S - S_tab[i]) <= 1e-12 * scale
         ys = 10 ** rng.uniform(-2.0, 2.0, 4)
         if d is FREE_TIER:
             # a y where L's kink has its free tier, wherever the shared
             # draws land
             ys = np.append(ys, 2.0)
         for y in ys:
-            values = tab.W + y * tab.S
+            values = tab.W + y * S_tab
             for k, q in enumerate(tab.qs):
                 rows = np.flatnonzero(tab.kink == k)
                 best = rows[np.argmax(values[rows])]

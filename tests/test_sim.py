@@ -429,10 +429,9 @@ def test_break_wins_a_tie_with_an_arrival():
         assert arrival[:2] == [t, "ARRIVAL"] and arrival[3] == "B"
 
 
-def test_break_at_its_fix_instant_falls_after_the_fix():
-    # Gaps of 1e17 and a deterministic unit lifespan give t + 1 == t: each
-    # break lands on the instant of the fix before it, yet falls after
-    # that fix's arrival and before the next one.
+def _tied_stream():
+    """Gaps of 1e17 and a deterministic unit lifespan, so t + 1 == t: each
+    break after the first lands on the instant of the fix before it."""
     d = TypeDistribution((AgentType("A", 1.0, 1.0, 1.0),))
     pol = build_policy(Mechanism(Q=0.5, R={"A": 0.5}, P={"A": 0.25}))
     phys = PhysicalParams(1.0, lifespan="deterministic")
@@ -440,6 +439,13 @@ def test_break_at_its_fix_instant_falls_after_the_fix():
     u = np.random.default_rng(4).random((2, n))
     arrays = (np.full(n, 1e17), u[0], u[1], np.empty(0))
     assert 1e17 + 1.0 == 1e17
+    return pol, d, phys, horizon, arrays
+
+
+def test_break_at_its_fix_instant_falls_after_the_fix():
+    # Each break falls after its fix's arrival and before the next one,
+    # and the fix's contribution is read as falling while broken.
+    pol, d, phys, horizon, arrays = _tied_stream()
     buf = io.StringIO()
     stats = _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), buf)
     working, arrivals, uses, contribs, n_breaks = _reference_poisson(
@@ -450,12 +456,46 @@ def test_break_at_its_fix_instant_falls_after_the_fix():
     )
     assert stats.n_breaks > 100 and stats.n_arrivals > 500
     assert stats.Q_hat == working / horizon
+    assert stats.admissibility.ok
     lines = buf.getvalue().splitlines()[1:]
     fixes = [i for i, line in enumerate(lines) if "\tFIX\t" in line]
     assert len(fixes) == stats.n_fixes
     for i in fixes:
         t = lines[i].split("\t")[0]
         assert lines[i + 1].split("\t")[:2] == [t, "BREAK"]
+
+
+def test_tied_stream_admissibility_can_fail(monkeypatch):
+    # The engine's own event arrays of the tied stream, with positions.
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _admissible(*args, **kwargs)
+
+    monkeypatch.setattr(upkeep.sim, "_admissible", record)
+    pol, d, phys, horizon, arrays = _tied_stream()
+    _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), None)
+    args, kwargs = calls[0]
+    breaks, fixes, uses, contribs, working = args
+    at_break, at_fix, at_con = kwargs["positions"]
+    assert working and kwargs["fixes_contribute"]
+    assert breaks[0] == 1.0 < fixes[0] == breaks[1]
+    assert _admissible(*args, **kwargs) == (True, True)
+    # By time alone a contribution at a break's instant falls after it.
+    assert _admissible(*args, fixes_contribute=True) == (True, False)
+    # A contribution moved into the first working interval, [0, 1).
+    moved = contribs.copy()
+    moved[0] = 0.5
+    assert _admissible(
+        breaks, fixes, uses, moved, True, True, positions=(at_break, at_fix, at_con)
+    ) == (True, False)
+    # A break placed before the arrival of the fix at its instant.
+    early = at_break.copy()
+    early[1] = at_fix[0]
+    assert _admissible(
+        breaks, fixes, uses, contribs, True, True, positions=(early, at_fix, at_con)
+    ) == (False, False)
 
 
 def _hexed(stats):

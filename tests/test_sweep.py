@@ -1,0 +1,109 @@
+"""A sweep builds each solver's line table once per distribution and solves
+every grid point from it; it must give what independent solves give."""
+
+import dataclasses
+import math
+from collections.abc import Mapping
+
+import numpy as np
+
+import upkeep.cli
+import upkeep.first_best
+import upkeep.participation
+import upkeep.screening
+from upkeep import solve_first_best, solve_participation, solve_screening
+from upkeep.cli import RhoGrid, RunConfig, fmt, main
+from conftest import KINDS, kinded_distribution
+
+
+def _hexed(x):
+    """x with every float as its hex string, dataclasses as dicts."""
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return {f.name: _hexed(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, Mapping):
+        return {k: _hexed(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_hexed(v) for v in x]
+    return x
+
+
+def _corpus():
+    """(distribution, log grid of rho): the four kinds at n = 2-48 with
+    six points each and at n = 96 with three, from about 1e-3 to 1e3
+    times the total mass."""
+    rng = np.random.default_rng(191)
+    for kind in KINDS:
+        for n in [*range(2, 49), 96]:
+            d = kinded_distribution(rng, kind, n)
+            lo, hi = d.total_mass * 10.0 ** rng.uniform([-3.0, 2.5], [-2.5, 3.0])
+            yield d, RhoGrid(float(lo), float(hi), 3 if n > 48 else 6, log=True)
+
+
+def test_sweep_equals_independent_solves(monkeypatch):
+    # Record what the sweep solved at each grid point.
+    seen = []
+
+    def recording(name):
+        solve_at = getattr(upkeep.cli, name)
+
+        def recorded(*args):
+            seen.append(solve_at(*args))
+            return seen[-1]
+
+        return recorded
+
+    for name in ("_first_best_at", "_participation_at", "_screening_at"):
+        monkeypatch.setattr(upkeep.cli, name, recording(name))
+
+    pairs = 0
+    infinite = {"participation": 0, "screening": 0}
+    for d, grid in _corpus():
+        seen.clear()
+        cfg = RunConfig(mode="sweep", input="-", rho_grid=grid, include_ic=True)
+        lines = upkeep.cli._run_sweep(cfg, d)
+        rows = [lines[0]]
+        for k, rho in enumerate(grid.values()):
+            fb = solve_first_best(d, rho)
+            part = solve_participation(d, rho, cfg.tol)
+            ic = solve_screening(d, rho, cfg.tol)
+            assert [_hexed(s) for s in seen[3 * k : 3 * k + 3]] == [
+                _hexed(fb), _hexed(part), _hexed(ic)
+            ]
+            cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
+            cells += [ic.y_star, ic.Q_star, ic.W_star]
+            rows.append(",".join(map(fmt, cells)))
+            infinite["participation"] += math.isinf(part.y_star)
+            infinite["screening"] += math.isinf(ic.y_star)
+            pairs += 1
+        assert lines == rows
+    assert pairs >= 1000
+    # Both dual branches occur, each on a good share of the corpus.
+    assert all(pairs // 10 < count < pairs - pairs // 10 for count in infinite.values())
+
+
+def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
+    builds = {}
+
+    def counted(module, name):
+        build = getattr(module, name)
+
+        def count(d):
+            builds[name] = builds.get(name, 0) + 1
+            return build(d)
+
+        # The CLI's own reference and the one the public solvers use.
+        monkeypatch.setattr(upkeep.cli, name, count)
+        monkeypatch.setattr(module, name, count)
+
+    counted(upkeep.first_best, "_prefix_lines")
+    counted(upkeep.participation, "_kink_lines")
+    counted(upkeep.screening, "_kink_table")
+    path = tmp_path / "types.csv"
+    path.write_text("id,u,c,mass\nL,3,3,1\nM,4,2,1\nH,10,1.25,1\n")
+    out = tmp_path / "sweep.csv"
+    argv = ["--mode", "sweep", "--ic", "--input", str(path), "--rho-grid", "0.01:100:16:log"]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 17
+    assert builds == {"_prefix_lines": 1, "_kink_lines": 1, "_kink_table": 1}
