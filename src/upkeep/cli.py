@@ -18,11 +18,12 @@ import numpy as np
 from .first_best import FirstBestSolution, _first_best_at, _prefix_lines, solve_first_best
 from .model import (
     AgentType,
-    DegenerateDistributionError,
     Mechanism,
     PhysicalParams,
     TypeDistribution,
+    agent_utility,
     balance_residual,
+    welfare,
 )
 from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
 from .participation import _kink_lines, _participation_at, solve_participation
@@ -32,7 +33,6 @@ from .sim import build_policy, simulate_fluid, simulate_poisson
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_DEGENERATE = 4
 EXIT_ORACLE = 5
 
 ORACLE_TOL = 1e-9  # per unit of max(1, |W_solver|); every oracle is exact
@@ -188,7 +188,7 @@ def _mechanism_lines(
     lines = ["id,u,c,mass,nu,R,P,utility,class"]
     for t in d.types:
         r, p = mech.R[t.id], mech.P[t.id]
-        utility = r * t.u - p * t.c
+        utility = agent_utility(t, r, p)
         lines.append(
             ",".join(
                 [
@@ -206,7 +206,7 @@ def _mechanism_lines(
         )
     resid = balance_residual(mech, d, rho)
     lines.append(
-        f"Q={fmt(mech.Q)}, y={fmt(y)}, W={fmt(sum(t.mass * (mech.R[t.id] * t.u - mech.P[t.id] * t.c) for t in d.types))}, "
+        f"Q={fmt(mech.Q)}, y={fmt(y)}, W={fmt(welfare(mech, d))}, "
         f"balance_residual={fmt(resid)}"
     )
     return lines
@@ -330,9 +330,6 @@ def run(cfg: RunConfig) -> int:
     except (ValidationError, TooManyTypesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except DegenerateDistributionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
 
     _emit(cfg, lines)
     return EXIT_OK

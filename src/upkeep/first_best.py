@@ -17,7 +17,6 @@ import numpy as np
 from .envelope import walk
 from .model import (
     ATOM_SNAP,
-    DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
     welfare,
@@ -55,8 +54,6 @@ def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    if d.total_mass <= 0:
-        raise DegenerateDistributionError("distribution has no mass")
     return _first_best_at(_prefix_lines(d), d, rho)
 
 

@@ -29,7 +29,7 @@ ALL_FAMILIES = frozenset(
 
 
 class DegenerateDistributionError(ValueError):
-    """Raised when a solver is handed a distribution with no mass."""
+    """Raised when a type distribution has no mass."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,9 @@ class TypeDistribution:
         if len(set(ids)) != len(ids):
             raise ValueError("type ids must be distinct")
         if not self.types or self.total_mass <= 0:
-            raise ValueError("distribution needs at least one type with mass > 0")
+            raise DegenerateDistributionError(
+                "distribution needs at least one type with mass > 0"
+            )
         for name in ("total_mass", "u_bar", "c_bar"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

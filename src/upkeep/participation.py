@@ -31,7 +31,6 @@ from .first_best import solve_first_best
 from .model import (
     ATOM_SNAP,
     DEFAULT_TOL,
-    DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
     kink_uptimes,
@@ -237,8 +236,6 @@ def solve_participation(
         raise ValueError("tol must be finite and > 0")
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    if d.total_mass <= 0:
-        raise DegenerateDistributionError("distribution has no mass")
     return _participation_at(_kink_lines(d), d, rho, tol)
 
 

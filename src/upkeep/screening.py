@@ -35,7 +35,6 @@ import numpy as np
 from .envelope import walk
 from .model import (
     DEFAULT_TOL,
-    DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
     kink_uptimes,
@@ -472,8 +471,6 @@ def solve_screening(
         raise ValueError("tol must be finite and > 0")
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    if d.total_mass <= 0:
-        raise DegenerateDistributionError("distribution has no mass")
     return _screening_at(_kink_table(d), d, rho, tol)
 
 

@@ -33,11 +33,13 @@ buffers.
   the same as those of the per-period loop it replaced.
 
 Admissibility is derived from the event arrays the engines produce (the
-same arrays any trace is written from): breaks and fixes alternate, every
-use falls in a working interval and every contribution in a broken one.
-The Poisson engine also passes each event's position in the arrival
-stream, which orders events at one instant, such as a break that lands
-on the instant of the fix before it.
+same arrays any trace is written from): breaks and fixes alternate and
+every use falls in a working interval.  The Poisson engine also passes
+each break's and fix's position in the arrival stream, which orders
+events at one instant, such as a break that lands on the instant of the
+fix before it.  Its contributions come from the arrivals' own draws: the
+arrivals that drew a contribution while the machine was broken must be
+exactly its fixes.
 """
 
 from __future__ import annotations
@@ -79,7 +81,15 @@ class MarkovPolicy:
 
 @dataclass(frozen=True)
 class Admissibility:
-    """Trace-level sanity flags."""
+    """Trace-level sanity flags.
+
+    Both event flags need breaks and fixes to alternate.  Usage also needs
+    every use to fall while the machine works; contribution needs the
+    Poisson engine's arrivals that drew a contribution while the machine
+    was broken to be exactly its fixes (the fluid engine has no
+    individual contributions).  The lifespan flag compares the mean
+    lifespan with its target.
+    """
 
     usage_only_while_working: bool
     contribution_only_while_broken: bool
@@ -132,16 +142,17 @@ def build_policy(m: Mechanism) -> MarkovPolicy:
     """Policy realizing a mechanism's reduced form.
 
     Usage probability is R / Q and contribution probability is
-    P / (1 - Q), with zero at the degenerate uptimes.
+    P / (1 - Q), clamped to [0, 1] (a mechanism's levels may sit just
+    outside its box), with zero at the degenerate uptimes.
     """
     if m.Q <= 0.0:
         sigma_w = {tid: 0.0 for tid in m.R}
     else:
-        sigma_w = {tid: min(r / m.Q, 1.0) for tid, r in m.R.items()}
+        sigma_w = {tid: min(max(r / m.Q, 0.0), 1.0) for tid, r in m.R.items()}
     if m.Q >= 1.0:
         sigma_b = {tid: 0.0 for tid in m.P}
     else:
-        sigma_b = {tid: min(p / (1.0 - m.Q), 1.0) for tid, p in m.P.items()}
+        sigma_b = {tid: min(max(p / (1.0 - m.Q), 0.0), 1.0) for tid, p in m.P.items()}
     return MarkovPolicy(sigma_W=sigma_w, sigma_B=sigma_b)
 
 
@@ -193,27 +204,23 @@ def _admissible(
     breaks: np.ndarray,
     fixes: np.ndarray,
     uses: np.ndarray,
-    contributions: np.ndarray,
     working: bool,
-    fixes_contribute: bool,
-    positions: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[bool, bool]:
-    """(usage only while working, contribution only while broken) for one
+    """(breaks and fixes alternate, usage only while working) for one
     stretch of event times that starts in the given state.
 
     Breaks and fixes must alternate in time order.  The machine is
     broken on each closed interval [break, fix] and working on each
-    half-open [fix, break), so a break wins a tie with a use.  Intervals
-    are located by counting the breaks and fixes before each event.  With
-    fixes_contribute, every fix must carry the time of a contribution.
+    half-open [fix, break), so a break wins a tie with a use.  A use is
+    located by counting the breaks and fixes at or before it; without
+    alternation no use is admissible.
 
-    positions, if given, places the breaks, fixes and contributions in a
-    stream of arrivals: a break at position p falls just before arrival
-    p, and a fix or contribution at position i is arrival i.  Breaks and
-    fixes must then alternate in that order too, and a contribution at
-    the instant of a break or fix falls before or after it by position.
-    Without positions, a contribution at a break's instant falls after
-    the break and one at a fix's instant not after the fix.
+    positions, if given, places the breaks and fixes in a stream of
+    arrivals: a break at position p falls just before arrival p, and a
+    fix at position i is arrival i.  Breaks and fixes must then alternate
+    in that order too, which orders a break that lands on the instant of
+    the fix before it.
     """
     if not working:
         breaks = np.concatenate(([-math.inf], breaks))
@@ -226,34 +233,17 @@ def _admissible(
     events[0::2], events[1::2] = breaks, fixes
     if not (events[:-1] <= events[1:]).all():
         return False, False
-    up = np.searchsorted(events, uses, "right") % 2 == 0
-    if positions is None:
-        down = np.searchsorted(breaks, contributions, "right") == (
-            np.searchsorted(fixes, contributions, "left") + 1
-        )
-    else:
-        at_break, at_fix, at_con = positions
+    if positions is not None:
+        at_break, at_fix = positions
         if not working:
             at_break = np.concatenate(([0], at_break))
-        # Keys in the stream: 2p - 1 for a break at position p, 2i for
-        # arrival i.  An event falls before a contribution if it is
-        # earlier in time or, at the same instant, has a lower key; the
-        # keys increase along the events, so that count is the count of
-        # lower keys clipped to the events at the contribution's instant.
+        # Keys in the stream: 2p - 1 for a break at position p, 2i for arrival i.
         keys = np.empty(nb + nf, dtype=np.intp)
         keys[0::2], keys[1::2] = 2 * at_break - 1, 2 * at_fix
         if not (keys[:-1] < keys[1:]).all():
             return False, False
-        before = np.maximum(
-            np.searchsorted(keys, 2 * at_con), np.searchsorted(events, contributions, "left")
-        )
-        np.minimum(before, np.searchsorted(events, contributions, "right"), out=before)
-        down = before % 2 == 1
-    j = np.searchsorted(contributions, fixes)
-    contributed = not fixes_contribute or (
-        (j < len(contributions)).all() and (contributions[j] == fixes).all()
-    )
-    return bool(up.all()), bool(down.all() and contributed)
+    up = np.searchsorted(events, uses, "right") % 2 == 0
+    return True, bool(up.all())
 
 
 class _Trace:
@@ -374,9 +364,10 @@ def _run_poisson(
         times = times[:m]
         k = np.minimum(np.searchsorted(cum, u_type[:m], "right"), n - 1)
         u_dec = u_dec[:m]
+        contributes = u_dec < sig_b[k]
         # nc[i]: the first contributing arrival at or after i, or m; nc[m] = m.
         nc = np.minimum.accumulate(
-            np.where(u_dec < sig_b[k], np.arange(m), m)[::-1]
+            np.where(contributes, np.arange(m), m)[::-1]
         )[::-1].tolist() + [m]
         # A list, since bisecting an array or a memoryview boxes a float
         # on every probe.
@@ -442,12 +433,14 @@ def _run_poisson(
         code[fix] = 2
         tally += np.bincount((k + n * code)[times >= w_start], minlength=3 * n).reshape(3, n)
 
-        block_use_ok, block_con_ok = _admissible(
-            breaks, fix_times, times[used], fix_times,
-            starts_working, fixes_contribute=True, positions=(pos, fix, fix),
+        alternate, block_use_ok = _admissible(
+            breaks, fix_times, times[used], starts_working, positions=(pos, fix)
         )
         use_ok = use_ok and block_use_ok
-        con_ok = con_ok and block_con_ok
+        # The arrivals that contribute while broken must be the fixes.
+        con_ok = con_ok and alternate and np.array_equal(
+            np.flatnonzero(contributes & broken), fix
+        )
         if tr.stream is not None:
             _emit_poisson(
                 tr, tl, tids[k], broken, used, code == 2, breaks.tolist(), pos.tolist()
@@ -588,12 +581,9 @@ def simulate_fluid(
         breaks, fixes = ends[:s:2], ends[1:s:2]
         lifespans.frombytes(dur[:s:2][breaks >= w_start].tobytes())
         downs.frombytes(dur[1:s:2][fixes >= w_start].tobytes())
-        none = np.empty(0)
-        block_use_ok, block_con_ok = _admissible(
-            breaks, fixes, none, none, True, fixes_contribute=False
-        )
+        alternate, block_use_ok = _admissible(breaks, fixes, np.empty(0), True)
         use_ok = use_ok and block_use_ok
-        con_ok = con_ok and block_con_ok
+        con_ok = con_ok and alternate
         if tr.stream is not None:
             for j, tj in enumerate(ends[:s].tolist()):
                 if j % 2 == 0:

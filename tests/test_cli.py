@@ -380,3 +380,27 @@ def test_masses_summing_past_the_float_range_are_validation_errors(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error:") and "total_mass must be finite" in err
     assert err.count("\n") == 1
+
+
+def test_massless_table_is_validation_error(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "id,u,c,mass\nA,1,1,0\nB,2,1,0\n", ["--mode", "fb", "--rho", "1"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mass > 0" in err
+    assert err.count("\n") == 1
+
+
+def test_simulate_accepts_a_level_just_below_zero(tmp_path, capsys):
+    # The mechanism table's R = -1e-10 is inside Mechanism's box slack;
+    # the policy clamps it to a usage probability of 0.
+    table = (
+        "id,u,c,mass,nu,R,P,utility,class\n"
+        "A,1,1,1,1,-1e-10,0.5,-0.5,FULL\n"
+        "Q=0.5, y=1, W=-0.5, balance_residual=0\n"
+    )
+    code, out = run_cli(
+        tmp_path, table, ["--mode", "simulate", "--rho", "1", "--seed", "1", "--horizon", "100"]
+    )
+    assert code == EXIT_OK
+    assert out.startswith("metric,estimate,ci_radius\npoisson_Q,")
+    assert capsys.readouterr().err == ""

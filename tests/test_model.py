@@ -3,6 +3,7 @@ import pytest
 
 from upkeep import (
     AgentType,
+    DegenerateDistributionError,
     Mechanism,
     TypeDistribution,
     agent_utility,
@@ -34,8 +35,9 @@ def test_type_validation():
         AgentType("A", 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         AgentType("A", 1.0, 1.0, -0.5)
-    with pytest.raises(ValueError):
-        TypeDistribution((AgentType("A", 1, 1, 0.0),))
+    for massless in ((), (AgentType("A", 1, 1, 0.0),)):
+        with pytest.raises(DegenerateDistributionError):
+            TypeDistribution(massless)
     with pytest.raises(ValueError):
         TypeDistribution((AgentType("A", 1, 1, 1.0), AgentType("A", 2, 1, 1.0)))
 

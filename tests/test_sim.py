@@ -53,6 +53,12 @@ def test_build_policy_degenerate_uptime():
     assert pol.sigma_W["A"] == 0.0 and pol.sigma_B["A"] == 0.0
 
 
+def test_build_policy_clamps_levels_just_below_zero():
+    # Mechanism accepts levels up to 1e-9 outside its box.
+    pol = build_policy(Mechanism(Q=0.5, R={"A": -1e-10}, P={"A": -1e-10}))
+    assert pol.sigma_W["A"] == 0.0 and pol.sigma_B["A"] == 0.0
+
+
 def test_build_policy_first_best(lmh):
     mech = Mechanism(
         Q=4.0 / 15.0,
@@ -477,25 +483,33 @@ def test_tied_stream_admissibility_can_fail(monkeypatch):
     pol, d, phys, horizon, arrays = _tied_stream()
     _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), None)
     args, kwargs = calls[0]
-    breaks, fixes, uses, contribs, working = args
-    at_break, at_fix, at_con = kwargs["positions"]
-    assert working and kwargs["fixes_contribute"]
+    breaks, fixes, uses, working = args
+    at_break, at_fix = kwargs["positions"]
+    assert working
     assert breaks[0] == 1.0 < fixes[0] == breaks[1]
     assert _admissible(*args, **kwargs) == (True, True)
-    # By time alone a contribution at a break's instant falls after it.
-    assert _admissible(*args, fixes_contribute=True) == (True, False)
-    # A contribution moved into the first working interval, [0, 1).
-    moved = contribs.copy()
-    moved[0] = 0.5
-    assert _admissible(
-        breaks, fixes, uses, moved, True, True, positions=(at_break, at_fix, at_con)
-    ) == (True, False)
     # A break placed before the arrival of the fix at its instant.
     early = at_break.copy()
     early[1] = at_fix[0]
-    assert _admissible(
-        breaks, fixes, uses, contribs, True, True, positions=(early, at_fix, at_con)
-    ) == (False, False)
+    assert _admissible(*args, positions=(early, at_fix)) == (False, False)
+
+
+def test_contribution_flag_fails_when_a_contributor_is_skipped(equal_cost, monkeypatch):
+    # The search for the break after each fix (the bisect from lo = f + 1)
+    # returns one past the break's first arrival, so the next fix skips
+    # that arrival's contribution.  Breaks and fixes still alternate and
+    # every use still falls while working; only the arrivals' own
+    # contribution draws show the skipped contributor.
+    def one_late(a, x, lo=0):
+        return min(bisect.bisect_left(a, x, lo) + (lo > 0), len(a))
+
+    pol = build_policy(screening_mechanism())
+    run = (pol, equal_cost, PhysicalParams(1.0), 300.0, 12)
+    assert simulate_poisson(*run).admissibility.ok
+    monkeypatch.setattr(upkeep.sim, "bisect_left", one_late)
+    flags = simulate_poisson(*run).admissibility
+    assert flags.usage_only_while_working and flags.lifespan_mean_ok
+    assert not flags.contribution_only_while_broken
 
 
 def _hexed(stats):
@@ -549,7 +563,7 @@ def _events(equal_cost):
     pol = build_policy(screening_mechanism())
     buf = io.StringIO()
     simulate_poisson(pol, equal_cost, PhysicalParams(1.0), 300.0, seed=12, trace=buf)
-    times = {kind: [] for kind in ("BREAK", "FIX", "USE", "CONTRIBUTE")}
+    times = {kind: [] for kind in ("BREAK", "FIX", "USE")}
     for line in buf.getvalue().splitlines()[1:]:
         t, kind, _, _ = line.split("\t")
         if kind in times:
@@ -559,38 +573,27 @@ def _events(equal_cost):
 
 def test_admissibility_fails_on_corrupted_events(equal_cost):
     ev = _events(equal_cost)
-    breaks, fixes, uses, contribs = ev["BREAK"], ev["FIX"], ev["USE"], ev["CONTRIBUTE"]
+    breaks, fixes, uses = ev["BREAK"], ev["FIX"], ev["USE"]
     assert len(breaks) > 10 and len(uses) > 10
-    assert _admissible(breaks, fixes, uses, contribs, True, True) == (True, True)
+    assert _admissible(breaks, fixes, uses, True) == (True, True)
     # a use moved into a broken interval, and onto a break instant
     for t in (0.5 * (breaks[3] + fixes[3]), breaks[3]):
         moved = np.sort(np.append(uses[1:], t))
-        assert _admissible(breaks, fixes, moved, contribs, True, True) == (False, True)
-    # a contribution moved into a working interval
-    moved = contribs.copy()
-    moved[3] = 0.5 * (fixes[3] + breaks[4])
-    assert not _admissible(breaks, fixes, uses, moved, True, True)[1]
-    # a dropped fix breaks the alternation; so does a fix before its break
-    assert _admissible(breaks, np.delete(fixes, 3), uses, contribs, True, True) == (
-        False, False
-    )
-    early = fixes.copy()
+        assert _admissible(breaks, fixes, moved, True) == (True, False)
+    # a dropped fix, a fix before its break, a fix past the next break and
+    # a dropped break each break the alternation
+    early, late = fixes.copy(), fixes.copy()
     early[3] = breaks[3] - 1e-3
-    assert _admissible(breaks, early, uses, contribs, True, True) == (False, False)
-    # alternation alone, as the fluid engine checks it: a fix moved past
-    # the next break, or a break dropped
-    none = np.empty(0)
-    assert _admissible(breaks, fixes, none, none, True, False) == (True, True)
-    late = fixes.copy()
     late[3] = breaks[4] + 1e-3
-    assert _admissible(breaks, late, none, none, True, False) == (False, False)
-    assert _admissible(np.delete(breaks, 3), fixes, none, none, True, False) == (
-        False, False
-    )
-    # a fix without a contribution
-    assert not _admissible(breaks, fixes, uses, np.delete(contribs, 3), True, True)[1]
+    for b, f in (
+        (breaks, np.delete(fixes, 3)),
+        (breaks, early),
+        (breaks, late),
+        (np.delete(breaks, 3), fixes),
+    ):
+        assert _admissible(b, f, uses, True) == (False, False)
     # the same stretch read as starting broken does not alternate
-    assert _admissible(breaks, fixes, uses, contribs, False, True) == (False, False)
+    assert _admissible(breaks, fixes, uses, False) == (False, False)
 
 
 def test_event_counts(equal_cost):
