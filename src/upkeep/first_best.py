@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import walk
+from .envelope import minimize
 from .model import (
     ATOM_SNAP,
     Mechanism,
@@ -43,14 +43,13 @@ class FirstBestSolution:
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
     """Solve the physical-constraints-only problem.
 
-    The dual is the upper envelope of the limit line u_bar - rho * y
-    and one line per prefix of the cost-sorted types, y -> sum of
-    mass * (y - c) over the prefix.  The envelope walk (envelope.walk)
-    minimizes it exactly, and the crossing of its final pair is the
-    threshold.  Uptime then follows in closed form from the balance
-    condition.  The walk is exact, so no tolerance is taken.  The prefix
-    lines do not involve rho (_prefix_lines); only the walk does
-    (_first_best_at).
+    The dual is the upper envelope of one line per prefix of the
+    cost-sorted types, y -> sum of mass * (y - c) over the prefix, and
+    the limit line u_bar - rho * y.  envelope.minimize minimizes it
+    exactly, and the crossing of its final pair is the threshold.  Uptime
+    then follows in closed form from the balance condition.  The walk is
+    exact, so no tolerance is taken.  The prefix lines do not involve rho
+    (_prefix_lines); the limit line and the walk do (_first_best_at).
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -70,9 +69,8 @@ def _first_best_at(
 ) -> FirstBestSolution:
     """solve_first_best at rho from d's prefix lines, for a checked rho."""
     W, S = lines
-    # Every prefix line has S >= 0, so the pair's neg is the limit line.
-    pos, _, iterations = walk(W, S, (d.u_bar, -rho))
-    y_fb = float((d.u_bar - W[pos]) / (S[pos] + rho))
+    # The full prefix has slope total_mass > 0, so the threshold is finite.
+    _, _, iterations, y_fb = minimize(np.append(W, d.u_bar), np.append(S, -rho), 0.0)
 
     scale = max(1.0, y_fb)
     contributing = {t.id for t in d.types if t.c < y_fb - ATOM_SNAP * scale}

@@ -7,9 +7,10 @@ piecewise linear in the uptime (kinks at one point per type) and
 piecewise linear in the cost threshold (kinks at the cost atoms).  So
 the dual, the Lagrangian's maximum over the uptime, is the upper
 envelope of finitely many lines in the threshold: one per kink uptime
-and prefix of the cost-sorted types, plus the Q = 1 limit.  The
-envelope walk minimizes it exactly.  Each line's slope is also a balance
-residual: the prefix's saturated contributions minus the breakage rate.
+and prefix of the cost-sorted types, the kink Q = 1 giving the limit
+line.  envelope.minimize minimizes it exactly.  Each line's slope is
+also a balance residual: the prefix's saturated contributions minus the
+breakage rate.
 The lines' welfare and saturated contributions do not involve the
 breakage rate, so one table serves every rate.  The uptime is pinned on
 the maximizer face by reading the residuals without and with the types
@@ -26,7 +27,7 @@ from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
 
-from .envelope import walk
+from .envelope import minimize
 from .first_best import solve_first_best
 from .model import (
     ATOM_SNAP,
@@ -222,12 +223,12 @@ def solve_participation(
 
     Every line of the dual is scored once (_kink_lines), independently of
     rho, and the solve at rho (_participation_at) forms their slopes.
-    When some line has slack above tol, the envelope walk (envelope.walk)
-    minimizes the dual, and the crossing of its final pair is the
-    threshold, snapped to a cost atom within rounding.  The uptime is the
-    smallest on the maximizer face where the balance residual without the
-    threshold's types is <= 0 and with them is >= 0; both residuals are
-    columns of the table.  The threshold's types then share one contribution
+    When some line has slack above tol, envelope.minimize minimizes the
+    dual, and the crossing of its final pair is the threshold, snapped
+    to a cost atom within rounding.  The uptime is the smallest on the
+    maximizer face where the balance residual without the threshold's
+    types is <= 0 and with them is >= 0; both residuals are columns of
+    the table.  The threshold's types then share one contribution
     fraction that balances exactly.  Otherwise the threshold is infinite
     and the solution is the welfare-best fully saturated balanced point,
     read off the table's full-prefix column.
@@ -245,13 +246,10 @@ def _participation_at(
     """solve_participation at rho from d's lines, for checked arguments."""
     kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
     slack_scale = max(1.0, rho, d.total_mass)
-    if S.max() <= tol * slack_scale:
+    found = minimize(W.ravel(), S.ravel(), tol * slack_scale)
+    if found is None:
         return _solve_infinite_branch(d, rho, tol, kinks, W, S)
-
-    # The walk sees the rows below Q = 1; flat index -1 is then the last
-    # line of the Q = 1 row, which is the limit line.
-    pos, neg, iterations = walk(W[:-1].ravel(), S[:-1].ravel(), (d.u_bar, -rho))
-    y_star = float((W.flat[neg] - W.flat[pos]) / (S.flat[pos] - S.flat[neg]))
+    pos, neg, iterations, y_star = found
     # Marginal rationing applies only at a cost atom, which the crossing
     # hits only up to rounding.
     for t in d.types:
@@ -266,9 +264,7 @@ def _participation_at(
     # crossing off every atom, the band spans the mix's costs instead.
     by_cost = sorted(d.types, key=lambda t: t.c)
     costs = [t.c for t in by_cost]
-    (pos_row, pos_col), (neg_row, neg_col) = (
-        divmod(i % W.size, W.shape[1]) for i in (pos, neg)
-    )
+    (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, W.shape[1]) for i in (pos, neg))
     lo_c = hi_c = y_star
     if pos_row == neg_row and y_star not in costs:
         band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]

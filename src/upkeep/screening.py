@@ -11,9 +11,10 @@ lines, which a cutting-plane walk minimizes exactly; mixing the two lines
 active at the minimum balances the mechanism.
 
 Every candidate menu at every kink is scored once, into one table of
-lines.  Each row keeps its welfare W, its revenue and its kink, none of
-which involves rho, so one table serves every breakage rate: a solve at
-rho forms the slack S = revenue - rho * Q and walks.  Buyers sorted by
+lines that ends in the limit line.  Each row keeps its welfare W, its
+revenue and its kink, none of which involves rho, so one table serves
+every breakage rate: a solve at rho forms the slack
+S = revenue - rho * Q and walks.  Buyers sorted by
 nu stay sorted at every kink, and a menu
 {out, (r0, r0 * lo), (1, 1)} sends the buyers below lo out, those in
 [lo, hi) to the low tier and those from hi up to the top tier, ties
@@ -32,7 +33,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .envelope import walk
+from .envelope import minimize
 from .model import (
     DEFAULT_TOL,
     Mechanism,
@@ -199,10 +200,10 @@ def _line(Q: float, r: np.ndarray, p: np.ndarray, d: TypeDistribution, rho: floa
 
 
 class _KinkTable(NamedTuple):
-    """Every candidate menu at every kink uptime Q < 1: its welfare W,
-    its revenue rev and its kink, the index of its uptime Q in qs.  At a
-    breakage rate rho the row is the line y -> W + y * S with
-    S = rev - rho * Q (slack); none of the stored columns involves rho.
+    """Every candidate menu at every kink uptime Q < 1, then the limit:
+    its welfare W, its revenue rev and its kink, the index of its uptime
+    Q in qs.  At a breakage rate rho the row is the line y -> W + y * S
+    with S = rev - rho * Q (slack); no stored column involves rho.
 
     Row 0 is Q = 0, where every menu sells nothing.  Then, one block of
     kinks at a time, come the block's posted prices and then its two-atom
@@ -213,8 +214,10 @@ class _KinkTable(NamedTuple):
     its kink's padded valuations pad = (0, v_1, ..., v_n, 1), v sorted
     ascending: hi = -1 is the posted price min(pad[lo], 1), otherwise the
     menu has its low atom at pad[lo] and its high atom at pad[hi]; lo = -1
-    is the opt-out alone.  nu holds the valuations sorted ascending, and
-    rank[j] is the place of d.types[j] among them.
+    is the opt-out alone.  The last row, at the last kink Q = 1, is the
+    limit, where everyone has full access for free: W = u_bar, rev = 0.
+    nu holds the valuations sorted ascending, and rank[j] is the place
+    of d.types[j] among them.
     """
 
     W: np.ndarray
@@ -228,7 +231,7 @@ class _KinkTable(NamedTuple):
 
     def slack(self, rho: float) -> np.ndarray:
         """S = rev - rho * Q of every row, formed in one new array; row 0
-        has Q = 0 and S = 0."""
+        has Q = 0 and S = 0, and the last row S = -rho."""
         S = self.qs[self.kink]
         S *= rho
         return np.subtract(self.rev, S, out=S)
@@ -316,12 +319,14 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
     nu = np.array([t.nu for t in order])
     cum = np.zeros((3, nu.size + 1))
     cum[:, 1:] = np.cumsum([[t.mass, t.mass * t.u, t.mass * t.c] for t in order], axis=0).T
-    qs = np.array([q for q in kink_uptimes(d) if q < 1.0])
-    parts = [(np.zeros(1), np.zeros(1), np.zeros(1, int), np.full(1, -1), np.full(1, -1))]
+    qs = np.array(kink_uptimes(d))
+    last, none = qs.size - 1, np.full(1, -1)
+    parts = [(np.zeros(1), np.zeros(1), np.zeros(1, int), none, none)]
     step = max(1, _BLOCK_CELLS // (nu.size + 1) ** 2)
-    for first in range(1, qs.size, step):
-        W, rev, k, lo, hi = _score_kinks(qs[first : first + step], nu, cum)
+    for first in range(1, last, step):
+        W, rev, k, lo, hi = _score_kinks(qs[first : min(first + step, last)], nu, cum)
         parts.append((W, rev, k + first, lo, hi))
+    parts.append((np.full(1, d.u_bar), np.zeros(1), np.full(1, last), none, none))
     W, rev, k, lo, hi = zip(*parts)
     return _KinkTable(
         W=np.concatenate(W),
@@ -337,15 +342,15 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
 
 def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Line:
     """The line of table row i, its buyers assigned by _cuts as the table
-    assigned them; row -1 is the Q -> 1 limit, where everyone has full
-    access for free."""
+    assigned them."""
     n = tab.nu.size
-    if i < 0:
-        return _Line(W=d.u_bar, S=-rho, Q=1.0, r=np.ones(n), p=np.zeros(n))
     k, lo, hi = int(tab.kink[i]), int(tab.lo[i]), int(tab.hi[i])
     # (r, p) of each buyer in nu order; the opt-out row sells nothing.
     bundle = np.zeros((2, n))
-    if lo >= 0:
+    if k == tab.qs.size - 1:
+        # The limit: everyone has full access for free.
+        bundle[0] = 1.0
+    elif lo >= 0:
         ratio = tab.qs[k : k + 1] / (1.0 - tab.qs[k : k + 1])
         pad = np.concatenate([[0.0], ratio * tab.nu, [1.0]])
         atoms = (min(pad[lo], 1.0),) if hi < 0 else (pad[lo], pad[hi])
@@ -430,15 +435,17 @@ def _solve_infinite_branch(
     # Revenue minus rho * Q is convex between kinks and nowhere positive,
     # so where it vanishes inside a segment it vanishes at both ends, and
     # welfare, affine along the segment, is best at one end.  At Q = 0
-    # the opt-out menu is balanced, so the scan always finds one.
+    # the opt-out menu is balanced, so the scan always finds one.  The
+    # limit row's slack is -rho, within eps_bal for a tiny rho: skip it.
     eps_bal = 1e-12 * max(1.0, rho, d.total_mass)
+    kink, S = tab.kink[:-1], S[:-1]
     top = np.full(tab.qs.size, -math.inf)
-    np.maximum.at(top, tab.kink, S)
-    top = top[tab.kink]
+    np.maximum.at(top, kink, S)
+    top = top[kink]
     rows = np.flatnonzero((np.abs(top) <= eps_bal) & (S >= top - eps_bal))
     # Scanned kink by kink, a row replaces the best so far only if its
     # welfare is higher by more than eps_bal.
-    rows = rows[np.argsort(tab.kink[rows], kind="stable")]
+    rows = rows[np.argsort(kink[rows], kind="stable")]
     best = rows[0]
     for i in rows[1:]:
         if tab.W[i] > tab.W[best] + eps_bal:
@@ -455,13 +462,13 @@ def solve_screening(
 
     The dual g(y), the relaxed Lagrangian's maximum over Q and menus, is
     the upper envelope of finitely many lines W + y * S, one per kink
-    menu plus the Q -> 1 limit (W = u_bar, S = -rho).  All kink lines
+    menu plus the Q -> 1 limit (W = u_bar, S = -rho).  All these lines
     are scored once into one table (_kink_table), which does not depend
     on rho; the solve at rho (_screening_at) forms the slopes S, and each
-    evaluation of g is one numpy maximum over the table.  The
-    cutting-plane walk (envelope.walk) minimizes g, each evaluation
-    being one step, and mixing the (Q, R, P) points of its final pair so
-    that S = 0 gives an optimal balanced mechanism.  The pair's menus are
+    evaluation of g is one numpy maximum over the table.
+    envelope.minimize walks g down, each evaluation being one step, and
+    mixing the (Q, R, P) points of its final pair so that S = 0 gives an
+    optimal balanced mechanism.  The pair's menus are
     read from the cut indices that scored them in the table, so one tie
     rule assigns every buyer.
     When no kink menu has slack above tol the dual is unbounded and the
@@ -479,14 +486,12 @@ def _screening_at(
 ) -> ScreeningSolution:
     """solve_screening at rho from d's table, for checked arguments."""
     S = tab.slack(rho)
-    if S.max() <= tol * max(1.0, rho, d.total_mass):
+    found = minimize(tab.W, S, tol * max(1.0, rho, d.total_mass))
+    if found is None:
         return _solve_infinite_branch(d, rho, tab, S)
-
-    # Between kinks every candidate menu's (R, P) is affine in Q, so at
-    # any y the Lagrangian peaks at a kink or in the limit Q -> 1, where
-    # everyone has full access for free: the walk's limit line.
-    pos, neg, steps = walk(tab.W, S, (d.u_bar, -rho))
-    # The pair's lines from their menus, as the mix uses them.
+    pos, neg, steps, _ = found
+    # The pair's lines from their menus, as the mix uses them; their
+    # crossing is the one the mix balances.
     a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
     y = (b.W - a.W) / (a.S - b.S)
     return _build_solution(y, *_mix(a, b), d, rho, steps)

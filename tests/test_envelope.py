@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -13,9 +14,10 @@ from upkeep import (
     solve_screening,
     verify_structure,
 )
-from upkeep.envelope import walk
+from upkeep.envelope import minimize
 from upkeep.model import kink_uptimes
 from upkeep.participation import _kink_lines
+from upkeep.screening import _kink_table, _table_line
 from conftest import KINDS, kinded_distribution
 from reference import (
     balance_residual_at,
@@ -37,10 +39,10 @@ def test_walk_finds_envelope_minimum():
         S = rng.uniform(-3.0, 3.0, m)
         S[rng.integers(m)] = rng.uniform(0.1, 3.0)
         limit = (float(rng.uniform(-5.0, 5.0)), float(-rng.uniform(0.1, 3.0)))
-        pos, neg, steps = walk(W, S, limit)
-        lines = [limit] + list(zip(W.tolist(), S.tolist()))
-        w_pos, s_pos = lines[pos + 1]
-        w_neg, s_neg = lines[neg + 1]
+        pos, neg, steps, _ = minimize(np.append(W, limit[0]), np.append(S, limit[1]), 0.0)
+        lines = list(zip(W.tolist(), S.tolist())) + [limit]
+        w_pos, s_pos = lines[pos]
+        w_neg, s_neg = lines[neg]
         assert s_pos >= 0.0 > s_neg and 1 <= steps <= m + 1
         y = (w_neg - w_pos) / (s_pos - s_neg)
         # The envelope's minimum sits where a rising line meets a falling
@@ -61,7 +63,63 @@ def test_walk_stops_when_a_pair_member_is_on_top():
     u, r = 757387.3877973956, 353170.8115138709
     y = u / r
     assert u - r * y > 1e-12
-    assert walk(np.zeros(1), np.zeros(1), (u, -r)) == (0, -1, 1)
+    assert minimize(np.array([0.0, u]), np.array([0.0, -r]), -1.0)[:3] == (0, 1, 1)
+
+
+def test_walk_stops_on_a_repeated_limit_line():
+    # Participation's Q = 1 row repeats the limit line once per prefix.
+    # The first copy tops the second, which the walk holds, by no more
+    # than it is the same line: the value on top is a pair member's, so
+    # the walk stops at once.  A rule on indices alone takes a second step.
+    u, r = 757387.3877973956, 353170.8115138709
+    W, S = np.array([0.0, u, u]), np.array([0.0, -r, -r])
+    assert minimize(W, S, -1.0)[:3] == (0, 2, 1)
+
+
+def test_no_slack_above_eps_is_the_infinite_branch():
+    W, S = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, -1.0])
+    assert minimize(W, S, 0.5) is None
+    assert minimize(W, S, 0.4999)[:3] == (1, 2, 1)
+
+
+def _tiny_masses():
+    return TypeDistribution(
+        (AgentType("A", 1e12, 1.0, 1e-15), AgentType("B", 5e11, 2.0, 2e-15))
+    )
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "tiny_masses"])
+def test_every_table_ends_in_its_limit_line(kind, monkeypatch):
+    # Each solver hands envelope.minimize a table whose last line is the
+    # limit line, and screening's stored limit row reads as Q = 1 with
+    # free full access.
+    last = {}
+    for name in ("first_best", "participation", "screening"):
+        module = importlib.import_module(f"upkeep.{name}")
+
+        def record(W, S, eps, name=name, inner=module.minimize):
+            last[name] = (W[-1], S[-1])
+            return inner(W, S, eps)
+
+        monkeypatch.setattr(module, "minimize", record)
+    rng = np.random.default_rng(59)
+    for n in (2, 7):
+        d = _tiny_masses() if kind == "tiny_masses" else kinded_distribution(rng, kind, n)
+        lines, tab = _kink_lines(d), _kink_table(d)
+        for rho in (1e-14, 1e-13, 0.3 * d.total_mass, 20.0 * d.total_mass):
+            last.clear()
+            solve_first_best(d, rho)
+            solve_participation(d, rho)
+            solve_screening(d, rho)
+            assert last == dict.fromkeys(
+                ("first_best", "participation", "screening"), (d.u_bar, -rho)
+            )
+            assert lines.W[-1, -1] == d.u_bar and lines.slack(rho)[-1, -1] == -rho
+            assert tab.W[-1] == d.u_bar and tab.slack(rho)[-1] == -rho
+            line = _table_line(tab, tab.W.size - 1, d, rho)
+            assert line.Q == 1.0
+            assert line.r.tolist() == [1.0] * len(d.types)
+            assert line.p.tolist() == [0.0] * len(d.types)
 
 
 @pytest.mark.parametrize("kind", KINDS)

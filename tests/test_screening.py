@@ -353,7 +353,7 @@ def test_kink_table_matches_inner_solve_and_menus():
         tab = _kink_table(d)
         S_tab = tab.slack(rho)
         scale = max(1.0, rho, d.total_mass, d.u_bar, d.c_bar)
-        for i in range(tab.W.size):
+        for i in range(tab.W.size - 1):
             q, W, S, menu = table_row_menu(tab, i, d, rho)
             line = _table_line(tab, i, d, rho)
             assert line.Q == q
@@ -368,7 +368,7 @@ def test_kink_table_matches_inner_solve_and_menus():
             ys = np.append(ys, 2.0)
         for y in ys:
             values = tab.W + y * S_tab
-            for k, q in enumerate(tab.qs):
+            for k, q in enumerate(tab.qs[:-1]):
                 rows = np.flatnonzero(tab.kink == k)
                 best = rows[np.argmax(values[rows])]
                 ref, _ = ic_lagrangian(float(q), float(y), d, rho)
@@ -407,3 +407,19 @@ def test_screening_at_scale(n, f_rho, infinite):
     g = max(ic_lagrangian(q, sol.y_star, d, rho)[0] for q in kink_uptimes(d))
     g = max(g, d.u_bar - rho * sol.y_star)
     assert g <= sol.W_star + 1e-9 * max(1.0, abs(sol.W_star))
+
+
+@pytest.mark.parametrize("rho", [1e-13, 1e-14])
+def test_stored_limit_row_is_never_an_answer(rho):
+    # Masses so small that no menu's slack clears the tolerance: the
+    # infinite branch scans for balanced rows.  The stored limit row's
+    # slack -rho lies within the scan's balance tolerance, and its welfare
+    # u_bar beats every menu's, but Q = 1 with nobody contributing is not
+    # a mechanism: the scan must skip it.
+    d = TypeDistribution(
+        (AgentType("A", 1e12, 1.0, 1e-15), AgentType("B", 5e11, 2.0, 2e-15))
+    )
+    sol = solve_screening(d, rho)
+    assert math.isinf(sol.y_star)
+    assert sol.Q_star < 1.0
+    assert check_feasible(sol.mechanism, d, rho).ok
