@@ -378,8 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: main only parses, and parsing keeps no state
+# on the parser.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = RunConfig(
             mode=args.mode,

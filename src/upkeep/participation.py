@@ -32,6 +32,7 @@ from .first_best import solve_first_best
 from .model import (
     ATOM_SNAP,
     DEFAULT_TOL,
+    AgentType,
     Mechanism,
     TypeDistribution,
     kink_uptimes,
@@ -92,14 +93,19 @@ class OrderedTypesReport:
 class _KinkLines(NamedTuple):
     """The dual's lines at the kinks of kink_uptimes (see _kink_lines):
     welfare W and covered caps C, so that the slopes at rho are
-    S = C - rho * q."""
+    S = C - rho * q, with q the kinks as a column.  by_cost holds the
+    types sorted by cost, the table's column order, and costs their
+    costs."""
 
     kinks: list[float]
     W: np.ndarray
     C: np.ndarray
+    q: np.ndarray
+    by_cost: list[AgentType]
+    costs: list[float]
 
     def slack(self, rho: float) -> np.ndarray:
-        return self.C - rho * np.array(self.kinks)[:, None]
+        return self.C - rho * self.q
 
 
 def _kink_lines(d: TypeDistribution) -> _KinkLines:
@@ -121,7 +127,8 @@ def _kink_lines(d: TypeDistribution) -> _KinkLines:
     q = np.array(kinks)[:, None]
     covered = mass * np.minimum(1.0 - q, q * nu)
     W = q * d.u_bar - np.cumsum(covered * c, axis=1)
-    return _KinkLines(kinks, W, np.cumsum(covered, axis=1))
+    C = np.cumsum(covered, axis=1)
+    return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost])
 
 
 def _interval_leq(fa: float, fb: float, a: float, b: float, eps: float):
@@ -262,8 +269,7 @@ def _participation_at(
     # crosses at a mix of the costs its prefixes differ by, which is an
     # atom in exact arithmetic; where the walk's tolerance leaves the
     # crossing off every atom, the band spans the mix's costs instead.
-    by_cost = sorted(d.types, key=lambda t: t.c)
-    costs = [t.c for t in by_cost]
+    by_cost, costs = lines.by_cost, lines.costs
     (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, W.shape[1]) for i in (pos, neg))
     lo_c = hi_c = y_star
     if pos_row == neg_row and y_star not in costs:

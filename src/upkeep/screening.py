@@ -22,7 +22,8 @@ going to the seller-preferred bundle whatever the buyer's mass, so tied
 valuations share a bundle.  Each menu's revenue and welfare then come
 from cut indices and prefix sums of mass, mass * u and mass * c: O(n^2)
 numpy work per kink, in blocks of kinks.  One function (_cuts) finds
-those indices, for the table and for the final menus alike.
+those indices, and the table stores them, so the final menus are read
+from the indices that scored them.
 """
 
 from __future__ import annotations
@@ -216,8 +217,11 @@ class _KinkTable(NamedTuple):
     menu has its low atom at pad[lo] and its high atom at pad[hi]; lo = -1
     is the opt-out alone.  The last row, at the last kink Q = 1, is the
     limit, where everyone has full access for free: W = u_bar, rev = 0.
+    cut, top0 and top1 are the row's cut indices from _cuts, which
+    scored it; the first and last rows, which name no menu, hold n.
     nu holds the valuations sorted ascending, and rank[j] is the place
-    of d.types[j] among them.
+    of d.types[j] among them.  The six index columns (kink to top1) have
+    the narrowest signed dtype that holds n + 2 (_index_dtype).
     """
 
     W: np.ndarray
@@ -225,6 +229,9 @@ class _KinkTable(NamedTuple):
     kink: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    cut: np.ndarray
+    top0: np.ndarray
+    top1: np.ndarray
     qs: np.ndarray
     nu: np.ndarray
     rank: np.ndarray
@@ -272,14 +279,22 @@ def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
     return r, pay, cut, top0, top1
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds n + 2, and so every
+    kink, atom and cut index of n types."""
+    # A signed dtype that holds -(n + 3) holds n + 2.
+    return np.min_scalar_type(-(n + 3))
+
+
 def _score_kinks(
-    qs: np.ndarray, nu: np.ndarray, cum: np.ndarray
+    qs: np.ndarray, nu: np.ndarray, cum: np.ndarray, dtype: np.dtype
 ) -> tuple[np.ndarray, ...]:
-    """(W, rev, kink, lo, hi) of every posted price and two-atom menu at a
-    block of kinks qs in (0, 1); nu is sorted and cum holds the prefix
-    sums of mass, mass * u and mass * c in that order.  Buyers are
-    assigned by _cuts, so each menu's revenue and welfare are differences
-    of cum at its cut indices.
+    """(W, rev, index) of every posted price and two-atom menu at a block
+    of kinks qs in (0, 1), where index stacks the rows' kink (counted
+    from the block's first), lo, hi, cut, top0 and top1 in dtype; nu is
+    sorted and cum holds the prefix sums of mass, mass * u and mass * c
+    in that order.  Buyers are assigned by _cuts, so each menu's revenue
+    and welfare are differences of cum at its cut indices.
     """
     k_n, n = qs.size, nu.size
     ratio = qs / (1.0 - qs)
@@ -308,7 +323,7 @@ def _score_kinks(
     W = q * (r * in_low[1] + in_top[1]) - (1.0 - q) * (pay * in_low[2] + in_top[2])
     lo = np.concatenate([lp, lo])
     hi = np.concatenate([np.full(kp.size, -1), hi])
-    return W, rev, k, lo, hi
+    return W, rev, np.array((k, lo, hi, cut, top0, top1), dtype)
 
 
 def _kink_table(d: TypeDistribution) -> _KinkTable:
@@ -320,20 +335,24 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
     cum = np.zeros((3, nu.size + 1))
     cum[:, 1:] = np.cumsum([[t.mass, t.mass * t.u, t.mass * t.c] for t in order], axis=0).T
     qs = np.array(kink_uptimes(d))
-    last, none = qs.size - 1, np.full(1, -1)
-    parts = [(np.zeros(1), np.zeros(1), np.zeros(1, int), none, none)]
-    step = max(1, _BLOCK_CELLS // (nu.size + 1) ** 2)
+    # Chosen before any block is scored, so no index is ever cast into
+    # a dtype too narrow for it.
+    dtype = _index_dtype(nu.size)
+    n, last = nu.size, qs.size - 1
+    # Row 0 and the limit row name no menu: lo = hi = -1, cuts at n.
+    parts = [(np.zeros(1), np.zeros(1), np.array([0, -1, -1, n, n, n], dtype)[:, None])]
+    step = max(1, _BLOCK_CELLS // (n + 1) ** 2)
     for first in range(1, last, step):
-        W, rev, k, lo, hi = _score_kinks(qs[first : min(first + step, last)], nu, cum)
-        parts.append((W, rev, k + first, lo, hi))
-    parts.append((np.full(1, d.u_bar), np.zeros(1), np.full(1, last), none, none))
-    W, rev, k, lo, hi = zip(*parts)
+        W, rev, index = _score_kinks(qs[first : min(first + step, last)], nu, cum, dtype)
+        index[0] += first
+        parts.append((W, rev, index))
+    limit = np.array([last, -1, -1, n, n, n], dtype)[:, None]
+    parts.append((np.full(1, d.u_bar), np.zeros(1), limit))
+    W, rev, index = zip(*parts)
     return _KinkTable(
-        W=np.concatenate(W),
-        rev=np.concatenate(rev),
-        kink=np.concatenate(k, dtype=np.int32),
-        lo=np.concatenate(lo, dtype=np.int32),
-        hi=np.concatenate(hi, dtype=np.int32),
+        np.concatenate(W),
+        np.concatenate(rev),
+        *np.concatenate(index, axis=1),
         qs=qs,
         nu=nu,
         rank=np.argsort(by_nu),
@@ -341,24 +360,36 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
 
 
 def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Line:
-    """The line of table row i, its buyers assigned by _cuts as the table
-    assigned them."""
+    """The line of table row i, its buyers assigned by the cut indices
+    the table stored for it, and the low tier (r0, pay) formed from its
+    atoms by the float operations of _cuts."""
     n = tab.nu.size
     k, lo, hi = int(tab.kink[i]), int(tab.lo[i]), int(tab.hi[i])
+    q = float(tab.qs[k])
     # (r, p) of each buyer in nu order; the opt-out row sells nothing.
     bundle = np.zeros((2, n))
     if k == tab.qs.size - 1:
         # The limit: everyone has full access for free.
         bundle[0] = 1.0
     elif lo >= 0:
-        ratio = tab.qs[k : k + 1] / (1.0 - tab.qs[k : k + 1])
-        pad = np.concatenate([[0.0], ratio * tab.nu, [1.0]])
-        atoms = (min(pad[lo], 1.0),) if hi < 0 else (pad[lo], pad[hi])
-        r0, pay, cut, top0, top1 = _cuts(tab.nu, ratio, 0, *atoms)
+        ratio = q / (1.0 - q)
+
+        def pad(j: int) -> float:
+            # The kink's padded valuations (0, ratio * nu, 1), as
+            # _score_kinks formed them.
+            return 0.0 if j == 0 else 1.0 if j == n + 1 else ratio * float(tab.nu[j - 1])
+
+        if hi < 0:
+            r0, pay = 1.0, min(pad(lo), 1.0)
+        else:
+            low, high = pad(lo), pad(hi)
+            r0 = (high - 1.0) / (high - low)
+            pay = r0 * low
+        cut, top0, top1 = int(tab.cut[i]), int(tab.top0[i]), int(tab.top1[i])
         bundle[:, top0:cut] = bundle[:, top1:] = 1.0
         bundle[0, cut:top1], bundle[1, cut:top1] = r0, pay
     r, p = bundle[:, tab.rank]
-    return _line(float(tab.qs[k]), r, p, d, rho)
+    return _line(q, r, p, d, rho)
 
 
 def _mix(a: _Line, b: _Line) -> tuple[float, np.ndarray, np.ndarray]:

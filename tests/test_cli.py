@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import upkeep.cli
 from upkeep import check_feasible
 from upkeep.cli import (
     EXIT_OK,
@@ -404,3 +410,61 @@ def test_simulate_accepts_a_level_just_below_zero(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.startswith("metric,estimate,ci_radius\npoisson_Q,")
     assert capsys.readouterr().err == ""
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh(args, **env):
+    # A new interpreter with this checkout's package first on its path.
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_main_never_builds_a_parser(tmp_path, monkeypatch):
+    # The parser is built once, when upkeep.cli is imported; main only
+    # parses.
+    def forbidden():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(upkeep.cli, "build_parser", forbidden)
+    for grid in ("1:4:3", "0.5:2:4:log"):
+        code, out = run_cli(tmp_path, EX2, ["--mode", "sweep", "--rho-grid", grid, "--ic"])
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == int(grid.split(":")[2]) + 1
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # Usage errors after a successful run read as in a fresh interpreter,
+    # and the run after them prints the same bytes.  COLUMNS fixes the
+    # usage line's wrapping on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    inp = tmp_path / "types.csv"
+    inp.write_text(EX2, encoding="utf-8")
+    sweep = ["--mode", "sweep", "--ic", "--input", str(inp), "--rho-grid", "1:4:3"]
+    assert main(sweep) == EXIT_OK
+    first = capsys.readouterr().out
+    for bad in (
+        ["--input", str(inp), "--rho", "1"],
+        ["--mode", "bogus", "--input", str(inp), "--rho", "1"],
+        ["--mode", "ic", "--input", str(inp), "--rho", "abc"],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(bad)
+        assert exit_.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        fresh = _fresh(["-m", "upkeep", *bad], COLUMNS="80")
+        assert (fresh.returncode, fresh.stdout) == (EXIT_PARSE, "")
+        assert err == fresh.stderr and err.startswith("usage: upkeep")
+    assert main(sweep) == EXIT_OK
+    assert capsys.readouterr().out == first
+
+
+def test_library_import_leaves_the_cli_out():
+    # The CLI's parser is built at its module's import, which the
+    # library import does not pay for.
+    out = _fresh(["-c", "import sys, upkeep; print('upkeep.cli' in sys.modules)"])
+    assert (out.returncode, out.stdout) == (0, "False\n")

@@ -18,8 +18,8 @@ from upkeep import (
 )
 from conftest import KINDS, kinded_distribution, random_distribution
 from reference import ic_lagrangian, table_row_menu
-from upkeep.model import kink_uptimes
-from upkeep.screening import _kink_table, _table_line
+from upkeep.model import DEFAULT_TOL, kink_uptimes
+from upkeep.screening import _kink_table, _screening_at, _table_line
 
 
 def test_bounded_monopoly_two_tier_menu():
@@ -388,6 +388,68 @@ def test_solve_path_never_scores_menus_buyer_by_buyer(monkeypatch):
         sol = solve_screening(d, rho)
         assert check_feasible(sol.mechanism, d, rho, tol=1e-8).ok
         assert verify_structure(sol)
+
+
+def _hex_fields(sol):
+    h = float.hex
+    tiers = [(h(t.r), h(t.p)) for t in sol.tiers]
+    return h(sol.W_star), h(sol.Q_star), h(sol.y_star), tiers, dict(sol.assignment)
+
+
+def test_final_menus_are_read_from_the_stored_cuts(monkeypatch):
+    # The table stores each row's cut indices, so once it is built the
+    # solve path never cuts buyers again: with _cuts gone, every solve
+    # from a built table matches an unpatched solve bit for bit.
+    solves = []
+    for d, rho in _table_cases():
+        tab = _kink_table(d)
+        for r in (rho, 0.2 * d.total_mass, 20.0 * d.total_mass):
+            solves.append((tab, d, r, _hex_fields(solve_screening(d, r))))
+
+    def forbidden(*args):
+        raise AssertionError("_cuts called on the solve path")
+
+    monkeypatch.setattr("upkeep.screening._cuts", forbidden)
+    infinite = set()
+    for tab, d, rho, expect in solves:
+        sol = _screening_at(tab, d, rho, DEFAULT_TOL)
+        assert _hex_fields(sol) == expect
+        infinite.add(math.isinf(sol.y_star))
+    assert infinite == {False, True}
+
+
+class _Chosen(Exception):
+    pass
+
+
+@pytest.mark.parametrize("narrow, wide", [(np.int8, np.int16), (np.int16, np.int32)])
+def test_index_dtype_is_chosen_before_any_block_is_scored(monkeypatch, narrow, wide):
+    # n types at the edge of narrow's range: the table's index dtype holds
+    # n + 2, and it is fixed before the first block's O(n^2) grid exists.
+    def stop(qs, nu, cum, dtype):
+        raise _Chosen(dtype)
+
+    monkeypatch.setattr("upkeep.screening._score_kinks", stop)
+    top = int(np.iinfo(narrow).max)
+    for n, dtype in ((top - 2, narrow), (top - 1, wide)):
+        d = TypeDistribution(tuple(AgentType(f"T{i}", 1.0 + i, 1.0, 1.0) for i in range(n)))
+        with pytest.raises(_Chosen) as chosen:
+            _kink_table(d)
+        assert chosen.value.args[0] == np.dtype(dtype)
+
+
+def test_index_columns_do_not_wrap_past_int8():
+    # At n = 127 the largest kink and posted-price index, n + 1, are past
+    # int8's range: a table cast to int8 would wrap them negative.
+    n = int(np.iinfo(np.int8).max)
+    d = kinded_distribution(np.random.default_rng(3), "plain", n)
+    tab = _kink_table(d)
+    columns = (tab.kink, tab.lo, tab.hi, tab.cut, tab.top0, tab.top1)
+    assert {x.dtype for x in columns} == {np.dtype(np.int16)}
+    assert tab.kink.max() == tab.qs.size - 1 == n + 1
+    assert tab.lo.max() == n + 1
+    assert min(x.min() for x in columns) == -1
+    assert max(x.max() for x in (tab.cut, tab.top0, tab.top1)) == n
 
 
 @pytest.mark.parametrize("n", [48, 96])
