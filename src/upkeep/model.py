@@ -107,6 +107,12 @@ class TypeDistribution:
         raise KeyError(type_id)
 
 
+def slack_scale(d: TypeDistribution, rho: float) -> float:
+    """The scale of a balance residual at rho, against which the solvers'
+    slack tolerances are relative: max(1, rho, total mass)."""
+    return max(1.0, rho, d.total_mass)
+
+
 def kink_uptimes(d: TypeDistribution) -> list[float]:
     """0, 1 and each type's kink 1 / (1 + nu), ascending and distinct.
 

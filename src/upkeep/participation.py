@@ -12,10 +12,10 @@ line.  envelope.minimize minimizes it exactly.  Each line's slope is
 also a balance residual: the prefix's saturated contributions minus the
 breakage rate.
 The lines' welfare and saturated contributions do not involve the
-breakage rate, so one table serves every rate.  The uptime is pinned on
-the maximizer face by reading the residuals without and with the types
-at the threshold off two columns of the same table, and finding where
-they bracket zero.
+breakage rate, so one table serves every rate.  The uptime is pinned
+between the kinks of the walk's final pair by reading the residuals
+without and with the types at the threshold off two columns of the same
+table, and finding where they bracket zero.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from .model import (
     Mechanism,
     TypeDistribution,
     kink_uptimes,
+    slack_scale,
     welfare,
 )
 
 TypeClass = Literal["FULL", "BOUND", "NONE"]
 
-_FACE_RTOL = 1e-12
 _SCAN_RTOL = 1e-15
 
 
@@ -148,7 +148,7 @@ def _smallest_balanced_q(
     """Smallest Q in [qs[0], qs[-1]] whose residual bracket
     [rm(Q), rp(Q)] holds 0, given rm and rp at the kinks qs; both are
     linear between kinks, so each segment is solved in closed form.  A
-    face of one kink is the segment [qs[0], qs[0]].
+    span of one kink is the segment [qs[0], qs[0]].
     """
     for i, k in [(i, i + 1) for i in range(len(qs) - 1)] or [(0, 0)]:
         a, b = qs[i], qs[k]
@@ -174,7 +174,7 @@ def _solve_infinite_branch(
     # uptimes are the zero set of the slack function, an interval
     # [0, qbar].  Slack and welfare are the table's full-prefix columns,
     # both linear between kinks.
-    eps = tol * max(1.0, rho, d.total_mass)
+    eps = tol * slack_scale(d, rho)
     g, w = S[:, -1].tolist(), W[:, -1].tolist()
     k = next((i for i, gi in enumerate(g) if gi < -eps), None)
     if k is None:
@@ -192,17 +192,29 @@ def _solve_infinite_branch(
     for q, wq in candidates:
         if wq > best_w + eps:
             Q, best_w = q, wq
-    P = {t.id: min(1.0 - Q, Q * t.nu) for t in d.types}
+    return _solution(d, rho, tol, Q, math.inf, math.inf, math.inf, 0.0, 0)
+
+
+def _solution(
+    d: TypeDistribution, rho: float, tol: float, Q: float, y: float,
+    lo_c: float, hi_c: float, frac: float, iterations: int,
+) -> ParticipationSolution:
+    """The solution at uptime Q and threshold y in which each type
+    contributes its cap min(1 - Q, Q * nu) if its cost is below lo_c,
+    frac of it if its cost is in [lo_c, hi_c], and nothing above."""
+    P: dict[str, float] = {}
+    for t in d.types:
+        cap = min(1.0 - Q, Q * t.nu)
+        P[t.id] = cap if t.c < lo_c else cap * frac if t.c <= hi_c else 0.0
     mech = Mechanism(Q=Q, R={t.id: Q for t in d.types}, P=P)
-    classes = _classify(mech, d, tol)
     return ParticipationSolution(
-        y_star=math.inf,
+        y_star=y,
         Q_star=Q,
         W_star=welfare(mech, d),
         mechanism=mech,
-        classes=classes,
-        marginal_fraction=0.0,
-        iterations=0,
+        classes=_classify(mech, d, tol),
+        marginal_fraction=frac,
+        iterations=iterations,
         rho=rho,
     )
 
@@ -232,13 +244,13 @@ def solve_participation(
     rho, and the solve at rho (_participation_at) forms their slopes.
     When some line has slack above tol, envelope.minimize minimizes the
     dual, and the crossing of its final pair is the threshold, snapped
-    to a cost atom within rounding.  The uptime is the smallest on the
-    maximizer face where the balance residual without the threshold's
-    types is <= 0 and with them is >= 0; both residuals are columns of
-    the table.  The threshold's types then share one contribution
-    fraction that balances exactly.  Otherwise the threshold is infinite
-    and the solution is the welfare-best fully saturated balanced point,
-    read off the table's full-prefix column.
+    to a cost atom within rounding.  The uptime is the smallest between
+    the final pair's kinks where the balance residual without the
+    threshold's types is <= 0 and with them is >= 0; both residuals are
+    columns of the table.  The threshold's types then share one
+    contribution fraction that balances exactly.  Otherwise the
+    threshold is infinite and the solution is the welfare-best fully
+    saturated balanced point, read off the table's full-prefix column.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
@@ -252,8 +264,8 @@ def _participation_at(
 ) -> ParticipationSolution:
     """solve_participation at rho from d's lines, for checked arguments."""
     kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
-    slack_scale = max(1.0, rho, d.total_mass)
-    found = minimize(W.ravel(), S.ravel(), tol * slack_scale)
+    scale = slack_scale(d, rho)
+    found = minimize(W.ravel(), S.ravel(), tol * scale)
     if found is None:
         return _solve_infinite_branch(d, rho, tol, kinks, W, S)
     pos, neg, iterations, y_star = found
@@ -277,20 +289,18 @@ def _participation_at(
         lo_c, hi_c = min(band), max(band)
     j_lt, j_le = bisect_left(costs, lo_c), bisect_right(costs, hi_c)
 
-    # The maximizer face at y_star from the per-kink maxima, widened to
-    # hold the final pair's kinks.  Columns j_lt and j_le are the balance
-    # residuals without and with the band's types.
-    top = (W + y_star * S).max(axis=1)
-    vmax = float(top.max())
-    face = np.flatnonzero(top >= vmax - _FACE_RTOL * max(1.0, abs(vmax))).tolist()
-    face += [pos_row, neg_row]
-    rows = slice(min(face), max(face) + 1)
-    eps = _SCAN_RTOL * slack_scale
+    # Columns j_lt and j_le are the balance residuals without and with
+    # the band's types.  S does not fall along a row, and the columns
+    # between a pair line's prefix and these add only massless types: at
+    # the neg kink the first is <= its slack < 0, at the pos kink the
+    # second is >= its slack >= 0, and both are linear between kinks.
+    rows = slice(min(pos_row, neg_row), max(pos_row, neg_row) + 1)
+    eps = _SCAN_RTOL * scale
     Q_star = _smallest_balanced_q(
         kinks[rows], S[rows, j_lt].tolist(), S[rows, j_le].tolist(), eps
     )
     if Q_star is None:
-        raise RuntimeError("no balanced uptime found on the maximizer face")
+        raise RuntimeError("no balanced uptime found between the final pair's kinks")
 
     # The residuals at Q_star, summed in type order rather than read off
     # the table's cost-ordered sums: frac amplifies their rounding.
@@ -305,29 +315,7 @@ def _participation_at(
     frac = 0.0
     if rp - rm > eps:
         frac = min(max(-rm / (rp - rm), 0.0), 1.0)
-
-    P: dict[str, float] = {}
-    for t in d.types:
-        cap = min(1.0 - Q_star, Q_star * t.nu)
-        if lo_c <= t.c <= hi_c:
-            P[t.id] = cap * frac
-        elif t.c < lo_c:
-            P[t.id] = cap
-        else:
-            P[t.id] = 0.0
-    mech = Mechanism(Q=Q_star, R={t.id: Q_star for t in d.types}, P=P)
-    classes = _classify(mech, d, tol)
-
-    return ParticipationSolution(
-        y_star=y_star,
-        Q_star=Q_star,
-        W_star=welfare(mech, d),
-        mechanism=mech,
-        classes=classes,
-        marginal_fraction=frac,
-        iterations=iterations,
-        rho=rho,
-    )
+    return _solution(d, rho, tol, Q_star, y_star, lo_c, hi_c, frac, iterations)
 
 
 def classify_interval(

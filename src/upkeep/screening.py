@@ -40,6 +40,7 @@ from .model import (
     Mechanism,
     TypeDistribution,
     kink_uptimes,
+    slack_scale,
     welfare,
 )
 
@@ -250,10 +251,10 @@ def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
     Buyers are sorted by nu, and a menu at kink k sees the valuations
     ratio[k] * nu.  The menus are posted prices low or, given high,
     two-atom menus with atoms low and high; k, low and high hold one
-    entry per menu, or are scalars for one menu.  In nu order the buyers
-    in [0, top0) opt out, those in [top0, cut) and [top1, n) take the top
-    tier (1, 1), and those in [cut, top1) take (r, pay); a posted price
-    has top0 = cut and top1 = n.
+    entry per menu.  In nu order the buyers in [0, top0) opt out, those
+    in [top0, cut) and [top1, n) take the top tier (1, 1), and those in
+    [cut, top1) take (r, pay); a posted price has top0 = cut and
+    top1 = n.
 
     A buyer takes (r, pay) iff r * (v - low) clears the tie tolerance
     eps, in favour of (r, pay) when it charges something, and then the
@@ -468,7 +469,7 @@ def _solve_infinite_branch(
     # welfare, affine along the segment, is best at one end.  At Q = 0
     # the opt-out menu is balanced, so the scan always finds one.  The
     # limit row's slack is -rho, within eps_bal for a tiny rho: skip it.
-    eps_bal = 1e-12 * max(1.0, rho, d.total_mass)
+    eps_bal = 1e-12 * slack_scale(d, rho)
     kink, S = tab.kink[:-1], S[:-1]
     top = np.full(tab.qs.size, -math.inf)
     np.maximum.at(top, kink, S)
@@ -517,7 +518,7 @@ def _screening_at(
 ) -> ScreeningSolution:
     """solve_screening at rho from d's table, for checked arguments."""
     S = tab.slack(rho)
-    found = minimize(tab.W, S, tol * max(1.0, rho, d.total_mass))
+    found = minimize(tab.W, S, tol * slack_scale(d, rho))
     if found is None:
         return _solve_infinite_branch(d, rho, tab, S)
     pos, neg, steps, _ = found

@@ -32,14 +32,17 @@ buffers.
   scaling of one draw per period, so its estimates at a given seed are
   the same as those of the per-period loop it replaced.
 
-Admissibility is derived from the event arrays the engines produce (the
-same arrays any trace is written from): breaks and fixes alternate and
-every use falls in a working interval.  The Poisson engine also passes
+Admissibility is derived from the event arrays the Poisson engine
+produces (the same arrays any trace is written from): breaks and fixes
+alternate and every use falls in a working interval.  It also passes
 each break's and fix's position in the arrival stream, which orders
 events at one instant, such as a break that lands on the instant of the
 fix before it.  Its contributions come from the arrivals' own draws: the
 arrivals that drew a contribution while the machine was broken must be
-exactly its fixes.
+exactly its fixes.  The fluid engine does not observe the event flags:
+its breaks and fixes are the alternate ends of one cumulative sum of
+nonnegative durations, and it has no individual uses or contributions,
+so it reports both as True.
 """
 
 from __future__ import annotations
@@ -86,9 +89,10 @@ class Admissibility:
     Both event flags need breaks and fixes to alternate.  Usage also needs
     every use to fall while the machine works; contribution needs the
     Poisson engine's arrivals that drew a contribution while the machine
-    was broken to be exactly its fixes (the fluid engine has no
-    individual contributions).  The lifespan flag compares the mean
-    lifespan with its target.
+    was broken to be exactly its fixes.  The fluid engine does not
+    observe them and reports both as True: its breaks and fixes alternate
+    by construction, and it has no individual uses or contributions.  The
+    lifespan flag compares the mean lifespan with its target.
     """
 
     usage_only_while_working: bool
@@ -553,7 +557,6 @@ def simulate_fluid(
     t = 0.0
     working_time = 0.0
     lifespans, downs = array("d"), array("d")  # per cycle, in the window
-    use_ok = con_ok = True
     done = False
     while not done:
         cycles = _block_size((w_end - t) / mean_cycle)
@@ -581,9 +584,6 @@ def simulate_fluid(
         breaks, fixes = ends[:s:2], ends[1:s:2]
         lifespans.frombytes(dur[:s:2][breaks >= w_start].tobytes())
         downs.frombytes(dur[1:s:2][fixes >= w_start].tobytes())
-        alternate, block_use_ok = _admissible(breaks, fixes, np.empty(0), True)
-        use_ok = use_ok and block_use_ok
-        con_ok = con_ok and alternate
         if tr.stream is not None:
             for j, tj in enumerate(ends[:s].tolist()):
                 if j % 2 == 0:
@@ -615,8 +615,8 @@ def simulate_fluid(
         rho=phys.rho,
         masses={t.id: t.mass for t in d.types},
         admissibility=Admissibility(
-            usage_only_while_working=use_ok,
-            contribution_only_while_broken=con_ok,
+            usage_only_while_working=True,
+            contribution_only_while_broken=True,
             lifespan_mean_ok=_lifespan_flag(lifespans, phys.lifespan_mean),
         ),
     )

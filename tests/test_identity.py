@@ -1,0 +1,120 @@
+"""Identity gate: every field of all three solutions, as float.hex, over a
+seeded corpus, hashed per solver and family.  A change that should leave
+the solvers' arithmetic alone must leave every digest alone; a change
+that moves a bit anywhere must say which solves moved and why."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from upkeep import (
+    AgentType,
+    DegenerateDistributionError,
+    TypeDistribution,
+    solve_first_best,
+    solve_participation,
+    solve_screening,
+)
+from conftest import KINDS, kinded_distribution
+from test_sweep import _hexed
+
+SOLVERS = {
+    "first_best": solve_first_best,
+    "participation": solve_participation,
+    "screening": solve_screening,
+}
+
+DIGESTS = {
+    "first_best/integer": "9dd385a134c4dc3ba21d073c6435d3594ee80f919d01c67c39349d6a24c4acc1",
+    "first_best/plain": "b424bc4fa3caccba742d3c8f5c44d772ed5d3b5b874a72400be4af60082d87c3",
+    "first_best/tied_cost": "cb0a3e89b6ce0cf51d5f65b47a625f5eb600d09d611692ada220b7d3b36b3785",
+    "first_best/tied_nu": "31b77fe2a67cba38fdcfc4ff6418acbbbf8e761b4162b2e0b985528c327badaf",
+    "first_best/zero_mass": "24ab5543a9c8d85736c120414be4ae025199b0792bafcaf906212f5276692532",
+    "participation/integer": "a05cb11f6b66639919496c7547e8f586e52a58c598d0951119468b0cd1eb60ed",
+    "participation/plain": "98955e686ec16b589a3af59a6edd5257236f523703d90674d4627794a8c5901f",
+    "participation/tied_cost": "21e28d7d963efba3eacef4f09a4f973b0f75dfb1da65695328ff15e7230ed097",
+    "participation/tied_nu": "da57920f1b011ff0c33a2b5e3661e76b64adf7f8ada65cff5b9f80d616dd435b",
+    "participation/zero_mass": "877ccdf9862d3c594556310a6ebf46f475001a9c2c478f0e686cfc07bc61e45d",
+    "screening/integer": "c757552390ac072b3a0855e42dc88ca01467204772b5a94fb1181c18bc7bb435",
+    "screening/plain": "0eeae502884e9f6b28811870ecc8108c98db4e64975dfbbb49c9465255db11b6",
+    "screening/tied_cost": "5141dfc268ebb45b6b8a267776aeec60ff9771c11733289414591eeae63adac4",
+    "screening/tied_nu": "87fb791c50ea4fcea7d58029d6a2a944bedfb775cf607c05f996ffc62a1a08c2",
+    "screening/zero_mass": "4fd5c2e6a192ea426a2e1da5aee9668785592d670016f36ad1fc2d59dd319367",
+}
+
+
+def _kinded(kind, rng):
+    """Nine draws of each n = 1-29 at rho = total mass x 10^U(-3, 3);
+    draws without mass are skipped."""
+    for n in range(1, 30):
+        for _ in range(9):
+            try:
+                d = kinded_distribution(rng, kind, n)
+            except DegenerateDistributionError:
+                continue
+            yield d, d.total_mass * 10.0 ** float(rng.uniform(-3.0, 3.0))
+
+
+def _integer_tables():
+    """400 small integer tables with tied costs, tied valuations and
+    zero masses, at integer rho; tables without mass are skipped."""
+    rng = np.random.default_rng(99)
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        rows = [
+            (int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+            for _ in range(n)
+        ]
+        if not any(m for _, _, m in rows):
+            continue
+        d = TypeDistribution(
+            tuple(
+                AgentType(f"T{i}", float(u), float(c), float(m))
+                for i, (u, c, m) in enumerate(rows)
+            )
+        )
+        yield d, float(rng.integers(1, 8))
+
+
+def corpus():
+    """(family, distribution, rho) over the whole corpus."""
+    rng = np.random.default_rng(20261019)
+    for kind in KINDS:
+        for d, rho in _kinded(kind, rng):
+            yield kind, d, rho
+    for d, rho in _integer_tables():
+        yield "integer", d, rho
+
+
+def digests() -> dict[str, str]:
+    """sha256 per solver and family of the float.hex of every solution
+    field (screening's copy of the distribution left out)."""
+    hashes = {}
+    for family, d, rho in corpus():
+        for name, solve in SOLVERS.items():
+            fields = _hexed(solve(d, rho))
+            fields.pop("d", None)
+            h = hashes.setdefault(f"{name}/{family}", hashlib.sha256())
+            h.update(repr((rho.hex(), fields)).encode())
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+def test_corpus_size():
+    families = [family for family, _, _ in corpus()]
+    assert len(families) == 1422
+    assert families.count("integer") == 387
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return digests()
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS))
+def test_solutions_are_bit_identical(computed, key):
+    assert computed[key] == DIGESTS[key]
+
+
+def test_every_solver_and_family_is_pinned(computed):
+    assert sorted(computed) == sorted(DIGESTS)

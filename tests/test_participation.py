@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import upkeep.participation
 from upkeep import (
     AgentType,
     NotOrderedError,
     TypeDistribution,
+    balance_residual,
     check_feasible,
     classify_interval,
     primal_grid_welfare,
@@ -14,7 +16,9 @@ from upkeep import (
     solve_participation,
     welfare,
 )
-from conftest import random_distribution
+from upkeep.envelope import minimize
+from upkeep.model import kink_uptimes
+from conftest import KINDS, kinded_distribution, random_distribution
 from reference import inner_max_Q, reduced_lagrangian, slater_gap
 
 Y_STAR = 45.0 / 14.0
@@ -329,3 +333,70 @@ def test_integer_tables_are_feasible_and_optimal():
         ).ok
         oracle = primal_grid_welfare(d, rho, "participation")[0]
         assert abs(sol.W_star - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+def _integer_table(rows):
+    """A table of (u, c, mass) rows as types T0, T1, ..."""
+    return TypeDistribution(
+        tuple(
+            AgentType(f"T{i}", float(u), float(c), float(m))
+            for i, (u, c, m) in enumerate(rows)
+        )
+    )
+
+
+def test_uptime_lands_on_the_pair_kink():
+    # The final pair's lower kink is T2's, 1 / (1 + 0.75), and it
+    # balances; a wider scan past the pair's kinks stopped 8 ulps below.
+    d = _integer_table(
+        [(5, 1, 3), (2, 2, 3), (3, 4, 1), (3, 3, 1), (5, 4, 3), (1, 2, 3), (2, 1, 3)]
+    )
+    assert solve_participation(d, 9.0).Q_star == 1.0 / (1.0 + 0.75)
+
+
+def test_flat_face_table_keeps_its_smallest_uptime():
+    # The maximizer face is flat from Q = 2/7 to 1; the balanced uptime
+    # between the final pair's kinks is its left end.
+    d = _integer_table([(1, 3, 2), (1, 3, 2), (5, 2, 2), (3, 3, 1)])
+    assert solve_participation(d, 5.0).Q_star.hex() == "0x1.2492492492492p-2"
+
+
+def _pair_cases():
+    """Seeded integer tables with tied costs, tied valuations and zero
+    masses, then the four kinds at rho from 1e-3 to 1e3 times the mass."""
+    rng = np.random.default_rng(83)
+    for _ in range(3000):
+        n = int(rng.integers(1, 8))
+        mass = rng.integers(0, 4, n)
+        mass[-1] += mass.sum() == 0
+        rows = zip(rng.integers(1, 7, n), rng.integers(1, 5, n), mass)
+        yield _integer_table(rows), float(rng.integers(1, 21)) / float(rng.integers(1, 5))
+    for k in range(800):
+        d = kinded_distribution(rng, KINDS[k % 4], int(rng.integers(2, 30)))
+        yield d, d.total_mass * 10.0 ** float(rng.uniform(-3.0, 3.0))
+
+
+def test_uptime_lies_between_the_final_pair_kinks(monkeypatch):
+    pairs = []
+
+    def recording(W, S, eps):
+        found = minimize(W, S, eps)
+        pairs.append(found)
+        return found
+
+    monkeypatch.setattr(upkeep.participation, "minimize", recording)
+    finite = 0
+    for d, rho in _pair_cases():
+        pairs.clear()
+        sol = solve_participation(d, rho)
+        (found,) = pairs
+        if found is not None:
+            finite += 1
+            kinks = kink_uptimes(d)
+            rows = [i // (len(d.types) + 1) for i in found[:2]]
+            assert kinks[min(rows)] <= sol.Q_star <= kinks[max(rows)]
+        scale = max(1.0, rho, d.total_mass)
+        assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * scale
+        oracle = primal_grid_welfare(d, rho, "participation")[0]
+        assert abs(sol.W_star - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    assert finite > 2000
