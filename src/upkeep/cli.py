@@ -74,7 +74,6 @@ class RunConfig:
     mode: str
     input: str
     rho: float | None = None
-    tol: float = 1e-9
     seed: int | None = None
     horizon: float | None = None
     rho_grid: RhoGrid | None = None
@@ -84,8 +83,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError("tol must be finite and > 0")
         if self.mode == "sweep":
             if self.rho_grid is None:
                 raise ValidationError("sweep mode requires --rho-grid")
@@ -150,7 +147,10 @@ def parse_mechanism_table(text: str) -> tuple[TypeDistribution, Mechanism]:
             for part in line.split(","):
                 key, _, val = part.strip().partition("=")
                 if key.strip() == "Q":
-                    q = float(val)
+                    try:
+                        q = float(val)
+                    except ValueError as exc:
+                        raise ParseError(str(exc), lineno) from exc
             continue
         if not header_seen:
             expected = ["id", "u", "c", "mass", "nu", "R", "P", "utility", "class"]
@@ -233,9 +233,9 @@ def _run_solver_mode(cfg: RunConfig, d: TypeDistribution) -> list[str]:
         sol = solve_first_best(d, rho)
         return _mechanism_lines(d, sol.mechanism, _classes_fb(sol, d), sol.y_fb, rho)
     if cfg.mode == "part":
-        sol = solve_participation(d, rho, cfg.tol)
+        sol = solve_participation(d, rho)
         return _mechanism_lines(d, sol.mechanism, dict(sol.classes), sol.y_star, rho)
-    sol = solve_screening(d, rho, cfg.tol)
+    sol = solve_screening(d, rho)
     return _mechanism_lines(d, sol.mechanism, _classes_ic(sol), sol.y_star, rho)
 
 
@@ -274,10 +274,10 @@ def _run_sweep(cfg: RunConfig, d: TypeDistribution) -> list[str]:
     lines = [header]
     for rho in cfg.rho_grid.values():
         fb = _first_best_at(fb_lines, d, rho)
-        part = _participation_at(part_lines, d, rho, cfg.tol)
+        part = _participation_at(part_lines, d, rho)
         cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
         if ic_table is not None:
-            ic = _screening_at(ic_table, d, rho, cfg.tol)
+            ic = _screening_at(ic_table, d, rho)
             cells += [ic.y_star, ic.Q_star, ic.W_star]
         lines.append(",".join(map(fmt, cells)))
     return lines
@@ -287,11 +287,8 @@ def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], b
     rho = float(cfg.rho)
     pairs = (
         (solve_first_best(d, rho).W_fb, primal_grid_welfare(d, rho, "first_best")[0]),
-        (
-            solve_participation(d, rho, cfg.tol).W_star,
-            primal_grid_welfare(d, rho, "participation")[0],
-        ),
-        (solve_screening(d, rho, cfg.tol).W_star, lp_screening_welfare(d, rho)[0]),
+        (solve_participation(d, rho).W_star, primal_grid_welfare(d, rho, "participation")[0]),
+        (solve_screening(d, rho).W_star, lp_screening_welfare(d, rho)[0]),
     )
     lines = ["W_solver,W_oracle,delta"]
     ok = True
@@ -369,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--input", required=True, help="type table CSV, or a mechanism table for simulate")
     p.add_argument("--rho", type=float, help="breakage rate")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int)
     p.add_argument("--horizon", type=float)
     p.add_argument("--rho-grid", help="start:stop:count[:log]")
@@ -390,7 +386,6 @@ def main(argv: list[str] | None = None) -> int:
             mode=args.mode,
             input=args.input,
             rho=args.rho,
-            tol=args.tol,
             seed=args.seed,
             horizon=args.horizon,
             rho_grid=_parse_rho_grid(args.rho_grid) if args.rho_grid else None,

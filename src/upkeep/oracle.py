@@ -182,10 +182,10 @@ def _tableau(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
 
 
 def _float_simplex(
-    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, tol: float
+    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
     """_simplex_max's x, with the final basis of _bland."""
-    x, basis = _bland(_tableau(obj, A_ub, b_ub), tol)
+    x, basis = _bland(_tableau(obj, A_ub, b_ub), _LP_TOL)
     worst = max(-x.min(initial=0.0), (A_ub @ x - b_ub).max(initial=0.0))
     if not worst <= 1e-6 * np.abs(b_ub).max(initial=1.0):
         raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3g})")
@@ -193,16 +193,16 @@ def _float_simplex(
 
 
 def _simplex_max(
-    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, tol: float
+    obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """(x, obj @ x) maximizing obj @ x subject to A_ub x <= b_ub, x >= 0,
-    for b_ub >= 0 and a bounded optimum, by _bland in floats.
+    for b_ub >= 0 and a bounded optimum, by _bland in floats with the
+    pivot and ratio-test tolerance _LP_TOL.
 
-    Tolerances in the pivots and ratio tests can end on a basis whose x
-    breaks a row; an x that breaks one by more than 1e-6·max(1, max|b|)
-    raises RuntimeError.
+    That tolerance can end on a basis whose x breaks a row; an x that
+    breaks one by more than 1e-6·max(1, max|b|) raises RuntimeError.
     """
-    x, _ = _float_simplex(obj, A_ub, b_ub, tol)
+    x, _ = _float_simplex(obj, A_ub, b_ub)
     return x, float(obj @ x)
 
 
@@ -241,7 +241,7 @@ def _checked_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[n
     accumulated; and _exact_max.  An answer that _simplex_max refuses goes
     straight to _exact_max."""
     try:
-        x, basis = _float_simplex(obj, A_ub, b_ub, _LP_TOL)
+        x, basis = _float_simplex(obj, A_ub, b_ub)
     except RuntimeError:  # refused as infeasible, or out of pivots
         return _exact_max(obj, A_ub, b_ub)
     # The value errs by about as much as x breaks its rows.

@@ -165,7 +165,6 @@ def _smallest_balanced_q(
 def _solve_infinite_branch(
     d: TypeDistribution,
     rho: float,
-    tol: float,
     kinks: list[float],
     W: np.ndarray,
     S: np.ndarray,
@@ -174,7 +173,7 @@ def _solve_infinite_branch(
     # uptimes are the zero set of the slack function, an interval
     # [0, qbar].  Slack and welfare are the table's full-prefix columns,
     # both linear between kinks.
-    eps = tol * slack_scale(d, rho)
+    eps = DEFAULT_TOL * slack_scale(d, rho)
     g, w = S[:, -1].tolist(), W[:, -1].tolist()
     k = next((i for i, gi in enumerate(g) if gi < -eps), None)
     if k is None:
@@ -192,11 +191,11 @@ def _solve_infinite_branch(
     for q, wq in candidates:
         if wq > best_w + eps:
             Q, best_w = q, wq
-    return _solution(d, rho, tol, Q, math.inf, math.inf, math.inf, 0.0, 0)
+    return _solution(d, rho, Q, math.inf, math.inf, math.inf, 0.0, 0)
 
 
 def _solution(
-    d: TypeDistribution, rho: float, tol: float, Q: float, y: float,
+    d: TypeDistribution, rho: float, Q: float, y: float,
     lo_c: float, hi_c: float, frac: float, iterations: int,
 ) -> ParticipationSolution:
     """The solution at uptime Q and threshold y in which each type
@@ -212,14 +211,15 @@ def _solution(
         Q_star=Q,
         W_star=welfare(mech, d),
         mechanism=mech,
-        classes=_classify(mech, d, tol),
+        classes=_classify(mech, d),
         marginal_fraction=frac,
         iterations=iterations,
         rho=rho,
     )
 
 
-def _classify(m: Mechanism, d: TypeDistribution, tol: float) -> dict[str, TypeClass]:
+def _classify(m: Mechanism, d: TypeDistribution) -> dict[str, TypeClass]:
+    tol = DEFAULT_TOL
     classes: dict[str, TypeClass] = {}
     if m.Q <= tol:
         return {t.id: "NONE" for t in d.types}
@@ -235,39 +235,36 @@ def _classify(m: Mechanism, d: TypeDistribution, tol: float) -> dict[str, TypeCl
     return classes
 
 
-def solve_participation(
-    d: TypeDistribution, rho: float, tol: float = DEFAULT_TOL
-) -> ParticipationSolution:
+def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolution:
     """Solve the designer's problem under participation constraints.
 
     Every line of the dual is scored once (_kink_lines), independently of
     rho, and the solve at rho (_participation_at) forms their slopes.
-    When some line has slack above tol, envelope.minimize minimizes the
-    dual, and the crossing of its final pair is the threshold, snapped
-    to a cost atom within rounding.  The uptime is the smallest between
-    the final pair's kinks where the balance residual without the
-    threshold's types is <= 0 and with them is >= 0; both residuals are
-    columns of the table.  The threshold's types then share one
-    contribution fraction that balances exactly.  Otherwise the
-    threshold is infinite and the solution is the welfare-best fully
-    saturated balanced point, read off the table's full-prefix column.
+    When some line has slack above DEFAULT_TOL * slack_scale(d, rho),
+    envelope.minimize minimizes the dual, and the crossing of its final
+    pair is the threshold, snapped to a cost atom within rounding.  The
+    uptime is the smallest between the final pair's kinks where the
+    balance residual without the threshold's types is <= 0 and with them
+    is >= 0; both residuals are columns of the table.  The threshold's
+    types then share one contribution fraction that balances exactly.
+    Otherwise the threshold is infinite and the solution is the
+    welfare-best fully saturated balanced point, read off the table's
+    full-prefix column.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and > 0")
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    return _participation_at(_kink_lines(d), d, rho, tol)
+    return _participation_at(_kink_lines(d), d, rho)
 
 
 def _participation_at(
-    lines: _KinkLines, d: TypeDistribution, rho: float, tol: float
+    lines: _KinkLines, d: TypeDistribution, rho: float
 ) -> ParticipationSolution:
     """solve_participation at rho from d's lines, for checked arguments."""
     kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
     scale = slack_scale(d, rho)
-    found = minimize(W.ravel(), S.ravel(), tol * scale)
+    found = minimize(W.ravel(), S.ravel(), DEFAULT_TOL * scale)
     if found is None:
-        return _solve_infinite_branch(d, rho, tol, kinks, W, S)
+        return _solve_infinite_branch(d, rho, kinks, W, S)
     pos, neg, iterations, y_star = found
     # Marginal rationing applies only at a cost atom, which the crossing
     # hits only up to rounding.
@@ -315,18 +312,18 @@ def _participation_at(
     frac = 0.0
     if rp - rm > eps:
         frac = min(max(-rm / (rp - rm), 0.0), 1.0)
-    return _solution(d, rho, tol, Q_star, y_star, lo_c, hi_c, frac, iterations)
+    return _solution(d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
 
 
-def classify_interval(
-    sol: ParticipationSolution, d: TypeDistribution, tol: float = DEFAULT_TOL
-) -> OrderedTypesReport:
+def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> OrderedTypesReport:
     """Report the shape of the participation-bound set for ordered types.
 
     Types are sorted by descending cost; valuations must be nondecreasing
     along that order, otherwise NotOrderedError is raised.  When
     first-best welfare is out of reach, the bound set should be a
     contiguous block whose cost span covers the first-best threshold.
+    First-best welfare counts as attained when sol's welfare is within
+    DEFAULT_TOL * max(1, |W_fb|) of it.
     """
     order = sorted(d.types, key=lambda t: -t.c)
     for a, b in zip(order, order[1:]):
@@ -349,7 +346,7 @@ def classify_interval(
     else:
         cost_span = None
         contains = False
-    attained = sol.W_star >= fb.W_fb - tol * max(1.0, abs(fb.W_fb))
+    attained = sol.W_star >= fb.W_fb - DEFAULT_TOL * max(1.0, abs(fb.W_fb))
     return OrderedTypesReport(
         order=tuple(t.id for t in order),
         bound_ids=bound_ids,

@@ -486,9 +486,7 @@ def _solve_infinite_branch(
     return _build_solution(math.inf, line.Q, line.r, line.p, d, rho, 0)
 
 
-def solve_screening(
-    d: TypeDistribution, rho: float, tol: float = DEFAULT_TOL
-) -> ScreeningSolution:
+def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     """Solve the designer's problem under participation and truthful
     reporting.
 
@@ -503,22 +501,19 @@ def solve_screening(
     optimal balanced mechanism.  The pair's menus are
     read from the cut indices that scored them in the table, so one tie
     rule assigns every buyer.
-    When no kink menu has slack above tol the dual is unbounded and the
-    welfare-best balanced revenue maximizer is returned with y_star = inf.
+    When no kink menu has slack above DEFAULT_TOL * slack_scale(d, rho)
+    the dual is unbounded and the welfare-best balanced revenue maximizer
+    is returned with y_star = inf.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and > 0")
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    return _screening_at(_kink_table(d), d, rho, tol)
+    return _screening_at(_kink_table(d), d, rho)
 
 
-def _screening_at(
-    tab: _KinkTable, d: TypeDistribution, rho: float, tol: float
-) -> ScreeningSolution:
+def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> ScreeningSolution:
     """solve_screening at rho from d's table, for checked arguments."""
     S = tab.slack(rho)
-    found = minimize(tab.W, S, tol * slack_scale(d, rho))
+    found = minimize(tab.W, S, DEFAULT_TOL * slack_scale(d, rho))
     if found is None:
         return _solve_infinite_branch(d, rho, tab, S)
     pos, neg, steps, _ = found

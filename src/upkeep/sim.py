@@ -201,7 +201,9 @@ def _lifespan_flag(lifespans: array, mean_target: float) -> bool:
         return True
     arr = np.frombuffer(lifespans)
     se = float(arr.std(ddof=1)) / math.sqrt(n)
-    return abs(float(arr.mean()) - mean_target) <= 4.0 * se + 1e-12
+    # Centred first: np.mean of identical lifespans near 1 / rho can
+    # round off the target by more than 1e-12, and their se is 0.
+    return abs(float((arr - mean_target).mean())) <= 4.0 * se + 1e-12
 
 
 def _admissible(

@@ -84,18 +84,15 @@ def test_run_config_validation(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_rho_tol_and_grid_are_validation_errors(tmp_path, value):
+def test_non_finite_rho_and_grid_are_validation_errors(tmp_path, value):
     with pytest.raises(ValidationError):
         RunConfig(mode="part", input="x", rho=float(value))
-    with pytest.raises(ValidationError):
-        RunConfig(mode="ic", input="x", rho=1.0, tol=float(value))
     with pytest.raises(ValidationError):
         RhoGrid(1.0, float(value), 4)
     with pytest.raises(ValidationError):
         RhoGrid(float(value), 8.0, 4)
     for args in (
         ["--mode", "part", "--rho", value],
-        ["--mode", "ic", "--rho", "5.5", "--tol", value],
         ["--mode", "sweep", "--rho-grid", f"1:{value}:4"],
     ):
         code, out = run_cli(tmp_path, EX1, args)
@@ -410,6 +407,58 @@ def test_simulate_accepts_a_level_just_below_zero(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.startswith("metric,estimate,ci_radius\npoisson_Q,")
     assert capsys.readouterr().err == ""
+
+
+_MECH_ROW = "A,1,1,1,1,0.5,0.5,0,FULL\n"
+_MECH_HEADER = "id,u,c,mass,nu,R,P,utility,class\n"
+_SIMULATE = ["--mode", "simulate", "--rho", "1", "--seed", "1", "--horizon", "100"]
+
+
+@pytest.mark.parametrize(
+    "text, args, code, message",
+    [
+        ("id,u,cost,mass\nA,1,1,1\n", ["--mode", "fb", "--rho", "1"], EXIT_PARSE,
+         "line 1: expected header 'id,u,c,mass'"),
+        ("# comments only\n\n", ["--mode", "fb", "--rho", "1"], EXIT_PARSE,
+         "line 1: missing header 'id,u,c,mass'"),
+        ("id,u,c,mass\nA,1,1\n", ["--mode", "part", "--rho", "1"], EXIT_PARSE,
+         "line 2: expected 4 comma-separated values, got 3"),
+        ("id,u,c,mass\nA,x,1,1\n", ["--mode", "ic", "--rho", "1"], EXIT_PARSE,
+         "line 2: could not convert string to float: 'x'"),
+        (EX1, ["--mode", "sweep", "--rho-grid", "1:8"], EXIT_VALIDATION,
+         "--rho-grid expects start:stop:count[:log]"),
+        (EX1, ["--mode", "sweep", "--rho-grid", "1:8:4:lin"], EXIT_VALIDATION,
+         "the fourth grid field must be 'log'"),
+        (_MECH_HEADER + _MECH_ROW, _SIMULATE, EXIT_VALIDATION,
+         "mechanism table has no summary line with Q="),
+        ("id,u,c,mass,nu,R,P,utility\n" + _MECH_ROW, _SIMULATE, EXIT_PARSE,
+         "line 1: expected mechanism table header"),
+        (_MECH_HEADER + "A,1,1,1,1,0.5,0.5,0\n", _SIMULATE, EXIT_PARSE,
+         "line 2: expected 9 columns"),
+        (_MECH_HEADER + _MECH_ROW + "Q=abc, y=1, W=1, balance_residual=0\n", _SIMULATE,
+         EXIT_PARSE, "line 3: could not convert string to float: 'abc'"),
+        (_MECH_HEADER + _MECH_ROW + "Q=, y=1\n", _SIMULATE, EXIT_PARSE,
+         "line 3: could not convert string to float: ''"),
+    ],
+    ids=[
+        "bad-header", "no-header", "three-cells", "non-numeric-u", "grid-two-fields",
+        "grid-not-log", "no-Q-line", "bad-mechanism-header", "eight-columns",
+        "Q-not-a-number", "Q-empty",
+    ],
+)
+def test_input_errors_exit_with_one_line(tmp_path, capsys, text, args, code, message):
+    # Bad tables and grids end with an exit code and one line on stderr,
+    # never a traceback, and write nothing.
+    assert run_cli(tmp_path, text, args) == (code, "")
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_tol_is_not_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(tmp_path, EX1, ["--mode", "ic", "--rho", "5.5", "--tol", "1e-9"])
+    assert exit_.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

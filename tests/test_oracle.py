@@ -100,7 +100,7 @@ def test_greedy_fill_matches_lp_on_fixed_uptime():
         C = cost.max() + 1.0
         A_ub = np.vstack([np.ones((1, n)), np.eye(n)])
         b_ub = np.concatenate([[need], caps])
-        _, value = _simplex_max(C - cost, A_ub, b_ub, 1e-9)
+        _, value = _simplex_max(C - cost, A_ub, b_ub)
         order = sorted(range(n), key=lambda i: cost[i])
         remaining = need
         greedy_cost = 0.0
@@ -271,7 +271,7 @@ def test_simplex_simple_lp():
     obj = np.array([1.0, 1.0])
     A_ub = np.array([[1.0, 2.0], [3.0, 1.0]])
     b_ub = np.array([4.0, 6.0])
-    x, value = _simplex_max(obj, A_ub, b_ub, 1e-9)
+    x, value = _simplex_max(obj, A_ub, b_ub)
     assert value == pytest.approx(2.8, abs=1e-9)
     assert x == pytest.approx([1.6, 1.2], abs=1e-9)
 
@@ -548,7 +548,7 @@ def test_simplex_matches_highs():
     for obj, A_ub, b_ub in _seeded_lps():
         ref = linprog(-obj, A_ub=A_ub, b_ub=b_ub, method="highs")
         assert ref.status == 0
-        x, value = _simplex_max(obj, A_ub, b_ub, 1e-9)
+        x, value = _simplex_max(obj, A_ub, b_ub)
         assert value == obj @ x
         for x, value in ((x, value), _exact_max(obj, A_ub, b_ub)):
             assert value == pytest.approx(-ref.fun, abs=1e-9 * max(1.0, abs(ref.fun)))
@@ -622,7 +622,7 @@ def test_simplex_matches_the_tableau_reference(monkeypatch):
     for obj, A_ub, b_ub in lps:
         ref = _tableau_simplex(obj, A_ub, b_ub, 1e-9)
         try:
-            result = _simplex_max(obj, A_ub, b_ub, 1e-9)
+            result = _simplex_max(obj, A_ub, b_ub)
         except RuntimeError:
             refused += 1
             x = ref[0]
@@ -755,7 +755,7 @@ def test_inexact_menu_lps_are_solved_exactly():
         obj, A_ub, b_ub = _menu_lp(vals, cap)
         ref = bounded_monopoly_solve(sorted(vals), cap).value
         try:
-            _, value = _simplex_max(obj, A_ub, b_ub, 1e-9)
+            _, value = _simplex_max(obj, A_ub, b_ub)
         except RuntimeError:
             refused += 1
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ from upkeep import (
 )
 from conftest import KINDS, kinded_distribution, random_distribution
 from reference import ic_lagrangian, table_row_menu
-from upkeep.model import DEFAULT_TOL, kink_uptimes
-from upkeep.screening import _kink_table, _screening_at, _table_line
+from upkeep.model import kink_uptimes
+from upkeep.screening import MenuTier, _kink_table, _screening_at, _table_line
 
 
 def test_bounded_monopoly_two_tier_menu():
@@ -78,18 +79,11 @@ def test_bounded_monopoly_rejects_non_finite_input(vals, cap):
 _SOLVERS = (solve_first_best, solve_participation, solve_screening)
 
 
-# solve_first_best takes no tol: its dual walk needs none.
-@pytest.mark.parametrize(
-    "rho, tol, solver",
-    [(rho, 1e-9, s) for rho in (math.nan, math.inf) for s in _SOLVERS]
-    + [(1.0, tol, s) for tol in (math.nan, math.inf) for s in _SOLVERS[1:]],
-)
-def test_solvers_reject_non_finite_rho_and_tol(equal_cost, solver, rho, tol):
+@pytest.mark.parametrize("solver", _SOLVERS)
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_solvers_reject_non_finite_rho(equal_cost, solver, rho):
     with pytest.raises(ValueError):
-        if solver is solve_first_best:
-            solver(equal_cost, rho)
-        else:
-            solver(equal_cost, rho, tol)
+        solver(equal_cost, rho)
 
 
 def test_bounded_monopoly_free_tier_with_negative_weights():
@@ -188,6 +182,52 @@ def test_verify_structure_zero_menu(equal_cost):
     sol = solve_screening(equal_cost, 100.0)
     assert sol.Q_star == pytest.approx(0.0, abs=1e-9)
     assert verify_structure(sol)
+
+
+def _two_tier_solve():
+    # H, M and M2 take the top tier, L the low one; M and M2 tie in nu.
+    d = TypeDistribution(
+        (
+            AgentType("H", 5.0, 1.0, 1.0 / 3.0),
+            AgentType("M", 1.0, 1.0, 1.0 / 3.0),
+            AgentType("M2", 2.0, 2.0, 1.0 / 3.0),
+            AgentType("L", 0.1, 1.0, 1.0 / 3.0),
+        )
+    )
+    sol = solve_screening(d, 0.5)
+    assert sol.assignment == {"H": 0, "M": 0, "M2": 0, "L": 1}
+    return sol
+
+
+def _perturbed(sol, case):
+    top, low = sol.tiers
+    if case == "top-tier-charges-half":
+        return dataclasses.replace(sol, tiers=(MenuTier(top.r, 0.5), low))
+    if case == "single-tier-half-access":
+        one = {tid: None if k is None else 0 for tid, k in sol.assignment.items()}
+        return dataclasses.replace(sol, tiers=(MenuTier(0.5, top.p), low), assignment=one)
+    if case == "higher-nu-lower-tier":
+        return dataclasses.replace(sol, assignment={**sol.assignment, "H": 1})
+    assert case == "tied-nu-usage-differs"
+    mech = sol.mechanism
+    R = {**mech.R, "M2": mech.R["M2"] - 1e-6}
+    return dataclasses.replace(sol, mechanism=dataclasses.replace(mech, R=R))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "top-tier-charges-half",
+        "single-tier-half-access",
+        "higher-nu-lower-tier",
+        "tied-nu-usage-differs",
+    ],
+)
+def test_verify_structure_rejects_each_broken_shape(case):
+    # Each case breaks one of verify_structure's checks on a real solve.
+    sol = _two_tier_solve()
+    assert verify_structure(sol)
+    assert not verify_structure(_perturbed(sol, case))
 
 
 def test_screening_weakly_below_participation():
@@ -412,7 +452,7 @@ def test_final_menus_are_read_from_the_stored_cuts(monkeypatch):
     monkeypatch.setattr("upkeep.screening._cuts", forbidden)
     infinite = set()
     for tab, d, rho, expect in solves:
-        sol = _screening_at(tab, d, rho, DEFAULT_TOL)
+        sol = _screening_at(tab, d, rho)
         assert _hex_fields(sol) == expect
         infinite.add(math.isinf(sol.y_star))
     assert infinite == {False, True}

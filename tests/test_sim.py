@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import upkeep.sim
 
 from upkeep import (
+    Admissibility,
     AgentType,
     Mechanism,
     PhysicalParams,
@@ -24,6 +26,7 @@ from upkeep.sim import (
     TRACE_HEADER,
     _admissible,
     _binomial_ci,
+    _lifespan_flag,
     _PoissonDraws,
     _run_poisson,
 )
@@ -51,6 +54,10 @@ def test_build_policy_degenerate_uptime():
     zero = Mechanism(Q=0.0, R={"A": 0.0}, P={"A": 0.0})
     pol = build_policy(zero)
     assert pol.sigma_W["A"] == 0.0 and pol.sigma_B["A"] == 0.0
+    # At Q = 1 there is no downtime to contribute in.
+    pol = build_policy(Mechanism(Q=1.0, R={"A": 1.0, "B": 0.5}, P={"A": 0.0, "B": 0.3}))
+    assert pol.sigma_W == {"A": 1.0, "B": 0.5}
+    assert pol.sigma_B == {"A": 0.0, "B": 0.0}
 
 
 def test_build_policy_clamps_levels_just_below_zero():
@@ -150,6 +157,48 @@ def test_check_reduced_form_rejects_wrong_target(equal_cost):
     assert not check_reduced_form(stats, wrong, 4.0).passed
 
 
+def _massless_round_trip():
+    # lmh plus a massless type Z, which no arrival ever draws.
+    d = TypeDistribution(
+        (
+            AgentType("L", 3.0, 3.0, 1.0),
+            AgentType("M", 4.0, 2.0, 1.0),
+            AgentType("H", 10.0, 1.25, 1.0),
+            AgentType("Z", 2.0, 1.0, 0.0),
+        )
+    )
+    mech = solve_participation(d, 5.5).mechanism
+    stats = simulate_poisson(build_policy(mech), d, PhysicalParams(5.5), 2e3, seed=3)
+    assert check_reduced_form(stats, mech, 4.0).passed
+    return stats, mech
+
+
+def test_check_reduced_form_fails_on_admissibility_alone():
+    stats, mech = _massless_round_trip()
+    bad = dataclasses.replace(stats, admissibility=Admissibility(True, False, True))
+    assert check_reduced_form(bad, mech, 4.0).failures == ("admissibility flags failed",)
+
+
+def test_check_reduced_form_fails_on_the_balance_gap_alone():
+    # Every level sits 0.9 of its radius off target, uptime up and
+    # contributions down, so each passes but their gaps add up.
+    stats, mech = _massless_round_trip()
+    sigma = 4.0
+    Q_hat = mech.Q + 0.9 * sigma * stats.ci_Q
+    P_hat = {
+        tid: mech.P[tid] - 0.9 * sigma * stats.ci_P[tid] if mass > 0.0 else stats.P_hat[tid]
+        for tid, mass in stats.masses.items()
+    }
+    rep = check_reduced_form(dataclasses.replace(stats, Q_hat=Q_hat, P_hat=P_hat), mech, sigma)
+    assert len(rep.failures) == 1 and rep.failures[0].startswith("balance: ")
+
+
+def test_check_reduced_form_skips_massless_types():
+    stats, mech = _massless_round_trip()
+    far = dataclasses.replace(stats, R_hat={**stats.R_hat, "Z": mech.R["Z"] + 10.0})
+    assert check_reduced_form(far, mech, 4.0).passed
+
+
 def test_check_reduced_form_zero_policy(equal_cost):
     zero = Mechanism.zero(equal_cost)
     pol = build_policy(zero)
@@ -203,6 +252,24 @@ def test_lifespan_mean_flag(equal_cost):
         stats = simulate_poisson(pol, equal_cost, phys, 2e4, seed=11)
         assert stats.admissibility.lifespan_mean_ok
         assert abs(stats.lifespan_mean - 1.0) <= 0.05
+
+
+def test_deterministic_lifespans_pass_the_flag_at_small_rho():
+    # Identical lifespans of 1 / rho have se 0, and near 1e5 one ulp of
+    # their mean exceeds the flag's absolute 1e-12.
+    rho = 7e-6
+    d = TypeDistribution((AgentType("A", 2.0, 1.0, rho), AgentType("B", 3.0, 2.0, rho)))
+    mech = solve_participation(d, rho).mechanism
+    pol = build_policy(mech)
+    phys = PhysicalParams(rho, lifespan="deterministic")
+    horizon = 300.0 / (rho * mech.Q)
+    for seed in range(10):
+        for engine in (simulate_poisson, simulate_fluid):
+            stats = engine(pol, d, phys, horizon, seed)
+            assert stats.admissibility.lifespan_mean_ok, (engine.__name__, seed)
+    # The flag still fails lifespans one part in 1e9 off their target.
+    x = 1.0 / rho
+    assert not _lifespan_flag(array("d", [x * (1.0 + 1e-9)] * 100), x)
 
 
 def test_trace_format_and_admissibility(equal_cost):

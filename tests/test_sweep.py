@@ -66,8 +66,8 @@ def test_sweep_equals_independent_solves(monkeypatch):
         rows = [lines[0]]
         for k, rho in enumerate(grid.values()):
             fb = solve_first_best(d, rho)
-            part = solve_participation(d, rho, cfg.tol)
-            ic = solve_screening(d, rho, cfg.tol)
+            part = solve_participation(d, rho)
+            ic = solve_screening(d, rho)
             assert [_hexed(s) for s in seen[3 * k : 3 * k + 3]] == [
                 _hexed(fb), _hexed(part), _hexed(ic)
             ]
