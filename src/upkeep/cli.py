@@ -1,9 +1,10 @@
 """Command line front end: file ingestion, solving, sweeps, simulation.
 
-Type tables are CSV with a `id,u,c,mass` header; '#' lines are comments.
-Mechanism output is a CSV table followed by a one-line summary, both
-rendered with 12 significant digits so identical inputs produce byte
-identical output.
+Both input tables, a type table (`id,u,c,mass`) and a mechanism table,
+go through one row reader; blank and '#' lines are skipped.  Mechanism
+output is a CSV table followed by a one-line summary, both rendered
+with 12 significant digits so identical inputs produce byte identical
+output.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ MODES = ("fb", "part", "ic", "simulate", "sweep", "oracle-check")
 class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class ValidationError(ValueError):
@@ -69,111 +69,79 @@ class RhoGrid:
         return [float(x) for x in np.linspace(self.start, self.stop, self.count)]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    input: str
-    rho: float | None = None
-    seed: int | None = None
-    horizon: float | None = None
-    rho_grid: RhoGrid | None = None
-    output: str | None = None
-    include_ic: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "sweep":
-            if self.rho_grid is None:
-                raise ValidationError("sweep mode requires --rho-grid")
-        elif self.rho is None or not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValidationError("rho must be a positive finite real")
-        if self.mode == "simulate":
-            if self.seed is None or self.seed < 0:
-                raise ValidationError("simulate mode requires a --seed >= 0")
-            if self.horizon is None or not (math.isfinite(self.horizon) and self.horizon > 0):
-                raise ValidationError("simulate mode requires a finite --horizon > 0")
-
-
 def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def parse_types(text: str) -> TypeDistribution:
-    """Parse a type table: header `id,u,c,mass`, one type per line."""
-    header_seen = False
+_TYPE_HEADER = ["id", "u", "c", "mass"]
+_MECHANISM_HEADER = _TYPE_HEADER + ["nu", "R", "P", "utility", "class"]
+
+
+def _significant(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a '#' comment."""
+    numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    return [(lineno, line) for lineno, line in numbered if line and not line.startswith("#")]
+
+
+def _read_types(
+    rows: list[tuple[int, str]], header: list[str], extra: tuple[int, ...]
+) -> tuple[TypeDistribution, list[list[float]]]:
+    """Read a table whose first four columns are `id,u,c,mass`: the header
+    first, then one type per row.  Returns the distribution and, per type,
+    the floats of its `extra` columns; no other cell is converted."""
+    if not rows:
+        raise ParseError(f"missing header '{','.join(header)}'", 1)
+    lineno, line = rows[0]
+    if [c.strip() for c in line.split(",")] != header:
+        raise ParseError(f"expected header '{','.join(header)}'", lineno)
     types: list[AgentType] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if [c.strip() for c in line.split(",")] != ["id", "u", "c", "mass"]:
-                raise ParseError("expected header 'id,u,c,mass'", lineno)
-            header_seen = True
-            continue
+    extras: list[list[float]] = []
+    for lineno, line in rows[1:]:
         cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 4:
-            raise ParseError(f"expected 4 comma-separated values, got {len(cells)}", lineno)
-        tid = cells[0]
+        if len(cells) != len(header):
+            raise ParseError(
+                f"expected {len(header)} comma-separated values, got {len(cells)}", lineno
+            )
         try:
-            u, c, mass = (float(cells[i]) for i in (1, 2, 3))
+            u, c, mass, *more = [float(cells[i]) for i in (1, 2, 3, *extra)]
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
         try:
-            types.append(AgentType(id=tid, u=u, c=c, mass=mass))
+            types.append(AgentType(id=cells[0], u=u, c=c, mass=mass))
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    if not header_seen:
-        raise ParseError("missing header 'id,u,c,mass'", 1)
+        extras.append(more)
     try:
-        return TypeDistribution(tuple(types))
+        return TypeDistribution(tuple(types)), extras
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
 
+def parse_types(text: str) -> TypeDistribution:
+    """Parse a type table: header `id,u,c,mass`, one type per line."""
+    return _read_types(_significant(text), _TYPE_HEADER, ())[0]
+
+
 def parse_mechanism_table(text: str) -> tuple[TypeDistribution, Mechanism]:
-    """Re-ingest a mechanism table emitted by the fb/part/ic modes."""
-    types: list[AgentType] = []
-    R: dict[str, float] = {}
-    P: dict[str, float] = {}
-    q: float | None = None
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("Q="):
-            for part in line.split(","):
-                key, _, val = part.strip().partition("=")
-                if key.strip() == "Q":
-                    try:
-                        q = float(val)
-                    except ValueError as exc:
-                        raise ParseError(str(exc), lineno) from exc
-            continue
-        if not header_seen:
-            expected = ["id", "u", "c", "mass", "nu", "R", "P", "utility", "class"]
-            if [c.strip() for c in line.split(",")] != expected:
-                raise ParseError("expected mechanism table header", lineno)
-            header_seen = True
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 9:
-            raise ParseError("expected 9 columns", lineno)
-        try:
-            t = AgentType(
-                id=cells[0], u=float(cells[1]), c=float(cells[2]), mass=float(cells[3])
-            )
-            R[t.id] = float(cells[5])
-            P[t.id] = float(cells[6])
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        types.append(t)
-    if q is None:
+    """Re-ingest a mechanism table emitted by the fb/part/ic modes.
+
+    The last line that is not blank or a comment must be the one `Q=...`
+    summary line; every line above it is read as a type table under the
+    mechanism header, whose `R` and `P` columns give the levels."""
+    rows = _significant(text)
+    summary = rows.pop() if rows and rows[-1][1].startswith("Q=") else None
+    d, levels = _read_types(rows, _MECHANISM_HEADER, (5, 6))
+    if summary is None:
         raise ValidationError("mechanism table has no summary line with Q=")
+    lineno, line = summary
     try:
-        return TypeDistribution(tuple(types)), Mechanism(Q=q, R=R, P=P)
+        q = float(line.split(",")[0][2:])
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from exc
+    R = {t.id: r for t, (r, _) in zip(d.types, levels)}
+    P = {t.id: p for t, (_, p) in zip(d.types, levels)}
+    try:
+        return d, Mechanism(Q=q, R=R, P=P)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -185,7 +153,7 @@ def _mechanism_lines(
     y: float,
     rho: float,
 ) -> list[str]:
-    lines = ["id,u,c,mass,nu,R,P,utility,class"]
+    lines = [",".join(_MECHANISM_HEADER)]
     for t in d.types:
         r, p = mech.R[t.id], mech.P[t.id]
         utility = agent_utility(t, r, p)
@@ -227,24 +195,21 @@ def _classes_ic(sol: ScreeningSolution) -> dict[str, str]:
     return out
 
 
-def _run_solver_mode(cfg: RunConfig, d: TypeDistribution) -> list[str]:
-    rho = float(cfg.rho)
-    if cfg.mode == "fb":
+def _run_solver_mode(mode: str, d: TypeDistribution, rho: float) -> list[str]:
+    if mode == "fb":
         sol = solve_first_best(d, rho)
         return _mechanism_lines(d, sol.mechanism, _classes_fb(sol, d), sol.y_fb, rho)
-    if cfg.mode == "part":
+    if mode == "part":
         sol = solve_participation(d, rho)
         return _mechanism_lines(d, sol.mechanism, dict(sol.classes), sol.y_star, rho)
     sol = solve_screening(d, rho)
     return _mechanism_lines(d, sol.mechanism, _classes_ic(sol), sol.y_star, rho)
 
 
-def _run_simulate(cfg: RunConfig, text: str) -> list[str]:
+def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]:
     d, mech = parse_mechanism_table(text)
-    phys = PhysicalParams(rho=float(cfg.rho))
+    phys = PhysicalParams(rho=rho)
     pol = build_policy(mech)
-    horizon = float(cfg.horizon)
-    seed = int(cfg.seed)
     lines = ["metric,estimate,ci_radius"]
     for label, stats in (
         ("poisson", simulate_poisson(pol, d, phys, horizon, seed)),
@@ -263,16 +228,16 @@ def _run_simulate(cfg: RunConfig, text: str) -> list[str]:
     return lines
 
 
-def _run_sweep(cfg: RunConfig, d: TypeDistribution) -> list[str]:
+def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str]:
     # rho enters each solver's dual lines only through their slopes, so
     # each table is built once and every grid point only walks it.
     fb_lines, part_lines = _prefix_lines(d), _kink_lines(d)
-    ic_table = _kink_table(d) if cfg.include_ic else None
+    ic_table = _kink_table(d) if include_ic else None
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
-    if cfg.include_ic:
+    if include_ic:
         header += ",y_ic,Q_ic,W_ic"
     lines = [header]
-    for rho in cfg.rho_grid.values():
+    for rho in grid.values():
         fb = _first_best_at(fb_lines, d, rho)
         part = _participation_at(part_lines, d, rho)
         cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
@@ -283,8 +248,7 @@ def _run_sweep(cfg: RunConfig, d: TypeDistribution) -> list[str]:
     return lines
 
 
-def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], bool]:
-    rho = float(cfg.rho)
+def _run_oracle_check(d: TypeDistribution, rho: float) -> tuple[list[str], int]:
     pairs = (
         (solve_first_best(d, rho).W_fb, primal_grid_welfare(d, rho, "first_best")[0]),
         (solve_participation(d, rho).W_star, primal_grid_welfare(d, rho, "participation")[0]),
@@ -296,49 +260,7 @@ def _run_oracle_check(cfg: RunConfig, d: TypeDistribution) -> tuple[list[str], b
         delta = w_solver - w_oracle
         ok &= abs(delta) <= ORACLE_TOL * max(1.0, abs(w_solver))
         lines.append(f"{fmt(w_solver)},{fmt(w_oracle)},{fmt(delta)}")
-    return lines, ok
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a run configuration; returns a process exit status."""
-    try:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        if cfg.mode == "simulate":
-            lines = _run_simulate(cfg, text)
-        else:
-            d = parse_types(text)
-            if cfg.mode in ("fb", "part", "ic"):
-                lines = _run_solver_mode(cfg, d)
-            elif cfg.mode == "sweep":
-                lines = _run_sweep(cfg, d)
-            else:
-                lines, ok = _run_oracle_check(cfg, d)
-                _emit(cfg, lines)
-                return EXIT_OK if ok else EXIT_ORACLE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValidationError, TooManyTypesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    _emit(cfg, lines)
-    return EXIT_OK
-
-
-def _emit(cfg: RunConfig, lines: list[str]) -> None:
-    payload = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    return lines, EXIT_OK if ok else EXIT_ORACLE
 
 
 def _parse_rho_grid(spec: str) -> RhoGrid:
@@ -379,24 +301,63 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _positive(x: float | None) -> bool:
+    return x is not None and math.isfinite(x) and x > 0
+
+
+def _fail(code: int, message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line; returns a process exit status."""
     args = _PARSER.parse_args(argv)
     try:
-        cfg = RunConfig(
-            mode=args.mode,
-            input=args.input,
-            rho=args.rho,
-            seed=args.seed,
-            horizon=args.horizon,
-            rho_grid=_parse_rho_grid(args.rho_grid) if args.rho_grid else None,
-            output=args.output,
-            include_ic=args.ic,
-        )
+        grid = _parse_rho_grid(args.rho_grid) if args.rho_grid else None
+        if args.mode == "sweep":
+            if grid is None:
+                raise ValidationError("sweep mode requires --rho-grid")
+        elif not _positive(args.rho):
+            raise ValidationError("rho must be a positive finite real")
+        if args.mode == "simulate":
+            if args.seed is None or args.seed < 0:
+                raise ValidationError("simulate mode requires a --seed >= 0")
+            if not _positive(args.horizon):
+                raise ValidationError("simulate mode requires a finite --horizon > 0")
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return run(cfg)
+        return _fail(EXIT_VALIDATION, exc)
 
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(EXIT_PARSE, f"cannot read input: {exc}")
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+    code = EXIT_OK
+    try:
+        if args.mode == "simulate":
+            lines = _run_simulate(text, args.rho, args.seed, args.horizon)
+        else:
+            d = parse_types(text)
+            if args.mode == "sweep":
+                lines = _run_sweep(d, grid, args.ic)
+            elif args.mode == "oracle-check":
+                lines, code = _run_oracle_check(d, args.rho)
+            else:
+                lines = _run_solver_mode(args.mode, d, args.rho)
+    except ParseError as exc:
+        return _fail(EXIT_PARSE, exc)
+    except (ValidationError, TooManyTypesError) as exc:
+        return _fail(EXIT_VALIDATION, exc)
+
+    payload = "\n".join(lines) + "\n"
+    if not args.output:
+        sys.stdout.write(payload)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write output: {exc}")
+    return code

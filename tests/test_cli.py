@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from upkeep.cli import (
     EXIT_VALIDATION,
     ParseError,
     RhoGrid,
-    RunConfig,
     ValidationError,
     main,
     parse_mechanism_table,
@@ -72,21 +72,19 @@ def test_rho_grid_values():
         RhoGrid(1.0, 8.0, 1)
 
 
-def test_run_config_validation(tmp_path):
-    with pytest.raises(ValidationError):
-        RunConfig(mode="nope", input="x")
-    with pytest.raises(ValidationError):
-        RunConfig(mode="fb", input="x", rho=-1.0)
-    with pytest.raises(ValidationError):
-        RunConfig(mode="sweep", input="x")
-    with pytest.raises(ValidationError):
-        RunConfig(mode="simulate", input="x", rho=1.0, horizon=10.0)
+def test_run_config_validation(tmp_path, capsys):
+    for args, message in (
+        (["--mode", "fb", "--rho", "-1"], "rho must be a positive finite real"),
+        (["--mode", "sweep"], "sweep mode requires --rho-grid"),
+        (["--mode", "simulate", "--rho", "1", "--horizon", "10"],
+         "simulate mode requires a --seed >= 0"),
+    ):
+        assert run_cli(tmp_path, EX1, args) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_rho_and_grid_are_validation_errors(tmp_path, value):
-    with pytest.raises(ValidationError):
-        RunConfig(mode="part", input="x", rho=float(value))
     with pytest.raises(ValidationError):
         RhoGrid(1.0, float(value), 4)
     with pytest.raises(ValidationError):
@@ -302,6 +300,44 @@ def test_oracle_check_bytes_are_pinned(tmp_path, capsys, table, rho):
     assert (code, capsys.readouterr().out) == ORACLE_CHECK_BYTES[table, rho]
 
 
+# sha256 of "<exit code>\n<stdout>" for the README commands on the README
+# table (EX1): the solver modes and oracle-check at rho 5.5, both sweeps,
+# and simulate of the ic table at rho 5.5, seed 1, horizon 1e4
+README_BYTES = {
+    "fb": "1da1e0e296aa17673f343d92990e91ca6ba4d3816067fb4aa3b7bd6965603d04",
+    "part": "8a2c3c399c83bcc1b5203401b7fa2e70d43519c82fda095131383d84813b3950",
+    "ic": "2ef669de21df769fcd5e1abc3fa310254fd4f57f11fcf4458f690f7674f75224",
+    "oracle-check": "b1878a25534d52c2ea8fb1b71e0bf8db15b0d0f96047f4e390e35a85fe942173",
+    "sweep 1:8:16:log --ic": "063bb92a90e63fcd5b036079b081ab02f89295c6fb8a76cad1f7ff36fb7c87ea",
+    "sweep 1:8:5": "7cf323cb0229b5b0bb904bef362d3e493151ff407c1856ffc4d7a9f971813baf",
+    "simulate": "dd137b4b888a5585ae1fdce2b5c9c8a9b0b172f19f4a6c06d28ebfcb03f7f37d",
+}
+
+
+def test_readme_commands_print_pinned_bytes(tmp_path, capsys):
+    inp = tmp_path / "types.csv"
+    inp.write_text(EX1, encoding="utf-8")
+    mech = tmp_path / "mech.csv"
+    rho = ["--rho", "5.5"]
+    argvs = {mode: ["--mode", mode, "--input", str(inp), *rho]
+             for mode in ("fb", "part", "ic", "oracle-check")}
+    argvs["sweep 1:8:16:log --ic"] = [
+        "--mode", "sweep", "--input", str(inp), "--rho-grid", "1:8:16:log", "--ic"
+    ]
+    argvs["sweep 1:8:5"] = ["--mode", "sweep", "--input", str(inp), "--rho-grid", "1:8:5"]
+    argvs["simulate"] = [
+        "--mode", "simulate", "--input", str(mech), *rho, "--seed", "1", "--horizon", "1e4"
+    ]
+    digests = {}
+    for name, argv in argvs.items():
+        code = main(argv)
+        out = capsys.readouterr().out
+        if name == "ic":
+            mech.write_text(out, encoding="utf-8")
+        digests[name] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digests == README_BYTES
+
+
 def test_oracle_check_passes_where_first_best_welfare_is_zero(tmp_path, capsys):
     # Nobody contributes at this rho, so first-best welfare is 0; written
     # as u_bar - rho * y_fb it rounded to 7.5e-9 and failed the check.
@@ -321,8 +357,6 @@ def test_oracle_check_passes_where_first_best_welfare_is_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_horizon_is_validation_error(tmp_path, capsys, value):
-    with pytest.raises(ValidationError):
-        RunConfig(mode="simulate", input="x", rho=1.0, seed=1, horizon=float(value))
     code, out = run_cli(tmp_path, EX2, ["--mode", "ic", "--rho", "1"])
     assert code == EXIT_OK
     mech_file = tmp_path / "mech.csv"
@@ -357,8 +391,6 @@ def test_infinite_threshold_rendered_as_inf(tmp_path):
 
 
 def test_negative_seed_is_validation_error(tmp_path, capsys):
-    with pytest.raises(ValidationError):
-        RunConfig(mode="simulate", input="x", rho=1.0, seed=-1, horizon=100.0)
     code, out = run_cli(tmp_path, EX1, ["--mode", "ic", "--rho", "5.5"])
     assert code == EXIT_OK
     mech_file = tmp_path / "mech.csv"
@@ -411,6 +443,7 @@ def test_simulate_accepts_a_level_just_below_zero(tmp_path, capsys):
 
 _MECH_ROW = "A,1,1,1,1,0.5,0.5,0,FULL\n"
 _MECH_HEADER = "id,u,c,mass,nu,R,P,utility,class\n"
+_MECH_SUMMARY = "Q=0.5, y=1, W=0, balance_residual=0\n"
 _SIMULATE = ["--mode", "simulate", "--rho", "1", "--seed", "1", "--horizon", "100"]
 
 
@@ -432,18 +465,27 @@ _SIMULATE = ["--mode", "simulate", "--rho", "1", "--seed", "1", "--horizon", "10
         (_MECH_HEADER + _MECH_ROW, _SIMULATE, EXIT_VALIDATION,
          "mechanism table has no summary line with Q="),
         ("id,u,c,mass,nu,R,P,utility\n" + _MECH_ROW, _SIMULATE, EXIT_PARSE,
-         "line 1: expected mechanism table header"),
+         "line 1: expected header 'id,u,c,mass,nu,R,P,utility,class'"),
         (_MECH_HEADER + "A,1,1,1,1,0.5,0.5,0\n", _SIMULATE, EXIT_PARSE,
-         "line 2: expected 9 columns"),
+         "line 2: expected 9 comma-separated values, got 8"),
         (_MECH_HEADER + _MECH_ROW + "Q=abc, y=1, W=1, balance_residual=0\n", _SIMULATE,
          EXIT_PARSE, "line 3: could not convert string to float: 'abc'"),
         (_MECH_HEADER + _MECH_ROW + "Q=, y=1\n", _SIMULATE, EXIT_PARSE,
          "line 3: could not convert string to float: ''"),
+        (_MECH_HEADER + _MECH_ROW + _MECH_SUMMARY + _MECH_SUMMARY, _SIMULATE, EXIT_PARSE,
+         "line 3: expected 9 comma-separated values, got 4"),
+        (_MECH_SUMMARY + _MECH_HEADER + _MECH_ROW + _MECH_SUMMARY, _SIMULATE, EXIT_PARSE,
+         "line 1: expected header 'id,u,c,mass,nu,R,P,utility,class'"),
+        (_MECH_HEADER + "A,x,1,1,1,0.5,0.5,0,FULL\n" + _MECH_SUMMARY, _SIMULATE, EXIT_PARSE,
+         "line 2: could not convert string to float: 'x'"),
+        (_MECH_HEADER + "A,1,1,1,1,abc,0.5,0,FULL\n" + _MECH_SUMMARY, _SIMULATE, EXIT_PARSE,
+         "line 2: could not convert string to float: 'abc'"),
     ],
     ids=[
         "bad-header", "no-header", "three-cells", "non-numeric-u", "grid-two-fields",
         "grid-not-log", "no-Q-line", "bad-mechanism-header", "eight-columns",
-        "Q-not-a-number", "Q-empty",
+        "Q-not-a-number", "Q-empty", "two-Q-lines", "Q-above-header",
+        "mechanism-non-numeric-u", "mechanism-non-numeric-R",
     ],
 )
 def test_input_errors_exit_with_one_line(tmp_path, capsys, text, args, code, message):
@@ -452,6 +494,29 @@ def test_input_errors_exit_with_one_line(tmp_path, capsys, text, args, code, mes
     assert run_cli(tmp_path, text, args) == (code, "")
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_unreadable_input_is_parse_error(tmp_path, capsys):
+    inp = tmp_path / "types.csv"
+    inp.write_bytes(b"id,u,c,mass\nA\xff,1,1,1\n")
+    assert main(["--mode", "fb", "--rho", "1", "--input", str(inp)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read input: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unwritable_output_is_parse_error(tmp_path, capsys):
+    inp = tmp_path / "types.csv"
+    inp.write_text(EX1, encoding="utf-8")
+    out = tmp_path / "missing" / "out.csv"
+    argv = ["--mode", "fb", "--rho", "1", "--input", str(inp), "--output", str(out)]
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_tol_is_not_an_option(tmp_path, capsys):

@@ -525,3 +525,25 @@ def test_stored_limit_row_is_never_an_answer(rho):
     assert math.isinf(sol.y_star)
     assert sol.Q_star < 1.0
     assert check_feasible(sol.mechanism, d, rho).ok
+
+
+@pytest.mark.parametrize(
+    "rows, rho, out",
+    [
+        (((4, 1, 2), (2, 3, 1), (3, 2, 0), (3, 1, 2), (4, 1, 1)), 4.0, set()),
+        (((5, 2, 0), (3, 2, 0), (1, 3, 1), (5, 2, 1), (2, 3, 2)), 2.0, {"T2"}),
+    ],
+)
+def test_levels_a_few_ulps_apart_share_one_tier(rows, rho, out):
+    # Items 51 and 145 (from 0) of test_identity._integer_tables(), (u,
+    # c, mass) per row.  The final pair's mixing weight is within rounding
+    # of 0, so the levels of the types that the light member leaves out
+    # land a few ulps from the heavy member's (1, 1) once scaled; tiers
+    # are keyed on levels rounded to 9 digits, so they stay one tier.
+    d = TypeDistribution(
+        tuple(AgentType(f"T{i}", float(u), float(c), float(m)) for i, (u, c, m) in enumerate(rows))
+    )
+    sol = solve_screening(d, rho)
+    assert sol.tiers == (MenuTier(1.0, 1.0),)
+    assert sol.assignment == {tid: None if tid in out else 0 for tid in d.ids}
+    assert verify_structure(sol)

@@ -12,7 +12,7 @@ import upkeep.first_best
 import upkeep.participation
 import upkeep.screening
 from upkeep import solve_first_best, solve_participation, solve_screening
-from upkeep.cli import RhoGrid, RunConfig, fmt, main
+from upkeep.cli import RhoGrid, fmt, main
 from conftest import KINDS, kinded_distribution
 
 
@@ -61,8 +61,7 @@ def test_sweep_equals_independent_solves(monkeypatch):
     infinite = {"participation": 0, "screening": 0}
     for d, grid in _corpus():
         seen.clear()
-        cfg = RunConfig(mode="sweep", input="-", rho_grid=grid, include_ic=True)
-        lines = upkeep.cli._run_sweep(cfg, d)
+        lines = upkeep.cli._run_sweep(d, grid, True)
         rows = [lines[0]]
         for k, rho in enumerate(grid.values()):
             fb = solve_first_best(d, rho)
