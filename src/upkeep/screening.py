@@ -72,9 +72,10 @@ class MenuSolution:
 class ScreeningSolution:
     """Saddle data, the induced mechanism, and its tier structure.
 
-    tiers are ordered by descending access; assignment maps each type id
-    to a tier index, or None for opting out.  iterations counts the steps
-    of the dual walk, and is 0 when y_star is infinite.
+    tiers are the distinct normalized levels (r, p) other than (0, 0), by
+    descending access; assignment maps each type id to the index of its
+    levels, or None when they are exactly (0, 0), opting out.  iterations
+    counts the steps of the dual walk, and is 0 when y_star is infinite.
     """
 
     y_star: float
@@ -299,11 +300,14 @@ def _score_kinks(
     """
     k_n, n = qs.size, nu.size
     ratio = qs / (1.0 - qs)
-    pad = np.empty((k_n, n + 2))
-    pad[:, 0], pad[:, 1:-1], pad[:, -1] = 0.0, ratio[:, None] * nu, 1.0
+    # Padded valuations (0, ratio * nu, 1), but exactly 1 at a buyer's own
+    # kink 1 / (1 + nu) as kink_uptimes forms it: ratio * nu may round off 1.
+    pad = np.ones((k_n, n + 2))
+    pad[:, 0] = 0.0
+    np.multiply(ratio[:, None], nu, out=pad[:, 1:-1], where=qs[:, None] != 1.0 / (1.0 + nu))
     v = pad[:, 1:-1]
     # Low atoms are 0 and every v < 1, high atoms every v > 1; an atom at
-    # exactly 1 would only repeat the posted price 1.
+    # 1, a buyer's own kink included, would only repeat the posted price 1.
     low_ok = np.arange(n + 1) <= (v < 1.0).sum(axis=1)[:, None]
     high_ok = np.arange(n + 1) > (v <= 1.0).sum(axis=1)[:, None]
     kq, lo, hi = np.nonzero(low_ok[:, :, None] & high_ok[:, None, :])
@@ -377,8 +381,9 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
 
         def pad(j: int) -> float:
             # The kink's padded valuations (0, ratio * nu, 1), as
-            # _score_kinks formed them.
-            return 0.0 if j == 0 else 1.0 if j == n + 1 else ratio * float(tab.nu[j - 1])
+            # _score_kinks formed them: 1 at a buyer's own kink.
+            v = float(tab.nu[j - 1]) if 0 < j <= n else 0.0
+            return 1.0 if j > n or q == 1.0 / (1.0 + v) else ratio * v
 
         if hi < 0:
             r0, pay = 1.0, min(pad(lo), 1.0)
@@ -393,14 +398,20 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
     return _line(q, r, p, d, rho)
 
 
-def _mix(a: _Line, b: _Line) -> tuple[float, np.ndarray, np.ndarray]:
+def _mix(a: _Line, b: _Line, eps_bal: float) -> tuple[float, np.ndarray, np.ndarray]:
     """The point alpha * a + (1 - alpha) * b in (Q, R, P) with S = 0, as
     its uptime and normalized menu (r, p).
 
-    Usage is mixed in uptime shares and contributions in downtime shares,
-    so a tier keeps its normalized levels exactly even next to the
-    Q -> 1 limit, where 1 - Q is tiny.
+    A member with slack within eps_bal of 0 stands alone, the one nearer
+    balance if both do: the other's weight is then 0 up to rounding, and
+    would only leave its buyers' levels a few ulps off.  Otherwise usage
+    is mixed in uptime shares and contributions in downtime shares, so a
+    tier keeps its normalized levels exactly even next to the Q -> 1
+    limit, where 1 - Q is tiny.
     """
+    heavy = min(a, b, key=lambda m: abs(m.S))
+    if abs(heavy.S) <= eps_bal:
+        return heavy.Q, heavy.r, heavy.p
     alpha = -b.S / (a.S - b.S)
     up_a, up_b = alpha * a.Q, (1.0 - alpha) * b.Q
     down_a, down_b = alpha * (1.0 - a.Q), (1.0 - alpha) * (1.0 - b.Q)
@@ -412,25 +423,13 @@ def _mix(a: _Line, b: _Line) -> tuple[float, np.ndarray, np.ndarray]:
 def _extract_tiers(
     r: np.ndarray, p: np.ndarray, d: TypeDistribution
 ) -> tuple[tuple[MenuTier, ...], dict[str, int | None]]:
-    key_of: dict[tuple[float, float], int] = {}
-    tiers: list[tuple[float, float]] = []
-    assignment: dict[str, int | None] = {}
-    for t, ri, pi in zip(d.types, r.tolist(), p.tolist()):
-        if ri <= 1e-12 and pi <= 1e-12:
-            assignment[t.id] = None
-            continue
-        key = (round(ri, 9), round(pi, 9))
-        if key not in key_of:
-            key_of[key] = len(tiers)
-            tiers.append((ri, pi))
-        assignment[t.id] = key_of[key]
-    order = sorted(range(len(tiers)), key=lambda i: (-tiers[i][0], -tiers[i][1]))
-    remap = {old: new for new, old in enumerate(order)}
-    sorted_tiers = tuple(MenuTier(r=tiers[i][0], p=tiers[i][1]) for i in order)
-    assignment = {
-        tid: (remap[k] if k is not None else None) for tid, k in assignment.items()
-    }
-    return sorted_tiers, assignment
+    """The tiers, the distinct levels (r, p) other than (0, 0) by
+    descending access, and each type's index among them, None for (0, 0)."""
+    levels = list(zip(r.tolist(), p.tolist()))
+    tiers = sorted(set(levels) - {(0.0, 0.0)}, key=lambda t: (-t[0], -t[1]))
+    index = {level: k for k, level in enumerate(tiers)}
+    assignment = {t.id: index.get(level) for t, level in zip(d.types, levels)}
+    return tuple(MenuTier(*level) for level in tiers), assignment
 
 
 def _build_solution(
@@ -460,7 +459,7 @@ def _build_solution(
 
 
 def _solve_infinite_branch(
-    d: TypeDistribution, rho: float, tab: _KinkTable, S: np.ndarray
+    d: TypeDistribution, rho: float, tab: _KinkTable, S: np.ndarray, eps_bal: float
 ) -> ScreeningSolution:
     # No menu has strictly slack balance, so feasible menus are exactly
     # the balanced revenue maximizers; pick the welfare-best of those.
@@ -469,7 +468,6 @@ def _solve_infinite_branch(
     # welfare, affine along the segment, is best at one end.  At Q = 0
     # the opt-out menu is balanced, so the scan always finds one.  The
     # limit row's slack is -rho, within eps_bal for a tiny rho: skip it.
-    eps_bal = 1e-12 * slack_scale(d, rho)
     kink, S = tab.kink[:-1], S[:-1]
     top = np.full(tab.qs.size, -math.inf)
     np.maximum.at(top, kink, S)
@@ -513,31 +511,33 @@ def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
 def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> ScreeningSolution:
     """solve_screening at rho from d's table, for checked arguments."""
     S = tab.slack(rho)
-    found = minimize(tab.W, S, DEFAULT_TOL * slack_scale(d, rho))
+    scale = slack_scale(d, rho)
+    eps_bal = 1e-12 * scale
+    found = minimize(tab.W, S, DEFAULT_TOL * scale)
     if found is None:
-        return _solve_infinite_branch(d, rho, tab, S)
+        return _solve_infinite_branch(d, rho, tab, S, eps_bal)
     pos, neg, steps, _ = found
     # The pair's lines from their menus, as the mix uses them; their
     # crossing is the one the mix balances.
     a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
     y = (b.W - a.W) / (a.S - b.S)
-    return _build_solution(y, *_mix(a, b), d, rho, steps)
+    return _build_solution(y, *_mix(a, b, eps_bal), d, rho, steps)
 
 
-def verify_structure(sol: ScreeningSolution, tol: float = DEFAULT_TOL) -> bool:
+def verify_structure(sol: ScreeningSolution) -> bool:
     """Check the qualitative shape of an optimal screening menu.
 
-    True iff the assignment is monotone in valuation, at most two nonzero
-    tiers are used, a two-tier menu's top tier charges the full downtime,
-    and a single-tier menu grants full access.
+    True iff, within DEFAULT_TOL, the assignment is monotone in valuation,
+    at most two nonzero tiers are used, a two-tier menu's top tier charges
+    the full downtime, and a single-tier menu grants full access.
     """
     used = sorted({k for k in sol.assignment.values() if k is not None})
     tiers = [sol.tiers[k] for k in used]
     if len(tiers) > 2:
         return False
-    if len(tiers) == 2 and abs(tiers[0].p - 1.0) > tol:
+    if len(tiers) == 2 and abs(tiers[0].p - 1.0) > DEFAULT_TOL:
         return False
-    if len(tiers) == 1 and abs(tiers[0].r - 1.0) > tol:
+    if len(tiers) == 1 and abs(tiers[0].r - 1.0) > DEFAULT_TOL:
         return False
 
     def rank(tid: str) -> float:
@@ -546,11 +546,11 @@ def verify_structure(sol: ScreeningSolution, tol: float = DEFAULT_TOL) -> bool:
 
     by_nu = sorted(sol.d.types, key=lambda t: t.nu)
     for a, b in zip(by_nu, by_nu[1:]):
-        if b.nu > a.nu + 1e-12 * max(1.0, a.nu) and rank(b.id) < rank(a.id) - tol:
+        if b.nu > a.nu + 1e-12 * max(1.0, a.nu) and rank(b.id) < rank(a.id) - DEFAULT_TOL:
             return False
         if abs(b.nu - a.nu) <= 1e-12 * max(1.0, a.nu):
             ra, pa = sol.mechanism.R[a.id], sol.mechanism.P[a.id]
             rb, pb = sol.mechanism.R[b.id], sol.mechanism.P[b.id]
-            if abs(ra - rb) > tol or abs(pa - pb) > tol:
+            if abs(ra - rb) > DEFAULT_TOL or abs(pa - pb) > DEFAULT_TOL:
                 return False
     return True

@@ -149,13 +149,14 @@ def table_row_menu(
     scored buyer by buyer with _score_menu.
 
     Every buyer breaks ties with unit payment weight, so it takes the
-    bundle that pays the seller more whatever its mass.
+    bundle that pays the seller more whatever its mass.  At its own kink
+    a buyer's valuation is exactly 1, as in the table.
     """
     q = float(tab.qs[tab.kink[i]])
     lo, hi = int(tab.lo[i]), int(tab.hi[i])
     ratio = q / (1.0 - q)
     order = sorted(d.types, key=lambda t: t.nu)
-    nus = [t.nu * ratio for t in order]
+    nus = [1.0 if q == 1.0 / (1.0 + t.nu) else t.nu * ratio for t in order]
     pad = [0.0] + nus + [1.0]
     out = (0.0, 0.0)
     if lo < 0:

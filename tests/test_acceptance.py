@@ -167,7 +167,7 @@ def test_criterion_6_screening_structure():
         cases.append((random_distribution(rng, n_max=5), float(rng.uniform(0.1, 10.0))))
     for d, rho in cases:
         sol = solve_screening(d, rho)
-        ok = ok and verify_structure(sol, 1e-8)
+        ok = ok and verify_structure(sol)
         ok = ok and check_feasible(sol.mechanism, d, rho, tol=1e-8).ok
         used = sorted({k for k in sol.assignment.values() if k is not None})
         ok = ok and len(used) <= 2

@@ -36,11 +36,11 @@ DIGESTS = {
     "participation/tied_cost": "21e28d7d963efba3eacef4f09a4f973b0f75dfb1da65695328ff15e7230ed097",
     "participation/tied_nu": "da57920f1b011ff0c33a2b5e3661e76b64adf7f8ada65cff5b9f80d616dd435b",
     "participation/zero_mass": "877ccdf9862d3c594556310a6ebf46f475001a9c2c478f0e686cfc07bc61e45d",
-    "screening/integer": "c757552390ac072b3a0855e42dc88ca01467204772b5a94fb1181c18bc7bb435",
-    "screening/plain": "0eeae502884e9f6b28811870ecc8108c98db4e64975dfbbb49c9465255db11b6",
-    "screening/tied_cost": "5141dfc268ebb45b6b8a267776aeec60ff9771c11733289414591eeae63adac4",
-    "screening/tied_nu": "87fb791c50ea4fcea7d58029d6a2a944bedfb775cf607c05f996ffc62a1a08c2",
-    "screening/zero_mass": "4fd5c2e6a192ea426a2e1da5aee9668785592d670016f36ad1fc2d59dd319367",
+    "screening/integer": "57abc82a5e2ef582d7c4a5bcbdd7f2fc332977f91ce0d268a2d3d3b9b5d4f095",
+    "screening/plain": "abe34340f9143a0efa460e88d85d57e231363f8bb2f8fa4eed17b0e47970c8d0",
+    "screening/tied_cost": "21a8635d603f0bfd51d0f5fce1155d3953e046d5d1803f6836d00e2c22265c12",
+    "screening/tied_nu": "def31eba0e58d54112ac1b3404839d58277413fdd16a671226a7baa576bb78bf",
+    "screening/zero_mass": "ceb3812ec4eaad92a269ea8278005f68afecd3110ca1d97e2df9ad9ff26a0d4e",
 }
 
 

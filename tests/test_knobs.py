@@ -27,7 +27,6 @@ PUBLIC_DEFAULTS = {
     "primal_grid_welfare": ("g",),
     "simulate_fluid": ("trace",),
     "simulate_poisson": ("trace",),
-    "verify_structure": ("tol",),
 }
 
 CLI_OPTIONS = [

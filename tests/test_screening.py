@@ -19,6 +19,7 @@ from upkeep import (
 )
 from conftest import KINDS, kinded_distribution, random_distribution
 from reference import ic_lagrangian, table_row_menu
+from test_identity import corpus
 from upkeep.model import kink_uptimes
 from upkeep.screening import MenuTier, _kink_table, _screening_at, _table_line
 
@@ -239,7 +240,7 @@ def test_screening_weakly_below_participation():
         part = solve_participation(d, rho)
         assert ic.W_star <= part.W_star + 1e-8
         assert check_feasible(ic.mechanism, d, rho, tol=1e-8).ok
-        assert verify_structure(ic, 1e-8)
+        assert verify_structure(ic)
 
 
 def test_menu_monotone_in_valuation():
@@ -547,3 +548,39 @@ def test_levels_a_few_ulps_apart_share_one_tier(rows, rho, out):
     assert sol.tiers == (MenuTier(1.0, 1.0),)
     assert sol.assignment == {tid: None if tid in out else 0 for tid in d.ids}
     assert verify_structure(sol)
+
+
+def test_a_buyer_values_its_own_kink_at_exactly_1():
+    # At a buyer's own kink 1 / (1 + nu) its valuation ratio * nu is 1,
+    # but the product rounds off 1 for most corpus types.  A padded
+    # valuation of exactly 1 is neither a low atom (< 1) nor a high atom
+    # (> 1), so no two-atom row puts an atom on it, and the posted price
+    # at it charges exactly 1.
+    posted = 0
+    for _, d, rho in corpus():
+        tab = _kink_table(d)
+        n = tab.nu.size
+        # own[j] is the kink of pad index j, -1 for the pads 0 and 1.
+        own = np.full(n + 2, -1)
+        own[1:-1] = tab.qs.searchsorted(1.0 / (1.0 + tab.nu))
+        pair = tab.hi >= 0
+        assert not np.any(own[tab.lo[pair]] == tab.kink[pair])
+        assert not np.any(own[tab.hi[pair]] == tab.kink[pair])
+        for i in np.flatnonzero(~pair & (tab.lo >= 0) & (own[tab.lo] == tab.kink)):
+            assert _table_line(tab, int(i), d, rho).p.max() == 1.0
+            posted += 1
+    assert posted > 0
+
+
+def test_tiers_are_the_distinct_exact_levels():
+    # A type opts out iff its levels are exactly (0, 0), and two types
+    # share a tier iff their levels are exactly equal.
+    for _, d, rho in corpus():
+        sol = solve_screening(d, rho)
+        m, tier = sol.mechanism, sol.assignment
+        level = {tid: (m.R[tid], m.P[tid]) for tid in d.ids}
+        for a in d.ids:
+            assert (tier[a] is None) == (level[a] == (0.0, 0.0))
+            for b in d.ids:
+                assert (tier[a] == tier[b]) == (level[a] == level[b])
+        assert verify_structure(sol)
