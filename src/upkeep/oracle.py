@@ -38,7 +38,8 @@ class TooManyTypesError(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     """The resolution and refinement rounds of the uptime grid that the
-    exact oracles replaced.  Validated, and unused by both oracles."""
+    exact oracles replaced.  Validated; lp_screening_welfare takes one and
+    reads neither field."""
 
     q_points: int = 2001
     refine_rounds: int = 3
@@ -84,7 +85,6 @@ def primal_grid_welfare(
     d: TypeDistribution,
     rho: float,
     mode: Literal["first_best", "participation"],
-    g: GridSpec = GridSpec(),
 ) -> tuple[float, float, dict[str, float]]:
     """Exact welfare maximum over the uptime, with greedy cost-ordered
     filling.
@@ -97,7 +97,7 @@ def primal_grid_welfare(
     1, the kinks and the roots, and W is linear between them.
 
     Returns (welfare, uptime, contribution level per type id).  Ties
-    resolve to the lowest uptime.  g is validated but unused.
+    resolve to the lowest uptime.
     """
     if mode not in ("first_best", "participation"):
         raise ValueError("mode must be 'first_best' or 'participation'")

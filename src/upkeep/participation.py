@@ -12,16 +12,17 @@ line.  envelope.minimize minimizes it exactly.  Each line's slope is
 also a balance residual: the prefix's saturated contributions minus the
 breakage rate.
 The lines' welfare and saturated contributions do not involve the
-breakage rate, so one table serves every rate.  The uptime is pinned
-between the kinks of the walk's final pair by reading the residuals
-without and with the types at the threshold off two columns of the same
-table, and finding where they bracket zero.
+breakage rate, so one table serves every rate.  Every residual column
+is concave in the uptime and 0 at uptime 0, so the uptime between the
+kinks of the walk's final pair has a closed form read off one column;
+welfare along the saturated column is convex, so the infinite branch
+takes one of that column's two ends.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal, Mapping, NamedTuple
 
@@ -131,35 +132,26 @@ def _kink_lines(d: TypeDistribution) -> _KinkLines:
     return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost])
 
 
-def _interval_leq(fa: float, fb: float, a: float, b: float, eps: float):
-    """Subinterval of [a, b] where a linear function stays <= eps."""
-    if fa <= eps and fb <= eps:
-        return a, b
-    if fa > eps and fb > eps:
-        return None
-    x = a + (eps - fa) * (b - a) / (fb - fa)
-    x = min(max(x, a), b)
-    return (a, x) if fa <= eps else (x, b)
-
-
-def _smallest_balanced_q(
-    qs: list[float], rm: list[float], rp: list[float], eps: float
-) -> float | None:
-    """Smallest Q in [qs[0], qs[-1]] whose residual bracket
-    [rm(Q), rp(Q)] holds 0, given rm and rp at the kinks qs; both are
-    linear between kinks, so each segment is solved in closed form.  A
-    span of one kink is the segment [qs[0], qs[0]].
+def _balanced_uptime(
+    kinks: list[float], rm: list[float], pos_row: int, neg_row: int, eps: float
+) -> float:
+    """Smallest uptime between the final pair's kinks where the balance
+    residual rm without the threshold's types, given at every kink, is
+    <= eps.  rm and the residual rp with those types are concave in the
+    uptime and 0 at 0, rm < 0 at the neg kink and rp >= 0 at the pos
+    kink: so rp >= 0 up to the pos kink, rm <= 0 from the neg kink on,
+    and rp >= rm = 0 where rm first reaches 0 past the pos kink.  rm is
+    linear between kinks, so that point has a closed form.
     """
-    for i, k in [(i, i + 1) for i in range(len(qs) - 1)] or [(0, 0)]:
-        a, b = qs[i], qs[k]
-        lo1 = _interval_leq(rm[i], rm[k], a, b, eps)
-        lo2 = _interval_leq(-rp[i], -rp[k], a, b, eps)
-        if lo1 is None or lo2 is None:
-            continue
-        left = max(lo1[0], lo2[0])
-        if left <= min(lo1[1], lo2[1]):
-            return left
-    return None
+    if neg_row <= pos_row:
+        return kinks[neg_row]
+    k = next((k for k in range(pos_row, neg_row + 1) if rm[k] <= eps), None)
+    if k is None:
+        raise RuntimeError("no balanced uptime found between the final pair's kinks")
+    if k == pos_row:
+        return kinks[k]
+    a, b, fa, fb = kinks[k - 1], kinks[k], rm[k - 1], rm[k]
+    return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b)
 
 
 def _solve_infinite_branch(
@@ -172,7 +164,9 @@ def _solve_infinite_branch(
     # Every balanced feasible point saturates all caps; the feasible
     # uptimes are the zero set of the slack function, an interval
     # [0, qbar].  Slack and welfare are the table's full-prefix columns,
-    # both linear between kinks.
+    # both linear between kinks.  Welfare is 0 at Q = 0 and convex along
+    # the column (each cap is concave and each cost positive), so the
+    # best is an end of [0, qbar], the lower one on a tie within eps.
     eps = DEFAULT_TOL * slack_scale(d, rho)
     g, w = S[:, -1].tolist(), W[:, -1].tolist()
     k = next((i for i, gi in enumerate(g) if gi < -eps), None)
@@ -183,14 +177,7 @@ def _solve_infinite_branch(
         a, b, ga, gb = kinks[k - 1], kinks[k], g[k - 1], g[k]
         qbar = a + ga * (b - a) / (ga - gb)
         w_bar = w[k - 1] + (qbar - a) * (w[k] - w[k - 1]) / (b - a)
-    candidates = [(0.0, w[0])]
-    candidates += [(q, wq) for q, wq in zip(kinks[1:], w[1:]) if q < qbar]
-    if qbar > 0:
-        candidates.append((qbar, w_bar))
-    Q, best_w = candidates[0]
-    for q, wq in candidates:
-        if wq > best_w + eps:
-            Q, best_w = q, wq
+    Q = qbar if w_bar > eps else 0.0
     return _solution(d, rho, Q, math.inf, math.inf, math.inf, 0.0, 0)
 
 
@@ -245,11 +232,15 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
     pair is the threshold, snapped to a cost atom within rounding.  The
     uptime is the smallest between the final pair's kinks where the
     balance residual without the threshold's types is <= 0 and with them
-    is >= 0; both residuals are columns of the table.  The threshold's
-    types then share one contribution fraction that balances exactly.
-    Otherwise the threshold is infinite and the solution is the
-    welfare-best fully saturated balanced point, read off the table's
-    full-prefix column.
+    is >= 0.  Both residuals are concave in the uptime and 0 at 0, so
+    that is the neg kink if it is at or below the pos kink, and otherwise
+    where the table's column without the threshold's types first reaches
+    0 past the pos kink.  The threshold's types then share one
+    contribution fraction that balances exactly.  Otherwise the
+    threshold is infinite and every type saturates its cap.  Welfare
+    along the table's full-prefix column is 0 at uptime 0 and convex, so
+    the uptime is the largest balanced one if its welfare is positive,
+    and 0 if not.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -284,20 +275,16 @@ def _participation_at(
     if pos_row == neg_row and y_star not in costs:
         band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
         lo_c, hi_c = min(band), max(band)
-    j_lt, j_le = bisect_left(costs, lo_c), bisect_right(costs, hi_c)
 
-    # Columns j_lt and j_le are the balance residuals without and with
-    # the band's types.  S does not fall along a row, and the columns
-    # between a pair line's prefix and these add only massless types: at
-    # the neg kink the first is <= its slack < 0, at the pos kink the
-    # second is >= its slack >= 0, and both are linear between kinks.
-    rows = slice(min(pos_row, neg_row), max(pos_row, neg_row) + 1)
+    # Column bisect_left(costs, lo_c) is the balance residual without the
+    # band's types.  S does not fall along a row, and the columns between
+    # a pair line's prefix and the band's edges add only massless types:
+    # at the neg kink it is <= the neg slack < 0, and at the pos kink the
+    # residual with the band is >= the pos slack >= 0.
     eps = _SCAN_RTOL * scale
-    Q_star = _smallest_balanced_q(
-        kinks[rows], S[rows, j_lt].tolist(), S[rows, j_le].tolist(), eps
+    Q_star = _balanced_uptime(
+        kinks, S[:, bisect_left(costs, lo_c)].tolist(), pos_row, neg_row, eps
     )
-    if Q_star is None:
-        raise RuntimeError("no balanced uptime found between the final pair's kinks")
 
     # The residuals at Q_star, summed in type order rather than read off
     # the table's cost-ordered sums: frac amplifies their rounding.

@@ -182,7 +182,6 @@ def test_criterion_6_screening_structure():
 
 def test_criterion_7_oracle_equivalence():
     rng = np.random.default_rng(77)
-    grid = GridSpec(q_points=2001, refine_rounds=3)
     lp_grid = GridSpec(q_points=61, refine_rounds=3)
     t0 = time.perf_counter()
     ok = True
@@ -190,10 +189,10 @@ def test_criterion_7_oracle_equivalence():
         d = random_distribution(rng, n_min=2, n_max=5)
         rho = float(rng.uniform(0.1, 10.0))
         fb = solve_first_best(d, rho)
-        w_fb, _, _ = primal_grid_welfare(d, rho, "first_best", grid)
+        w_fb, _, _ = primal_grid_welfare(d, rho, "first_best")
         ok = ok and abs(fb.W_fb - w_fb) <= 1e-3
         part = solve_participation(d, rho)
-        w_part, _, _ = primal_grid_welfare(d, rho, "participation", grid)
+        w_part, _, _ = primal_grid_welfare(d, rho, "participation")
         ok = ok and abs(part.W_star - w_part) <= 1e-3
         ic = solve_screening(d, rho)
         w_ic, _ = lp_screening_welfare(d, rho, lp_grid)

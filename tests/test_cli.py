@@ -480,12 +480,19 @@ _SIMULATE = ["--mode", "simulate", "--rho", "1", "--seed", "1", "--horizon", "10
          "line 2: could not convert string to float: 'x'"),
         (_MECH_HEADER + "A,1,1,1,1,abc,0.5,0,FULL\n" + _MECH_SUMMARY, _SIMULATE, EXIT_PARSE,
          "line 2: could not convert string to float: 'abc'"),
+        (_MECH_HEADER + _MECH_ROW + "Q=1.5, y=1, W=0, balance_residual=0\n", _SIMULATE,
+         EXIT_VALIDATION, "Q must lie in [0, 1]"),
+        (_MECH_HEADER + "A,1,1,1,1,1.5,0.5,0,FULL\n" + _MECH_SUMMARY, _SIMULATE,
+         EXIT_VALIDATION, "R['A'] must lie in [0, 1]"),
+        (_MECH_HEADER + "A,1,1,1,1,0.5,-0.5,0,FULL\n" + _MECH_SUMMARY, _SIMULATE,
+         EXIT_VALIDATION, "P['A'] must lie in [0, 1]"),
     ],
     ids=[
         "bad-header", "no-header", "three-cells", "non-numeric-u", "grid-two-fields",
         "grid-not-log", "no-Q-line", "bad-mechanism-header", "eight-columns",
         "Q-not-a-number", "Q-empty", "two-Q-lines", "Q-above-header",
-        "mechanism-non-numeric-u", "mechanism-non-numeric-R",
+        "mechanism-non-numeric-u", "mechanism-non-numeric-R", "Q-above-1", "R-above-1",
+        "P-below-0",
     ],
 )
 def test_input_errors_exit_with_one_line(tmp_path, capsys, text, args, code, message):

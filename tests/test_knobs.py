@@ -24,7 +24,6 @@ PUBLIC_DEFAULTS = {
     "check_feasible": ("families", "tol"),
     "lp_screening_welfare": ("g",),
     "menu_grid_oracle": ("cap", "resolution"),
-    "primal_grid_welfare": ("g",),
     "simulate_fluid": ("trace",),
     "simulate_poisson": ("trace",),
 }

@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from upkeep import (
     AgentType,
     DegenerateDistributionError,
+    GridSpec,
+    MarkovPolicy,
     Mechanism,
+    PhysicalParams,
     TypeDistribution,
     agent_utility,
     balance_residual,
+    bounded_monopoly_solve,
     check_feasible,
+    check_reduced_form,
+    primal_grid_welfare,
     welfare,
 )
 from conftest import random_distribution
@@ -195,3 +203,70 @@ def test_simplex_bounds_reported_per_type(lmh):
     assert rep.simplex["L"] == pytest.approx(0.05)
     assert rep.simplex["M"] == pytest.approx(0.1)
     assert rep.simplex["H"] <= 1e-12
+
+
+_A = AgentType("A", 2.0, 1.0, 1.0)
+_ONE = TypeDistribution((_A,))
+_IDLE = Mechanism.zero(_ONE)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: AgentType("", 1.0, 1.0, 1.0),
+                     "type id must be a nonempty string", id="empty-id"),
+        pytest.param(lambda: AgentType("A", math.inf, 1.0, 1.0),
+                     "type 'A': u must be finite", id="u-inf"),
+        pytest.param(lambda: AgentType("A", 1.0, math.nan, 1.0),
+                     "type 'A': c must be finite", id="c-nan"),
+        pytest.param(lambda: AgentType("A", 1.0, 1.0, math.inf),
+                     "type 'A': mass must be finite", id="mass-inf"),
+        pytest.param(lambda: _ONE.by_id("B"), "'B'", id="unknown-id"),
+        pytest.param(lambda: PhysicalParams(0.0),
+                     "rho must be a positive finite real", id="params-rho"),
+        pytest.param(lambda: PhysicalParams(1.0, lifespan="uniform"),
+                     "lifespan must be one of ('exponential', 'deterministic')",
+                     id="params-lifespan"),
+        pytest.param(lambda: PhysicalParams(1.0, quantum="uniform"),
+                     "quantum must be one of ('exponential', 'deterministic')",
+                     id="params-quantum"),
+        pytest.param(lambda: Mechanism(Q=1.5, R={}, P={}),
+                     "Q must lie in [0, 1]", id="mechanism-Q"),
+        pytest.param(lambda: Mechanism(Q=0.5, R={"A": -0.1}, P={"A": 0.0}),
+                     "R['A'] must lie in [0, 1]", id="mechanism-R"),
+        pytest.param(lambda: Mechanism(Q=0.5, R={"A": 0.5}, P={"A": 1.5}),
+                     "P['A'] must lie in [0, 1]", id="mechanism-P"),
+        pytest.param(lambda: Mechanism(Q=0.5, R={"A": 0.5}, P={"B": 0.5}),
+                     "R and P must cover the same type ids", id="mechanism-ids"),
+        pytest.param(lambda: check_feasible(_IDLE, _ONE, 1.0, tol=0.0),
+                     "tol must be > 0", id="feasible-tol"),
+        pytest.param(lambda: check_feasible(_IDLE, _ONE, 1.0, {"budget"}),
+                     "unknown constraint families: ['budget']", id="feasible-family"),
+        pytest.param(lambda: MarkovPolicy({"A": 1.5}, {}),
+                     "sigma_W['A'] must be a probability", id="policy-W"),
+        pytest.param(lambda: MarkovPolicy({}, {"A": -0.5}),
+                     "sigma_B['A'] must be a probability", id="policy-B"),
+        pytest.param(lambda: check_reduced_form(None, _IDLE, 0.5),
+                     "sigma_mult must be >= 1", id="sigma-mult"),
+        pytest.param(lambda: GridSpec(refine_rounds=-1),
+                     "refine_rounds must be >= 0", id="grid-rounds"),
+        pytest.param(lambda: primal_grid_welfare(_ONE, 1.0, "screening"),
+                     "mode must be 'first_best' or 'participation'", id="oracle-mode"),
+        pytest.param(lambda: bounded_monopoly_solve([(1.0, -1.0, 0.0)]),
+                     "surplus weights must be >= 0", id="menu-surplus-weight"),
+    ],
+)
+def test_every_input_check_fires(call, message):
+    with pytest.raises((ValueError, KeyError)) as info:
+        call()
+    assert message in str(info.value)
+
+
+def test_edge_inputs_that_are_not_errors():
+    # One type has no pair to misreport to: the IC family passes with
+    # slack 0 and no worst pair.  An empty sale sells nothing.
+    report = check_feasible(_IDLE, _ONE, 1.0, {"ic"})
+    assert report.ok
+    assert report.ic_worst_slack == 0.0 and report.ic_worst_pair is None
+    sale = bounded_monopoly_solve([])
+    assert (sale.r, sale.p, sale.value) == ((), (), 0.0)

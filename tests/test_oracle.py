@@ -112,15 +112,10 @@ def test_greedy_fill_matches_lp_on_fixed_uptime():
 
 
 def test_grid_convergence_guard(lmh):
-    # The primal oracle is exact and reads no grid, so every grid size
-    # gives the same welfare bit for bit, and that is the optimum.
-    ws = [
-        primal_grid_welfare(lmh, 5.5, "participation", GridSpec(qp, 0))[0]
-        for qp in (101, 203, 407, 815)
-    ]
-    assert len({w.hex() for w in ws}) == 1
+    # The primal oracle is exact, so it agrees with the solver.
+    w = primal_grid_welfare(lmh, 5.5, "participation")[0]
     best = solve_participation(lmh, 5.5).W_star
-    assert abs(ws[0] - best) <= 1e-12 * max(1.0, abs(best))
+    assert abs(w - best) <= 1e-12 * max(1.0, abs(best))
 
 
 def test_oracle_never_beats_solver():

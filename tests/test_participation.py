@@ -17,9 +17,10 @@ from upkeep import (
     welfare,
 )
 from upkeep.envelope import minimize
-from upkeep.model import kink_uptimes
+from upkeep.model import kink_uptimes, slack_scale
 from conftest import KINDS, kinded_distribution, random_distribution
 from reference import inner_max_Q, reduced_lagrangian, slater_gap
+from test_identity import corpus
 
 Y_STAR = 45.0 / 14.0
 W_STAR = 13.75 / 7.0
@@ -400,3 +401,24 @@ def test_uptime_lies_between_the_final_pair_kinks(monkeypatch):
         oracle = primal_grid_welfare(d, rho, "participation")[0]
         assert abs(sol.W_star - oracle) <= 1e-12 * max(1.0, abs(oracle))
     assert finite > 2000
+
+
+def test_residual_columns_are_concave_and_saturated_welfare_convex():
+    # The premises of the closed forms in _balanced_uptime and the
+    # infinite branch: every residual column of the table is 0 at Q = 0
+    # and concave in Q, and welfare along the saturated column is convex.
+    # Both are piecewise linear, so checking each interior kink against
+    # the chord of its neighbours suffices.  Taking max for min in
+    # _kink_lines' caps fails this test.
+    for _, d, rho in corpus():
+        lines = upkeep.participation._kink_lines(d)
+        S, W = lines.slack(rho), lines.W[:, -1:]
+        assert not S[0].any() and not W[0].any()
+        q = lines.q
+        lo, hi = q[1:-1] - q[:-2], q[2:] - q[1:-1]
+
+        def above_chord(f):
+            return f[1:-1] - (hi * f[:-2] + lo * f[2:]) / (lo + hi)
+
+        assert above_chord(S).min(initial=0.0) >= -1e-14 * slack_scale(d, rho)
+        assert above_chord(W).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(W).max())
