@@ -37,10 +37,10 @@ print("the machine also relaxes participation constraints, and here the")
 print(f"uptime rises too ({sol.Q_star:.4f} > {fb.Q_fb:.4f}).")
 print()
 
-print("type      class  P(unconstrained)  P(participation)  utility")
+print("type      class     P(unconstrained)  P(participation)  utility")
 for t in group.types:
     print(
-        f"{t.id:8s}  {sol.classes[t.id]:5s}  {fb.mechanism.P[t.id]:16.4f}"
+        f"{t.id:8s}  {sol.classes[t.id]:8s}  {fb.mechanism.P[t.id]:16.4f}"
         f"  {sol.mechanism.P[t.id]:16.4f}"
         f"  {sol.Q_star * t.u - sol.mechanism.P[t.id] * t.c:+.4f}"
     )

@@ -51,36 +51,6 @@ class GridSpec:
             raise ValueError("refine_rounds must be >= 0")
 
 
-def _grid_eval(
-    d: TypeDistribution,
-    rho: float,
-    mode: str,
-    qs: np.ndarray,
-) -> np.ndarray:
-    """Welfare at each uptime in qs, -inf where infeasible.
-
-    For a fixed uptime the required contributions are filled greedily in
-    ascending cost order, which is exactly optimal because the objective
-    is linear in the fill.
-    """
-    order = sorted(d.types, key=lambda t: t.c)
-    mass = np.array([t.mass for t in order])
-    cost = np.array([t.c for t in order])
-    nu = np.array([t.nu for t in order])
-    one_minus = 1.0 - qs
-    if mode == "first_best":
-        caps = mass[:, None] * one_minus[None, :]
-    else:
-        caps = mass[:, None] * np.minimum(one_minus[None, :], qs[None, :] * nu[:, None])
-    need = rho * qs
-    total = caps.sum(axis=0)
-    cum_before = np.cumsum(caps, axis=0) - caps
-    fill = np.clip(need[None, :] - cum_before, 0.0, caps)
-    w = qs * d.u_bar - (cost[:, None] * fill).sum(axis=0)
-    w = np.where(total >= need - _FEAS_EPS * np.maximum(1.0, need), w, -np.inf)
-    return w
-
-
 def primal_grid_welfare(
     d: TypeDistribution,
     rho: float,
@@ -93,8 +63,8 @@ def primal_grid_welfare(
     linear.  It bends only at a type's kink Q = 1/(1 + nu) (participation)
     and where the need rho·Q crosses the cap sum of a cost-sorted prefix.
     Between kinks that sum is a line a_k + b_k·Q, so each crossing is a
-    root of rho·Q = a_k + b_k·Q inside its segment.  _grid_eval scores 0,
-    1, the kinks and the roots, and W is linear between them.
+    root of rho·Q = a_k + b_k·Q inside its segment.  The greedy fill is
+    scored at 0, 1, the kinks and the roots, and W is linear between them.
 
     Returns (welfare, uptime, contribution level per type id).  Ties
     resolve to the lowest uptime.
@@ -102,7 +72,7 @@ def primal_grid_welfare(
     if mode not in ("first_best", "participation"):
         raise ValueError("mode must be 'first_best' or 'participation'")
     order = sorted(d.types, key=lambda t: t.c)
-    mass, nu = np.array([(t.mass, t.nu) for t in order]).T
+    mass, nu, cost = np.array([(t.mass, t.nu, t.c) for t in order]).T
     # A type past its kink has the cap mass·(1 - Q), any other mass·nu·Q;
     # in first best every type is past it.  Row s is the segment
     # [edges[s], edges[s + 1]].
@@ -116,17 +86,21 @@ def primal_grid_welfare(
     inside = (edges[:-1, None] <= roots) & (roots <= edges[1:, None])
     # Sorted with duplicates kept, so argmax takes the lowest best uptime.
     qs = np.sort(np.concatenate((edges, roots[inside])))
-    w = _grid_eval(d, rho, mode, qs)
+
+    # The greedy fill at each uptime in qs, one row per cost-sorted type;
+    # welfare is -inf where the caps cannot cover the need.
+    one_minus = 1.0 - qs
+    if mode == "first_best":
+        caps = mass[:, None] * one_minus[None, :]
+    else:
+        caps = mass[:, None] * np.minimum(one_minus[None, :], qs[None, :] * nu[:, None])
+    need = rho * qs
+    fill = np.clip(need[None, :] - (np.cumsum(caps, axis=0) - caps), 0.0, caps)
+    w = qs * d.u_bar - (cost[:, None] * fill).sum(axis=0)
+    w = np.where(caps.sum(axis=0) >= need - _FEAS_EPS * np.maximum(1.0, need), w, -np.inf)
     i = int(np.argmax(w))
-    q = float(qs[i])
-    fills: dict[str, float] = {}
-    need = rho * q
-    for t in order:
-        cap = t.mass * (1.0 - q if mode == "first_best" else min(1.0 - q, q * t.nu))
-        take = min(cap, max(need, 0.0))
-        fills[t.id] = take / t.mass if t.mass > 0 else 0.0
-        need -= take
-    return float(w[i]), q, fills
+    levels = np.divide(fill[:, i], mass, out=np.zeros_like(mass), where=mass > 0.0)
+    return float(w[i]), float(qs[i]), dict(zip((t.id for t in order), levels.tolist()))
 
 
 _MAX_PIVOTS = 20000

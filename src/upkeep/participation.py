@@ -41,7 +41,7 @@ from .model import (
     welfare,
 )
 
-TypeClass = Literal["FULL", "BOUND", "NONE"]
+TypeClass = Literal["FULL", "BOUND", "MARGINAL", "NONE"]
 
 _SCAN_RTOL = 1e-15
 
@@ -57,10 +57,12 @@ class ParticipationSolution:
 
     y_star is math.inf when the dual minimum is not attained, in which
     case every balanced feasible mechanism saturates all contribution
-    caps.  classes labels each type FULL (contributes the downtime),
-    BOUND (participation binds, utility zero) or NONE (does not
-    contribute).  iterations counts the steps of the dual walk, and is 0
-    when y_star is infinite.
+    caps.  classes labels each type from the share of its cap
+    min(1 - Q, Q * nu) that it contributes: NONE if its level is 0,
+    else MARGINAL (a threshold type, share strictly between 0 and 1),
+    else FULL (the whole downtime: Q at or past its own kink 1 / (1 + nu))
+    or BOUND (participation binds, utility zero).  iterations counts the
+    steps of the dual walk, and is 0 when y_star is infinite.
     """
 
     y_star: float
@@ -186,40 +188,32 @@ def _solution(
     lo_c: float, hi_c: float, frac: float, iterations: int,
 ) -> ParticipationSolution:
     """The solution at uptime Q and threshold y in which each type
-    contributes its cap min(1 - Q, Q * nu) if its cost is below lo_c,
-    frac of it if its cost is in [lo_c, hi_c], and nothing above."""
+    contributes a share of its cap min(1 - Q, Q * nu): 1 if its cost is
+    below lo_c, frac if its cost is in [lo_c, hi_c], and 0 above.  The
+    share and the type's own kink 1 / (1 + nu), as kink_uptimes forms
+    it, give its class."""
     P: dict[str, float] = {}
+    classes: dict[str, TypeClass] = {}
     for t in d.types:
-        cap = min(1.0 - Q, Q * t.nu)
-        P[t.id] = cap if t.c < lo_c else cap * frac if t.c <= hi_c else 0.0
+        share = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
+        P[t.id] = p = min(1.0 - Q, Q * t.nu) * share
+        classes[t.id] = (
+            "NONE" if p == 0.0
+            else "MARGINAL" if share < 1.0
+            else "FULL" if Q >= 1.0 / (1.0 + t.nu)
+            else "BOUND"
+        )
     mech = Mechanism(Q=Q, R={t.id: Q for t in d.types}, P=P)
     return ParticipationSolution(
         y_star=y,
         Q_star=Q,
         W_star=welfare(mech, d),
         mechanism=mech,
-        classes=_classify(mech, d),
+        classes=classes,
         marginal_fraction=frac,
         iterations=iterations,
         rho=rho,
     )
-
-
-def _classify(m: Mechanism, d: TypeDistribution) -> dict[str, TypeClass]:
-    tol = DEFAULT_TOL
-    classes: dict[str, TypeClass] = {}
-    if m.Q <= tol:
-        return {t.id: "NONE" for t in d.types}
-    scale = max(1.0, m.Q)
-    for t in d.types:
-        p = m.P[t.id]
-        if abs(p - (1.0 - m.Q)) <= tol * scale:
-            classes[t.id] = "FULL"
-        elif p > tol * scale and abs(p - m.Q * t.nu) <= tol * max(scale, m.Q * t.nu):
-            classes[t.id] = "BOUND"
-        else:
-            classes[t.id] = "NONE"
-    return classes
 
 
 def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolution:

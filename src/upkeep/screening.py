@@ -106,8 +106,6 @@ def _menu_candidates(
             if hi <= lo:
                 continue
             r0 = (hi - cap) / (hi - lo)
-            if not (0.0 <= r0 <= 1.0):
-                continue
             candidates.append((out, (r0, r0 * lo), (1.0, cap)))
     return candidates
 
@@ -305,11 +303,11 @@ def _score_kinks(
     pad = np.ones((k_n, n + 2))
     pad[:, 0] = 0.0
     np.multiply(ratio[:, None], nu, out=pad[:, 1:-1], where=qs[:, None] != 1.0 / (1.0 + nu))
-    v = pad[:, 1:-1]
     # Low atoms are 0 and every v < 1, high atoms every v > 1; an atom at
     # 1, a buyer's own kink included, would only repeat the posted price 1.
-    low_ok = np.arange(n + 1) <= (v < 1.0).sum(axis=1)[:, None]
-    high_ok = np.arange(n + 1) > (v <= 1.0).sum(axis=1)[:, None]
+    # Tested atom by atom: a type within rounding of another's kink can
+    # have v on the other side of 1 from that kink's exact 1.
+    low_ok, high_ok = pad[:, :-1] < 1.0, pad[:, :-1] > 1.0
     kq, lo, hi = np.nonzero(low_ok[:, :, None] & high_ok[:, None, :])
 
     # The rows: every posted price (r = 1, charging min(pad, 1)), then

@@ -252,17 +252,6 @@ def _admissible(
     return True, bool(up.all())
 
 
-class _Trace:
-    def __init__(self, stream: IO[str] | None):
-        self.stream = stream
-        if stream is not None:
-            stream.write(TRACE_HEADER + "\n")
-
-    def emit(self, t: float, kind: str, tid: str, state: str) -> None:
-        if self.stream is not None:
-            self.stream.write(f"{t:.9f}\t{kind}\t{tid}\t{state}\n")
-
-
 class _PoissonDraws:
     """The Poisson engine's four child streams.  ``arrivals(n)`` returns n
     standard exponential gaps, type uniforms and decision uniforms, and
@@ -333,7 +322,8 @@ def _run_poisson(
     trace: IO[str] | None,
 ) -> SimStats:
     _require_horizon(horizon)
-    tr = _Trace(trace)
+    if trace is not None:
+        trace.write(TRACE_HEADER + "\n")
 
     order = d.types
     n = len(order)
@@ -447,9 +437,9 @@ def _run_poisson(
         con_ok = con_ok and alternate and np.array_equal(
             np.flatnonzero(contributes & broken), fix
         )
-        if tr.stream is not None:
+        if trace is not None:
             _emit_poisson(
-                tr, tl, tids[k], broken, used, code == 2, breaks.tolist(), pos.tolist()
+                trace, tl, tids[k], broken, used, code == 2, breaks.tolist(), pos.tolist()
             )
 
     if working:
@@ -497,7 +487,7 @@ def _run_poisson(
 
 
 def _emit_poisson(
-    tr: _Trace,
+    trace: IO[str],
     times: Sequence[float],
     tids: np.ndarray,
     broken: np.ndarray,
@@ -508,21 +498,22 @@ def _emit_poisson(
 ) -> None:
     """Trace lines of one block in time order; a break comes before the
     arrivals at its instant."""
+    out = trace.write
     j = 0
     for i, (t, tid, down, use, fix) in enumerate(
         zip(times, tids, broken.tolist(), used.tolist(), fixer.tolist())
     ):
         while j < len(break_pos) and break_pos[j] <= i:
-            tr.emit(break_times[j], "BREAK", "-", "B")
+            out(f"{break_times[j]:.9f}\tBREAK\t-\tB\n")
             j += 1
-        tr.emit(t, "ARRIVAL", tid, "B" if down else "W")
+        out(f"{t:.9f}\tARRIVAL\t{tid}\t{'B' if down else 'W'}\n")
         if use:
-            tr.emit(t, "USE", tid, "W")
+            out(f"{t:.9f}\tUSE\t{tid}\tW\n")
         elif fix:
-            tr.emit(t, "CONTRIBUTE", tid, "W")
-            tr.emit(t, "FIX", tid, "W")
+            out(f"{t:.9f}\tCONTRIBUTE\t{tid}\tW\n")
+            out(f"{t:.9f}\tFIX\t{tid}\tW\n")
     for t in break_times[j:]:
-        tr.emit(t, "BREAK", "-", "B")
+        out(f"{t:.9f}\tBREAK\t-\tB\n")
 
 
 def simulate_fluid(
@@ -542,7 +533,8 @@ def simulate_fluid(
     """
     rng = np.random.default_rng(_require_seed(seed))
     _require_horizon(horizon)
-    tr = _Trace(trace)
+    if trace is not None:
+        trace.write(TRACE_HEADER + "\n")
 
     agg_rate = sum(t.mass * pol.sigma_B[t.id] for t in d.types)
     w_start = _WARMUP_LIFESPANS / phys.rho
@@ -586,12 +578,9 @@ def simulate_fluid(
         breaks, fixes = ends[:s:2], ends[1:s:2]
         lifespans.frombytes(dur[:s:2][breaks >= w_start].tobytes())
         downs.frombytes(dur[1:s:2][fixes >= w_start].tobytes())
-        if tr.stream is not None:
+        if trace is not None:
             for j, tj in enumerate(ends[:s].tolist()):
-                if j % 2 == 0:
-                    tr.emit(tj, "BREAK", "-", "B")
-                else:
-                    tr.emit(tj, "FIX", "-", "W")
+                trace.write(f"{tj:.9f}\tFIX\t-\tW\n" if j % 2 else f"{tj:.9f}\tBREAK\t-\tB\n")
 
     q_hat = working_time / horizon
     ci_q = _cycle_ci(lifespans, downs, q_hat)

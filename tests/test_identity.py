@@ -31,11 +31,11 @@ DIGESTS = {
     "first_best/tied_cost": "cb0a3e89b6ce0cf51d5f65b47a625f5eb600d09d611692ada220b7d3b36b3785",
     "first_best/tied_nu": "31b77fe2a67cba38fdcfc4ff6418acbbbf8e761b4162b2e0b985528c327badaf",
     "first_best/zero_mass": "24ab5543a9c8d85736c120414be4ae025199b0792bafcaf906212f5276692532",
-    "participation/integer": "a05cb11f6b66639919496c7547e8f586e52a58c598d0951119468b0cd1eb60ed",
-    "participation/plain": "98955e686ec16b589a3af59a6edd5257236f523703d90674d4627794a8c5901f",
-    "participation/tied_cost": "21e28d7d963efba3eacef4f09a4f973b0f75dfb1da65695328ff15e7230ed097",
-    "participation/tied_nu": "da57920f1b011ff0c33a2b5e3661e76b64adf7f8ada65cff5b9f80d616dd435b",
-    "participation/zero_mass": "877ccdf9862d3c594556310a6ebf46f475001a9c2c478f0e686cfc07bc61e45d",
+    "participation/integer": "796ea3841fdf807cf4e395c23073da748c97f8a793c3089aea2a54f4928d15e8",
+    "participation/plain": "eb1665d522866bba8b3f9d34c10c69d866a4c7cc5d9f5df91250a518335e6763",
+    "participation/tied_cost": "ba9a5e2eed9c7ae99c396bc320dfbf826678e1a5ad879f7ef2c5de44e9ef9826",
+    "participation/tied_nu": "e040c8f399587b816fb2fb3fbdee1144cce989afeba30a4a3fec674aef4328de",
+    "participation/zero_mass": "b852cbf7df864615aa592cebc88eb43201b7a28accc9c44eeb865c486a4d9f49",
     "screening/integer": "57abc82a5e2ef582d7c4a5bcbdd7f2fc332977f91ce0d268a2d3d3b9b5d4f095",
     "screening/plain": "abe34340f9143a0efa460e88d85d57e231363f8bb2f8fa4eed17b0e47970c8d0",
     "screening/tied_cost": "21a8635d603f0bfd51d0f5fce1155d3953e046d5d1803f6836d00e2c22265c12",

@@ -422,3 +422,28 @@ def test_residual_columns_are_concave_and_saturated_welfare_convex():
 
         assert above_chord(S).min(initial=0.0) >= -1e-14 * slack_scale(d, rho)
         assert above_chord(W).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(W).max())
+
+
+def test_classes_read_from_each_types_share():
+    # A type contributes all of its cap min(1 - Q, Q * nu), a fraction of
+    # it (a threshold type), or none of it.  Item 33 (plain) rations T0 at
+    # the threshold.
+    items = list(corpus())
+    _, d, rho = items[33]
+    sol = solve_participation(d, rho)
+    assert sol.classes["T0"] == "MARGINAL"
+    assert sol.mechanism.P["T0"] == pytest.approx(0.042, abs=5e-4)
+    assert sol.marginal_fraction == pytest.approx(0.504, abs=5e-4)
+    seen = set()
+    for _, d, rho in items:
+        sol = solve_participation(d, rho)
+        Q = sol.Q_star
+        for t in d.types:
+            cap, p, label = min(1.0 - Q, Q * t.nu), sol.mechanism.P[t.id], sol.classes[t.id]
+            seen.add(label)
+            assert (label == "NONE") == (p == 0.0)
+            assert (label == "MARGINAL") == (0.0 < p < cap)
+            if label in ("FULL", "BOUND"):
+                assert p == cap
+                assert (label == "FULL") == (Q >= 1.0 / (1.0 + t.nu))
+    assert seen == {"NONE", "MARGINAL", "FULL", "BOUND"}

@@ -538,9 +538,8 @@ def test_stored_limit_row_is_never_an_answer(rho):
 def test_levels_a_few_ulps_apart_share_one_tier(rows, rho, out):
     # Items 51 and 145 (from 0) of test_identity._integer_tables(), (u,
     # c, mass) per row.  The final pair's mixing weight is within rounding
-    # of 0, so the levels of the types that the light member leaves out
-    # land a few ulps from the heavy member's (1, 1) once scaled; tiers
-    # are keyed on levels rounded to 9 digits, so they stay one tier.
+    # of 0, so _mix takes the heavy member alone: its levels are exactly
+    # (1, 1), and tiers, keyed on the exact levels, stay one tier.
     d = TypeDistribution(
         tuple(AgentType(f"T{i}", float(u), float(c), float(m)) for i, (u, c, m) in enumerate(rows))
     )
@@ -584,3 +583,79 @@ def test_tiers_are_the_distinct_exact_levels():
             for b in d.ids:
                 assert (tier[a] == tier[b]) == (level[a] == level[b])
         assert verify_structure(sol)
+
+
+@pytest.mark.parametrize(
+    "nu_a, nu_b, nu_z",
+    [
+        ("0x1.d22321b32605ap+2", "0x1.d22321b32605bp+2", 9.0),
+        ("0x1.ec002c9b09e35p+0", "0x1.ec002c9b09e36p+0", 0.01),
+    ],
+)
+def test_pair_atoms_lie_strictly_either_side_of_1(nu_a, nu_b, nu_z):
+    # A and B are one ulp apart.  At the kink of one of them, the other's
+    # valuation ratio * nu rounds to the far side of 1 from the kink's
+    # exact 1, so the padded valuations are not sorted there: in the first
+    # case a low atom could land on 1 (and _cuts divide by 1 - low), in
+    # the second a high atom (and _cuts divide by r = 0).
+    d = TypeDistribution(
+        (
+            AgentType("A", float.fromhex(nu_a), 1.0, 1.0),
+            AgentType("B", float.fromhex(nu_b), 1.0, 1.0),
+            AgentType("Z", nu_z, 1.0, 1.0),
+        )
+    )
+    tab = _kink_table(d)
+    n = tab.nu.size
+
+    def pad(i: int, j: int) -> float:
+        q = float(tab.qs[tab.kink[i]])
+        if j == 0 or j == n + 1:
+            return float(j > 0)
+        v = float(tab.nu[j - 1])
+        return 1.0 if q == 1.0 / (1.0 + v) else q / (1.0 - q) * v
+
+    pairs = np.flatnonzero(tab.hi >= 0)
+    assert pairs.size > 0
+    for i in pairs:
+        assert pad(i, tab.lo[i]) < 1.0 < pad(i, tab.hi[i])
+
+
+def _ordered_family(rng: np.random.Generator) -> tuple[TypeDistribution, float]:
+    """n = 1-40 types listed by descending cost with nondecreasing
+    valuations (up to the rounding of u / c), each drawn from n // 2
+    values (ties) in half the families, a third of the masses 0 in half
+    of them; rho is the total mass x 10^U(-3, 3)."""
+    n = int(rng.integers(1, 41))
+
+    def draws(lo: float, hi: float) -> np.ndarray:
+        if rng.random() < 0.5:
+            return np.sort(rng.choice(rng.uniform(lo, hi, max(1, n // 2)), n))
+        return np.sort(rng.uniform(lo, hi, n))
+
+    c, nu = draws(0.1, 10.0)[::-1], draws(0.05, 8.0)
+    mass = rng.uniform(0.1, 1.5, n)
+    if rng.random() < 0.5:
+        mass[rng.choice(n, n // 3, replace=False)] = 0.0
+    if not mass.any():
+        mass[0] = 1.0
+    d = TypeDistribution(
+        tuple(
+            AgentType(f"T{i}", float(nu[i] * c[i]), float(c[i]), float(mass[i]))
+            for i in range(n)
+        )
+    )
+    return d, d.total_mass * 10.0 ** float(rng.uniform(-3.0, 3.0))
+
+
+def test_verify_structure_on_ordered_families():
+    # The paper's ordered types: costs descending while valuations rise,
+    # with tied costs, tied valuations and zero masses.  Every optimum
+    # uses at most two tiers, monotone in valuation.
+    rng = np.random.default_rng(4)
+    sizes = set()
+    for _ in range(400):
+        d, rho = _ordered_family(rng)
+        sizes.add(len(d.types))
+        assert verify_structure(solve_screening(d, rho))
+    assert min(sizes) == 1 and max(sizes) == 40
