@@ -10,7 +10,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 DEFAULT_TOL = 1e-9
@@ -221,12 +221,12 @@ class FeasibilityReport:
 
     tol: float
     families: frozenset[str]
-    balance: float | None = None
-    simplex: Mapping[str, float] = field(default_factory=dict)
-    participation_utility: Mapping[str, float] = field(default_factory=dict)
-    ic_worst_slack: float | None = None
-    ic_worst_pair: tuple[str, str] | None = None
-    passed: Mapping[str, bool] = field(default_factory=dict)
+    balance: float | None
+    simplex: Mapping[str, float]
+    participation_utility: Mapping[str, float]
+    ic_worst_slack: float | None
+    ic_worst_pair: tuple[str, str] | None
+    passed: Mapping[str, bool]
 
     @property
     def ok(self) -> bool:
@@ -246,8 +246,8 @@ def check_feasible(
     every family asked for.  Incentive compatibility is checked over all
     ordered type pairs, including zero-mass types.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be > 0 and finite")
     fams = frozenset(families)
     unknown = fams - ALL_FAMILIES
     if unknown:

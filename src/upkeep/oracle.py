@@ -71,6 +71,8 @@ def primal_grid_welfare(
     """
     if mode not in ("first_best", "participation"):
         raise ValueError("mode must be 'first_best' or 'participation'")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and > 0")
     order = sorted(d.types, key=lambda t: t.c)
     mass, nu, cost = np.array([(t.mass, t.nu, t.c) for t in order]).T
     # A type past its kink has the cap mass·(1 - Q), any other mass·nu·Q;

@@ -162,6 +162,7 @@ def _solve_infinite_branch(
     kinks: list[float],
     W: np.ndarray,
     S: np.ndarray,
+    eps: float,
 ) -> ParticipationSolution:
     # Every balanced feasible point saturates all caps; the feasible
     # uptimes are the zero set of the slack function, an interval
@@ -169,7 +170,6 @@ def _solve_infinite_branch(
     # both linear between kinks.  Welfare is 0 at Q = 0 and convex along
     # the column (each cap is concave and each cost positive), so the
     # best is an end of [0, qbar], the lower one on a tie within eps.
-    eps = DEFAULT_TOL * slack_scale(d, rho)
     g, w = S[:, -1].tolist(), W[:, -1].tolist()
     k = next((i for i, gi in enumerate(g) if gi < -eps), None)
     if k is None:
@@ -247,9 +247,10 @@ def _participation_at(
     """solve_participation at rho from d's lines, for checked arguments."""
     kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
     scale = slack_scale(d, rho)
-    found = minimize(W.ravel(), S.ravel(), DEFAULT_TOL * scale)
+    branch_eps = DEFAULT_TOL * scale
+    found = minimize(W.ravel(), S.ravel(), branch_eps)
     if found is None:
-        return _solve_infinite_branch(d, rho, kinks, W, S)
+        return _solve_infinite_branch(d, rho, kinks, W, S, branch_eps)
     pos, neg, iterations, y_star = found
     # Marginal rationing applies only at a cost atom, which the crossing
     # hits only up to rounding.

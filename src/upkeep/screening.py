@@ -459,21 +459,17 @@ def _build_solution(
 def _solve_infinite_branch(
     d: TypeDistribution, rho: float, tab: _KinkTable, S: np.ndarray, eps_bal: float
 ) -> ScreeningSolution:
-    # No menu has strictly slack balance, so feasible menus are exactly
-    # the balanced revenue maximizers; pick the welfare-best of those.
-    # Revenue minus rho * Q is convex between kinks and nowhere positive,
-    # so where it vanishes inside a segment it vanishes at both ends, and
-    # welfare, affine along the segment, is best at one end.  At Q = 0
-    # the opt-out menu is balanced, so the scan always finds one.  The
-    # limit row's slack is -rho, within eps_bal for a tiny rho: skip it.
-    kink, S = tab.kink[:-1], S[:-1]
-    top = np.full(tab.qs.size, -math.inf)
-    np.maximum.at(top, kink, S)
-    top = top[kink]
-    rows = np.flatnonzero((np.abs(top) <= eps_bal) & (S >= top - eps_bal))
+    """The welfare-best balanced row, |S| <= eps_bal as in _mix.
+
+    Every mechanism mixes rows (levels are affine in Q between kinks) and
+    no row has positive slack, so a balanced mix has only balanced
+    members, and linear welfare is best at one of them.  Row 0 (Q = 0)
+    has S = 0; the limit row, S = -rho, is skipped.
+    """
+    rows = np.flatnonzero(np.abs(S[:-1]) <= eps_bal)
     # Scanned kink by kink, a row replaces the best so far only if its
     # welfare is higher by more than eps_bal.
-    rows = rows[np.argsort(kink[rows], kind="stable")]
+    rows = rows[np.argsort(tab.kink[rows], kind="stable")]
     best = rows[0]
     for i in rows[1:]:
         if tab.W[i] > tab.W[best] + eps_bal:
@@ -496,10 +492,10 @@ def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     mixing the (Q, R, P) points of its final pair so that S = 0 gives an
     optimal balanced mechanism.  The pair's menus are
     read from the cut indices that scored them in the table, so one tie
-    rule assigns every buyer.
-    When no kink menu has slack above DEFAULT_TOL * slack_scale(d, rho)
-    the dual is unbounded and the welfare-best balanced revenue maximizer
-    is returned with y_star = inf.
+    rule assigns every buyer.  When no kink menu has slack above
+    DEFAULT_TOL * slack_scale(d, rho) the dual is unbounded, and the
+    welfare-best row whose slack is within eps_bal = 1e-12 *
+    slack_scale(d, rho) of 0 is returned with y_star = inf.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -523,32 +519,32 @@ def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> Screening
 
 
 def verify_structure(sol: ScreeningSolution) -> bool:
-    """Check the qualitative shape of an optimal screening menu.
+    """Check the qualitative shape of a screening menu, on exact levels.
 
-    True iff, within DEFAULT_TOL, the assignment is monotone in valuation,
-    at most two nonzero tiers are used, a two-tier menu's top tier charges
-    the full downtime, and a single-tier menu grants full access.
+    True iff at most two nonzero tiers are used, the top of two charges
+    the full downtime (p == 1), a lone tier grants full access (r == 1),
+    access never falls as valuation rises, and types whose valuations
+    agree within 1e-12 relative have equal levels (R, P).
     """
     used = sorted({k for k in sol.assignment.values() if k is not None})
     tiers = [sol.tiers[k] for k in used]
     if len(tiers) > 2:
         return False
-    if len(tiers) == 2 and abs(tiers[0].p - 1.0) > DEFAULT_TOL:
+    if len(tiers) == 2 and tiers[0].p != 1.0:
         return False
-    if len(tiers) == 1 and abs(tiers[0].r - 1.0) > DEFAULT_TOL:
+    if len(tiers) == 1 and tiers[0].r != 1.0:
         return False
 
     def rank(tid: str) -> float:
         k = sol.assignment[tid]
         return -1.0 if k is None else sol.tiers[k].r
 
+    m = sol.mechanism
     by_nu = sorted(sol.d.types, key=lambda t: t.nu)
     for a, b in zip(by_nu, by_nu[1:]):
-        if b.nu > a.nu + 1e-12 * max(1.0, a.nu) and rank(b.id) < rank(a.id) - DEFAULT_TOL:
+        if rank(b.id) < rank(a.id):
             return False
-        if abs(b.nu - a.nu) <= 1e-12 * max(1.0, a.nu):
-            ra, pa = sol.mechanism.R[a.id], sol.mechanism.P[a.id]
-            rb, pb = sol.mechanism.R[b.id], sol.mechanism.P[b.id]
-            if abs(ra - rb) > DEFAULT_TOL or abs(pa - pb) > DEFAULT_TOL:
-                return False
+        tied = b.nu - a.nu <= 1e-12 * max(1.0, a.nu)
+        if tied and (m.R[a.id], m.P[a.id]) != (m.R[b.id], m.P[b.id]):
+            return False
     return True

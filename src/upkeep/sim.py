@@ -624,8 +624,8 @@ def check_reduced_form(
     target, the admissibility flags hold, and the empirical balance gap
     is within the combined radius.
     """
-    if sigma_mult < 1.0:
-        raise ValueError("sigma_mult must be >= 1")
+    if not (math.isfinite(sigma_mult) and sigma_mult >= 1.0):
+        raise ValueError("sigma_mult must be >= 1 and finite")
     failures: list[str] = []
 
     def within(name: str, est: float, tgt: float, ci: float) -> None:

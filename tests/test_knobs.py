@@ -10,14 +10,6 @@ import upkeep
 from upkeep.cli import build_parser
 
 PUBLIC_DEFAULTS = {
-    "FeasibilityReport": (
-        "balance",
-        "simplex",
-        "participation_utility",
-        "ic_worst_slack",
-        "ic_worst_pair",
-        "passed",
-    ),
     "GridSpec": ("q_points", "refine_rounds"),
     "PhysicalParams": ("lifespan", "quantum"),
     "bounded_monopoly_solve": ("cap",),

@@ -240,6 +240,10 @@ _IDLE = Mechanism.zero(_ONE)
                      "R and P must cover the same type ids", id="mechanism-ids"),
         pytest.param(lambda: check_feasible(_IDLE, _ONE, 1.0, tol=0.0),
                      "tol must be > 0", id="feasible-tol"),
+        pytest.param(lambda: check_feasible(_IDLE, _ONE, 1.0, tol=math.inf),
+                     "tol must be > 0 and finite", id="feasible-tol-inf"),
+        pytest.param(lambda: check_feasible(_IDLE, _ONE, 1.0, tol=math.nan),
+                     "tol must be > 0 and finite", id="feasible-tol-nan"),
         pytest.param(lambda: check_feasible(_IDLE, _ONE, 1.0, {"budget"}),
                      "unknown constraint families: ['budget']", id="feasible-family"),
         pytest.param(lambda: MarkovPolicy({"A": 1.5}, {}),
@@ -248,6 +252,10 @@ _IDLE = Mechanism.zero(_ONE)
                      "sigma_B['A'] must be a probability", id="policy-B"),
         pytest.param(lambda: check_reduced_form(None, _IDLE, 0.5),
                      "sigma_mult must be >= 1", id="sigma-mult"),
+        pytest.param(lambda: check_reduced_form(None, _IDLE, math.inf),
+                     "sigma_mult must be >= 1 and finite", id="sigma-mult-inf"),
+        pytest.param(lambda: check_reduced_form(None, _IDLE, math.nan),
+                     "sigma_mult must be >= 1 and finite", id="sigma-mult-nan"),
         pytest.param(lambda: GridSpec(refine_rounds=-1),
                      "refine_rounds must be >= 0", id="grid-rounds"),
         pytest.param(lambda: primal_grid_welfare(_ONE, 1.0, "screening"),

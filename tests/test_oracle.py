@@ -81,6 +81,16 @@ def test_lp_oracle_rejects_bad_rho(equal_cost, rho):
         lp_screening_welfare(equal_cost, rho)
 
 
+@pytest.mark.parametrize("mode", ["first_best", "participation"])
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+def test_grid_oracle_rejects_bad_rho(mode, rho):
+    # Unchecked, rho <= 0 gave W = 7 here, NaN gave -inf and inf a
+    # RuntimeWarning.
+    d = TypeDistribution((AgentType("A", 3.0, 1.0, 1.0), AgentType("B", 2.0, 2.0, 2.0)))
+    with pytest.raises(ValueError, match="rho must be finite and > 0"):
+        primal_grid_welfare(d, rho, mode)
+
+
 def test_greedy_fill_matches_lp_on_fixed_uptime():
     # for a fixed uptime the contribution problem is a transportation
     # LP; the cost-ordered greedy fill must match its optimum.  Every

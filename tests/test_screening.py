@@ -20,7 +20,7 @@ from upkeep import (
 from conftest import KINDS, kinded_distribution, random_distribution
 from reference import ic_lagrangian, table_row_menu
 from test_identity import corpus
-from upkeep.model import kink_uptimes
+from upkeep.model import kink_uptimes, slack_scale
 from upkeep.screening import MenuTier, _kink_table, _screening_at, _table_line
 
 
@@ -202,16 +202,21 @@ def _two_tier_solve():
 
 def _perturbed(sol, case):
     top, low = sol.tiers
+    one = {tid: None if k is None else 0 for tid, k in sol.assignment.items()}
     if case == "top-tier-charges-half":
         return dataclasses.replace(sol, tiers=(MenuTier(top.r, 0.5), low))
+    if case == "top-tier-charges-1e-12-short":
+        return dataclasses.replace(sol, tiers=(MenuTier(top.r, top.p - 1e-12), low))
     if case == "single-tier-half-access":
-        one = {tid: None if k is None else 0 for tid, k in sol.assignment.items()}
         return dataclasses.replace(sol, tiers=(MenuTier(0.5, top.p), low), assignment=one)
+    if case == "single-tier-1e-12-short-of-full-access":
+        tiers = (MenuTier(top.r - 1e-12, top.p), low)
+        return dataclasses.replace(sol, tiers=tiers, assignment=one)
     if case == "higher-nu-lower-tier":
         return dataclasses.replace(sol, assignment={**sol.assignment, "H": 1})
-    assert case == "tied-nu-usage-differs"
+    gap = {"tied-nu-usage-differs": 1e-6, "tied-nu-usage-differs-by-1e-12": 1e-12}[case]
     mech = sol.mechanism
-    R = {**mech.R, "M2": mech.R["M2"] - 1e-6}
+    R = {**mech.R, "M2": mech.R["M2"] - gap}
     return dataclasses.replace(sol, mechanism=dataclasses.replace(mech, R=R))
 
 
@@ -219,9 +224,12 @@ def _perturbed(sol, case):
     "case",
     [
         "top-tier-charges-half",
+        "top-tier-charges-1e-12-short",
         "single-tier-half-access",
+        "single-tier-1e-12-short-of-full-access",
         "higher-nu-lower-tier",
         "tied-nu-usage-differs",
+        "tied-nu-usage-differs-by-1e-12",
     ],
 )
 def test_verify_structure_rejects_each_broken_shape(case):
@@ -526,6 +534,34 @@ def test_stored_limit_row_is_never_an_answer(rho):
     assert math.isinf(sol.y_star)
     assert sol.Q_star < 1.0
     assert check_feasible(sol.mechanism, d, rho).ok
+
+
+def test_infinite_branch_takes_the_welfare_best_balanced_row():
+    # The premise of the infinite branch: no row's slack is positive
+    # beyond eps_bal, so the answer is the best balanced row.
+    solves = 0
+    for _, d, rho in corpus():
+        tab = _kink_table(d)
+        sol = _screening_at(tab, d, rho)
+        if not math.isinf(sol.y_star):
+            continue
+        S, eps_bal = tab.slack(rho), 1e-12 * slack_scale(d, rho)
+        assert S.max() <= eps_bal
+        best = tab.W[:-1][np.abs(S[:-1]) <= eps_bal].max()
+        assert abs(sol.W_star - best) <= eps_bal
+        solves += 1
+    assert solves == 628
+
+
+def test_infinite_branch_keeps_the_first_of_rows_tied_within_eps_bal():
+    # The balanced rows sit at Q = 0 and 1/3 with W = 0, and at Q = 0.4
+    # with W = 4.4e-16, which is rounding of 0.  Scanned kink by kink, a
+    # row replaces the best so far only if its welfare is higher by more
+    # than eps_bal, so Q = 0 stays.
+    d = TypeDistribution((AgentType("T0", 3.0, 2.0, 2.0), AgentType("T1", 2.0, 1.0, 0.0)))
+    sol = solve_screening(d, 3.0)
+    assert math.isinf(sol.y_star)
+    assert sol.Q_star == 0.0
 
 
 @pytest.mark.parametrize(
