@@ -16,14 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .first_best import FirstBestSolution, _first_best_at, _prefix_lines, solve_first_best
+from .first_best import FirstBestSolution, _first_best_at, solve_first_best
 from .model import (
+    DEFAULT_TOL,
     AgentType,
     Mechanism,
     PhysicalParams,
     TypeDistribution,
     agent_utility,
     balance_residual,
+    check_feasible,
+    slack_scale,
     welfare,
 )
 from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
@@ -208,6 +211,15 @@ def _run_solver_mode(mode: str, d: TypeDistribution, rho: float) -> list[str]:
 
 def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]:
     d, mech = parse_mechanism_table(text)
+    # A mechanism that does not balance at rho, such as a table solved at
+    # another rho, would simulate an uptime other than its own Q.
+    tol = DEFAULT_TOL * slack_scale(d, rho)
+    report = check_feasible(mech, d, rho, {"balance", "simplex"}, tol)
+    if not report.ok:
+        raise ValidationError(
+            f"mechanism is infeasible at rho={fmt(rho)}: "
+            f"balance residual {fmt(report.balance)}, tolerance {fmt(tol)}"
+        )
     phys = PhysicalParams(rho=rho)
     pol = build_policy(mech)
     lines = ["metric,estimate,ci_radius"]
@@ -231,7 +243,7 @@ def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]
 def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str]:
     # rho enters each solver's dual lines only through their slopes, so
     # each table is built once and every grid point only walks it.
-    fb_lines, part_lines = _prefix_lines(d), _kink_lines(d)
+    fb_lines, part_lines = _kink_lines(d, may_exit=False), _kink_lines(d)
     ic_table = _kink_table(d) if include_ic else None
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
     if include_ic:

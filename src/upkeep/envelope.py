@@ -2,6 +2,7 @@
 cutting-plane method.  Each optimum's dual is such an envelope: one line
 per candidate point, with welfare W and balance slack S, ending in the
 limit line W = u_bar, S = -rho, where everyone has full access for free.
+When no line has positive slack, best_balanced picks the answer's line.
 """
 
 from __future__ import annotations
@@ -48,3 +49,22 @@ def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, f
         else:
             neg = top
     raise RuntimeError("dual walk did not converge")
+
+
+def best_balanced(W: np.ndarray, S: np.ndarray, key: np.ndarray, eps_bal: float) -> int:
+    """The infinite branch's row: the welfare-best row with |S| <= eps_bal.
+
+    No row has positive slack there, and every mechanism mixes rows
+    (levels are affine in the uptime between kinks), so a balanced mix
+    has only balanced members, and linear welfare is best at one of
+    them.  Rows are scanned by ascending key (the kink), ties in row
+    order; a row replaces the best so far only if its welfare is higher
+    by more than eps_bal.  The caller leaves out the limit row.
+    """
+    rows = np.flatnonzero(np.abs(S) <= eps_bal)
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    best = rows[0]
+    for i in rows[1:]:
+        if W[i] > W[best] + eps_bal:
+            best = i
+    return int(best)

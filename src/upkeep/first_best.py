@@ -5,6 +5,11 @@ at which the marginal usage value of extra uptime equals the marginal
 cost of the contributions needed to sustain it; types cheaper than the
 threshold contribute the maximum amount, everyone else contributes
 nothing, and all types enjoy full access.
+
+It is the participation problem with each cap relaxed to the downtime
+1 - Q, and is solved on participation's path, on a table with the kinks
+0 and 1 only: one line per prefix of the cost-sorted types,
+y -> sum of mass * (y - c), and the limit line u_bar - rho * y.
 """
 
 from __future__ import annotations
@@ -12,15 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .envelope import minimize
-from .model import (
-    ATOM_SNAP,
-    Mechanism,
-    TypeDistribution,
-    welfare,
-)
+from .model import Mechanism, TypeDistribution
+from .participation import _KinkLines, _kink_lines, _participation_at
 
 
 @dataclass(frozen=True)
@@ -43,47 +41,20 @@ class FirstBestSolution:
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
     """Solve the physical-constraints-only problem.
 
-    The dual is the upper envelope of one line per prefix of the
-    cost-sorted types, y -> sum of mass * (y - c) over the prefix, and
-    the limit line u_bar - rho * y.  envelope.minimize minimizes it
-    exactly, and the crossing of its final pair is the threshold.  Uptime
-    then follows in closed form from the balance condition.  The walk is
-    exact, so no tolerance is taken.  The prefix lines do not involve rho
-    (_prefix_lines); the limit line and the walk do (_first_best_at).
+    The crossing of the walk's final pair, a prefix line and the limit
+    line, is the threshold.  The uptime is where the types below it
+    balance, and the types at it contribute nothing.  The full prefix
+    always has slack, so no step takes a tolerance.  The table does not
+    involve rho (_kink_lines); the walk does (_first_best_at).
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    return _first_best_at(_prefix_lines(d), d, rho)
+    return _first_best_at(_kink_lines(d, may_exit=False), d, rho)
 
 
-def _prefix_lines(d: TypeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """(W, S) of the empty prefix and each prefix of the cost-sorted types."""
-    by_cost = sorted(d.types, key=lambda t: t.c)
-    # A massless first row gives the empty prefix's line.
-    mass, c = np.array([(0.0, 0.0)] + [(t.mass, t.c) for t in by_cost]).T
-    return -np.cumsum(mass * c), np.cumsum(mass)
-
-
-def _first_best_at(
-    lines: tuple[np.ndarray, np.ndarray], d: TypeDistribution, rho: float
-) -> FirstBestSolution:
-    """solve_first_best at rho from d's prefix lines, for a checked rho."""
-    W, S = lines
-    # The full prefix has slope total_mass > 0, so the threshold is finite.
-    _, _, iterations, y_fb = minimize(np.append(W, d.u_bar), np.append(S, -rho), 0.0)
-
-    scale = max(1.0, y_fb)
-    contributing = {t.id for t in d.types if t.c < y_fb - ATOM_SNAP * scale}
-    m_eff = sum(t.mass for t in d.types if t.id in contributing)
-    Q_fb = m_eff / (rho + m_eff) if m_eff > 0 else 0.0
-    P = {t.id: 1.0 - Q_fb if t.id in contributing else 0.0 for t in d.types}
-    mechanism = Mechanism(Q=Q_fb, R={t.id: Q_fb for t in d.types}, P=P)
-
+def _first_best_at(lines: _KinkLines, d: TypeDistribution, rho: float) -> FirstBestSolution:
+    """solve_first_best at rho from d's first-best lines, for a checked rho."""
+    sol = _participation_at(lines, d, rho)
     return FirstBestSolution(
-        y_fb=y_fb,
-        Q_fb=Q_fb,
-        W_fb=welfare(mechanism, d),
-        mechanism=mechanism,
-        iterations=iterations,
-        rho=rho,
+        sol.y_star, sol.Q_star, sol.W_star, sol.mechanism, sol.iterations, rho
     )

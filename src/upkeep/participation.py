@@ -15,8 +15,8 @@ The lines' welfare and saturated contributions do not involve the
 breakage rate, so one table serves every rate.  Every residual column
 is concave in the uptime and 0 at uptime 0, so the uptime between the
 kinks of the walk's final pair has a closed form read off one column;
-welfare along the saturated column is convex, so the infinite branch
-takes one of that column's two ends.
+the infinite branch takes the saturated column's welfare-best balanced
+row.  First best is solved here too, with each cap relaxed to 1 - Q.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
 
-from .envelope import minimize
-from .first_best import solve_first_best
+from .envelope import best_balanced, minimize
 from .model import (
     ATOM_SNAP,
     DEFAULT_TOL,
@@ -94,11 +93,12 @@ class OrderedTypesReport:
 
 
 class _KinkLines(NamedTuple):
-    """The dual's lines at the kinks of kink_uptimes (see _kink_lines):
-    welfare W and covered caps C, so that the slopes at rho are
-    S = C - rho * q, with q the kinks as a column.  by_cost holds the
-    types sorted by cost, the table's column order, and costs their
-    costs."""
+    """The dual's lines at the kinks (see _kink_lines): welfare W and
+    covered caps C, so that the slopes at rho are S = C - rho * q, with
+    q the kinks as a column.  by_cost holds the types sorted by cost,
+    the table's column order, and costs their costs.  A solve reads it
+    with the tolerances of the walk's branch test and of the balanced
+    uptime, relative to slack_scale(d, rho)."""
 
     kinks: list[float]
     W: np.ndarray
@@ -106,19 +106,29 @@ class _KinkLines(NamedTuple):
     q: np.ndarray
     by_cost: list[AgentType]
     costs: list[float]
+    may_exit: bool
+    branch_rtol: float
+    scan_rtol: float
 
     def slack(self, rho: float) -> np.ndarray:
         return self.C - rho * self.q
 
+    def cap(self, Q: float, nu: float) -> float:
+        return min(1.0 - Q, Q * nu) if self.may_exit else 1.0 - Q
 
-def _kink_lines(d: TypeDistribution) -> _KinkLines:
+
+def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
     """The reduced Lagrangian at each kink q as the maximum of lines
     W + y * S over prefixes of the cost-sorted types, which add
-    mass * cap * (y - c) with cap = min(1 - q, q * nu): one row per kink,
-    one column per prefix, the empty prefix first.  The last row, at
-    q = 1, is the limit line u_bar - rho * y.  Neither W nor the covered
-    caps C, the prefix sums of mass * cap, involve rho; the slopes are
-    S = C - rho * q.
+    mass * cap * (y - c): one row per kink, one column per prefix, the
+    empty prefix first.  The last row, at q = 1, is the limit line
+    u_bar - rho * y.  Neither W nor the covered caps C, the prefix sums
+    of mass * cap, involve rho; the slopes are S = C - rho * q.
+
+    Where types may exit (participation), the cap is min(1 - q, q * nu),
+    bent at the kinks of kink_uptimes.  Otherwise (first best) it is the
+    downtime 1 - q, affine in q, so the kinks are 0 and 1, and the walk
+    and the balanced uptime take no tolerance.
 
     S[i, j] is also the balance residual at kink i when the j cheapest
     types contribute their caps and no other type contributes, and the
@@ -126,77 +136,51 @@ def _kink_lines(d: TypeDistribution) -> _KinkLines:
     """
     by_cost = sorted(d.types, key=lambda t: t.c)
     nu, mass, c = np.array([(1.0, 0.0, 0.0)] + [(t.nu, t.mass, t.c) for t in by_cost]).T
-    kinks = kink_uptimes(d)
+    kinks = kink_uptimes(d) if may_exit else [0.0, 1.0]
     q = np.array(kinks)[:, None]
-    covered = mass * np.minimum(1.0 - q, q * nu)
+    covered = mass * (np.minimum(1.0 - q, q * nu) if may_exit else 1.0 - q)
     W = q * d.u_bar - np.cumsum(covered * c, axis=1)
     C = np.cumsum(covered, axis=1)
-    return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost])
+    rtols = (DEFAULT_TOL, _SCAN_RTOL) if may_exit else (0.0, 0.0)
+    return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost], may_exit, *rtols)
 
 
 def _balanced_uptime(
     kinks: list[float], rm: list[float], pos_row: int, neg_row: int, eps: float
-) -> float:
+) -> tuple[float, bool]:
     """Smallest uptime between the final pair's kinks where the balance
     residual rm without the threshold's types, given at every kink, is
-    <= eps.  rm and the residual rp with those types are concave in the
-    uptime and 0 at 0, rm < 0 at the neg kink and rp >= 0 at the pos
-    kink: so rp >= 0 up to the pos kink, rm <= 0 from the neg kink on,
-    and rp >= rm = 0 where rm first reaches 0 past the pos kink.  rm is
-    linear between kinks, so that point has a closed form.
+    <= eps, and whether it is a kink.  rm and the residual rp with those
+    types are concave in the uptime and 0 at 0, rm < 0 at the neg kink
+    and rp >= 0 at the pos kink: so rp >= 0 up to the pos kink, rm <= 0
+    from the neg kink on, and rp >= rm = 0 where rm first reaches 0 past
+    the pos kink.  rm is linear between kinks, so that point has a
+    closed form.
     """
     if neg_row <= pos_row:
-        return kinks[neg_row]
+        return kinks[neg_row], True
     k = next((k for k in range(pos_row, neg_row + 1) if rm[k] <= eps), None)
     if k is None:
         raise RuntimeError("no balanced uptime found between the final pair's kinks")
     if k == pos_row:
-        return kinks[k]
+        return kinks[k], True
     a, b, fa, fb = kinks[k - 1], kinks[k], rm[k - 1], rm[k]
-    return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b)
-
-
-def _solve_infinite_branch(
-    d: TypeDistribution,
-    rho: float,
-    kinks: list[float],
-    W: np.ndarray,
-    S: np.ndarray,
-    eps: float,
-) -> ParticipationSolution:
-    # Every balanced feasible point saturates all caps; the feasible
-    # uptimes are the zero set of the slack function, an interval
-    # [0, qbar].  Slack and welfare are the table's full-prefix columns,
-    # both linear between kinks.  Welfare is 0 at Q = 0 and convex along
-    # the column (each cap is concave and each cost positive), so the
-    # best is an end of [0, qbar], the lower one on a tie within eps.
-    g, w = S[:, -1].tolist(), W[:, -1].tolist()
-    k = next((i for i, gi in enumerate(g) if gi < -eps), None)
-    if k is None:
-        qbar, w_bar = kinks[-1], w[-1]
-    else:
-        # ga >= -eps > gb, so ga - gb > 0.
-        a, b, ga, gb = kinks[k - 1], kinks[k], g[k - 1], g[k]
-        qbar = a + ga * (b - a) / (ga - gb)
-        w_bar = w[k - 1] + (qbar - a) * (w[k] - w[k - 1]) / (b - a)
-    Q = qbar if w_bar > eps else 0.0
-    return _solution(d, rho, Q, math.inf, math.inf, math.inf, 0.0, 0)
+    return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b), False
 
 
 def _solution(
-    d: TypeDistribution, rho: float, Q: float, y: float,
+    lines: _KinkLines, d: TypeDistribution, rho: float, Q: float, y: float,
     lo_c: float, hi_c: float, frac: float, iterations: int,
 ) -> ParticipationSolution:
     """The solution at uptime Q and threshold y in which each type
-    contributes a share of its cap min(1 - Q, Q * nu): 1 if its cost is
-    below lo_c, frac if its cost is in [lo_c, hi_c], and 0 above.  The
-    share and the type's own kink 1 / (1 + nu), as kink_uptimes forms
-    it, give its class."""
+    contributes a share of its cap: 1 if its cost is below lo_c, frac if
+    its cost is in [lo_c, hi_c], and 0 above.  The share and the type's
+    own kink 1 / (1 + nu), as kink_uptimes forms it, give its class."""
     P: dict[str, float] = {}
     classes: dict[str, TypeClass] = {}
     for t in d.types:
         share = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
-        P[t.id] = p = min(1.0 - Q, Q * t.nu) * share
+        P[t.id] = p = lines.cap(Q, t.nu) * share
         classes[t.id] = (
             "NONE" if p == 0.0
             else "MARGINAL" if share < 1.0
@@ -229,12 +213,12 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
     is >= 0.  Both residuals are concave in the uptime and 0 at 0, so
     that is the neg kink if it is at or below the pos kink, and otherwise
     where the table's column without the threshold's types first reaches
-    0 past the pos kink.  The threshold's types then share one
-    contribution fraction that balances exactly.  Otherwise the
-    threshold is infinite and every type saturates its cap.  Welfare
-    along the table's full-prefix column is 0 at uptime 0 and convex, so
-    the uptime is the largest balanced one if its welfare is positive,
-    and 0 if not.
+    0 past the pos kink.  At a kink the threshold's types then share one
+    contribution fraction that balances exactly; past one the column
+    balances without them, and they contribute nothing.  Otherwise the
+    threshold is infinite, every type saturates its cap, and the uptime
+    is the kink of the saturated column's welfare-best row whose slack is
+    within eps_bal = 1e-12 * slack_scale(d, rho) of 0.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -244,13 +228,15 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
 def _participation_at(
     lines: _KinkLines, d: TypeDistribution, rho: float
 ) -> ParticipationSolution:
-    """solve_participation at rho from d's lines, for checked arguments."""
+    """solve_participation at rho from d's lines, for checked arguments,
+    with the lines' tolerances."""
     kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
     scale = slack_scale(d, rho)
-    branch_eps = DEFAULT_TOL * scale
-    found = minimize(W.ravel(), S.ravel(), branch_eps)
+    found = minimize(W.ravel(), S.ravel(), lines.branch_rtol * scale)
     if found is None:
-        return _solve_infinite_branch(d, rho, kinks, W, S, branch_eps)
+        # The limit row, Q = 1 with nobody contributing, is left out.
+        k = best_balanced(W[:-1, -1], S[:-1, -1], lines.q[:-1, 0], 1e-12 * scale)
+        return _solution(lines, d, rho, kinks[k], math.inf, math.inf, math.inf, 0.0, 0)
     pos, neg, iterations, y_star = found
     # Marginal rationing applies only at a cost atom, which the crossing
     # hits only up to rounding.
@@ -276,25 +262,29 @@ def _participation_at(
     # a pair line's prefix and the band's edges add only massless types:
     # at the neg kink it is <= the neg slack < 0, and at the pos kink the
     # residual with the band is >= the pos slack >= 0.
-    eps = _SCAN_RTOL * scale
-    Q_star = _balanced_uptime(
+    eps = lines.scan_rtol * scale
+    Q_star, at_kink = _balanced_uptime(
         kinks, S[:, bisect_left(costs, lo_c)].tolist(), pos_row, neg_row, eps
     )
 
-    # The residuals at Q_star, summed in type order rather than read off
-    # the table's cost-ordered sums: frac amplifies their rounding.
-    below = upto = 0.0
-    for t in d.types:
-        if t.mass > 0.0 and t.c <= hi_c:
-            cap = t.mass * min(1.0 - Q_star, Q_star * t.nu)
-            upto += cap
-            if t.c < lo_c:
-                below += cap
-    rm, rp = below - rho * Q_star, upto - rho * Q_star
+    # The band's share is 0 at Q = 0, where balance leaves no
+    # contribution, and past a kink, where the column without the band
+    # balances.  At a kink above 0 it comes from the residuals at Q_star,
+    # summed in type order rather than read off the table's cost-ordered
+    # sums: frac amplifies their rounding.
     frac = 0.0
-    if rp - rm > eps:
-        frac = min(max(-rm / (rp - rm), 0.0), 1.0)
-    return _solution(d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
+    if at_kink and Q_star > 0.0:
+        below = upto = 0.0
+        for t in d.types:
+            if t.mass > 0.0 and t.c <= hi_c:
+                cap = t.mass * lines.cap(Q_star, t.nu)
+                upto += cap
+                if t.c < lo_c:
+                    below += cap
+        rm, rp = below - rho * Q_star, upto - rho * Q_star
+        if rp - rm > eps:
+            frac = min(max(-rm / (rp - rm), 0.0), 1.0)
+    return _solution(lines, d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
 
 
 def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> OrderedTypesReport:
@@ -315,7 +305,7 @@ def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> Ordere
                 f"{a.id!r} -> {b.id!r}"
             )
 
-    fb = solve_first_best(d, sol.rho)
+    fb = _participation_at(_kink_lines(d, may_exit=False), d, sol.rho)
     bound_idx = [i for i, t in enumerate(order) if sol.classes[t.id] == "BOUND"]
     bound_ids = tuple(order[i].id for i in bound_idx)
     contiguous = (
@@ -324,11 +314,11 @@ def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> Ordere
     if bound_idx:
         costs = [order[i].c for i in bound_idx]
         cost_span = (min(costs), max(costs))
-        contains = cost_span[0] <= fb.y_fb <= cost_span[1]
+        contains = cost_span[0] <= fb.y_star <= cost_span[1]
     else:
         cost_span = None
         contains = False
-    attained = sol.W_star >= fb.W_fb - DEFAULT_TOL * max(1.0, abs(fb.W_fb))
+    attained = sol.W_star >= fb.W_star - DEFAULT_TOL * max(1.0, abs(fb.W_star))
     return OrderedTypesReport(
         order=tuple(t.id for t in order),
         bound_ids=bound_ids,

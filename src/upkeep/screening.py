@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .envelope import minimize
+from .envelope import best_balanced, minimize
 from .model import (
     DEFAULT_TOL,
     Mechanism,
@@ -456,28 +456,6 @@ def _build_solution(
     )
 
 
-def _solve_infinite_branch(
-    d: TypeDistribution, rho: float, tab: _KinkTable, S: np.ndarray, eps_bal: float
-) -> ScreeningSolution:
-    """The welfare-best balanced row, |S| <= eps_bal as in _mix.
-
-    Every mechanism mixes rows (levels are affine in Q between kinks) and
-    no row has positive slack, so a balanced mix has only balanced
-    members, and linear welfare is best at one of them.  Row 0 (Q = 0)
-    has S = 0; the limit row, S = -rho, is skipped.
-    """
-    rows = np.flatnonzero(np.abs(S[:-1]) <= eps_bal)
-    # Scanned kink by kink, a row replaces the best so far only if its
-    # welfare is higher by more than eps_bal.
-    rows = rows[np.argsort(tab.kink[rows], kind="stable")]
-    best = rows[0]
-    for i in rows[1:]:
-        if tab.W[i] > tab.W[best] + eps_bal:
-            best = i
-    line = _table_line(tab, int(best), d, rho)
-    return _build_solution(math.inf, line.Q, line.r, line.p, d, rho, 0)
-
-
 def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     """Solve the designer's problem under participation and truthful
     reporting.
@@ -509,7 +487,10 @@ def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> Screening
     eps_bal = 1e-12 * scale
     found = minimize(tab.W, S, DEFAULT_TOL * scale)
     if found is None:
-        return _solve_infinite_branch(d, rho, tab, S, eps_bal)
+        # The welfare-best balanced row (|S| <= eps_bal, as in _mix) but the limit row.
+        best = best_balanced(tab.W[:-1], S[:-1], tab.kink[:-1], eps_bal)
+        line = _table_line(tab, best, d, rho)
+        return _build_solution(math.inf, line.Q, line.r, line.p, d, rho, 0)
     pos, neg, steps, _ = found
     # The pair's lines from their menus, as the mix uses them; their
     # crossing is the one the mix balances.

@@ -338,6 +338,27 @@ def test_readme_commands_print_pinned_bytes(tmp_path, capsys):
     assert digests == README_BYTES
 
 
+def test_simulate_rejects_a_mechanism_that_does_not_balance_at_rho(tmp_path, capsys):
+    # The README's ic table, solved at rho 5.5, balances there (residual
+    # about -1e-12) but not at rho 1, where it would simulate an uptime of
+    # 0.55 against its own Q of 0.18.
+    code, out = run_cli(tmp_path, EX1, ["--mode", "ic", "--rho", "5.5"])
+    assert code == EXIT_OK
+    mech_file = tmp_path / "mech.csv"
+    mech_file.write_text(out, encoding="utf-8")
+    capsys.readouterr()
+    args = ["--mode", "simulate", "--input", str(mech_file), "--seed", "1", "--horizon", "100"]
+    assert main([*args, "--rho", "5.5"]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*args, "--rho", "1"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: mechanism is infeasible at rho=1: "
+        "balance residual -0.818181818182, tolerance 3e-09\n"
+    )
+
+
 def test_oracle_check_passes_where_first_best_welfare_is_zero(tmp_path, capsys):
     # Nobody contributes at this rho, so first-best welfare is 0; written
     # as u_bar - rho * y_fb it rounded to 7.5e-9 and failed the check.

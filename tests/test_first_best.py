@@ -11,6 +11,7 @@ from upkeep import (
 )
 from conftest import KINDS, kinded_distribution, random_distribution
 from reference import fb_dual_value, fb_threshold_gap
+from test_identity import corpus
 
 
 def test_threshold_gap_values(lmh):
@@ -148,3 +149,16 @@ def test_large_mass_welfare_is_the_mechanisms():
         oracle = primal_grid_welfare(d, rho, "first_best")[0]
         assert sol.W_fb >= 0.0
         assert abs(sol.W_fb - oracle) <= 1e-12 * max(1.0, abs(sol.W_fb))
+
+
+def test_each_type_contributes_the_downtime_or_nothing():
+    # Past Q = 0 the uptime is where the types below the threshold
+    # balance by themselves, and at Q = 0 balance leaves no contribution,
+    # so the types at the threshold contribute exactly 0.  Computing
+    # their balancing share past Q = 0 gives corpus item 1233 (integer)
+    # shares of about 3e-16; at Q = 0 it gives -0.0, which the fb mode
+    # prints as -0.
+    for _, d, rho in corpus():
+        sol = solve_first_best(d, rho)
+        levels = {0.0.hex(), (1.0 - sol.Q_fb).hex()}
+        assert {p.hex() for p in sol.mechanism.P.values()} <= levels

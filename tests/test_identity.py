@@ -27,10 +27,10 @@ SOLVERS = {
 
 DIGESTS = {
     "first_best/integer": "9dd385a134c4dc3ba21d073c6435d3594ee80f919d01c67c39349d6a24c4acc1",
-    "first_best/plain": "b424bc4fa3caccba742d3c8f5c44d772ed5d3b5b874a72400be4af60082d87c3",
-    "first_best/tied_cost": "cb0a3e89b6ce0cf51d5f65b47a625f5eb600d09d611692ada220b7d3b36b3785",
-    "first_best/tied_nu": "31b77fe2a67cba38fdcfc4ff6418acbbbf8e761b4162b2e0b985528c327badaf",
-    "first_best/zero_mass": "24ab5543a9c8d85736c120414be4ae025199b0792bafcaf906212f5276692532",
+    "first_best/plain": "6e5dfcfd399a361b7ecda0266e4573d1726384b271d93dc7bf569b80bb16e688",
+    "first_best/tied_cost": "a67543aa5e56b2116343029891c8107b4f5c67b32c264d2ba5667212676ee158",
+    "first_best/tied_nu": "1417d1ba45aa9be6aea0eff6c7a762f4e8e9e1e77a49b7c027bc0ffb025112a9",
+    "first_best/zero_mass": "f873bab793718597e76d7d3f182a4477061d48ce9ad515e1eb6fce398c6e54de",
     "participation/integer": "796ea3841fdf807cf4e395c23073da748c97f8a793c3089aea2a54f4928d15e8",
     "participation/plain": "eb1665d522866bba8b3f9d34c10c69d866a4c7cc5d9f5df91250a518335e6763",
     "participation/tied_cost": "ba9a5e2eed9c7ae99c396bc320dfbf826678e1a5ad879f7ef2c5de44e9ef9826",
@@ -87,16 +87,22 @@ def corpus():
         yield "integer", d, rho
 
 
-def digests() -> dict[str, str]:
-    """sha256 per solver and family of the float.hex of every solution
-    field (screening's copy of the distribution left out)."""
-    hashes = {}
-    for family, d, rho in corpus():
+def solves():
+    """(solver, family, corpus index, bytes) per solve: the bytes are rho
+    and every solution field as float.hex (screening's copy of the
+    distribution left out)."""
+    for index, (family, d, rho) in enumerate(corpus()):
         for name, solve in SOLVERS.items():
             fields = _hexed(solve(d, rho))
             fields.pop("d", None)
-            h = hashes.setdefault(f"{name}/{family}", hashlib.sha256())
-            h.update(repr((rho.hex(), fields)).encode())
+            yield name, family, index, repr((rho.hex(), fields)).encode()
+
+
+def digests() -> dict[str, str]:
+    """sha256 per solver and family of every solve's bytes."""
+    hashes = {}
+    for name, family, _, text in solves():
+        hashes.setdefault(f"{name}/{family}", hashlib.sha256()).update(text)
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 
@@ -118,3 +124,11 @@ def test_solutions_are_bit_identical(computed, key):
 
 def test_every_solver_and_family_is_pinned(computed):
     assert sorted(computed) == sorted(DIGESTS)
+
+
+if __name__ == "__main__":
+    # One line per solve with a short hash of its bytes: `diff` between
+    # the listings of two checkouts names the moved solves.  Run from the
+    # repository root as `PYTHONPATH=src python tests/test_identity.py`.
+    for name, family, index, text in solves():
+        print(name, index, family, hashlib.sha256(text).hexdigest()[:16])

@@ -404,10 +404,10 @@ def test_uptime_lies_between_the_final_pair_kinks(monkeypatch):
 
 
 def test_residual_columns_are_concave_and_saturated_welfare_convex():
-    # The premises of the closed forms in _balanced_uptime and the
-    # infinite branch: every residual column of the table is 0 at Q = 0
-    # and concave in Q, and welfare along the saturated column is convex.
-    # Both are piecewise linear, so checking each interior kink against
+    # The premise of the closed form in _balanced_uptime: every residual
+    # column of the table is 0 at Q = 0 and concave in Q.  Welfare along
+    # the saturated column is convex (each cap is concave and each cost
+    # positive).  Both are piecewise linear, so checking each interior kink against
     # the chord of its neighbours suffices.  Taking max for min in
     # _kink_lines' caps fails this test.
     for _, d, rho in corpus():
@@ -447,3 +447,61 @@ def test_classes_read_from_each_types_share():
                 assert p == cap
                 assert (label == "FULL") == (Q >= 1.0 / (1.0 + t.nu))
     assert seen == {"NONE", "MARGINAL", "FULL", "BOUND"}
+
+
+
+def _tiny_mass_tables():
+    """300 tables of 1-5 types with masses 10^U(-13, -8), u in [0.5, 5]
+    and c in [0.5, 3], at rho = total mass x 10^U(-3, 3).  Every slack
+    is then below the branch test's floor of 1e-9, so most solves take
+    the infinite branch."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        mass = 10.0 ** rng.uniform(-13.0, -8.0, n)
+        u, c = rng.uniform(0.5, 5.0, n), rng.uniform(0.5, 3.0, n)
+        d = TypeDistribution(
+            tuple(
+                AgentType(f"T{i}", float(u[i]), float(c[i]), float(mass[i]))
+                for i in range(n)
+            )
+        )
+        yield d, d.total_mass * 10.0 ** float(rng.uniform(-3.0, 3.0))
+
+
+def test_tiny_masses_never_beat_the_oracle():
+    # An answer above the exact oracle is infeasible: Q = 1 with nobody
+    # contributing, or an uptime past the balanced ones.  Answers below
+    # it remain, where the branch test's absolute floor sends a solve
+    # with positive slack to the infinite branch.
+    for d, rho in _tiny_mass_tables():
+        sol = solve_participation(d, rho)
+        oracle = primal_grid_welfare(d, rho, "participation")[0]
+        assert sol.W_star <= oracle + 1e-12 * abs(oracle)
+        assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * max(1.0, rho)
+
+
+def test_infinite_branch_takes_the_welfare_best_balanced_row():
+    # On the infinite branch every type saturates its cap, so the answer
+    # is a row of the table's saturated column: one whose slack is within
+    # eps_bal of 0, below the limit row, and whose welfare is within
+    # eps_bal of the best such row's.  On the corpus an interpolated
+    # uptime lands on the same rows; at tiny masses it does not.
+    counts = []
+    for cases in ([(d, rho) for _, d, rho in corpus()], _tiny_mass_tables()):
+        solves = 0
+        for d, rho in cases:
+            lines = upkeep.participation._kink_lines(d)
+            sol = solve_participation(d, rho)
+            if not math.isinf(sol.y_star):
+                continue
+            W, S = lines.W[:-1, -1], lines.slack(rho)[:-1, -1]
+            eps_bal = 1e-12 * slack_scale(d, rho)
+            balanced = np.abs(S) <= eps_bal
+            Q = sol.Q_star
+            assert Q in lines.kinks[:-1] and balanced[lines.kinks.index(Q)]
+            assert abs(sol.W_star - W[balanced].max()) <= eps_bal
+            assert all(sol.mechanism.P[t.id] == min(1.0 - Q, Q * t.nu) for t in d.types)
+            solves += 1
+        counts.append(solves)
+    assert counts == [545, 268]

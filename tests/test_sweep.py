@@ -8,7 +8,6 @@ from collections.abc import Mapping
 import numpy as np
 
 import upkeep.cli
-import upkeep.first_best
 import upkeep.participation
 import upkeep.screening
 from upkeep import solve_first_best, solve_participation, solve_screening
@@ -88,15 +87,14 @@ def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
     def counted(module, name):
         build = getattr(module, name)
 
-        def count(d):
+        def count(*args, **kwargs):
             builds[name] = builds.get(name, 0) + 1
-            return build(d)
+            return build(*args, **kwargs)
 
         # The CLI's own reference and the one the public solvers use.
         monkeypatch.setattr(upkeep.cli, name, count)
         monkeypatch.setattr(module, name, count)
 
-    counted(upkeep.first_best, "_prefix_lines")
     counted(upkeep.participation, "_kink_lines")
     counted(upkeep.screening, "_kink_table")
     path = tmp_path / "types.csv"
@@ -105,4 +103,5 @@ def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
     argv = ["--mode", "sweep", "--ic", "--input", str(path), "--rho-grid", "0.01:100:16:log"]
     assert main([*argv, "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 17
-    assert builds == {"_prefix_lines": 1, "_kink_lines": 1, "_kink_table": 1}
+    # One table each for first best and participation.
+    assert builds == {"_kink_lines": 2, "_kink_table": 1}
