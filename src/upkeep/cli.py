@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .first_best import FirstBestSolution, _first_best_at, solve_first_best
 from .model import (
     DEFAULT_TOL,
     AgentType,
@@ -30,7 +29,10 @@ from .model import (
     welfare,
 )
 from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
-from .participation import _kink_lines, _participation_at, solve_participation
+from .participation import (
+    FirstBestSolution, _first_best_at, _kink_lines, _participation_at, solve_first_best,
+    solve_participation,
+)
 from .screening import ScreeningSolution, _kink_table, _screening_at, solve_screening
 from .sim import build_policy, simulate_fluid, simulate_poisson
 

@@ -1,4 +1,4 @@
-"""Participation-constrained mechanisms via a concave-convex saddle point.
+"""Participation-constrained and first-best mechanisms via a saddle point.
 
 With participation constraints, each type's contribution is capped at the
 smaller of the downtime and the uptime scaled by its valuation.  The
@@ -14,15 +14,17 @@ breakage rate.
 The lines' welfare and saturated contributions do not involve the
 breakage rate, so one table serves every rate.  Every residual column
 is concave in the uptime and 0 at uptime 0, so the uptime between the
-kinks of the walk's final pair has a closed form read off one column;
-the infinite branch takes the saturated column's welfare-best balanced
-row.  First best is solved here too, with each cap relaxed to 1 - Q.
+kinks of the walk's final pair has a closed form read off one column,
+and the threshold's share is read off the kink row that balances; the
+infinite branch takes the saturated column's welfare-best balanced row.
+First best, under physical constraints only, is this problem with each
+cap relaxed to the downtime 1 - Q, on a table with the kinks 0 and 1.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Literal, Mapping, NamedTuple
 
@@ -75,6 +77,22 @@ class ParticipationSolution:
 
 
 @dataclass(frozen=True)
+class FirstBestSolution:
+    """Threshold, uptime, welfare, and the mechanism that attains them.
+
+    Types whose cost sits exactly at the threshold contribute nothing.
+    iterations counts the steps of the dual walk.
+    """
+
+    y_fb: float
+    Q_fb: float
+    W_fb: float
+    mechanism: Mechanism
+    iterations: int
+    rho: float
+
+
+@dataclass(frozen=True)
 class OrderedTypesReport:
     """Shape of the participation-bound set under ordered types."""
 
@@ -98,7 +116,7 @@ class _KinkLines(NamedTuple):
     q the kinks as a column.  by_cost holds the types sorted by cost,
     the table's column order, and costs their costs.  A solve reads it
     with the tolerances of the walk's branch test and of the balanced
-    uptime, relative to slack_scale(d, rho)."""
+    point, relative to slack_scale(d, rho)."""
 
     kinks: list[float]
     W: np.ndarray
@@ -112,9 +130,6 @@ class _KinkLines(NamedTuple):
 
     def slack(self, rho: float) -> np.ndarray:
         return self.C - rho * self.q
-
-    def cap(self, Q: float, nu: float) -> float:
-        return min(1.0 - Q, Q * nu) if self.may_exit else 1.0 - Q
 
 
 def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
@@ -145,27 +160,30 @@ def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
     return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost], may_exit, *rtols)
 
 
-def _balanced_uptime(
-    kinks: list[float], rm: list[float], pos_row: int, neg_row: int, eps: float
-) -> tuple[float, bool]:
-    """Smallest uptime between the final pair's kinks where the balance
-    residual rm without the threshold's types, given at every kink, is
-    <= eps, and whether it is a kink.  rm and the residual rp with those
-    types are concave in the uptime and 0 at 0, rm < 0 at the neg kink
-    and rp >= 0 at the pos kink: so rp >= 0 up to the pos kink, rm <= 0
-    from the neg kink on, and rp >= rm = 0 where rm first reaches 0 past
-    the pos kink.  rm is linear between kinks, so that point has a
-    closed form.
+def _balanced_point(
+    kinks: list[float], S: np.ndarray, jm: int, jp: int,
+    pos_row: int, neg_row: int, eps: float,
+) -> tuple[float, float]:
+    """The smallest uptime between the final pair's kinks where the
+    residual S[:, jm] without the threshold's types is <= eps, and their
+    share there.  That column and S[:, jp], with them, are concave in the
+    uptime and 0 at 0, S[:, jm] < 0 at the neg kink and S[:, jp] >= 0 at
+    the pos kink: so S[:, jp] >= 0 up to the pos kink, S[:, jm] <= 0 from
+    the neg kink on, and S[:, jp] >= S[:, jm] = 0 where S[:, jm] first
+    reaches 0 past the pos kink.  S[:, jm] is linear between kinks, so
+    that point has a closed form, and the share there is 0.  At a kink
+    row the share balances the row's two residuals, clamped to [0, 1].
     """
-    if neg_row <= pos_row:
-        return kinks[neg_row], True
-    k = next((k for k in range(pos_row, neg_row + 1) if rm[k] <= eps), None)
+    rm = S[:, jm].tolist()
+    first = min(pos_row, neg_row)
+    k = next((k for k in range(first, neg_row + 1) if rm[k] <= eps), None)
     if k is None:
         raise RuntimeError("no balanced uptime found between the final pair's kinks")
-    if k == pos_row:
-        return kinks[k], True
-    a, b, fa, fb = kinks[k - 1], kinks[k], rm[k - 1], rm[k]
-    return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b), False
+    if k > first:
+        a, b, fa, fb = kinks[k - 1], kinks[k], rm[k - 1], rm[k]
+        return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b), 0.0
+    gap = float(S[k, jp]) - rm[k]
+    return kinks[k], min(max(0.0, -rm[k] / gap), 1.0) if gap > eps else 0.0
 
 
 def _solution(
@@ -180,7 +198,8 @@ def _solution(
     classes: dict[str, TypeClass] = {}
     for t in d.types:
         share = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
-        P[t.id] = p = lines.cap(Q, t.nu) * share
+        cap = min(1.0 - Q, Q * t.nu) if lines.may_exit else 1.0 - Q
+        P[t.id] = p = cap * share
         classes[t.id] = (
             "NONE" if p == 0.0
             else "MARGINAL" if share < 1.0
@@ -214,11 +233,12 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
     that is the neg kink if it is at or below the pos kink, and otherwise
     where the table's column without the threshold's types first reaches
     0 past the pos kink.  At a kink the threshold's types then share one
-    contribution fraction that balances exactly; past one the column
-    balances without them, and they contribute nothing.  Otherwise the
-    threshold is infinite, every type saturates its cap, and the uptime
-    is the kink of the saturated column's welfare-best row whose slack is
-    within eps_bal = 1e-12 * slack_scale(d, rho) of 0.
+    contribution fraction, read off that row's residuals without and with
+    them, that balances exactly; past one they contribute nothing
+    (_balanced_point).  Otherwise the threshold is infinite, every type
+    saturates its cap, and the uptime is the kink of the saturated
+    column's welfare-best row whose slack is within
+    eps_bal = 1e-12 * slack_scale(d, rho) of 0.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -258,33 +278,41 @@ def _participation_at(
         lo_c, hi_c = min(band), max(band)
 
     # Column bisect_left(costs, lo_c) is the balance residual without the
-    # band's types.  S does not fall along a row, and the columns between
-    # a pair line's prefix and the band's edges add only massless types:
-    # at the neg kink it is <= the neg slack < 0, and at the pos kink the
-    # residual with the band is >= the pos slack >= 0.
-    eps = lines.scan_rtol * scale
-    Q_star, at_kink = _balanced_uptime(
-        kinks, S[:, bisect_left(costs, lo_c)].tolist(), pos_row, neg_row, eps
+    # band's types, and column bisect_right(costs, hi_c) with them.  S does
+    # not fall along a row, and the columns between a pair line's prefix
+    # and the band's edges add only massless types: at the neg kink the
+    # first is <= the neg slack < 0, and at the pos kink the second is >=
+    # the pos slack >= 0.
+    Q_star, frac = _balanced_point(
+        kinks, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
+        pos_row, neg_row, lines.scan_rtol * scale,
     )
-
-    # The band's share is 0 at Q = 0, where balance leaves no
-    # contribution, and past a kink, where the column without the band
-    # balances.  At a kink above 0 it comes from the residuals at Q_star,
-    # summed in type order rather than read off the table's cost-ordered
-    # sums: frac amplifies their rounding.
-    frac = 0.0
-    if at_kink and Q_star > 0.0:
-        below = upto = 0.0
-        for t in d.types:
-            if t.mass > 0.0 and t.c <= hi_c:
-                cap = t.mass * lines.cap(Q_star, t.nu)
-                upto += cap
-                if t.c < lo_c:
-                    below += cap
-        rm, rp = below - rho * Q_star, upto - rho * Q_star
-        if rp - rm > eps:
-            frac = min(max(-rm / (rp - rm), 0.0), 1.0)
     return _solution(lines, d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
+
+
+def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
+    """Solve the physical-constraints-only problem.
+
+    The table (_kink_lines with may_exit=False) has one line per prefix
+    of the cost-sorted types, y -> sum of mass * (y - c), and the limit
+    line u_bar - rho * y.  The crossing of the walk's final pair is the
+    threshold, and the uptime is where the types below it balance.  The
+    types at it contribute nothing: at Q = 0 the residual without them is
+    >= 0, so their clamped share is 0, and past 0 the column without them
+    balances.  The full prefix always has slack, so no step takes a
+    tolerance.
+    """
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and > 0")
+    return _first_best_at(_kink_lines(d, may_exit=False), d, rho)
+
+
+def _first_best_at(lines: _KinkLines, d: TypeDistribution, rho: float) -> FirstBestSolution:
+    """solve_first_best at rho from d's first-best lines, for a checked rho."""
+    sol = _participation_at(lines, d, rho)
+    return FirstBestSolution(
+        sol.y_star, sol.Q_star, sol.W_star, sol.mechanism, sol.iterations, rho
+    )
 
 
 def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> OrderedTypesReport:
@@ -305,7 +333,7 @@ def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> Ordere
                 f"{a.id!r} -> {b.id!r}"
             )
 
-    fb = _participation_at(_kink_lines(d, may_exit=False), d, sol.rho)
+    fb = solve_first_best(d, sol.rho)
     bound_idx = [i for i, t in enumerate(order) if sol.classes[t.id] == "BOUND"]
     bound_ids = tuple(order[i].id for i in bound_idx)
     contiguous = (
@@ -314,11 +342,11 @@ def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> Ordere
     if bound_idx:
         costs = [order[i].c for i in bound_idx]
         cost_span = (min(costs), max(costs))
-        contains = cost_span[0] <= fb.y_star <= cost_span[1]
+        contains = cost_span[0] <= fb.y_fb <= cost_span[1]
     else:
         cost_span = None
         contains = False
-    attained = sol.W_star >= fb.W_star - DEFAULT_TOL * max(1.0, abs(fb.W_star))
+    attained = sol.W_star >= fb.W_fb - DEFAULT_TOL * max(1.0, abs(fb.W_fb))
     return OrderedTypesReport(
         order=tuple(t.id for t in order),
         bound_ids=bound_ids,

@@ -153,10 +153,12 @@ def test_large_mass_welfare_is_the_mechanisms():
 
 def test_each_type_contributes_the_downtime_or_nothing():
     # Past Q = 0 the uptime is where the types below the threshold
-    # balance by themselves, and at Q = 0 balance leaves no contribution,
-    # so the types at the threshold contribute exactly 0.  Computing
-    # their balancing share past Q = 0 gives corpus item 1233 (integer)
-    # shares of about 3e-16; at Q = 0 it gives -0.0, which the fb mode
+    # balance by themselves, so _balanced_point gives the types at the
+    # threshold a share of exactly 0.  At Q = 0 the residual without them
+    # is >= 0, so the clamped share is +0.0 there too.
+    # Computing their balancing share at interpolated uptimes gives
+    # corpus item 1233 (integer) shares of about 3e-16; at Q = 0,
+    # clamping with max(-rm / gap, 0.0) gives -0.0, which the fb mode
     # prints as -0.
     for _, d, rho in corpus():
         sol = solve_first_best(d, rho)

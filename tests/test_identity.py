@@ -31,10 +31,10 @@ DIGESTS = {
     "first_best/tied_cost": "a67543aa5e56b2116343029891c8107b4f5c67b32c264d2ba5667212676ee158",
     "first_best/tied_nu": "1417d1ba45aa9be6aea0eff6c7a762f4e8e9e1e77a49b7c027bc0ffb025112a9",
     "first_best/zero_mass": "f873bab793718597e76d7d3f182a4477061d48ce9ad515e1eb6fce398c6e54de",
-    "participation/integer": "796ea3841fdf807cf4e395c23073da748c97f8a793c3089aea2a54f4928d15e8",
-    "participation/plain": "eb1665d522866bba8b3f9d34c10c69d866a4c7cc5d9f5df91250a518335e6763",
-    "participation/tied_cost": "ba9a5e2eed9c7ae99c396bc320dfbf826678e1a5ad879f7ef2c5de44e9ef9826",
-    "participation/tied_nu": "e040c8f399587b816fb2fb3fbdee1144cce989afeba30a4a3fec674aef4328de",
+    "participation/integer": "f8c9bc45d01b398154f0c5ac29211eead35e3fd4976d5cacdd85da014832c98f",
+    "participation/plain": "ad2e02fd2cc462750060351067fc7dc72062a694347058cb5ae5a8a9efd222e5",
+    "participation/tied_cost": "6915d5e5fb8457b2d3e8664fb81fcf0e70109b7df98d4a3d8c284bb5ea17c44f",
+    "participation/tied_nu": "29c9292b6e1eb545883120ffdd73a08b60d79f03c50e13591d36641fc6b5e373",
     "participation/zero_mass": "b852cbf7df864615aa592cebc88eb43201b7a28accc9c44eeb865c486a4d9f49",
     "screening/integer": "57abc82a5e2ef582d7c4a5bcbdd7f2fc332977f91ce0d268a2d3d3b9b5d4f095",
     "screening/plain": "abe34340f9143a0efa460e88d85d57e231363f8bb2f8fa4eed17b0e47970c8d0",
@@ -88,20 +88,20 @@ def corpus():
 
 
 def solves():
-    """(solver, family, corpus index, bytes) per solve: the bytes are rho
-    and every solution field as float.hex (screening's copy of the
-    distribution left out)."""
+    """(solver, family, corpus index, fields, bytes) per solve: fields is
+    every solution field as float.hex (screening's copy of the
+    distribution left out), and the bytes are rho and the fields."""
     for index, (family, d, rho) in enumerate(corpus()):
         for name, solve in SOLVERS.items():
             fields = _hexed(solve(d, rho))
             fields.pop("d", None)
-            yield name, family, index, repr((rho.hex(), fields)).encode()
+            yield name, family, index, fields, repr((rho.hex(), fields)).encode()
 
 
 def digests() -> dict[str, str]:
     """sha256 per solver and family of every solve's bytes."""
     hashes = {}
-    for name, family, _, text in solves():
+    for name, family, _, _, text in solves():
         hashes.setdefault(f"{name}/{family}", hashlib.sha256()).update(text)
     return {key: h.hexdigest() for key, h in hashes.items()}
 
@@ -127,8 +127,13 @@ def test_every_solver_and_family_is_pinned(computed):
 
 
 if __name__ == "__main__":
-    # One line per solve with a short hash of its bytes: `diff` between
-    # the listings of two checkouts names the moved solves.  Run from the
+    # One line per solve with a short hash of its bytes and its W and Q
+    # as float.hex: `diff` between the listings of two checkouts names
+    # the moved solves with their values before and after.  Run from the
     # repository root as `PYTHONPATH=src python tests/test_identity.py`.
-    for name, family, index, text in solves():
-        print(name, index, family, hashlib.sha256(text).hexdigest()[:16])
+    for name, family, index, fields, text in solves():
+        end = "fb" if name == "first_best" else "star"
+        print(
+            name, index, family, hashlib.sha256(text).hexdigest()[:16],
+            "W", fields[f"W_{end}"], "Q", fields[f"Q_{end}"],
+        )

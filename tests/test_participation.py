@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import upkeep.cli
 import upkeep.participation
 from upkeep import (
     AgentType,
@@ -404,7 +405,7 @@ def test_uptime_lies_between_the_final_pair_kinks(monkeypatch):
 
 
 def test_residual_columns_are_concave_and_saturated_welfare_convex():
-    # The premise of the closed form in _balanced_uptime: every residual
+    # The premise of the closed form in _balanced_point: every residual
     # column of the table is 0 at Q = 0 and concave in Q.  Welfare along
     # the saturated column is convex (each cap is concave and each cost
     # positive).  Both are piecewise linear, so checking each interior kink against
@@ -505,3 +506,22 @@ def test_infinite_branch_takes_the_welfare_best_balanced_row():
             solves += 1
         counts.append(solves)
     assert counts == [545, 268]
+
+
+def test_no_level_or_share_is_negative_zero(tmp_path, capsys):
+    # A threshold share of exactly 0 is +0.0.  Clamping -rm / gap with
+    # max(-rm / gap, 0.0) kept the -0.0 of a residual rm of exactly +0.0,
+    # and the part mode printed those levels as -0 (corpus item 1128).
+    for _, d, rho in corpus():
+        fb, part = solve_first_best(d, rho), solve_participation(d, rho)
+        for value in (
+            *fb.mechanism.P.values(), *fb.mechanism.R.values(),
+            *part.mechanism.P.values(), *part.mechanism.R.values(),
+            part.marginal_fraction,
+        ):
+            assert math.copysign(1.0, value) == 1.0
+    inp = tmp_path / "types.csv"
+    inp.write_text("id,u,c,mass\nT0,4,3,2\nT1,5,3,0\nT2,3,1,1\n")
+    assert upkeep.cli.main(["--mode", "part", "--input", str(inp), "--rho", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    assert [row.split(",")[6] for row in rows] == ["0", "0"]

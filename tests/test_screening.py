@@ -657,12 +657,14 @@ def test_pair_atoms_lie_strictly_either_side_of_1(nu_a, nu_b, nu_z):
         assert pad(i, tab.lo[i]) < 1.0 < pad(i, tab.hi[i])
 
 
-def _ordered_family(rng: np.random.Generator) -> tuple[TypeDistribution, float]:
-    """n = 1-40 types listed by descending cost with nondecreasing
-    valuations (up to the rounding of u / c), each drawn from n // 2
-    values (ties) in half the families, a third of the masses 0 in half
-    of them; rho is the total mass x 10^U(-3, 3)."""
-    n = int(rng.integers(1, 41))
+def _ordered_family(
+    rng: np.random.Generator, sizes: range
+) -> tuple[TypeDistribution, float]:
+    """n types, n drawn from sizes, listed by descending cost with
+    nondecreasing valuations (up to the rounding of u / c), each drawn
+    from n // 2 values (ties) in half the families, a third of the masses
+    0 in half of them; rho is the total mass x 10^U(-3, 3)."""
+    n = int(rng.integers(sizes.start, sizes.stop))
 
     def draws(lo: float, hi: float) -> np.ndarray:
         if rng.random() < 0.5:
@@ -691,7 +693,16 @@ def test_verify_structure_on_ordered_families():
     rng = np.random.default_rng(4)
     sizes = set()
     for _ in range(400):
-        d, rho = _ordered_family(rng)
+        d, rho = _ordered_family(rng, range(1, 41))
         sizes.add(len(d.types))
         assert verify_structure(solve_screening(d, rho))
     assert min(sizes) == 1 and max(sizes) == 40
+    # Then 8 families at each larger n, on both branches.
+    rng = np.random.default_rng(41)
+    finite = 0
+    for n in (60, 80, 100, 120, 150):
+        for _ in range(8):
+            sol = solve_screening(*_ordered_family(rng, range(n, n + 1)))
+            finite += math.isfinite(sol.y_star)
+            assert verify_structure(sol)
+    assert 0 < finite < 40
