@@ -12,12 +12,12 @@ Both engines draw their randomness in numpy blocks, each sized to the
 draws a run is still expected to need and at most ``_BLOCK``.  The
 Poisson engine's Python loop takes one bisect per repair cycle, the one
 step that must be sequential (a fix's lifespan places the next break,
-whose first contributing arrival is the next fix); the cycle's
-bookkeeping (break positions, working time, lifespans, downtimes, the
-broken mask and the counts) then comes from arrays.  The fluid engine
-needs no per-cycle step.  Memory does not grow with the horizon beyond
-the per-cycle lifespans and downtimes, 8 bytes each in ``array("d")``
-buffers.
+whose first contributing arrival is the next fix), and it bisects only
+the contributing arrivals' times; the cycle's bookkeeping (break
+positions, working time, lifespans, downtimes, the broken mask and the
+counts) then comes from arrays.  The fluid engine needs no per-cycle
+step.  Memory does not grow with the horizon beyond the per-cycle
+lifespans and downtimes, 8 bytes each in ``array("d")`` buffers.
 
 - Poisson: ``np.random.SeedSequence(seed).spawn(4)`` gives four child
   streams, drawing in turn the arrival gaps, the type uniforms, the
@@ -34,15 +34,16 @@ buffers.
 
 Admissibility is derived from the event arrays the Poisson engine
 produces (the same arrays any trace is written from): breaks and fixes
-alternate and every use falls in a working interval.  It also passes
-each break's and fix's position in the arrival stream, which orders
-events at one instant, such as a break that lands on the instant of the
-fix before it.  Its contributions come from the arrivals' own draws: the
-arrivals that drew a contribution while the machine was broken must be
-exactly its fixes.  The fluid engine does not observe the event flags:
-its breaks and fixes are the alternate ends of one cumulative sum of
-nonnegative durations, and it has no individual uses or contributions,
-so it reports both as True.
+alternate, and no broken interval holds a use, which counts the uses
+before each interval's two ends.  It also passes each break's and fix's
+position in the arrival stream, which orders events at one instant, such
+as a break that lands on the instant of the fix before it.  Its
+contributions come from the arrivals' own draws: the arrivals that drew
+a contribution while the machine was broken must be exactly its fixes.
+The fluid engine does not observe the event flags: its breaks and fixes
+are the alternate ends of one cumulative sum of nonnegative durations,
+and it has no individual uses or contributions, so it reports both as
+True.
 """
 
 from __future__ import annotations
@@ -214,13 +215,16 @@ def _admissible(
     positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[bool, bool]:
     """(breaks and fixes alternate, usage only while working) for one
-    stretch of event times that starts in the given state.
+    stretch of event times that starts in the given state.  ``uses`` are
+    in time order.
 
     Breaks and fixes must alternate in time order.  The machine is
-    broken on each closed interval [break, fix] and working on each
-    half-open [fix, break), so a break wins a tie with a use.  A use is
-    located by counting the breaks and fixes at or before it; without
-    alternation no use is admissible.
+    broken on each half-open interval [break, fix), and on [break, inf)
+    when the stretch ends broken, so a use at a break's instant falls
+    while broken and one at a fix's instant while working.  Usage is
+    admissible when no broken interval holds a use: as many uses fall
+    before its break as before its end.  Without alternation no use is
+    admissible.
 
     positions, if given, places the breaks and fixes in a stream of
     arrivals: a break at position p falls just before arrival p, and a
@@ -233,8 +237,7 @@ def _admissible(
     nb, nf = len(breaks), len(fixes)
     if nb - nf not in (0, 1):
         return False, False
-    # The machine changes state at b0, f0, b1, f1, ...; it is broken
-    # after an odd number of these.
+    # The machine changes state at b0, f0, b1, f1, ...
     events = np.empty(nb + nf)
     events[0::2], events[1::2] = breaks, fixes
     if not (events[:-1] <= events[1:]).all():
@@ -248,8 +251,8 @@ def _admissible(
         keys[0::2], keys[1::2] = 2 * at_break - 1, 2 * at_fix
         if not (keys[:-1] < keys[1:]).all():
             return False, False
-    up = np.searchsorted(events, uses, "right") % 2 == 0
-    return True, bool(up.all())
+    ends = fixes if nb == nf else np.concatenate((fixes, [math.inf]))
+    return True, bool((uses.searchsorted(breaks) == uses.searchsorted(ends)).all())
 
 
 class _PoissonDraws:
@@ -279,15 +282,21 @@ def _block_size(expected: float) -> int:
     return int(min(_BLOCK, 1.1 * expected + 32))
 
 
-def _lifespans(draws: _PoissonDraws, phys: PhysicalParams) -> Iterator[float]:
+def _lifespans(draws: _PoissonDraws, phys: PhysicalParams) -> Iterator[np.ndarray]:
+    """Lifespans in numpy chunks of 32, 64, ... up to _BLOCK, in stream
+    order.  The engine draws chunks until its buffer holds one lifespan
+    per contributing arrival of the block, since each fix is one; the
+    fixes take them in order and the rest carry to the next block.  The
+    lifespans have a stream of their own, so what is drawn ahead and not
+    used changes no output."""
     mean = phys.lifespan_mean
-    if phys.lifespan == "deterministic":
-        while True:
-            yield mean
     n = 32
     while True:
         n = min(n, _BLOCK)
-        yield from memoryview(mean * draws.lifespans(n))
+        if phys.lifespan == "deterministic":
+            yield np.full(n, mean)
+        else:
+            yield mean * draws.lifespans(n)
         n *= 2
 
 
@@ -329,10 +338,10 @@ def _run_poisson(
     n = len(order)
     tids = np.array([t.id for t in order], dtype=object)
     rate = d.total_mass
-    cum = np.cumsum(np.array([t.mass for t in order]) / rate)
+    # An arrival's type is the number of edges at or below its uniform.
+    edges = np.cumsum(np.array([t.mass for t in order]) / rate)[:-1]
     sig_w = np.array([pol.sigma_W[t.id] for t in order])
     sig_b = np.array([pol.sigma_B[t.id] for t in order])
-    lives = _lifespans(draws, phys)
 
     w_start = _WARMUP_LIFESPANS / phys.rho
     w_end = w_start + horizon
@@ -345,7 +354,9 @@ def _run_poisson(
     use_ok = con_ok = True
 
     working = True
-    pending_lifespan = next(lives)
+    lives = _lifespans(draws, phys)
+    buf = next(lives)  # lifespans drawn and not yet used
+    pending_lifespan, buf = float(buf[0]), buf[1:]
     next_break = pending_lifespan
     state_since = 0.0
     t_last = 0.0
@@ -358,40 +369,39 @@ def _run_poisson(
         m = int(np.searchsorted(times, w_end))
         done = m < len(times)
         times = times[:m]
-        k = np.minimum(np.searchsorted(cum, u_type[:m], "right"), n - 1)
+        k = edges.searchsorted(u_type[:m], "right")
         u_dec = u_dec[:m]
         contributes = u_dec < sig_b[k]
-        # nc[i]: the first contributing arrival at or after i, or m; nc[m] = m.
-        nc = np.minimum.accumulate(
-            np.where(contributes, np.arange(m), m)[::-1]
-        )[::-1].tolist() + [m]
+        cpos = np.flatnonzero(contributes)
         # A list, since bisecting an array or a memoryview boxes a float
         # on every probe.
-        tl = times.tolist()
+        ct = times[cpos].tolist()
+        # Each fix is a contributing arrival and takes the next lifespan.
+        while buf.size < cpos.size:
+            buf = np.concatenate((buf, next(lives)))
 
-        # The one sequential step: a fix draws its lifespan, which places
-        # the next break, whose first contributing arrival is the next fix.
-        # A break falls before the arrivals at its instant, but always
-        # after the arrival that fixed the machine (lo = f + 1), even when
-        # t + lifespan rounds to t.
+        # The one sequential step, over the contributing arrivals: a fix
+        # draws its lifespan, which places the next break, whose first
+        # contributing arrival is the next fix.  A break falls before the
+        # arrivals at its instant, but always after the arrival that fixed
+        # the machine (lo = c + 1), even when t + lifespan rounds to t.
         starts_working = working
-        head = bisect_left(tl, next_break) if working else 0
-        fix_pos: list[int] = []
-        fix_lives: list[float] = []
-        f = nc[head]
-        while f < m:
-            life = next(lives)
-            fix_pos.append(f)
-            fix_lives.append(life)
-            f = nc[bisect_left(tl, tl[f] + life, f + 1)]
+        c = bisect_left(ct, next_break) if working else 0
+        fix_c: list[int] = []  # indices into cpos
+        # A memoryview boxes only the lifespans the loop reads.
+        for life in memoryview(buf):
+            if c >= cpos.size:
+                break
+            fix_c.append(c)
+            c = bisect_left(ct, ct[c] + life, c + 1)
 
         # Everything else from arrays.  Each working period that may end in
         # this block has a start, a lifespan, a break time and the position
         # of the first arrival at or after the break: the carried period
         # first if the block starts working, then one per fix.
-        fix = np.array(fix_pos, dtype=np.intp)
+        fix = cpos[fix_c]
         fix_times = times[fix]
-        spans = np.array(fix_lives)
+        spans, buf = buf[: fix.size], buf[fix.size :]
         brk = fix_times + spans
         pos = np.maximum(np.searchsorted(times, brk), fix + 1)
         start = fix_times
@@ -399,7 +409,7 @@ def _run_poisson(
             start = np.concatenate(([state_since], start))
             spans = np.concatenate(([pending_lifespan], spans))
             brk = np.concatenate(([next_break], brk))
-            pos = np.concatenate(([head], pos))
+            pos = np.concatenate(([np.searchsorted(times, next_break)], pos))
         # Each fix ends the broken period of the break before it.
         fix_from = np.concatenate(([] if starts_working else [state_since], brk))[: fix.size]
         ended = brk.size
@@ -439,7 +449,8 @@ def _run_poisson(
         )
         if trace is not None:
             _emit_poisson(
-                trace, tl, tids[k], broken, used, code == 2, breaks.tolist(), pos.tolist()
+                trace, times.tolist(), tids[k], broken, used, code == 2,
+                breaks.tolist(), pos.tolist(),
             )
 
     if working:

@@ -474,6 +474,14 @@ def test_poisson_matches_per_event_reference(equal_cost, case):
         assert n_breaks == 0 and stats.Q_hat == 0.0 and sum(arrivals) > 0
 
 
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_poisson_in_tiny_blocks_matches_per_event_reference(equal_cost, case, monkeypatch):
+    # Blocks of at most 7 arrivals: the lifespans a block leaves unused
+    # carry to the next, and most broken periods span blocks.
+    monkeypatch.setattr(upkeep.sim, "_BLOCK", 7)
+    test_poisson_matches_per_event_reference(equal_cost, case)
+
+
 def test_break_wins_a_tie_with_an_arrival():
     # Gaps of exactly 1/4 and a deterministic unit lifespan put an arrival
     # on every break; that arrival finds the machine broken and may fix it.
@@ -562,11 +570,11 @@ def test_tied_stream_admissibility_can_fail(monkeypatch):
 
 
 def test_contribution_flag_fails_when_a_contributor_is_skipped(equal_cost, monkeypatch):
-    # The search for the break after each fix (the bisect from lo = f + 1)
-    # returns one past the break's first arrival, so the next fix skips
-    # that arrival's contribution.  Breaks and fixes still alternate and
-    # every use still falls while working; only the arrivals' own
-    # contribution draws show the skipped contributor.
+    # The search for the break after each fix (the bisect from lo = c + 1)
+    # returns one past the first contributing arrival after the break, so
+    # the next fix skips that arrival's contribution.  Breaks and fixes
+    # still alternate and every use still falls while working; only the
+    # arrivals' own contribution draws show the skipped contributor.
     def one_late(a, x, lo=0):
         return min(bisect.bisect_left(a, x, lo) + (lo > 0), len(a))
 
@@ -661,6 +669,30 @@ def test_admissibility_fails_on_corrupted_events(equal_cost):
         assert _admissible(b, f, uses, True) == (False, False)
     # the same stretch read as starting broken does not alternate
     assert _admissible(breaks, fixes, uses, False) == (False, False)
+
+
+# name: (breaks, fixes, starts working, uses, expected flags)
+BROKEN_INTERVAL_CASES = {
+    "use_at_fix": ([1.0], [2.0], True, [0.5, 2.0, 2.5], (True, True)),
+    "use_after_trailing_break": ([1.0, 3.0], [2.0], True, [0.5, 4.0], (True, False)),
+    "use_at_trailing_break": ([1.0, 3.0], [2.0], True, [2.5, 3.0], (True, False)),
+    "starts_broken_use_before_fix": ([], [2.0], False, [1.0], (True, False)),
+    "starts_broken_use_at_fix": ([], [2.0], False, [2.0, 2.5], (True, True)),
+    "stays_broken_one_use": ([], [], False, [1.0], (True, False)),
+    "stays_broken_no_use": ([], [], False, [], (True, True)),
+    "zero_length_broken_period": ([1.0], [1.0], True, [1.0], (True, True)),
+    "fix_tied_with_next_break": ([1.0, 2.0], [2.0, 3.0], True, [2.0], (True, False)),
+    "fix_tied_no_use_at_tie": ([1.0, 2.0], [2.0, 3.0], True, [0.5, 3.0], (True, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INTERVAL_CASES))
+def test_admissibility_per_broken_interval(case):
+    # The machine is broken on [break, fix), and on [break, inf) when the
+    # stretch ends broken.
+    breaks, fixes, working, uses, expected = BROKEN_INTERVAL_CASES[case]
+    args = (np.array(breaks), np.array(fixes), np.array(uses), working)
+    assert _admissible(*args) == expected
 
 
 def test_event_counts(equal_cost):
