@@ -172,7 +172,10 @@ def _balanced_point(
     the neg kink on, and S[:, jp] >= S[:, jm] = 0 where S[:, jm] first
     reaches 0 past the pos kink.  S[:, jm] is linear between kinks, so
     that point has a closed form, and the share there is 0.  At a kink
-    row the share balances the row's two residuals, clamped to [0, 1].
+    row the share balances the row's two residuals, clamped to [0, 1]; it
+    is exactly 0 when the residual without the threshold's types is
+    within eps of 0, and exactly 1 when the one with them is, so rounding
+    noise in a residual reads as no share or a full one.
     """
     rm = S[:, jm].tolist()
     first = min(pos_row, neg_row)
@@ -182,8 +185,13 @@ def _balanced_point(
     if k > first:
         a, b, fa, fb = kinks[k - 1], kinks[k], rm[k - 1], rm[k]
         return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b), 0.0
-    gap = float(S[k, jp]) - rm[k]
-    return kinks[k], min(max(0.0, -rm[k] / gap), 1.0) if gap > eps else 0.0
+    r_without, r_with = rm[k], float(S[k, jp])
+    if abs(r_without) <= eps:
+        return kinks[k], 0.0
+    if abs(r_with) <= eps:
+        return kinks[k], 1.0
+    gap = r_with - r_without
+    return kinks[k], min(max(0.0, -r_without / gap), 1.0) if gap > eps else 0.0
 
 
 def _solution(

@@ -15,9 +15,11 @@ step that must be sequential (a fix's lifespan places the next break,
 whose first contributing arrival is the next fix), and it bisects only
 the contributing arrivals' times; the cycle's bookkeeping (break
 positions, working time, lifespans, downtimes, the broken mask and the
-counts) then comes from arrays.  The fluid engine needs no per-cycle
-step.  Memory does not grow with the horizon beyond the per-cycle
-lifespans and downtimes, 8 bytes each in ``array("d")`` buffers.
+counts) then comes from arrays.  Arrival, break and fix times are
+sorted, so the measurement window cuts each of them at one binary
+search.  The fluid engine needs no per-cycle step.  Memory does not grow
+with the horizon beyond the per-cycle lifespans and downtimes, 8 bytes
+each in ``array("d")`` buffers.
 
 - Poisson: ``np.random.SeedSequence(seed).spawn(4)`` gives four child
   streams, drawing in turn the arrival gaps, the type uniforms, the
@@ -34,10 +36,11 @@ lifespans and downtimes, 8 bytes each in ``array("d")`` buffers.
 
 Admissibility is derived from the event arrays the Poisson engine
 produces (the same arrays any trace is written from): breaks and fixes
-alternate, and no broken interval holds a use, which counts the uses
-before each interval's two ends.  It also passes each break's and fix's
-position in the arrival stream, which orders events at one instant, such
-as a break that lands on the instant of the fix before it.  Its
+alternate, and no broken interval holds a use: the first use at or
+after each interval's break falls at or after its end.  It also passes
+each break's and fix's position in the arrival stream, which orders
+events at one instant, such as a break that lands on the instant of the
+fix before it.  Its
 contributions come from the arrivals' own draws: the arrivals that drew
 a contribution while the machine was broken must be exactly its fixes.
 The fluid engine does not observe the event flags: its breaks and fixes
@@ -52,7 +55,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -64,8 +67,10 @@ _WARMUP_LIFESPANS = 10.0
 _Z95 = 1.959963984540054
 # Most arrivals (Poisson) or repair cycles (fluid) drawn per block.  Each
 # block holds about ten arrays of this length at once, which sets the
-# engines' memory beyond the per-cycle buffers.
-_BLOCK = 2048
+# engines' memory beyond the per-cycle buffers.  On a 2-core x86 VM a
+# Poisson run of about 12k arrivals took 10% longer at 2048 and 5% longer
+# at 8192.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -222,9 +227,9 @@ def _admissible(
     broken on each half-open interval [break, fix), and on [break, inf)
     when the stretch ends broken, so a use at a break's instant falls
     while broken and one at a fix's instant while working.  Usage is
-    admissible when no broken interval holds a use: as many uses fall
-    before its break as before its end.  Without alternation no use is
-    admissible.
+    admissible when no broken interval holds a use: the first use at or
+    after its break falls at or after its end.  Without alternation no
+    use is admissible.
 
     positions, if given, places the breaks and fixes in a stream of
     arrivals: a break at position p falls just before arrival p, and a
@@ -237,22 +242,24 @@ def _admissible(
     nb, nf = len(breaks), len(fixes)
     if nb - nf not in (0, 1):
         return False, False
-    # The machine changes state at b0, f0, b1, f1, ...
-    events = np.empty(nb + nf)
-    events[0::2], events[1::2] = breaks, fixes
-    if not (events[:-1] <= events[1:]).all():
+    # The machine changes state at b0 <= f0 <= b1 <= f1 <= ...
+    if not ((breaks[:nf] <= fixes).all() and (fixes[: nb - 1] <= breaks[1:]).all()):
         return False, False
     if positions is not None:
         at_break, at_fix = positions
         if not working:
             at_break = np.concatenate(([0], at_break))
-        # Keys in the stream: 2p - 1 for a break at position p, 2i for arrival i.
-        keys = np.empty(nb + nf, dtype=np.intp)
-        keys[0::2], keys[1::2] = 2 * at_break - 1, 2 * at_fix
-        if not (keys[:-1] < keys[1:]).all():
+        # In the stream, break p falls before arrival p: p <= i for its
+        # fix at arrival i, and i < p for the next break.
+        if not (
+            (at_break[:nf] <= at_fix).all() and (at_fix[: nb - 1] < at_break[1:]).all()
+        ):
             return False, False
-    ends = fixes if nb == nf else np.concatenate((fixes, [math.inf]))
-    return True, bool((uses.searchsorted(breaks) == uses.searchsorted(ends)).all())
+    # The first use at or after each break falls at or after its fix, and
+    # none falls at or after a trailing break.
+    first = uses.searchsorted(breaks)
+    after = np.concatenate((uses, [math.inf]))[first[:nf]]
+    return True, bool((after >= fixes).all() and (nb == nf or first[-1] == uses.size))
 
 
 class _PoissonDraws:
@@ -276,28 +283,46 @@ class _PoissonDraws:
         return self._life.standard_exponential(n)
 
 
+def _type_edges(d: TypeDistribution) -> np.ndarray:
+    """An arrival's type is the number of edges at or below its uniform:
+    the cumulative mass shares of d's types but the last, padded with inf
+    to a length of 2**b - 1 for _count_at_or_below."""
+    n = len(d.types)
+    edges = np.full((1 << (n - 1).bit_length()) - 1, math.inf)
+    edges[: n - 1] = np.cumsum(np.array([t.mass for t in d.types]) / d.total_mass)[:-1]
+    return edges
+
+
+def _count_at_or_below(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``edges.searchsorted(u, "right")`` for sorted edges padded with inf
+    to a length of 2**b - 1, as a branch-free binary search.  On random
+    keys searchsorted mispredicts about one branch per probe, and at 1 to
+    399 edges it took two to six times as long as this."""
+    step = (edges.size + 1) // 2
+    if not step:
+        return np.zeros(u.size, dtype=np.intp)
+    k = (u >= edges[step - 1]) * step
+    while step > 1:
+        step //= 2
+        k += (edges[k + (step - 1)] <= u) * step
+    return k
+
+
 def _block_size(expected: float) -> int:
     """Draws for the next block: the expected number still needed, with
     some slack, and at most _BLOCK.  Any sizes give the same outputs."""
     return int(min(_BLOCK, 1.1 * expected + 32))
 
 
-def _lifespans(draws: _PoissonDraws, phys: PhysicalParams) -> Iterator[np.ndarray]:
-    """Lifespans in numpy chunks of 32, 64, ... up to _BLOCK, in stream
-    order.  The engine draws chunks until its buffer holds one lifespan
-    per contributing arrival of the block, since each fix is one; the
-    fixes take them in order and the rest carry to the next block.  The
-    lifespans have a stream of their own, so what is drawn ahead and not
-    used changes no output."""
-    mean = phys.lifespan_mean
-    n = 32
-    while True:
-        n = min(n, _BLOCK)
-        if phys.lifespan == "deterministic":
-            yield np.full(n, mean)
-        else:
-            yield mean * draws.lifespans(n)
-        n *= 2
+def _lifespans(draws: _PoissonDraws, phys: PhysicalParams, n: int) -> np.ndarray:
+    """The next n lifespans, in stream order.  Each fix takes one, so the
+    engine tops its buffer up to one per contributing arrival of the
+    block, and the rest carry to the next block.  The lifespans have a
+    stream of their own, so what is drawn ahead and not used changes no
+    output."""
+    if phys.lifespan == "deterministic":
+        return np.full(n, phys.lifespan_mean)
+    return phys.lifespan_mean * draws.lifespans(n)
 
 
 def simulate_poisson(
@@ -338,8 +363,7 @@ def _run_poisson(
     n = len(order)
     tids = np.array([t.id for t in order], dtype=object)
     rate = d.total_mass
-    # An arrival's type is the number of edges at or below its uniform.
-    edges = np.cumsum(np.array([t.mass for t in order]) / rate)[:-1]
+    edges = _type_edges(d)
     sig_w = np.array([pol.sigma_W[t.id] for t in order])
     sig_b = np.array([pol.sigma_B[t.id] for t in order])
 
@@ -348,37 +372,40 @@ def _run_poisson(
 
     # Windowed arrivals per type that neither use nor fix, that use, and
     # that contribute and fix.
-    tally = np.zeros((3, n), dtype=np.int64)
+    tally = np.zeros(3 * n, dtype=np.int64)
     working_time = 0.0
     lifespans, downs = array("d"), array("d")  # per cycle, in the window
     use_ok = con_ok = True
 
+    # The machine works from state_since, and breaks after pending_lifespan,
+    # or is broken from state_since.
     working = True
-    lives = _lifespans(draws, phys)
-    buf = next(lives)  # lifespans drawn and not yet used
-    pending_lifespan, buf = float(buf[0]), buf[1:]
-    next_break = pending_lifespan
     state_since = 0.0
+    pending_lifespan = float(_lifespans(draws, phys, 1)[0])
+    buf = np.empty(0)  # lifespans drawn and not yet used
     t_last = 0.0
     done = False
     while not done:
         gaps, u_type, u_dec = draws.arrivals(_block_size(rate * (w_end - t_last)))
-        times = np.cumsum(np.concatenate(([t_last], gaps * (1.0 / rate))))[1:]
+        # A fresh buffer: the draws may be views that must not change.
+        times = gaps * (1.0 / rate)
+        times[0] += t_last
+        times.cumsum(out=times)
         t_last = float(times[-1])
         # Arrivals at or after the end of the window never happen.
-        m = int(np.searchsorted(times, w_end))
-        done = m < len(times)
+        m = int(times.searchsorted(w_end))
+        done = m < times.size
         times = times[:m]
-        k = edges.searchsorted(u_type[:m], "right")
+        k = _count_at_or_below(edges, u_type[:m])
         u_dec = u_dec[:m]
         contributes = u_dec < sig_b[k]
-        cpos = np.flatnonzero(contributes)
+        cpos = contributes.nonzero()[0]
         # A list, since bisecting an array or a memoryview boxes a float
         # on every probe.
         ct = times[cpos].tolist()
         # Each fix is a contributing arrival and takes the next lifespan.
-        while buf.size < cpos.size:
-            buf = np.concatenate((buf, next(lives)))
+        if buf.size < cpos.size:
+            buf = np.concatenate((buf, _lifespans(draws, phys, cpos.size - buf.size)))
 
         # The one sequential step, over the contributing arrivals: a fix
         # draws its lifespan, which places the next break, whose first
@@ -386,58 +413,73 @@ def _run_poisson(
         # arrivals at its instant, but always after the arrival that fixed
         # the machine (lo = c + 1), even when t + lifespan rounds to t.
         starts_working = working
-        c = bisect_left(ct, next_break) if working else 0
+        c = bisect_left(ct, state_since + pending_lifespan) if working else 0
+        nc = len(ct)
         fix_c: list[int] = []  # indices into cpos
         # A memoryview boxes only the lifespans the loop reads.
         for life in memoryview(buf):
-            if c >= cpos.size:
+            if c >= nc:
                 break
             fix_c.append(c)
             c = bisect_left(ct, ct[c] + life, c + 1)
 
-        # Everything else from arrays.  Each working period that may end in
-        # this block has a start, a lifespan, a break time and the position
-        # of the first arrival at or after the break: the carried period
-        # first if the block starts working, then one per fix.
-        fix = cpos[fix_c]
-        fix_times = times[fix]
-        spans, buf = buf[: fix.size], buf[fix.size :]
-        brk = fix_times + spans
-        pos = np.maximum(np.searchsorted(times, brk), fix + 1)
-        start = fix_times
-        if starts_working:
-            start = np.concatenate(([state_since], start))
-            spans = np.concatenate(([pending_lifespan], spans))
-            brk = np.concatenate(([next_break], brk))
-            pos = np.concatenate(([np.searchsorted(times, next_break)], pos))
-        # Each fix ends the broken period of the break before it.
-        fix_from = np.concatenate(([] if starts_working else [state_since], brk))[: fix.size]
+        # Everything else from arrays.  Column 0 of periods is the state the
+        # block starts in: the carried working period (its start and
+        # lifespan) or the broken period (its break and a lifespan of 0).
+        # Then one working period per fix.  Each period ends at start +
+        # lifespan.  The window tests are slices of sorted arrays.
+        fix = cpos[np.array(fix_c, dtype=np.intp)]
+        nf = fix.size
+        periods = np.empty((2, nf + 1))  # starts and lifespans
+        periods[:, 0] = state_since, pending_lifespan if working else 0.0
+        periods[0, 1:] = times[fix]
+        periods[1, 1:] = buf[:nf]
+        buf = buf[nf:]
+        fix_times = periods[0, 1:]
+        ends = periods[0] + periods[1]
+        # Each fix ends the broken period from the end before it.
+        i = fix_times.searchsorted(w_start)
+        downs.frombytes((fix_times[i:] - ends[i:nf]).tobytes())
+
+        # The working periods that may end in this block, each with the
+        # position of the first arrival at or after its break, but after
+        # its own fix.
+        carried = int(starts_working)
+        (start, spans), brk = periods[:, 1 - carried :], ends[1 - carried :]
+        after_fix = fix + 1
+        pos = times.searchsorted(brk)
+        np.maximum(pos[carried:], after_fix, out=pos[carried:])
         ended = brk.size
         if ended and pos[-1] == m and not (done and brk[-1] < w_end):
             ended -= 1  # the last period works past this block
         if ended < brk.size:
-            working, next_break = True, float(brk[-1])
+            working = True
             pending_lifespan, state_since = float(spans[-1]), float(start[-1])
         elif ended:
             working, state_since = False, float(brk[-1])
         breaks, pos = brk[:ended], pos[:ended]
 
-        a = np.maximum(start[:ended], w_start)
-        seg = (breaks - a)[breaks > a]
-        working_time = float(np.cumsum(np.concatenate(([working_time], seg)))[-1])
-        lifespans.frombytes(spans[:ended][breaks >= w_start].tobytes())
-        downs.frombytes((fix_times - fix_from)[fix_times >= w_start].tobytes())
+        # A break at w_start adds 0.0 of working time, which moves no bit.
+        i = breaks.searchsorted(w_start)
+        seg = breaks[i:] - np.maximum(start[i:ended], w_start)
+        if seg.size:
+            seg[0] += working_time
+            working_time = float(seg.cumsum()[-1])
+        lifespans.frombytes(spans[i:ended].tobytes())
 
-        delta = np.zeros(m + 1, dtype=np.int64)
-        delta[pos] += 1
-        delta[fix + 1] -= 1
-        if not starts_working:
-            delta[0] += 1
-        broken = np.cumsum(delta[:m]) > 0
+        # The state of each arrival: it toggles at 0 if the block starts
+        # broken, just before each break's position and just after each
+        # fix, twice where a break falls right after its fix.
+        toggle = np.zeros(m + 1, dtype=bool)
+        toggle[pos] = True
+        toggle[after_fix] ^= True
+        toggle[0] ^= not starts_working
+        broken = np.logical_xor.accumulate(toggle[:m])
         used = (u_dec < sig_w[k]) & ~broken
-        code = used.astype(np.intp)  # the row of tally
-        code[fix] = 2
-        tally += np.bincount((k + n * code)[times >= w_start], minlength=3 * n).reshape(3, n)
+        # The row of tally: 0 neither uses nor fixes, 1 uses, 2 fixes.
+        row = k + n * used
+        row[fix] += 2 * n
+        tally += np.bincount(row[times.searchsorted(w_start) :], minlength=3 * n)
 
         alternate, block_use_ok = _admissible(
             breaks, fix_times, times[used], starts_working, positions=(pos, fix)
@@ -445,19 +487,23 @@ def _run_poisson(
         use_ok = use_ok and block_use_ok
         # The arrivals that contribute while broken must be the fixes.
         con_ok = con_ok and alternate and np.array_equal(
-            np.flatnonzero(contributes & broken), fix
+            (contributes & broken).nonzero()[0], fix
         )
         if trace is not None:
             _emit_poisson(
-                trace, times.tolist(), tids[k], broken, used, code == 2,
+                trace, times.tolist(), tids[k], broken, used, row >= 2 * n,
                 breaks.tolist(), pos.tolist(),
             )
+        # Free the arrays of arrival length before the next block draws
+        # its own, so that one block's are held at a time.
+        del gaps, u_type, u_dec, times, k, contributes, cpos, ct, broken, used, row
 
     if working:
         a = max(state_since, w_start)
         if w_end > a:
             working_time += w_end - a
 
+    tally = tally.reshape(3, n)
     arrivals = tally.sum(axis=0)
     _, uses, contribs = tally
     q_hat = working_time / horizon

@@ -450,6 +450,33 @@ def test_classes_read_from_each_types_share():
     assert seen == {"NONE", "MARGINAL", "FULL", "BOUND"}
 
 
+# name: (rows (u, c, mass), rho, the threshold type, its share, its class)
+NOISE_SHARES = {
+    "none": (
+        [(7.3, 3.8, 0.0), (7.8, 5.0, 0.1), (7.9, 0.7, 0.5), (3.9, 1.7, 1.5), (1.0, 3.0, 1.3)],
+        1.1, "T1", 0.0, "NONE",
+    ),
+    "full": (
+        [(1.2, 0.8, 1.6), (4.2, 2.8, 0.5), (8.6, 3.3, 1.8), (4.2, 2.4, 0.1), (8.2, 4.2, 1.0)],
+        7.5, "T4", 1.0, "FULL",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_SHARES))
+def test_a_residual_of_rounding_noise_gives_no_share_or_a_full_one(case):
+    # At the balanced kink the residual without (none) or with (full) the
+    # threshold's types is 0 in exact arithmetic and about 1e-16 in
+    # floats.  Balancing the two residuals gave shares of 4e-15 and
+    # 1 - 8e-16, and both types read MARGINAL.
+    rows, rho, tid, share, label = NOISE_SHARES[case]
+    d = _integer_table(rows)
+    sol = solve_participation(d, rho)
+    assert sol.marginal_fraction == share
+    assert sol.classes[tid] == label
+    assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * max(1.0, rho)
+
+
 
 def _tiny_mass_tables():
     """300 tables of 1-5 types with masses 10^U(-13, -8), u in [0.5, 5]

@@ -26,9 +26,11 @@ from upkeep.sim import (
     TRACE_HEADER,
     _admissible,
     _binomial_ci,
+    _count_at_or_below,
     _lifespan_flag,
     _PoissonDraws,
     _run_poisson,
+    _type_edges,
 )
 
 
@@ -482,15 +484,20 @@ def test_poisson_in_tiny_blocks_matches_per_event_reference(equal_cost, case, mo
     test_poisson_matches_per_event_reference(equal_cost, case)
 
 
-def test_break_wins_a_tie_with_an_arrival():
-    # Gaps of exactly 1/4 and a deterministic unit lifespan put an arrival
-    # on every break; that arrival finds the machine broken and may fix it.
+def _quarter_stream(seed, n, horizon):
+    """Gaps of exactly 1/4, a deterministic unit lifespan and rho 1, so
+    every event time is a multiple of 1/4: an arrival lands on every
+    break, and the window opens at w_start = 10 on an arrival."""
     d = TypeDistribution((AgentType("A", 1.0, 1.0, 1.0),))
     pol = build_policy(Mechanism(Q=0.5, R={"A": 0.5}, P={"A": 0.25}))
     phys = PhysicalParams(1.0, lifespan="deterministic")
-    n = 2000
-    u = np.random.default_rng(3).random((2, n))
-    arrays = (np.full(n, 0.25), u[0], u[1], np.empty(0))
+    u = np.random.default_rng(seed).random((2, n))
+    return pol, d, phys, horizon, (np.full(n, 0.25), u[0], u[1], np.empty(0))
+
+
+def test_break_wins_a_tie_with_an_arrival():
+    # The arrival on each break finds the machine broken and may fix it.
+    pol, d, phys, _, arrays = _quarter_stream(3, 2000, 400.0)
     buf = io.StringIO()
     stats = _run_poisson(pol, d, phys, 400.0, _PreDrawn(*arrays), buf)
     working, arrivals, uses, contribs, n_breaks = _reference_poisson(
@@ -508,6 +515,57 @@ def test_break_wins_a_tie_with_an_arrival():
         t = lines[i].split("\t")[0]
         arrival = lines[i + 1].split("\t")
         assert arrival[:2] == [t, "ARRIVAL"] and arrival[3] == "B"
+
+
+@pytest.mark.parametrize("block", ["default", 7])
+def test_events_at_the_window_start_are_inside_it(block, monkeypatch):
+    # At seed 4 a fix at 9 puts a break at w_start = 10, and the arrival
+    # at 10 fixes the machine.  That arrival, the break and the fix (a
+    # broken period of length 0) all count; the trace prints them exactly.
+    if block != "default":
+        monkeypatch.setattr(upkeep.sim, "_BLOCK", block)
+    pol, d, phys, horizon, arrays = _quarter_stream(4, 400, 50.0)
+    buf = io.StringIO()
+    stats = _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), buf)
+    at_start = {
+        cells[1]
+        for cells in (line.split("\t") for line in buf.getvalue().splitlines()[1:])
+        if float(cells[0]) == 10.0
+    }
+    assert {"ARRIVAL", "BREAK", "FIX"} <= at_start
+    working, arrivals, uses, contribs, n_breaks = _reference_poisson(
+        pol, d, phys, horizon, *arrays
+    )
+    assert (stats.n_breaks, stats.n_arrivals, stats.n_uses, stats.n_fixes) == (
+        n_breaks, arrivals[0], uses[0], contribs[0]
+    )
+    assert stats.Q_hat == working / horizon
+    # The downtime of 0 at w_start is in ci_Q's cycles.  Pinned when the
+    # window tests were boolean masks.
+    assert (stats.ci_Q.hex(), stats.lifespan_mean.hex()) == (
+        "0x1.f3c7e428e7d05p-5", "0x1.0000000000000p+0"
+    )
+
+
+def _unit_types(masses):
+    """Types T0, T1, ... with u = c = 1 and the given masses."""
+    return TypeDistribution(
+        tuple(AgentType(f"T{i}", 1.0, 1.0, float(m)) for i, m in enumerate(masses))
+    )
+
+
+def test_type_draw_matches_searchsorted():
+    # The branch-free search on 1-40 types, a third of them massless (tied
+    # edges), with uniforms drawn and uniforms on the edges themselves.
+    rng = np.random.default_rng(5)
+    for n in range(1, 41):
+        mass = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.67)
+        mass[rng.integers(n)] = 1.0
+        edges = _type_edges(_unit_types(mass))
+        shares = edges[: n - 1]
+        assert np.isinf(edges[n - 1 :]).all()
+        u = np.concatenate((rng.random(200), shares, [0.0]))
+        assert np.array_equal(_count_at_or_below(edges, u), shares.searchsorted(u, "right"))
 
 
 def _tied_stream():
@@ -613,8 +671,9 @@ def test_block_size_does_not_change_outputs(equal_cost, lmh, engine, monkeypatch
 
 def test_poisson_memory_does_not_hold_the_horizon(lmh):
     # At this horizon a run sees about 54k arrivals and 28k repair cycles.
-    # It traces about 1.4 MB, with the per-cycle lifespans and downtimes
-    # held as 8-byte floats; holding every arrival at once took about 10 MB.
+    # It traces about 1.26 MB in blocks of 4096 arrivals, with the
+    # per-cycle lifespans and downtimes held as 8-byte floats; holding
+    # every arrival at once took about 10 MB.
     sol = solve_participation(lmh, 5.5)
     pol = build_policy(sol.mechanism)
     phys = PhysicalParams(5.5)
@@ -706,3 +765,85 @@ def test_event_counts(equal_cost):
     f = simulate_fluid(pol, equal_cost, phys, 2e3, seed=32)
     assert (f.n_arrivals, f.n_uses, f.n_contributions) == (0, 0, 0)
     assert abs(f.n_breaks - f.n_fixes) <= 1 and f.n_breaks > 0
+
+
+# --- bit-identity listing ---------------------------------------------------
+
+
+def _random_run(rng):
+    """A random policy on 1-5 types (zero and 1e-3 masses among them;
+    probabilities 0, below 0.01, uniform and 1), rho 0.05-20, either
+    lifespan shape, and a horizon of about 3,000 arrivals."""
+    n = int(rng.integers(1, 6))
+    masses = rng.choice([0.0, 1e-3, 1.0, 2.0], n) * rng.uniform(0.1, 1.5, n)
+    masses[rng.integers(n)] = rng.uniform(0.1, 3.0)
+    d = _unit_types(masses)
+
+    def probs():
+        kind = rng.integers(4, size=n)
+        x = rng.random(n)
+        levels = np.choose(kind, [0.0, 0.01 * x, x, 1.0]).tolist()
+        return dict(zip([t.id for t in d.types], levels))
+
+    rho = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+    shape = ("exponential", "deterministic")[rng.integers(2)]
+    pol = upkeep.sim.MarkovPolicy(probs(), probs())
+    return pol, d, PhysicalParams(rho, lifespan=shape), 3e3 / d.total_mass
+
+
+def identity_runs():
+    """(case, engine, thunk) per run of the bit-identity listing: the
+    reference cases, the streams with ties and 40 seeded random policies.
+    Each thunk returns the run's stats and its trace (empty for untraced
+    runs)."""
+    equal_cost = TypeDistribution(
+        tuple(AgentType(tid, u, 1.0, 1.0 / 3.0) for tid, u in (("H", 5.0), ("M", 1.0), ("L", 0.1)))
+    )
+    engines = {"poisson": simulate_poisson, "fluid": simulate_fluid}
+
+    def traced(engine, *run):
+        buf = io.StringIO()
+        return engine(*run, trace=buf), buf.getvalue()
+
+    for case in sorted(REFERENCE_CASES):
+        d, mechanism, phys, horizon = REFERENCE_CASES[case]
+        d = d or equal_cost
+        run = (build_policy(mechanism(d)), d, phys, horizon, 17)
+        for name, engine in engines.items():
+            yield case, name, lambda e=engine, r=run: (e(*r), "")
+            yield case + "+trace", name, lambda e=engine, r=run: traced(e, *r)
+
+    ties = {
+        "quarter_gaps": _quarter_stream(3, 2000, 400.0),
+        "window_edge": _quarter_stream(4, 400, 50.0),
+        "tied_stream": _tied_stream(),
+    }
+    for case, (pol, d, phys, horizon, arrays) in ties.items():
+        def tie_run(pol=pol, d=d, phys=phys, horizon=horizon, arrays=arrays):
+            buf = io.StringIO()
+            return _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), buf), buf.getvalue()
+
+        yield case, "poisson", tie_run
+
+    rng = np.random.default_rng(20261019)
+    for i in range(40):
+        run = (*_random_run(rng), 1000 + i)
+        for name, engine in engines.items():
+            yield f"random_{i}", name, lambda e=engine, r=run: (e(*r), "")
+
+
+if __name__ == "__main__":
+    # One line per run: case, engine, block size and a short hash of the
+    # stats as float.hex and of the trace.  `diff` between the listings of
+    # two checkouts shows whether the engines' outputs moved by one bit.
+    # Run from the repository root as `PYTHONPATH=src python tests/test_sim.py`.
+    import hashlib
+
+    default_block = upkeep.sim._BLOCK
+    for block in (default_block, 7):
+        upkeep.sim._BLOCK = block
+        for case, engine, thunk in identity_runs():
+            stats, text = thunk()
+            digest = hashlib.sha256(repr((_hexed(stats), text)).encode()).hexdigest()[:16]
+            print(case, engine, "default" if block == default_block else block, digest)
+    upkeep.sim._BLOCK = default_block
