@@ -9,10 +9,11 @@ out through balance, and the bounded-payment sale by one LP over direct
 mechanisms with the same truth-telling rows.  Both LPs have only <= rows
 with nonnegative right-hand sides, so one self-contained Bland simplex
 solves them from the slack basis, on a tableau of floats or of
-Fractions.  The float answer is checked row by row; when the check
-fails, its final basis is solved again on the original rows, and only
-if that fails too is the LP solved again in Fractions.  Nothing here is
-imported from the solvers.
+Fractions: a float pivot is one dense rank-1 update, a Fraction pivot
+updates the nonzero entries alone.  The float answer is checked row by
+row; when the check fails, its final basis is solved again on the
+original rows, and only if that fails too is the LP solved again in
+Fractions.  Nothing here is imported from the solvers.
 """
 
 from __future__ import annotations
@@ -117,33 +118,57 @@ def _bland(T: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     T holds floats or Fractions.  The entering column is the first with
     a reduced cost below -tol; the leaving row has the smallest ratio,
     ties within tol going to the smallest basic variable.
+
+    The two tableaus are updated differently for speed alone: either
+    update gives the same entries, up to the sign of a float zero.  A
+    float LP here is small (25 x 33 at 4 types) and takes about 8
+    pivots, so numpy's cost per call sets its time, and one dense
+    rank-1 update of the whole tableau is cheapest.  A Fraction costs
+    more per entry than a numpy call does, so the Fraction tableau
+    divides the pivot row's nonzero entries alone and updates only the
+    rows and columns that the pivot touches.
     """
     m = T.shape[0] - 1
     basis = list(range(T.shape[1] - 1 - m, T.shape[1] - 1))
+    exact = T.dtype == object
+    costs, rhs = T[m, :-1], T[:m, -1]
     for _ in range(_MAX_PIVOTS):
-        entering = (T[m, :-1] < -tol).nonzero()[0]
-        if not entering.size:
+        entering = costs < -tol
+        col = int(entering.argmax())
+        if not entering[col]:
             x = np.zeros(T.shape[1] - 1 - m)
             for r, j in enumerate(basis):
                 if j < x.size:
-                    x[j] = T[r, -1]
+                    x[j] = rhs[r]
             return x, basis
-        col = entering[0]
-        f = T[:m, col]
-        cand = (f > tol).nonzero()[0]
         row, best = -1, math.inf
-        for r, ratio in zip(cand.tolist(), (T[cand, -1] / f[cand]).tolist()):
-            if row < 0 or ratio < best - tol or (abs(ratio - best) <= tol and basis[r] < basis[row]):
-                row, best = r, ratio
+        for r, (b, f) in enumerate(zip(rhs.tolist(), T[:m, col].tolist())):
+            if f > tol:
+                ratio = b / f
+                if row < 0 or ratio < best - tol or (abs(ratio - best) <= tol and basis[r] < basis[row]):
+                    row, best = r, ratio
         if row < 0:
             raise RuntimeError("unbounded linear program")
-        # One rank-1 update over the rows that the pivot column touches
-        # and the columns that the pivot row touches.
-        T[row] /= T[row, col]
-        rows = T[:, col].nonzero()[0]
-        rows = rows[rows != row]
-        cols = T[row].nonzero()[0]
-        T[rows[:, None], cols] -= T[rows, col][:, None] * T[row, cols]
+        if exact:
+            # The rows that the pivot column touches, over the columns
+            # that the pivot row touches: no Fraction is divided or
+            # multiplied by a zero.
+            cols = T[row].nonzero()[0]
+            T[row, cols] /= T[row, col]
+            rows = T[:, col].nonzero()[0]
+            rows = rows[rows != row]
+            T[rows[:, None], cols] -= T[rows, col][:, None] * T[row, cols]
+        else:
+            # The whole tableau, with the pivot row's own factor set to
+            # 0.  Where the Fraction update skips an entry, this one
+            # subtracts a zero, which leaves a nonzero entry as it is
+            # and can only turn a -0.0 into 0.0.  No -0.0 reaches x: the
+            # oracles' b holds none, and no pivot makes one in the
+            # right-hand side.
+            T[row] /= T[row, col]
+            fc = T[:, col].copy()
+            fc[row] = 0.0
+            T -= np.multiply.outer(fc, T[row])
         basis[row] = col
     raise RuntimeError("simplex iteration limit exceeded")
 
@@ -159,13 +184,15 @@ def _tableau(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
 
 def _float_simplex(
     obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """_simplex_max's x, with the final basis of _bland."""
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """_simplex_max's x, with the final basis of _bland and the residual
+    A_ub @ x - b_ub."""
     x, basis = _bland(_tableau(obj, A_ub, b_ub), _LP_TOL)
-    worst = max(-x.min(initial=0.0), (A_ub @ x - b_ub).max(initial=0.0))
+    residual = A_ub @ x - b_ub
+    worst = max(-x.min(initial=0.0), residual.max(initial=0.0))
     if not worst <= 1e-6 * np.abs(b_ub).max(initial=1.0):
         raise RuntimeError(f"simplex returned an infeasible point (violation {worst:.3g})")
-    return x, basis
+    return x, basis, residual
 
 
 def _simplex_max(
@@ -178,7 +205,7 @@ def _simplex_max(
     That tolerance can end on a basis whose x breaks a row; an x that
     breaks one by more than 1e-6·max(1, max|b|) raises RuntimeError.
     """
-    x, _ = _float_simplex(obj, A_ub, b_ub)
+    x, _, _ = _float_simplex(obj, A_ub, b_ub)
     return x, float(obj @ x)
 
 
@@ -217,14 +244,14 @@ def _checked_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[n
     accumulated; and _exact_max.  An answer that _simplex_max refuses goes
     straight to _exact_max."""
     try:
-        x, basis = _float_simplex(obj, A_ub, b_ub)
+        x, basis, residual = _float_simplex(obj, A_ub, b_ub)
     except RuntimeError:  # refused as infeasible, or out of pivots
         return _exact_max(obj, A_ub, b_ub)
     # The value errs by about as much as x breaks its rows.
-    def fits(x: np.ndarray) -> bool:
-        return max((A_ub @ x - b_ub).max(), -x.min()) <= _SLACK * max(1.0, b_ub.max())
+    def fits(x: np.ndarray, residual: np.ndarray) -> bool:
+        return max(residual.max(), -x.min()) <= _SLACK * max(1.0, b_ub.max())
 
-    if fits(x):
+    if fits(x, residual):
         return x, float(obj @ x)
     m, n = A_ub.shape
     try:
@@ -234,7 +261,7 @@ def _checked_max(obj: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> tuple[n
     x = np.zeros(n + m)
     x[basis] = x_B
     x = x[:n]
-    if fits(x):
+    if fits(x, A_ub @ x - b_ub):
         return x, float(obj @ x)
     return _exact_max(obj, A_ub, b_ub)
 

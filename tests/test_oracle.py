@@ -2,6 +2,7 @@ import ast
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -561,16 +562,19 @@ def test_simplex_matches_highs():
             assert np.all(A_ub @ x <= b_ub + 1e-9)
 
 
-def _tableau_simplex(obj, A_ub, b_ub, tol):
+def _tableau_simplex(obj, A_ub, b_ub, tol, exact=False):
     """Reference simplex with Bland's rule from the slack basis that
     pivots the whole tableau one row at a time, with the same float
-    operations as the oracle's simplex."""
+    operations as the oracle's simplex; or, when exact, on a tableau of
+    Fractions, where the value is the exact optimum rounded once."""
     m, n = A_ub.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A_ub
     T[:m, n:-1] = np.eye(m)
     T[:m, -1] = b_ub
     T[m, :n] = -obj
+    if exact:
+        T = np.array([[Fraction(v) for v in row] for row in T.tolist()], dtype=object)
     basis = list(range(n, n + m))
     for _ in range(20000):
         col = next((j for j in range(n + m) if T[m, j] < -tol), None)
@@ -596,11 +600,44 @@ def _tableau_simplex(obj, A_ub, b_ub, tol):
     for r in range(m):
         if basis[r] < n:
             x[basis[r]] = T[r, -1]
-    return x, float(obj @ x)
+    return x, float(T[m, -1]) if exact else float(obj @ x)
 
 
 def _lp_hex(result):
     return _hex(result[1]), tuple(map(_hex, result[0]))
+
+
+def _posed_lps(pose):
+    """The (obj, A_ub, b_ub) that pose() hands to _checked_max, in order,
+    each answered with x = 0 rather than solved."""
+    lps = []
+
+    def record(obj, A_ub, b_ub):
+        lps.append((obj, A_ub, b_ub))
+        return np.zeros(A_ub.shape[1]), 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(upkeep.oracle, "_checked_max", record)
+        pose()
+    return lps
+
+
+def _reference_lps():
+    """(source, index, LP) for the 224 LPs of
+    test_simplex_matches_the_tableau_reference, in its order: 20
+    screening LPs, the menus of _seeded_menus() and HARD_MENUS."""
+    rng = np.random.default_rng(2027)
+    lps = []
+    for k in range(20):
+        kind = KINDS[k % 4]
+        d = kinded_distribution(rng, kind, int(rng.integers(2 if kind == "zero_mass" else 1, 9)))
+        rho = d.total_mass * 10.0 ** rng.uniform(-2.0, math.log10(20.0))
+        lps += _posed_lps(lambda: lp_screening_welfare(d, rho))
+    for vals, cap in _seeded_menus() + HARD_MENUS:
+        lps += _posed_lps(lambda: menu_grid_oracle(vals, cap, 1e-3))
+    sources = [("screening", k) for k in range(20)] + [("menu", k) for k in range(200)]
+    sources += [("hard_menu", k) for k in range(len(HARD_MENUS))]
+    return [(source, k, lp) for (source, k), lp in zip(sources, lps, strict=True)]
 
 
 def test_simplex_matches_the_tableau_reference(monkeypatch):
@@ -635,6 +672,26 @@ def test_simplex_matches_the_tableau_reference(monkeypatch):
         else:
             assert _lp_hex(result) == _lp_hex(ref)
     assert refused == 2  # the first two HARD_MENUS
+
+
+def test_exact_simplex_matches_the_tableau_reference(monkeypatch):
+    # the Fraction tableau's x and value are the whole-tableau
+    # reference's in Fractions: on the screening LPs of at most 3 types
+    # of the reference test and of _verify_instances(), the reference
+    # test's menus of at most 3 buyers, and the two HARD_MENUS whose
+    # float answer is refused.  None takes more than 41 pivots, so a
+    # broken pivot fails here rather than running on.
+    monkeypatch.setattr(upkeep.oracle, "_MAX_PIVOTS", 100)
+    lps = [
+        lp
+        for source, k, lp in _reference_lps()
+        if (source != "hard_menu" and lp[1].shape[1] <= 6) or (source == "hard_menu" and k < 2)
+    ]
+    lps += [_screening_lp(d, rho) for d, rho, _ in _verify_instances() if len(d.types) <= 3]
+    assert len(lps) == 217
+    for obj, A_ub, b_ub in lps:
+        ref = _tableau_simplex(obj, A_ub, b_ub, 0, exact=True)
+        assert _lp_hex(_exact_max(obj, A_ub, b_ub)) == _lp_hex(ref)
 
 
 def _seeded_menus():
@@ -869,17 +926,7 @@ def test_inexact_screening_lps_are_solved_exactly(monkeypatch):
 
 def _screening_lp(d, rho):
     """(obj, A_ub, b_ub) that lp_screening_welfare hands to _checked_max."""
-    lps = []
-    checked_max = upkeep.oracle._checked_max
-
-    def record(*args):
-        lps.append(args)
-        return checked_max(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(upkeep.oracle, "_checked_max", record)
-        lp_screening_welfare(d, rho)
-    (lp,) = lps
+    (lp,) = _posed_lps(lambda: lp_screening_welfare(d, rho))
     return lp
 
 
@@ -894,3 +941,66 @@ def test_singular_basis_falls_back_to_the_exact_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     w, _ = lp_screening_welfare(d, rho)
     assert w == _exact_max(obj, A_ub, b_ub)[1]
+
+
+def _verify_instances():
+    """200 instances shaped like the benchmark's verify items, by its
+    recipe: 2 to 4 types with u and c on [0.1, 10] and mass on
+    [0.1, 1.5], drawn per type in that order; tied_cost gives T1 the
+    cost of T0, tied_nu gives T1 twice T0's (u, c), and zero_mass
+    empties T0.  rho is 0.2 or 20 times the total mass, and each
+    instance has a menu of 4 buyers with cap 1."""
+    rng = np.random.default_rng(2035)
+    out = []
+    for k in range(200):
+        n, kind, f_rho = 2 + k % 3, KINDS[k // 3 % 4], (0.2, 20.0)[k // 12 % 2]
+        rows = [
+            [float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 1.5))]
+            for _ in range(n)
+        ]
+        if kind == "tied_cost":
+            rows[1][1] = rows[0][1]
+        elif kind == "tied_nu":
+            rows[1][0], rows[1][1] = 2.0 * rows[0][0], 2.0 * rows[0][1]
+        elif kind == "zero_mass":
+            rows[0][2] = 0.0
+        d = TypeDistribution(tuple(AgentType(f"T{i}", u, c, m) for i, (u, c, m) in enumerate(rows)))
+        nus = np.sort(rng.uniform(0.0, 3.0, size=4))
+        sws = rng.uniform(0.0, 2.0, size=4)
+        pws = rng.uniform(-2.0, 2.0, size=4)
+        vals = [(float(a), float(b), float(c)) for a, b, c in zip(nus, sws, pws)]
+        out.append((d, f_rho * d.total_mass, vals))
+    return out
+
+
+def _listed_lps():
+    """(source, index, LP) for every LP of the listing below."""
+    yield from _reference_lps()
+    for seed in JOINT_HIGHS:
+        yield "joint", seed, _screening_lp(*_joint_lp_instance(seed))
+    for k, (d, rho, vals) in enumerate(_verify_instances()):
+        yield "verify.lp", k, _screening_lp(d, rho)
+        (lp,) = _posed_lps(lambda: menu_grid_oracle(vals, 1.0, 1e-3))
+        yield "verify.menu", k, lp
+
+
+if __name__ == "__main__":
+    # One line per LP: its source and index, which of _checked_max's three
+    # answers it took (float, basis or exact) and a short hash of x and
+    # the value as float.hex, or of the exception raised.  `diff` between
+    # the listings of two checkouts shows whether an answer moved by one
+    # bit.  Run from the repository root as
+    # `PYTHONPATH=src python tests/test_oracle.py`.
+    import hashlib
+
+    solve, exact_max = np.linalg.solve, upkeep.oracle._exact_max
+    for source, index, lp in _listed_lps():
+        taken = ["float"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", lambda *a: (taken.append("basis"), solve(*a))[1])
+            mp.setattr(upkeep.oracle, "_exact_max", lambda *a: (taken.append("exact"), exact_max(*a))[1])
+            try:
+                text = repr(_lp_hex(upkeep.oracle._checked_max(*lp)))
+            except Exception as e:
+                text = f"{type(e).__name__}: {e}"
+        print(source, index, taken[-1], hashlib.sha256(text.encode()).hexdigest()[:16])
