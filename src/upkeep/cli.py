@@ -69,9 +69,18 @@ class RhoGrid:
             raise ValidationError("rho grid endpoints must be finite and > 0")
 
     def values(self) -> list[float]:
+        """np.geomspace's points (log) or np.linspace's, bit for bit, by
+        their own arithmetic without numpy's Python wrappers: linspace
+        divides first where the step underflows to 0 and sets its last
+        point, and geomspace both ends, as 10 ** log10(x) may miss x."""
+        lo, hi = (np.log10(self.start), np.log10(self.stop)) if self.log else (self.start, self.stop)
+        y, step = np.arange(float(self.count)), (hi - lo) / (self.count - 1)
+        y = y * step if step else y / (self.count - 1) * (hi - lo)
+        y += lo
         if self.log:
-            return [float(x) for x in np.geomspace(self.start, self.stop, self.count)]
-        return [float(x) for x in np.linspace(self.start, self.stop, self.count)]
+            y = np.power(10.0, y)
+        y[0], y[-1] = self.start, self.stop  # linspace's first is start already
+        return y.tolist()
 
 
 def fmt(x: float) -> str:
@@ -218,10 +227,11 @@ def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]
     tol = DEFAULT_TOL * slack_scale(d, rho)
     report = check_feasible(mech, d, rho, {"balance", "simplex"}, tol)
     if not report.ok:
-        raise ValidationError(
-            f"mechanism is infeasible at rho={fmt(rho)}: "
-            f"balance residual {fmt(report.balance)}, tolerance {fmt(tol)}"
-        )
+        worst = max(report.simplex, key=report.simplex.get)
+        failed = {"balance": f"balance residual {fmt(report.balance)}",
+                  "simplex": f"simplex violation {fmt(report.simplex[worst])} at type {worst}"}
+        problems = ", ".join(v for f, v in failed.items() if not report.passed[f])
+        raise ValidationError(f"mechanism is infeasible at rho={fmt(rho)}: {problems}, tolerance {fmt(tol)}")
     phys = PhysicalParams(rho=rho)
     pol = build_policy(mech)
     lines = ["metric,estimate,ci_radius"]

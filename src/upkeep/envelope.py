@@ -33,14 +33,14 @@ def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, f
     # where its lead over the steeper limit line only grows.  Rounding can
     # still lift a pair member, or a copy of one, above the crossing by a
     # hair; the crossing then cannot move, so it is the minimum.
-    pos, neg = int(np.argmax(S)), S.size - 1
+    pos, neg = int(S.argmax()), S.size - 1
     for step in range(1, _MAX_WALK + 1):
         w_pos, s_pos = float(W[pos]), float(S[pos])
         w_neg, s_neg = float(W[neg]), float(S[neg])
         y = (w_neg - w_pos) / (s_pos - s_neg)
         v = w_pos + y * s_pos
         values = W + y * S
-        top = int(np.argmax(values))
+        top = int(values.argmax())
         g = float(values[top])
         if g <= v + 1e-12 * max(1.0, abs(v)) or g in (values[pos], values[neg]):
             return pos, neg, step, y
@@ -61,8 +61,8 @@ def best_balanced(W: np.ndarray, S: np.ndarray, key: np.ndarray, eps_bal: float)
     order; a row replaces the best so far only if its welfare is higher
     by more than eps_bal.  The caller leaves out the limit row.
     """
-    rows = np.flatnonzero(np.abs(S) <= eps_bal)
-    rows = rows[np.argsort(key[rows], kind="stable")]
+    rows = (np.abs(S) <= eps_bal).nonzero()[0]
+    rows = rows[key[rows].argsort(kind="stable")]
     best = rows[0]
     for i in rows[1:]:
         if W[i] > W[best] + eps_bal:

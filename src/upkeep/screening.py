@@ -269,7 +269,7 @@ def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
     slack = e / r
     cut = nu.searchsorted(np.where(pay > 0.0, low - slack, low + slack) / scale)
     if high is None:
-        return np.ones_like(pay), pay, cut, cut, np.full_like(cut, nu.size)
+        return np.array(1.0).repeat(pay.size), pay, cut, cut, np.array(nu.size).repeat(cut.size)
     # The top tier takes the buyers from top1 up among those past the cut
     # (v >= high, less eps over the slope 1 - r, and v >= 1 - eps), and
     # those from top0 to the cut among the rest (v >= 1 - eps).
@@ -325,7 +325,7 @@ def _score_kinks(
     rev = (1.0 - q) * (pay * in_low[0] + in_top[0])
     W = q * (r * in_low[1] + in_top[1]) - (1.0 - q) * (pay * in_low[2] + in_top[2])
     lo = np.concatenate([lp, lo])
-    hi = np.concatenate([np.full(kp.size, -1), hi])
+    hi = np.concatenate([np.array(-1).repeat(kp.size), hi])
     return W, rev, np.array((k, lo, hi, cut, top0, top1), dtype)
 
 
@@ -336,7 +336,7 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
     order = [d.types[j] for j in by_nu]
     nu = np.array([t.nu for t in order])
     cum = np.zeros((3, nu.size + 1))
-    cum[:, 1:] = np.cumsum([[t.mass, t.mass * t.u, t.mass * t.c] for t in order], axis=0).T
+    cum[:, 1:] = np.array([[t.mass, t.mass * t.u, t.mass * t.c] for t in order]).cumsum(axis=0).T
     qs = np.array(kink_uptimes(d))
     # Chosen before any block is scored, so no index is ever cast into
     # a dtype too narrow for it.
@@ -350,7 +350,7 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
         index[0] += first
         parts.append((W, rev, index))
     limit = np.array([last, -1, -1, n, n, n], dtype)[:, None]
-    parts.append((np.full(1, d.u_bar), np.zeros(1), limit))
+    parts.append((np.array([d.u_bar]), np.zeros(1), limit))
     W, rev, index = zip(*parts)
     return _KinkTable(
         np.concatenate(W),
@@ -358,7 +358,7 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
         *np.concatenate(index, axis=1),
         qs=qs,
         nu=nu,
-        rank=np.argsort(by_nu),
+        rank=np.array(by_nu).argsort(),
     )
 
 

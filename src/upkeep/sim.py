@@ -289,7 +289,7 @@ def _type_edges(d: TypeDistribution) -> np.ndarray:
     to a length of 2**b - 1 for _count_at_or_below."""
     n = len(d.types)
     edges = np.full((1 << (n - 1).bit_length()) - 1, math.inf)
-    edges[: n - 1] = np.cumsum(np.array([t.mass for t in d.types]) / d.total_mass)[:-1]
+    edges[: n - 1] = (np.array([t.mass for t in d.types]) / d.total_mass).cumsum()[:-1]
     return edges
 
 
@@ -620,7 +620,7 @@ def simulate_fluid(
             dur[1::2] = phys.quantum_mean * e[up_exp::per_cycle] / agg_rate
         else:
             dur[1::2] = phys.quantum_mean / agg_rate
-        ends = np.cumsum(np.concatenate(([t], dur)))
+        ends = np.concatenate(([t], dur)).cumsum()
         starts, ends = ends[:-1], ends[1:]
         t = float(ends[-1])
         # Period s is the first to reach the end of the window; it is cut
@@ -630,7 +630,7 @@ def simulate_fluid(
         a = np.maximum(starts[: s + 1 : 2], w_start)
         b = np.minimum(ends[: s + 1 : 2], w_end)
         seg = (b - a)[b > a]
-        working_time = float(np.cumsum(np.concatenate(([working_time], seg)))[-1])
+        working_time = float(np.concatenate(([working_time], seg)).cumsum()[-1])
 
         breaks, fixes = ends[:s:2], ends[1:s:2]
         lifespans.frombytes(dur[:s:2][breaks >= w_start].tobytes())

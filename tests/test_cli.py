@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import upkeep.cli
@@ -70,6 +71,24 @@ def test_rho_grid_values():
     assert logs == pytest.approx([1.0, 2.0, 4.0, 8.0])
     with pytest.raises(ValidationError):
         RhoGrid(1.0, 8.0, 1)
+
+
+# Grid ends: equal, descending, ratios of 1e+-300, a linear step that
+# rounds to 0 (count 3 and up) or is subnormal (count 2), and seeded draws.
+_DRAWN_ENDS = 10.0 ** np.random.default_rng(36).uniform(-150.0, 150.0, (40, 2))
+GRID_ENDS = [
+    (3.3, 3.3), (8.0, 1.0), (1e-150, 1e150), (1e150, 1e-150), (5e-324, 1e-323),
+    (1e-310, 2e-310), (0.7, 0.7 * (1 + 2**-52)),
+] + [tuple(ends) for ends in _DRAWN_ENDS.tolist()]
+
+
+@pytest.mark.parametrize("count", [2, 3, 16, 1000])
+def test_rho_grid_keeps_numpys_bits(count):
+    for start, stop in GRID_ENDS:
+        for log, numpy_grid in ((True, np.geomspace), (False, np.linspace)):
+            got = RhoGrid(start, stop, count, log=log).values()
+            want = numpy_grid(start, stop, count).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want], (start, stop, log)
 
 
 def test_run_config_validation(tmp_path, capsys):
@@ -357,6 +376,26 @@ def test_simulate_rejects_a_mechanism_that_does_not_balance_at_rho(tmp_path, cap
         "error: mechanism is infeasible at rho=1: "
         "balance residual -0.818181818182, tolerance 3e-09\n"
     )
+
+
+def test_simulate_names_the_type_that_breaks_the_simplex(tmp_path, capsys):
+    # A balances at rho 1 (P = 0.5 = rho * Q) but holds R = 0.9 > Q = 0.5.
+    mech_file = tmp_path / "mech.csv"
+    mech_file.write_text(
+        "id,u,c,mass,nu,R,P,utility,class\n"
+        "A,1,1,1,1,0.9,0.5,0.4,TIER1\n"
+        "B,2,1,1,2,0,0,0,OUT\n"
+        "Q=0.5, y=0, W=0, balance_residual=0\n",
+        encoding="utf-8",
+    )
+    args = ["--mode", "simulate", "--input", str(mech_file), "--seed", "1", "--horizon", "10"]
+    # At rho 2 it breaks balance as well, and both families are named.
+    for rho, balance in (("1", ""), ("2", "balance residual 0.5, ")):
+        assert main([*args, "--rho", rho]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", (
+            f"error: mechanism is infeasible at rho={rho}: {balance}"
+            "simplex violation 0.4 at type A, tolerance 2e-09\n"
+        ))
 
 
 def test_oracle_check_passes_where_first_best_welfare_is_zero(tmp_path, capsys):

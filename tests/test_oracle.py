@@ -292,6 +292,19 @@ def test_exact_simplex_has_no_tolerance():
     assert (x.tolist(), value) == ([1.0], 1.0)
 
 
+def test_exact_simplex_stops_at_its_own_pivot_budget(monkeypatch):
+    # the LP of test_simplex_simple_lp takes two pivots, and the budget
+    # counts the pass that finds no entering column too; the float
+    # simplex keeps _MAX_PIVOTS
+    lp = np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0])
+    monkeypatch.setattr(upkeep.oracle, "_MAX_EXACT_PIVOTS", 3)
+    assert _exact_max(*lp)[1] == 2.8
+    monkeypatch.setattr(upkeep.oracle, "_MAX_EXACT_PIVOTS", 2)
+    with pytest.raises(RuntimeError, match="iteration limit"):
+        _exact_max(*lp)
+    assert _simplex_max(*lp)[1] == pytest.approx(2.8, abs=1e-9)
+
+
 def _pinned_distributions():
     """Seeded distributions of every kind with 1 to 5 types, each with a
     rho; a single zero-mass type has no mass, so that kind starts at 2."""
@@ -681,7 +694,7 @@ def test_exact_simplex_matches_the_tableau_reference(monkeypatch):
     # test's menus of at most 3 buyers, and the two HARD_MENUS whose
     # float answer is refused.  None takes more than 41 pivots, so a
     # broken pivot fails here rather than running on.
-    monkeypatch.setattr(upkeep.oracle, "_MAX_PIVOTS", 100)
+    monkeypatch.setattr(upkeep.oracle, "_MAX_EXACT_PIVOTS", 100)
     lps = [
         lp
         for source, k, lp in _reference_lps()
