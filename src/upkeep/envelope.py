@@ -22,9 +22,12 @@ def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, f
     first the limit line.  A line above the pair where they cross
     replaces the member on its side of S = 0; otherwise the crossing is
     the minimum.  Returns the final pair (pos, neg), the number of
-    evaluations and the crossing y.
+    evaluations and the crossing y.  One argmax of S gives both the
+    branch test and the first pos; a NaN slack wins it and so, as under
+    S.max(), fails the test.
     """
-    if S.max() <= eps:
+    pos, neg = int(S.argmax()), S.size - 1
+    if S.item(pos) <= eps:
         return None
 
     # The limit line never rises above the pair again: every later neg
@@ -33,18 +36,17 @@ def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, f
     # where its lead over the steeper limit line only grows.  Rounding can
     # still lift a pair member, or a copy of one, above the crossing by a
     # hair; the crossing then cannot move, so it is the minimum.
-    pos, neg = int(S.argmax()), S.size - 1
     for step in range(1, _MAX_WALK + 1):
-        w_pos, s_pos = float(W[pos]), float(S[pos])
-        w_neg, s_neg = float(W[neg]), float(S[neg])
+        w_pos, s_pos = W.item(pos), S.item(pos)
+        w_neg, s_neg = W.item(neg), S.item(neg)
         y = (w_neg - w_pos) / (s_pos - s_neg)
         v = w_pos + y * s_pos
         values = W + y * S
         top = int(values.argmax())
-        g = float(values[top])
-        if g <= v + 1e-12 * max(1.0, abs(v)) or g in (values[pos], values[neg]):
+        g = values.item(top)
+        if g <= v + 1e-12 * max(1.0, abs(v)) or g in (values.item(pos), values.item(neg)):
             return pos, neg, step, y
-        if S[top] >= 0.0:
+        if S.item(top) >= 0.0:
             pos = top
         else:
             neg = top

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 DEFAULT_TOL = 1e-9
@@ -66,7 +67,12 @@ class AgentType:
 
 @dataclass(frozen=True)
 class TypeDistribution:
-    """An ordered collection of agent types with distinct ids."""
+    """An ordered collection of agent types with distinct ids.
+
+    total_mass, u_bar and c_bar are summed in type order once, when the
+    distribution is validated, and cached: they are not fields, so eq,
+    hash and repr see only the types, and dataclasses.replace sums anew.
+    """
 
     types: tuple[AgentType, ...]
 
@@ -82,16 +88,16 @@ class TypeDistribution:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
         return sum(t.mass for t in self.types)
 
-    @property
+    @cached_property
     def u_bar(self) -> float:
         """Aggregate usage benefit of a working machine."""
         return sum(t.mass * t.u for t in self.types)
 
-    @property
+    @cached_property
     def c_bar(self) -> float:
         """Aggregate contribution cost of a fully contributing group."""
         return sum(t.mass * t.c for t in self.types)
@@ -179,7 +185,7 @@ class Mechanism:
             for tid, x in levels.items():
                 if not (-s <= x <= 1.0 + s):
                     raise ValueError(f"{label}[{tid!r}] must lie in [0, 1]")
-        if set(self.R) != set(self.P):
+        if self.R.keys() != self.P.keys():
             raise ValueError("R and P must cover the same type ids")
 
     @classmethod
@@ -197,7 +203,7 @@ def agent_utility(t: AgentType, r: float, p: float) -> float:
 
 def welfare(m: Mechanism, d: TypeDistribution) -> float:
     """Mass-weighted sum of agent utilities under the mechanism."""
-    return sum(t.mass * agent_utility(t, m.R[t.id], m.P[t.id]) for t in d.types)
+    return sum(t.mass * (m.R[t.id] * t.u - m.P[t.id] * t.c) for t in d.types)
 
 
 def balance_residual(m: Mechanism, d: TypeDistribution, rho: float) -> float:

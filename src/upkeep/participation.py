@@ -18,7 +18,9 @@ kinks of the walk's final pair has a closed form read off one column,
 and the threshold's share is read off the kink row that balances; the
 infinite branch takes the saturated column's welfare-best balanced row.
 First best, under physical constraints only, is this problem with each
-cap relaxed to the downtime 1 - Q, on a table with the kinks 0 and 1.
+cap relaxed to the downtime 1 - Q, on a table with the kinks 0 and 1,
+where the walk's final pair always spans both and the uptime is one
+division (_first_best_at).
 """
 
 from __future__ import annotations
@@ -114,9 +116,7 @@ class _KinkLines(NamedTuple):
     """The dual's lines at the kinks (see _kink_lines): welfare W and
     covered caps C, so that the slopes at rho are S = C - rho * q, with
     q the kinks as a column.  by_cost holds the types sorted by cost,
-    the table's column order, and costs their costs.  A solve reads it
-    with the tolerances of the walk's branch test and of the balanced
-    point, relative to slack_scale(d, rho)."""
+    the table's column order, and costs their costs."""
 
     kinks: list[float]
     W: np.ndarray
@@ -124,9 +124,6 @@ class _KinkLines(NamedTuple):
     q: np.ndarray
     by_cost: list[AgentType]
     costs: list[float]
-    may_exit: bool
-    branch_rtol: float
-    scan_rtol: float
 
     def slack(self, rho: float) -> np.ndarray:
         return self.C - rho * self.q
@@ -142,8 +139,7 @@ def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
 
     Where types may exit (participation), the cap is min(1 - q, q * nu),
     bent at the kinks of kink_uptimes.  Otherwise (first best) it is the
-    downtime 1 - q, affine in q, so the kinks are 0 and 1, and the walk
-    and the balanced uptime take no tolerance.
+    downtime 1 - q, affine in q, so the kinks are 0 and 1.
 
     S[i, j] is also the balance residual at kink i when the j cheapest
     types contribute their caps and no other type contributes, and the
@@ -156,8 +152,16 @@ def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
     covered = mass * (np.minimum(1.0 - q, q * nu) if may_exit else 1.0 - q)
     W = q * d.u_bar - (covered * c).cumsum(axis=1)
     C = covered.cumsum(axis=1)
-    rtols = (DEFAULT_TOL, _SCAN_RTOL) if may_exit else (0.0, 0.0)
-    return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost], may_exit, *rtols)
+    return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost])
+
+
+def _snapped(y: float, d: TypeDistribution) -> float:
+    """The first cost in type order within ATOM_SNAP of y, relative, or
+    y: a crossing of two lines lands on a cost atom only up to rounding."""
+    for t in d.types:
+        if abs(t.c - y) <= ATOM_SNAP * max(1.0, t.c):
+            return t.c
+    return y
 
 
 def _balanced_point(
@@ -195,7 +199,7 @@ def _balanced_point(
 
 
 def _solution(
-    lines: _KinkLines, d: TypeDistribution, rho: float, Q: float, y: float,
+    d: TypeDistribution, rho: float, Q: float, y: float,
     lo_c: float, hi_c: float, frac: float, iterations: int,
 ) -> ParticipationSolution:
     """The solution at uptime Q and threshold y in which each type
@@ -206,15 +210,14 @@ def _solution(
     classes: dict[str, TypeClass] = {}
     for t in d.types:
         share = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
-        cap = min(1.0 - Q, Q * t.nu) if lines.may_exit else 1.0 - Q
-        P[t.id] = p = cap * share
+        P[t.id] = p = min(1.0 - Q, Q * t.nu) * share
         classes[t.id] = (
             "NONE" if p == 0.0
             else "MARGINAL" if share < 1.0
             else "FULL" if Q >= 1.0 / (1.0 + t.nu)
             else "BOUND"
         )
-    mech = Mechanism(Q=Q, R={t.id: Q for t in d.types}, P=P)
+    mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
     return ParticipationSolution(
         y_star=y,
         Q_star=Q,
@@ -256,22 +259,17 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
 def _participation_at(
     lines: _KinkLines, d: TypeDistribution, rho: float
 ) -> ParticipationSolution:
-    """solve_participation at rho from d's lines, for checked arguments,
-    with the lines' tolerances."""
+    """solve_participation at rho from d's lines, for checked arguments."""
     kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
     scale = slack_scale(d, rho)
-    found = minimize(W.ravel(), S.ravel(), lines.branch_rtol * scale)
+    found = minimize(W.ravel(), S.ravel(), DEFAULT_TOL * scale)
     if found is None:
         # The limit row, Q = 1 with nobody contributing, is left out.
         k = best_balanced(W[:-1, -1], S[:-1, -1], lines.q[:-1, 0], 1e-12 * scale)
-        return _solution(lines, d, rho, kinks[k], math.inf, math.inf, math.inf, 0.0, 0)
-    pos, neg, iterations, y_star = found
-    # Marginal rationing applies only at a cost atom, which the crossing
-    # hits only up to rounding.
-    for t in d.types:
-        if abs(t.c - y_star) <= ATOM_SNAP * max(1.0, t.c):
-            y_star = t.c
-            break
+        return _solution(d, rho, kinks[k], math.inf, math.inf, math.inf, 0.0, 0)
+    pos, neg, iterations, y = found
+    # Marginal rationing applies only at a cost atom.
+    y_star = _snapped(y, d)
 
     # The types rationed at the threshold are those with costs in
     # [lo_c, hi_c]: the cost atom at y_star, if any.  A pair on one kink
@@ -293,9 +291,9 @@ def _participation_at(
     # the pos slack >= 0.
     Q_star, frac = _balanced_point(
         kinks, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
-        pos_row, neg_row, lines.scan_rtol * scale,
+        pos_row, neg_row, _SCAN_RTOL * scale,
     )
-    return _solution(lines, d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
+    return _solution(d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
 
 
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
@@ -304,11 +302,10 @@ def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
     The table (_kink_lines with may_exit=False) has one line per prefix
     of the cost-sorted types, y -> sum of mass * (y - c), and the limit
     line u_bar - rho * y.  The crossing of the walk's final pair is the
-    threshold, and the uptime is where the types below it balance.  The
-    types at it contribute nothing: at Q = 0 the residual without them is
-    >= 0, so their clamped share is 0, and past 0 the column without them
-    balances.  The full prefix always has slack, so no step takes a
-    tolerance.
+    threshold, snapped to a cost atom within rounding.  The full prefix
+    always has slack, so the walk takes no tolerance.  The types below
+    the threshold contribute their whole downtime and those at it or
+    above nothing, and the uptime balances them (_first_best_at).
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -316,11 +313,21 @@ def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
 
 
 def _first_best_at(lines: _KinkLines, d: TypeDistribution, rho: float) -> FirstBestSolution:
-    """solve_first_best at rho from d's first-best lines, for a checked rho."""
-    sol = _participation_at(lines, d, rho)
-    return FirstBestSolution(
-        sol.y_star, sol.Q_star, sol.W_star, sol.mechanism, sol.iterations, rho
-    )
+    """solve_first_best at rho from d's first-best lines, for a checked rho.
+
+    The final pair is a prefix at Q = 0, where every slack is >= 0,
+    against the limit row, so the residual without the threshold's types
+    falls linearly from fa = C[0, bisect_left(costs, y)] >= 0 at Q = 0 to
+    -rho at Q = 1 and balances at Q = fa / (fa + rho): bit for bit the
+    interpolation of _balanced_point, which gives 0 when fa is 0.
+    """
+    _, _, iterations, y = minimize(lines.W.ravel(), lines.slack(rho).ravel(), 0.0)
+    y = _snapped(y, d)
+    fa = lines.C.item(0, bisect_left(lines.costs, y))
+    Q = fa / (fa + rho)
+    P = {t.id: 1.0 - Q if t.c < y else 0.0 for t in d.types}
+    mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
+    return FirstBestSolution(y, Q, welfare(mech, d), mech, iterations, rho)
 
 
 def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> OrderedTypesReport:

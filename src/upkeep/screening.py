@@ -41,7 +41,6 @@ from .model import (
     TypeDistribution,
     kink_uptimes,
     slack_scale,
-    welfare,
 )
 
 # Kinks per scoring pass of the kink table: as many as keep the
@@ -180,24 +179,26 @@ def bounded_monopoly_solve(
     return MenuSolution(r=r, p=p, value=best_value)
 
 
-@dataclass(frozen=True)
-class _Line:
-    """Uptime Q and a normalized menu (r, p), in d.types order, with
-    welfare W and balance slack S = sum(mass * P) - rho * Q; in the dual
-    it is the line y -> W + y * S."""
+class _Line(NamedTuple):
+    """Uptime Q and a normalized menu (r, p), in d.types order, with its
+    levels R = Q * r and P = (1 - Q) * p as lists, welfare W and balance
+    slack S = sum(mass * P) - rho * Q; in the dual it is the line
+    y -> W + y * S."""
 
     W: float
     S: float
     Q: float
     r: np.ndarray
     p: np.ndarray
+    R: list[float]
+    P: list[float]
 
 
 def _line(Q: float, r: np.ndarray, p: np.ndarray, d: TypeDistribution, rho: float) -> _Line:
     R, P = (Q * r).tolist(), ((1.0 - Q) * p).tolist()
     W = sum(t.mass * (Ri * t.u - Pi * t.c) for t, Ri, Pi in zip(d.types, R, P))
     S = sum(t.mass * Pi for t, Pi in zip(d.types, P)) - rho * Q
-    return _Line(W=W, S=S, Q=Q, r=r, p=p)
+    return _Line(W, S, Q, r, p, R, P)
 
 
 class _KinkTable(NamedTuple):
@@ -244,7 +245,7 @@ class _KinkTable(NamedTuple):
         return np.subtract(self.rev, S, out=S)
 
 
-def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
+def _cuts(nu: np.ndarray, ratio: np.ndarray, eps: np.ndarray, k, low, high=None) -> tuple:
     """(r, pay, cut, top0, top1): who takes which bundle of each menu.
 
     Buyers are sorted by nu, and a menu at kink k sees the valuations
@@ -256,13 +257,13 @@ def _cuts(nu: np.ndarray, ratio: np.ndarray, k, low, high=None) -> tuple:
     top1 = n.
 
     A buyer takes (r, pay) iff r * (v - low) clears the tie tolerance
-    eps, in favour of (r, pay) when it charges something, and then the
-    top tier iff that is within eps of its best utility so far.  So ties
+    eps[k], in favour of (r, pay) when it charges something, and then the
+    top tier iff that is within eps[k] of its best utility so far (eps
+    holds 1e-12 * max(1, ratio * nu[-1]) per kink).  So ties
     go to the seller-preferred bundle whatever the buyer's mass, and tied
     valuations share a bundle.  Each test is monotone in v, so it is a
     cut index into the sorted buyers, found by searchsorted in nu-space.
     """
-    eps = 1e-12 * np.maximum(1.0, ratio * nu[-1])
     e, scale = eps[k], ratio[k]
     r = 1.0 if high is None else (high - 1.0) / (high - low)
     pay = r * low
@@ -300,21 +301,22 @@ def _score_kinks(
     ratio = qs / (1.0 - qs)
     # Padded valuations (0, ratio * nu, 1), but exactly 1 at a buyer's own
     # kink 1 / (1 + nu) as kink_uptimes forms it: ratio * nu may round off 1.
-    pad = np.ones((k_n, n + 2))
-    pad[:, 0] = 0.0
+    pad = np.zeros((k_n, n + 2))
+    pad[:, 1:] = 1.0
     np.multiply(ratio[:, None], nu, out=pad[:, 1:-1], where=qs[:, None] != 1.0 / (1.0 + nu))
     # Low atoms are 0 and every v < 1, high atoms every v > 1; an atom at
     # 1, a buyer's own kink included, would only repeat the posted price 1.
     # Tested atom by atom: a type within rounding of another's kink can
     # have v on the other side of 1 from that kink's exact 1.
     low_ok, high_ok = pad[:, :-1] < 1.0, pad[:, :-1] > 1.0
-    kq, lo, hi = np.nonzero(low_ok[:, :, None] & high_ok[:, None, :])
+    kq, lo, hi = (low_ok[:, :, None] & high_ok[:, None, :]).nonzero()
 
     # The rows: every posted price (r = 1, charging min(pad, 1)), then
     # every pair.
     kp, lp = np.divmod(np.arange(pad.size), n + 2)
-    posted = _cuts(nu, ratio, kp, np.minimum(pad, 1.0).ravel())
-    pairs = _cuts(nu, ratio, kq, pad[kq, lo], pad[kq, hi])
+    eps = 1e-12 * np.maximum(1.0, ratio * nu[-1])
+    posted = _cuts(nu, ratio, eps, kp, np.minimum(pad, 1.0).ravel())
+    pairs = _cuts(nu, ratio, eps, kq, pad[kq, lo], pad[kq, hi])
     r, pay, cut, top0, top1 = (np.concatenate(part) for part in zip(posted, pairs))
 
     at_cut, at_top1 = cum[:, cut], cum[:, top1]
@@ -367,8 +369,8 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
     the table stored for it, and the low tier (r0, pay) formed from its
     atoms by the float operations of _cuts."""
     n = tab.nu.size
-    k, lo, hi = int(tab.kink[i]), int(tab.lo[i]), int(tab.hi[i])
-    q = float(tab.qs[k])
+    k, lo, hi = tab.kink.item(i), tab.lo.item(i), tab.hi.item(i)
+    q = tab.qs.item(k)
     # (r, p) of each buyer in nu order; the opt-out row sells nothing.
     bundle = np.zeros((2, n))
     if k == tab.qs.size - 1:
@@ -380,7 +382,7 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
         def pad(j: int) -> float:
             # The kink's padded valuations (0, ratio * nu, 1), as
             # _score_kinks formed them: 1 at a buyer's own kink.
-            v = float(tab.nu[j - 1]) if 0 < j <= n else 0.0
+            v = tab.nu.item(j - 1) if 0 < j <= n else 0.0
             return 1.0 if j > n or q == 1.0 / (1.0 + v) else ratio * v
 
         if hi < 0:
@@ -389,16 +391,16 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
             low, high = pad(lo), pad(hi)
             r0 = (high - 1.0) / (high - low)
             pay = r0 * low
-        cut, top0, top1 = int(tab.cut[i]), int(tab.top0[i]), int(tab.top1[i])
+        cut, top0, top1 = tab.cut.item(i), tab.top0.item(i), tab.top1.item(i)
         bundle[:, top0:cut] = bundle[:, top1:] = 1.0
         bundle[0, cut:top1], bundle[1, cut:top1] = r0, pay
     r, p = bundle[:, tab.rank]
     return _line(q, r, p, d, rho)
 
 
-def _mix(a: _Line, b: _Line, eps_bal: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _mix(a: _Line, b: _Line, eps_bal: float, d: TypeDistribution, rho: float) -> _Line:
     """The point alpha * a + (1 - alpha) * b in (Q, R, P) with S = 0, as
-    its uptime and normalized menu (r, p).
+    a line.
 
     A member with slack within eps_bal of 0 stands alone, the one nearer
     balance if both do: the other's weight is then 0 up to rounding, and
@@ -409,47 +411,35 @@ def _mix(a: _Line, b: _Line, eps_bal: float) -> tuple[float, np.ndarray, np.ndar
     """
     heavy = min(a, b, key=lambda m: abs(m.S))
     if abs(heavy.S) <= eps_bal:
-        return heavy.Q, heavy.r, heavy.p
+        return heavy
     alpha = -b.S / (a.S - b.S)
     up_a, up_b = alpha * a.Q, (1.0 - alpha) * b.Q
     down_a, down_b = alpha * (1.0 - a.Q), (1.0 - alpha) * (1.0 - b.Q)
     w_r = up_a / (up_a + up_b) if up_a + up_b > 0.0 else 1.0
     w_p = down_a / (down_a + down_b)
-    return up_a + up_b, w_r * a.r + (1.0 - w_r) * b.r, w_p * a.p + (1.0 - w_p) * b.p
-
-
-def _extract_tiers(
-    r: np.ndarray, p: np.ndarray, d: TypeDistribution
-) -> tuple[tuple[MenuTier, ...], dict[str, int | None]]:
-    """The tiers, the distinct levels (r, p) other than (0, 0) by
-    descending access, and each type's index among them, None for (0, 0)."""
-    levels = list(zip(r.tolist(), p.tolist()))
-    tiers = sorted(set(levels) - {(0.0, 0.0)}, key=lambda t: (-t[0], -t[1]))
-    index = {level: k for k, level in enumerate(tiers)}
-    assignment = {t.id: index.get(level) for t, level in zip(d.types, levels)}
-    return tuple(MenuTier(*level) for level in tiers), assignment
+    r, p = w_r * a.r + (1.0 - w_r) * b.r, w_p * a.p + (1.0 - w_p) * b.p
+    return _line(up_a + up_b, r, p, d, rho)
 
 
 def _build_solution(
     y_star: float,
-    Q: float,
-    r: np.ndarray,
-    p: np.ndarray,
+    line: _Line,
     d: TypeDistribution,
     rho: float,
     iterations: int,
 ) -> ScreeningSolution:
-    R = {t.id: Q * x for t, x in zip(d.types, r.tolist())}
-    P = {t.id: (1.0 - Q) * x for t, x in zip(d.types, p.tolist())}
-    mech = Mechanism(Q=Q, R=R, P=P)
-    tiers, assignment = _extract_tiers(r, p, d)
+    """The solution at the line's uptime and levels, with its welfare."""
+    ids = d.ids
+    levels = list(zip(line.r.tolist(), line.p.tolist()))
+    tiers = sorted(set(levels) - {(0.0, 0.0)}, key=lambda t: (-t[0], -t[1]))
+    index = {level: k for k, level in enumerate(tiers)}
     return ScreeningSolution(
         y_star=y_star,
-        Q_star=Q,
-        W_star=welfare(mech, d),
-        mechanism=mech,
-        tiers=tiers,
-        assignment=assignment,
+        Q_star=line.Q,
+        W_star=line.W,
+        mechanism=Mechanism(Q=line.Q, R=dict(zip(ids, line.R)), P=dict(zip(ids, line.P))),
+        tiers=tuple(MenuTier(*level) for level in tiers),
+        assignment={tid: index.get(level) for tid, level in zip(ids, levels)},
         iterations=iterations,
         rho=rho,
         d=d,
@@ -489,14 +479,13 @@ def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> Screening
     if found is None:
         # The welfare-best balanced row (|S| <= eps_bal, as in _mix) but the limit row.
         best = best_balanced(tab.W[:-1], S[:-1], tab.kink[:-1], eps_bal)
-        line = _table_line(tab, best, d, rho)
-        return _build_solution(math.inf, line.Q, line.r, line.p, d, rho, 0)
+        return _build_solution(math.inf, _table_line(tab, best, d, rho), d, rho, 0)
     pos, neg, steps, _ = found
     # The pair's lines from their menus, as the mix uses them; their
     # crossing is the one the mix balances.
     a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
     y = (b.W - a.W) / (a.S - b.S)
-    return _build_solution(y, *_mix(a, b, eps_bal), d, rho, steps)
+    return _build_solution(y, _mix(a, b, eps_bal, d, rho), d, rho, steps)
 
 
 def verify_structure(sol: ScreeningSolution) -> bool:

@@ -193,12 +193,18 @@ def _cycle_ci(lifespans: array, downs: array, q_hat: float) -> float:
         return 0.5
     ls = np.frombuffer(lifespans, count=n)
     cycles = ls + np.frombuffer(downs, count=n)
-    mean_cycle = float(cycles.mean())
+    mean_cycle = float(np.add.reduce(cycles) / n)
     if mean_cycle <= 0.0:
         return 0.5
-    x = ls - q_hat * cycles
-    sd = float(x.std(ddof=1))
-    return _Z95 * sd / (mean_cycle * math.sqrt(n))
+    return _Z95 * _sd(ls - q_hat * cycles) / (mean_cycle * math.sqrt(n))
+
+
+def _sd(x: np.ndarray) -> float:
+    """x.std(ddof=1) by the steps of numpy's own _var, to the bit, without
+    its Python wrappers: sum, divide by n, subtract, square, sum, divide
+    by n - 1, square root."""
+    x = x - np.add.reduce(x) / x.size
+    return math.sqrt(np.add.reduce(x * x) / (x.size - 1))
 
 
 def _lifespan_flag(lifespans: array, mean_target: float) -> bool:
@@ -206,10 +212,10 @@ def _lifespan_flag(lifespans: array, mean_target: float) -> bool:
     if n < 2:
         return True
     arr = np.frombuffer(lifespans)
-    se = float(arr.std(ddof=1)) / math.sqrt(n)
-    # Centred first: np.mean of identical lifespans near 1 / rho can
+    se = _sd(arr) / math.sqrt(n)
+    # Centred first: the mean of identical lifespans near 1 / rho can
     # round off the target by more than 1e-12, and their se is 0.
-    return abs(float((arr - mean_target).mean())) <= 4.0 * se + 1e-12
+    return abs(float(np.add.reduce(arr - mean_target) / n)) <= 4.0 * se + 1e-12
 
 
 def _admissible(
@@ -531,7 +537,7 @@ def _run_poisson(
         n_arrivals=int(arrivals.sum()),
         n_uses=int(uses.sum()),
         n_contributions=n_contributions,
-        lifespan_mean=float(np.mean(lifespans)) if lifespans else math.nan,
+        lifespan_mean=float(np.add.reduce(lifespans) / len(lifespans)) if lifespans else math.nan,
         measured_time=horizon,
         rho=phys.rho,
         masses={t.id: t.mass for t in order},
@@ -658,7 +664,7 @@ def simulate_fluid(
         n_arrivals=0,
         n_uses=0,
         n_contributions=0,
-        lifespan_mean=float(np.mean(lifespans)) if lifespans else math.nan,
+        lifespan_mean=float(np.add.reduce(lifespans) / len(lifespans)) if lifespans else math.nan,
         measured_time=horizon,
         rho=phys.rho,
         masses={t.id: t.mass for t in d.types},

@@ -2,17 +2,22 @@
 
 Each is a direct loop over the types, written from the model's
 definitions and not from the solvers' tables, so agreement between the
-two is evidence for both.
+two is evidence for both.  first_best_via_participation is the
+exception: it runs participation's general finish on first best's table,
+the reference for first best's closed-form finish to the bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from upkeep import TypeDistribution, bounded_monopoly_solve
-from upkeep.model import kink_uptimes
+from upkeep import FirstBestSolution, Mechanism, TypeDistribution, bounded_monopoly_solve
+from upkeep.envelope import minimize
+from upkeep.model import ATOM_SNAP, agent_utility, kink_uptimes
+from upkeep.participation import _balanced_point, _kink_lines
 from upkeep.screening import _score_menu
 
 _FACE_RTOL = 1e-12
@@ -175,3 +180,36 @@ def table_row_menu(
     W = sum(t.mass * (q * menu.r[t.id] * t.u - (1.0 - q) * menu.p[t.id] * t.c) for t in d.types)
     S = sum(t.mass * (1.0 - q) * menu.p[t.id] for t in d.types) - rho * q
     return q, W, S, menu
+
+
+def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSolution:
+    """solve_first_best by participation's finish on first best's table:
+    the walk, the snap to a cost atom, the band of rationed types when
+    the final pair shares a kink, the uptime and share of _balanced_point
+    at tolerance 0, each type's share of its downtime, and welfare summed
+    through agent_utility.  No shortcut is taken that first best's table
+    would allow, such as the pair's rows always being 0 and 1.
+    """
+    lines = _kink_lines(d, may_exit=False)
+    kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
+    pos, neg, iterations, y = minimize(W.ravel(), S.ravel(), 0.0)
+    for t in d.types:
+        if abs(t.c - y) <= ATOM_SNAP * max(1.0, t.c):
+            y = t.c
+            break
+    by_cost, costs = lines.by_cost, lines.costs
+    (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, W.shape[1]) for i in (pos, neg))
+    lo_c = hi_c = y
+    if pos_row == neg_row and y not in costs:
+        band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
+        lo_c, hi_c = min(band), max(band)
+    Q, frac = _balanced_point(
+        kinks, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c), pos_row, neg_row, 0.0
+    )
+    P = {}
+    for t in d.types:
+        share = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
+        P[t.id] = (1.0 - Q) * share
+    mech = Mechanism(Q=Q, R={t.id: Q for t in d.types}, P=P)
+    W_fb = sum(t.mass * agent_utility(t, mech.R[t.id], mech.P[t.id]) for t in d.types)
+    return FirstBestSolution(y, Q, W_fb, mech, iterations, rho)

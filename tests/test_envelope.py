@@ -82,6 +82,15 @@ def test_no_slack_above_eps_is_the_infinite_branch():
     assert minimize(W, S, 0.4999)[:3] == (1, 2, 1)
 
 
+def test_a_nan_slack_is_not_the_infinite_branch():
+    # The branch test reads the slack that argmax picks, a NaN if there is
+    # one, and NaN <= eps is false, as S.max() <= eps was: the walk runs
+    # and cannot converge, rather than reading as the infinite branch.
+    W, S = np.array([0.0, 1.0, 2.0]), np.array([0.5, math.nan, -1.0])
+    with pytest.raises(RuntimeError, match="did not converge"):
+        minimize(W, S, 0.0)
+
+
 def _tiny_masses():
     return TypeDistribution(
         (AgentType("A", 1e12, 1.0, 1e-15), AgentType("B", 5e11, 2.0, 2e-15))

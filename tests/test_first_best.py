@@ -9,9 +9,12 @@ from upkeep import (
     solve_first_best,
     welfare,
 )
+from upkeep.envelope import minimize
+from upkeep.participation import _kink_lines
 from conftest import KINDS, kinded_distribution, random_distribution
-from reference import fb_dual_value, fb_threshold_gap
+from reference import fb_dual_value, fb_threshold_gap, first_best_via_participation
 from test_identity import corpus
+from test_sweep import _hexed
 
 
 def test_threshold_gap_values(lmh):
@@ -164,3 +167,35 @@ def test_each_type_contributes_the_downtime_or_nothing():
         sol = solve_first_best(d, rho)
         levels = {0.0.hex(), (1.0 - sol.Q_fb).hex()}
         assert {p.hex() for p in sol.mechanism.P.values()} <= levels
+
+
+def _tenths_tables():
+    """Small integer tables in tenths: u, c, mass and rho are integers
+    over 10, with tied costs, tied valuations and zero masses.  A crossing
+    that falls on a cost in exact arithmetic lands on it in floats only up
+    to rounding, which integers would not show."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        rows = [tuple(int(rng.integers(lo, hi)) for lo, hi in ((1, 9), (1, 5), (0, 4))) for _ in range(n)]
+        if any(m for _, _, m in rows):
+            types = (AgentType(f"T{i}", u / 10, c / 10, m / 10) for i, (u, c, m) in enumerate(rows))
+            d = TypeDistribution(tuple(types))
+            yield from ((d, rho / 10) for rho in range(1, 9))
+
+
+def test_own_finish_matches_participations_finish():
+    # First best's closed-form finish against participation's general one
+    # on first best's table, every field as float.hex.  On the tenths
+    # tables many thresholds sit on a cost with positive mass and Q > 0,
+    # where taking the column with the threshold's types (bisect_right)
+    # moves Q; many are snapped there from a crossing a few ulps off,
+    # where leaving out the ATOM_SNAP scan moves y_fb.
+    on_cost = snapped = 0
+    for d, rho in [(d, rho) for _, d, rho in corpus()] + list(_tenths_tables()):
+        sol = solve_first_best(d, rho)
+        assert _hexed(sol) == _hexed(first_best_via_participation(d, rho))
+        lines = _kink_lines(d, may_exit=False)
+        snapped += minimize(lines.W.ravel(), lines.slack(rho).ravel(), 0.0)[3] != sol.y_fb
+        on_cost += sol.Q_fb > 0.0 and any(t.c == sol.y_fb and t.mass > 0.0 for t in d.types)
+    assert (on_cost, snapped) == (52, 70)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,31 @@ def test_type_validation():
 def test_distribution_rejects_non_finite_aggregates(types):
     with pytest.raises(ValueError, match="must be finite"):
         TypeDistribution(types)
+
+
+def test_aggregates_are_cached_type_order_sums():
+    # total_mass, u_bar and c_bar are summed once, in type order, and are
+    # not fields: eq, hash and repr see the types alone, and replace sums
+    # the new types.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        d = random_distribution(rng, 1, 9)
+        fresh = (
+            sum(t.mass for t in d.types),
+            sum(t.mass * t.u for t in d.types),
+            sum(t.mass * t.c for t in d.types),
+        )
+        assert [x.hex() for x in (d.total_mass, d.u_bar, d.c_bar)] == [x.hex() for x in fresh]
+        assert vars(d).keys() >= {"total_mass", "u_bar", "c_bar"}
+        assert [f.name for f in dataclasses.fields(d)] == ["types"]
+        twin = TypeDistribution(d.types)
+        assert twin == d and hash(twin) == hash(d) and repr(d) == f"TypeDistribution(types={d.types!r})"
+        head = d.types[0]
+        bigger = AgentType(head.id, head.u, head.c, head.mass + 1.0)
+        grown = dataclasses.replace(d, types=(bigger, *d.types[1:]))
+        assert grown.total_mass == sum(t.mass for t in grown.types) != d.total_mass
+        assert grown.u_bar == sum(t.mass * t.u for t in grown.types)
+        assert grown.c_bar == sum(t.mass * t.c for t in grown.types)
 
 
 def test_welfare_participation_optimum(lmh):
