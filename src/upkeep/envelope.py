@@ -1,15 +1,40 @@
-"""Exact minimum of an upper envelope of lines W + y * S by Kelley's
-cutting-plane method.  Each optimum's dual is such an envelope: one line
-per candidate point, with welfare W and balance slack S, ending in the
-limit line W = u_bar, S = -rho, where everyone has full access for free.
-When no line has positive slack, best_balanced picks the answer's line.
-"""
+"""Each optimum's dual: an upper envelope of lines W + y * S, one per
+candidate point, with welfare W and balance slack S.  A Lines table holds
+them without rho; solve_at minimizes the envelope at rho by Kelley's
+cutting-plane method (minimize) or picks the infinite branch's line."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
+from .model import DEFAULT_TOL
+
 _MAX_WALK = 200
+
+
+@dataclass
+class Lines:
+    """A rho-free table of the dual's lines, ending in the limit line
+    (Q = 1, W = u_bar, rev = 0), where everyone has full access for free:
+    columns of welfare W, revenue rev and kink, the index of the line's
+    uptime Q in the ascending kink uptimes qs (keyword-only, as no
+    column).  At a breakage rate rho the line is y -> W + y * S with
+    S = rev - rho * Q (slack).  The class attribute scan indexes the rows
+    that solve_at's infinite branch may return: by default all but the last."""
+
+    W: np.ndarray
+    rev: np.ndarray
+    kink: np.ndarray
+    qs: np.ndarray = field(kw_only=True)
+    scan = np.s_[:-1]
+
+    def slack(self, rho: float) -> np.ndarray:
+        """S = rev - rho * Q of every line, formed in one new array."""
+        S = self.qs[self.kink]
+        S *= rho
+        return np.subtract(self.rev, S, out=S)
 
 
 def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, float] | None:
@@ -53,20 +78,31 @@ def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, f
     raise RuntimeError("dual walk did not converge")
 
 
-def best_balanced(W: np.ndarray, S: np.ndarray, key: np.ndarray, eps_bal: float) -> int:
-    """The infinite branch's row: the welfare-best row with |S| <= eps_bal.
-
-    No row has positive slack there, and every mechanism mixes rows
-    (levels are affine in the uptime between kinks), so a balanced mix
-    has only balanced members, and linear welfare is best at one of
-    them.  Rows are scanned by ascending key (the kink), ties in row
+def solve_at(lines: Lines, rho: float, scale: float) -> tuple[np.ndarray, int, int, int, float]:
+    """(S, pos, neg, steps, y): the slack of lines at rho and, when some
+    line has slack above DEFAULT_TOL * scale (see model.slack_scale; a
+    scale of 0 takes none), minimize's final pair as flat indices, its
+    evaluations and their crossing.  Otherwise the branch is infinite:
+    steps is 0, y is inf, and pos = neg is the welfare-best row of
+    lines[lines.scan], as an index into it, with |S| <= eps_bal =
+    1e-12 * scale.  No row has positive slack there, and every mechanism
+    mixes rows (levels are affine in the uptime between kinks), so a
+    balanced mix has only balanced members, and linear welfare is best
+    at one of them.  Rows are scanned by ascending kink, ties in row
     order; a row replaces the best so far only if its welfare is higher
-    by more than eps_bal.  The caller leaves out the limit row.
+    by more than eps_bal.  Every scan leaves out the limit row, Q = 1 with
+    nobody contributing, which balances when rho is within eps_bal of 0.
     """
-    rows = (np.abs(S) <= eps_bal).nonzero()[0]
-    rows = rows[key[rows].argsort(kind="stable")]
+    S = lines.slack(rho)
+    found = minimize(lines.W.ravel(), S.ravel(), DEFAULT_TOL * scale)
+    if found is not None:
+        return (S, *found)
+    eps_bal = 1e-12 * scale
+    W = lines.W[lines.scan]
+    rows = (np.abs(S[lines.scan]) <= eps_bal).nonzero()[0]
+    rows = rows[lines.kink[lines.scan][rows].argsort(kind="stable")]
     best = rows[0]
     for i in rows[1:]:
         if W[i] > W[best] + eps_bal:
             best = i
-    return int(best)
+    return S, int(best), int(best), 0, np.inf

@@ -114,8 +114,8 @@ class TypeDistribution:
 
 
 def slack_scale(d: TypeDistribution, rho: float) -> float:
-    """The scale of a balance residual at rho, against which the solvers'
-    slack tolerances are relative: max(1, rho, total mass)."""
+    """The scale of a balance residual at rho, max(1, rho, total mass):
+    envelope.solve_at forms the solvers' slack tolerances relative to it."""
     return max(1.0, rho, d.total_mass)
 
 

@@ -8,15 +8,14 @@ piecewise linear in the cost threshold (kinks at the cost atoms).  So
 the dual, the Lagrangian's maximum over the uptime, is the upper
 envelope of finitely many lines in the threshold: one per kink uptime
 and prefix of the cost-sorted types, the kink Q = 1 giving the limit
-line.  envelope.minimize minimizes it exactly.  Each line's slope is
+line, all in one rho-free envelope.Lines table, whose envelope
+envelope.solve_at minimizes at each breakage rate.  Each line's slope is
 also a balance residual: the prefix's saturated contributions minus the
-breakage rate.
-The lines' welfare and saturated contributions do not involve the
-breakage rate, so one table serves every rate.  Every residual column
-is concave in the uptime and 0 at uptime 0, so the uptime between the
-kinks of the walk's final pair has a closed form read off one column,
-and the threshold's share is read off the kink row that balances; the
-infinite branch takes the saturated column's welfare-best balanced row.
+breakage rate.  Every residual column is concave in the uptime and 0 at
+uptime 0, so the uptime between the kinks of the walk's final pair has
+a closed form read off one column, and the threshold's share is read
+off the kink row that balances; the infinite branch takes the saturated
+column's welfare-best balanced row.
 First best, under physical constraints only, is this problem with each
 cap relaxed to the downtime 1 - Q, on a table with the kinks 0 and 1,
 where the walk's final pair always spans both and the uptime is one
@@ -28,11 +27,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Literal, Mapping, NamedTuple
+from typing import Literal, Mapping
 
 import numpy as np
 
-from .envelope import best_balanced, minimize
+from .envelope import Lines, solve_at
 from .model import (
     ATOM_SNAP,
     DEFAULT_TOL,
@@ -112,21 +111,17 @@ class OrderedTypesReport:
         )
 
 
-class _KinkLines(NamedTuple):
-    """The dual's lines at the kinks (see _kink_lines): welfare W and
-    covered caps C, so that the slopes at rho are S = C - rho * q, with
-    q the kinks as a column.  by_cost holds the types sorted by cost,
-    the table's column order, and costs their costs."""
+@dataclass
+class _KinkLines(Lines):
+    """The dual's lines at the kinks (see _kink_lines): rev holds the
+    covered caps C, and kink, each row's index into qs, is repeated
+    across the row.  by_cost holds the types sorted by cost, the table's
+    column order, and costs their costs."""
 
-    kinks: list[float]
-    W: np.ndarray
-    C: np.ndarray
-    q: np.ndarray
+    # The infinite branch's scan: the saturated column without the limit row.
+    scan = np.s_[:-1, -1]
     by_cost: list[AgentType]
     costs: list[float]
-
-    def slack(self, rho: float) -> np.ndarray:
-        return self.C - rho * self.q
 
 
 def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
@@ -147,12 +142,12 @@ def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
     """
     by_cost = sorted(d.types, key=lambda t: t.c)
     nu, mass, c = np.array([(1.0, 0.0, 0.0)] + [(t.nu, t.mass, t.c) for t in by_cost]).T
-    kinks = kink_uptimes(d) if may_exit else [0.0, 1.0]
-    q = np.array(kinks)[:, None]
+    qs = np.array(kink_uptimes(d) if may_exit else [0.0, 1.0])
+    q = qs[:, None]
     covered = mass * (np.minimum(1.0 - q, q * nu) if may_exit else 1.0 - q)
     W = q * d.u_bar - (covered * c).cumsum(axis=1)
-    C = covered.cumsum(axis=1)
-    return _KinkLines(kinks, W, C, q, by_cost, [t.c for t in by_cost])
+    kink = np.arange(qs.size).repeat(W.shape[1]).reshape(W.shape)
+    return _KinkLines(W, covered.cumsum(axis=1), kink, by_cost, [t.c for t in by_cost], qs=qs)
 
 
 def _snapped(y: float, d: TypeDistribution) -> float:
@@ -165,7 +160,7 @@ def _snapped(y: float, d: TypeDistribution) -> float:
 
 
 def _balanced_point(
-    kinks: list[float], S: np.ndarray, jm: int, jp: int,
+    qs: np.ndarray, S: np.ndarray, jm: int, jp: int,
     pos_row: int, neg_row: int, eps: float,
 ) -> tuple[float, float]:
     """The smallest uptime between the final pair's kinks where the
@@ -187,15 +182,15 @@ def _balanced_point(
     if k is None:
         raise RuntimeError("no balanced uptime found between the final pair's kinks")
     if k > first:
-        a, b, fa, fb = kinks[k - 1], kinks[k], rm[k - 1], rm[k]
+        a, b, fa, fb = qs.item(k - 1), qs.item(k), rm[k - 1], rm[k]
         return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b), 0.0
-    r_without, r_with = rm[k], float(S[k, jp])
+    Q, r_without, r_with = qs.item(k), rm[k], float(S[k, jp])
     if abs(r_without) <= eps:
-        return kinks[k], 0.0
+        return Q, 0.0
     if abs(r_with) <= eps:
-        return kinks[k], 1.0
+        return Q, 1.0
     gap = r_with - r_without
-    return kinks[k], min(max(0.0, -r_without / gap), 1.0) if gap > eps else 0.0
+    return Q, min(max(0.0, -r_without / gap), 1.0) if gap > eps else 0.0
 
 
 def _solution(
@@ -234,22 +229,19 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
     """Solve the designer's problem under participation constraints.
 
     Every line of the dual is scored once (_kink_lines), independently of
-    rho, and the solve at rho (_participation_at) forms their slopes.
-    When some line has slack above DEFAULT_TOL * slack_scale(d, rho),
-    envelope.minimize minimizes the dual, and the crossing of its final
-    pair is the threshold, snapped to a cost atom within rounding.  The
-    uptime is the smallest between the final pair's kinks where the
-    balance residual without the threshold's types is <= 0 and with them
-    is >= 0.  Both residuals are concave in the uptime and 0 at 0, so
-    that is the neg kink if it is at or below the pos kink, and otherwise
-    where the table's column without the threshold's types first reaches
-    0 past the pos kink.  At a kink the threshold's types then share one
-    contribution fraction, read off that row's residuals without and with
-    them, that balances exactly; past one they contribute nothing
-    (_balanced_point).  Otherwise the threshold is infinite, every type
-    saturates its cap, and the uptime is the kink of the saturated
-    column's welfare-best row whose slack is within
-    eps_bal = 1e-12 * slack_scale(d, rho) of 0.
+    rho.  When some line has slack at rho, envelope.solve_at walks the
+    dual, and the crossing of its final pair is the threshold, snapped to
+    a cost atom within rounding.  The uptime is the smallest between the
+    final pair's kinks where the balance residual without the threshold's
+    types is <= 0 and with them is >= 0.  Both residuals are concave in
+    the uptime and 0 at 0, so that is the neg kink if it is at or below
+    the pos kink, and otherwise where the table's column without the
+    threshold's types first reaches 0 past the pos kink.  At a kink the
+    threshold's types then share one contribution fraction, read off that
+    row's residuals without and with them, that balances exactly; past
+    one they contribute nothing (_balanced_point).  Otherwise the
+    threshold is infinite, every type saturates its cap, and the uptime
+    is the kink of solve_at's balanced row in the saturated column.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -260,14 +252,11 @@ def _participation_at(
     lines: _KinkLines, d: TypeDistribution, rho: float
 ) -> ParticipationSolution:
     """solve_participation at rho from d's lines, for checked arguments."""
-    kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
     scale = slack_scale(d, rho)
-    found = minimize(W.ravel(), S.ravel(), DEFAULT_TOL * scale)
-    if found is None:
-        # The limit row, Q = 1 with nobody contributing, is left out.
-        k = best_balanced(W[:-1, -1], S[:-1, -1], lines.q[:-1, 0], 1e-12 * scale)
-        return _solution(d, rho, kinks[k], math.inf, math.inf, math.inf, 0.0, 0)
-    pos, neg, iterations, y = found
+    S, pos, neg, iterations, y = solve_at(lines, rho, scale)
+    if iterations == 0:
+        # Every type saturates its cap at the kink of the scan's row.
+        return _solution(d, rho, lines.qs.item(pos), math.inf, math.inf, math.inf, 0.0, 0)
     # Marginal rationing applies only at a cost atom.
     y_star = _snapped(y, d)
 
@@ -277,7 +266,7 @@ def _participation_at(
     # atom in exact arithmetic; where the walk's tolerance leaves the
     # crossing off every atom, the band spans the mix's costs instead.
     by_cost, costs = lines.by_cost, lines.costs
-    (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, W.shape[1]) for i in (pos, neg))
+    (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, S.shape[1]) for i in (pos, neg))
     lo_c = hi_c = y_star
     if pos_row == neg_row and y_star not in costs:
         band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
@@ -290,7 +279,7 @@ def _participation_at(
     # first is <= the neg slack < 0, and at the pos kink the second is >=
     # the pos slack >= 0.
     Q_star, frac = _balanced_point(
-        kinks, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
+        lines.qs, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
         pos_row, neg_row, _SCAN_RTOL * scale,
     )
     return _solution(d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
@@ -317,13 +306,13 @@ def _first_best_at(lines: _KinkLines, d: TypeDistribution, rho: float) -> FirstB
 
     The final pair is a prefix at Q = 0, where every slack is >= 0,
     against the limit row, so the residual without the threshold's types
-    falls linearly from fa = C[0, bisect_left(costs, y)] >= 0 at Q = 0 to
+    falls linearly from fa = rev[0, bisect_left(costs, y)] >= 0 at Q = 0 to
     -rho at Q = 1 and balances at Q = fa / (fa + rho): bit for bit the
     interpolation of _balanced_point, which gives 0 when fa is 0.
     """
-    _, _, iterations, y = minimize(lines.W.ravel(), lines.slack(rho).ravel(), 0.0)
+    _, _, _, iterations, y = solve_at(lines, rho, 0.0)
     y = _snapped(y, d)
-    fa = lines.C.item(0, bisect_left(lines.costs, y))
+    fa = lines.rev.item(0, bisect_left(lines.costs, y))
     Q = fa / (fa + rho)
     P = {t.id: 1.0 - Q if t.c < y else 0.0 for t in d.types}
     mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)

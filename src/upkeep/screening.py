@@ -10,13 +10,10 @@ limit Q -> 1.  The dual is therefore the upper envelope of finitely many
 lines, which a cutting-plane walk minimizes exactly; mixing the two lines
 active at the minimum balances the mechanism.
 
-Every candidate menu at every kink is scored once, into one table of
-lines that ends in the limit line.  Each row keeps its welfare W, its
-revenue and its kink, none of which involves rho, so one table serves
-every breakage rate: a solve at rho forms the slack
-S = revenue - rho * Q and walks.  Buyers sorted by
-nu stay sorted at every kink, and a menu
-{out, (r0, r0 * lo), (1, 1)} sends the buyers below lo out, those in
+Every candidate menu at every kink is scored once, into one rho-free
+envelope.Lines table that ends in the limit line, so one table serves
+every breakage rate.  Buyers sorted by nu stay sorted at every kink, and
+a menu {out, (r0, r0 * lo), (1, 1)} sends the buyers below lo out, those in
 [lo, hi) to the low tier and those from hi up to the top tier, ties
 going to the seller-preferred bundle whatever the buyer's mass, so tied
 valuations share a bundle.  Each menu's revenue and welfare then come
@@ -34,9 +31,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .envelope import best_balanced, minimize
+from .envelope import Lines, solve_at
 from .model import (
-    DEFAULT_TOL,
     Mechanism,
     TypeDistribution,
     kink_uptimes,
@@ -201,11 +197,10 @@ def _line(Q: float, r: np.ndarray, p: np.ndarray, d: TypeDistribution, rho: floa
     return _Line(W, S, Q, r, p, R, P)
 
 
-class _KinkTable(NamedTuple):
-    """Every candidate menu at every kink uptime Q < 1, then the limit:
-    its welfare W, its revenue rev and its kink, the index of its uptime
-    Q in qs.  At a breakage rate rho the row is the line y -> W + y * S
-    with S = rev - rho * Q (slack); no stored column involves rho.
+@dataclass
+class _KinkTable(Lines):
+    """Every candidate menu at every kink uptime Q < 1, then the limit,
+    one row of Lines each.
 
     Row 0 is Q = 0, where every menu sells nothing.  Then, one block of
     kinks at a time, come the block's posted prices and then its two-atom
@@ -225,24 +220,13 @@ class _KinkTable(NamedTuple):
     the narrowest signed dtype that holds n + 2 (_index_dtype).
     """
 
-    W: np.ndarray
-    rev: np.ndarray
-    kink: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     cut: np.ndarray
     top0: np.ndarray
     top1: np.ndarray
-    qs: np.ndarray
     nu: np.ndarray
     rank: np.ndarray
-
-    def slack(self, rho: float) -> np.ndarray:
-        """S = rev - rho * Q of every row, formed in one new array; row 0
-        has Q = 0 and S = 0, and the last row S = -rho."""
-        S = self.qs[self.kink]
-        S *= rho
-        return np.subtract(self.rev, S, out=S)
 
 
 def _cuts(nu: np.ndarray, ratio: np.ndarray, eps: np.ndarray, k, low, high=None) -> tuple:
@@ -451,19 +435,15 @@ def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     reporting.
 
     The dual g(y), the relaxed Lagrangian's maximum over Q and menus, is
-    the upper envelope of finitely many lines W + y * S, one per kink
-    menu plus the Q -> 1 limit (W = u_bar, S = -rho).  All these lines
-    are scored once into one table (_kink_table), which does not depend
-    on rho; the solve at rho (_screening_at) forms the slopes S, and each
-    evaluation of g is one numpy maximum over the table.
-    envelope.minimize walks g down, each evaluation being one step, and
-    mixing the (Q, R, P) points of its final pair so that S = 0 gives an
-    optimal balanced mechanism.  The pair's menus are
-    read from the cut indices that scored them in the table, so one tie
-    rule assigns every buyer.  When no kink menu has slack above
-    DEFAULT_TOL * slack_scale(d, rho) the dual is unbounded, and the
-    welfare-best row whose slack is within eps_bal = 1e-12 *
-    slack_scale(d, rho) of 0 is returned with y_star = inf.
+    the upper envelope of the lines of one rho-free table (_kink_table),
+    one per kink menu plus the Q -> 1 limit (W = u_bar, S = -rho).
+    envelope.solve_at walks g down at rho, each evaluation being one
+    numpy maximum over the table, and mixing the (Q, R, P) points of its
+    final pair so that S = 0 gives an optimal balanced mechanism.  The
+    pair's menus are read from the cut indices that scored them in the
+    table, so one tie rule assigns every buyer.  When no kink menu has
+    slack the dual is unbounded, and solve_at's welfare-best balanced row
+    is returned with y_star = inf.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
@@ -472,20 +452,15 @@ def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
 
 def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> ScreeningSolution:
     """solve_screening at rho from d's table, for checked arguments."""
-    S = tab.slack(rho)
     scale = slack_scale(d, rho)
-    eps_bal = 1e-12 * scale
-    found = minimize(tab.W, S, DEFAULT_TOL * scale)
-    if found is None:
-        # The welfare-best balanced row (|S| <= eps_bal, as in _mix) but the limit row.
-        best = best_balanced(tab.W[:-1], S[:-1], tab.kink[:-1], eps_bal)
-        return _build_solution(math.inf, _table_line(tab, best, d, rho), d, rho, 0)
-    pos, neg, steps, _ = found
+    _, pos, neg, steps, y = solve_at(tab, rho, scale)
+    if steps == 0:
+        return _build_solution(y, _table_line(tab, pos, d, rho), d, rho, 0)
     # The pair's lines from their menus, as the mix uses them; their
-    # crossing is the one the mix balances.
+    # crossing is the one the mix balances, within solve_at's eps_bal.
     a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
     y = (b.W - a.W) / (a.S - b.S)
-    return _build_solution(y, _mix(a, b, eps_bal, d, rho), d, rho, steps)
+    return _build_solution(y, _mix(a, b, 1e-12 * scale, d, rho), d, rho, steps)
 
 
 def verify_structure(sol: ScreeningSolution) -> bool:

@@ -1,0 +1,174 @@
+"""Named mutations of the program, and the tests that must catch them.
+
+Each entry names a file, an exact old text in it, the new text that
+replaces it, and the ids of the tests that must each fail under it (an
+id without parameters stands for all of its parametrizations).  pytest
+does not collect this file; tests/test_mutants.py checks that every old
+text occurs exactly once, so code that moves takes its mutants with it.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+For each mutant the tree is copied to a temporary directory, the
+mutation applied there, and the mutant's tests run under a wall budget
+of BUDGET_S.  Each line reads caught, survived or timed out, with the
+wall time; a time-out is not a catch.  The exit status is 0 only if
+every mutant is caught.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+BUDGET_S = 120.0
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "balanced scan by argmax",
+        "src/upkeep/envelope.py",
+        "    best = rows[0]\n"
+        "    for i in rows[1:]:\n"
+        "        if W[i] > W[best] + eps_bal:\n"
+        "            best = i\n",
+        "    best = rows[W[rows].argmax()]\n",
+        (
+            "tests/test_identity.py::test_solutions_are_bit_identical[participation/integer]",
+            "tests/test_envelope.py::test_solve_at_scans_balanced_rows_kink_by_kink",
+        ),
+    ),
+    Mutant(
+        "participation scan keeps the limit row",
+        "src/upkeep/participation.py",
+        "scan = np.s_[:-1, -1]",
+        "scan = np.s_[:, -1]",
+        ("tests/test_envelope.py::test_solve_at_never_returns_the_limit_row",),
+    ),
+    Mutant(
+        "flat tables' scan keeps the limit row",
+        "src/upkeep/envelope.py",
+        "scan = np.s_[:-1]",
+        "scan = np.s_[:]",
+        ("tests/test_envelope.py::test_solve_at_never_returns_the_limit_row",),
+    ),
+    Mutant(
+        "float pivot keeps the pivot row's factor",
+        "src/upkeep/oracle.py",
+        "            fc[row] = 0.0\n",
+        "",
+        (
+            "tests/test_acceptance.py::test_criterion_3_screening_golden",
+            "tests/test_oracle.py::test_simplex_matches_the_tableau_reference",
+        ),
+    ),
+    Mutant(
+        "Fraction pivot row over cols[:-1]",
+        "src/upkeep/oracle.py",
+        "T[row, cols] /= T[row, col]",
+        "T[row, cols[:-1]] /= T[row, col]",
+        ("tests/test_oracle.py::test_simplex_matches_the_tableau_reference",),
+    ),
+    Mutant(
+        "Fraction pivot row over cols[1:]",
+        "src/upkeep/oracle.py",
+        "T[row, cols] /= T[row, col]",
+        "T[row, cols[1:]] /= T[row, col]",
+        ("tests/test_oracle.py::test_simplex_matches_the_tableau_reference",),
+    ),
+    Mutant(
+        "breaks window slice from the right",
+        "src/upkeep/sim.py",
+        "i = breaks.searchsorted(w_start)",
+        'i = breaks.searchsorted(w_start, side="right")',
+        ("tests/test_sim.py::test_events_at_the_window_start_are_inside_it",),
+    ),
+    Mutant(
+        "first best without the atom snap",
+        "src/upkeep/participation.py",
+        "    y = _snapped(y, d)\n",
+        "",
+        ("tests/test_first_best.py::test_own_finish_matches_participations_finish",),
+    ),
+    Mutant(
+        "first best's column by bisect_right",
+        "src/upkeep/participation.py",
+        "fa = lines.rev.item(0, bisect_left(lines.costs, y))",
+        "fa = lines.rev.item(0, bisect_right(lines.costs, y))",
+        (
+            "tests/test_first_best.py::test_own_finish_matches_participations_finish",
+            "tests/test_identity.py::test_solutions_are_bit_identical[first_best/integer]",
+        ),
+    ),
+)
+
+
+def _failed_ids(output: str) -> set[str]:
+    """The ids on the FAILED and ERROR lines of pytest's short summary."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE))
+
+
+def _caught(test_id: str, failed: set[str]) -> bool:
+    return test_id in failed or any(f.startswith(test_id + "[") for f in failed)
+
+
+def run(m: Mutant) -> tuple[str, float]:
+    """('caught' | 'survived' | 'timed out', wall seconds) of one mutant,
+    run in a fresh copy of the tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
+        target = tree / m.path
+        text = target.read_text()
+        if text.count(m.old) != 1:
+            raise ValueError(f"{m.name}: old text occurs {text.count(m.old)} times in {m.path}")
+        target.write_text(text.replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *m.tests]
+        start = time.perf_counter()
+        # A session of its own, so that a time-out also stops what the
+        # tests started.
+        proc = subprocess.Popen(
+            cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, start_new_session=True,
+        )
+        try:
+            output, _ = proc.communicate(timeout=BUDGET_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return "timed out", time.perf_counter() - start
+        wall = time.perf_counter() - start
+        failed = _failed_ids(output)
+        return ("caught" if all(_caught(t, failed) for t in m.tests) else "survived"), wall
+
+
+def main() -> int:
+    ok = True
+    for m in MUTANTS:
+        verdict, wall = run(m)
+        ok &= verdict == "caught"
+        print(f"{verdict:<9}  {wall:6.1f} s of {BUDGET_S:.0f}  {m.name}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -191,7 +191,7 @@ def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSo
     would allow, such as the pair's rows always being 0 and 1.
     """
     lines = _kink_lines(d, may_exit=False)
-    kinks, W, S = lines.kinks, lines.W, lines.slack(rho)
+    W, S = lines.W, lines.slack(rho)
     pos, neg, iterations, y = minimize(W.ravel(), S.ravel(), 0.0)
     for t in d.types:
         if abs(t.c - y) <= ATOM_SNAP * max(1.0, t.c):
@@ -204,7 +204,7 @@ def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSo
         band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
         lo_c, hi_c = min(band), max(band)
     Q, frac = _balanced_point(
-        kinks, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c), pos_row, neg_row, 0.0
+        lines.qs, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c), pos_row, neg_row, 0.0
     )
     P = {}
     for t in d.types:

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -14,9 +13,10 @@ from upkeep import (
     solve_screening,
     verify_structure,
 )
-from upkeep.envelope import minimize
+from upkeep import envelope
+from upkeep.envelope import Lines, minimize, solve_at
 from upkeep.model import kink_uptimes
-from upkeep.participation import _kink_lines
+from upkeep.participation import _KinkLines, _kink_lines
 from upkeep.screening import _kink_table, _table_line
 from conftest import KINDS, kinded_distribution
 from reference import (
@@ -91,6 +91,64 @@ def test_a_nan_slack_is_not_the_infinite_branch():
         minimize(W, S, 0.0)
 
 
+def _hand_built(W, off, kink, qs, rho):
+    # A flat table, as screening's, whose slack at rho is exactly 0 where
+    # off is 0 and about -1 where it is 1; at Q = 1 the limit line, rev = 0
+    # and S = -rho.
+    qs = np.array(qs)
+    q = qs[kink]
+    return Lines(np.array(W), np.where(q == 1.0, 0.0, q * rho - np.array(off)), kink, qs=qs)
+
+
+def _participation_shaped(W, off, qs, rho):
+    # One row per kink, as participation's, with its scan.
+    kink = np.arange(len(qs)).repeat(len(W[0])).reshape(len(qs), -1)
+    flat = _hand_built(W, off, kink, qs, rho)
+    return _KinkLines(flat.W, flat.rev, flat.kink, [], [], qs=flat.qs)
+
+
+@pytest.mark.parametrize("rho", [1e-13, 9e-13])
+def test_solve_at_never_returns_the_limit_row(rho):
+    # Below eps_bal = 1e-12 * scale the limit row balances and has the
+    # highest welfare of the balanced rows, but it is no mechanism: each
+    # solver's scan leaves it out of the infinite branch.
+    qs = [0.0, 0.5, 1.0]
+    flat = _hand_built([0.0, 1.0, 3.0, 2.0], [0, 0, 1, 0], np.array([0, 1, 1, 2]), qs, rho)
+    W, off = [[0.0, 0.0], [0.5, 1.0], [2.0, 2.0]], [[0, 0], [1, 0], [0, 0]]
+    table = _participation_shaped(W, off, qs, rho)
+    for lines in (flat, table):
+        balanced = np.abs(lines.slack(rho)) <= 1e-12
+        assert balanced.flat[-1] and lines.W.flat[-1] == lines.W[balanced].max()
+        assert solve_at(lines, rho, 1.0)[1:] == (1, 1, 0, math.inf)
+
+
+def test_solve_at_scans_balanced_rows_kink_by_kink():
+    # Rows out of kink order: the scan starts at kink 0 (row 3), takes
+    # kink 1 (row 1) for a welfare higher by more than eps_bal = 1e-12,
+    # and keeps it against kink 2 (row 2), higher by less, and kink 3
+    # (row 0), an exact tie.  Row 4 is the welfare-best but does not
+    # balance.  At 2e-12 higher, kink 2 wins.
+    qs, rho = [0.0, 0.25, 0.5, 0.75, 1.0], 0.5
+    kink = np.array([3, 1, 2, 0, 2, 4])
+    for gap, best in ((0.5e-12, 1), (2e-12, 2)):
+        W = [1.0, 1.0, 1.0 + gap, 0.0, 5.0, 2.0]
+        lines = _hand_built(W, [0, 0, 0, 0, 1, 0], kink, qs, rho)
+        assert solve_at(lines, rho, 1.0)[1:] == (best, best, 0, math.inf)
+
+
+def test_solve_at_takes_participations_row_from_the_saturated_column():
+    # The other columns balance at kink 1 with more welfare, and the
+    # answer is still the saturated column's welfare-best balanced row:
+    # kink 0 while that column's kink-1 row does not balance, kink 1 once
+    # it does.
+    qs, rho = [0.0, 0.5, 1.0], 0.5
+    W = [[0.0, 0.0, 0.0], [4.0, 3.0, 1.0], [2.0, 2.0, 2.0]]
+    for off, best in ((1, 0), (0, 1)):
+        lines = _participation_shaped(W, [[0, 0, 0], [0, 0, off], [0, 0, 0]], qs, rho)
+        S, *found = solve_at(lines, rho, 1.0)
+        assert found == [best, best, 0, math.inf] and S[best, -1] == 0.0
+
+
 def _tiny_masses():
     return TypeDistribution(
         (AgentType("A", 1e12, 1.0, 1e-15), AgentType("B", 5e11, 2.0, 2e-15))
@@ -99,19 +157,16 @@ def _tiny_masses():
 
 @pytest.mark.parametrize("kind", [*KINDS, "tiny_masses"])
 def test_every_table_ends_in_its_limit_line(kind, monkeypatch):
-    # Each solver hands envelope.minimize a table whose last line is the
-    # limit line, and screening's stored limit row reads as Q = 1 with
-    # free full access.  First best's table goes through participation's
-    # minimize.
-    last = {}
-    for name in ("participation", "screening"):
-        module = importlib.import_module(f"upkeep.{name}")
+    # Each solver hands envelope.minimize, through envelope.solve_at, a
+    # table whose last line is the limit line, and screening's stored
+    # limit row reads as Q = 1 with free full access.
+    last = []
 
-        def record(W, S, eps, name=name, inner=module.minimize):
-            last[name] = (W[-1], S[-1])
-            return inner(W, S, eps)
+    def record(W, S, eps, inner=envelope.minimize):
+        last.append((W[-1], S[-1]))
+        return inner(W, S, eps)
 
-        monkeypatch.setattr(module, "minimize", record)
+    monkeypatch.setattr(envelope, "minimize", record)
     rng = np.random.default_rng(59)
     for n in (2, 7):
         d = _tiny_masses() if kind == "tiny_masses" else kinded_distribution(rng, kind, n)
@@ -119,12 +174,10 @@ def test_every_table_ends_in_its_limit_line(kind, monkeypatch):
         for rho in (1e-14, 1e-13, 0.3 * d.total_mass, 20.0 * d.total_mass):
             last.clear()
             solve_first_best(d, rho)
-            last["first_best"] = last.pop("participation")
             solve_participation(d, rho)
             solve_screening(d, rho)
-            assert last == dict.fromkeys(
-                ("first_best", "participation", "screening"), (d.u_bar, -rho)
-            )
+            # first best, participation and screening, in that order
+            assert last == [(d.u_bar, -rho)] * 3
             for table in (fb_lines, lines):
                 assert table.W[-1, -1] == d.u_bar and table.slack(rho)[-1, -1] == -rho
             assert tab.W[-1] == d.u_bar and tab.slack(rho)[-1] == -rho
@@ -145,7 +198,7 @@ def test_kink_lines_match_reduced_lagrangian(kind):
         rho = float(d.total_mass * rng.uniform(0.1, 3.0))
         kinks = kink_uptimes(d)
         lines = _kink_lines(d)
-        assert lines.kinks == kinks
+        assert lines.qs.tolist() == kinks
         W, S = lines.W, lines.slack(rho)
         assert W.shape == S.shape == (len(kinks), n + 1)
         assert W[-1].tolist() == [d.u_bar] * (n + 1)

@@ -386,7 +386,7 @@ def test_uptime_lies_between_the_final_pair_kinks(monkeypatch):
         pairs.append(found)
         return found
 
-    monkeypatch.setattr(upkeep.participation, "minimize", recording)
+    monkeypatch.setattr(upkeep.envelope, "minimize", recording)
     finite = 0
     for d, rho in _pair_cases():
         pairs.clear()
@@ -415,7 +415,7 @@ def test_residual_columns_are_concave_and_saturated_welfare_convex():
         lines = upkeep.participation._kink_lines(d)
         S, W = lines.slack(rho), lines.W[:, -1:]
         assert not S[0].any() and not W[0].any()
-        q = lines.q
+        q = lines.qs[:, None]
         lo, hi = q[1:-1] - q[:-2], q[2:] - q[1:-1]
 
         def above_chord(f):
@@ -526,8 +526,8 @@ def test_infinite_branch_takes_the_welfare_best_balanced_row():
             W, S = lines.W[:-1, -1], lines.slack(rho)[:-1, -1]
             eps_bal = 1e-12 * slack_scale(d, rho)
             balanced = np.abs(S) <= eps_bal
-            Q = sol.Q_star
-            assert Q in lines.kinks[:-1] and balanced[lines.kinks.index(Q)]
+            Q, kinks = sol.Q_star, lines.qs.tolist()
+            assert Q in kinks[:-1] and balanced[kinks.index(Q)]
             assert abs(sol.W_star - W[balanced].max()) <= eps_bal
             assert all(sol.mechanism.P[t.id] == min(1.0 - Q, Q * t.nu) for t in d.types)
             solves += 1
