@@ -19,8 +19,9 @@ going to the seller-preferred bundle whatever the buyer's mass, so tied
 valuations share a bundle.  Each menu's revenue and welfare then come
 from cut indices and prefix sums of mass, mass * u and mass * c: O(n^2)
 numpy work per kink, in blocks of kinks.  One function (_cuts) finds
-those indices, and the table stores them, so the final menus are read
-from the indices that scored them.
+those indices, and the table stores them with each kink's padded
+valuations, so the final menus are read from the indices and atoms that
+scored them.
 """
 
 from __future__ import annotations
@@ -202,22 +203,24 @@ class _KinkTable(Lines):
     """Every candidate menu at every kink uptime Q < 1, then the limit,
     one row of Lines each.
 
-    Row 0 is Q = 0, where every menu sells nothing.  Then, one block of
-    kinks at a time, come the block's posted prices and then its two-atom
-    menus, each kink by kink in _menu_candidates order (a repeated
-    valuation repeats its menus), so a first maximum among one kink's
-    rows breaks ties the way bounded_monopoly_solve does; across kinks
-    exact ties are left to row order.  A row names its menu by indices into
-    its kink's padded valuations pad = (0, v_1, ..., v_n, 1), v sorted
-    ascending: hi = -1 is the posted price min(pad[lo], 1), otherwise the
-    menu has its low atom at pad[lo] and its high atom at pad[hi]; lo = -1
-    is the opt-out alone.  The last row, at the last kink Q = 1, is the
-    limit, where everyone has full access for free: W = u_bar, rev = 0.
-    cut, top0 and top1 are the row's cut indices from _cuts, which
-    scored it; the first and last rows, which name no menu, hold n.
-    nu holds the valuations sorted ascending, and rank[j] is the place
-    of d.types[j] among them.  The six index columns (kink to top1) have
-    the narrowest signed dtype that holds n + 2 (_index_dtype).
+    Row 0 is Q = 0, where every menu sells nothing: it opts out.  Then,
+    one block of kinks at a time, come the block's posted prices and then
+    its two-atom menus, each kink by kink in _menu_candidates order (a
+    repeated valuation repeats its menus), so a first maximum among one
+    kink's rows breaks ties the way bounded_monopoly_solve does; across
+    kinks exact ties are left to row order.  A row names its menu by
+    indices into its kink's padded valuations pad[kink] = (0, v_1, ...,
+    v_n, 1), v sorted ascending: hi = -1 is the posted price
+    min(pad[kink, lo], 1), otherwise the menu has its low atom at
+    pad[kink, lo] and its high atom at pad[kink, hi]; lo = -1 is the
+    opt-out alone.  The last row, at the last kink Q = 1, is the limit:
+    the posted price pad[last, 0] = 0, which every buyer takes, so
+    everyone has full access for free: W = u_bar, rev = 0.  cut, top0 and
+    top1 are the row's cut indices from _cuts, which scored it; row 0
+    holds n.  pad is 0 at the first and last kinks, and rank[j] is the
+    place of d.types[j] among the sorted valuations.  The six index
+    columns (kink to top1) have the narrowest signed dtype that holds
+    n + 2 (_index_dtype).
     """
 
     lo: np.ndarray
@@ -225,8 +228,16 @@ class _KinkTable(Lines):
     cut: np.ndarray
     top0: np.ndarray
     top1: np.ndarray
-    nu: np.ndarray
+    pad: np.ndarray
     rank: np.ndarray
+
+
+def _tier(low, high=None) -> tuple:
+    """(r, pay) of a menu's tier at low: the posted price low at full
+    access or, given high, the low atom's tier of the two-atom menu whose
+    top tier (1, 1) the valuation high is indifferent to."""
+    r = 1.0 if high is None else (high - 1.0) / (high - low)
+    return r, r * low
 
 
 def _cuts(nu: np.ndarray, ratio: np.ndarray, eps: np.ndarray, k, low, high=None) -> tuple:
@@ -249,8 +260,7 @@ def _cuts(nu: np.ndarray, ratio: np.ndarray, eps: np.ndarray, k, low, high=None)
     cut index into the sorted buyers, found by searchsorted in nu-space.
     """
     e, scale = eps[k], ratio[k]
-    r = 1.0 if high is None else (high - 1.0) / (high - low)
-    pay = r * low
+    r, pay = _tier(low, high)
     slack = e / r
     cut = nu.searchsorted(np.where(pay > 0.0, low - slack, low + slack) / scale)
     if high is None:
@@ -274,12 +284,14 @@ def _index_dtype(n: int) -> np.dtype:
 def _score_kinks(
     qs: np.ndarray, nu: np.ndarray, cum: np.ndarray, dtype: np.dtype
 ) -> tuple[np.ndarray, ...]:
-    """(W, rev, index) of every posted price and two-atom menu at a block
-    of kinks qs in (0, 1), where index stacks the rows' kink (counted
-    from the block's first), lo, hi, cut, top0 and top1 in dtype; nu is
-    sorted and cum holds the prefix sums of mass, mass * u and mass * c
-    in that order.  Buyers are assigned by _cuts, so each menu's revenue
-    and welfare are differences of cum at its cut indices.
+    """(W, rev, index, pad) of every posted price and two-atom menu at a
+    block of kinks qs in (0, 1), where index stacks the rows' kink
+    (counted from the block's first), lo, hi, cut, top0 and top1 in dtype,
+    and pad holds the block's padded valuations, a row per kink, which lo
+    and hi index; nu is sorted and cum holds the prefix sums of mass,
+    mass * u and mass * c in that order.  Buyers are assigned by _cuts, so
+    each menu's revenue and welfare are differences of cum at its cut
+    indices.
     """
     k_n, n = qs.size, nu.size
     ratio = qs / (1.0 - qs)
@@ -312,7 +324,7 @@ def _score_kinks(
     W = q * (r * in_low[1] + in_top[1]) - (1.0 - q) * (pay * in_low[2] + in_top[2])
     lo = np.concatenate([lp, lo])
     hi = np.concatenate([np.array(-1).repeat(kp.size), hi])
-    return W, rev, np.array((k, lo, hi, cut, top0, top1), dtype)
+    return W, rev, np.array((k, lo, hi, cut, top0, top1), dtype), pad
 
 
 def _kink_table(d: TypeDistribution) -> _KinkTable:
@@ -328,58 +340,44 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
     # a dtype too narrow for it.
     dtype = _index_dtype(nu.size)
     n, last = nu.size, qs.size - 1
-    # Row 0 and the limit row name no menu: lo = hi = -1, cuts at n.
-    parts = [(np.zeros(1), np.zeros(1), np.array([0, -1, -1, n, n, n], dtype)[:, None])]
+    edge = np.zeros((1, n + 2))
+    # Row 0 opts out (lo = hi = -1, cuts at n).
+    parts = [(np.zeros(1), np.zeros(1), np.array([0, -1, -1, n, n, n], dtype)[:, None], edge)]
     step = max(1, _BLOCK_CELLS // (n + 1) ** 2)
     for first in range(1, last, step):
-        W, rev, index = _score_kinks(qs[first : min(first + step, last)], nu, cum, dtype)
+        W, rev, index, pad = _score_kinks(qs[first : min(first + step, last)], nu, cum, dtype)
         index[0] += first
-        parts.append((W, rev, index))
-    limit = np.array([last, -1, -1, n, n, n], dtype)[:, None]
-    parts.append((np.array([d.u_bar]), np.zeros(1), limit))
-    W, rev, index = zip(*parts)
+        parts.append((W, rev, index, pad))
+    # The limit row is the posted price pad[last, 0] = 0, which every
+    # buyer takes: everyone is cut to the low tier (1, 0).
+    limit = np.array([last, 0, -1, 0, 0, n], dtype)[:, None]
+    parts.append((np.array([d.u_bar]), np.zeros(1), limit, edge))
+    W, rev, index, pad = zip(*parts)
     return _KinkTable(
         np.concatenate(W),
         np.concatenate(rev),
         *np.concatenate(index, axis=1),
+        np.concatenate(pad),
         qs=qs,
-        nu=nu,
         rank=np.array(by_nu).argsort(),
     )
 
 
 def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Line:
     """The line of table row i, its buyers assigned by the cut indices
-    the table stored for it, and the low tier (r0, pay) formed from its
-    atoms by the float operations of _cuts."""
-    n = tab.nu.size
+    the table stored for it, and the low tier (r0, pay) formed by _tier
+    from the atoms the table stored for its kink."""
     k, lo, hi = tab.kink.item(i), tab.lo.item(i), tab.hi.item(i)
-    q = tab.qs.item(k)
     # (r, p) of each buyer in nu order; the opt-out row sells nothing.
-    bundle = np.zeros((2, n))
-    if k == tab.qs.size - 1:
-        # The limit: everyone has full access for free.
-        bundle[0] = 1.0
-    elif lo >= 0:
-        ratio = q / (1.0 - q)
-
-        def pad(j: int) -> float:
-            # The kink's padded valuations (0, ratio * nu, 1), as
-            # _score_kinks formed them: 1 at a buyer's own kink.
-            v = tab.nu.item(j - 1) if 0 < j <= n else 0.0
-            return 1.0 if j > n or q == 1.0 / (1.0 + v) else ratio * v
-
-        if hi < 0:
-            r0, pay = 1.0, min(pad(lo), 1.0)
-        else:
-            low, high = pad(lo), pad(hi)
-            r0 = (high - 1.0) / (high - low)
-            pay = r0 * low
+    bundle = np.zeros((2, tab.rank.size))
+    if lo >= 0:
+        low = tab.pad.item(k, lo)
+        r0, pay = _tier(min(low, 1.0)) if hi < 0 else _tier(low, tab.pad.item(k, hi))
         cut, top0, top1 = tab.cut.item(i), tab.top0.item(i), tab.top1.item(i)
         bundle[:, top0:cut] = bundle[:, top1:] = 1.0
         bundle[0, cut:top1], bundle[1, cut:top1] = r0, pay
     r, p = bundle[:, tab.rank]
-    return _line(q, r, p, d, rho)
+    return _line(tab.qs.item(k), r, p, d, rho)
 
 
 def _mix(a: _Line, b: _Line, eps_bal: float, d: TypeDistribution, rho: float) -> _Line:

@@ -118,6 +118,65 @@ MUTANTS = (
             "tests/test_identity.py::test_solutions_are_bit_identical[first_best/integer]",
         ),
     ),
+    Mutant(
+        "limit row stored with cut n",
+        "src/upkeep/screening.py",
+        "limit = np.array([last, 0, -1, 0, 0, n], dtype)",
+        "limit = np.array([last, 0, -1, n, 0, n], dtype)",
+        ("tests/test_screening.py::test_limit_row_names_free_full_access",),
+    ),
+    Mutant(
+        "final menu read from the previous kink's pads",
+        "src/upkeep/screening.py",
+        "low = tab.pad.item(k, lo)",
+        "low = tab.pad.item(k - 1, lo)",
+        ("tests/test_screening.py::test_kink_table_matches_inner_solve_and_menus",),
+    ),
+    Mutant(
+        "final menu without its [top0, cut) top-tier segment",
+        "src/upkeep/screening.py",
+        "bundle[:, top0:cut] = bundle[:, top1:] = 1.0",
+        "bundle[:, top1:] = 1.0",
+        ("tests/test_screening.py::test_kink_table_matches_inner_solve_and_menus",),
+    ),
+    Mutant(
+        "slack written into rev",
+        "src/upkeep/envelope.py",
+        "return np.subtract(self.rev, S, out=S)",
+        "return np.subtract(self.rev, S, out=self.rev)",
+        (
+            "tests/test_sweep.py::test_sweep_equals_independent_solves",
+            "tests/test_screening.py::test_final_menus_are_read_from_the_stored_cuts",
+        ),
+    ),
+    Mutant(
+        "sweep solves screening per rho",
+        "src/upkeep/cli.py",
+        "ic = _screening_at(ic_table, d, rho)",
+        "ic = solve_screening(d, rho)",
+        ("tests/test_sweep.py::test_sweep_builds_each_table_once",),
+    ),
+    Mutant(
+        "Poisson engine passes no positions",
+        "src/upkeep/sim.py",
+        "breaks, fix_times, times[used], starts_working, positions=(pos, fix)",
+        "breaks, fix_times, times[used], starts_working",
+        ("tests/test_sim.py::test_tied_stream_admissibility_can_fail",),
+    ),
+    Mutant(
+        "walk stops on a pair member's index",
+        "src/upkeep/envelope.py",
+        "or g in (values.item(pos), values.item(neg)):",
+        "or top in (pos, neg):",
+        ("tests/test_envelope.py::test_walk_stops_on_a_repeated_limit_line",),
+    ),
+    Mutant(
+        "same-kink band switched off",
+        "src/upkeep/participation.py",
+        "if pos_row == neg_row and y_star not in costs:",
+        "if False:",
+        ("tests/test_participation.py::test_pair_on_one_kink_with_a_crossing_off_every_atom",),
+    ),
 )
 
 

@@ -427,6 +427,45 @@ def test_kink_table_matches_inner_solve_and_menus():
     assert free_tier_best > 0
 
 
+def _tables():
+    """(distribution, rho, its kink table) over _table_cases() and the
+    identity corpus."""
+    for d, rho in _table_cases():
+        yield d, rho, _kink_table(d)
+    for _, d, rho in corpus():
+        yield d, rho, _kink_table(d)
+
+
+def test_stored_pads_are_each_kinks_padded_valuations():
+    # _table_line reads its atoms from tab.pad, so each interior kink's
+    # row must be the padded valuations that scored it, recomputed here
+    # buyer by buyer as table_row_menu forms them: exactly 1 at a
+    # buyer's own kink.
+    for d, _, tab in _tables():
+        nus = sorted(t.nu for t in d.types)
+        assert tab.pad.shape == (tab.qs.size, len(nus) + 2)
+        for k in range(1, tab.qs.size - 1):
+            q = tab.qs.item(k)
+            ratio = q / (1.0 - q)
+            pad = [0.0] + [1.0 if q == 1.0 / (1.0 + nu) else nu * ratio for nu in nus] + [1.0]
+            assert tab.pad[k].tolist() == pad
+
+
+def test_limit_row_names_free_full_access():
+    # The limit row is the posted price 0 at Q = 1, which every buyer
+    # takes: full access for free, with welfare u_bar and slack -rho.
+    for d, rho, tab in _tables():
+        n, last = len(d.types), tab.W.size - 1
+        assert tab.kink[last] == tab.qs.size - 1 and tab.qs[-1] == 1.0
+        stored = (tab.lo[last], tab.hi[last], tab.cut[last], tab.top0[last], tab.top1[last])
+        assert stored == (0, -1, 0, 0, n)
+        assert tab.pad[-1, 0] == 0.0
+        line = _table_line(tab, last, d, rho)
+        assert line.Q == 1.0
+        assert line.r.tolist() == [1.0] * n and line.p.tolist() == [0.0] * n
+        assert line.W == d.u_bar and line.S == -rho
+
+
 def test_solve_path_never_scores_menus_buyer_by_buyer(monkeypatch):
     # The table's cut rule is the only buyer assignment on the solve path.
     def forbidden(*args):
@@ -593,11 +632,11 @@ def test_a_buyer_values_its_own_kink_at_exactly_1():
     # at it charges exactly 1.
     posted = 0
     for _, d, rho in corpus():
-        tab = _kink_table(d)
-        n = tab.nu.size
+        tab, nu = _kink_table(d), np.sort([t.nu for t in d.types])
+        n = nu.size
         # own[j] is the kink of pad index j, -1 for the pads 0 and 1.
         own = np.full(n + 2, -1)
-        own[1:-1] = tab.qs.searchsorted(1.0 / (1.0 + tab.nu))
+        own[1:-1] = tab.qs.searchsorted(1.0 / (1.0 + nu))
         pair = tab.hi >= 0
         assert not np.any(own[tab.lo[pair]] == tab.kink[pair])
         assert not np.any(own[tab.hi[pair]] == tab.kink[pair])
@@ -641,14 +680,14 @@ def test_pair_atoms_lie_strictly_either_side_of_1(nu_a, nu_b, nu_z):
             AgentType("Z", nu_z, 1.0, 1.0),
         )
     )
-    tab = _kink_table(d)
-    n = tab.nu.size
+    tab, nu = _kink_table(d), np.sort([t.nu for t in d.types])
+    n = nu.size
 
     def pad(i: int, j: int) -> float:
         q = float(tab.qs[tab.kink[i]])
         if j == 0 or j == n + 1:
             return float(j > 0)
-        v = float(tab.nu[j - 1])
+        v = float(nu[j - 1])
         return 1.0 if q == 1.0 / (1.0 + v) else q / (1.0 - q) * v
 
     pairs = np.flatnonzero(tab.hi >= 0)
