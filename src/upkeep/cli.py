@@ -30,10 +30,10 @@ from .model import (
 )
 from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
 from .participation import (
-    FirstBestSolution, _first_best_at, _kink_lines, _participation_at, solve_first_best,
+    FirstBestSolution, _first_best_at, _kink_lines, _participation_core, solve_first_best,
     solve_participation,
 )
-from .screening import ScreeningSolution, _kink_table, _screening_at, solve_screening
+from .screening import ScreeningSolution, _kink_table, _screening_core, solve_screening
 from .sim import build_policy, simulate_fluid, simulate_poisson
 
 EXIT_OK = 0
@@ -254,7 +254,8 @@ def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]
 
 def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str]:
     # rho enters each solver's dual lines only through their slopes, so
-    # each table is built once and every grid point only walks it.
+    # each table is built once and every grid point only walks it.  A row
+    # prints no labels, so it reads the solves' cores, which build none.
     fb_lines, part_lines = _kink_lines(d, may_exit=False), _kink_lines(d)
     ic_table = _kink_table(d) if include_ic else None
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
@@ -263,11 +264,11 @@ def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str
     lines = [header]
     for rho in grid.values():
         fb = _first_best_at(fb_lines, d, rho)
-        part = _participation_at(part_lines, d, rho)
-        cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
+        part = _participation_core(part_lines, d, rho)
+        cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y, part.Q, part.W]
         if ic_table is not None:
-            ic = _screening_at(ic_table, d, rho)
-            cells += [ic.y_star, ic.Q_star, ic.W_star]
+            ic = _screening_core(ic_table, d, rho)
+            cells += [ic.y, ic.Q, ic.W]
         lines.append(",".join(map(fmt, cells)))
     return lines
 
@@ -352,9 +353,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         return _fail(EXIT_VALIDATION, exc)
 
+    # Read as bytes and decoded once: str.splitlines in _significant ends
+    # lines at \r\n and a lone \r as universal newlines would.
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.input, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_PARSE, f"cannot read input: {exc}")
 

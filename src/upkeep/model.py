@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 DEFAULT_TOL = 1e-9
@@ -69,9 +68,12 @@ class AgentType:
 class TypeDistribution:
     """An ordered collection of agent types with distinct ids.
 
-    total_mass, u_bar and c_bar are summed in type order once, when the
-    distribution is validated, and cached: they are not fields, so eq,
-    hash and repr see only the types, and dataclasses.replace sums anew.
+    total_mass (the types' summed mass), u_bar (aggregate usage benefit
+    of a working machine) and c_bar (aggregate contribution cost of a
+    fully contributing group) are summed in type order once, when the
+    distribution is validated, and set as plain attributes: they are not
+    fields, so eq, hash and repr see only the types, and
+    dataclasses.replace sums anew.
     """
 
     types: tuple[AgentType, ...]
@@ -80,27 +82,19 @@ class TypeDistribution:
         ids = [t.id for t in self.types]
         if len(set(ids)) != len(ids):
             raise ValueError("type ids must be distinct")
-        if not self.types or self.total_mass <= 0:
+        sums = {
+            "total_mass": sum(t.mass for t in self.types),
+            "u_bar": sum(t.mass * t.u for t in self.types),
+            "c_bar": sum(t.mass * t.c for t in self.types),
+        }
+        if sums["total_mass"] <= 0:
             raise DegenerateDistributionError(
                 "distribution needs at least one type with mass > 0"
             )
-        for name in ("total_mass", "u_bar", "c_bar"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in sums.items():
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-
-    @cached_property
-    def total_mass(self) -> float:
-        return sum(t.mass for t in self.types)
-
-    @cached_property
-    def u_bar(self) -> float:
-        """Aggregate usage benefit of a working machine."""
-        return sum(t.mass * t.u for t in self.types)
-
-    @cached_property
-    def c_bar(self) -> float:
-        """Aggregate contribution cost of a fully contributing group."""
-        return sum(t.mass * t.c for t in self.types)
+            object.__setattr__(self, name, value)
 
     @property
     def ids(self) -> tuple[str, ...]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 import numpy as np
 
@@ -193,36 +193,45 @@ def _balanced_point(
     return Q, min(max(0.0, -r_without / gap), 1.0) if gap > eps else 0.0
 
 
-def _solution(
-    d: TypeDistribution, rho: float, Q: float, y: float,
+class _Core(NamedTuple):
+    """A participation solve at rho before its labels: threshold, uptime,
+    welfare, mechanism and walk steps, as in ParticipationSolution, and
+    each type's share of its cap, in d.types order, which with the
+    marginal fraction is all that the classes read (_classes)."""
+
+    y: float
+    Q: float
+    W: float
+    mechanism: Mechanism
+    iterations: int
+    shares: list[float]
+    marginal_fraction: float
+
+
+def _core(
+    d: TypeDistribution, Q: float, y: float,
     lo_c: float, hi_c: float, frac: float, iterations: int,
-) -> ParticipationSolution:
-    """The solution at uptime Q and threshold y in which each type
+) -> _Core:
+    """The solve at uptime Q and threshold y in which each type
     contributes a share of its cap: 1 if its cost is below lo_c, frac if
-    its cost is in [lo_c, hi_c], and 0 above.  The share and the type's
-    own kink 1 / (1 + nu), as kink_uptimes forms it, give its class."""
-    P: dict[str, float] = {}
-    classes: dict[str, TypeClass] = {}
-    for t in d.types:
-        share = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
-        P[t.id] = p = min(1.0 - Q, Q * t.nu) * share
-        classes[t.id] = (
-            "NONE" if p == 0.0
-            else "MARGINAL" if share < 1.0
-            else "FULL" if Q >= 1.0 / (1.0 + t.nu)
-            else "BOUND"
-        )
+    its cost is in [lo_c, hi_c], and 0 above."""
+    shares = [1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0 for t in d.types]
+    P = {t.id: min(1.0 - Q, Q * t.nu) * s for t, s in zip(d.types, shares)}
     mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
-    return ParticipationSolution(
-        y_star=y,
-        Q_star=Q,
-        W_star=welfare(mech, d),
-        mechanism=mech,
-        classes=classes,
-        marginal_fraction=frac,
-        iterations=iterations,
-        rho=rho,
-    )
+    return _Core(y, Q, welfare(mech, d), mech, iterations, shares, frac)
+
+
+def _classes(core: _Core, d: TypeDistribution) -> dict[str, TypeClass]:
+    """Each type's class from its level, its share and its own kink
+    1 / (1 + nu), as kink_uptimes forms it."""
+    Q = core.Q
+    return {
+        t.id: "NONE" if p == 0.0
+        else "MARGINAL" if s < 1.0
+        else "FULL" if Q >= 1.0 / (1.0 + t.nu)
+        else "BOUND"
+        for t, s, p in zip(d.types, core.shares, core.mechanism.P.values())
+    }
 
 
 def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolution:
@@ -252,11 +261,26 @@ def _participation_at(
     lines: _KinkLines, d: TypeDistribution, rho: float
 ) -> ParticipationSolution:
     """solve_participation at rho from d's lines, for checked arguments."""
+    core = _participation_core(lines, d, rho)
+    return ParticipationSolution(
+        y_star=core.y,
+        Q_star=core.Q,
+        W_star=core.W,
+        mechanism=core.mechanism,
+        classes=_classes(core, d),
+        marginal_fraction=core.marginal_fraction,
+        iterations=core.iterations,
+        rho=rho,
+    )
+
+
+def _participation_core(lines: _KinkLines, d: TypeDistribution, rho: float) -> _Core:
+    """_participation_at without the classes."""
     scale = slack_scale(d, rho)
     S, pos, neg, iterations, y = solve_at(lines, rho, scale)
     if iterations == 0:
         # Every type saturates its cap at the kink of the scan's row.
-        return _solution(d, rho, lines.qs.item(pos), math.inf, math.inf, math.inf, 0.0, 0)
+        return _core(d, lines.qs.item(pos), math.inf, math.inf, math.inf, 0.0, 0)
     # Marginal rationing applies only at a cost atom.
     y_star = _snapped(y, d)
 
@@ -282,7 +306,7 @@ def _participation_at(
         lines.qs, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
         pos_row, neg_row, _SCAN_RTOL * scale,
     )
-    return _solution(d, rho, Q_star, y_star, lo_c, hi_c, frac, iterations)
+    return _core(d, Q_star, y_star, lo_c, hi_c, frac, iterations)
 
 
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:

@@ -403,29 +403,26 @@ def _mix(a: _Line, b: _Line, eps_bal: float, d: TypeDistribution, rho: float) ->
     return _line(up_a + up_b, r, p, d, rho)
 
 
-def _build_solution(
-    y_star: float,
-    line: _Line,
-    d: TypeDistribution,
-    rho: float,
-    iterations: int,
-) -> ScreeningSolution:
-    """The solution at the line's uptime and levels, with its welfare."""
+class _Core(NamedTuple):
+    """A screening solve at rho before its labels: threshold, uptime,
+    welfare, mechanism and walk steps, as in ScreeningSolution, and the
+    final line's normalized levels r, p in d.types order, which are all
+    that the tiers and the assignment read."""
+
+    y: float
+    Q: float
+    W: float
+    mechanism: Mechanism
+    iterations: int
+    r: np.ndarray
+    p: np.ndarray
+
+
+def _core(y: float, line: _Line, d: TypeDistribution, iterations: int) -> _Core:
+    """The solve at the line's uptime and levels, with its welfare."""
     ids = d.ids
-    levels = list(zip(line.r.tolist(), line.p.tolist()))
-    tiers = sorted(set(levels) - {(0.0, 0.0)}, key=lambda t: (-t[0], -t[1]))
-    index = {level: k for k, level in enumerate(tiers)}
-    return ScreeningSolution(
-        y_star=y_star,
-        Q_star=line.Q,
-        W_star=line.W,
-        mechanism=Mechanism(Q=line.Q, R=dict(zip(ids, line.R)), P=dict(zip(ids, line.P))),
-        tiers=tuple(MenuTier(*level) for level in tiers),
-        assignment={tid: index.get(level) for tid, level in zip(ids, levels)},
-        iterations=iterations,
-        rho=rho,
-        d=d,
-    )
+    mech = Mechanism(Q=line.Q, R=dict(zip(ids, line.R)), P=dict(zip(ids, line.P)))
+    return _Core(y, line.Q, line.W, mech, iterations, line.r, line.p)
 
 
 def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
@@ -450,15 +447,34 @@ def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
 
 def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> ScreeningSolution:
     """solve_screening at rho from d's table, for checked arguments."""
+    core = _screening_core(tab, d, rho)
+    levels = list(zip(core.r.tolist(), core.p.tolist()))
+    tiers = sorted(set(levels) - {(0.0, 0.0)}, key=lambda t: (-t[0], -t[1]))
+    index = {level: k for k, level in enumerate(tiers)}
+    return ScreeningSolution(
+        y_star=core.y,
+        Q_star=core.Q,
+        W_star=core.W,
+        mechanism=core.mechanism,
+        tiers=tuple(MenuTier(*level) for level in tiers),
+        assignment={t.id: index.get(level) for t, level in zip(d.types, levels)},
+        iterations=core.iterations,
+        rho=rho,
+        d=d,
+    )
+
+
+def _screening_core(tab: _KinkTable, d: TypeDistribution, rho: float) -> _Core:
+    """_screening_at without the tiers and the assignment."""
     scale = slack_scale(d, rho)
     _, pos, neg, steps, y = solve_at(tab, rho, scale)
     if steps == 0:
-        return _build_solution(y, _table_line(tab, pos, d, rho), d, rho, 0)
+        return _core(y, _table_line(tab, pos, d, rho), d, 0)
     # The pair's lines from their menus, as the mix uses them; their
     # crossing is the one the mix balances, within solve_at's eps_bal.
     a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
     y = (b.W - a.W) / (a.S - b.S)
-    return _build_solution(y, _mix(a, b, 1e-12 * scale, d, rho), d, rho, steps)
+    return _core(y, _mix(a, b, 1e-12 * scale, d, rho), d, steps)
 
 
 def verify_structure(sol: ScreeningSolution) -> bool:

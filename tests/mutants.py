@@ -152,8 +152,8 @@ MUTANTS = (
     Mutant(
         "sweep solves screening per rho",
         "src/upkeep/cli.py",
-        "ic = _screening_at(ic_table, d, rho)",
-        "ic = solve_screening(d, rho)",
+        "ic = _screening_core(ic_table, d, rho)",
+        "ic = _screening_core(_kink_table(d), d, rho)",
         ("tests/test_sweep.py::test_sweep_builds_each_table_once",),
     ),
     Mutant(
@@ -161,7 +161,7 @@ MUTANTS = (
         "src/upkeep/sim.py",
         "breaks, fix_times, times[used], starts_working, positions=(pos, fix)",
         "breaks, fix_times, times[used], starts_working",
-        ("tests/test_sim.py::test_tied_stream_admissibility_can_fail",),
+        ("tests/test_sim.py::test_tied_stream_flags_fail_when_a_break_may_precede_its_fix",),
     ),
     Mutant(
         "walk stops on a pair member's index",
@@ -176,6 +176,49 @@ MUTANTS = (
         "if pos_row == neg_row and y_star not in costs:",
         "if False:",
         ("tests/test_participation.py::test_pair_on_one_kink_with_a_crossing_off_every_atom",),
+    ),
+    Mutant(
+        "sweep prints the pos line's W, not the mix's",
+        "src/upkeep/screening.py",
+        "    return _core(y, _mix(a, b, 1e-12 * scale, d, rho), d, steps)",
+        "    return _core(y, _mix(a, b, 1e-12 * scale, d, rho)._replace(W=a.W), d, steps)",
+        (
+            "tests/test_cli.py::test_readme_commands_print_pinned_bytes",
+            "tests/test_identity.py::test_solutions_are_bit_identical[screening/plain]",
+        ),
+    ),
+    Mutant(
+        "public participation solve labels every type FULL",
+        "src/upkeep/participation.py",
+        '        t.id: "NONE" if p == 0.0\n'
+        '        else "MARGINAL" if s < 1.0\n'
+        '        else "FULL" if Q >= 1.0 / (1.0 + t.nu)\n'
+        '        else "BOUND"\n',
+        '        t.id: "FULL"\n',
+        (
+            "tests/test_participation.py::test_classes_read_from_each_types_share",
+            "tests/test_acceptance.py::test_criterion_2_participation_golden",
+        ),
+    ),
+    Mutant(
+        "oracle slack loosened to 1e-6",
+        "src/upkeep/oracle.py",
+        "_SLACK = 1e-13 ",
+        "_SLACK = 1e-6 ",
+        (
+            "tests/test_oracle.py::test_screening_oracle_is_exact",
+            "tests/test_oracle.py::test_inexact_screening_lps_are_solved_exactly",
+        ),
+    ),
+    Mutant(
+        "oracle accepts every float answer",
+        "src/upkeep/oracle.py",
+        "        return max(residual.max(), -x.min()) <= _SLACK * max(1.0, b_ub.max())",
+        "        return True",
+        (
+            "tests/test_oracle.py::test_inexact_screening_lps_are_solved_exactly",
+            "tests/test_oracle.py::test_singular_basis_falls_back_to_the_exact_solve",
+        ),
     ),
 )
 

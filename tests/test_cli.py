@@ -357,6 +357,40 @@ def test_readme_commands_print_pinned_bytes(tmp_path, capsys):
     assert digests == README_BYTES
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_give_the_same_bytes(tmp_path, capsys, end):
+    # The input is read as bytes and split by str.splitlines, so a type
+    # table and a mechanism table with \r\n or lone \r line ends give
+    # what they give with \n, on stdout and in an error's line number.
+    types = "# README table\n\n" + EX1
+    assert main(["--mode", "ic", "--input", _written(tmp_path / "t.csv", types), "--rho", "5.5"]) == 0
+    mech = capsys.readouterr().out
+    bad = EX1.replace("M,4,2,1", "M,4,oops,1")
+
+    def outputs(ending):
+        paths = [_written(tmp_path / f"{name}.csv", text.replace("\n", ending))
+                 for name, text in (("types", types), ("mech", mech), ("bad", bad))]
+        sweep = ["--mode", "sweep", "--ic", "--input", paths[0], "--rho-grid", "1:8:16:log"]
+        simulate = ["--mode", "simulate", "--input", paths[1], "--rho", "5.5",
+                    "--seed", "1", "--horizon", "1e4"]
+        parse = ["--mode", "part", "--input", paths[2], "--rho", "5.5"]
+        got = []
+        for argv in (sweep, simulate, parse):
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    expected = outputs("\n")
+    assert [code for code, _, _ in expected] == [EXIT_OK, EXIT_OK, EXIT_PARSE]
+    assert "line 3" in expected[2][2]
+    assert outputs(end) == expected
+
+
+def _written(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
 def test_simulate_rejects_a_mechanism_that_does_not_balance_at_rho(tmp_path, capsys):
     # The README's ic table, solved at rho 5.5, balances there (residual
     # about -1e-12) but not at rho 1, where it would simulate an uptime of

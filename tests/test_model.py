@@ -91,6 +91,25 @@ def test_aggregates_are_cached_type_order_sums():
         assert grown.c_bar == sum(t.mass * t.c for t in grown.types)
 
 
+def test_aggregates_are_plain_attributes_set_at_validation():
+    # The sums are set once by __post_init__, not computed on first
+    # access: the class holds no attribute of their names, each instance
+    # holds its own, and they stay frozen like the fields.
+    names = ("total_mass", "u_bar", "c_bar")
+    d = TypeDistribution((AgentType("a", 2.0, 1.0, 0.5), AgentType("b", 3.0, 4.0, 0.25)))
+    assert not set(names) & vars(TypeDistribution).keys()
+    assert [vars(d)[name] for name in names] == [0.75, 1.75, 1.5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.u_bar = 0.0
+    # Not fields: eq, hash and repr see the types alone, and replace sums
+    # the new types.
+    assert [f.name for f in dataclasses.fields(d)] == ["types"]
+    twin = TypeDistribution(d.types)
+    assert twin == d and hash(twin) == hash(d) and repr(d) == f"TypeDistribution(types={d.types!r})"
+    head = dataclasses.replace(d, types=d.types[:1])
+    assert [getattr(head, name) for name in names] == [0.5, 1.0, 0.5]
+
+
 def test_welfare_participation_optimum(lmh):
     q = 2.0 / 7.0
     mech = Mechanism(

@@ -645,6 +645,22 @@ def test_contribution_flag_fails_when_a_contributor_is_skipped(equal_cost, monke
     assert not flags.contribution_only_while_broken
 
 
+def test_tied_stream_flags_fail_when_a_break_may_precede_its_fix(monkeypatch):
+    # The search for the break after each fix starts at the fixing
+    # arrival (lo = c) rather than past it (lo = c + 1).  On the tied
+    # stream t + lifespan == t, so each break lands on its own fix's
+    # arrival: by time alone breaks and fixes still alternate, and only
+    # the positions in the stream show each break before its fix.
+    def from_the_fix(a, x, lo=0):
+        return bisect.bisect_left(a, x, lo - (lo > 0))
+
+    pol, d, phys, horizon, arrays = _tied_stream()
+    assert _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), None).admissibility.ok
+    monkeypatch.setattr(upkeep.sim, "bisect_left", from_the_fix)
+    flags = _run_poisson(pol, d, phys, horizon, _PreDrawn(*arrays), None).admissibility
+    assert (flags.usage_only_while_working, flags.contribution_only_while_broken) == (False, False)
+
+
 def _hexed(stats):
     def hexed(x):
         if isinstance(x, float):

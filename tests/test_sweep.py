@@ -6,6 +6,7 @@ import math
 from collections.abc import Mapping
 
 import numpy as np
+import pytest
 
 import upkeep.cli
 import upkeep.participation
@@ -41,7 +42,8 @@ def _corpus():
 
 
 def test_sweep_equals_independent_solves(monkeypatch):
-    # Record what the sweep solved at each grid point.
+    # Record what the sweep solved at each grid point: first best's
+    # solution and the other two solves' cores.
     seen = []
 
     def recording(name):
@@ -53,7 +55,7 @@ def test_sweep_equals_independent_solves(monkeypatch):
 
         return recorded
 
-    for name in ("_first_best_at", "_participation_at", "_screening_at"):
+    for name in ("_first_best_at", "_participation_core", "_screening_core"):
         monkeypatch.setattr(upkeep.cli, name, recording(name))
 
     pairs = 0
@@ -66,9 +68,12 @@ def test_sweep_equals_independent_solves(monkeypatch):
             fb = solve_first_best(d, rho)
             part = solve_participation(d, rho)
             ic = solve_screening(d, rho)
-            assert [_hexed(s) for s in seen[3 * k : 3 * k + 3]] == [
-                _hexed(fb), _hexed(part), _hexed(ic)
-            ]
+            got_fb, got_part, got_ic = seen[3 * k : 3 * k + 3]
+            assert _hexed(got_fb) == _hexed(fb)
+            for got, sol in ((got_part, part), (got_ic, ic)):
+                assert _hexed([got.y, got.Q, got.W, got.mechanism, got.iterations]) == _hexed(
+                    [sol.y_star, sol.Q_star, sol.W_star, sol.mechanism, sol.iterations]
+                )
             cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
             cells += [ic.y_star, ic.Q_star, ic.W_star]
             rows.append(",".join(map(fmt, cells)))
@@ -105,3 +110,20 @@ def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 17
     # One table each for first best and participation.
     assert builds == {"_kink_lines": 2, "_kink_table": 1}
+
+
+def test_sweep_builds_no_labels(monkeypatch):
+    # A row prints only y, Q and W, so the sweep never labels a type:
+    # no participation class and no screening tier, on either branch.
+    def forbidden(*args):
+        raise AssertionError("a label built on the sweep path")
+
+    monkeypatch.setattr(upkeep.participation, "_classes", forbidden)
+    monkeypatch.setattr(upkeep.screening, "MenuTier", forbidden)
+    for d, grid in _corpus():
+        assert len(upkeep.cli._run_sweep(d, grid, True)) == grid.count + 1
+    # The public solves still label, through the patched names.
+    rho = grid.values()[0]
+    for solve in (solve_participation, solve_screening):
+        with pytest.raises(AssertionError, match="a label built"):
+            solve(d, rho)
