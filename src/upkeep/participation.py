@@ -15,7 +15,9 @@ breakage rate.  Every residual column is concave in the uptime and 0 at
 uptime 0, so the uptime between the kinks of the walk's final pair has
 a closed form read off one column, and the threshold's share is read
 off the kink row that balances; the infinite branch takes the saturated
-column's welfare-best balanced row.
+column's welfare-best balanced row.  Both branches end in one place
+(_participation_core): each type contributes its share of its cap, and
+only the public solve labels the types with their classes.
 First best, under physical constraints only, is this problem with each
 cap relaxed to the downtime 1 - Q, on a table with the kinks 0 and 1,
 where the walk's final pair always spans both and the uptime is one
@@ -208,19 +210,6 @@ class _Core(NamedTuple):
     marginal_fraction: float
 
 
-def _core(
-    d: TypeDistribution, Q: float, y: float,
-    lo_c: float, hi_c: float, frac: float, iterations: int,
-) -> _Core:
-    """The solve at uptime Q and threshold y in which each type
-    contributes a share of its cap: 1 if its cost is below lo_c, frac if
-    its cost is in [lo_c, hi_c], and 0 above."""
-    shares = [1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0 for t in d.types]
-    P = {t.id: min(1.0 - Q, Q * t.nu) * s for t, s in zip(d.types, shares)}
-    mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
-    return _Core(y, Q, welfare(mech, d), mech, iterations, shares, frac)
-
-
 def _classes(core: _Core, d: TypeDistribution) -> dict[str, TypeClass]:
     """Each type's class from its level, its share and its own kink
     1 / (1 + nu), as kink_uptimes forms it."""
@@ -254,14 +243,7 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    return _participation_at(_kink_lines(d), d, rho)
-
-
-def _participation_at(
-    lines: _KinkLines, d: TypeDistribution, rho: float
-) -> ParticipationSolution:
-    """solve_participation at rho from d's lines, for checked arguments."""
-    core = _participation_core(lines, d, rho)
+    core = _participation_core(_kink_lines(d), d, rho)
     return ParticipationSolution(
         y_star=core.y,
         Q_star=core.Q,
@@ -275,38 +257,46 @@ def _participation_at(
 
 
 def _participation_core(lines: _KinkLines, d: TypeDistribution, rho: float) -> _Core:
-    """_participation_at without the classes."""
+    """solve_participation at rho from d's lines, for a checked rho,
+    without the classes.  Each type contributes a share of its cap: 1 if
+    its cost is below lo_c, frac if its cost is in [lo_c, hi_c], and 0
+    above."""
     scale = slack_scale(d, rho)
     S, pos, neg, iterations, y = solve_at(lines, rho, scale)
     if iterations == 0:
         # Every type saturates its cap at the kink of the scan's row.
-        return _core(d, lines.qs.item(pos), math.inf, math.inf, math.inf, 0.0, 0)
-    # Marginal rationing applies only at a cost atom.
-    y_star = _snapped(y, d)
+        Q, y_star, lo_c, hi_c, frac = lines.qs.item(pos), math.inf, math.inf, math.inf, 0.0
+    else:
+        # Marginal rationing applies only at a cost atom.
+        y_star = _snapped(y, d)
 
-    # The types rationed at the threshold are those with costs in
-    # [lo_c, hi_c]: the cost atom at y_star, if any.  A pair on one kink
-    # crosses at a mix of the costs its prefixes differ by, which is an
-    # atom in exact arithmetic; where the walk's tolerance leaves the
-    # crossing off every atom, the band spans the mix's costs instead.
-    by_cost, costs = lines.by_cost, lines.costs
-    (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, S.shape[1]) for i in (pos, neg))
-    lo_c = hi_c = y_star
-    if pos_row == neg_row and y_star not in costs:
-        band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
-        lo_c, hi_c = min(band), max(band)
+        # The types rationed at the threshold are those with costs in
+        # [lo_c, hi_c]: the cost atom at y_star, if any.  A pair on one
+        # kink crosses at a mix of the costs its prefixes differ by, which
+        # is an atom in exact arithmetic; where the walk's tolerance leaves
+        # the crossing off every atom, the band spans the mix's costs
+        # instead.
+        by_cost, costs = lines.by_cost, lines.costs
+        (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, S.shape[1]) for i in (pos, neg))
+        lo_c = hi_c = y_star
+        if pos_row == neg_row and y_star not in costs:
+            band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
+            lo_c, hi_c = min(band), max(band)
 
-    # Column bisect_left(costs, lo_c) is the balance residual without the
-    # band's types, and column bisect_right(costs, hi_c) with them.  S does
-    # not fall along a row, and the columns between a pair line's prefix
-    # and the band's edges add only massless types: at the neg kink the
-    # first is <= the neg slack < 0, and at the pos kink the second is >=
-    # the pos slack >= 0.
-    Q_star, frac = _balanced_point(
-        lines.qs, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
-        pos_row, neg_row, _SCAN_RTOL * scale,
-    )
-    return _core(d, Q_star, y_star, lo_c, hi_c, frac, iterations)
+        # Column bisect_left(costs, lo_c) is the balance residual without
+        # the band's types, and column bisect_right(costs, hi_c) with them.
+        # S does not fall along a row, and the columns between a pair
+        # line's prefix and the band's edges add only massless types: at
+        # the neg kink the first is <= the neg slack < 0, and at the pos
+        # kink the second is >= the pos slack >= 0.
+        Q, frac = _balanced_point(
+            lines.qs, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
+            pos_row, neg_row, _SCAN_RTOL * scale,
+        )
+    shares = [1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0 for t in d.types]
+    P = {t.id: min(1.0 - Q, Q * t.nu) * s for t, s in zip(d.types, shares)}
+    mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
+    return _Core(y_star, Q, welfare(mech, d), mech, iterations, shares, frac)
 
 
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:

@@ -11,17 +11,20 @@ lines, which a cutting-plane walk minimizes exactly; mixing the two lines
 active at the minimum balances the mechanism.
 
 Every candidate menu at every kink is scored once, into one rho-free
-envelope.Lines table that ends in the limit line, so one table serves
-every breakage rate.  Buyers sorted by nu stay sorted at every kink, and
-a menu {out, (r0, r0 * lo), (1, 1)} sends the buyers below lo out, those in
-[lo, hi) to the low tier and those from hi up to the top tier, ties
-going to the seller-preferred bundle whatever the buyer's mass, so tied
-valuations share a bundle.  Each menu's revenue and welfare then come
-from cut indices and prefix sums of mass, mass * u and mass * c: O(n^2)
-numpy work per kink, in blocks of kinks.  One function (_cuts) finds
-those indices, and the table stores them with each kink's padded
-valuations, so the final menus are read from the indices and atoms that
-scored them.
+envelope.Lines table, so one table serves every breakage rate.  Both of
+its ends are the free posted price: at Q = 0 nobody takes it, and at the
+limit Q -> 1 everybody does.  A solve at rho is one core
+(_screening_core), which reads the table's final pair and mixes it; only
+the public solve labels the result with tiers and an assignment.  Buyers
+sorted by nu stay sorted at every kink, and a menu {out, (r0, r0 * lo),
+(1, 1)} sends the buyers below lo out, those in [lo, hi) to the low tier
+and those from hi up to the top tier, ties going to the seller-preferred
+bundle whatever the buyer's mass, so tied valuations share a bundle.
+Each menu's revenue and welfare then come from cut indices and prefix
+sums of mass, mass * u and mass * c: O(n^2) numpy work per kink, in
+blocks of kinks.  One function (_cuts) finds those indices, and the
+table stores them with each kink's padded valuations, so the final menus
+are read from the indices and atoms that scored them.
 """
 
 from __future__ import annotations
@@ -203,24 +206,25 @@ class _KinkTable(Lines):
     """Every candidate menu at every kink uptime Q < 1, then the limit,
     one row of Lines each.
 
-    Row 0 is Q = 0, where every menu sells nothing: it opts out.  Then,
-    one block of kinks at a time, come the block's posted prices and then
-    its two-atom menus, each kink by kink in _menu_candidates order (a
-    repeated valuation repeats its menus), so a first maximum among one
-    kink's rows breaks ties the way bounded_monopoly_solve does; across
-    kinks exact ties are left to row order.  A row names its menu by
-    indices into its kink's padded valuations pad[kink] = (0, v_1, ...,
-    v_n, 1), v sorted ascending: hi = -1 is the posted price
+    Row 0, at Q = 0, is the free posted price pad[0, 0] = 0, which nobody
+    takes: every buyer is cut out (W = rev = 0).  Then, one block of kinks
+    at a time, come the block's posted prices and then its two-atom menus,
+    each kink by kink in _menu_candidates order (a repeated valuation
+    repeats its menus), so a first maximum among one kink's rows breaks
+    ties the way bounded_monopoly_solve does; across kinks exact ties are
+    left to row order.  The last row, at the last kink Q = 1, is the limit:
+    the free posted price pad[last, 0] = 0, which every buyer takes, so
+    everyone has full access for free: W = u_bar, rev = 0.  A row names
+    its menu by indices into its kink's padded valuations pad[kink] =
+    (0, v_1, ..., v_n, 1), v sorted ascending: hi = -1 is the posted price
     min(pad[kink, lo], 1), otherwise the menu has its low atom at
-    pad[kink, lo] and its high atom at pad[kink, hi]; lo = -1 is the
-    opt-out alone.  The last row, at the last kink Q = 1, is the limit:
-    the posted price pad[last, 0] = 0, which every buyer takes, so
-    everyone has full access for free: W = u_bar, rev = 0.  cut, top0 and
-    top1 are the row's cut indices from _cuts, which scored it; row 0
-    holds n.  pad is 0 at the first and last kinks, and rank[j] is the
-    place of d.types[j] among the sorted valuations.  The six index
-    columns (kink to top1) have the narrowest signed dtype that holds
-    n + 2 (_index_dtype).
+    pad[kink, lo] and its high atom at pad[kink, hi]; no row has lo = -1.
+    cut, top0 and top1 are the row's cut indices as _cuts forms them, from
+    _cuts itself for the scored rows: n for row 0, and 0, 0 and n for the
+    limit.  pad is 0 at the first and last kinks, and rank[j] is the place
+    of d.types[j] among the sorted valuations.  The six index columns
+    (kink to top1) have the narrowest signed dtype that holds n + 2
+    (_index_dtype).
     """
 
     lo: np.ndarray
@@ -341,8 +345,9 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
     dtype = _index_dtype(nu.size)
     n, last = nu.size, qs.size - 1
     edge = np.zeros((1, n + 2))
-    # Row 0 opts out (lo = hi = -1, cuts at n).
-    parts = [(np.zeros(1), np.zeros(1), np.array([0, -1, -1, n, n, n], dtype)[:, None], edge)]
+    # Row 0 is the posted price pad[0, 0] = 0, which no buyer takes:
+    # everyone is cut out.
+    parts = [(np.zeros(1), np.zeros(1), np.array([0, 0, -1, n, n, n], dtype)[:, None], edge)]
     step = max(1, _BLOCK_CELLS // (n + 1) ** 2)
     for first in range(1, last, step):
         W, rev, index, pad = _score_kinks(qs[first : min(first + step, last)], nu, cum, dtype)
@@ -368,14 +373,13 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
     the table stored for it, and the low tier (r0, pay) formed by _tier
     from the atoms the table stored for its kink."""
     k, lo, hi = tab.kink.item(i), tab.lo.item(i), tab.hi.item(i)
-    # (r, p) of each buyer in nu order; the opt-out row sells nothing.
+    low = tab.pad.item(k, lo)
+    r0, pay = _tier(min(low, 1.0)) if hi < 0 else _tier(low, tab.pad.item(k, hi))
+    cut, top0, top1 = tab.cut.item(i), tab.top0.item(i), tab.top1.item(i)
+    # (r, p) of each buyer in nu order.
     bundle = np.zeros((2, tab.rank.size))
-    if lo >= 0:
-        low = tab.pad.item(k, lo)
-        r0, pay = _tier(min(low, 1.0)) if hi < 0 else _tier(low, tab.pad.item(k, hi))
-        cut, top0, top1 = tab.cut.item(i), tab.top0.item(i), tab.top1.item(i)
-        bundle[:, top0:cut] = bundle[:, top1:] = 1.0
-        bundle[0, cut:top1], bundle[1, cut:top1] = r0, pay
+    bundle[:, top0:cut] = bundle[:, top1:] = 1.0
+    bundle[0, cut:top1], bundle[1, cut:top1] = r0, pay
     r, p = bundle[:, tab.rank]
     return _line(tab.qs.item(k), r, p, d, rho)
 
@@ -389,7 +393,8 @@ def _mix(a: _Line, b: _Line, eps_bal: float, d: TypeDistribution, rho: float) ->
     would only leave its buyers' levels a few ulps off.  Otherwise usage
     is mixed in uptime shares and contributions in downtime shares, so a
     tier keeps its normalized levels exactly even next to the Q -> 1
-    limit, where 1 - Q is tiny.
+    limit, where 1 - Q is tiny.  Only row 0 has Q = 0, and its slack is
+    exactly 0, so it stands alone: the uptime shares never divide by 0.
     """
     heavy = min(a, b, key=lambda m: abs(m.S))
     if abs(heavy.S) <= eps_bal:
@@ -397,7 +402,7 @@ def _mix(a: _Line, b: _Line, eps_bal: float, d: TypeDistribution, rho: float) ->
     alpha = -b.S / (a.S - b.S)
     up_a, up_b = alpha * a.Q, (1.0 - alpha) * b.Q
     down_a, down_b = alpha * (1.0 - a.Q), (1.0 - alpha) * (1.0 - b.Q)
-    w_r = up_a / (up_a + up_b) if up_a + up_b > 0.0 else 1.0
+    w_r = up_a / (up_a + up_b)
     w_p = down_a / (down_a + down_b)
     r, p = w_r * a.r + (1.0 - w_r) * b.r, w_p * a.p + (1.0 - w_p) * b.p
     return _line(up_a + up_b, r, p, d, rho)
@@ -418,13 +423,6 @@ class _Core(NamedTuple):
     p: np.ndarray
 
 
-def _core(y: float, line: _Line, d: TypeDistribution, iterations: int) -> _Core:
-    """The solve at the line's uptime and levels, with its welfare."""
-    ids = d.ids
-    mech = Mechanism(Q=line.Q, R=dict(zip(ids, line.R)), P=dict(zip(ids, line.P)))
-    return _Core(y, line.Q, line.W, mech, iterations, line.r, line.p)
-
-
 def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     """Solve the designer's problem under participation and truthful
     reporting.
@@ -442,12 +440,7 @@ def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    return _screening_at(_kink_table(d), d, rho)
-
-
-def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> ScreeningSolution:
-    """solve_screening at rho from d's table, for checked arguments."""
-    core = _screening_core(tab, d, rho)
+    core = _screening_core(_kink_table(d), d, rho)
     levels = list(zip(core.r.tolist(), core.p.tolist()))
     tiers = sorted(set(levels) - {(0.0, 0.0)}, key=lambda t: (-t[0], -t[1]))
     index = {level: k for k, level in enumerate(tiers)}
@@ -465,16 +458,21 @@ def _screening_at(tab: _KinkTable, d: TypeDistribution, rho: float) -> Screening
 
 
 def _screening_core(tab: _KinkTable, d: TypeDistribution, rho: float) -> _Core:
-    """_screening_at without the tiers and the assignment."""
+    """solve_screening at rho from d's table, for a checked rho, without
+    the tiers and the assignment: the pos row's line, mixed with the neg
+    row's when the walk took steps."""
     scale = slack_scale(d, rho)
     _, pos, neg, steps, y = solve_at(tab, rho, scale)
-    if steps == 0:
-        return _core(y, _table_line(tab, pos, d, rho), d, 0)
-    # The pair's lines from their menus, as the mix uses them; their
-    # crossing is the one the mix balances, within solve_at's eps_bal.
-    a, b = _table_line(tab, pos, d, rho), _table_line(tab, neg, d, rho)
-    y = (b.W - a.W) / (a.S - b.S)
-    return _core(y, _mix(a, b, 1e-12 * scale, d, rho), d, steps)
+    line = _table_line(tab, pos, d, rho)
+    if steps:
+        # The pair's lines from their menus, as the mix uses them; their
+        # crossing is the one the mix balances, within solve_at's eps_bal.
+        b = _table_line(tab, neg, d, rho)
+        y = (b.W - line.W) / (line.S - b.S)
+        line = _mix(line, b, 1e-12 * scale, d, rho)
+    ids = d.ids
+    mech = Mechanism(Q=line.Q, R=dict(zip(ids, line.R)), P=dict(zip(ids, line.P)))
+    return _Core(y, line.Q, line.W, mech, steps, line.r, line.p)
 
 
 def verify_structure(sol: ScreeningSolution) -> bool:

@@ -126,6 +126,20 @@ MUTANTS = (
         ("tests/test_screening.py::test_limit_row_names_free_full_access",),
     ),
     Mutant(
+        "row 0 stored with cut 0",
+        "src/upkeep/screening.py",
+        "np.array([0, 0, -1, n, n, n], dtype)",
+        "np.array([0, 0, -1, 0, 0, n], dtype)",
+        ("tests/test_screening.py::test_row_0_names_the_free_posted_price_nobody_takes",),
+    ),
+    Mutant(
+        "solve_screening accepts rho = 0",
+        "src/upkeep/screening.py",
+        "if not (math.isfinite(rho) and rho > 0):",
+        "if not (math.isfinite(rho) and rho >= 0):",
+        ("tests/test_screening.py::test_solvers_reject_invalid_rho[0.0-solve_screening]",),
+    ),
+    Mutant(
         "final menu read from the previous kink's pads",
         "src/upkeep/screening.py",
         "low = tab.pad.item(k, lo)",
@@ -180,11 +194,12 @@ MUTANTS = (
     Mutant(
         "sweep prints the pos line's W, not the mix's",
         "src/upkeep/screening.py",
-        "    return _core(y, _mix(a, b, 1e-12 * scale, d, rho), d, steps)",
-        "    return _core(y, _mix(a, b, 1e-12 * scale, d, rho)._replace(W=a.W), d, steps)",
+        "line = _mix(line, b, 1e-12 * scale, d, rho)",
+        "line = _mix(line, b, 1e-12 * scale, d, rho)._replace(W=line.W)",
         (
             "tests/test_cli.py::test_readme_commands_print_pinned_bytes",
             "tests/test_identity.py::test_solutions_are_bit_identical[screening/plain]",
+            "tests/test_sweep.py::test_sweep_welfare_matches_the_exact_oracles",
         ),
     ),
     Mutant(
@@ -209,6 +224,31 @@ MUTANTS = (
             "tests/test_oracle.py::test_screening_oracle_is_exact",
             "tests/test_oracle.py::test_inexact_screening_lps_are_solved_exactly",
         ),
+    ),
+    Mutant(
+        "float simplex refuses no infeasible point",
+        "src/upkeep/oracle.py",
+        "    if not worst <= 1e-6 * np.abs(b_ub).max(initial=1.0):\n",
+        "    if False:\n",
+        (
+            "tests/test_oracle.py::test_simplex_matches_the_tableau_reference",
+            "tests/test_oracle.py::test_inexact_screening_lps_are_solved_exactly",
+        ),
+    ),
+    Mutant(
+        "Poisson break searched from its fixing arrival",
+        "src/upkeep/sim.py",
+        "c = bisect_left(ct, ct[c] + life, c + 1)",
+        "c = bisect_left(ct, ct[c] + life, c)",
+        ("tests/test_sim.py::test_tied_stream_flags_fail_when_a_break_may_precede_its_fix",),
+    ),
+    Mutant(
+        "admissibility without the alternation test",
+        "src/upkeep/sim.py",
+        "    if not ((breaks[:nf] <= fixes).all() and (fixes[: nb - 1] <= breaks[1:]).all()):\n"
+        "        return False, False\n",
+        "",
+        ("tests/test_sim.py::test_admissibility_fails_on_corrupted_events",),
     ),
     Mutant(
         "oracle accepts every float answer",

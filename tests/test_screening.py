@@ -21,7 +21,7 @@ from conftest import KINDS, kinded_distribution, random_distribution
 from reference import ic_lagrangian, table_row_menu
 from test_identity import corpus
 from upkeep.model import kink_uptimes, slack_scale
-from upkeep.screening import MenuTier, _kink_table, _screening_at, _table_line
+from upkeep.screening import MenuTier, _kink_table, _table_line
 
 
 def test_bounded_monopoly_two_tier_menu():
@@ -81,8 +81,8 @@ _SOLVERS = (solve_first_best, solve_participation, solve_screening)
 
 
 @pytest.mark.parametrize("solver", _SOLVERS)
-@pytest.mark.parametrize("rho", [math.nan, math.inf])
-def test_solvers_reject_non_finite_rho(equal_cost, solver, rho):
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -1.0])
+def test_solvers_reject_invalid_rho(equal_cost, solver, rho):
     with pytest.raises(ValueError):
         solver(equal_cost, rho)
 
@@ -466,6 +466,23 @@ def test_limit_row_names_free_full_access():
         assert line.W == d.u_bar and line.S == -rho
 
 
+def test_row_0_names_the_free_posted_price_nobody_takes():
+    # Row 0 is the posted price 0 at Q = 0, which no buyer takes: every
+    # buyer is cut out, so nobody has access and welfare and slack are 0.
+    # It is read like every other row, with no opt-out branch.
+    for d, rho, tab in _tables():
+        n = len(d.types)
+        assert tab.kink[0] == 0 and tab.qs[0] == 0.0
+        stored = (tab.lo[0], tab.hi[0], tab.cut[0], tab.top0[0], tab.top1[0])
+        assert stored == (0, -1, n, n, n)
+        assert tab.pad[0, 0] == 0.0
+        line = _table_line(tab, 0, d, rho)
+        assert line.Q == 0.0
+        assert line.r.tolist() == [0.0] * n and line.p.tolist() == [0.0] * n
+        assert line.W == 0.0 and line.S == 0.0
+        assert tab.lo.min() == 0
+
+
 def test_solve_path_never_scores_menus_buyer_by_buyer(monkeypatch):
     # The table's cut rule is the only buyer assignment on the solve path.
     def forbidden(*args):
@@ -484,6 +501,12 @@ def _hex_fields(sol):
     return h(sol.W_star), h(sol.Q_star), h(sol.y_star), tiers, dict(sol.assignment)
 
 
+def _solve_from(tab, d, rho, monkeypatch):
+    """solve_screening at rho, its table build patched to return tab."""
+    monkeypatch.setattr("upkeep.screening._kink_table", lambda _: tab)
+    return solve_screening(d, rho)
+
+
 def test_final_menus_are_read_from_the_stored_cuts(monkeypatch):
     # The table stores each row's cut indices, so once it is built the
     # solve path never cuts buyers again: with _cuts gone, every solve
@@ -500,7 +523,7 @@ def test_final_menus_are_read_from_the_stored_cuts(monkeypatch):
     monkeypatch.setattr("upkeep.screening._cuts", forbidden)
     infinite = set()
     for tab, d, rho, expect in solves:
-        sol = _screening_at(tab, d, rho)
+        sol = _solve_from(tab, d, rho, monkeypatch)
         assert _hex_fields(sol) == expect
         infinite.add(math.isinf(sol.y_star))
     assert infinite == {False, True}
@@ -575,13 +598,13 @@ def test_stored_limit_row_is_never_an_answer(rho):
     assert check_feasible(sol.mechanism, d, rho).ok
 
 
-def test_infinite_branch_takes_the_welfare_best_balanced_row():
+def test_infinite_branch_takes_the_welfare_best_balanced_row(monkeypatch):
     # The premise of the infinite branch: no row's slack is positive
     # beyond eps_bal, so the answer is the best balanced row.
     solves = 0
     for _, d, rho in corpus():
         tab = _kink_table(d)
-        sol = _screening_at(tab, d, rho)
+        sol = _solve_from(tab, d, rho, monkeypatch)
         if not math.isinf(sol.y_star):
             continue
         S, eps_bal = tab.slack(rho), 1e-12 * slack_scale(d, rho)

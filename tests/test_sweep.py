@@ -11,8 +11,14 @@ import pytest
 import upkeep.cli
 import upkeep.participation
 import upkeep.screening
-from upkeep import solve_first_best, solve_participation, solve_screening
-from upkeep.cli import RhoGrid, fmt, main
+from upkeep import (
+    lp_screening_welfare,
+    primal_grid_welfare,
+    solve_first_best,
+    solve_participation,
+    solve_screening,
+)
+from upkeep.cli import ORACLE_TOL, RhoGrid, fmt, main
 from conftest import KINDS, kinded_distribution
 
 
@@ -84,6 +90,27 @@ def test_sweep_equals_independent_solves(monkeypatch):
     assert pairs >= 1000
     # Both dual branches occur, each on a good share of the corpus.
     assert all(pairs // 10 < count < pairs - pairs // 10 for count in infinite.values())
+
+
+def test_sweep_welfare_matches_the_exact_oracles():
+    # The sweep and the public solves share each per-rho core, so an error
+    # in a core escapes test_sweep_equals_independent_solves.  Each printed
+    # W is checked against an exact oracle instead, at the CLI's tolerance.
+    rows = 0
+    for d, grid in _corpus():
+        if len(d.types) > 8:
+            continue
+        lines = upkeep.cli._run_sweep(d, grid, True)
+        for rho, line in zip(grid.values(), lines[1:]):
+            cells = [float(x) for x in line.split(",")]
+            for w, oracle in (
+                (cells[3], primal_grid_welfare(d, rho, "first_best")[0]),
+                (cells[6], primal_grid_welfare(d, rho, "participation")[0]),
+                (cells[9], lp_screening_welfare(d, rho)[0]),
+            ):
+                assert abs(w - oracle) <= ORACLE_TOL * max(1.0, abs(w))
+            rows += 1
+    assert rows == 168
 
 
 def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
