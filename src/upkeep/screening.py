@@ -217,8 +217,9 @@ class _KinkTable(Lines):
     everyone has full access for free: W = u_bar, rev = 0.  A row names
     its menu by indices into its kink's padded valuations pad[kink] =
     (0, v_1, ..., v_n, 1), v sorted ascending: hi = -1 is the posted price
-    min(pad[kink, lo], 1), otherwise the menu has its low atom at
-    pad[kink, lo] and its high atom at pad[kink, hi]; no row has lo = -1.
+    pad[kink, lo] <= 1 (the sale caps payments at 1), otherwise the menu
+    has its low atom at pad[kink, lo] and its high atom at pad[kink, hi];
+    no row has lo = -1.
     cut, top0 and top1 are the row's cut indices as _cuts forms them, from
     _cuts itself for the scored rows: n for row 0, and 0, 0 and n for the
     limit.  pad is 0 at the first and last kinks, and rank[j] is the place
@@ -308,14 +309,13 @@ def _score_kinks(
     # 1, a buyer's own kink included, would only repeat the posted price 1.
     # Tested atom by atom: a type within rounding of another's kink can
     # have v on the other side of 1 from that kink's exact 1.
-    low_ok, high_ok = pad[:, :-1] < 1.0, pad[:, :-1] > 1.0
-    kq, lo, hi = (low_ok[:, :, None] & high_ok[:, None, :]).nonzero()
+    kq, lo, hi = ((pad < 1.0)[:, :, None] & (pad > 1.0)[:, None, :]).nonzero()
 
-    # The rows: every posted price (r = 1, charging min(pad, 1)), then
-    # every pair.
-    kp, lp = np.divmod(np.arange(pad.size), n + 2)
+    # The rows: every posted price up to 1 (r = 1; a price above 1 is the
+    # price 1, as payments are capped at 1), then every pair.
+    kp, lp = (pad <= 1.0).nonzero()
     eps = 1e-12 * np.maximum(1.0, ratio * nu[-1])
-    posted = _cuts(nu, ratio, eps, kp, np.minimum(pad, 1.0).ravel())
+    posted = _cuts(nu, ratio, eps, kp, pad[kp, lp])
     pairs = _cuts(nu, ratio, eps, kq, pad[kq, lo], pad[kq, hi])
     r, pay, cut, top0, top1 = (np.concatenate(part) for part in zip(posted, pairs))
 
@@ -374,7 +374,7 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
     from the atoms the table stored for its kink."""
     k, lo, hi = tab.kink.item(i), tab.lo.item(i), tab.hi.item(i)
     low = tab.pad.item(k, lo)
-    r0, pay = _tier(min(low, 1.0)) if hi < 0 else _tier(low, tab.pad.item(k, hi))
+    r0, pay = _tier(low) if hi < 0 else _tier(low, tab.pad.item(k, hi))
     cut, top0, top1 = tab.cut.item(i), tab.top0.item(i), tab.top1.item(i)
     # (r, p) of each buyer in nu order.
     bundle = np.zeros((2, tab.rank.size))

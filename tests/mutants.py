@@ -5,6 +5,8 @@ replaces it, and the ids of the tests that must each fail under it (an
 id without parameters stands for all of its parametrizations).  pytest
 does not collect this file; tests/test_mutants.py checks that every old
 text occurs exactly once, so code that moves takes its mutants with it.
+EQUIVALENT lists the mutations that change no behaviour, each with the
+reason no test can catch it; they are checked the same way but not run.
 
 Run from the repository root:
 
@@ -259,6 +261,42 @@ MUTANTS = (
             "tests/test_oracle.py::test_inexact_screening_lps_are_solved_exactly",
             "tests/test_oracle.py::test_singular_basis_falls_back_to_the_exact_solve",
         ),
+    ),
+    Mutant(
+        "posted prices at every valuation",
+        "src/upkeep/screening.py",
+        "kp, lp = (pad <= 1.0).nonzero()",
+        "kp, lp = (pad >= 0.0).nonzero()",
+        ("tests/test_screening.py::test_posted_prices_run_over_the_valuations_up_to_1",),
+    ),
+    Mutant(
+        "a buyer tied with a free bundle takes it",
+        "src/upkeep/screening.py",
+        "np.where(pay > 0.0, low - slack, low + slack)",
+        "np.where(pay >= 0.0, low - slack, low + slack)",
+        ("tests/test_screening.py::test_a_buyer_within_tolerance_of_a_free_bundle_opts_out",),
+    ),
+)
+
+
+class Equivalent(NamedTuple):
+    """A mutation that changes no behaviour, and why; tests/test_mutants.py
+    checks that its old text occurs exactly once, as for a Mutant."""
+
+    name: str
+    path: str
+    old: str
+    new: str
+    reason: str
+
+
+EQUIVALENT = (
+    Equivalent(
+        "final menu's posted-price test admits hi = 0",
+        "src/upkeep/screening.py",
+        "if hi < 0 else",
+        "if hi <= 0 else",
+        "pad column 0 is 0 at every kink and high atoms exceed 1, so no row stores hi = 0",
     ),
 )
 

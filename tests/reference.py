@@ -164,10 +164,8 @@ def table_row_menu(
     nus = [1.0 if q == 1.0 / (1.0 + t.nu) else t.nu * ratio for t in order]
     pad = [0.0] + nus + [1.0]
     out = (0.0, 0.0)
-    if lo < 0:
-        bundles: tuple[tuple[float, float], ...] = (out,)
-    elif hi < 0:
-        bundles = (out, (1.0, min(pad[lo], 1.0)))
+    if hi < 0:
+        bundles: tuple[tuple[float, float], ...] = (out, (1.0, min(pad[lo], 1.0)))
     else:
         r0 = (pad[hi] - 1.0) / (pad[hi] - pad[lo])
         bundles = (out, (r0, r0 * pad[lo]), (1.0, 1.0))

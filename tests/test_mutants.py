@@ -1,6 +1,6 @@
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import EQUIVALENT, MUTANTS, ROOT
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -12,3 +12,11 @@ def test_each_mutant_still_applies(mutant):
     for test_id in mutant.tests:
         path, name = test_id.split("::")
         assert f"\ndef {name.split('[')[0]}(" in (ROOT / path).read_text()
+
+
+@pytest.mark.parametrize("mutant", EQUIVALENT, ids=lambda m: m.name)
+def test_each_equivalent_mutant_still_applies(mutant):
+    # An equivalent mutant names one place in the code, like a registered
+    # one, and says why no test can catch it.
+    assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
+    assert mutant.new != mutant.old and mutant.reason

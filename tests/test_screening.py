@@ -483,6 +483,37 @@ def test_row_0_names_the_free_posted_price_nobody_takes():
         assert tab.lo.min() == 0
 
 
+def test_posted_prices_run_over_the_valuations_up_to_1():
+    # The sale caps payments at 1, so a posted price above 1 would only
+    # repeat the price 1: each kink posts every padded valuation up to 1
+    # as a price, and no other.
+    rng = np.random.default_rng(29)
+    above = 0
+    for kind in KINDS:
+        for n in range(2, 13):
+            tab = _kink_table(kinded_distribution(rng, kind, n))
+            posted = tab.hi < 0
+            assert (tab.pad[tab.kink[posted], tab.lo[posted]] <= 1.0).all()
+            for k in range(1, tab.qs.size - 1):
+                prices = tab.pad[k, tab.lo[posted & (tab.kink == k)]]
+                assert set(prices.tolist()) == set(tab.pad[k][tab.pad[k] <= 1.0].tolist())
+            above += int((tab.pad > 1.0).sum())
+    # Some kinks have valuations above 1, which post no price.
+    assert above > 0
+
+
+def test_a_buyer_within_tolerance_of_a_free_bundle_opts_out():
+    # At B's kink Q = 1/3, A's valuation 5e-15 is within the tie tolerance
+    # of the free posted price, which charges nothing: A takes the
+    # seller-preferred opt-out, and B, at valuation 1, takes the price 0.
+    d = TypeDistribution((AgentType("A", 1e-14, 1.0, 1.0), AgentType("B", 2.0, 1.0, 1.0)))
+    tab = _kink_table(d)
+    k = tab.qs.tolist().index(1.0 / 3.0)
+    (i,) = np.flatnonzero((tab.kink == k) & (tab.lo == 0) & (tab.hi < 0))
+    line = _table_line(tab, int(i), d, 1.0)
+    assert line.r.tolist() == [0.0, 1.0] and line.p.tolist() == [0.0, 0.0]
+
+
 def test_solve_path_never_scores_menus_buyer_by_buyer(monkeypatch):
     # The table's cut rule is the only buyer assignment on the solve path.
     def forbidden(*args):
