@@ -30,7 +30,7 @@ from .model import (
 )
 from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
 from .participation import (
-    FirstBestSolution, _first_best_at, _kink_lines, _participation_core, solve_first_best,
+    FirstBestSolution, _first_best_at, _kink_lines, _participation_at, solve_first_best,
     solve_participation,
 )
 from .screening import ScreeningSolution, _kink_table, _screening_core, solve_screening
@@ -255,7 +255,7 @@ def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]
 def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str]:
     # rho enters each solver's dual lines only through their slopes, so
     # each table is built once and every grid point only walks it.  A row
-    # prints no labels, so it reads the solves' cores, which build none.
+    # prints no labels, so it reads screening's core, which builds none.
     fb_lines, part_lines = _kink_lines(d, may_exit=False), _kink_lines(d)
     ic_table = _kink_table(d) if include_ic else None
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
@@ -264,8 +264,8 @@ def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str
     lines = [header]
     for rho in grid.values():
         fb = _first_best_at(fb_lines, d, rho)
-        part = _participation_core(part_lines, d, rho)
-        cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y, part.Q, part.W]
+        part = _participation_at(part_lines, d, rho)
+        cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
         if ic_table is not None:
             ic = _screening_core(ic_table, d, rho)
             cells += [ic.y, ic.Q, ic.W]

@@ -16,8 +16,10 @@ uptime 0, so the uptime between the kinks of the walk's final pair has
 a closed form read off one column, and the threshold's share is read
 off the kink row that balances; the infinite branch takes the saturated
 column's welfare-best balanced row.  Both branches end in one place
-(_participation_core): each type contributes its share of its cap, and
-only the public solve labels the types with their classes.
+(_participation_at): each type contributes its share of its cap, and the
+same pass labels it with its class.  A sweep row prints no class, but
+the labels cost a few per cent of a solve at rho, so unlike screening's
+(see screening._screening_core) they are not split from the solve.
 First best, under physical constraints only, is this problem with each
 cap relaxed to the downtime 1 - Q, on a table with the kinks 0 and 1,
 where the walk's final pair always spans both and the uptime is one
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Literal, Mapping, NamedTuple
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -195,34 +197,6 @@ def _balanced_point(
     return Q, min(max(0.0, -r_without / gap), 1.0) if gap > eps else 0.0
 
 
-class _Core(NamedTuple):
-    """A participation solve at rho before its labels: threshold, uptime,
-    welfare, mechanism and walk steps, as in ParticipationSolution, and
-    each type's share of its cap, in d.types order, which with the
-    marginal fraction is all that the classes read (_classes)."""
-
-    y: float
-    Q: float
-    W: float
-    mechanism: Mechanism
-    iterations: int
-    shares: list[float]
-    marginal_fraction: float
-
-
-def _classes(core: _Core, d: TypeDistribution) -> dict[str, TypeClass]:
-    """Each type's class from its level, its share and its own kink
-    1 / (1 + nu), as kink_uptimes forms it."""
-    Q = core.Q
-    return {
-        t.id: "NONE" if p == 0.0
-        else "MARGINAL" if s < 1.0
-        else "FULL" if Q >= 1.0 / (1.0 + t.nu)
-        else "BOUND"
-        for t, s, p in zip(d.types, core.shares, core.mechanism.P.values())
-    }
-
-
 def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolution:
     """Solve the designer's problem under participation constraints.
 
@@ -243,24 +217,18 @@ def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolutio
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    core = _participation_core(_kink_lines(d), d, rho)
-    return ParticipationSolution(
-        y_star=core.y,
-        Q_star=core.Q,
-        W_star=core.W,
-        mechanism=core.mechanism,
-        classes=_classes(core, d),
-        marginal_fraction=core.marginal_fraction,
-        iterations=core.iterations,
-        rho=rho,
-    )
+    return _participation_at(_kink_lines(d), d, rho)
 
 
-def _participation_core(lines: _KinkLines, d: TypeDistribution, rho: float) -> _Core:
-    """solve_participation at rho from d's lines, for a checked rho,
-    without the classes.  Each type contributes a share of its cap: 1 if
-    its cost is below lo_c, frac if its cost is in [lo_c, hi_c], and 0
-    above."""
+def _participation_at(
+    lines: _KinkLines, d: TypeDistribution, rho: float
+) -> ParticipationSolution:
+    """solve_participation at rho from d's lines, for a checked rho.
+
+    Each type contributes a share of its cap: 1 if its cost is below
+    lo_c, frac if its cost is in [lo_c, hi_c], and 0 above.  Its class
+    is read off that share, its level and its own kink 1 / (1 + nu), as
+    kink_uptimes forms it, in the same pass."""
     scale = slack_scale(d, rho)
     S, pos, neg, iterations, y = solve_at(lines, rho, scale)
     if iterations == 0:
@@ -293,10 +261,19 @@ def _participation_core(lines: _KinkLines, d: TypeDistribution, rho: float) -> _
             lines.qs, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
             pos_row, neg_row, _SCAN_RTOL * scale,
         )
-    shares = [1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0 for t in d.types]
-    P = {t.id: min(1.0 - Q, Q * t.nu) * s for t, s in zip(d.types, shares)}
+    P: dict[str, float] = {}
+    classes: dict[str, TypeClass] = {}
+    for t in d.types:
+        s = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
+        P[t.id] = p = min(1.0 - Q, Q * t.nu) * s
+        classes[t.id] = (
+            "NONE" if p == 0.0
+            else "MARGINAL" if s < 1.0
+            else "FULL" if Q >= 1.0 / (1.0 + t.nu)
+            else "BOUND"
+        )
     mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
-    return _Core(y_star, Q, welfare(mech, d), mech, iterations, shares, frac)
+    return ParticipationSolution(y_star, Q, welfare(mech, d), mech, classes, frac, iterations, rho)
 
 
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:

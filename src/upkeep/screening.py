@@ -15,7 +15,9 @@ envelope.Lines table, so one table serves every breakage rate.  Both of
 its ends are the free posted price: at Q = 0 nobody takes it, and at the
 limit Q -> 1 everybody does.  A solve at rho is one core
 (_screening_core), which reads the table's final pair and mixes it; only
-the public solve labels the result with tiers and an assignment.  Buyers
+the public solve labels the result with tiers and an assignment, since
+the labels cost about a sixth of a step and a sweep row prints none
+(participation's cost a few per cent, so its step forms them).  Buyers
 sorted by nu stay sorted at every kink, and a menu {out, (r0, r0 * lo),
 (1, 1)} sends the buyers below lo out, those in [lo, hi) to the low tier
 and those from hi up to the top tier, ties going to the seller-preferred

@@ -205,13 +205,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "public participation solve labels every type FULL",
+        "participation labels every type FULL",
         "src/upkeep/participation.py",
-        '        t.id: "NONE" if p == 0.0\n'
-        '        else "MARGINAL" if s < 1.0\n'
-        '        else "FULL" if Q >= 1.0 / (1.0 + t.nu)\n'
-        '        else "BOUND"\n',
-        '        t.id: "FULL"\n',
+        '            "NONE" if p == 0.0\n'
+        '            else "MARGINAL" if s < 1.0\n'
+        '            else "FULL" if Q >= 1.0 / (1.0 + t.nu)\n'
+        '            else "BOUND"\n',
+        '            "FULL"\n',
         (
             "tests/test_participation.py::test_classes_read_from_each_types_share",
             "tests/test_acceptance.py::test_criterion_2_participation_golden",
@@ -275,6 +275,41 @@ MUTANTS = (
         "np.where(pay > 0.0, low - slack, low + slack)",
         "np.where(pay >= 0.0, low - slack, low + slack)",
         ("tests/test_screening.py::test_a_buyer_within_tolerance_of_a_free_bundle_opts_out",),
+    ),
+    Mutant(
+        "walk stops only strictly inside its tolerance",
+        "src/upkeep/envelope.py",
+        "if g <= v + 1e-12 * max(1.0, abs(v))",
+        "if g < v + 1e-12 * max(1.0, abs(v))",
+        ("tests/test_envelope.py::test_walk_stops_within_its_tolerance_of_the_crossing",),
+    ),
+    Mutant(
+        "infinite branch scans only slack strictly inside eps_bal",
+        "src/upkeep/envelope.py",
+        "(np.abs(S[lines.scan]) <= eps_bal)",
+        "(np.abs(S[lines.scan]) < eps_bal)",
+        ("tests/test_envelope.py::test_solve_at_scans_rows_with_slack_exactly_eps_bal",),
+    ),
+    Mutant(
+        "mix of a member with slack exactly eps_bal",
+        "src/upkeep/screening.py",
+        "if abs(heavy.S) <= eps_bal:",
+        "if abs(heavy.S) < eps_bal:",
+        ("tests/test_screening.py::test_a_member_with_slack_exactly_eps_bal_stands_alone",),
+    ),
+    Mutant(
+        "valuations exactly 1e-12 apart not tied",
+        "src/upkeep/screening.py",
+        "tied = b.nu - a.nu <= 1e-12 * max(1.0, a.nu)",
+        "tied = b.nu - a.nu < 1e-12 * max(1.0, a.nu)",
+        ("tests/test_screening.py::test_verify_structure_ties_valuations_exactly_1e_12_apart",),
+    ),
+    Mutant(
+        "two-atom menus dropped",
+        "src/upkeep/screening.py",
+        "(pad > 1.0)[:, None, :]",
+        "(pad > 9e99)[:, None, :]",
+        ("tests/test_screening.py::test_kink_table_matches_inner_solve_and_menus",),
     ),
 )
 

@@ -76,6 +76,15 @@ def test_walk_stops_on_a_repeated_limit_line():
     assert minimize(W, S, -1.0)[:3] == (0, 2, 1)
 
 
+def test_walk_stops_within_its_tolerance_of_the_crossing():
+    # The pair (0, 2) crosses at y = 1 with value 1, and line 1 tops it
+    # there by exactly the walk's tolerance 1e-12: the crossing is the
+    # minimum, so the walk stops at once.  A strict test takes line 1 into
+    # the pair and a second step.
+    W, S = np.array([0.0, 1.0 + 1e-12, 2.0]), np.array([1.0, 0.0, -1.0])
+    assert minimize(W, S, 0.0) == (0, 2, 1, 1.0)
+
+
 def test_no_slack_above_eps_is_the_infinite_branch():
     W, S = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, -1.0])
     assert minimize(W, S, 0.5) is None
@@ -134,6 +143,15 @@ def test_solve_at_scans_balanced_rows_kink_by_kink():
         W = [1.0, 1.0, 1.0 + gap, 0.0, 5.0, 2.0]
         lines = _hand_built(W, [0, 0, 0, 0, 1, 0], kink, qs, rho)
         assert solve_at(lines, rho, 1.0)[1:] == (best, best, 0, math.inf)
+
+
+def test_solve_at_scans_rows_with_slack_exactly_eps_bal():
+    # Row 1's slack is exactly eps_bal = 1e-12, so it balances, and its
+    # welfare beats row 0's: the scan takes it.  A strict test leaves it
+    # out and returns row 0.
+    W, rev, kink = np.array([0.0, 1.0, 5.0]), np.array([0.0, 1e-12, 0.0]), np.array([0, 0, 1])
+    lines = Lines(W, rev, kink, qs=np.array([0.0, 1.0]))
+    assert solve_at(lines, 3.0, 1.0)[1:] == (1, 1, 0, math.inf)
 
 
 def test_solve_at_takes_participations_row_from_the_saturated_column():

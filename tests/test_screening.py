@@ -20,8 +20,8 @@ from upkeep import (
 from conftest import KINDS, kinded_distribution, random_distribution
 from reference import ic_lagrangian, table_row_menu
 from test_identity import corpus
-from upkeep.model import kink_uptimes, slack_scale
-from upkeep.screening import MenuTier, _kink_table, _table_line
+from upkeep.model import Mechanism, kink_uptimes, slack_scale
+from upkeep.screening import MenuTier, ScreeningSolution, _Line, _kink_table, _mix, _table_line
 
 
 def test_bounded_monopoly_two_tier_menu():
@@ -239,6 +239,20 @@ def test_verify_structure_rejects_each_broken_shape(case):
     assert not verify_structure(_perturbed(sol, case))
 
 
+def test_verify_structure_ties_valuations_exactly_1e_12_apart():
+    # B's valuation is exactly 1e-12 above A's, at the edge of the tie
+    # tolerance, so the two are tied and must share their levels: A
+    # opting out while B takes a lone full-access tier fails the check.
+    u = 2.0**-44
+    d = TypeDistribution((AgentType("A", u, 1.0, 1.0), AgentType("B", u + 1e-12, 1.0, 1.0)))
+    assert d.types[1].nu - d.types[0].nu == 1e-12 * max(1.0, d.types[0].nu)
+    mech = Mechanism(Q=0.5, R={"A": 0.0, "B": 0.5}, P={"A": 0.0, "B": 0.5})
+    sol = ScreeningSolution(
+        math.inf, 0.5, 0.0, mech, (MenuTier(1.0, 1.0),), {"A": None, "B": 0}, 0, 1.0, d
+    )
+    assert not verify_structure(sol)
+
+
 def test_screening_weakly_below_participation():
     rng = np.random.default_rng(41)
     for _ in range(15):
@@ -394,10 +408,12 @@ def test_kink_table_matches_inner_solve_and_menus():
     # must take exactly the bundles that the buyer-by-buyer reference
     # gives them, and the row's line must match the reference's; each
     # kink's best line at y > 0 is checked against the independent inner
-    # solve in ic_lagrangian.  The table does not involve rho; the slopes
-    # S are formed at each case's rho.
+    # solve in ic_lagrangian and, at each interior kink, against the LP
+    # over all direct mechanisms (menu_grid_oracle), which does not assume
+    # two tiers.  The table does not involve rho; the slopes S are formed
+    # at each case's rho.
     rng = np.random.default_rng(73)
-    free_tier_best = 0
+    free_tier_best = lp_checks = 0
     for d, rho in _table_cases():
         tab = _kink_table(d)
         S_tab = tab.slack(rho)
@@ -415,16 +431,29 @@ def test_kink_table_matches_inner_solve_and_menus():
             # a y where L's kink has its free tier, wherever the shared
             # draws land
             ys = np.append(ys, 2.0)
+        order = sorted(d.types, key=lambda t: t.nu)
         for y in ys:
             values = tab.W + y * S_tab
-            for k, q in enumerate(tab.qs[:-1]):
+            for k, q in enumerate(tab.qs[:-1].tolist()):
                 rows = np.flatnonzero(tab.kink == k)
                 best = rows[np.argmax(values[rows])]
-                ref, _ = ic_lagrangian(float(q), float(y), d, rho)
+                ref, _ = ic_lagrangian(q, float(y), d, rho)
                 assert abs(values[best] - ref) <= 1e-12 * max(1.0, abs(ref))
                 free_tier_best += int(tab.lo[best] == 0 and tab.hi[best] >= 0)
+                if k == 0:
+                    continue
+                # A buyer's own-kink valuation is exactly 1, as in the table.
+                ratio = q / (1.0 - q)
+                vals = [
+                    (1.0 if q == 1.0 / (1.0 + t.nu) else t.nu * ratio, t.mass * t.c, t.mass * y)
+                    for t in order
+                ]
+                lp = (1.0 - q) * menu_grid_oracle(vals, 1.0, 1e-3) - rho * q * y
+                assert abs(values[best] - lp) <= 1e-12 * max(1.0, abs(lp))
+                lp_checks += 1
     # Some kink's best menu has a free partial tier (low atom at 0).
     assert free_tier_best > 0
+    assert lp_checks == 634
 
 
 def _tables():
@@ -676,6 +705,16 @@ def test_levels_a_few_ulps_apart_share_one_tier(rows, rho, out):
     assert sol.tiers == (MenuTier(1.0, 1.0),)
     assert sol.assignment == {tid: None if tid in out else 0 for tid in d.ids}
     assert verify_structure(sol)
+
+
+def test_a_member_with_slack_exactly_eps_bal_stands_alone():
+    # a's slack is exactly eps_bal, so it counts as balanced and _mix
+    # returns it as it is, not a mix with b.
+    d = TypeDistribution((AgentType("A", 2.0, 1.0, 1.0),))
+    one = np.array([1.0])
+    a = _Line(1.0, 1e-12, 0.5, one, one, [0.5], [0.5])
+    b = _Line(0.0, -1.0, 0.75, one, one, [0.75], [0.25])
+    assert _mix(a, b, 1e-12, d, 1.0) is a
 
 
 def test_a_buyer_values_its_own_kink_at_exactly_1():

@@ -48,8 +48,8 @@ def _corpus():
 
 
 def test_sweep_equals_independent_solves(monkeypatch):
-    # Record what the sweep solved at each grid point: first best's
-    # solution and the other two solves' cores.
+    # Record what the sweep solved at each grid point: first best's and
+    # participation's solutions and screening's core.
     seen = []
 
     def recording(name):
@@ -61,7 +61,7 @@ def test_sweep_equals_independent_solves(monkeypatch):
 
         return recorded
 
-    for name in ("_first_best_at", "_participation_core", "_screening_core"):
+    for name in ("_first_best_at", "_participation_at", "_screening_core"):
         monkeypatch.setattr(upkeep.cli, name, recording(name))
 
     pairs = 0
@@ -76,10 +76,10 @@ def test_sweep_equals_independent_solves(monkeypatch):
             ic = solve_screening(d, rho)
             got_fb, got_part, got_ic = seen[3 * k : 3 * k + 3]
             assert _hexed(got_fb) == _hexed(fb)
-            for got, sol in ((got_part, part), (got_ic, ic)):
-                assert _hexed([got.y, got.Q, got.W, got.mechanism, got.iterations]) == _hexed(
-                    [sol.y_star, sol.Q_star, sol.W_star, sol.mechanism, sol.iterations]
-                )
+            assert _hexed(got_part) == _hexed(part)
+            assert _hexed([got_ic.y, got_ic.Q, got_ic.W, got_ic.mechanism, got_ic.iterations]) == (
+                _hexed([ic.y_star, ic.Q_star, ic.W_star, ic.mechanism, ic.iterations])
+            )
             cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
             cells += [ic.y_star, ic.Q_star, ic.W_star]
             rows.append(",".join(map(fmt, cells)))
@@ -140,17 +140,15 @@ def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
 
 
 def test_sweep_builds_no_labels(monkeypatch):
-    # A row prints only y, Q and W, so the sweep never labels a type:
-    # no participation class and no screening tier, on either branch.
+    # A row prints only y, Q and W, so the sweep never builds a screening
+    # tier, on either branch.  (Participation's classes cost little and
+    # come with its solve.)
     def forbidden(*args):
         raise AssertionError("a label built on the sweep path")
 
-    monkeypatch.setattr(upkeep.participation, "_classes", forbidden)
     monkeypatch.setattr(upkeep.screening, "MenuTier", forbidden)
     for d, grid in _corpus():
         assert len(upkeep.cli._run_sweep(d, grid, True)) == grid.count + 1
-    # The public solves still label, through the patched names.
-    rho = grid.values()[0]
-    for solve in (solve_participation, solve_screening):
-        with pytest.raises(AssertionError, match="a label built"):
-            solve(d, rho)
+    # The public solve still labels, through the patched name.
+    with pytest.raises(AssertionError, match="a label built"):
+        solve_screening(d, grid.values()[0])
