@@ -255,7 +255,8 @@ def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]
 def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str]:
     # rho enters each solver's dual lines only through their slopes, so
     # each table is built once and every grid point only walks it.  A row
-    # prints no labels, so it reads screening's core, which builds none.
+    # prints only y, Q and W, so it reads screening's core, its final line,
+    # and builds no mechanism and no labels.
     fb_lines, part_lines = _kink_lines(d, may_exit=False), _kink_lines(d)
     ic_table = _kink_table(d) if include_ic else None
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
@@ -267,8 +268,8 @@ def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str
         part = _participation_at(part_lines, d, rho)
         cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
         if ic_table is not None:
-            ic = _screening_core(ic_table, d, rho)
-            cells += [ic.y, ic.Q, ic.W]
+            line, y, _ = _screening_core(ic_table, d, rho)
+            cells += [y, line.Q, line.W]
         lines.append(",".join(map(fmt, cells)))
     return lines
 

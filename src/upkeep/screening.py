@@ -14,9 +14,9 @@ Every candidate menu at every kink is scored once, into one rho-free
 envelope.Lines table, so one table serves every breakage rate.  Both of
 its ends are the free posted price: at Q = 0 nobody takes it, and at the
 limit Q -> 1 everybody does.  A solve at rho is one core
-(_screening_core), which reads the table's final pair and mixes it; only
-the public solve labels the result with tiers and an assignment, since
-the labels cost about a sixth of a step and a sweep row prints none
+(_screening_core), which mixes the table's final pair into the final
+line; only the public solve builds the mechanism and labels from it,
+as they cost about a fifth of a step and a sweep row prints y, Q, W
 (participation's cost a few per cent, so its step forms them).  Buyers
 sorted by nu stay sorted at every kink, and a menu {out, (r0, r0 * lo),
 (1, 1)} sends the buyers below lo out, those in [lo, hi) to the low tier
@@ -410,21 +410,6 @@ def _mix(a: _Line, b: _Line, eps_bal: float, d: TypeDistribution, rho: float) ->
     return _line(up_a + up_b, r, p, d, rho)
 
 
-class _Core(NamedTuple):
-    """A screening solve at rho before its labels: threshold, uptime,
-    welfare, mechanism and walk steps, as in ScreeningSolution, and the
-    final line's normalized levels r, p in d.types order, which are all
-    that the tiers and the assignment read."""
-
-    y: float
-    Q: float
-    W: float
-    mechanism: Mechanism
-    iterations: int
-    r: np.ndarray
-    p: np.ndarray
-
-
 def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     """Solve the designer's problem under participation and truthful
     reporting.
@@ -438,31 +423,34 @@ def solve_screening(d: TypeDistribution, rho: float) -> ScreeningSolution:
     pair's menus are read from the cut indices that scored them in the
     table, so one tie rule assigns every buyer.  When no kink menu has
     slack the dual is unbounded, and solve_at's welfare-best balanced row
-    is returned with y_star = inf.
+    is returned with y_star = inf.  Only this solve builds the mechanism
+    and the labels, from _screening_core's final line.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    core = _screening_core(_kink_table(d), d, rho)
-    levels = list(zip(core.r.tolist(), core.p.tolist()))
+    line, y, steps = _screening_core(_kink_table(d), d, rho)
+    ids = d.ids
+    levels = list(zip(line.r.tolist(), line.p.tolist()))
     tiers = sorted(set(levels) - {(0.0, 0.0)}, key=lambda t: (-t[0], -t[1]))
     index = {level: k for k, level in enumerate(tiers)}
     return ScreeningSolution(
-        y_star=core.y,
-        Q_star=core.Q,
-        W_star=core.W,
-        mechanism=core.mechanism,
+        y_star=y,
+        Q_star=line.Q,
+        W_star=line.W,
+        mechanism=Mechanism(Q=line.Q, R=dict(zip(ids, line.R)), P=dict(zip(ids, line.P))),
         tiers=tuple(MenuTier(*level) for level in tiers),
-        assignment={t.id: index.get(level) for t, level in zip(d.types, levels)},
-        iterations=core.iterations,
+        assignment={i: index.get(level) for i, level in zip(ids, levels)},
+        iterations=steps,
         rho=rho,
         d=d,
     )
 
 
-def _screening_core(tab: _KinkTable, d: TypeDistribution, rho: float) -> _Core:
-    """solve_screening at rho from d's table, for a checked rho, without
-    the tiers and the assignment: the pos row's line, mixed with the neg
-    row's when the walk took steps."""
+def _screening_core(tab: _KinkTable, d: TypeDistribution, rho: float) -> tuple[_Line, float, int]:
+    """solve_screening at rho from d's table, for a checked rho, as its
+    final line (the pos row's, mixed with the neg row's when the walk
+    took steps), the pair's crossing y (inf on the infinite branch) and
+    the walk's steps."""
     scale = slack_scale(d, rho)
     _, pos, neg, steps, y = solve_at(tab, rho, scale)
     line = _table_line(tab, pos, d, rho)
@@ -472,9 +460,7 @@ def _screening_core(tab: _KinkTable, d: TypeDistribution, rho: float) -> _Core:
         b = _table_line(tab, neg, d, rho)
         y = (b.W - line.W) / (line.S - b.S)
         line = _mix(line, b, 1e-12 * scale, d, rho)
-    ids = d.ids
-    mech = Mechanism(Q=line.Q, R=dict(zip(ids, line.R)), P=dict(zip(ids, line.P)))
-    return _Core(y, line.Q, line.W, mech, steps, line.r, line.p)
+    return line, y, steps
 
 
 def verify_structure(sol: ScreeningSolution) -> bool:

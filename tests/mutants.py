@@ -12,11 +12,14 @@ Run from the repository root:
 
     python tests/mutants.py
 
-For each mutant the tree is copied to a temporary directory, the
-mutation applied there, and the mutant's tests run under a wall budget
-of BUDGET_S.  Each line reads caught, survived or timed out, with the
-wall time; a time-out is not a catch.  The exit status is 0 only if
-every mutant is caught.
+First every mutant's tests run once on an unmutated copy of the tree,
+under a wall budget of BUDGET_S: a test that already fails there would
+read as a catch, so if any fails or times out the runner prints the
+failing ids and exits 1.  Then, for each mutant, the tree is copied to
+a temporary directory, the mutation applied there, and the mutant's
+tests run under the same budget.  Each line reads caught, survived or
+timed out, with the wall time; a time-out is not a catch.  The exit
+status is 0 only if every mutant is caught.
 """
 
 from __future__ import annotations
@@ -168,8 +171,8 @@ MUTANTS = (
     Mutant(
         "sweep solves screening per rho",
         "src/upkeep/cli.py",
-        "ic = _screening_core(ic_table, d, rho)",
-        "ic = _screening_core(_kink_table(d), d, rho)",
+        "line, y, _ = _screening_core(ic_table, d, rho)",
+        "line, y, _ = _screening_core(_kink_table(d), d, rho)",
         ("tests/test_sweep.py::test_sweep_builds_each_table_once",),
     ),
     Mutant(
@@ -311,6 +314,48 @@ MUTANTS = (
         "(pad > 9e99)[:, None, :]",
         ("tests/test_screening.py::test_kink_table_matches_inner_solve_and_menus",),
     ),
+    Mutant(
+        "sweep builds the screening mechanism",
+        "src/upkeep/screening.py",
+        "    return line, y, steps\n",
+        "    Mechanism(Q=line.Q, R={}, P={})\n    return line, y, steps\n",
+        ("tests/test_sweep.py::test_sweep_builds_no_screening_mechanism_or_labels",),
+    ),
+    Mutant(
+        "balanced scan takes a row exactly eps_bal better",
+        "src/upkeep/envelope.py",
+        "W[i] > W[best] + eps_bal",
+        "W[i] >= W[best] + eps_bal",
+        ("tests/test_envelope.py::test_solve_at_scans_balanced_rows_kink_by_kink",),
+    ),
+    Mutant(
+        "a crossing exactly ATOM_SNAP from a cost not snapped",
+        "src/upkeep/participation.py",
+        "if abs(t.c - y) <= ATOM_SNAP * max(1.0, t.c):",
+        "if abs(t.c - y) < ATOM_SNAP * max(1.0, t.c):",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[snap]",),
+    ),
+    Mutant(
+        "a residual without the threshold's types exactly eps not balanced",
+        "src/upkeep/participation.py",
+        "if rm[k] <= eps)",
+        "if rm[k] < eps)",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[without]",),
+    ),
+    Mutant(
+        "a residual with the threshold's types exactly eps not a full share",
+        "src/upkeep/participation.py",
+        "if abs(r_with) <= eps:",
+        "if abs(r_with) < eps:",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[with]",),
+    ),
+    Mutant(
+        "residuals exactly eps apart balanced",
+        "src/upkeep/participation.py",
+        "if gap > eps else 0.0",
+        "if gap >= eps else 0.0",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[gap]",),
+    ),
 )
 
 
@@ -345,19 +390,20 @@ def _caught(test_id: str, failed: set[str]) -> bool:
     return test_id in failed or any(f.startswith(test_id + "[") for f in failed)
 
 
-def run(m: Mutant) -> tuple[str, float]:
-    """('caught' | 'survived' | 'timed out', wall seconds) of one mutant,
-    run in a fresh copy of the tree."""
+def _pytest(tests: tuple[str, ...], m: Mutant | None = None) -> tuple[int | None, str, float]:
+    """(exit status, or None on a time-out; output; wall seconds) of
+    pytest on tests in a fresh copy of the tree, mutated by m if given."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
-        target = tree / m.path
-        text = target.read_text()
-        if text.count(m.old) != 1:
-            raise ValueError(f"{m.name}: old text occurs {text.count(m.old)} times in {m.path}")
-        target.write_text(text.replace(m.old, m.new))
+        if m is not None:
+            target = tree / m.path
+            text = target.read_text()
+            if text.count(m.old) != 1:
+                raise ValueError(f"{m.name}: old text occurs {text.count(m.old)} times in {m.path}")
+            target.write_text(text.replace(m.old, m.new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *m.tests]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *tests]
         start = time.perf_counter()
         # A session of its own, so that a time-out also stops what the
         # tests started.
@@ -369,14 +415,31 @@ def run(m: Mutant) -> tuple[str, float]:
             output, _ = proc.communicate(timeout=BUDGET_S)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            return "timed out", time.perf_counter() - start
-        wall = time.perf_counter() - start
-        failed = _failed_ids(output)
-        return ("caught" if all(_caught(t, failed) for t in m.tests) else "survived"), wall
+            output, _ = proc.communicate()
+            return None, output, time.perf_counter() - start
+        return proc.returncode, output, time.perf_counter() - start
+
+
+def run(m: Mutant) -> tuple[str, float]:
+    """('caught' | 'survived' | 'timed out', wall seconds) of one mutant,
+    run in a fresh copy of the tree."""
+    status, output, wall = _pytest(m.tests, m)
+    if status is None:
+        return "timed out", wall
+    failed = _failed_ids(output)
+    return ("caught" if all(_caught(t, failed) for t in m.tests) else "survived"), wall
 
 
 def main() -> int:
+    # Every named test must pass unmutated, or its failure proves no catch.
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    status, output, wall = _pytest(tests)
+    if status != 0:
+        verdict = "timed out" if status is None else "failed"
+        print(f"{verdict:<9}  {wall:6.1f} s of {BUDGET_S:.0f}  unmutated tree", flush=True)
+        print(*(sorted(_failed_ids(output)) or [output]), sep="\n")
+        return 1
+    print(f"{'passed':<9}  {wall:6.1f} s of {BUDGET_S:.0f}  unmutated tree", flush=True)
     ok = True
     for m in MUTANTS:
         verdict, wall = run(m)

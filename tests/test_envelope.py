@@ -136,10 +136,11 @@ def test_solve_at_scans_balanced_rows_kink_by_kink():
     # kink 1 (row 1) for a welfare higher by more than eps_bal = 1e-12,
     # and keeps it against kink 2 (row 2), higher by less, and kink 3
     # (row 0), an exact tie.  Row 4 is the welfare-best but does not
-    # balance.  At 2e-12 higher, kink 2 wins.
+    # balance.  At exactly eps_bal higher kink 1 still holds, and at
+    # 2e-12 higher kink 2 wins.
     qs, rho = [0.0, 0.25, 0.5, 0.75, 1.0], 0.5
     kink = np.array([3, 1, 2, 0, 2, 4])
-    for gap, best in ((0.5e-12, 1), (2e-12, 2)):
+    for gap, best in ((0.5e-12, 1), (1e-12, 1), (2e-12, 2)):
         W = [1.0, 1.0, 1.0 + gap, 0.0, 5.0, 2.0]
         lines = _hand_built(W, [0, 0, 0, 0, 1, 0], kink, qs, rho)
         assert solve_at(lines, rho, 1.0)[1:] == (best, best, 0, math.inf)

@@ -477,6 +477,51 @@ def test_a_residual_of_rounding_noise_gives_no_share_or_a_full_one(case):
     assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * max(1.0, rho)
 
 
+_EPS = 2.0**-40
+
+# Calls that put one value exactly on its tolerance, which counts as
+# within it, and what they return.  The _balanced_point calls have one
+# kink at Q = 0.5, where the residuals without and with the threshold's
+# types are the row of S.
+ON_THE_TOLERANCE = {
+    # The crossing is exactly ATOM_SNAP * max(1, c) from the only cost.
+    "snap": (
+        lambda: upkeep.participation._snapped(
+            1e-12, TypeDistribution((AgentType("A", 1.0, 2e-12, 1.0),))
+        ),
+        2e-12,
+    ),
+    # The residual without the threshold's types is exactly eps: the
+    # kink balances, with no share.
+    "without": (
+        lambda: upkeep.participation._balanced_point(
+            np.array([0.5]), np.array([[1e-12, 1.0]]), 0, 1, 0, 0, 1e-12
+        ),
+        (0.5, 0.0),
+    ),
+    # The residual with them is exactly eps: a full share.
+    "with": (
+        lambda: upkeep.participation._balanced_point(
+            np.array([0.5]), np.array([[-1.0, 1e-12]]), 0, 1, 0, 0, 1e-12
+        ),
+        (0.5, 1.0),
+    ),
+    # The residuals are exactly eps apart, and balancing them would give
+    # a share of 3 before the clamp: no share.
+    "gap": (
+        lambda: upkeep.participation._balanced_point(
+            np.array([0.5]), np.array([[-3.0 * _EPS, -2.0 * _EPS]]), 0, 1, 0, 0, _EPS
+        ),
+        (0.5, 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ON_THE_TOLERANCE))
+def test_a_value_exactly_on_its_tolerance_is_within_it(case):
+    call, expected = ON_THE_TOLERANCE[case]
+    assert call() == expected
+
 
 def _tiny_mass_tables():
     """300 tables of 1-5 types with masses 10^U(-13, -8), u in [0.5, 5]

@@ -77,8 +77,11 @@ def test_sweep_equals_independent_solves(monkeypatch):
             got_fb, got_part, got_ic = seen[3 * k : 3 * k + 3]
             assert _hexed(got_fb) == _hexed(fb)
             assert _hexed(got_part) == _hexed(part)
-            assert _hexed([got_ic.y, got_ic.Q, got_ic.W, got_ic.mechanism, got_ic.iterations]) == (
-                _hexed([ic.y_star, ic.Q_star, ic.W_star, ic.mechanism, ic.iterations])
+            line, y, steps = got_ic
+            ids = d.ids
+            assert _hexed([y, line.Q, line.W, line.R, line.P, steps]) == _hexed(
+                [ic.y_star, ic.Q_star, ic.W_star, [ic.mechanism.R[i] for i in ids],
+                 [ic.mechanism.P[i] for i in ids], ic.iterations]
             )
             cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
             cells += [ic.y_star, ic.Q_star, ic.W_star]
@@ -139,16 +142,17 @@ def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
     assert builds == {"_kink_lines": 2, "_kink_table": 1}
 
 
-def test_sweep_builds_no_labels(monkeypatch):
+def test_sweep_builds_no_screening_mechanism_or_labels(monkeypatch):
     # A row prints only y, Q and W, so the sweep never builds a screening
-    # tier, on either branch.  (Participation's classes cost little and
-    # come with its solve.)
-    def forbidden(*args):
-        raise AssertionError("a label built on the sweep path")
+    # mechanism or tier, on either branch.  (Participation's classes cost
+    # little and come with its solve.)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mechanism or label built on the sweep path")
 
+    monkeypatch.setattr(upkeep.screening, "Mechanism", forbidden)
     monkeypatch.setattr(upkeep.screening, "MenuTier", forbidden)
     for d, grid in _corpus():
         assert len(upkeep.cli._run_sweep(d, grid, True)) == grid.count + 1
-    # The public solve still labels, through the patched name.
-    with pytest.raises(AssertionError, match="a label built"):
+    # The public solve still builds both, through the patched names.
+    with pytest.raises(AssertionError, match="a mechanism or label built"):
         solve_screening(d, grid.values()[0])
