@@ -30,8 +30,7 @@ from .model import (
 )
 from .oracle import TooManyTypesError, lp_screening_welfare, primal_grid_welfare
 from .participation import (
-    FirstBestSolution, _first_best_at, _kink_lines, _participation_at, solve_first_best,
-    solve_participation,
+    FirstBestSolution, _kink_lines, _participation_at, solve_first_best, solve_participation,
 )
 from .screening import ScreeningSolution, _kink_table, _screening_core, solve_screening
 from .sim import build_policy, simulate_fluid, simulate_poisson
@@ -253,18 +252,19 @@ def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]
 
 
 def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str]:
-    # rho enters each solver's dual lines only through their slopes, so
-    # each table is built once and every grid point only walks it.  A row
-    # prints only y, Q and W, so it reads screening's core, its final line,
-    # and builds no mechanism and no labels.
-    fb_lines, part_lines = _kink_lines(d, may_exit=False), _kink_lines(d)
+    # rho enters participation's and screening's dual lines only through
+    # their slopes, so each table is built once and every grid point only
+    # walks it; first best is one closed form per grid point.  A row prints
+    # only y, Q and W, so it reads screening's core, its final line, and
+    # builds no mechanism and no labels.
+    part_lines = _kink_lines(d)
     ic_table = _kink_table(d) if include_ic else None
     header = "rho,y_fb,Q_fb,W_fb,y_star,Q_star,W_star"
     if include_ic:
         header += ",y_ic,Q_ic,W_ic"
     lines = [header]
     for rho in grid.values():
-        fb = _first_best_at(fb_lines, d, rho)
+        fb = solve_first_best(d, rho)
         part = _participation_at(part_lines, d, rho)
         cells = [rho, fb.y_fb, fb.Q_fb, fb.W_fb, part.y_star, part.Q_star, part.W_star]
         if ic_table is not None:

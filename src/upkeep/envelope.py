@@ -80,9 +80,9 @@ def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, f
 
 def solve_at(lines: Lines, rho: float, scale: float) -> tuple[np.ndarray, int, int, int, float]:
     """(S, pos, neg, steps, y): the slack of lines at rho and, when some
-    line has slack above DEFAULT_TOL * scale (see model.slack_scale; a
-    scale of 0 takes none), minimize's final pair as flat indices, its
-    evaluations and their crossing.  Otherwise the branch is infinite:
+    line has slack above DEFAULT_TOL * scale (see model.slack_scale),
+    minimize's final pair as flat indices, its evaluations and their
+    crossing.  Otherwise the branch is infinite:
     steps is 0, y is inf, and pos = neg is the welfare-best row of
     lines[lines.scan], as an index into it, with |S| <= eps_bal =
     1e-12 * scale.  No row has positive slack there, and every mechanism

@@ -21,9 +21,8 @@ same pass labels it with its class.  A sweep row prints no class, but
 the labels cost a few per cent of a solve at rho, so unlike screening's
 (see screening._screening_core) they are not split from the solve.
 First best, under physical constraints only, is this problem with each
-cap relaxed to the downtime 1 - Q, on a table with the kinks 0 and 1,
-where the walk's final pair always spans both and the uptime is one
-division (_first_best_at).
+cap relaxed to the downtime 1 - Q; its dual's minimum is one closed form
+over the prefixes of the cost-sorted types, with no table and no walk.
 """
 
 from __future__ import annotations
@@ -86,14 +85,12 @@ class FirstBestSolution:
     """Threshold, uptime, welfare, and the mechanism that attains them.
 
     Types whose cost sits exactly at the threshold contribute nothing.
-    iterations counts the steps of the dual walk.
     """
 
     y_fb: float
     Q_fb: float
     W_fb: float
     mechanism: Mechanism
-    iterations: int
     rho: float
 
 
@@ -128,17 +125,14 @@ class _KinkLines(Lines):
     costs: list[float]
 
 
-def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
-    """The reduced Lagrangian at each kink q as the maximum of lines
-    W + y * S over prefixes of the cost-sorted types, which add
-    mass * cap * (y - c): one row per kink, one column per prefix, the
-    empty prefix first.  The last row, at q = 1, is the limit line
-    u_bar - rho * y.  Neither W nor the covered caps C, the prefix sums
-    of mass * cap, involve rho; the slopes are S = C - rho * q.
-
-    Where types may exit (participation), the cap is min(1 - q, q * nu),
-    bent at the kinks of kink_uptimes.  Otherwise (first best) it is the
-    downtime 1 - q, affine in q, so the kinks are 0 and 1.
+def _kink_lines(d: TypeDistribution) -> _KinkLines:
+    """The reduced Lagrangian at each kink q of kink_uptimes as the
+    maximum of lines W + y * S over prefixes of the cost-sorted types,
+    which add mass * cap * (y - c), the cap being min(1 - q, q * nu): one
+    row per kink, one column per prefix, the empty prefix first.  The
+    last row, at q = 1, is the limit line u_bar - rho * y.  Neither W nor
+    the covered caps C, the prefix sums of mass * cap, involve rho; the
+    slopes are S = C - rho * q.
 
     S[i, j] is also the balance residual at kink i when the j cheapest
     types contribute their caps and no other type contributes, and the
@@ -146,9 +140,9 @@ def _kink_lines(d: TypeDistribution, may_exit: bool = True) -> _KinkLines:
     """
     by_cost = sorted(d.types, key=lambda t: t.c)
     nu, mass, c = np.array([(1.0, 0.0, 0.0)] + [(t.nu, t.mass, t.c) for t in by_cost]).T
-    qs = np.array(kink_uptimes(d) if may_exit else [0.0, 1.0])
+    qs = np.array(kink_uptimes(d))
     q = qs[:, None]
-    covered = mass * (np.minimum(1.0 - q, q * nu) if may_exit else 1.0 - q)
+    covered = mass * np.minimum(1.0 - q, q * nu)
     W = q * d.u_bar - (covered * c).cumsum(axis=1)
     kink = np.arange(qs.size).repeat(W.shape[1]).reshape(W.shape)
     return _KinkLines(W, covered.cumsum(axis=1), kink, by_cost, [t.c for t in by_cost], qs=qs)
@@ -279,35 +273,27 @@ def _participation_at(
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:
     """Solve the physical-constraints-only problem.
 
-    The table (_kink_lines with may_exit=False) has one line per prefix
-    of the cost-sorted types, y -> sum of mass * (y - c), and the limit
-    line u_bar - rho * y.  The crossing of the walk's final pair is the
-    threshold, snapped to a cost atom within rounding.  The full prefix
-    always has slack, so the walk takes no tolerance.  The types below
-    the threshold contribute their whole downtime and those at it or
-    above nothing, and the uptime balances them (_first_best_at).
+    The dual, max(sum of mass * (y - c)^+, u_bar - rho * y), is a
+    nondecreasing sum against the falling limit line, so its minimum is
+    their crossing: y* = min_j (u_bar + C_j) / (M_j + rho) over the
+    prefixes j of the cost-sorted types, the empty one included, with
+    mass M_j and C_j the sum of mass * c.  Every prefix line lies at or
+    below the sum, so it crosses the limit line at y* or right of it, and
+    the line on top at y* crosses there.  y* is snapped to a cost atom
+    within rounding.  The types below it contribute their whole downtime
+    and the rest nothing, so the uptime balances at Q = fa / (fa + rho),
+    where fa is their mass.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
-    return _first_best_at(_kink_lines(d, may_exit=False), d, rho)
-
-
-def _first_best_at(lines: _KinkLines, d: TypeDistribution, rho: float) -> FirstBestSolution:
-    """solve_first_best at rho from d's first-best lines, for a checked rho.
-
-    The final pair is a prefix at Q = 0, where every slack is >= 0,
-    against the limit row, so the residual without the threshold's types
-    falls linearly from fa = rev[0, bisect_left(costs, y)] >= 0 at Q = 0 to
-    -rho at Q = 1 and balances at Q = fa / (fa + rho): bit for bit the
-    interpolation of _balanced_point, which gives 0 when fa is 0.
-    """
-    _, _, _, iterations, y = solve_at(lines, rho, 0.0)
-    y = _snapped(y, d)
-    fa = lines.rev.item(0, bisect_left(lines.costs, y))
+    by_cost = sorted(d.types, key=lambda t: t.c)
+    M, C = np.array([(0.0, 0.0)] + [(t.mass, t.mass * t.c) for t in by_cost]).T.cumsum(axis=1)
+    y = _snapped(float(((d.u_bar + C) / (M + rho)).min()), d)
+    fa = M.item(bisect_left([t.c for t in by_cost], y))
     Q = fa / (fa + rho)
     P = {t.id: 1.0 - Q if t.c < y else 0.0 for t in d.types}
     mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
-    return FirstBestSolution(y, Q, welfare(mech, d), mech, iterations, rho)
+    return FirstBestSolution(y, Q, welfare(mech, d), mech, rho)
 
 
 def classify_interval(sol: ParticipationSolution, d: TypeDistribution) -> OrderedTypesReport:

@@ -109,19 +109,36 @@ MUTANTS = (
     Mutant(
         "first best without the atom snap",
         "src/upkeep/participation.py",
-        "    y = _snapped(y, d)\n",
-        "",
+        "y = _snapped(float(((d.u_bar + C) / (M + rho)).min()), d)",
+        "y = float(((d.u_bar + C) / (M + rho)).min())",
         ("tests/test_first_best.py::test_own_finish_matches_participations_finish",),
     ),
     Mutant(
         "first best's column by bisect_right",
         "src/upkeep/participation.py",
-        "fa = lines.rev.item(0, bisect_left(lines.costs, y))",
-        "fa = lines.rev.item(0, bisect_right(lines.costs, y))",
+        "fa = M.item(bisect_left([t.c for t in by_cost], y))",
+        "fa = M.item(bisect_right([t.c for t in by_cost], y))",
         (
             "tests/test_first_best.py::test_own_finish_matches_participations_finish",
             "tests/test_identity.py::test_solutions_are_bit_identical[first_best/integer]",
         ),
+    ),
+    Mutant(
+        "first best takes the full prefix's crossing",
+        "src/upkeep/participation.py",
+        "((d.u_bar + C) / (M + rho)).min()",
+        "((d.u_bar + C) / (M + rho))[-1]",
+        (
+            "tests/test_first_best.py::test_first_best_is_scale_free",
+            "tests/test_first_best.py::test_first_best_threshold_is_the_exact_minimum",
+        ),
+    ),
+    Mutant(
+        "a massless type joins the band",
+        "src/upkeep/participation.py",
+        "if t.mass > 0.0]",
+        "if t.mass >= 0.0]",
+        ("tests/test_participation.py::test_pair_on_one_kink_with_a_crossing_off_every_atom",),
     ),
     Mutant(
         "limit row stored with cut n",

@@ -3,8 +3,8 @@
 Each is a direct loop over the types, written from the model's
 definitions and not from the solvers' tables, so agreement between the
 two is evidence for both.  first_best_via_participation is the
-exception: it runs participation's general finish on first best's table,
-the reference for first best's closed-form finish to the bit.
+exception: it runs participation's walk and general finish on first
+best's table, the reference for first best's closed form to the bit.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from upkeep import FirstBestSolution, Mechanism, TypeDistribution, bounded_monopoly_solve
 from upkeep.envelope import minimize
 from upkeep.model import ATOM_SNAP, agent_utility, kink_uptimes
-from upkeep.participation import _balanced_point, _kink_lines
+from upkeep.participation import _balanced_point, _KinkLines
 from upkeep.screening import _score_menu
 
 _FACE_RTOL = 1e-12
@@ -180,6 +182,21 @@ def table_row_menu(
     return q, W, S, menu
 
 
+def first_best_lines(d: TypeDistribution) -> _KinkLines:
+    """First best's dual as participation's table: the kinks 0 and 1, and
+    each type's cap relaxed to the downtime, so it covers mass * (1 - q).
+    Row 0 holds a line per prefix of the cost-sorted types and row 1 the
+    limit line."""
+    by_cost = sorted(d.types, key=lambda t: t.c)
+    mass, c = np.array([(0.0, 0.0)] + [(t.mass, t.c) for t in by_cost]).T
+    qs = np.array([0.0, 1.0])
+    q = qs[:, None]
+    covered = mass * (1.0 - q)
+    W = q * d.u_bar - (covered * c).cumsum(axis=1)
+    kink = np.arange(2).repeat(W.shape[1]).reshape(W.shape)
+    return _KinkLines(W, covered.cumsum(axis=1), kink, by_cost, [t.c for t in by_cost], qs=qs)
+
+
 def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSolution:
     """solve_first_best by participation's finish on first best's table:
     the walk, the snap to a cost atom, the band of rationed types when
@@ -188,9 +205,9 @@ def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSo
     through agent_utility.  No shortcut is taken that first best's table
     would allow, such as the pair's rows always being 0 and 1.
     """
-    lines = _kink_lines(d, may_exit=False)
+    lines = first_best_lines(d)
     W, S = lines.W, lines.slack(rho)
-    pos, neg, iterations, y = minimize(W.ravel(), S.ravel(), 0.0)
+    pos, neg, _, y = minimize(W.ravel(), S.ravel(), 0.0)
     for t in d.types:
         if abs(t.c - y) <= ATOM_SNAP * max(1.0, t.c):
             y = t.c
@@ -210,4 +227,4 @@ def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSo
         P[t.id] = (1.0 - Q) * share
     mech = Mechanism(Q=Q, R={t.id: Q for t in d.types}, P=P)
     W_fb = sum(t.mass * agent_utility(t, mech.R[t.id], mech.P[t.id]) for t in d.types)
-    return FirstBestSolution(y, Q, W_fb, mech, iterations, rho)
+    return FirstBestSolution(y, Q, W_fb, mech, rho)

@@ -176,9 +176,10 @@ def _tiny_masses():
 
 @pytest.mark.parametrize("kind", [*KINDS, "tiny_masses"])
 def test_every_table_ends_in_its_limit_line(kind, monkeypatch):
-    # Each solver hands envelope.minimize, through envelope.solve_at, a
-    # table whose last line is the limit line, and screening's stored
-    # limit row reads as Q = 1 with free full access.
+    # Participation and screening each hand envelope.minimize, through
+    # envelope.solve_at, a table whose last line is the limit line, and
+    # screening's stored limit row reads as Q = 1 with free full access.
+    # First best has no table and no walk.
     last = []
 
     def record(W, S, eps, inner=envelope.minimize):
@@ -189,16 +190,14 @@ def test_every_table_ends_in_its_limit_line(kind, monkeypatch):
     rng = np.random.default_rng(59)
     for n in (2, 7):
         d = _tiny_masses() if kind == "tiny_masses" else kinded_distribution(rng, kind, n)
-        fb_lines, lines, tab = _kink_lines(d, may_exit=False), _kink_lines(d), _kink_table(d)
+        lines, tab = _kink_lines(d), _kink_table(d)
         for rho in (1e-14, 1e-13, 0.3 * d.total_mass, 20.0 * d.total_mass):
             last.clear()
-            solve_first_best(d, rho)
             solve_participation(d, rho)
             solve_screening(d, rho)
-            # first best, participation and screening, in that order
-            assert last == [(d.u_bar, -rho)] * 3
-            for table in (fb_lines, lines):
-                assert table.W[-1, -1] == d.u_bar and table.slack(rho)[-1, -1] == -rho
+            # participation and screening, in that order
+            assert last == [(d.u_bar, -rho)] * 2
+            assert lines.W[-1, -1] == d.u_bar and lines.slack(rho)[-1, -1] == -rho
             assert tab.W[-1] == d.u_bar and tab.slack(rho)[-1] == -rho
             line = _table_line(tab, tab.W.size - 1, d, rho)
             assert line.Q == 1.0

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,13 @@ from upkeep import (
     welfare,
 )
 from upkeep.envelope import minimize
-from upkeep.participation import _kink_lines
+from upkeep.model import ATOM_SNAP
 from conftest import KINDS, kinded_distribution, random_distribution
-from reference import fb_dual_value, fb_threshold_gap, first_best_via_participation
+from reference import (
+    fb_dual_value, fb_threshold_gap, first_best_lines, first_best_via_participation,
+)
 from test_identity import corpus
+from test_participation import _tiny_mass_tables
 from test_sweep import _hexed
 
 
@@ -195,7 +201,67 @@ def test_own_finish_matches_participations_finish():
     for d, rho in [(d, rho) for _, d, rho in corpus()] + list(_tenths_tables()):
         sol = solve_first_best(d, rho)
         assert _hexed(sol) == _hexed(first_best_via_participation(d, rho))
-        lines = _kink_lines(d, may_exit=False)
+        lines = first_best_lines(d)
         snapped += minimize(lines.W.ravel(), lines.slack(rho).ravel(), 0.0)[3] != sol.y_fb
         on_cost += sol.Q_fb > 0.0 and any(t.c == sol.y_fb and t.mass > 0.0 for t in d.types)
     assert (on_cost, snapped) == (52, 70)
+
+
+def _scaled(d: TypeDistribution, rho: float, j: int) -> tuple[TypeDistribution, float]:
+    """d and rho with every mass and rho times 2^j: the same problem in
+    other units, so the same threshold, uptime and levels, and welfare
+    times 2^j, with every product and sum exact."""
+    types = (AgentType(t.id, t.u, t.c, math.ldexp(t.mass, j)) for t in d.types)
+    return TypeDistribution(tuple(types)), math.ldexp(rho, j)
+
+
+def test_first_best_is_scale_free():
+    # A change of units must move no bit: a walk whose tolerance is
+    # absolute below |v| = 1 stops early at small masses and rho, on the
+    # full prefix's crossing.  The unscaled solve is checked against the
+    # exact oracle, so a solve that is wrong at every scale fails too.
+    rng = np.random.default_rng(45)
+    for i in range(200):
+        d = kinded_distribution(rng, KINDS[i % 4], int(rng.integers(2, 10)))
+        rho = d.total_mass * 10.0 ** float(rng.uniform(-3.0, 3.0))
+        base = solve_first_best(d, rho)
+        oracle = primal_grid_welfare(d, rho, "first_best")[0]
+        assert abs(base.W_fb - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        for j in range(-60, 61, 4):
+            sol = solve_first_best(*_scaled(d, rho, j))
+            assert sol.y_fb.hex() == base.y_fb.hex()
+            assert sol.Q_fb.hex() == base.Q_fb.hex()
+            assert _hexed(sol.mechanism) == _hexed(base.mechanism)
+            assert sol.W_fb == math.ldexp(base.W_fb, j)
+
+
+def _mixed_mass_tables():
+    """2000 tables of 1-6 types with masses 10^U(-13, 6), u in [0.5, 5]
+    and c in [0.5, 3], at rho = total mass x 10^U(-3, 3)."""
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        mass = 10.0 ** rng.uniform(-13.0, 6.0, n)
+        u, c = rng.uniform(0.5, 5.0, n), rng.uniform(0.5, 3.0, n)
+        d = TypeDistribution(
+            tuple(AgentType(f"T{i}", float(u[i]), float(c[i]), float(mass[i])) for i in range(n))
+        )
+        yield d, d.total_mass * 10.0 ** float(rng.uniform(-3.0, 3.0))
+
+
+def test_first_best_threshold_is_the_exact_minimum():
+    # The dual's minimum min_j (u_bar + C_j) / (M_j + rho) over the
+    # prefixes of the cost-sorted types, in exact arithmetic.  Every term
+    # of the float sums is positive, so the solver's threshold is within a
+    # few ulps of it, or on a cost within the snap's tolerance.
+    for d, rho in [*_tiny_mass_tables(), *_mixed_mass_tables()]:
+        y = solve_first_best(d, rho).y_fb
+        num = sum(Fraction(t.mass) * Fraction(t.u) for t in d.types)
+        den, exact = Fraction(rho), num / Fraction(rho)
+        for t in sorted(d.types, key=lambda t: t.c):
+            num += Fraction(t.mass) * Fraction(t.c)
+            den += Fraction(t.mass)
+            exact = min(exact, num / den)
+        gap = abs(Fraction(y) - exact)
+        on_cost = any(t.c == y for t in d.types)
+        assert gap <= 2e-15 * exact or (on_cost and gap <= ATOM_SNAP * max(1.0, y))

@@ -26,11 +26,11 @@ SOLVERS = {
 }
 
 DIGESTS = {
-    "first_best/integer": "9dd385a134c4dc3ba21d073c6435d3594ee80f919d01c67c39349d6a24c4acc1",
-    "first_best/plain": "6e5dfcfd399a361b7ecda0266e4573d1726384b271d93dc7bf569b80bb16e688",
-    "first_best/tied_cost": "a67543aa5e56b2116343029891c8107b4f5c67b32c264d2ba5667212676ee158",
-    "first_best/tied_nu": "1417d1ba45aa9be6aea0eff6c7a762f4e8e9e1e77a49b7c027bc0ffb025112a9",
-    "first_best/zero_mass": "f873bab793718597e76d7d3f182a4477061d48ce9ad515e1eb6fce398c6e54de",
+    "first_best/integer": "dfd481b4422423f86dbdb0cd66ce54ef77c545578e2e65b09bd8489bdecfe903",
+    "first_best/plain": "1b8b464cfe8cf8af40c89a0e4f3cb7c84ab4067dff79407ba8fb73e5f9160822",
+    "first_best/tied_cost": "32b25cac1bf87dea1c03a57bb623666bbb6c3e04d75fbc4b1a3734351f1b01f2",
+    "first_best/tied_nu": "30adff01e9a911e9edd25d63cb679be5ee74051d2da032e3957e25de9c196ea1",
+    "first_best/zero_mass": "4114cbb6ae50830d7ea082b9027e0f8668fe6711b83eae3da193d07a3916cf6e",
     "participation/integer": "f8c9bc45d01b398154f0c5ac29211eead35e3fd4976d5cacdd85da014832c98f",
     "participation/plain": "ad2e02fd2cc462750060351067fc7dc72062a694347058cb5ae5a8a9efd222e5",
     "participation/tied_cost": "6915d5e5fb8457b2d3e8664fb81fcf0e70109b7df98d4a3d8c284bb5ea17c44f",
@@ -127,13 +127,14 @@ def test_every_solver_and_family_is_pinned(computed):
 
 
 if __name__ == "__main__":
-    # One line per solve with a short hash of its bytes and its W and Q
-    # as float.hex: `diff` between the listings of two checkouts names
-    # the moved solves with their values before and after.  Run from the
-    # repository root as `PYTHONPATH=src python tests/test_identity.py`.
+    # One line per solve with a short hash of its bytes and its W, Q and
+    # threshold y as float.hex: `diff` between the listings of two
+    # checkouts names the moved solves with their values before and
+    # after.  Run from the repository root as
+    # `PYTHONPATH=src python tests/test_identity.py`.
     for name, family, index, fields, text in solves():
         end = "fb" if name == "first_best" else "star"
         print(
             name, index, family, hashlib.sha256(text).hexdigest()[:16],
-            "W", fields[f"W_{end}"], "Q", fields[f"Q_{end}"],
+            "W", fields[f"W_{end}"], "Q", fields[f"Q_{end}"], "y", fields[f"y_{end}"],
         )

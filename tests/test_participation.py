@@ -282,33 +282,39 @@ def test_pair_on_one_kink_with_a_crossing_off_every_atom():
     # prefix-7 line adds only T7, of mass 2.3e-5, and sits above the pair
     # by less than the walk's tolerance.  The crossing lands 8.6e-12
     # relative below T10's cost, off every cost atom, so T7 and T10 share
-    # the threshold's contribution fraction.
-    d = TypeDistribution(
-        (
-            AgentType("T0", 0.6319245800397523, 1.7428406064503703, 0.04041542014971688),
-            AgentType("T1", 0.1425044564043586, 3.1373438557627584, 0.0),
-            AgentType("T2", 8.09481807461232, 9.394333308623683, 0.0),
-            AgentType("T3", 0.18716689940556974, 7.945371438047126, 0.0),
-            AgentType("T4", 4.067158157207728, 3.3067200566244135, 0.0),
-            AgentType("T5", 3.5370833121568146, 4.921705169107913, 217469.21803728107),
-            AgentType("T6", 1.8411732340497908, 9.982569425853479, 33747.34478857572),
-            AgentType("T7", 6.547262143519833, 7.671442934450312, 2.3356089531842506e-05),
-            AgentType("T8", 0.6415712915446843, 4.522553142920323, 0.00749438573980715),
-            AgentType("T9", 2.406292958174756, 8.60089565636767, 0.007177905219169574),
-            AgentType("T10", 9.336585514934104, 7.8638501034698045, 66292.8465418976),
-            AgentType("T11", 0.7791480307902442, 5.859953880996061, 1134277.8330234622),
-        )
+    # the threshold's contribution fraction.  T12, of mass 0, costs less
+    # than T7 and sits among the types the pair's prefixes differ by; the
+    # band spans only the costs of types with mass, so with T12 added
+    # nothing else moves, and T12 contributes its whole cap like every
+    # type below the threshold.
+    family = (
+        AgentType("T0", 0.6319245800397523, 1.7428406064503703, 0.04041542014971688),
+        AgentType("T1", 0.1425044564043586, 3.1373438557627584, 0.0),
+        AgentType("T2", 8.09481807461232, 9.394333308623683, 0.0),
+        AgentType("T3", 0.18716689940556974, 7.945371438047126, 0.0),
+        AgentType("T4", 4.067158157207728, 3.3067200566244135, 0.0),
+        AgentType("T5", 3.5370833121568146, 4.921705169107913, 217469.21803728107),
+        AgentType("T6", 1.8411732340497908, 9.982569425853479, 33747.34478857572),
+        AgentType("T7", 6.547262143519833, 7.671442934450312, 2.3356089531842506e-05),
+        AgentType("T8", 0.6415712915446843, 4.522553142920323, 0.00749438573980715),
+        AgentType("T9", 2.406292958174756, 8.60089565636767, 0.007177905219169574),
+        AgentType("T10", 9.336585514934104, 7.8638501034698045, 66292.8465418976),
+        AgentType("T11", 0.7791480307902442, 5.859953880996061, 1134277.8330234622),
     )
     rho = 182421.3835584369
-    sol = solve_participation(d, rho)
-    assert d.by_id("T7").c < sol.y_star < d.by_id("T10").c
-    assert 0.0 < sol.marginal_fraction < 1.0
-    tol = 1e-9 * max(1.0, rho, d.total_mass)
-    assert check_feasible(
-        sol.mechanism, d, rho, {"balance", "simplex", "participation"}, tol=tol
-    ).ok
-    oracle = primal_grid_welfare(d, rho, "participation")[0]
-    assert abs(sol.W_star - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    for extra in ((), (AgentType("T12", 7.0, 7.0, 0.0),)):
+        d = TypeDistribution(family + extra)
+        sol = solve_participation(d, rho)
+        assert d.by_id("T7").c < sol.y_star < d.by_id("T10").c
+        assert (sol.y_star, sol.marginal_fraction) == (7.863850103402023, 0.3053090360016809)
+        tol = 1e-9 * max(1.0, rho, d.total_mass)
+        assert check_feasible(
+            sol.mechanism, d, rho, {"balance", "simplex", "participation"}, tol=tol
+        ).ok
+        oracle = primal_grid_welfare(d, rho, "participation")[0]
+        assert abs(sol.W_star - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    assert sol.classes["T12"] == "FULL"
+    assert sol.mechanism.P["T12"] == 0.11735744399510328
 
 
 def test_integer_tables_are_feasible_and_optimal():

@@ -61,7 +61,7 @@ def test_sweep_equals_independent_solves(monkeypatch):
 
         return recorded
 
-    for name in ("_first_best_at", "_participation_at", "_screening_core"):
+    for name in ("solve_first_best", "_participation_at", "_screening_core"):
         monkeypatch.setattr(upkeep.cli, name, recording(name))
 
     pairs = 0
@@ -138,8 +138,8 @@ def test_sweep_builds_each_table_once(tmp_path, monkeypatch):
     argv = ["--mode", "sweep", "--ic", "--input", str(path), "--rho-grid", "0.01:100:16:log"]
     assert main([*argv, "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 17
-    # One table each for first best and participation.
-    assert builds == {"_kink_lines": 2, "_kink_table": 1}
+    # One table each for participation and screening; first best has none.
+    assert builds == {"_kink_lines": 1, "_kink_table": 1}
 
 
 def test_sweep_builds_no_screening_mechanism_or_labels(monkeypatch):
