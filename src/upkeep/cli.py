@@ -254,7 +254,7 @@ def _run_simulate(text: str, rho: float, seed: int, horizon: float) -> list[str]
 def _run_sweep(d: TypeDistribution, grid: RhoGrid, include_ic: bool) -> list[str]:
     # rho enters participation's and screening's dual lines only through
     # their slopes, so each table is built once and every grid point only
-    # walks it; first best is one closed form per grid point.  A row prints
+    # solves on it; first best is one closed form per grid point.  A row prints
     # only y, Q and W, so it reads screening's core, its final line, and
     # builds no mechanism and no labels.
     part_lines = _kink_lines(d)

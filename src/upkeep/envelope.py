@@ -1,7 +1,7 @@
 """Each optimum's dual: an upper envelope of lines W + y * S, one per
 candidate point, with welfare W and balance slack S.  A Lines table holds
-them without rho; solve_at minimizes the envelope at rho by Kelley's
-cutting-plane method (minimize) or picks the infinite branch's line."""
+them without rho; balanced_row picks the infinite branch's line, and
+solve_at minimizes screening's envelope by Kelley's cutting-plane method."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ class Lines:
     uptime Q in the ascending kink uptimes qs (keyword-only, as no
     column).  At a breakage rate rho the line is y -> W + y * S with
     S = rev - rho * Q (slack).  The class attribute scan indexes the rows
-    that solve_at's infinite branch may return: by default all but the last."""
+    that balanced_row may return: by default all but the last."""
 
     W: np.ndarray
     rev: np.ndarray
@@ -78,25 +78,14 @@ def minimize(W: np.ndarray, S: np.ndarray, eps: float) -> tuple[int, int, int, f
     raise RuntimeError("dual walk did not converge")
 
 
-def solve_at(lines: Lines, rho: float, scale: float) -> tuple[np.ndarray, int, int, int, float]:
-    """(S, pos, neg, steps, y): the slack of lines at rho and, when some
-    line has slack above DEFAULT_TOL * scale (see model.slack_scale),
-    minimize's final pair as flat indices, its evaluations and their
-    crossing.  Otherwise the branch is infinite:
-    steps is 0, y is inf, and pos = neg is the welfare-best row of
-    lines[lines.scan], as an index into it, with |S| <= eps_bal =
-    1e-12 * scale.  No row has positive slack there, and every mechanism
-    mixes rows (levels are affine in the uptime between kinks), so a
-    balanced mix has only balanced members, and linear welfare is best
-    at one of them.  Rows are scanned by ascending kink, ties in row
-    order; a row replaces the best so far only if its welfare is higher
-    by more than eps_bal.  Every scan leaves out the limit row, Q = 1 with
-    nobody contributing, which balances when rho is within eps_bal of 0.
-    """
-    S = lines.slack(rho)
-    found = minimize(lines.W.ravel(), S.ravel(), DEFAULT_TOL * scale)
-    if found is not None:
-        return (S, *found)
+def balanced_row(lines: Lines, S: np.ndarray, scale: float) -> int:
+    """The infinite branch's row: the welfare-best row of lines[lines.scan],
+    as an index into it, with |S| <= eps_bal = 1e-12 * scale.  No row has
+    positive slack, and every mechanism mixes rows, so a balanced mix has
+    only balanced members, and linear welfare is best at one of them.
+    Rows are scanned by ascending kink, ties in row order, and one beats
+    the best so far only by more than eps_bal.  Every scan leaves out the
+    limit row, which balances when rho is within eps_bal of 0."""
     eps_bal = 1e-12 * scale
     W = lines.W[lines.scan]
     rows = (np.abs(S[lines.scan]) <= eps_bal).nonzero()[0]
@@ -105,4 +94,16 @@ def solve_at(lines: Lines, rho: float, scale: float) -> tuple[np.ndarray, int, i
     for i in rows[1:]:
         if W[i] > W[best] + eps_bal:
             best = i
-    return S, int(best), int(best), 0, np.inf
+    return int(best)
+
+
+def solve_at(lines: Lines, rho: float, scale: float) -> tuple[np.ndarray, int, int, int, float]:
+    """(S, pos, neg, steps, y) at rho: if some line has slack above
+    DEFAULT_TOL * scale (model.slack_scale), minimize's final pair as flat
+    indices, its steps and crossing, else balanced_row's row twice, 0, inf."""
+    S = lines.slack(rho)
+    found = minimize(lines.W.ravel(), S.ravel(), DEFAULT_TOL * scale)
+    if found is not None:
+        return (S, *found)
+    best = balanced_row(lines, S, scale)
+    return S, best, best, 0, np.inf

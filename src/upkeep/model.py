@@ -108,8 +108,8 @@ class TypeDistribution:
 
 
 def slack_scale(d: TypeDistribution, rho: float) -> float:
-    """The scale of a balance residual at rho, max(1, rho, total mass):
-    envelope.solve_at forms the solvers' slack tolerances relative to it."""
+    """The scale of a balance residual at rho, max(1, rho, total mass), of
+    screening's slack tolerances and both solvers' infinite branches."""
     return max(1.0, rho, d.total_mass)
 
 

@@ -3,42 +3,35 @@
 With participation constraints, each type's contribution is capped at the
 smaller of the downtime and the uptime scaled by its valuation.  The
 designer's problem is the saddle point of a reduced Lagrangian that is
-piecewise linear in the uptime (kinks at one point per type) and
-piecewise linear in the cost threshold (kinks at the cost atoms).  So
-the dual, the Lagrangian's maximum over the uptime, is the upper
-envelope of finitely many lines in the threshold: one per kink uptime
-and prefix of the cost-sorted types, the kink Q = 1 giving the limit
-line, all in one rho-free envelope.Lines table, whose envelope
-envelope.solve_at minimizes at each breakage rate.  Each line's slope is
-also a balance residual: the prefix's saturated contributions minus the
-breakage rate.  Every residual column is concave in the uptime and 0 at
-uptime 0, so the uptime between the kinks of the walk's final pair has
-a closed form read off one column, and the threshold's share is read
-off the kink row that balances; the infinite branch takes the saturated
-column's welfare-best balanced row.  Both branches end in one place
-(_participation_at): each type contributes its share of its cap, and the
-same pass labels it with its class.  A sweep row prints no class, but
-the labels cost a few per cent of a solve at rho, so unlike screening's
-(see screening._screening_core) they are not split from the solve.
-First best, under physical constraints only, is this problem with each
-cap relaxed to the downtime 1 - Q; its dual's minimum is one closed form
-over the prefixes of the cost-sorted types, with no table and no walk.
+piecewise linear in the uptime (kinks at one point per type) and in the
+cost threshold (kinks at the cost atoms).  So the dual, its maximum over
+the uptime, is the upper envelope of one rho-free envelope.Lines table:
+a line per kink uptime and prefix of the cost-sorted types, the kink
+Q = 1 giving the limit line.  Each line's slope is also a balance
+residual, concave in the uptime and 0 at 0.  At each breakage rate the
+dual's minimum is one exact bracket over the cost atoms (_bracket), with
+no walk, no snap and only relative tolerances, and the uptime and the
+threshold's share have closed forms between the kinks it names; the
+infinite branch takes the saturated column's welfare-best balanced row.
+Both end in _participation_at, whose one pass forms each type's level
+and class (a few per cent of a solve, so unlike screening's labels not
+split from it).  First best is this problem with each cap relaxed to the
+downtime 1 - Q, and its dual's minimum is one closed form.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
 import numpy as np
 
-from .envelope import Lines, solve_at
+from .envelope import Lines, balanced_row
 from .model import (
     ATOM_SNAP,
     DEFAULT_TOL,
-    AgentType,
     Mechanism,
     TypeDistribution,
     kink_uptimes,
@@ -67,7 +60,7 @@ class ParticipationSolution:
     else MARGINAL (a threshold type, share strictly between 0 and 1),
     else FULL (the whole downtime: Q at or past its own kink 1 / (1 + nu))
     or BOUND (participation binds, utility zero).  iterations counts the
-    steps of the dual walk, and is 0 when y_star is infinite.
+    cost atoms scored (bench/tracing.py reads it), 0 if y_star is inf.
     """
 
     y_star: float
@@ -116,13 +109,13 @@ class OrderedTypesReport:
 class _KinkLines(Lines):
     """The dual's lines at the kinks (see _kink_lines): rev holds the
     covered caps C, and kink, each row's index into qs, is repeated
-    across the row.  by_cost holds the types sorted by cost, the table's
-    column order, and costs their costs."""
+    across the row.  atoms holds -inf, the distinct costs and inf; between
+    atoms[i] and atoms[i + 1] the dual is column cols[i]'s envelope."""
 
     # The infinite branch's scan: the saturated column without the limit row.
     scan = np.s_[:-1, -1]
-    by_cost: list[AgentType]
-    costs: list[float]
+    atoms: np.ndarray
+    cols: np.ndarray
 
 
 def _kink_lines(d: TypeDistribution) -> _KinkLines:
@@ -136,7 +129,8 @@ def _kink_lines(d: TypeDistribution) -> _KinkLines:
 
     S[i, j] is also the balance residual at kink i when the j cheapest
     types contribute their caps and no other type contributes, and the
-    last column holds the fully saturated slack and welfare.
+    last column holds the fully saturated slack and welfare.  Nor do the
+    atoms involve rho, or their first indices among the costs (all > 0).
     """
     by_cost = sorted(d.types, key=lambda t: t.c)
     nu, mass, c = np.array([(1.0, 0.0, 0.0)] + [(t.nu, t.mass, t.c) for t in by_cost]).T
@@ -145,7 +139,9 @@ def _kink_lines(d: TypeDistribution) -> _KinkLines:
     covered = mass * np.minimum(1.0 - q, q * nu)
     W = q * d.u_bar - (covered * c).cumsum(axis=1)
     kink = np.arange(qs.size).repeat(W.shape[1]).reshape(W.shape)
-    return _KinkLines(W, covered.cumsum(axis=1), kink, by_cost, [t.c for t in by_cost], qs=qs)
+    first = (c[1:] != c[:-1]).nonzero()[0]
+    atoms, cols = np.concatenate(([-np.inf], c[1:][first], [np.inf])), np.append(first, c.size - 1)
+    return _KinkLines(W, covered.cumsum(axis=1), kink, atoms, cols, qs=qs)
 
 
 def _snapped(y: float, d: TypeDistribution) -> float:
@@ -161,25 +157,23 @@ def _balanced_point(
     qs: np.ndarray, S: np.ndarray, jm: int, jp: int,
     pos_row: int, neg_row: int, eps: float,
 ) -> tuple[float, float]:
-    """The smallest uptime between the final pair's kinks where the
-    residual S[:, jm] without the threshold's types is <= eps, and their
-    share there.  That column and S[:, jp], with them, are concave in the
-    uptime and 0 at 0, S[:, jm] < 0 at the neg kink and S[:, jp] >= 0 at
-    the pos kink: so S[:, jp] >= 0 up to the pos kink, S[:, jm] <= 0 from
-    the neg kink on, and S[:, jp] >= S[:, jm] = 0 where S[:, jm] first
-    reaches 0 past the pos kink.  S[:, jm] is linear between kinks, so
-    that point has a closed form, and the share there is 0.  At a kink
-    row the share balances the row's two residuals, clamped to [0, 1]; it
-    is exactly 0 when the residual without the threshold's types is
-    within eps of 0, and exactly 1 when the one with them is, so rounding
-    noise in a residual reads as no share or a full one.
+    """The smallest uptime from the lower of the pos and neg kinks where
+    the residual S[:, jm] without the threshold's types is <= eps, and
+    their share there.  That column and S[:, jp], with them, are concave
+    in the uptime and 0 at 0, S[:, jm] <= 0 at the neg kink and
+    S[:, jp] >= 0 at the pos kink: so S[:, jp] >= 0 up to the pos kink,
+    S[:, jm] <= 0 from the neg kink on, and S[:, jp] >= S[:, jm] = 0
+    where S[:, jm] first reaches 0 past the pos kink, linear between
+    kinks: there the share is 0, and a kink within eps of 0 is exact.  At
+    a kink row the share balances the row's two residuals, clamped to
+    [0, 1]; it is 0 or 1 when the residual without or with the
+    threshold's types is within eps of 0, so rounding noise reads as no
+    share or a full one.
     """
     rm = S[:, jm].tolist()
     first = min(pos_row, neg_row)
-    k = next((k for k in range(first, neg_row + 1) if rm[k] <= eps), None)
-    if k is None:
-        raise RuntimeError("no balanced uptime found between the final pair's kinks")
-    if k > first:
+    k = next(k for k in range(first, neg_row + 1) if rm[k] <= eps)
+    if k > first and abs(rm[k]) > eps:
         a, b, fa, fb = qs.item(k - 1), qs.item(k), rm[k - 1], rm[k]
         return min(max(a + (eps - fa) * (b - a) / (fb - fa), a), b), 0.0
     Q, r_without, r_with = qs.item(k), rm[k], float(S[k, jp])
@@ -194,24 +188,53 @@ def _balanced_point(
 def solve_participation(d: TypeDistribution, rho: float) -> ParticipationSolution:
     """Solve the designer's problem under participation constraints.
 
-    Every line of the dual is scored once (_kink_lines), independently of
-    rho.  When some line has slack at rho, envelope.solve_at walks the
-    dual, and the crossing of its final pair is the threshold, snapped to
-    a cost atom within rounding.  The uptime is the smallest between the
-    final pair's kinks where the balance residual without the threshold's
-    types is <= 0 and with them is >= 0.  Both residuals are concave in
-    the uptime and 0 at 0, so that is the neg kink if it is at or below
-    the pos kink, and otherwise where the table's column without the
-    threshold's types first reaches 0 past the pos kink.  At a kink the
-    threshold's types then share one contribution fraction, read off that
-    row's residuals without and with them, that balances exactly; past
-    one they contribute nothing (_balanced_point).  Otherwise the
-    threshold is infinite, every type saturates its cap, and the uptime
-    is the kink of solve_at's balanced row in the saturated column.
+    If some line of the dual (_kink_lines) has slack above DEFAULT_TOL *
+    max(rho, total mass), _bracket finds its minimum and _balanced_point
+    the uptime and share; otherwise the threshold is infinite and every
+    type saturates its cap (envelope.balanced_row).
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and > 0")
     return _participation_at(_kink_lines(d), d, rho)
+
+
+def _bracket(lines: _KinkLines, S: np.ndarray) -> tuple[float, int, int, int, int]:
+    """(y, jm, jp, pos, neg): the dual's minimizer y, the columns without
+    and with the types that cost y, and the rows _balanced_point reads.
+
+    The dual is convex, so its minimum lies next to its lowest atom, found
+    in one numpy pass.  Its slopes there run from the slack in jm of the
+    rows on top (within 1e-12 relative) to their slack in jp: pos is the
+    lowest row on top with slack >= 0 in jp and neg with slack <= 0 in
+    jm.  Without pos the dual falls right, into column jp, and without
+    neg left, into jm.  There the lines' value is concave in the uptime,
+    so the rows on top are consecutive and hold the two rows where the
+    column's slack changes sign (the left end of a flat minimum), with
+    slack < 0 past them; those furthest apart cross with least rounding.
+    """
+    W, a, cols = lines.W, lines.atoms, lines.cols
+    V = W[:, cols[:-1]] + a[1:-1] * S[:, cols[:-1]]
+    i = int(V.max(axis=0).argmin())
+    y, jm, jp = a.item(i + 1), cols.item(i), cols.item(i + 1)
+    v, sm, sp = V[:, i].tolist(), S[:, jm].tolist(), S[:, jp].tolist()
+    best = max(v)
+    top = [r for r, x in enumerate(v) if x >= best - 1e-12 * abs(best)]
+    pos = next((r for r in top if sp[r] >= 0.0), None)
+    neg = next((r for r in top if sm[r] <= 0.0), None)
+    if pos is not None and neg is not None:
+        return y, jm, jp, pos, neg
+    j, lo, hi = (jp, y, a.item(i + 2)) if pos is None else (jm, a.item(i), y)
+    w, s = W[:, j].tolist(), S[:, j].tolist()
+    neg = next(r for r, x in enumerate(s) if x < 0.0)
+    pos, x = neg - 1, (w[neg] - w[neg - 1]) / (s[neg - 1] - s[neg])
+    u = [wr + x * sr for wr, sr in zip(w, s)]
+    low = max(u[pos], u[neg]) - 1e-12 * abs(max(u[pos], u[neg]))
+    while pos > 0 and u[pos - 1] >= low:
+        pos -= 1
+    while neg + 1 < len(s) and u[neg + 1] >= low:
+        neg += 1
+    x = (w[neg] - w[pos]) / (s[pos] - s[neg])
+    return (x, j, j, pos, neg) if lo < x < hi else (y, jm, jp, pos, neg)
 
 
 def _participation_at(
@@ -219,46 +242,22 @@ def _participation_at(
 ) -> ParticipationSolution:
     """solve_participation at rho from d's lines, for a checked rho.
 
-    Each type contributes a share of its cap: 1 if its cost is below
-    lo_c, frac if its cost is in [lo_c, hi_c], and 0 above.  Its class
-    is read off that share, its level and its own kink 1 / (1 + nu), as
-    kink_uptimes forms it, in the same pass."""
-    scale = slack_scale(d, rho)
-    S, pos, neg, iterations, y = solve_at(lines, rho, scale)
-    if iterations == 0:
-        # Every type saturates its cap at the kink of the scan's row.
-        Q, y_star, lo_c, hi_c, frac = lines.qs.item(pos), math.inf, math.inf, math.inf, 0.0
+    Each type contributes a share of its cap: 1 below y_star, frac at
+    y_star and 0 above.  Its class is read off that share, its level and
+    its kink 1 / (1 + nu), formed as kink_uptimes does, in the same pass."""
+    S = lines.slack(rho)
+    scale = max(rho, d.total_mass)
+    if S[:, -1].max() > DEFAULT_TOL * scale:
+        y_star, jm, jp, pos, neg = _bracket(lines, S)
+        Q, frac = _balanced_point(lines.qs, S, jm, jp, pos, neg, _SCAN_RTOL * scale)
+        atoms = lines.cols.size - 1
     else:
-        # Marginal rationing applies only at a cost atom.
-        y_star = _snapped(y, d)
-
-        # The types rationed at the threshold are those with costs in
-        # [lo_c, hi_c]: the cost atom at y_star, if any.  A pair on one
-        # kink crosses at a mix of the costs its prefixes differ by, which
-        # is an atom in exact arithmetic; where the walk's tolerance leaves
-        # the crossing off every atom, the band spans the mix's costs
-        # instead.
-        by_cost, costs = lines.by_cost, lines.costs
-        (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, S.shape[1]) for i in (pos, neg))
-        lo_c = hi_c = y_star
-        if pos_row == neg_row and y_star not in costs:
-            band = [t.c for t in by_cost[neg_col:pos_col] if t.mass > 0.0]
-            lo_c, hi_c = min(band), max(band)
-
-        # Column bisect_left(costs, lo_c) is the balance residual without
-        # the band's types, and column bisect_right(costs, hi_c) with them.
-        # S does not fall along a row, and the columns between a pair
-        # line's prefix and the band's edges add only massless types: at
-        # the neg kink the first is <= the neg slack < 0, and at the pos
-        # kink the second is >= the pos slack >= 0.
-        Q, frac = _balanced_point(
-            lines.qs, S, bisect_left(costs, lo_c), bisect_right(costs, hi_c),
-            pos_row, neg_row, _SCAN_RTOL * scale,
-        )
+        Q = lines.qs.item(balanced_row(lines, S, slack_scale(d, rho)))
+        y_star, frac, atoms = math.inf, 0.0, 0
     P: dict[str, float] = {}
     classes: dict[str, TypeClass] = {}
     for t in d.types:
-        s = 1.0 if t.c < lo_c else frac if t.c <= hi_c else 0.0
+        s = 1.0 if t.c < y_star else frac if t.c == y_star else 0.0
         P[t.id] = p = min(1.0 - Q, Q * t.nu) * s
         classes[t.id] = (
             "NONE" if p == 0.0
@@ -267,7 +266,7 @@ def _participation_at(
             else "BOUND"
         )
     mech = Mechanism(Q=Q, R=dict.fromkeys(P, Q), P=P)
-    return ParticipationSolution(y_star, Q, welfare(mech, d), mech, classes, frac, iterations, rho)
+    return ParticipationSolution(y_star, Q, welfare(mech, d), mech, classes, frac, atoms, rho)
 
 
 def solve_first_best(d: TypeDistribution, rho: float) -> FirstBestSolution:

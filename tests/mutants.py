@@ -134,13 +134,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a massless type joins the band",
-        "src/upkeep/participation.py",
-        "if t.mass > 0.0]",
-        "if t.mass >= 0.0]",
-        ("tests/test_participation.py::test_pair_on_one_kink_with_a_crossing_off_every_atom",),
-    ),
-    Mutant(
         "limit row stored with cut n",
         "src/upkeep/screening.py",
         "limit = np.array([last, 0, -1, 0, 0, n], dtype)",
@@ -205,13 +198,6 @@ MUTANTS = (
         "or g in (values.item(pos), values.item(neg)):",
         "or top in (pos, neg):",
         ("tests/test_envelope.py::test_walk_stops_on_a_repeated_limit_line",),
-    ),
-    Mutant(
-        "same-kink band switched off",
-        "src/upkeep/participation.py",
-        "if pos_row == neg_row and y_star not in costs:",
-        "if False:",
-        ("tests/test_participation.py::test_pair_on_one_kink_with_a_crossing_off_every_atom",),
     ),
     Mutant(
         "sweep prints the pos line's W, not the mix's",
@@ -373,6 +359,103 @@ MUTANTS = (
         "if gap >= eps else 0.0",
         ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[gap]",),
     ),
+    Mutant(
+        "left atom, not the lowest",
+        "src/upkeep/participation.py",
+        "i = int(V.max(axis=0).argmin())",
+        "i = max(int(V.max(axis=0).argmin()) - 1, 0)",
+        (
+            "tests/test_acceptance.py::test_criterion_2_participation_golden",
+            "tests/test_acceptance.py::test_criterion_4_threshold_inequality",
+            "tests/test_acceptance.py::test_criterion_7_oracle_equivalence",
+            "tests/test_acceptance.py::test_criterion_8_tail_sweeps",
+            "tests/test_participation.py::test_participation_threshold_is_the_exact_minimum",
+        ),
+    ),
+    Mutant(
+        "pair rule drops S = 0 lines",
+        "src/upkeep/participation.py",
+        "    neg = next(r for r, x in enumerate(s) if x < 0.0)\n",
+        "    neg = next(r for r, x in enumerate(s) if r and x <= 0.0)\n",
+        (
+            "tests/test_identity.py::test_solutions_are_bit_identical[participation/integer]",
+            "tests/test_participation.py::test_participation_threshold_is_the_exact_minimum",
+        ),
+    ),
+    Mutant(
+        "balanced kink interpolated",
+        "src/upkeep/participation.py",
+        "if k > first and abs(rm[k]) > eps:",
+        "if k > first:",
+        ("tests/test_participation.py::test_uptime_lands_on_the_pair_kink",),
+    ),
+    Mutant(
+        "a kink's residual exactly eps from 0 interpolated",
+        "src/upkeep/participation.py",
+        "if k > first and abs(rm[k]) > eps:",
+        "if k > first and abs(rm[k]) >= eps:",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[kink]",),
+    ),
+    Mutant(
+        "a row exactly 1e-12 relative below the atom's top value not on top",
+        "src/upkeep/participation.py",
+        "if x >= best - 1e-12 * abs(best)]",
+        "if x > best - 1e-12 * abs(best)]",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[top]",),
+    ),
+    Mutant(
+        "a top row with slack exactly 0 with the atom's types not pos",
+        "src/upkeep/participation.py",
+        "if sp[r] >= 0.0), None)",
+        "if sp[r] > 0.0), None)",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[top]",),
+    ),
+    Mutant(
+        "pos widened past row 0",
+        "src/upkeep/participation.py",
+        "while pos > 0 and",
+        "while pos >= 0 and",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[atom]",),
+    ),
+    Mutant(
+        "a row exactly on the widening tolerance not widened to, below",
+        "src/upkeep/participation.py",
+        "and u[pos - 1] >= low:",
+        "and u[pos - 1] > low:",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[atom]",),
+    ),
+    Mutant(
+        "a row exactly on the widening tolerance not widened to, above",
+        "src/upkeep/participation.py",
+        "and u[neg + 1] >= low:",
+        "and u[neg + 1] > low:",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[atom]",),
+    ),
+    Mutant(
+        "a crossing exactly on the atom taken as past it",
+        "src/upkeep/participation.py",
+        "if lo < x < hi else",
+        "if lo <= x < hi else",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[atom]",),
+    ),
+    Mutant(
+        "slack exactly on the branch tolerance takes the finite branch",
+        "src/upkeep/participation.py",
+        "if S[:, -1].max() > DEFAULT_TOL * scale:",
+        "if S[:, -1].max() >= DEFAULT_TOL * scale:",
+        ("tests/test_participation.py::test_a_value_exactly_on_its_tolerance_is_within_it[branch]",),
+    ),
+    Mutant(
+        "branch test keeps the floor",
+        "src/upkeep/participation.py",
+        "if S[:, -1].max() > DEFAULT_TOL * scale:",
+        "if S[:, -1].max() > DEFAULT_TOL * max(1.0, scale):",
+        (
+            "tests/test_participation.py::test_participation_is_scale_free",
+            "tests/test_participation.py::test_tiny_masses_balance_relative_to_rho",
+            "tests/test_participation.py::test_participation_threshold_is_the_exact_minimum",
+        ),
+    ),
 )
 
 
@@ -394,6 +477,15 @@ EQUIVALENT = (
         "if hi < 0 else",
         "if hi <= 0 else",
         "pad column 0 is 0 at every kink and high atoms exceed 1, so no row stores hi = 0",
+    ),
+    Equivalent(
+        "a crossing exactly on the far bound taken as inside",
+        "src/upkeep/participation.py",
+        "if lo < x < hi else",
+        "if lo < x <= hi else",
+        "hi is the next atom or inf (right) or y (left), and the dual there is read off the "
+        "crossing column: a crossing on it would make the next atom lower than y, or put both "
+        "rows of the pair on top at y, where the dual then falls on neither side",
     ),
 )
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -77,6 +79,73 @@ def _cap_sum(Q: float, y: float, d: TypeDistribution, strict: bool) -> float:
         if included and t.mass > 0.0:
             total += t.mass * min(one_minus, Q * t.nu)
     return total
+
+
+@lru_cache(maxsize=8)
+def _exact_rows(d: TypeDistribution):
+    """(u_bar, costs, rows) in Fractions: the costs ascending, and per
+    exact kink q = c / (c + u) (with 0 and 1) the prefix sums over the
+    cost-sorted types of mass * cap(q) and mass * cap(q) * c."""
+    by_cost = sorted(d.types, key=lambda t: t.c)
+    u_bar = sum(Fraction(t.mass) * Fraction(t.u) for t in d.types)
+    kinks = {Fraction(0), Fraction(1)}
+    kinks.update(Fraction(t.c) / (Fraction(t.c) + Fraction(t.u)) for t in d.types)
+    rows = []
+    for q in sorted(kinks):
+        C, K = [Fraction(0)], [Fraction(0)]
+        for t in by_cost:
+            cap = Fraction(t.mass) * min(1 - q, q * Fraction(t.u) / Fraction(t.c))
+            C.append(C[-1] + cap)
+            K.append(K[-1] + cap * Fraction(t.c))
+        rows.append((q, C, K))
+    return u_bar, [Fraction(t.c) for t in by_cost], rows
+
+
+def participation_dual(
+    d: TypeDistribution, rho: float
+) -> tuple[Callable[[float], Fraction], Fraction, Callable[[float], Fraction]]:
+    """(g, lowest, size): participation's dual in Fractions, its minimum,
+    and the size of its terms.
+
+    g(y) is the maximum over the exact kinks q of the reduced Lagrangian
+    q * (u_bar - rho * y) + the sum over the types with c < y of
+    mass * cap(q) * (y - c), with cap(q) = min(1 - q, q * nu).  size(y)
+    is the same maximum of the sum of its terms' absolute values, the
+    scale of its rounding in floats.  g is convex and piecewise linear,
+    so its minimum lies next to its lowest cost atom: at an atom, or
+    inside one of the two intervals beside it, where g is the maximum of
+    one prefix's lines and bends down to up only where a line with slope
+    >= 0 crosses one with slope < 0.
+    """
+    u_bar, costs, rows = _exact_rows(d)
+    rho_ = Fraction(rho)
+
+    @lru_cache(maxsize=None)
+    def lines(j: int) -> list[tuple[Fraction, Fraction]]:
+        return [(q * u_bar - K[j], C[j] - rho_ * q) for q, C, K in rows]
+
+    def g(y: float | Fraction) -> Fraction:
+        y_ = Fraction(y)
+        return max(w + y_ * s for w, s in lines(bisect_left(costs, y_)))
+
+    def size(y: float) -> Fraction:
+        y_, j = abs(Fraction(y)), bisect_left(costs, Fraction(y))
+        return max(q * (u_bar + rho_ * y_) + C[j] * y_ + K[j] for q, C, K in rows)
+
+    atoms = sorted(set(costs))
+    at_atoms = [g(a) for a in atoms]
+    i = at_atoms.index(min(at_atoms))
+    bounds = [None, *atoms, None]
+    ys = list(atoms)
+    for k in (i, i + 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        column = lines(bisect_left(costs, hi) if hi is not None else len(costs))
+        for wp, sp in column:
+            for wn, sn in column:
+                y = (wn - wp) / (sp - sn) if sp >= 0 > sn else None
+                if y is not None and (lo is None or lo < y) and (hi is None or y < hi):
+                    ys.append(y)
+    return g, min(g(y) for y in ys), size
 
 
 def balance_residual_at(
@@ -194,16 +263,19 @@ def first_best_lines(d: TypeDistribution) -> _KinkLines:
     covered = mass * (1.0 - q)
     W = q * d.u_bar - (covered * c).cumsum(axis=1)
     kink = np.arange(2).repeat(W.shape[1]).reshape(W.shape)
-    return _KinkLines(W, covered.cumsum(axis=1), kink, by_cost, [t.c for t in by_cost], qs=qs)
+    atoms, first = np.unique(c[1:], return_index=True)
+    atoms, cols = np.r_[-np.inf, atoms, np.inf], np.r_[first, len(by_cost)]
+    return _KinkLines(W, covered.cumsum(axis=1), kink, atoms, cols, qs=qs)
 
 
 def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSolution:
-    """solve_first_best by participation's finish on first best's table:
-    the walk, the snap to a cost atom, the band of rationed types when
-    the final pair shares a kink, the uptime and share of _balanced_point
-    at tolerance 0, each type's share of its downtime, and welfare summed
-    through agent_utility.  No shortcut is taken that first best's table
-    would allow, such as the pair's rows always being 0 and 1.
+    """solve_first_best by a walk and a general finish on first best's
+    table: Kelley's walk (envelope.minimize), the snap to a cost atom, the
+    band of rationed types when the final pair shares a kink, the uptime
+    and share of participation's _balanced_point at tolerance 0, each
+    type's share of its downtime, and welfare summed through
+    agent_utility.  No shortcut is taken that first best's table would
+    allow, such as the pair's rows always being 0 and 1.
     """
     lines = first_best_lines(d)
     W, S = lines.W, lines.slack(rho)
@@ -212,7 +284,8 @@ def first_best_via_participation(d: TypeDistribution, rho: float) -> FirstBestSo
         if abs(t.c - y) <= ATOM_SNAP * max(1.0, t.c):
             y = t.c
             break
-    by_cost, costs = lines.by_cost, lines.costs
+    by_cost = sorted(d.types, key=lambda t: t.c)
+    costs = [t.c for t in by_cost]
     (pos_row, pos_col), (neg_row, neg_col) = (divmod(i, W.shape[1]) for i in (pos, neg))
     lo_c = hi_c = y
     if pos_row == neg_row and y not in costs:

@@ -176,10 +176,11 @@ def _tiny_masses():
 
 @pytest.mark.parametrize("kind", [*KINDS, "tiny_masses"])
 def test_every_table_ends_in_its_limit_line(kind, monkeypatch):
-    # Participation and screening each hand envelope.minimize, through
-    # envelope.solve_at, a table whose last line is the limit line, and
-    # screening's stored limit row reads as Q = 1 with free full access.
-    # First best has no table and no walk.
+    # Screening hands envelope.minimize, through envelope.solve_at, a
+    # table whose last line is the limit line, and its stored limit row
+    # reads as Q = 1 with free full access.  Participation's table ends in
+    # the limit line too, but its threshold is a bracket over its cost
+    # atoms, with no walk; first best has no table and no walk.
     last = []
 
     def record(W, S, eps, inner=envelope.minimize):
@@ -195,8 +196,8 @@ def test_every_table_ends_in_its_limit_line(kind, monkeypatch):
             last.clear()
             solve_participation(d, rho)
             solve_screening(d, rho)
-            # participation and screening, in that order
-            assert last == [(d.u_bar, -rho)] * 2
+            # screening's walk only
+            assert last == [(d.u_bar, -rho)]
             assert lines.W[-1, -1] == d.u_bar and lines.slack(rho)[-1, -1] == -rho
             assert tab.W[-1] == d.u_bar and tab.slack(rho)[-1] == -rho
             line = _table_line(tab, tab.W.size - 1, d, rho)

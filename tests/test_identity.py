@@ -31,11 +31,11 @@ DIGESTS = {
     "first_best/tied_cost": "32b25cac1bf87dea1c03a57bb623666bbb6c3e04d75fbc4b1a3734351f1b01f2",
     "first_best/tied_nu": "30adff01e9a911e9edd25d63cb679be5ee74051d2da032e3957e25de9c196ea1",
     "first_best/zero_mass": "4114cbb6ae50830d7ea082b9027e0f8668fe6711b83eae3da193d07a3916cf6e",
-    "participation/integer": "f8c9bc45d01b398154f0c5ac29211eead35e3fd4976d5cacdd85da014832c98f",
-    "participation/plain": "ad2e02fd2cc462750060351067fc7dc72062a694347058cb5ae5a8a9efd222e5",
-    "participation/tied_cost": "6915d5e5fb8457b2d3e8664fb81fcf0e70109b7df98d4a3d8c284bb5ea17c44f",
-    "participation/tied_nu": "29c9292b6e1eb545883120ffdd73a08b60d79f03c50e13591d36641fc6b5e373",
-    "participation/zero_mass": "b852cbf7df864615aa592cebc88eb43201b7a28accc9c44eeb865c486a4d9f49",
+    "participation/integer": "c87ff152ac6244c3ba1c14ae079b12a5c15119f0cad84cc7ebac2de8028ee988",
+    "participation/plain": "7c59041bc676b1b7adc10be8dccb4d1a539d94d02c057dcda5448247130ad06a",
+    "participation/tied_cost": "52729eac2373aecd4ba450d8b8f0b52cf0618d4540b597f44c237fd497d67e2a",
+    "participation/tied_nu": "14891044510e0112353bae1616ec61681aea2a75bf65f2d739b023e0483d84a7",
+    "participation/zero_mass": "2052dc46417179617ab11f5027fd6fe4942f2e85a34a80a3e3f419f9bb03ba6e",
     "screening/integer": "57abc82a5e2ef582d7c4a5bcbdd7f2fc332977f91ce0d268a2d3d3b9b5d4f095",
     "screening/plain": "abe34340f9143a0efa460e88d85d57e231363f8bb2f8fa4eed17b0e47970c8d0",
     "screening/tied_cost": "21a8635d603f0bfd51d0f5fce1155d3953e046d5d1803f6836d00e2c22265c12",

@@ -17,10 +17,9 @@ from upkeep import (
     solve_participation,
     welfare,
 )
-from upkeep.envelope import minimize
 from upkeep.model import kink_uptimes, slack_scale
 from conftest import KINDS, kinded_distribution, random_distribution
-from reference import inner_max_Q, reduced_lagrangian, slater_gap
+from reference import inner_max_Q, participation_dual, reduced_lagrangian, slater_gap
 from test_identity import corpus
 
 Y_STAR = 45.0 / 14.0
@@ -278,15 +277,16 @@ def test_welfare_equals_mechanism_welfare():
 
 
 def test_pair_on_one_kink_with_a_crossing_off_every_atom():
-    # The walk stops on the prefix-6 and prefix-8 lines of one kink: the
-    # prefix-7 line adds only T7, of mass 2.3e-5, and sits above the pair
-    # by less than the walk's tolerance.  The crossing lands 8.6e-12
-    # relative below T10's cost, off every cost atom, so T7 and T10 share
-    # the threshold's contribution fraction.  T12, of mass 0, costs less
-    # than T7 and sits among the types the pair's prefixes differ by; the
-    # band spans only the costs of types with mass, so with T12 added
-    # nothing else moves, and T12 contributes its whole cap like every
-    # type below the threshold.
+    # A walk with an absolute stop tolerance stopped on the prefix-6 and
+    # prefix-8 lines of one kink: the prefix-7 line adds only T7, of mass
+    # 2.3e-5, and sat above the pair by less than the tolerance, so the
+    # crossing landed 8.6e-12 relative below T10's cost, off every atom,
+    # and T7 and T10 shared the threshold's contribution fraction.  The
+    # dual's minimum is T10's cost: it is the lowest atom and falls on
+    # neither side, so T10 alone is rationed and T7 contributes its whole
+    # cap, and welfare is the exact oracle's to the rounding.  T12, of
+    # mass 0, costs less than T7; with it added nothing else moves, and it
+    # contributes its whole cap like every type below the threshold.
     family = (
         AgentType("T0", 0.6319245800397523, 1.7428406064503703, 0.04041542014971688),
         AgentType("T1", 0.1425044564043586, 3.1373438557627584, 0.0),
@@ -305,14 +305,15 @@ def test_pair_on_one_kink_with_a_crossing_off_every_atom():
     for extra in ((), (AgentType("T12", 7.0, 7.0, 0.0),)):
         d = TypeDistribution(family + extra)
         sol = solve_participation(d, rho)
-        assert d.by_id("T7").c < sol.y_star < d.by_id("T10").c
-        assert (sol.y_star, sol.marginal_fraction) == (7.863850103402023, 0.3053090360016809)
+        assert sol.y_star == d.by_id("T10").c
+        assert sol.marginal_fraction == 0.30530903575693064
+        assert sol.classes["T7"] == "FULL" and sol.classes["T10"] == "MARGINAL"
         tol = 1e-9 * max(1.0, rho, d.total_mass)
         assert check_feasible(
             sol.mechanism, d, rho, {"balance", "simplex", "participation"}, tol=tol
         ).ok
         oracle = primal_grid_welfare(d, rho, "participation")[0]
-        assert abs(sol.W_star - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        assert abs(sol.W_star - oracle) <= 1e-15 * abs(oracle)
     assert sol.classes["T12"] == "FULL"
     assert sol.mechanism.P["T12"] == 0.11735744399510328
 
@@ -385,23 +386,25 @@ def _pair_cases():
 
 
 def test_uptime_lies_between_the_final_pair_kinks(monkeypatch):
+    # The uptime lies between the kinks of the rows that the bracket
+    # hands _balanced_point, and the answer balances and is optimal.
     pairs = []
 
-    def recording(W, S, eps):
-        found = minimize(W, S, eps)
+    def recording(lines, S, inner=upkeep.participation._bracket):
+        found = inner(lines, S)
         pairs.append(found)
         return found
 
-    monkeypatch.setattr(upkeep.envelope, "minimize", recording)
+    monkeypatch.setattr(upkeep.participation, "_bracket", recording)
     finite = 0
     for d, rho in _pair_cases():
         pairs.clear()
         sol = solve_participation(d, rho)
-        (found,) = pairs
-        if found is not None:
+        if pairs:
+            (found,) = pairs
             finite += 1
             kinks = kink_uptimes(d)
-            rows = [i // (len(d.types) + 1) for i in found[:2]]
+            rows = found[3:]
             assert kinks[min(rows)] <= sol.Q_star <= kinks[max(rows)]
         scale = max(1.0, rho, d.total_mass)
         assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * scale
@@ -485,6 +488,38 @@ def test_a_residual_of_rounding_noise_gives_no_share_or_a_full_one(case):
 
 _EPS = 2.0**-40
 
+
+def _slack_on_the_branch_tolerance():
+    """_participation_at on a hand-built table whose saturated column's
+    largest slack, 1e-9 + 2^-40 - rho * 2^-40 at rho = 1, is exactly
+    DEFAULT_TOL * max(rho, total mass) = 1e-9 (every step is exact)."""
+    d = TypeDistribution((AgentType("A", 1.0, 1.0, 0.5),))
+    lines = upkeep.participation._KinkLines(
+        np.array([[0.0, 0.0], [0.0, 0.0], [d.u_bar, d.u_bar]]),
+        np.array([[0.0, 0.0], [0.0, 1e-9 + _EPS], [0.0, 0.0]]),
+        np.arange(3).repeat(2).reshape(3, 2),
+        np.array([-np.inf, 1.0, np.inf]),
+        np.array([0, 1]),
+        qs=np.array([0.0, _EPS, 1.0]),
+    )
+    sol = upkeep.participation._participation_at(lines, d, 1.0)
+    return sol.y_star, sol.Q_star
+
+
+def _bracket_at_1(W, S):
+    """_bracket on a hand-built two-column table with one cost atom, at
+    1, from its lines' W and slack S, one row per kink."""
+    lines = upkeep.participation._KinkLines(
+        np.array(W, float),
+        np.zeros((len(W), 2)),
+        np.zeros((len(W), 2), int),
+        np.array([-np.inf, 1.0, np.inf]),
+        np.array([0, 1]),
+        qs=np.zeros(len(W)),
+    )
+    return upkeep.participation._bracket(lines, np.array(S, float))
+
+
 # Calls that put one value exactly on its tolerance, which counts as
 # within it, and what they return.  The _balanced_point calls have one
 # kink at Q = 0.5, where the residuals without and with the threshold's
@@ -512,6 +547,40 @@ ON_THE_TOLERANCE = {
         ),
         (0.5, 1.0),
     ),
+    # A balanced kink past the first: its residual without the threshold's
+    # types is exactly -eps, so the kink itself, not a point interpolated
+    # to eps before it.
+    "kink": (
+        lambda: upkeep.participation._balanced_point(
+            np.array([0.25, 0.5]), np.array([[1.0, 1.0], [-_EPS, 1.0]]), 0, 1, 0, 1, _EPS
+        ),
+        (0.5, 0.0),
+    ),
+    # Only row 2 is on top at the atom, with slack < 0 in column 1, so the
+    # dual falls right; column 1 changes sign between rows 1 and 2, whose
+    # crossing is exactly the atom (rounding can put it there), so the
+    # atom is the minimum, with its own two columns.  At the crossing all
+    # four rows are worth exactly 0, on the tolerance below the pair's 0,
+    # so pos and neg widen to rows 0 and 3.
+    "atom": (
+        lambda: _bracket_at_1(
+            [[0, 0], [-1, -1], [2, 1], [0, 2]], [[0, 0], [0.5, 1], [-1, -1], [-1, -2]]
+        ),
+        (1.0, 0, 1, 0, 3),
+    ),
+    # At the atom row 1 is worth exactly 1e-12 relative below row 2's top
+    # value 1, so it is on top too, and its slack is exactly 0 in both
+    # columns: the dual falls on neither side, and row 1 is pos and neg.
+    "top": (
+        lambda: _bracket_at_1(
+            [[0, 0], [1 - 1e-12, 1 - 1e-12], [2, 1], [0, 0]],
+            [[0, 0], [0, 0], [-1, 0], [-1, -1]],
+        ),
+        (1.0, 0, 1, 1, 1),
+    ),
+    # The largest slack is exactly the branch test's tolerance: none is
+    # above it, so the threshold is infinite, at the balanced Q = 0.
+    "branch": (_slack_on_the_branch_tolerance, (math.inf, 0.0)),
     # The residuals are exactly eps apart, and balancing them would give
     # a share of 3 before the clamp: no share.
     "gap": (
@@ -532,8 +601,10 @@ def test_a_value_exactly_on_its_tolerance_is_within_it(case):
 def _tiny_mass_tables():
     """300 tables of 1-5 types with masses 10^U(-13, -8), u in [0.5, 5]
     and c in [0.5, 3], at rho = total mass x 10^U(-3, 3).  Every slack
-    is then below the branch test's floor of 1e-9, so most solves take
-    the infinite branch."""
+    is then far below 1, so a tolerance with an absolute floor of 1e-9
+    sends most solves to the infinite branch; participation's branch
+    test, relative to max(rho, total mass), takes the finite branch on
+    142 of them."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(1, 6))
@@ -551,13 +622,79 @@ def _tiny_mass_tables():
 def test_tiny_masses_never_beat_the_oracle():
     # An answer above the exact oracle is infeasible: Q = 1 with nobody
     # contributing, or an uptime past the balanced ones.  Answers below
-    # it remain, where the branch test's absolute floor sends a solve
-    # with positive slack to the infinite branch.
+    # it remain on 33 tables, where the oracle's own feasibility test
+    # has an absolute floor and scores an uptime whose caps fall short of
+    # the need: on the 31 finite ones welfare is the exact dual minimum
+    # to rounding.
     for d, rho in _tiny_mass_tables():
         sol = solve_participation(d, rho)
         oracle = primal_grid_welfare(d, rho, "participation")[0]
         assert sol.W_star <= oracle + 1e-12 * abs(oracle)
         assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * max(1.0, rho)
+
+
+def test_tiny_masses_balance_relative_to_rho():
+    # Balance within 1e-12 * rho, however small rho is: a balance
+    # tolerance with an absolute floor of 1e-15 left uptimes out of
+    # balance by more than that on 36 of these tables.
+    for d, rho in _tiny_mass_tables():
+        sol = solve_participation(d, rho)
+        assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * rho
+
+
+def _small_families():
+    """200 seeded families of 2-10 types, of the four kinds in turn, at
+    rho = total mass x 10^U(-2, 2)."""
+    rng = np.random.default_rng(46)
+    for i in range(200):
+        d = kinded_distribution(rng, KINDS[i % 4], int(rng.integers(2, 11)))
+        yield d, d.total_mass * 10.0 ** float(rng.uniform(-2.0, 2.0))
+
+
+def test_participation_threshold_is_the_exact_minimum():
+    # The dual at the threshold against its exact minimum, both in
+    # Fractions (reference.participation_dual), to 1e-15 of the size of
+    # the dual's terms there, the scale of their rounding: the dual
+    # cancels, so relative to its own value one ulp of the threshold can
+    # cost 1e-14.  A walk with an absolute stop tolerance stopped up to
+    # 8e-5 relative above the minimum at tiny masses, and sent all but 32
+    # of them to the infinite branch.
+    from test_first_best import _tenths_tables
+
+    finite = []
+    for cases in (_tiny_mass_tables(), _tenths_tables(), _small_families()):
+        finite.append(0)
+        for d, rho in cases:
+            y = solve_participation(d, rho).y_star
+            if math.isfinite(y):
+                g, lowest, size = participation_dual(d, rho)
+                assert g(y) - lowest <= 1e-15 * size(y)
+                finite[-1] += 1
+    assert finite == [142, 1765, 106]
+
+
+def test_participation_is_scale_free():
+    # Every mass and rho times 2^j is the same problem in other units, and
+    # moves no threshold and no branch: the branch test and the balance
+    # tolerance are relative to max(rho, total mass), with no floor.  The
+    # uptime, levels and welfare still move on a few solves, through the
+    # infinite branch's balance tolerance, which keeps slack_scale's
+    # floor of 1; the test prints how many.
+    from test_first_best import _scaled
+
+    rng = np.random.default_rng(3)
+    moved = 0
+    for i in range(200):
+        d = kinded_distribution(rng, KINDS[i % 4], int(rng.integers(2, 40)))
+        rho = d.total_mass * 10.0 ** float(rng.uniform(-2.0, 2.0))
+        base = solve_participation(d, rho)
+        for j in range(-60, 61, 8):
+            sol = solve_participation(*_scaled(d, rho, j))
+            assert sol.y_star.hex() == base.y_star.hex()
+            moved += (sol.Q_star, sol.mechanism.P, sol.W_star) != (
+                base.Q_star, base.mechanism.P, math.ldexp(base.W_star, j)
+            )
+    print(f"{moved} of 3200 scaled solves move the uptime, a level or welfare")
 
 
 def test_infinite_branch_takes_the_welfare_best_balanced_row():
@@ -583,7 +720,7 @@ def test_infinite_branch_takes_the_welfare_best_balanced_row():
             assert all(sol.mechanism.P[t.id] == min(1.0 - Q, Q * t.nu) for t in d.types)
             solves += 1
         counts.append(solves)
-    assert counts == [545, 268]
+    assert counts == [545, 158]
 
 
 def test_no_level_or_share_is_negative_zero(tmp_path, capsys):
