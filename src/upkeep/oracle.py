@@ -102,7 +102,7 @@ def primal_grid_welfare(
     need = rho * qs
     fill = np.clip(need[None, :] - (caps.cumsum(axis=0) - caps), 0.0, caps)
     w = qs * d.u_bar - (cost[:, None] * fill).sum(axis=0)
-    w = np.where(caps.sum(axis=0) >= need - _FEAS_EPS * np.maximum(1.0, need), w, -np.inf)
+    w = np.where(caps.sum(axis=0) >= need - _FEAS_EPS * need, w, -np.inf)
     i = int(w.argmax())
     levels = np.divide(fill[:, i], mass, out=np.zeros_like(mass), where=mass > 0.0)
     return float(w[i]), float(qs[i]), dict(zip((t.id for t in order), levels.tolist()))

@@ -22,11 +22,12 @@ sorted by nu stay sorted at every kink, and a menu {out, (r0, r0 * lo),
 (1, 1)} sends the buyers below lo out, those in [lo, hi) to the low tier
 and those from hi up to the top tier, ties going to the seller-preferred
 bundle whatever the buyer's mass, so tied valuations share a bundle.
-Each menu's revenue and welfare then come from cut indices and prefix
-sums of mass, mass * u and mass * c: O(n^2) numpy work per kink, in
-blocks of kinks.  One function (_cuts) finds those indices, and the
-table stores them with each kink's padded valuations, so the final menus
-are read from the indices and atoms that scored them.
+So the table has one column per tie group (m distinct valuations), and
+a menu's revenue and welfare come from cut indices and the groups'
+prefix sums of mass, mass * u and mass * c: O(m^2) numpy work per kink,
+in blocks of kinks.  _cuts finds those indices, and the table stores
+them with each kink's padded valuations, so the final menus are read
+from the indices and atoms that scored them.
 """
 
 from __future__ import annotations
@@ -211,23 +212,23 @@ class _KinkTable(Lines):
     Row 0, at Q = 0, is the free posted price pad[0, 0] = 0, which nobody
     takes: every buyer is cut out (W = rev = 0).  Then, one block of kinks
     at a time, come the block's posted prices and then its two-atom menus,
-    each kink by kink in _menu_candidates order (a repeated valuation
-    repeats its menus), so a first maximum among one kink's rows breaks
-    ties the way bounded_monopoly_solve does; across kinks exact ties are
-    left to row order.  The last row, at the last kink Q = 1, is the limit:
-    the free posted price pad[last, 0] = 0, which every buyer takes, so
-    everyone has full access for free: W = u_bar, rev = 0.  A row names
-    its menu by indices into its kink's padded valuations pad[kink] =
-    (0, v_1, ..., v_n, 1), v sorted ascending: hi = -1 is the posted price
-    pad[kink, lo] <= 1 (the sale caps payments at 1), otherwise the menu
-    has its low atom at pad[kink, lo] and its high atom at pad[kink, hi];
-    no row has lo = -1.
+    each kink by kink in _menu_candidates order, so a first maximum among
+    one kink's rows breaks ties the way bounded_monopoly_solve does;
+    across kinks exact ties are left to row order.  The last row, at the
+    last kink Q = 1, is the limit: the free posted price pad[last, 0] = 0,
+    which every buyer takes, so everyone has full access for free:
+    W = u_bar, rev = 0.  The columns are the tie groups, the types of one
+    exact valuation, which always share a bundle.  A row names its menu by
+    indices into its kink's padded valuations pad[kink] = (0, v_1, ...,
+    v_m, 1), the m distinct valuations ascending: hi = -1 is the posted
+    price pad[kink, lo] <= 1 (the sale caps payments at 1), otherwise the
+    menu has its low atom at pad[kink, lo] and its high atom at
+    pad[kink, hi]; no row has lo = -1.
     cut, top0 and top1 are the row's cut indices as _cuts forms them, from
-    _cuts itself for the scored rows: n for row 0, and 0, 0 and n for the
-    limit.  pad is 0 at the first and last kinks, and rank[j] is the place
-    of d.types[j] among the sorted valuations.  The six index columns
-    (kink to top1) have the narrowest signed dtype that holds n + 2
-    (_index_dtype).
+    _cuts itself for the scored rows: m for row 0, and 0, 0 and m for the
+    limit.  pad is 0 at the first and last kinks, and rank[j] is the group
+    of d.types[j], its valuation's place in v.  The six index columns (kink
+    to top1) have the narrowest signed dtype holding m + 2 (_index_dtype).
     """
 
     lo: np.ndarray
@@ -283,7 +284,7 @@ def _cuts(nu: np.ndarray, ratio: np.ndarray, eps: np.ndarray, k, low, high=None)
 
 def _index_dtype(n: int) -> np.dtype:
     """The narrowest signed integer dtype that holds n + 2, and so every
-    kink, atom and cut index of n types."""
+    kink, atom and cut index of n tie groups."""
     # A signed dtype that holds -(n + 3) holds n + 2.
     return np.min_scalar_type(-(n + 3))
 
@@ -295,10 +296,10 @@ def _score_kinks(
     block of kinks qs in (0, 1), where index stacks the rows' kink
     (counted from the block's first), lo, hi, cut, top0 and top1 in dtype,
     and pad holds the block's padded valuations, a row per kink, which lo
-    and hi index; nu is sorted and cum holds the prefix sums of mass,
-    mass * u and mass * c in that order.  Buyers are assigned by _cuts, so
-    each menu's revenue and welfare are differences of cum at its cut
-    indices.
+    and hi index; nu holds the tie groups' valuations, ascending and
+    distinct, and cum their prefix sums of mass, mass * u and mass * c in
+    that order.  Groups are assigned by _cuts, so each menu's revenue and
+    welfare are differences of cum at its cut indices.
     """
     k_n, n = qs.size, nu.size
     ratio = qs / (1.0 - qs)
@@ -335,12 +336,15 @@ def _score_kinks(
 
 def _kink_table(d: TypeDistribution) -> _KinkTable:
     """Score every candidate menu at every kink, a block of kinks at a
-    time; see _score_kinks."""
-    by_nu = sorted(range(len(d.types)), key=lambda j: d.types[j].nu)
-    order = [d.types[j] for j in by_nu]
-    nu = np.array([t.nu for t in order])
+    time, one column per tie group; see _KinkTable and _score_kinks."""
+    order = sorted(d.types, key=lambda t: t.nu)
+    nu = np.array([t.nu for t in order] + [math.inf])
+    # inf closes the last tie group; a group's prefix sums are its last type's.
+    last = nu[:-1] != nu[1:]
+    nu = nu[:-1][last]
+    sums = np.array([[t.mass, t.mass * t.u, t.mass * t.c] for t in order]).cumsum(axis=0)
     cum = np.zeros((3, nu.size + 1))
-    cum[:, 1:] = np.array([[t.mass, t.mass * t.u, t.mass * t.c] for t in order]).cumsum(axis=0).T
+    cum[:, 1:] = sums[last].T
     qs = np.array(kink_uptimes(d))
     # Chosen before any block is scored, so no index is ever cast into
     # a dtype too narrow for it.
@@ -366,7 +370,7 @@ def _kink_table(d: TypeDistribution) -> _KinkTable:
         *np.concatenate(index, axis=1),
         np.concatenate(pad),
         qs=qs,
-        rank=np.array(by_nu).argsort(),
+        rank=nu.searchsorted([t.nu for t in d.types]),
     )
 
 
@@ -378,8 +382,8 @@ def _table_line(tab: _KinkTable, i: int, d: TypeDistribution, rho: float) -> _Li
     low = tab.pad.item(k, lo)
     r0, pay = _tier(low) if hi < 0 else _tier(low, tab.pad.item(k, hi))
     cut, top0, top1 = tab.cut.item(i), tab.top0.item(i), tab.top1.item(i)
-    # (r, p) of each buyer in nu order.
-    bundle = np.zeros((2, tab.rank.size))
+    # (r, p) of each tie group in nu order, then of each type by its group.
+    bundle = np.zeros((2, tab.pad.shape[1] - 2))
     bundle[:, top0:cut] = bundle[:, top1:] = 1.0
     bundle[0, cut:top1], bundle[1, cut:top1] = r0, pay
     r, p = bundle[:, tab.rank]

@@ -148,6 +148,20 @@ MUTANTS = (
         ("tests/test_screening.py::test_row_0_names_the_free_posted_price_nobody_takes",),
     ),
     Mutant(
+        "near ties merged",
+        "src/upkeep/screening.py",
+        "last = nu[:-1] != nu[1:]",
+        "last = nu[1:] - nu[:-1] > 1e-12 * np.maximum(1.0, nu[:-1])",
+        ("tests/test_screening.py::test_a_tie_group_scores_as_one_type",),
+    ),
+    Mutant(
+        "rank by sorted type, not by group",
+        "src/upkeep/screening.py",
+        "rank=nu.searchsorted([t.nu for t in d.types])",
+        'rank=np.argsort([t.nu for t in d.types], kind="stable").argsort()',
+        ("tests/test_screening.py::test_a_tie_group_scores_as_one_type",),
+    ),
+    Mutant(
         "solve_screening accepts rho = 0",
         "src/upkeep/screening.py",
         "if not (math.isfinite(rho) and rho > 0):",

@@ -226,14 +226,19 @@ def table_row_menu(
 
     Every buyer breaks ties with unit payment weight, so it takes the
     bundle that pays the seller more whatever its mass.  At its own kink
-    a buyer's valuation is exactly 1, as in the table.
+    a buyer's valuation is exactly 1, as in the table.  The row's lo and
+    hi index the padded distinct valuations, one per tie group.
     """
     q = float(tab.qs[tab.kink[i]])
     lo, hi = int(tab.lo[i]), int(tab.hi[i])
     ratio = q / (1.0 - q)
+
+    def scaled(nu: float) -> float:
+        return 1.0 if q == 1.0 / (1.0 + nu) else nu * ratio
+
     order = sorted(d.types, key=lambda t: t.nu)
-    nus = [1.0 if q == 1.0 / (1.0 + t.nu) else t.nu * ratio for t in order]
-    pad = [0.0] + nus + [1.0]
+    nus = [scaled(t.nu) for t in order]
+    pad = [0.0] + [scaled(nu) for nu in sorted({t.nu for t in d.types})] + [1.0]
     out = (0.0, 0.0)
     if hi < 0:
         bundles: tuple[tuple[float, float], ...] = (out, (1.0, min(pad[lo], 1.0)))

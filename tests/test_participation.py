@@ -622,15 +622,26 @@ def _tiny_mass_tables():
 def test_tiny_masses_never_beat_the_oracle():
     # An answer above the exact oracle is infeasible: Q = 1 with nobody
     # contributing, or an uptime past the balanced ones.  Answers below
-    # it remain on 33 tables, where the oracle's own feasibility test
-    # has an absolute floor and scores an uptime whose caps fall short of
-    # the need: on the 31 finite ones welfare is the exact dual minimum
-    # to rounding.
+    # it are ruled out by test_tiny_masses_match_the_oracle_both_ways.
     for d, rho in _tiny_mass_tables():
         sol = solve_participation(d, rho)
         oracle = primal_grid_welfare(d, rho, "participation")[0]
         assert sol.W_star <= oracle + 1e-12 * abs(oracle)
         assert abs(balance_residual(sol.mechanism, d, rho)) <= 1e-12 * max(1.0, rho)
+
+
+@pytest.mark.parametrize("mode", ["participation", "first_best"])
+def test_tiny_masses_match_the_oracle_both_ways(mode):
+    # The oracle's feasibility test is relative to the need: with an
+    # absolute floor of 1e-12 it scored uptimes whose caps fall short of
+    # the need, up to 2.1 times the optimum, and read 64 of these answers
+    # more than 1e-12 relative below it.
+    solve = solve_participation if mode == "participation" else solve_first_best
+    for d, rho in _tiny_mass_tables():
+        sol = solve(d, rho)
+        W = sol.W_star if mode == "participation" else sol.W_fb
+        oracle = primal_grid_welfare(d, rho, mode)[0]
+        assert abs(W - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_tiny_masses_balance_relative_to_rho():

@@ -383,6 +383,71 @@ def test_tied_valuations_share_a_bundle_at_zero_mass():
         assert sol.mechanism.P["T1"] == sol.mechanism.P["T0"]
 
 
+# A tie of k pieces (u * a, c * a, mass * w): sum(w) = sum(w * a) = 1,
+# so the pieces' summed mass, mass * u and mass * c are the merged
+# type's, exactly at dyadic masses and even u and c.
+_PIECES = {
+    2: ((0.5, 0.5), (0.5, 1.5)),
+    3: ((0.25, 0.25, 0.5), (0.5, 1.5, 1.0)),
+    4: ((0.25, 0.25, 0.25, 0.25), (0.5, 1.5, 1.5, 0.5)),
+}
+
+
+def _tie_and_merged(rng: np.random.Generator) -> tuple[TypeDistribution, TypeDistribution, dict]:
+    """A family with a tie group of 2-4 types, the same family with the
+    tie merged into one type X, and the id map from the first to the
+    second.  Every valuation but the last two is at most 12, and those
+    two, P and its successor P1, are one ulp apart."""
+    n = int(rng.integers(1, 7))
+    u, c, m = rng.integers(1, 13, n + 1), rng.integers(1, 7, n + 1), rng.integers(0, 9, n + 1) / 8
+    merged = [AgentType(f"T{i}", float(u[i]), float(c[i]), float(m[i])) for i in range(n)]
+    x = AgentType("X", 2.0 * (u[n] // 2 + 1), 2.0 * (c[n] // 2 + 1), float(m[n]))
+    w, a = _PIECES[int(rng.integers(2, 5))]
+    tied = list(merged)
+    for j in range(len(w)):
+        piece = AgentType(f"X{j}", x.u * a[j], x.c * a[j], x.mass * w[j])
+        tied.insert(int(rng.integers(0, len(tied) + 1)), piece)
+    merged.insert(int(rng.integers(0, n + 1)), x)
+    # P and P1 sort last, after every sum over the tie.
+    v = float(rng.uniform(13.0, 20.0))
+    ulp = [AgentType("P", v, 1.0, 0.5), AgentType("P1", math.nextafter(v, math.inf), 1.0, 0.25)]
+    ids = {t.id: "X" if t.id.startswith("X") else t.id for t in tied + ulp}
+    return TypeDistribution(tuple(tied + ulp)), TypeDistribution(tuple(merged + ulp)), ids
+
+
+def test_a_tie_group_scores_as_one_type():
+    # Tied valuations share a bundle, so a tie of k types is one column
+    # of the table: it scores as one type with the summed mass, mass * u
+    # and mass * c, bit for bit, and each row gives each of its types
+    # the merged type's normalized levels exactly.  Valuations one ulp apart
+    # are not tied and stay two columns.  The solves walk the same rows;
+    # their final lines sum W and S type by type, so the mix weights and
+    # so the levels agree to rounding.
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        tied, merged, ids = _tie_and_merged(rng)
+        a, b = _kink_table(tied), _kink_table(merged)
+        for field in ("W", "rev", "kink", "lo", "hi", "cut", "top0", "top1", "pad", "qs"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), field
+        assert a.pad.shape[1] == len({t.nu for t in tied.types}) + 2
+        place = [merged.ids.index(ids[i]) for i in tied.ids]
+        assert a.rank.tolist() == b.rank[place].tolist()
+        assert a.rank[-1] == a.rank[-2] + 1
+        for i in range(a.W.size):
+            x, y = _table_line(a, i, tied, 1.0), _table_line(b, i, merged, 1.0)
+            assert x.Q == y.Q and (x.r == y.r[place]).all() and (x.p == y.p[place]).all()
+        for f in (0.05, 0.3, 1.0, 5.0):
+            rho = f * merged.total_mass
+            s, t = solve_screening(tied, rho), solve_screening(merged, rho)
+            assert s.iterations == t.iterations
+            assert s.W_star == pytest.approx(t.W_star, rel=1e-12, abs=1e-15)
+            for i in tied.ids:
+                m, n = s.mechanism, t.mechanism
+                level = (n.R[ids[i]], n.P[ids[i]])
+                assert (m.R[i], m.P[i]) == pytest.approx(level, rel=1e-12, abs=1e-15)
+
+
 # At L's kink (scaled valuations 1 and 20) and 0.5 < y < 9.5 the best
 # menu gives L a free partial tier and charges H the cap.
 FREE_TIER = TypeDistribution((AgentType("L", 5.0, 10.0, 1.0), AgentType("H", 1.0, 0.1, 1.0)))
@@ -404,9 +469,10 @@ def _table_cases():
 
 
 def test_kink_table_matches_inner_solve_and_menus():
-    # Each table row's buyers, as the solver assigns them (_table_line),
-    # must take exactly the bundles that the buyer-by-buyer reference
-    # gives them, and the row's line must match the reference's; each
+    # Each table row's buyers, as the solver assigns them (_table_line)
+    # from its tie groups' bundles, must take exactly the bundles that
+    # the buyer-by-buyer reference gives them, and the row's line must
+    # match the reference's; each
     # kink's best line at y > 0 is checked against the independent inner
     # solve in ic_lagrangian and, at each interior kink, against the LP
     # over all direct mechanisms (menu_grid_oracle), which does not assume
@@ -467,11 +533,11 @@ def _tables():
 
 def test_stored_pads_are_each_kinks_padded_valuations():
     # _table_line reads its atoms from tab.pad, so each interior kink's
-    # row must be the padded valuations that scored it, recomputed here
-    # buyer by buyer as table_row_menu forms them: exactly 1 at a
-    # buyer's own kink.
+    # row must be the padded valuations that scored it, one per tie group
+    # (distinct valuation), recomputed here as table_row_menu forms them:
+    # exactly 1 at a buyer's own kink.
     for d, _, tab in _tables():
-        nus = sorted(t.nu for t in d.types)
+        nus = sorted({t.nu for t in d.types})
         assert tab.pad.shape == (tab.qs.size, len(nus) + 2)
         for k in range(1, tab.qs.size - 1):
             q = tab.qs.item(k)
@@ -482,12 +548,14 @@ def test_stored_pads_are_each_kinks_padded_valuations():
 
 def test_limit_row_names_free_full_access():
     # The limit row is the posted price 0 at Q = 1, which every buyer
-    # takes: full access for free, with welfare u_bar and slack -rho.
+    # takes: every tie group is cut to full access for free, with welfare
+    # u_bar and slack -rho.
     for d, rho, tab in _tables():
         n, last = len(d.types), tab.W.size - 1
+        groups = len({t.nu for t in d.types})
         assert tab.kink[last] == tab.qs.size - 1 and tab.qs[-1] == 1.0
         stored = (tab.lo[last], tab.hi[last], tab.cut[last], tab.top0[last], tab.top1[last])
-        assert stored == (0, -1, 0, 0, n)
+        assert stored == (0, -1, 0, 0, groups)
         assert tab.pad[-1, 0] == 0.0
         line = _table_line(tab, last, d, rho)
         assert line.Q == 1.0
@@ -497,13 +565,13 @@ def test_limit_row_names_free_full_access():
 
 def test_row_0_names_the_free_posted_price_nobody_takes():
     # Row 0 is the posted price 0 at Q = 0, which no buyer takes: every
-    # buyer is cut out, so nobody has access and welfare and slack are 0.
-    # It is read like every other row, with no opt-out branch.
+    # tie group is cut out, so nobody has access and welfare and slack are
+    # 0.  It is read like every other row, with no opt-out branch.
     for d, rho, tab in _tables():
-        n = len(d.types)
+        n, groups = len(d.types), len({t.nu for t in d.types})
         assert tab.kink[0] == 0 and tab.qs[0] == 0.0
         stored = (tab.lo[0], tab.hi[0], tab.cut[0], tab.top0[0], tab.top1[0])
-        assert stored == (0, -1, n, n, n)
+        assert stored == (0, -1, groups, groups, groups)
         assert tab.pad[0, 0] == 0.0
         line = _table_line(tab, 0, d, rho)
         assert line.Q == 0.0
@@ -722,10 +790,11 @@ def test_a_buyer_values_its_own_kink_at_exactly_1():
     # but the product rounds off 1 for most corpus types.  A padded
     # valuation of exactly 1 is neither a low atom (< 1) nor a high atom
     # (> 1), so no two-atom row puts an atom on it, and the posted price
-    # at it charges exactly 1.
+    # at it charges exactly 1.  The pads are the tie groups' distinct
+    # valuations.
     posted = 0
     for _, d, rho in corpus():
-        tab, nu = _kink_table(d), np.sort([t.nu for t in d.types])
+        tab, nu = _kink_table(d), np.unique([t.nu for t in d.types])
         n = nu.size
         # own[j] is the kink of pad index j, -1 for the pads 0 and 1.
         own = np.full(n + 2, -1)
